@@ -1,0 +1,156 @@
+//! Golden replay values: literal fingerprints and counters at tiny scale
+//! and fixed seeds. Every comparison elsewhere in the suite is run-vs-run
+//! inside one build, which cannot see a refactor that changes what a
+//! seed replays to; these literals can. Update one only for a deliberate,
+//! documented change of the seeded behaviour it pins.
+
+use netsim::rng::SimRng;
+use netsim::types::{AsId, Family, Tier};
+use netsim::ChurnModel;
+use planner::MoveSetConfig;
+use rootd::recovery::FailureKind;
+use rootd::{Farm, FarmChaosConfig, FarmConfig, FloodWindow, LoadgenConfig};
+use roots_core::{AttackRun, FarmRun, PlannerRun, Scale, ServingPipeline};
+use rss::RootLetter;
+use vantage::{MeasurementConfig, MeasurementEngine, World, WorldBuildConfig};
+
+#[test]
+fn farm_report_fingerprint() {
+    let mut cfg = FarmConfig::tiny(0x2024_0610);
+    cfg.queries = 6_000;
+    let run = FarmRun::run(Scale::Tiny, &[RootLetter::A, RootLetter::B], 4, &cfg);
+    assert_eq!(run.report.fingerprint(), 11455320921200104260);
+}
+
+/// `examples/farm_chaos_report.rs`'s schedule at 6 000 arrivals: two
+/// crashes, a blackhole, a stall, a poisoned reload and an 8× flood.
+#[test]
+fn farm_chaos_report_fingerprint() {
+    let world = World::build(&WorldBuildConfig::tiny());
+    let letters = [RootLetter::A, RootLetter::B, RootLetter::C];
+    let farm = Farm::build(
+        &world.topology,
+        &world.catalog,
+        world.zone_at(0),
+        &letters,
+        4,
+    );
+    let mut cfg = FarmChaosConfig::tiny(0x2025_0417, 86_400);
+    cfg.farm.queries = 6_000;
+    let site = |letter: RootLetter, i: usize| farm.deployment(letter).unwrap().sites[i].id.0;
+    let (a1, b0) = (site(RootLetter::A, 1), site(RootLetter::B, 0));
+    let (c0, c1) = (site(RootLetter::C, 0), site(RootLetter::C, 1));
+    cfg.plan
+        .add(RootLetter::A, a1, FailureKind::Crash, (1_000, 4_000));
+    cfg.plan
+        .add(RootLetter::B, b0, FailureKind::Blackhole, (1_500, 3_500));
+    cfg.plan
+        .add(RootLetter::C, c1, FailureKind::Crash, (1_200, 3_800));
+    let stall = FailureKind::Stall { delay_ms: 250 };
+    cfg.plan.add(RootLetter::C, c0, stall, (1_000, 5_000));
+    cfg.plan.add_poisoned_reload(RootLetter::B, 2_500);
+    cfg.floods.push(FloodWindow {
+        start_ms: 2_000,
+        end_ms: 6_000,
+        amplification: 8.0,
+    });
+    let report = farm.run_chaos(&world.topology, &cfg);
+    assert_eq!(report.violations(), Vec::<String>::new());
+    assert_eq!(
+        (report.served_hedged, report.shed_junk, report.late),
+        (144, 982, 535)
+    );
+    assert_eq!(report.fingerprint(), 2004476337518850456);
+}
+
+#[test]
+fn attack_report_fingerprint() {
+    let scenario = AttackRun::demo_scenario(Scale::Tiny, RootLetter::B);
+    let run = AttackRun::run(
+        Scale::Tiny,
+        RootLetter::B,
+        &scenario,
+        AttackRun::DEMO_DURATION_MS,
+        2,
+    );
+    assert_eq!(
+        run.fingerprint(),
+        "baseline[0,2000) legit=2000/2000 slip=0/0 drop=0 attack=0/0/0;\
+         flood×10(bots=32)[2000,6000) legit=4000/4000 slip=0/0 drop=0 attack=6400/16864/16736;\
+         baseline[6000,8000) legit=2000/2000 slip=0/0 drop=0 attack=0/0/0;\
+         reflect×10(AS42)[8000,10000) legit=2000/2000 slip=0/0 drop=0 attack=100/9952/9948;\
+         storm×20(AS42)[10000,11000) legit=1000/1000 slip=2/2 drop=0 attack=75/9962/9963;\
+         baseline[11000,12000) legit=1000/1000 slip=0/0 drop=0 attack=0/0/0; \
+         rrl[checked=92000 passed=18573 slipped(TC)=36780 dropped=36647] \
+         buckets=1245#8f278fac488e6760 mismatches=0"
+    );
+}
+
+#[test]
+fn planner_scores_fingerprint() {
+    let cfg = MoveSetConfig {
+        count: 50,
+        ..Default::default()
+    };
+    assert_eq!(
+        PlannerRun::run(Scale::Tiny, &cfg, 3).scores_fingerprint(),
+        11467649009208761416
+    );
+}
+
+#[test]
+fn routing_and_churn_fingerprints() {
+    let world = World::build(&WorldBuildConfig::tiny());
+    let table = world.routes(RootLetter::B, Family::V4);
+    assert_eq!(table.fingerprint(), 8143266865953058516);
+    assert_eq!(world.routing_hash(RootLetter::B), 3308783317276305826);
+
+    let stubs = world.topology.nodes().iter();
+    let ases: Vec<AsId> = stubs
+        .filter(|n| n.tier == Tier::Stub)
+        .map(|n| n.id)
+        .take(16)
+        .collect();
+    let root = SimRng::new(0xC0FFEE).derive("golden-replay");
+    let pool = world.attracting_sites(RootLetter::B, Family::V4);
+    let log = ChurnModel::default().round_log(table, &ases, 400, &root, 25.0, pool);
+    assert_eq!(
+        (log.events.len(), log.fingerprint()),
+        (170, 3696746372024553990)
+    );
+}
+
+/// The measurement engine's record stream over three worker VP ranges:
+/// record order is part of what the pipeline's analyses consume.
+#[test]
+fn measurement_record_stream() {
+    let world = World::build(&WorldBuildConfig::tiny());
+    let config = MeasurementConfig {
+        schedule: Scale::Tiny.schedule(),
+        ..Default::default()
+    };
+    let rounds: Vec<_> = config.schedule.rounds().collect();
+    let tail = &rounds[rounds.len() - 3..];
+    let sink = MeasurementEngine::new(&world, config).run_rounds_parallel(tail, 3);
+    let order: u64 = (sink.probes.iter().zip(1u64..))
+        .map(|(p, i)| i.wrapping_mul(u64::from(p.vp.0) + 1 + p.rtt_ms.map_or(0, f64::to_bits)))
+        .fold(0, u64::wrapping_add);
+    assert_eq!(
+        (sink.probes.len(), sink.transfers.len(), order),
+        (5292, 5287, 11372384468357060570)
+    );
+}
+
+#[test]
+fn load_report_counters() {
+    let cfg = LoadgenConfig {
+        queries: 20_000,
+        ..LoadgenConfig::tiny(7)
+    };
+    let report = ServingPipeline::run(Scale::Tiny, RootLetter::B, &cfg).report;
+    assert_eq!((report.responses, report.cache_hits), (20_000, 20_000));
+    assert_eq!(
+        report.per_site,
+        vec![(0, 3756), (1, 14057), (2, 1248), (3, 939)]
+    );
+}
