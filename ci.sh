@@ -4,6 +4,9 @@
 #
 #   1. release build of every crate;
 #   2. full test suite;
+#   2b. the frozen benchmark package (benchmark/, a workspace of its own):
+#      release build against its committed lock file, and its unit tests —
+#      a break of the public surface it is pinned to fails here;
 #   3. examples build + smoke runs (tiny scale, temp output dirs);
 #   4. bench smoke run refreshing the committed BENCH_results.json,
 #      followed by the bench_guard regression gate (fails on >25%
@@ -17,6 +20,13 @@ cd "$(dirname "$0")"
 
 cargo build --release --offline
 cargo test -q --offline
+
+# rootbench is a package of its own with a frozen Cargo.lock: build it
+# --locked so a changed dependency edge or a broken pinned signature
+# (benchmark/README.md, "Public functions the benchmark is pinned to")
+# fails in CI rather than in the driver.
+cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 cargo build --release --offline --examples
 figdir="$(mktemp -d)"
@@ -55,16 +65,16 @@ cargo run -q --release --offline --example planner_report > "$figdir/planner.txt
 grep -q "planner invariants: OK" "$figdir/planner.txt"
 # Serving-farm smoke: a scaled-down constellation (2 letters × 4 sites)
 # under catchment-steered load through the batched datagram path — the
-# report's counters must be internally consistent and the whole run must
-# replay bit-identically across shard counts.
+# report's counters must be internally consistent (replay identity
+# across shard counts is tier-1: tests/farm_invariants.rs).
 cargo run -q --release --offline --example farm_report > "$figdir/farm.txt"
 grep -q "farm invariants: OK" "$figdir/farm.txt"
 # Self-healing-farm smoke: three concurrent site failures, a stalled
 # shard, a poisoned reload and a junk flood against the health-checked
 # farm — ≥99% of legit queries served, every answer byte-identical to
 # the fault-free twin, the poisoned push refused, both crashes recovered
-# within the backoff budget, and the whole run fingerprint-identical
-# across 1..=8 shards and seed-sensitive.
+# within the backoff budget (the same gates, plus fingerprint identity
+# across 1..=8 shards and seeds, are tier-1: tests/farm_invariants.rs).
 cargo run -q --release --offline --example farm_chaos_report > "$figdir/farm_chaos.txt"
 grep -q "farm chaos invariants: OK" "$figdir/farm_chaos.txt"
 

@@ -11,12 +11,11 @@ use dns_wire::{Message, Name, Question, RrType};
 use dns_zone::rollout::RolloutPhase;
 use dns_zone::rootzone::{build_root_zone, tld_label, RootZoneConfig};
 use dns_zone::signer::ZoneKeys;
-use rootd::recovery::FailureKind;
 use rootd::{
-    Farm, FarmChaosConfig, FarmConfig, FaultPlan, FaultyTransport, FloodWindow, InprocTransport,
-    LoadgenConfig, QueryMix, Rootd, SiteIdentity, Transport, ZoneIndex,
+    Farm, FarmConfig, FaultPlan, FaultyTransport, InprocTransport, LoadgenConfig, QueryMix, Rootd,
+    SiteIdentity, Transport, ZoneIndex,
 };
-use roots_core::{AttackRun, FarmRun, Scale, ServingPipeline};
+use roots_core::{AttackRun, FarmChaosRun, FarmRun, Scale, ServingPipeline};
 use rss::RootLetter;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -384,54 +383,20 @@ fn bench_farm_resilience(_c: &mut Criterion) {
         .and_then(|s| s.parse().ok())
         .unwrap_or(150_000);
     let world = World::build(&WorldBuildConfig::tiny());
-    let letters = [RootLetter::A, RootLetter::B, RootLetter::C];
     let farm = Farm::build(
         &world.topology,
         &world.catalog,
         world.zone_at(0),
-        &letters,
-        4,
+        &FarmChaosRun::DEMO_LETTERS,
+        FarmChaosRun::DEMO_SITES,
     );
-    // Reload validation one day into the day-0 zone's RRSIG window, as
-    // in `examples/farm_chaos_report.rs`: clean zones pass, poisoned
-    // ones fail on digest — not on expiry.
-    let mut cfg = FarmChaosConfig::tiny(0x2025_0417, 86_400);
-    cfg.farm.queries = queries;
-    cfg.farm.shards = std::thread::available_parallelism()
+    let shards = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
         .min(8);
-    let site = |letter: RootLetter, i: usize| farm.deployment(letter).unwrap().sites[i].id.0;
-    cfg.plan.add(
-        RootLetter::A,
-        site(RootLetter::A, 1),
-        FailureKind::Crash,
-        (1_000, 4_000),
-    );
-    cfg.plan.add(
-        RootLetter::B,
-        site(RootLetter::B, 0),
-        FailureKind::Blackhole,
-        (1_500, 3_500),
-    );
-    cfg.plan.add(
-        RootLetter::C,
-        site(RootLetter::C, 1),
-        FailureKind::Crash,
-        (1_200, 3_800),
-    );
-    cfg.plan.add(
-        RootLetter::C,
-        site(RootLetter::C, 0),
-        FailureKind::Stall { delay_ms: 250 },
-        (1_000, 5_000),
-    );
-    cfg.plan.add_poisoned_reload(RootLetter::B, 2_500);
-    cfg.floods.push(FloodWindow {
-        start_ms: 2_000,
-        end_ms: 6_000,
-        amplification: 8.0,
-    });
+    // The schedule `examples/farm_chaos_report.rs` and
+    // `tests/farm_invariants.rs` run.
+    let cfg = FarmChaosRun::demo_schedule(&farm, 0x2025_0417, queries, shards);
 
     // Healthy overhead: the plain farm vs the chaos path with nothing to
     // do. Interleave the pair and keep the best (smallest) of three

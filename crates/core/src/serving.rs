@@ -1,8 +1,9 @@
 //! The serving layer wired into the core facade.
 //!
 //! [`ServingPipeline`] builds a scale's world, stands up one root letter's
-//! anycast fleet as wire-level [`rootd`] engines (one per catalog site,
-//! sharing a precompiled zone index), and drives a seeded, B-Root-shaped
+//! anycast fleet as a one-letter [`rootd::Farm`] (one wire-level engine per
+//! catalog site, sharing a precompiled zone index and zone-only answer
+//! cache), and drives a seeded, B-Root-shaped
 //! query load through the full parse → serve → encode path. The resulting
 //! [`LoadReport`] is what the `rootd_demo` registry entry and
 //! `examples/rootd_bench.rs` render.
@@ -16,10 +17,9 @@ use crate::scale::Scale;
 use analysis::{FloodDiffReport, FloodEpoch};
 use localroot::{upstream_transport, LocalRoot, RefreshOutcome, ValidationPolicy};
 use netsim::types::Tier;
-use rootd::loadgen::{self, SiteFleet};
 use rootd::{
-    attack, ArrivalSchedule, AttackConfig, AttackReport, FaultyTransport, InprocTransport,
-    LoadReport, LoadgenConfig,
+    attack, loadgen, ArrivalSchedule, AttackConfig, AttackReport, Farm, FaultyTransport,
+    InprocTransport, LoadReport, LoadgenConfig,
 };
 use rss::{RootLetter, RootServer};
 use scenario::{EventKind, Scenario, ScenarioEvent};
@@ -31,8 +31,13 @@ use vantage::World;
 pub struct ServingPipeline {
     pub scale: Scale,
     pub letter: RootLetter,
-    pub fleet: SiteFleet,
+    pub fleet: Farm,
     pub report: LoadReport,
+}
+
+/// `letter`'s whole catalog fleet as a one-letter farm over `zone`.
+fn letter_fleet(world: &World, letter: RootLetter, zone: Arc<dns_zone::Zone>) -> Farm {
+    Farm::build(&world.topology, &world.catalog, zone, &[letter], usize::MAX)
 }
 
 impl ServingPipeline {
@@ -41,7 +46,7 @@ impl ServingPipeline {
     pub fn run(scale: Scale, letter: RootLetter, cfg: &LoadgenConfig) -> ServingPipeline {
         let world = World::build(&scale.world());
         let zone = world.zone_at(0);
-        let fleet = SiteFleet::build(&world.topology, &world.catalog, letter, zone);
+        let fleet = letter_fleet(&world, letter, zone);
         let report = loadgen::run(&fleet, cfg);
         ServingPipeline {
             scale,
@@ -145,7 +150,7 @@ impl ClockChaosRun {
         // arrivals pin each query attempt to its virtual instant.
         let fleet_plan =
             scenario::fault_plan_for_fleet(scenario, letter, axis).with_timeout_ms(200);
-        let fleet = SiteFleet::build(&world.topology, &world.catalog, letter, Arc::clone(&zone));
+        let fleet = letter_fleet(&world, letter, Arc::clone(&zone));
         let load = loadgen::run(
             &fleet,
             &LoadgenConfig {
@@ -290,7 +295,7 @@ impl AttackRun {
         let axis = TimeAxis::anchored_at(scale.schedule().start);
         let world = World::build(&scale.world());
         let zone = world.zone_at(axis.base_s);
-        let fleet = SiteFleet::build(&world.topology, &world.catalog, letter, zone);
+        let fleet = letter_fleet(&world, letter, zone);
         let plan = scenario::attack_plan_on_clock(scenario, letter, axis);
         let cfg = AttackConfig {
             threads,

@@ -15,6 +15,7 @@
 //! round; `cargo bench -p bench --bench ablations` contrasts the tails.
 
 use crate::anycast::SiteId;
+use crate::fingerprint::Fingerprint;
 use crate::rng::SimRng;
 use crate::routing::RouteTable;
 use crate::types::AsId;
@@ -120,28 +121,24 @@ impl ChurnLog {
 
     /// An order-sensitive fingerprint of the whole log (for golden tests).
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        };
+        let mut h = Fingerprint::new();
         for e in &self.events {
-            mix(e.round as u64);
-            mix(e.asn.0 as u64);
+            h.mix(e.round as u64);
+            h.mix(e.asn.0 as u64);
             match e.kind {
                 ChurnEventKind::LocalFlip { from, to } => {
-                    mix(1);
-                    mix(from.0 as u64);
-                    mix(to.0 as u64);
+                    h.mix(1);
+                    h.mix(from.0 as u64);
+                    h.mix(to.0 as u64);
                 }
                 ChurnEventKind::UpstreamRedirect { to } => {
-                    mix(2);
-                    mix(to.0 as u64);
+                    h.mix(2);
+                    h.mix(to.0 as u64);
                 }
-                ChurnEventKind::UpstreamRestore => mix(3),
+                ChurnEventKind::UpstreamRestore => h.mix(3),
             }
         }
-        h
+        h.finish()
     }
 }
 

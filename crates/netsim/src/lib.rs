@@ -25,19 +25,26 @@
 //! * [`rtt`] — path RTT from great-circle hop distances plus per-hop and
 //!   jitter terms;
 //! * [`churn`] — the route-flapping process that drives site changes
-//!   between measurement rounds.
+//!   between measurement rounds;
+//! * [`shard`] — the one sharded run loop every parallel range loop in
+//!   the workspace goes through (contiguous partition, a thread per
+//!   shard, results in shard-id order, a [`shard::Merge`] fold);
+//! * [`fingerprint`] — the one order-sensitive replay-identity hasher.
 
 pub mod anycast;
 pub mod churn;
+pub mod fingerprint;
 pub mod rng;
 pub mod routing;
 pub mod rtt;
+pub mod shard;
 pub mod topology;
 pub mod traceroute;
 pub mod types;
 
 pub use anycast::{Deployment, Facility, FacilityId, Site, SiteId, SiteScope};
 pub use churn::ChurnModel;
+pub use fingerprint::Fingerprint;
 pub use rng::SimRng;
 pub use routing::{propagate, CandidateRoute, RouteTable};
 pub use rtt::RttModel;

@@ -18,6 +18,7 @@
 //! changes the paper measures in Figure 3.
 
 use crate::anycast::{Deployment, SiteId, SiteScope};
+use crate::fingerprint::Fingerprint;
 use crate::topology::Topology;
 use crate::types::{AsId, Family, LearnedFrom, Relation};
 use std::collections::BinaryHeap;
@@ -96,23 +97,19 @@ impl RouteTable {
     /// round-trip tests and the planner's revert invariant both hinge on
     /// this being sensitive to candidate *order*, not just membership.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mix = |h: &mut u64, v: u64| {
-            *h ^= v;
-            *h = h.wrapping_mul(0x100_0000_01b3);
-        };
-        mix(&mut h, self.family.index() as u64);
+        let mut h = Fingerprint::new();
+        h.mix(self.family.index() as u64);
         for (asn, cands) in self.candidates.iter().enumerate() {
             for c in cands {
-                mix(&mut h, asn as u64);
-                mix(&mut h, u64::from(c.site.0));
-                mix(&mut h, c.via.map(|a| u64::from(a.0) + 1).unwrap_or(0));
-                mix(&mut h, c.learned_from as u64);
-                mix(&mut h, c.path.len() as u64);
-                mix(&mut h, u64::from(c.km));
+                h.mix(asn as u64);
+                h.mix(u64::from(c.site.0));
+                h.mix(c.via.map(|a| u64::from(a.0) + 1).unwrap_or(0));
+                h.mix(c.learned_from as u64);
+                h.mix(c.path.len() as u64);
+                h.mix(u64::from(c.km));
             }
         }
-        h
+        h.finish()
     }
 }
 

@@ -24,7 +24,9 @@ use crate::moves::{CandidatePlan, Move};
 use analysis::catchment::{DeploymentSummary, ServedSite, SummaryDelta};
 use netsim::anycast::{Deployment, FacilityId, Site, SiteId};
 use netsim::routing::propagate;
-use netsim::{AsId, Family, Relation, RouteTable, RttModel, Topology, TopologySnapshot};
+use netsim::{
+    AsId, Family, Fingerprint, Relation, RouteTable, RttModel, Topology, TopologySnapshot,
+};
 use rss::RootLetter;
 use scenario::{EventKind, Scenario};
 use simclock::TimeAxis;
@@ -402,12 +404,9 @@ fn combine_route_fps(v4: &RouteTable, v6: &RouteTable) -> u64 {
 }
 
 fn fnv(vals: impl Iterator<Item = u64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in vals {
-        h ^= v;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    let mut h = Fingerprint::new();
+    vals.for_each(|v| h.mix(v));
+    h.finish()
 }
 
 /// Apply both move lists (events first, the candidate on top), evaluate,

@@ -7,6 +7,7 @@
 use crate::batch::scores_fingerprint;
 use crate::eval::CandidateScore;
 use netgeo::Region;
+use netsim::Fingerprint;
 use rss::RootLetter;
 use std::fmt::Write as _;
 
@@ -96,12 +97,11 @@ impl SweepReport {
     /// Digest over scores + ranking + frontier; equal across worker
     /// counts by construction, which the report example asserts.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = scores_fingerprint(&self.scores);
+        let mut h = Fingerprint::resume(scores_fingerprint(&self.scores));
         for &id in self.ranking.iter().chain(&self.frontier) {
-            h ^= u64::from(id);
-            h = h.wrapping_mul(0x100_0000_01b3);
+            h.mix(u64::from(id));
         }
-        h
+        h.finish()
     }
 
     /// Render the frontier table plus per-region top-`k` tables.

@@ -23,12 +23,13 @@
 //!    the virtual arrival tick and intra-tick index, never of which
 //!    worker runs it or of any evolving per-client stream.
 //! 2. **Window-chunk ownership**: work is partitioned into chunks of
-//!    whole RRL windows (chunk `c` covers ticks
-//!    `[c·W, (c+1)·W)`, owned by worker `c mod threads`, processed in
-//!    ascending tick order). Since RRL windows are globally aligned to
-//!    the same boundaries, every (bucket, window) is touched by exactly
-//!    one worker, in arrival order — so the limiter's shared counters
-//!    see a canonical sequence regardless of thread count.
+//!    whole RRL windows (chunk `c` covers ticks `[c·W, (c+1)·W)`); the
+//!    chunks are the units [`netsim::shard`] partitions, so each worker
+//!    owns a contiguous run of them, processed in ascending tick order.
+//!    Since RRL windows are globally aligned to the same boundaries,
+//!    every (bucket, window) is touched by exactly one worker, in
+//!    arrival order — so the limiter's shared counters see a canonical
+//!    sequence regardless of thread count.
 //! 3. **Pinned virtual time**: each tick's instant is
 //!    `start_ms + tick · interarrival_ms` from the [`ArrivalSchedule`],
 //!    so window membership is a pure function of the tick.
@@ -42,15 +43,13 @@
 //! "no client ever receives a wrong answer under attack" is machine
 //! checked, not asserted by construction.
 
-use crate::engine::ServeVerdict;
-use crate::loadgen::{
-    fill_query, ArrivalSchedule, LatencyHistogram, QueryMix, QueryTemplates, SiteFleet,
-};
-use crate::rrl::{BucketStat, ResponseClass, Rrl, RrlConfig, RrlCounters};
+use crate::engine::{Rootd, ServeVerdict};
+use crate::farm::{Farm, LetterFarm};
+use crate::loadgen::{fill_query, ArrivalSchedule, LatencyHistogram, QueryMix};
+use crate::rrl::{BucketStat, RrlConfig, RrlCounters};
 use netsim::rng::SimRng;
-use netsim::types::AsId;
+use netsim::shard::{self, Merge};
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Derivation tag for attack query streams (benign ticks reuse the
@@ -205,7 +204,7 @@ impl AttackConfig {
 
 /// Traffic totals for one epoch (a maximal span with a constant active
 /// attack shape).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EpochTraffic {
     pub label: String,
     pub start_ms: u64,
@@ -349,59 +348,73 @@ impl AttackReport {
     }
 }
 
-/// Per-worker, per-epoch tallies.
-struct EpochAgg {
-    legit_sent: u64,
-    legit_served: u64,
-    legit_slipped: u64,
-    legit_slip_recovered: u64,
-    legit_dropped: u64,
-    attack_sent: u64,
-    attack_passed: u64,
-    attack_slipped: u64,
-    attack_dropped: u64,
-    hist: LatencyHistogram,
+/// What one worker brings back: per-epoch counters (tallied straight
+/// into labelled [`EpochTraffic`] rows), per-epoch benign latency, and
+/// its count of verification failures.
+struct WorkerOutcome {
+    epochs: Vec<EpochTraffic>,
+    latency: Vec<LatencyHistogram>,
+    mismatches: u64,
 }
 
-impl EpochAgg {
-    fn new() -> EpochAgg {
-        EpochAgg {
-            legit_sent: 0,
-            legit_served: 0,
-            legit_slipped: 0,
-            legit_slip_recovered: 0,
-            legit_dropped: 0,
-            attack_sent: 0,
-            attack_passed: 0,
-            attack_slipped: 0,
-            attack_dropped: 0,
-            hist: LatencyHistogram::new(),
+impl Merge for WorkerOutcome {
+    fn merge(&mut self, other: WorkerOutcome) {
+        for (mine, theirs) in self.epochs.iter_mut().zip(other.epochs) {
+            mine.legit_sent += theirs.legit_sent;
+            mine.legit_served += theirs.legit_served;
+            mine.legit_slipped += theirs.legit_slipped;
+            mine.legit_slip_recovered += theirs.legit_slip_recovered;
+            mine.legit_dropped += theirs.legit_dropped;
+            mine.attack_sent += theirs.attack_sent;
+            mine.attack_passed += theirs.attack_passed;
+            mine.attack_slipped += theirs.attack_slipped;
+            mine.attack_dropped += theirs.attack_dropped;
         }
+        for (mine, theirs) in self.latency.iter_mut().zip(other.latency) {
+            mine.merge(theirs);
+        }
+        self.mismatches += other.mismatches;
     }
 }
 
 /// Scratch buffers and verification state one worker carries.
 struct Worker<'a> {
-    fleet: &'a SiteFleet,
+    farm: &'a Farm,
+    lf: &'a LetterFarm,
     cfg: &'a AttackConfig,
-    templates: &'a QueryTemplates,
-    site_ids: &'a [u32],
+    /// `client AS -> engine slot` of the IPv4 catchment.
+    slot_of_asn: &'a HashMap<u32, usize>,
     wire: Vec<u8>,
     resp: Vec<u8>,
     oracle: Vec<u8>,
-    epochs: Vec<EpochAgg>,
-    mismatches: u64,
+    out: WorkerOutcome,
 }
 
-impl Worker<'_> {
+impl<'a> Worker<'a> {
+    /// The engine `asn`'s traffic lands on (slot 0 when it has no route).
+    fn engine_for(&self, asn: u32) -> &'a Rootd {
+        &self.lf.engines[self.slot_of_asn.get(&asn).copied().unwrap_or(0)]
+    }
+
+    /// The engine bot number `bot` floods: bots spread over the sites in
+    /// ascending site-id order, which is the farm's slot order.
+    fn engine_of_bot(&self, bot: u64) -> &'a Rootd {
+        &self.lf.engines[bot as usize % self.lf.engines.len()]
+    }
+
     /// Serve one benign tick: the round-robin client sends one mixed
     /// query pinned to `t_ms`, with full TC→TCP stub behavior.
     fn benign_tick(&mut self, tick: u64, t_ms: u64, epoch: usize) {
-        let client = self.fleet.clients[(tick as usize) % self.fleet.clients.len()];
-        let engine = self.fleet.engine_for(client);
+        let client = self.farm.clients[(tick as usize) % self.farm.clients.len()];
+        let engine = self.engine_for(client.0);
         let mut rng = SimRng::new(self.cfg.seed).derive_ids(&[0x10ad, tick]);
-        fill_query(&self.cfg.mix, self.templates, &mut rng, &mut self.wire);
-        let agg = &mut self.epochs[epoch];
+        fill_query(
+            &self.cfg.mix,
+            &self.farm.templates,
+            &mut rng,
+            &mut self.wire,
+        );
+        let agg = &mut self.out.epochs[epoch];
         agg.legit_sent += 1;
         let t0 = Instant::now();
         let verdict = engine.serve_udp_from(client.0 as u64, t_ms, &self.wire, &mut self.resp);
@@ -410,7 +423,7 @@ impl Worker<'_> {
                 if self.cfg.verify {
                     let twin = engine.serve_udp_into(&self.wire, &mut self.oracle);
                     if twin != outcome || self.oracle != self.resp {
-                        self.mismatches += 1;
+                        self.out.mismatches += 1;
                     }
                 }
                 let truncated = self.resp.len() >= 12 && self.resp[2] & 0x02 != 0;
@@ -419,23 +432,23 @@ impl Worker<'_> {
                     // like any real stub.
                     let frames = engine.serve_tcp(&self.wire);
                     if frames.is_empty() {
-                        self.epochs[epoch].legit_dropped += 1;
+                        self.out.epochs[epoch].legit_dropped += 1;
                     } else {
-                        self.epochs[epoch].legit_served += 1;
+                        self.out.epochs[epoch].legit_served += 1;
                     }
                 } else {
-                    self.epochs[epoch].legit_served += 1;
+                    self.out.epochs[epoch].legit_served += 1;
                 }
             }
             ServeVerdict::Slipped => {
                 if self.cfg.verify && !slip_is_wellformed(&self.wire, &self.resp) {
-                    self.mismatches += 1;
+                    self.out.mismatches += 1;
                 }
                 agg.legit_slipped += 1;
                 // The slip's whole purpose: the TC bit drives the client
                 // to TCP, which RRL never touches.
                 let frames = engine.serve_tcp(&self.wire);
-                let agg = &mut self.epochs[epoch];
+                let agg = &mut self.out.epochs[epoch];
                 match frames.first() {
                     Some(full)
                         if full.len() >= 12
@@ -448,7 +461,7 @@ impl Worker<'_> {
                     _ => {
                         agg.legit_dropped += 1;
                         if self.cfg.verify {
-                            self.mismatches += 1;
+                            self.out.mismatches += 1;
                         }
                     }
                 }
@@ -457,51 +470,42 @@ impl Worker<'_> {
                 agg.legit_dropped += 1;
             }
         }
-        self.epochs[epoch]
-            .hist
-            .record(t0.elapsed().as_nanos() as u64);
+        self.out.latency[epoch].record(t0.elapsed().as_nanos() as u64);
     }
 
     /// Fire one attack query (`k`-th of its tick) for `shape`.
     fn attack_query(&mut self, shape: AttackShape, tick: u64, k: u64, t_ms: u64, epoch: usize) {
         let mut rng =
-            SimRng::new(self.cfg.seed ^ self.cfg.plan_seed()).derive_ids(&[ATTACK_TAG, tick, k]);
+            SimRng::new(self.cfg.seed ^ self.cfg.plan.seed).derive_ids(&[ATTACK_TAG, tick, k]);
         let (src, engine) = match shape {
             AttackShape::WaterTorture { botnet, .. } => {
                 let bot = rng.next_range(botnet.max(1) as usize) as u64;
                 fill_water_torture(&mut rng, &mut self.wire);
-                let site = self.site_ids[(bot as usize) % self.site_ids.len()];
-                (BOT_SRC_BASE + bot, &self.fleet.engines[&site])
+                (BOT_SRC_BASE + bot, self.engine_of_bot(bot))
             }
             AttackShape::Reflection { victim, .. } => {
                 fill_reflection(&mut rng, &mut self.wire);
-                (victim as u64, self.fleet.engine_for(AsId(victim)))
+                (victim as u64, self.engine_for(victim))
             }
             AttackShape::PrimingFlood { botnet, .. } => {
                 let bot = rng.next_range(botnet.max(1) as usize) as u64;
                 fill_priming(&mut rng, &mut self.wire);
-                let site = self.site_ids[(bot as usize) % self.site_ids.len()];
-                (BOT_SRC_BASE + bot, &self.fleet.engines[&site])
+                (BOT_SRC_BASE + bot, self.engine_of_bot(bot))
             }
             AttackShape::QueryStorm { client, .. } => {
-                fill_query(&self.cfg.mix, self.templates, &mut rng, &mut self.wire);
-                (client as u64, self.fleet.engine_for(AsId(client)))
+                let templates = &self.farm.templates;
+                fill_query(&self.cfg.mix, templates, &mut rng, &mut self.wire);
+                (client as u64, self.engine_for(client))
             }
         };
         let verdict = engine.serve_udp_from(src, t_ms, &self.wire, &mut self.resp);
-        let agg = &mut self.epochs[epoch];
+        let agg = &mut self.out.epochs[epoch];
         agg.attack_sent += 1;
         match verdict {
             ServeVerdict::Answered(_) => agg.attack_passed += 1,
             ServeVerdict::Slipped => agg.attack_slipped += 1,
             ServeVerdict::Limited | ServeVerdict::Dropped => agg.attack_dropped += 1,
         }
-    }
-}
-
-impl AttackConfig {
-    fn plan_seed(&self) -> u64 {
-        self.plan.seed
     }
 }
 
@@ -578,11 +582,12 @@ fn push_do_opt(out: &mut Vec<u8>) {
     out.extend_from_slice(&[0, 0, 41, 0x10, 0x00, 0, 0, 0x80, 0, 0, 0]);
 }
 
-/// Run the adversarial generator against `fleet`. Installs `cfg.rrl` on
-/// every site engine for the duration and removes it afterwards, so the
-/// fleet comes back in its pre-run (unlimited) configuration.
-pub fn run(fleet: &SiteFleet, cfg: &AttackConfig) -> AttackReport {
-    let threads = cfg.threads.max(1);
+/// Run the adversarial generator against the first letter of `farm` (the
+/// facades build one-letter farms). Installs `cfg.rrl` on the letter's
+/// serving state for the duration and removes it afterwards, so the farm
+/// comes back in its pre-run (unlimited) configuration.
+pub fn run(farm: &Farm, cfg: &AttackConfig) -> AttackReport {
+    let lf = &farm.letters[0];
     let inter = cfg.arrivals.interarrival_ms.max(1);
     let window_ms = cfg
         .rrl
@@ -604,137 +609,76 @@ pub fn run(fleet: &SiteFleet, cfg: &AttackConfig) -> AttackReport {
     let run_end = run_start + cfg.duration_ms;
     let bounds = cfg.plan.boundaries(run_start, run_end);
     let nepochs = bounds.len().saturating_sub(1).max(1);
-    let templates = QueryTemplates::build(&fleet.tlds);
-    let templates = &templates;
-    let site_ids = fleet.site_ids();
-    let site_ids = &site_ids;
-    let bounds_ref = &bounds;
-
-    fleet.set_rrl(cfg.rrl.clone());
-    let rrls: Vec<Arc<Rrl>> = site_ids
-        .iter()
-        .filter_map(|s| fleet.engines[s].rrl())
+    let slot_of_asn: HashMap<u32, usize> = (farm.clients.iter().enumerate())
+        .map(|(pos, asn)| (asn.0, lf.slot(0, pos)))
         .collect();
 
+    // One labelled, zeroed row per epoch: every worker tallies into a
+    // copy of these.
+    let blank: Vec<EpochTraffic> = (bounds.windows(2))
+        .map(|span| EpochTraffic {
+            label: (cfg.plan.shape_at(span[0])).map_or_else(|| "baseline".into(), |s| s.label()),
+            start_ms: span[0],
+            end_ms: span[1],
+            ..EpochTraffic::default()
+        })
+        .collect();
+
+    // The letter's site engines share one serving state, so one call
+    // installs one limiter for the whole letter. Every source reaches
+    // exactly one site, so at the default `prefix_shift` of 0 its buckets
+    // are the ones per-site limiters would keep.
+    lf.engines[0].set_rrl(cfg.rrl.clone());
+    let rrl = lf.engines[0].rrl();
+
     let started = Instant::now();
-    let workers: Vec<(Vec<EpochAgg>, u64)> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for worker_id in 0..threads {
-            handles.push(scope.spawn(move || {
-                let mut w = Worker {
-                    fleet,
-                    cfg,
-                    templates,
-                    site_ids,
-                    wire: Vec::with_capacity(64),
-                    resp: Vec::with_capacity(4096),
-                    oracle: Vec::with_capacity(4096),
-                    epochs: (0..nepochs).map(|_| EpochAgg::new()).collect(),
-                    mismatches: 0,
-                };
-                for chunk in (worker_id..nchunks).step_by(threads) {
-                    let from = chunk * ticks_per_chunk;
-                    let to = ((chunk + 1) * ticks_per_chunk).min(nticks);
-                    for tick in from..to {
-                        let t_ms = run_start + tick as u64 * inter;
-                        let epoch = bounds_ref[1..]
-                            .iter()
-                            .position(|&b| t_ms < b)
-                            .unwrap_or(nepochs - 1);
-                        w.benign_tick(tick as u64, t_ms, epoch);
-                        if let Some(shape) = cfg.plan.shape_at(t_ms) {
-                            for k in 0..shape.intensity() as u64 {
-                                w.attack_query(shape, tick as u64, k, t_ms, epoch);
-                            }
-                        }
-                    }
+    let merged = shard::fold(shard::run(nchunks, cfg.threads, |chunks| {
+        let mut w = Worker {
+            farm,
+            lf,
+            cfg,
+            slot_of_asn: &slot_of_asn,
+            wire: Vec::with_capacity(64),
+            resp: Vec::with_capacity(4096),
+            oracle: Vec::with_capacity(4096),
+            out: WorkerOutcome {
+                epochs: blank.clone(),
+                latency: blank.iter().map(|_| LatencyHistogram::default()).collect(),
+                mismatches: 0,
+            },
+        };
+        let ticks = chunks.start * ticks_per_chunk..(chunks.end * ticks_per_chunk).min(nticks);
+        for tick in ticks {
+            let t_ms = run_start + tick as u64 * inter;
+            let epoch = bounds[1..]
+                .iter()
+                .position(|&b| t_ms < b)
+                .unwrap_or(nepochs - 1);
+            w.benign_tick(tick as u64, t_ms, epoch);
+            if let Some(shape) = cfg.plan.shape_at(t_ms) {
+                for k in 0..shape.intensity() as u64 {
+                    w.attack_query(shape, tick as u64, k, t_ms, epoch);
                 }
-                (w.epochs, w.mismatches)
-            }));
+            }
         }
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+        w.out
+    }));
     let elapsed = started.elapsed();
 
-    // Merge per-worker epoch tallies.
-    let mut epochs = Vec::with_capacity(nepochs);
-    for e in 0..nepochs {
-        let mut agg = EpochAgg::new();
-        for (worker_epochs, _) in &workers {
-            let w = &worker_epochs[e];
-            agg.legit_sent += w.legit_sent;
-            agg.legit_served += w.legit_served;
-            agg.legit_slipped += w.legit_slipped;
-            agg.legit_slip_recovered += w.legit_slip_recovered;
-            agg.legit_dropped += w.legit_dropped;
-            agg.attack_sent += w.attack_sent;
-            agg.attack_passed += w.attack_passed;
-            agg.attack_slipped += w.attack_slipped;
-            agg.attack_dropped += w.attack_dropped;
-            agg.hist.merge(&w.hist);
-        }
-        let (start_ms, end_ms) = (bounds[e], bounds[e + 1]);
-        let label = cfg
-            .plan
-            .shape_at(start_ms)
-            .map(|s| s.label())
-            .unwrap_or_else(|| "baseline".to_string());
-        epochs.push(EpochTraffic {
-            label,
-            start_ms,
-            end_ms,
-            legit_sent: agg.legit_sent,
-            legit_served: agg.legit_served,
-            legit_slipped: agg.legit_slipped,
-            legit_slip_recovered: agg.legit_slip_recovered,
-            legit_dropped: agg.legit_dropped,
-            legit_p50_ns: agg.hist.quantile(0.50),
-            legit_p99_ns: agg.hist.quantile(0.99),
-            attack_sent: agg.attack_sent,
-            attack_passed: agg.attack_passed,
-            attack_slipped: agg.attack_slipped,
-            attack_dropped: agg.attack_dropped,
-        });
+    let mut epochs = merged.epochs;
+    for (epoch, latency) in epochs.iter_mut().zip(&merged.latency) {
+        epoch.legit_p50_ns = latency.quantile(0.50);
+        epoch.legit_p99_ns = latency.quantile(0.99);
     }
+    lf.engines[0].set_rrl(None);
 
-    // Merge limiter counters and bucket stats across engines; bucket
-    // keys never collide across engines (each source's traffic lands on
-    // one site), but re-aggregate anyway for robustness.
-    let mut rrl = RrlCounters::default();
-    let mut per_bucket: HashMap<(u64, ResponseClass), BucketStat> = HashMap::new();
-    for r in &rrls {
-        rrl.merge(&r.counters());
-        for b in r.bucket_stats() {
-            let agg = per_bucket.entry((b.prefix, b.class)).or_insert(BucketStat {
-                arrivals: 0,
-                passed: 0,
-                slipped: 0,
-                dropped: 0,
-                ..b
-            });
-            agg.arrivals += b.arrivals;
-            agg.passed += b.passed;
-            agg.slipped += b.slipped;
-            agg.dropped += b.dropped;
-        }
-    }
-    let mut buckets: Vec<BucketStat> = per_bucket.into_values().collect();
-    buckets.sort_by(|a, b| {
-        b.arrivals
-            .cmp(&a.arrivals)
-            .then(a.prefix.cmp(&b.prefix))
-            .then(a.class.cmp(&b.class))
-    });
-    fleet.set_rrl(None);
-
-    let verify_mismatches = workers.iter().map(|(_, m)| m).sum();
     AttackReport {
         duration_ms: cfg.duration_ms,
-        threads,
+        threads: cfg.threads.max(1),
         epochs,
-        rrl,
-        buckets,
-        verify_mismatches,
+        rrl: rrl.as_ref().map(|r| r.counters()).unwrap_or_default(),
+        buckets: rrl.map(|r| r.bucket_stats()).unwrap_or_default(),
+        verify_mismatches: merged.mismatches,
         elapsed,
     }
 }
@@ -742,14 +686,16 @@ pub fn run(fleet: &SiteFleet, cfg: &AttackConfig) -> AttackReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rrl::ResponseClass;
     use dns_zone::rollout::RolloutPhase;
     use dns_zone::rootzone::{build_root_zone, RootZoneConfig};
     use dns_zone::signer::ZoneKeys;
     use netsim::topology::{Topology, TopologyConfig};
     use rss::catalog::{RootCatalog, WorldConfig};
     use rss::RootLetter;
+    use std::sync::Arc;
 
-    fn fleet() -> SiteFleet {
+    fn fleet() -> Farm {
         let mut topology = Topology::generate(&TopologyConfig {
             tier2_per_region: 4,
             stubs_per_region: [4, 8, 16, 12, 4, 6],
@@ -770,7 +716,13 @@ mod tests {
             },
             &ZoneKeys::from_seed(3),
         );
-        SiteFleet::build(&topology, &catalog, RootLetter::B, Arc::new(zone))
+        Farm::build(
+            &topology,
+            &catalog,
+            Arc::new(zone),
+            &[RootLetter::B],
+            usize::MAX,
+        )
     }
 
     fn flood_plan() -> AttackPlan {
@@ -830,7 +782,7 @@ mod tests {
         assert!(report.buckets[0].prefix >= BOT_SRC_BASE);
         assert_eq!(report.buckets[0].class, ResponseClass::NxDomain);
         // The fleet is back to unlimited serving afterwards.
-        assert!(fleet.engines.values().all(|e| e.rrl().is_none()));
+        assert!(fleet.letters[0].engines.iter().all(|e| e.rrl().is_none()));
     }
 
     #[test]

@@ -15,11 +15,19 @@
 //! ([`Rootd::serve_udp_batch`] over [`UdpBatch`]): shards fill
 //! per-(letter, site) request slabs and flush them through one
 //! lock-acquire per batch. Shards partition the global query index
-//! contiguously, every per-query decision (content, letter, family,
-//! client) derives from that global index alone, and shard tallies merge
-//! in shard-id order — so every counter, site distribution, and
-//! response-size quantile in a [`FarmReport`] is bit-identical for any
-//! shard count (a test sweeps 1..=8).
+//! contiguously ([`netsim::shard`]), every per-query decision (content,
+//! letter, family, client) derives from that global index alone, and
+//! shard tallies merge in shard-id order — so every counter, site
+//! distribution, and response-size quantile in a [`FarmReport`] is
+//! bit-identical for any shard count (a test sweeps 1..=8).
+//!
+//! There is one data plane (`Farm::data_plane`): partition → per-query
+//! stream derivation → route → slab push → flush at the batch cap →
+//! drain → ordered merge. [`Farm::run`] and [`Farm::run_chaos`] are its
+//! two instantiations; they differ only in two statically dispatched
+//! closures — where a query is routed (the steering table, or steering
+//! epoch → shed → hedge) and what is kept of its response (site / size /
+//! rcode tallies, or a digest and an outcome flag written in place).
 //!
 //! Throughput is reported two ways, deliberately: `wall_qps` is total
 //! queries over wall-clock time — on an N-core box the shards genuinely
@@ -35,6 +43,7 @@ use crate::health::{HealthConfig, SiteStatus};
 use crate::index::ZoneIndex;
 use crate::loadgen::{
     fill_query, ArrivalSchedule, LatencyHistogram, QueryClass, QueryMix, QueryTemplates,
+    ResponseMix,
 };
 use crate::recovery::{run_control_plane, ControlPlane, FailurePlan, RecoveryLog, RecoveryPolicy};
 use crate::transport::UdpBatch;
@@ -42,8 +51,10 @@ use dns_zone::Zone;
 use netsim::anycast::Deployment;
 use netsim::rng::SimRng;
 use netsim::routing::propagate;
+use netsim::shard::{self, Merge};
 use netsim::topology::Topology;
 use netsim::types::{AsId, Family, Tier};
+use netsim::Fingerprint;
 use rss::catalog::RootCatalog;
 use rss::RootLetter;
 use std::collections::HashMap;
@@ -63,13 +74,14 @@ const SHED_TAG: u64 = 0x5ed0;
 
 /// One letter's slice of the farm: per-site engines over one shared,
 /// epoch-swapped serving state, plus the per-family steering tables.
-struct LetterFarm {
+pub(crate) struct LetterFarm {
     letter: RootLetter,
     shared: SharedState,
     /// Per-site engines, catalog order (capped at build time).
-    engines: Vec<Arc<Rootd>>,
-    /// Site ids, parallel to `engines`.
-    site_ids: Vec<u32>,
+    pub(crate) engines: Vec<Arc<Rootd>>,
+    /// Site ids, parallel to `engines` (the catalog numbers a letter's
+    /// sites in order, so they ascend).
+    pub(crate) site_ids: Vec<u32>,
     /// The (possibly capped) deployment steering was computed against.
     deployment: Deployment,
     /// `steer[family][client position] -> engine slot`, from the
@@ -78,24 +90,27 @@ struct LetterFarm {
     steer: [Vec<u16>; 2],
 }
 
+/// The engine slot `table` steers client position `pos` to. Tables are
+/// indexed by position in the farm's client pool, so `pos` is already
+/// reduced modulo the pool size; a farm without stub clients has empty
+/// tables and serves everything from slot 0.
+fn steered(table: &[u16], pos: usize) -> usize {
+    table.get(pos).map_or(0, |&slot| slot as usize)
+}
+
 impl LetterFarm {
-    fn slot(&self, family: usize, client_idx: usize) -> usize {
-        let table = &self.steer[family];
-        if table.is_empty() {
-            0
-        } else {
-            table[client_idx % table.len()] as usize
-        }
+    pub(crate) fn slot(&self, family: usize, client_idx: usize) -> usize {
+        steered(&self.steer[family], client_idx)
     }
 }
 
 /// The whole constellation: one `LetterFarm` per requested letter, a
-/// shared client pool (the topology's stub ASes), and the TLD label set
-/// query templates are cut from.
+/// shared client pool (the topology's stub ASes), and the query templates
+/// cut from the build-time zone's TLD label set.
 pub struct Farm {
-    letters: Vec<LetterFarm>,
-    clients: Vec<AsId>,
-    tlds: Vec<String>,
+    pub(crate) letters: Vec<LetterFarm>,
+    pub(crate) clients: Vec<AsId>,
+    pub(crate) templates: QueryTemplates,
     /// The zone epoch the farm was built from — kept so chaos runs can
     /// derive poisoned copies to push at the validated reload path.
     zone: Arc<Zone>,
@@ -187,32 +202,28 @@ impl FarmReport {
     /// and distributed them across the same sites. Wall-clock and latency
     /// fields are deliberately excluded.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        };
-        mix(self.queries as u64);
-        mix(self.hits);
-        mix(self.fallbacks);
-        mix(self.dropped);
-        mix(self.responses);
-        mix(self.nxdomain);
-        mix(self.referrals);
-        mix(self.truncated);
-        mix(self.size_p50);
-        mix(self.size_p99);
+        let mut h = Fingerprint::new();
+        h.mix(self.queries as u64);
+        h.mix(self.hits);
+        h.mix(self.fallbacks);
+        h.mix(self.dropped);
+        h.mix(self.responses);
+        h.mix(self.nxdomain);
+        h.mix(self.referrals);
+        h.mix(self.truncated);
+        h.mix(self.size_p50);
+        h.mix(self.size_p99);
         for l in &self.letters {
-            mix(l.letter.index() as u64);
-            mix(l.sites as u64);
-            mix(l.queries);
+            h.mix(l.letter.index() as u64);
+            h.mix(l.sites as u64);
+            h.mix(l.queries);
         }
         for &(letter, site, n) in &self.per_site {
-            mix(letter.index() as u64);
-            mix(u64::from(site));
-            mix(n);
+            h.mix(letter.index() as u64);
+            h.mix(u64::from(site));
+            h.mix(n);
         }
-        h
+        h.finish()
     }
 
     /// Internal-consistency checks; a healthy run returns an empty list.
@@ -293,36 +304,23 @@ impl FarmReport {
         out
     }
 
-    /// Human-readable summary: constellation totals, both throughput
-    /// views, and a per-letter table.
+    /// Human-readable summary: the seeded counters of
+    /// [`FarmReport::render_counts`], then both throughput views, the
+    /// serve latency quantiles and a per-letter busy-rate table.
     pub fn render(&self) -> String {
-        let sites: usize = self.letters.iter().map(|l| l.sites).sum();
-        let mut out = format!(
-            "letters        {:>12}\nsites          {:>12}\nqueries        {:>12}\nresponses      {:>12}\ncache hits     {:>12}\nfallbacks      {:>12}\ndropped        {:>12}\nnxdomain       {:>12}\nreferrals      {:>12}\ntruncated      {:>12}\nelapsed        {:>12.3} s\nwall clock     {:>12.0} q/s\naggregate      {:>12.0} q/s (sum of per-letter busy rates)\nserve p50      {:>12} ns\nserve p99      {:>12} ns\nsize p50       {:>12} B\nsize p99       {:>12} B\n",
-            self.letters.len(),
-            sites,
-            self.queries,
-            self.responses,
-            self.hits,
-            self.fallbacks,
-            self.dropped,
-            self.nxdomain,
-            self.referrals,
-            self.truncated,
+        let mut out = self.render_counts();
+        out.push_str(&format!(
+            "elapsed        {:>12.3} s\nwall clock     {:>12.0} q/s\naggregate      {:>12.0} q/s (sum of per-letter busy rates)\nserve p50      {:>12} ns\nserve p99      {:>12} ns\n",
             self.elapsed.as_secs_f64(),
             self.wall_qps,
             self.aggregate_qps,
             self.p50_ns,
             self.p99_ns,
-            self.size_p50,
-            self.size_p99,
-        );
+        ));
         for l in &self.letters {
             out.push_str(&format!(
-                "  {}.root  sites {:>3}  queries {:>10}  busy {:>9.3} ms  rate {:>12.0} q/s\n",
+                "  {}.root  busy {:>9.3} ms  rate {:>12.0} q/s\n",
                 l.letter.ch(),
-                l.sites,
-                l.queries,
                 l.busy_ns as f64 / 1e6,
                 l.qps,
             ));
@@ -331,92 +329,142 @@ impl FarmReport {
     }
 }
 
-/// Per-shard tallies, merged in shard-id order after the threads join.
-struct ShardStats {
+/// One shard's serve tallies, merged in shard-id order — the data
+/// plane's, and the load generator's per-datagram path's. Every run
+/// fills the serve counters and the latency histogram; the response mix,
+/// site counts and sizes are what healthy delivery observes, the hedge
+/// count the chaos policy's (whose per-query outcomes live in its flags).
+#[derive(Default)]
+pub(crate) struct Tally {
     letter_queries: Vec<u64>,
     letter_busy_ns: Vec<u64>,
     /// `[letter][slot] -> responses`.
-    site_counts: Vec<Vec<u64>>,
-    hits: u64,
-    fallbacks: u64,
-    dropped: u64,
-    responses: u64,
-    nxdomain: u64,
-    referrals: u64,
-    truncated: u64,
-    latency: LatencyHistogram,
+    pub(crate) site_counts: Vec<Vec<u64>>,
+    pub(crate) hits: u64,
+    pub(crate) fallbacks: u64,
+    pub(crate) dropped: u64,
+    pub(crate) mix: ResponseMix,
+    hedges_attempted: u64,
+    pub(crate) latency: LatencyHistogram,
     sizes: LatencyHistogram,
 }
 
-impl ShardStats {
-    fn new(slots_per_letter: &[usize]) -> ShardStats {
-        ShardStats {
-            letter_queries: vec![0; slots_per_letter.len()],
-            letter_busy_ns: vec![0; slots_per_letter.len()],
-            site_counts: slots_per_letter.iter().map(|&n| vec![0; n]).collect(),
-            hits: 0,
-            fallbacks: 0,
-            dropped: 0,
-            responses: 0,
-            nxdomain: 0,
-            referrals: 0,
-            truncated: 0,
-            latency: LatencyHistogram::new(),
-            sizes: LatencyHistogram::new(),
-        }
+impl Tally {
+    /// Count one response delivered by `site = (letter, slot)`.
+    pub(crate) fn answered(&mut self, site: (usize, usize), resp: &[u8]) {
+        self.site_counts[site.0][site.1] += 1;
+        self.sizes.record(resp.len() as u64);
+        self.mix.classify(resp);
     }
+}
 
-    /// Classify one response datagram by header bytes (the loadgen
-    /// discipline: the client side stays cheap).
-    fn classify(&mut self, resp: &[u8]) {
-        self.responses += 1;
-        if resp.len() < 12 {
-            return;
-        }
-        if resp[2] & 0x02 != 0 {
-            self.truncated += 1;
-        }
-        match resp[3] & 0x0f {
-            3 => self.nxdomain += 1,
-            0 => {
-                let ancount = u16::from_be_bytes([resp[6], resp[7]]);
-                let nscount = u16::from_be_bytes([resp[8], resp[9]]);
-                if ancount == 0 && nscount > 0 {
-                    self.referrals += 1;
-                }
-            }
-            _ => {}
-        }
+fn add_each(into: &mut [u64], from: &[u64]) {
+    for (a, b) in into.iter_mut().zip(from) {
+        *a += b;
     }
+}
 
-    /// Serve one full batch through `engine`, timing the flush and
-    /// splitting its cost evenly across the batch's datagrams.
-    fn flush(&mut self, engine: &Rootd, letter_idx: usize, slot: usize, batch: &mut UdpBatch) {
-        if batch.is_empty() {
-            return;
+impl Merge for Tally {
+    fn merge(&mut self, other: Tally) {
+        add_each(&mut self.letter_queries, &other.letter_queries);
+        add_each(&mut self.letter_busy_ns, &other.letter_busy_ns);
+        for (a, b) in self.site_counts.iter_mut().zip(&other.site_counts) {
+            add_each(a, b);
         }
-        let n = batch.len() as u64;
-        let t0 = Instant::now();
-        let tally = engine.serve_udp_batch(batch);
-        let dt = t0.elapsed().as_nanos() as u64;
-        self.letter_queries[letter_idx] += n;
-        self.letter_busy_ns[letter_idx] += dt;
-        self.hits += tally.hits;
-        self.fallbacks += tally.fallbacks;
-        self.dropped += tally.dropped;
-        let per_query = dt / n;
-        for _ in 0..n {
-            self.latency.record(per_query);
-        }
-        for i in 0..batch.len() {
-            if let Some(resp) = batch.response(i) {
-                self.site_counts[letter_idx][slot] += 1;
-                self.sizes.record(resp.len() as u64);
-                self.classify(resp);
-            }
-        }
-        batch.clear();
+        self.hits += other.hits;
+        self.fallbacks += other.fallbacks;
+        self.dropped += other.dropped;
+        self.mix.merge(other.mix);
+        self.hedges_attempted += other.hedges_attempted;
+        self.latency.merge(other.latency);
+        self.sizes.merge(other.sizes);
     }
+}
+
+/// One query as the data plane derived it from its global index `g`
+/// (`local` is its offset inside the shard's range).
+struct Query {
+    g: u64,
+    local: usize,
+    letter_idx: usize,
+    fam: usize,
+    client_idx: usize,
+    class: QueryClass,
+}
+
+/// Serve one (letter, site) request slab through its site's `engine` —
+/// one lock acquire for the whole batch — and hand every response (or
+/// engine drop), with what the router attached to its datagram, to
+/// `observe`.
+fn flush<O, M: Copy>(
+    engine: &Rootd,
+    site: (usize, usize),
+    (batch, metas): &mut (UdpBatch, Vec<M>),
+    tally: &mut Tally,
+    out: &mut O,
+    observe: &impl Fn((usize, usize), M, Option<&[u8]>, &mut Tally, &mut O),
+) {
+    if batch.is_empty() {
+        return;
+    }
+    let n = batch.len() as u64;
+    let t0 = Instant::now();
+    let served = engine.serve_udp_batch(batch);
+    let dt = t0.elapsed().as_nanos() as u64;
+    tally.letter_queries[site.0] += n;
+    tally.letter_busy_ns[site.0] += dt;
+    tally.hits += served.hits;
+    tally.fallbacks += served.fallbacks;
+    tally.dropped += served.dropped;
+    // Flush time split evenly across the batch's datagrams.
+    let per_query = dt / n;
+    for _ in 0..n {
+        tally.latency.record(per_query);
+    }
+    // By reference, then `clear`: a `drain` here costs the healthy run
+    // ~6 ns a query (its drop guard keeps the loop from being optimised).
+    for (i, &meta) in metas.iter().enumerate() {
+        observe(site, meta, batch.response(i), tally, out);
+    }
+    metas.clear();
+    batch.clear();
+}
+
+/// `deployment` announcing only the sites in `keep`.
+fn announcing(deployment: &Deployment, keep: &[u32]) -> Deployment {
+    Deployment {
+        name: deployment.name.clone(),
+        sites: deployment
+            .sites
+            .iter()
+            .filter(|s| keep.contains(&s.id.0))
+            .cloned()
+            .collect(),
+    }
+}
+
+/// Both families' catchment tables over `deployment`:
+/// `[family][client position] -> slot in site_ids`, from a fresh
+/// Gao-Rexford propagation; routeless clients fall to `fallback`.
+fn catchment_tables(
+    topology: &Topology,
+    clients: &[AsId],
+    deployment: &Deployment,
+    site_ids: &[u32],
+    fallback: u16,
+) -> [Vec<u16>; 2] {
+    [Family::V4, Family::V6].map(|family| {
+        let routes = propagate(topology, deployment, family);
+        clients
+            .iter()
+            .map(|&asn| {
+                routes
+                    .best(asn)
+                    .and_then(|c| site_ids.iter().position(|&id| id == c.site.0))
+                    .map_or(fallback, |slot| slot as u16)
+            })
+            .collect()
+    })
 }
 
 impl Farm {
@@ -436,7 +484,7 @@ impl Farm {
         assert!(!letters.is_empty(), "farm needs at least one letter");
         let index = Arc::new(ZoneIndex::build(Arc::clone(&zone)));
         let cache = Arc::new(AnswerCache::build_zone(&index));
-        let tlds = index.tld_labels();
+        let templates = QueryTemplates::build(&index.tld_labels());
         let clients: Vec<AsId> = topology
             .nodes()
             .iter()
@@ -456,30 +504,11 @@ impl Farm {
                     engines.push(Arc::new(engine));
                     site_ids.push(site.site_id.0);
                 }
+                debug_assert!(site_ids.windows(2).all(|w| w[0] < w[1]), "catalog order");
                 // Steering must route over the sites the farm actually
                 // serves: announce only the kept sites.
-                let full = catalog.deployment(letter);
-                let deployment = Deployment {
-                    name: full.name.clone(),
-                    sites: full
-                        .sites
-                        .iter()
-                        .filter(|s| site_ids.contains(&s.id.0))
-                        .cloned()
-                        .collect(),
-                };
-                let steer = [Family::V4, Family::V6].map(|family| {
-                    let routes = propagate(topology, &deployment, family);
-                    clients
-                        .iter()
-                        .map(|&asn| {
-                            routes
-                                .best(asn)
-                                .and_then(|c| site_ids.iter().position(|&id| id == c.site.0))
-                                .unwrap_or(0) as u16
-                        })
-                        .collect()
-                });
+                let deployment = announcing(catalog.deployment(letter), &site_ids);
+                let steer = catchment_tables(topology, &clients, &deployment, &site_ids, 0);
                 LetterFarm {
                     letter,
                     shared,
@@ -493,7 +522,7 @@ impl Farm {
         Farm {
             letters: farms,
             clients,
-            tlds,
+            templates,
             zone,
         }
     }
@@ -529,7 +558,8 @@ impl Farm {
     pub fn site_for(&self, letter: RootLetter, family: Family, client_idx: usize) -> Option<u32> {
         let lf = self.farm_of(letter)?;
         let fam = usize::from(family == Family::V6);
-        Some(lf.site_ids[lf.slot(fam, client_idx)])
+        let pos = client_idx % self.clients.len().max(1);
+        Some(lf.site_ids[lf.slot(fam, pos)])
     }
 
     /// The engine serving `letter` at `site_id`.
@@ -567,106 +597,97 @@ impl Farm {
         self.letters.iter().find(|lf| lf.letter == letter)
     }
 
-    /// Run `cfg.queries` steered queries through the constellation over
-    /// `cfg.shards` worker shards.
+    /// The one data plane. Shard `t` owns a contiguous range of global
+    /// indices; per query `g`, the steering stream (`STEER_TAG`) draws the
+    /// letter and family, `g % clients` names the client, the content
+    /// stream (`QUERY_TAG`) fills the wire bytes, and `route` names the
+    /// engine slot that serves it (or `None`, having resolved the query
+    /// without serving it) — all pure functions of `g`. Routed queries
+    /// accumulate in one request slab per (letter, site), flushed at
+    /// `cfg.batch` datagrams and once more at the end of the range;
+    /// `observe` sees every response. Shard tallies fold in shard-id
+    /// order, so every deterministic output is shard-count-invariant.
     ///
-    /// Shard `t` owns global indices `[t*per_shard, ...)`; per query `g`,
-    /// the steering stream (`STEER_TAG`) draws the letter and family,
-    /// `g % clients` names the client, and the content stream
-    /// (`QUERY_TAG`) fills the wire bytes — all pure functions of `g`,
-    /// so every deterministic report field is shard-count-invariant.
-    pub fn run(&self, cfg: &FarmConfig) -> FarmReport {
-        let shards = cfg.shards.max(1);
+    /// `route` and `observe` are all that distinguishes one kind of run
+    /// from another, and the function is monomorphised per pair: a
+    /// healthy run executes none of a chaos run's policy and branches on
+    /// none of its state. `outs` holds, per shard, the output both write
+    /// in place; `M` is what `route` attaches to a batched datagram for
+    /// `observe`. Returns the merged tally and the run's wall time.
+    fn data_plane<O: Send, M: Copy>(
+        &self,
+        cfg: &FarmConfig,
+        outs: Vec<O>,
+        route: impl Fn(&Query, &LetterFarm, &mut Tally, &mut O) -> Option<(usize, M)> + Sync,
+        observe: impl Fn((usize, usize), M, Option<&[u8]>, &mut Tally, &mut O) + Sync,
+    ) -> (Tally, Duration) {
         let clients = cfg.clients.max(1);
         let batch_cap = cfg.batch.max(1);
         let nletters = self.letters.len();
-        let per_shard = cfg.queries.div_ceil(shards);
-        let slots_per_letter: Vec<usize> = self.letters.iter().map(|lf| lf.engines.len()).collect();
-        let slots_per_letter = &slots_per_letter;
-        let templates = QueryTemplates::build(&self.tlds);
-        let templates = &templates;
         let pool = self.clients.len().max(1);
         let started = Instant::now();
-        let mut stats: Vec<(usize, ShardStats)> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(shards);
-            for t in 0..shards {
-                let first = t * per_shard;
-                let count = per_shard.min(cfg.queries.saturating_sub(first));
-                handles.push(scope.spawn(move || {
-                    let mut stats = ShardStats::new(slots_per_letter);
-                    // One request slab per (letter, site): queries
-                    // accumulate and flush through one lock acquire.
-                    let mut batches: Vec<Vec<UdpBatch>> = slots_per_letter
-                        .iter()
-                        .map(|&n| (0..n).map(|_| UdpBatch::new()).collect())
-                        .collect();
-                    let mut wire = Vec::with_capacity(64);
-                    for i in 0..count {
-                        let g = (first + i) as u64;
-                        let mut steer = SimRng::new(cfg.seed).derive_ids(&[STEER_TAG, g]);
-                        let letter_idx = steer.next_range(nletters);
-                        let fam = usize::from(steer.chance(cfg.v6_fraction));
-                        let client_idx = (g as usize % clients) % pool;
-                        let lf = &self.letters[letter_idx];
-                        let slot = lf.slot(fam, client_idx);
-                        let mut qrng = SimRng::new(cfg.seed).derive_ids(&[QUERY_TAG, g]);
-                        fill_query(&cfg.mix, templates, &mut qrng, &mut wire);
-                        let batch = &mut batches[letter_idx][slot];
-                        batch.push_request(&wire);
-                        if batch.len() >= batch_cap {
-                            stats.flush(&lf.engines[slot], letter_idx, slot, batch);
-                        }
-                    }
-                    for (letter_idx, letter_batches) in batches.iter_mut().enumerate() {
-                        for (slot, batch) in letter_batches.iter_mut().enumerate() {
-                            stats.flush(
-                                &self.letters[letter_idx].engines[slot],
-                                letter_idx,
-                                slot,
-                                batch,
-                            );
-                        }
-                    }
-                    (t, stats)
-                }));
-            }
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let elapsed = started.elapsed();
-        // Ordered merge, same discipline as the load generator: fold
-        // shard tallies in shard-id order no matter how the scheduler
-        // finished them.
-        stats.sort_by_key(|&(shard, _)| shard);
-        let mut merged = ShardStats::new(slots_per_letter);
-        for (_, s) in &stats {
-            for (a, b) in merged.letter_queries.iter_mut().zip(&s.letter_queries) {
-                *a += b;
-            }
-            for (a, b) in merged.letter_busy_ns.iter_mut().zip(&s.letter_busy_ns) {
-                *a += b;
-            }
-            for (al, bl) in merged.site_counts.iter_mut().zip(&s.site_counts) {
-                for (a, b) in al.iter_mut().zip(bl) {
-                    *a += b;
+        let parts = shard::run_with(cfg.queries, outs, |range, mut out| {
+            let mut tally = Tally {
+                letter_queries: vec![0; nletters],
+                letter_busy_ns: vec![0; nletters],
+                site_counts: (self.letters.iter())
+                    .map(|lf| vec![0; lf.engines.len()])
+                    .collect(),
+                ..Tally::default()
+            };
+            let mut batches: Vec<Vec<(UdpBatch, Vec<M>)>> = (self.letters.iter())
+                .map(|lf| {
+                    let slab = || (UdpBatch::new(), Vec::new());
+                    lf.engines.iter().map(|_| slab()).collect()
+                })
+                .collect();
+            let mut wire = Vec::with_capacity(64);
+            for (local, g) in range.enumerate() {
+                let g = g as u64;
+                let mut steer = SimRng::new(cfg.seed).derive_ids(&[STEER_TAG, g]);
+                let letter_idx = steer.next_range(nletters);
+                let fam = usize::from(steer.chance(cfg.v6_fraction));
+                let client_idx = (g as usize % clients) % pool;
+                let mut qrng = SimRng::new(cfg.seed).derive_ids(&[QUERY_TAG, g]);
+                let class = fill_query(&cfg.mix, &self.templates, &mut qrng, &mut wire);
+                let q = Query {
+                    g,
+                    local,
+                    letter_idx,
+                    fam,
+                    client_idx,
+                    class,
+                };
+                let lf = &self.letters[letter_idx];
+                let Some((slot, meta)) = route(&q, lf, &mut tally, &mut out) else {
+                    continue;
+                };
+                let slab = &mut batches[letter_idx][slot];
+                slab.0.push_request(&wire);
+                slab.1.push(meta);
+                if slab.0.len() >= batch_cap {
+                    let (engine, site) = (&lf.engines[slot], (letter_idx, slot));
+                    flush(engine, site, slab, &mut tally, &mut out, &observe);
                 }
             }
-            merged.hits += s.hits;
-            merged.fallbacks += s.fallbacks;
-            merged.dropped += s.dropped;
-            merged.responses += s.responses;
-            merged.nxdomain += s.nxdomain;
-            merged.referrals += s.referrals;
-            merged.truncated += s.truncated;
-            merged.latency.merge(&s.latency);
-            merged.sizes.merge(&s.sizes);
-        }
-        let letters: Vec<LetterLoad> = self
-            .letters
-            .iter()
-            .enumerate()
+            for (letter_idx, slabs) in batches.iter_mut().enumerate() {
+                for (slot, slab) in slabs.iter_mut().enumerate() {
+                    let engine = &self.letters[letter_idx].engines[slot];
+                    let site = (letter_idx, slot);
+                    flush(engine, site, slab, &mut tally, &mut out, &observe);
+                }
+            }
+            tally
+        });
+        (shard::fold(parts), started.elapsed())
+    }
+
+    /// Per-letter load rows from a merged tally.
+    fn letter_loads(&self, tally: &Tally) -> Vec<LetterLoad> {
+        (self.letters.iter().enumerate())
             .map(|(i, lf)| {
-                let queries = merged.letter_queries[i];
-                let busy_ns = merged.letter_busy_ns[i];
+                let queries = tally.letter_queries[i];
+                let busy_ns = tally.letter_busy_ns[i];
                 LetterLoad {
                     letter: lf.letter,
                     sites: lf.engines.len(),
@@ -675,10 +696,28 @@ impl Farm {
                     qps: queries as f64 / (busy_ns.max(1) as f64 / 1e9),
                 }
             })
-            .collect();
+            .collect()
+    }
+
+    /// Run `cfg.queries` steered queries through the constellation over
+    /// `cfg.shards` worker shards: the data plane under the healthy
+    /// policy — every query goes where the build-time catchment tables
+    /// steer it, and responses are tallied by site, size and rcode.
+    pub fn run(&self, cfg: &FarmConfig) -> FarmReport {
+        let route = |q: &Query, lf: &LetterFarm, _: &mut Tally, _: &mut ()| {
+            Some((lf.slot(q.fam, q.client_idx), ()))
+        };
+        let observe = |site, (), resp: Option<&[u8]>, tally: &mut Tally, _: &mut ()| {
+            if let Some(resp) = resp {
+                tally.answered(site, resp);
+            }
+        };
+        let outs = vec![(); cfg.shards.max(1)];
+        let (tally, elapsed) = self.data_plane(cfg, outs, route, observe);
+        let letters = self.letter_loads(&tally);
         let mut per_site = Vec::new();
-        for (i, lf) in self.letters.iter().enumerate() {
-            for (slot, &n) in merged.site_counts[i].iter().enumerate() {
+        for (lf, counts) in self.letters.iter().zip(&tally.site_counts) {
+            for (slot, &n) in counts.iter().enumerate() {
                 if n > 0 {
                     per_site.push((lf.letter, lf.site_ids[slot], n));
                 }
@@ -690,17 +729,17 @@ impl Farm {
             wall_qps: cfg.queries as f64 / elapsed.as_secs_f64().max(1e-9),
             aggregate_qps: letters.iter().map(|l| l.qps).sum(),
             letters,
-            hits: merged.hits,
-            fallbacks: merged.fallbacks,
-            dropped: merged.dropped,
-            responses: merged.responses,
-            nxdomain: merged.nxdomain,
-            referrals: merged.referrals,
-            truncated: merged.truncated,
-            p50_ns: merged.latency.quantile(0.50),
-            p99_ns: merged.latency.quantile(0.99),
-            size_p50: merged.sizes.quantile(0.50),
-            size_p99: merged.sizes.quantile(0.99),
+            hits: tally.hits,
+            fallbacks: tally.fallbacks,
+            dropped: tally.dropped,
+            responses: tally.mix.responses,
+            nxdomain: tally.mix.nxdomain,
+            referrals: tally.mix.referrals,
+            truncated: tally.mix.truncated,
+            p50_ns: tally.latency.quantile(0.50),
+            p99_ns: tally.latency.quantile(0.99),
+            size_p50: tally.sizes.quantile(0.50),
+            size_p99: tally.sizes.quantile(0.99),
             per_site,
         }
     }
@@ -830,7 +869,9 @@ pub struct FarmChaosReport {
     /// Watchdog probes the control plane fired.
     pub probes: u64,
     /// Health transitions: `(letter position, slot, at_ms, status)`.
-    pub transitions: Vec<(u8, u8, u64, SiteStatus)>,
+    /// Slots are `u16` like the steering tables (f.root alone has more
+    /// than 256 sites at full catalog scale).
+    pub transitions: Vec<(u8, u16, u64, SiteStatus)>,
     /// Crash incidents and their restart ladders.
     pub recoveries: Vec<RecoveryLog>,
     /// The failure plan's own fingerprint (mixed into the report's).
@@ -865,55 +906,51 @@ impl FarmChaosReport {
     /// replay-identity of the whole run: traffic, steering, health
     /// transitions, restart ladders, sheds, and every delivered byte.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        };
-        mix(self.queries as u64);
-        mix(self.hits);
-        mix(self.fallbacks);
-        mix(self.served);
-        mix(self.served_hedged);
-        mix(self.shed_junk);
-        mix(self.shed_benign);
-        mix(self.unanswered);
-        mix(self.engine_dropped);
-        mix(self.late);
-        mix(self.legit_offered);
-        mix(self.legit_served);
-        mix(self.junk_offered);
-        mix(self.junk_served);
-        mix(self.hedges_attempted);
-        mix(self.reloads_rejected);
-        mix(self.reloads_accepted);
-        mix(self.steering_epochs as u64);
-        mix(self.probes);
+        let mut h = Fingerprint::new();
+        h.mix(self.queries as u64);
+        h.mix(self.hits);
+        h.mix(self.fallbacks);
+        h.mix(self.served);
+        h.mix(self.served_hedged);
+        h.mix(self.shed_junk);
+        h.mix(self.shed_benign);
+        h.mix(self.unanswered);
+        h.mix(self.engine_dropped);
+        h.mix(self.late);
+        h.mix(self.legit_offered);
+        h.mix(self.legit_served);
+        h.mix(self.junk_offered);
+        h.mix(self.junk_served);
+        h.mix(self.hedges_attempted);
+        h.mix(self.reloads_rejected);
+        h.mix(self.reloads_accepted);
+        h.mix(self.steering_epochs as u64);
+        h.mix(self.probes);
         for l in &self.letters {
-            mix(l.letter.index() as u64);
-            mix(l.queries);
+            h.mix(l.letter.index() as u64);
+            h.mix(l.queries);
         }
         for &(li, slot, t, status) in &self.transitions {
-            mix(u64::from(li));
-            mix(u64::from(slot));
-            mix(t);
-            mix(status.id());
+            h.mix(u64::from(li));
+            h.mix(u64::from(slot));
+            h.mix(t);
+            h.mix(status.id());
         }
         for r in &self.recoveries {
-            mix(r.letter.index() as u64);
-            mix(u64::from(r.site_id));
-            mix(r.failed_at);
-            mix(r.detected_at);
-            mix(u64::from(r.attempts));
-            mix(r.recovered_at.map_or(u64::MAX, |t| t));
+            h.mix(r.letter.index() as u64);
+            h.mix(u64::from(r.site_id));
+            h.mix(r.failed_at);
+            h.mix(r.detected_at);
+            h.mix(u64::from(r.attempts));
+            h.mix(r.recovered_at.map_or(u64::MAX, |t| t));
         }
         for &f in &self.flags {
-            mix(u64::from(f));
+            h.mix(u64::from(f));
         }
         for &d in &self.digests {
-            mix(d);
+            h.mix(d);
         }
-        h ^ self.plan_fp
+        h.finish() ^ self.plan_fp
     }
 
     /// Internal-consistency checks plus any reload violations; a sound
@@ -1079,31 +1116,6 @@ fn shed_probs(w: f64, wb: f64, nslots: usize, j: f64, amp: f64, headroom: f64) -
     (p_junk, p_benign)
 }
 
-/// Normalized offered-load share per slot under `steer`, over the
-/// configured client-position distribution and family split.
-fn offered_weights(
-    steer: &[Vec<u16>; 2],
-    nslots: usize,
-    clients: usize,
-    pool: usize,
-    v6_fraction: f64,
-) -> Vec<f64> {
-    let mut w = vec![0.0; nslots];
-    for c in 0..clients {
-        let pos = c % pool;
-        for (fi, famp) in [(0usize, 1.0 - v6_fraction), (1usize, v6_fraction)] {
-            let table = &steer[fi];
-            let slot = if table.is_empty() {
-                0
-            } else {
-                table[pos % table.len()] as usize
-            };
-            w[slot] += famp / clients as f64;
-        }
-    }
-    w
-}
-
 fn epoch_at(epochs: &[EpochSteer], t: u64) -> &EpochSteer {
     let i = epochs.partition_point(|e| e.start_ms <= t);
     &epochs[i.max(1) - 1]
@@ -1117,109 +1129,15 @@ fn flood_amp_at(floods: &[FloodWindow], t: u64) -> f64 {
         .fold(1.0, f64::max)
 }
 
-/// Pending outcome of one batched datagram:
-/// `(global index, class, hedged, late)`, resolved at flush time.
-type BatchMeta = Vec<(u64, u8, bool, bool)>;
-
-/// Per-shard chaos tallies (merged in shard-id order).
-#[derive(Clone)]
-struct ChaosShard {
-    letter_queries: Vec<u64>,
-    letter_busy_ns: Vec<u64>,
-    hits: u64,
-    fallbacks: u64,
-    served: u64,
-    served_hedged: u64,
-    shed_junk: u64,
-    shed_benign: u64,
-    unanswered: u64,
-    engine_dropped: u64,
-    late: u64,
-    legit_offered: u64,
-    legit_served: u64,
-    junk_offered: u64,
-    junk_served: u64,
-    hedges_attempted: u64,
-}
-
-impl ChaosShard {
-    fn new(nletters: usize) -> ChaosShard {
-        ChaosShard {
-            letter_queries: vec![0; nletters],
-            letter_busy_ns: vec![0; nletters],
-            hits: 0,
-            fallbacks: 0,
-            served: 0,
-            served_hedged: 0,
-            shed_junk: 0,
-            shed_benign: 0,
-            unanswered: 0,
-            engine_dropped: 0,
-            late: 0,
-            legit_offered: 0,
-            legit_served: 0,
-            junk_offered: 0,
-            junk_served: 0,
-            hedges_attempted: 0,
-        }
-    }
-
-    /// Serve one batch and resolve every entry's outcome: digest the
-    /// delivered bytes into the shard's global-index slices.
-    #[allow(clippy::too_many_arguments)]
-    fn flush(
-        &mut self,
-        engine: &Rootd,
-        letter_idx: usize,
-        batch: &mut UdpBatch,
-        meta: &mut BatchMeta,
-        first: usize,
-        digests: &mut [u64],
-        flags: &mut [u8],
-    ) {
-        if batch.is_empty() {
-            meta.clear();
-            return;
-        }
-        let n = batch.len() as u64;
-        let t0 = Instant::now();
-        let tally = engine.serve_udp_batch(batch);
-        let dt = t0.elapsed().as_nanos() as u64;
-        self.letter_queries[letter_idx] += n;
-        self.letter_busy_ns[letter_idx] += dt;
-        self.hits += tally.hits;
-        self.fallbacks += tally.fallbacks;
-        for (i, &(g, class, hedged, is_late)) in meta.iter().enumerate() {
-            let local = g as usize - first;
-            match batch.response(i) {
-                Some(resp) => {
-                    digests[local] = digest_response(g, resp);
-                    let outcome = if hedged {
-                        self.served_hedged += 1;
-                        ChaosOutcome::ServedHedged
-                    } else {
-                        self.served += 1;
-                        ChaosOutcome::Served
-                    };
-                    if is_late {
-                        self.late += 1;
-                    }
-                    if class == 1 {
-                        self.junk_served += 1;
-                    } else {
-                        self.legit_served += 1;
-                    }
-                    flags[local] = class | ((outcome as u8) << 2) | (u8::from(is_late) << 5);
-                }
-                None => {
-                    self.engine_dropped += 1;
-                    flags[local] = class | ((ChaosOutcome::EngineDropped as u8) << 2);
-                }
-            }
-        }
-        batch.clear();
-        meta.clear();
-    }
+/// One batched chaos datagram, resolved into a digest and a flag when
+/// its batch is flushed.
+#[derive(Clone, Copy)]
+struct Pending {
+    g: u64,
+    local: usize,
+    class: u8,
+    hedged: bool,
+    late: bool,
 }
 
 impl Farm {
@@ -1235,79 +1153,59 @@ impl Farm {
         control: &ControlPlane,
         cfg: &FarmChaosConfig,
     ) -> Vec<Vec<EpochSteer>> {
-        let pool = self.clients.len().max(1);
-        let clients = cfg.farm.clients.max(1);
-        self.letters
-            .iter()
-            .zip(&control.letters)
+        (self.letters.iter().zip(&control.letters))
             .map(|(lf, lc)| {
-                let nslots = lf.engines.len();
                 let mut memo: HashMap<Vec<bool>, [Vec<u16>; 2]> = HashMap::new();
-                lc.timeline
-                    .steering_epochs()
-                    .into_iter()
+                (lc.timeline.steering_epochs().into_iter())
                     .map(|(start_ms, dead)| {
-                        let steer = memo
-                            .entry(dead.clone())
-                            .or_insert_with(|| {
-                                let live: Vec<u32> = lf
-                                    .site_ids
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|&(slot, _)| !dead.get(slot).copied().unwrap_or(false))
-                                    .map(|(_, &id)| id)
-                                    .collect();
-                                if live.len() == lf.site_ids.len() || live.is_empty() {
-                                    // All live (base tables) — or none,
-                                    // in which case steering is moot:
-                                    // every query hedges into the void.
-                                    return lf.steer.clone();
-                                }
-                                let withdrawn = Deployment {
-                                    name: lf.deployment.name.clone(),
-                                    sites: lf
-                                        .deployment
-                                        .sites
-                                        .iter()
-                                        .filter(|s| live.contains(&s.id.0))
-                                        .cloned()
-                                        .collect(),
-                                };
-                                let fallback =
-                                    lf.site_ids
-                                        .iter()
-                                        .position(|id| live.contains(id))
-                                        .unwrap_or(0) as u16;
-                                [Family::V4, Family::V6].map(|family| {
-                                    let routes = propagate(topology, &withdrawn, family);
-                                    self.clients
-                                        .iter()
-                                        .map(|&asn| {
-                                            routes
-                                                .best(asn)
-                                                .and_then(|c| {
-                                                    lf.site_ids
-                                                        .iter()
-                                                        .position(|&id| id == c.site.0)
-                                                })
-                                                .map(|slot| slot as u16)
-                                                .unwrap_or(fallback)
-                                        })
-                                        .collect()
-                                })
-                            })
+                        let steer = (memo.entry(dead))
+                            .or_insert_with_key(|dead| self.steer_without(topology, lf, dead))
                             .clone();
-                        let weights =
-                            offered_weights(&steer, nslots, clients, pool, cfg.farm.v6_fraction);
                         EpochSteer {
                             start_ms,
+                            weights: self.offered_weights(&steer, lf.engines.len(), &cfg.farm),
                             steer,
-                            weights,
                         }
                     })
                     .collect()
             })
             .collect()
+    }
+
+    /// Normalized offered-load share per slot under `steer`, over
+    /// `cfg`'s client-position distribution and family split.
+    fn offered_weights(&self, steer: &[Vec<u16>; 2], nslots: usize, cfg: &FarmConfig) -> Vec<f64> {
+        let clients = cfg.clients.max(1);
+        let pool = self.clients.len().max(1);
+        let mut w = vec![0.0; nslots];
+        for c in 0..clients {
+            let pos = c % pool;
+            for (fi, famp) in [(0usize, 1.0 - cfg.v6_fraction), (1usize, cfg.v6_fraction)] {
+                w[steered(&steer[fi], pos)] += famp / clients as f64;
+            }
+        }
+        w
+    }
+
+    /// `lf`'s catchment tables with the `dead` slots withdrawn.
+    fn steer_without(&self, topology: &Topology, lf: &LetterFarm, dead: &[bool]) -> [Vec<u16>; 2] {
+        let live: Vec<u32> = (lf.site_ids.iter().enumerate())
+            .filter(|&(slot, _)| !dead.get(slot).copied().unwrap_or(false))
+            .map(|(_, &id)| id)
+            .collect();
+        if live.len() == lf.site_ids.len() || live.is_empty() {
+            // All live (base tables) — or none, in which case steering is
+            // moot: every query hedges into the void.
+            return lf.steer.clone();
+        }
+        let first_live = lf.site_ids.iter().position(|id| live.contains(id));
+        catchment_tables(
+            topology,
+            &self.clients,
+            &announcing(&lf.deployment, &live),
+            &lf.site_ids,
+            first_live.unwrap_or(0) as u16,
+        )
     }
 
     /// Apply the plan's poisoned reloads through the validated reload
@@ -1356,23 +1254,13 @@ impl Farm {
     /// Run the constellation through the failure schedule: the control
     /// plane (health probes, failover steering, restart ladders) runs
     /// first as a discrete-event program on the virtual clock, producing
-    /// piecewise-constant timelines; the sharded data plane then serves
-    /// every query against those timelines — per-query steering, hedging
-    /// and shedding are pure functions of the global query index, so the
-    /// whole report is bit-identical for any shard count.
+    /// piecewise-constant timelines; the data plane then serves every
+    /// query against those timelines under the chaos policy — per-query
+    /// steering, hedging and shedding are pure functions of the global
+    /// query index, so the whole report is bit-identical for any shard
+    /// count.
     pub fn run_chaos(&self, topology: &Topology, cfg: &FarmChaosConfig) -> FarmChaosReport {
         let shards = cfg.farm.shards.max(1);
-        let clients = cfg.farm.clients.max(1);
-        let batch_cap = cfg.farm.batch.max(1);
-        let nletters = self.letters.len();
-        let per_shard = cfg.farm.queries.div_ceil(shards).max(1);
-        let templates = QueryTemplates::build(&self.tlds);
-        let templates = &templates;
-        let pool = self.clients.len().max(1);
-        // Expected junk share of the mix (chaos-class templates return
-        // before the junk draw; the small apex correction is ignored —
-        // the headroom factor dwarfs it).
-        let junk_frac = (1.0 - cfg.farm.mix.chaos_fraction) * cfg.farm.mix.nxdomain_fraction;
 
         // Poisoned reloads first: all must bounce off validation, so the
         // serving state the data plane reads is unchanged.
@@ -1398,217 +1286,128 @@ impl Farm {
             .saturating_add(4 * cfg.health.probe_interval_ms);
         let control = run_control_plane(&roster, &cfg.plan, &cfg.health, &cfg.recovery, horizon);
         let epochs = self.chaos_steering(topology, &control, cfg);
-        let epochs = &epochs;
-        let control = &control;
         // Healthy-baseline offered shares anchor the shedding cap, so
         // failover redistribution — not the baseline split — is what
         // gets charged against headroom.
-        let base_weights: Vec<Vec<f64>> = self
-            .letters
-            .iter()
-            .map(|lf| {
-                offered_weights(
-                    &lf.steer,
-                    lf.engines.len(),
-                    clients,
-                    pool,
-                    cfg.farm.v6_fraction,
-                )
-            })
+        let base_weights: Vec<Vec<f64>> = (self.letters.iter())
+            .map(|lf| self.offered_weights(&lf.steer, lf.engines.len(), &cfg.farm))
             .collect();
-        let base_weights = &base_weights;
 
+        // Expected junk share of the mix (chaos-class templates return
+        // before the junk draw; the small apex correction is ignored —
+        // the headroom factor dwarfs it).
+        let junk_frac = (1.0 - cfg.farm.mix.chaos_fraction) * cfg.farm.mix.nxdomain_fraction;
+
+        // The chaos policy: per-epoch failover steering, junk-first
+        // ingress shedding, one hedged retry off a dark site. Every
+        // query's outcome is written in place into its shard's slices of
+        // `digests` and `flags`.
         let mut digests = vec![0u64; cfg.farm.queries];
         let mut flags = vec![0u8; cfg.farm.queries];
-        let started = Instant::now();
-        let mut stats: Vec<(usize, ChaosShard)> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(shards);
-            let mut dig_rest: &mut [u64] = &mut digests;
-            let mut flag_rest: &mut [u8] = &mut flags;
-            for t in 0..shards {
-                let first = t * per_shard;
-                let count = per_shard.min(cfg.farm.queries.saturating_sub(first));
-                let (dig, rest) = std::mem::take(&mut dig_rest).split_at_mut(count);
-                dig_rest = rest;
-                let (flg, rest) = std::mem::take(&mut flag_rest).split_at_mut(count);
-                flag_rest = rest;
-                handles.push(scope.spawn(move || {
-                    let mut stats = ChaosShard::new(nletters);
-                    let slots_per_letter: Vec<usize> =
-                        self.letters.iter().map(|lf| lf.engines.len()).collect();
-                    let mut batches: Vec<Vec<UdpBatch>> = slots_per_letter
-                        .iter()
-                        .map(|&n| (0..n).map(|_| UdpBatch::new()).collect())
-                        .collect();
-                    let mut metas: Vec<Vec<BatchMeta>> = slots_per_letter
-                        .iter()
-                        .map(|&n| (0..n).map(|_| Vec::new()).collect())
-                        .collect();
-                    let mut wire = Vec::with_capacity(64);
-                    for i in 0..count {
-                        let g = (first + i) as u64;
-                        let mut steer = SimRng::new(cfg.farm.seed).derive_ids(&[STEER_TAG, g]);
-                        let letter_idx = steer.next_range(nletters);
-                        let fam = usize::from(steer.chance(cfg.farm.v6_fraction));
-                        let client_idx = (g as usize % clients) % pool;
-                        let lf = &self.letters[letter_idx];
-                        let lc = &control.letters[letter_idx];
-                        let t_arr = cfg.arrivals.attempt_at(g, 0, 0);
-                        let mut qrng = SimRng::new(cfg.farm.seed).derive_ids(&[QUERY_TAG, g]);
-                        let class = match fill_query(&cfg.farm.mix, templates, &mut qrng, &mut wire)
-                        {
-                            QueryClass::Chaos => 2u8,
-                            QueryClass::Junk => 1,
-                            QueryClass::Apex | QueryClass::Tld => 0,
-                        };
-                        if class == 1 {
-                            stats.junk_offered += 1;
-                        } else {
-                            stats.legit_offered += 1;
-                        }
-                        let epoch = epoch_at(&epochs[letter_idx], t_arr);
-                        let table = &epoch.steer[fam];
-                        let slot = if table.is_empty() {
-                            0
-                        } else {
-                            table[client_idx % table.len()] as usize
-                        };
-                        // Ingress shedding at the steered site.
-                        let amp = flood_amp_at(&cfg.floods, t_arr);
-                        let (p_junk, p_benign) = shed_probs(
-                            epoch.weights[slot],
-                            base_weights[letter_idx][slot],
-                            lf.engines.len(),
-                            junk_frac,
-                            amp,
-                            cfg.shed_headroom,
-                        );
-                        let p = if class == 1 { p_junk } else { p_benign };
-                        if p > 0.0
-                            && SimRng::new(cfg.farm.seed)
-                                .derive_ids(&[SHED_TAG, g])
-                                .chance(p)
-                        {
-                            if class == 1 {
-                                stats.shed_junk += 1;
-                            } else {
-                                stats.shed_benign += 1;
-                            }
-                            flg[i] = class | ((ChaosOutcome::Shed as u8) << 2);
-                            continue;
-                        }
-                        // Ground truth beats belief: a dark site eats the
-                        // datagram whether or not the watchdog knows yet.
-                        let (serve_slot, serve_t, hedged) = if lc.down_at(slot, t_arr) {
-                            stats.hedges_attempted += 1;
-                            let t2 = t_arr + cfg.hedge_timeout_ms;
-                            let epoch2 = epoch_at(&epochs[letter_idx], t2);
-                            let table2 = &epoch2.steer[fam];
-                            let routed = if table2.is_empty() {
-                                0
-                            } else {
-                                table2[client_idx % table2.len()] as usize
-                            };
-                            // If steering already withdrew the dead site,
-                            // the retry follows the new catchment;
-                            // otherwise (watchdog hasn't caught up yet)
-                            // the client falls back to the next site it
-                            // still believes is in rotation.
-                            let nslots = lf.engines.len();
-                            let slot2 = if routed != slot {
-                                Some(routed)
-                            } else {
-                                (1..nslots)
-                                    .map(|k| (slot + k) % nslots)
-                                    .find(|&s| lc.timeline.status_at(s, t2).in_rotation())
-                            };
-                            match slot2 {
-                                Some(s2) if !lc.down_at(s2, t2) => (s2, t2, true),
-                                _ => {
-                                    stats.unanswered += 1;
-                                    flg[i] = class | ((ChaosOutcome::Unanswered as u8) << 2);
-                                    continue;
-                                }
-                            }
-                        } else {
-                            (slot, t_arr, false)
-                        };
-                        let is_late = lc.stall_delay_at(serve_slot, serve_t).is_some();
-                        let batch = &mut batches[letter_idx][serve_slot];
-                        batch.push_request(&wire);
-                        metas[letter_idx][serve_slot].push((g, class, hedged, is_late));
-                        if batch.len() >= batch_cap {
-                            stats.flush(
-                                &lf.engines[serve_slot],
-                                letter_idx,
-                                batch,
-                                &mut metas[letter_idx][serve_slot],
-                                first,
-                                dig,
-                                flg,
-                            );
-                        }
+        type Out<'a> = (&'a mut [u64], &'a mut [u8]);
+        let route = |q: &Query, lf: &LetterFarm, tally: &mut Tally, (_, flags): &mut Out| {
+            let lc = &control.letters[q.letter_idx];
+            let epochs = &epochs[q.letter_idx];
+            let nslots = lf.engines.len();
+            let class = match q.class {
+                QueryClass::Chaos => 2u8,
+                QueryClass::Junk => 1,
+                QueryClass::Apex | QueryClass::Tld => 0,
+            };
+            let t_arr = cfg.arrivals.attempt_at(q.g, 0, 0);
+            let epoch = epoch_at(epochs, t_arr);
+            let slot = steered(&epoch.steer[q.fam], q.client_idx);
+            // Ingress shedding at the steered site.
+            let (p_junk, p_benign) = shed_probs(
+                epoch.weights[slot],
+                base_weights[q.letter_idx][slot],
+                nslots,
+                junk_frac,
+                flood_amp_at(&cfg.floods, t_arr),
+                cfg.shed_headroom,
+            );
+            let p = if class == 1 { p_junk } else { p_benign };
+            let seed = cfg.farm.seed;
+            if p > 0.0 && SimRng::new(seed).derive_ids(&[SHED_TAG, q.g]).chance(p) {
+                flags[q.local] = class | ((ChaosOutcome::Shed as u8) << 2);
+                return None;
+            }
+            // Ground truth beats belief: a dark site eats the datagram
+            // whether or not the watchdog knows yet.
+            let (serve_slot, serve_t, hedged) = if lc.down_at(slot, t_arr) {
+                tally.hedges_attempted += 1;
+                let t2 = t_arr + cfg.hedge_timeout_ms;
+                let routed = steered(&epoch_at(epochs, t2).steer[q.fam], q.client_idx);
+                // If steering already withdrew the dead site, the retry
+                // follows the new catchment; otherwise (watchdog hasn't
+                // caught up yet) the client falls back to the next site
+                // it still believes is in rotation.
+                let slot2 = if routed != slot {
+                    Some(routed)
+                } else {
+                    (1..nslots)
+                        .map(|k| (slot + k) % nslots)
+                        .find(|&s| lc.timeline.status_at(s, t2).in_rotation())
+                };
+                match slot2 {
+                    Some(s2) if !lc.down_at(s2, t2) => (s2, t2, true),
+                    _ => {
+                        flags[q.local] = class | ((ChaosOutcome::Unanswered as u8) << 2);
+                        return None;
                     }
-                    for (letter_idx, letter_batches) in batches.iter_mut().enumerate() {
-                        for (slot, batch) in letter_batches.iter_mut().enumerate() {
-                            stats.flush(
-                                &self.letters[letter_idx].engines[slot],
-                                letter_idx,
-                                batch,
-                                &mut metas[letter_idx][slot],
-                                first,
-                                dig,
-                                flg,
-                            );
-                        }
-                    }
-                    (t, stats)
-                }));
-            }
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let elapsed = started.elapsed();
-        stats.sort_by_key(|&(shard, _)| shard);
-        let mut merged = ChaosShard::new(nletters);
-        for (_, s) in &stats {
-            for (a, b) in merged.letter_queries.iter_mut().zip(&s.letter_queries) {
-                *a += b;
-            }
-            for (a, b) in merged.letter_busy_ns.iter_mut().zip(&s.letter_busy_ns) {
-                *a += b;
-            }
-            merged.hits += s.hits;
-            merged.fallbacks += s.fallbacks;
-            merged.served += s.served;
-            merged.served_hedged += s.served_hedged;
-            merged.shed_junk += s.shed_junk;
-            merged.shed_benign += s.shed_benign;
-            merged.unanswered += s.unanswered;
-            merged.engine_dropped += s.engine_dropped;
-            merged.late += s.late;
-            merged.legit_offered += s.legit_offered;
-            merged.legit_served += s.legit_served;
-            merged.junk_offered += s.junk_offered;
-            merged.junk_served += s.junk_served;
-            merged.hedges_attempted += s.hedges_attempted;
-        }
-        let letters: Vec<LetterLoad> = self
-            .letters
-            .iter()
-            .enumerate()
-            .map(|(i, lf)| {
-                let queries = merged.letter_queries[i];
-                let busy_ns = merged.letter_busy_ns[i];
-                LetterLoad {
-                    letter: lf.letter,
-                    sites: lf.engines.len(),
-                    queries,
-                    busy_ns,
-                    qps: queries as f64 / (busy_ns.max(1) as f64 / 1e9),
                 }
-            })
+            } else {
+                (slot, t_arr, false)
+            };
+            let pending = Pending {
+                g: q.g,
+                local: q.local,
+                class,
+                hedged,
+                late: lc.stall_delay_at(serve_slot, serve_t).is_some(),
+            };
+            Some((serve_slot, pending))
+        };
+        let observe = |_, p: Pending, resp: Option<&[u8]>, _: &mut Tally, out: &mut Out| {
+            let outcome = match resp {
+                Some(resp) => {
+                    out.0[p.local] = digest_response(p.g, resp);
+                    if p.hedged {
+                        ChaosOutcome::ServedHedged
+                    } else {
+                        ChaosOutcome::Served
+                    }
+                }
+                None => ChaosOutcome::EngineDropped,
+            };
+            let late = u8::from(p.late && resp.is_some());
+            out.1[p.local] = p.class | ((outcome as u8) << 2) | (late << 5);
+        };
+        let outs = shard::split_mut(&mut digests, shards)
+            .into_iter()
+            .zip(shard::split_mut(&mut flags, shards))
             .collect();
-        let transitions: Vec<(u8, u8, u64, SiteStatus)> = control
+        let (tally, elapsed) = self.data_plane(&cfg.farm, outs, route, observe);
+
+        // Every query wrote exactly one flag: the outcome counters are a
+        // census of them, `[outcome][class]`.
+        let mut census = [[0u64; 4]; 8];
+        let mut late = 0;
+        for &f in &flags {
+            census[usize::from(FarmChaosReport::outcome_of(f))]
+                [usize::from(FarmChaosReport::class_of(f))] += 1;
+            late += u64::from(f >> 5 & 1);
+        }
+        let of = |outcome: ChaosOutcome| census[outcome as usize];
+        let total = |row: [u64; 4]| row.iter().sum::<u64>();
+        let served = total(of(ChaosOutcome::Served));
+        let served_hedged = total(of(ChaosOutcome::ServedHedged));
+        let junk_offered: u64 = census.iter().map(|row| row[1]).sum();
+        let junk_served = of(ChaosOutcome::Served)[1] + of(ChaosOutcome::ServedHedged)[1];
+        let shed_junk = of(ChaosOutcome::Shed)[1];
+
+        let letters = self.letter_loads(&tally);
+        let transitions: Vec<(u8, u16, u64, SiteStatus)> = control
             .letters
             .iter()
             .enumerate()
@@ -1616,7 +1415,7 @@ impl Farm {
                 lc.timeline
                     .events()
                     .into_iter()
-                    .map(move |(slot, t, status)| (li as u8, slot as u8, t, status))
+                    .map(move |(slot, t, status)| (li as u8, slot as u16, t, status))
             })
             .collect();
         FarmChaosReport {
@@ -1625,27 +1424,27 @@ impl Farm {
             wall_qps: cfg.farm.queries as f64 / elapsed.as_secs_f64().max(1e-9),
             aggregate_qps: letters.iter().map(|l| l.qps).sum(),
             letters,
-            hits: merged.hits,
-            fallbacks: merged.fallbacks,
-            served: merged.served,
-            served_hedged: merged.served_hedged,
-            shed_junk: merged.shed_junk,
-            shed_benign: merged.shed_benign,
-            unanswered: merged.unanswered,
-            engine_dropped: merged.engine_dropped,
-            late: merged.late,
-            legit_offered: merged.legit_offered,
-            legit_served: merged.legit_served,
-            junk_offered: merged.junk_offered,
-            junk_served: merged.junk_served,
-            hedges_attempted: merged.hedges_attempted,
+            hits: tally.hits,
+            fallbacks: tally.fallbacks,
+            served,
+            served_hedged,
+            shed_junk,
+            shed_benign: total(of(ChaosOutcome::Shed)) - shed_junk,
+            unanswered: total(of(ChaosOutcome::Unanswered)),
+            engine_dropped: total(of(ChaosOutcome::EngineDropped)),
+            late,
+            legit_offered: cfg.farm.queries as u64 - junk_offered,
+            legit_served: served + served_hedged - junk_served,
+            junk_offered,
+            junk_served,
+            hedges_attempted: tally.hedges_attempted,
             reloads_rejected,
             reloads_accepted,
             steering_epochs: epochs.iter().map(Vec::len).sum(),
             probes: control.probes,
             transitions,
             recoveries: control.recoveries.clone(),
-            plan_fp: cfg.plan.fold_fingerprint(0xcbf2_9ce4_8422_2325),
+            plan_fp: cfg.plan.fold_fingerprint(Fingerprint::new().finish()),
             flags,
             digests,
             reload_violations,
@@ -1964,6 +1763,39 @@ mod tests {
             1.0,
             "benign traffic rides out the flood untouched"
         );
+    }
+
+    #[test]
+    fn health_transitions_keep_slots_beyond_255() {
+        // f.root at full catalog scale has more sites than a `u8` slot
+        // can name; a transition at slot 300 must be reported (and
+        // fingerprinted) as slot 300.
+        let mut topology = Topology::generate(&TopologyConfig::default());
+        let catalog = RootCatalog::build(&mut topology, &WorldConfig::default());
+        let (_, _, zone) = world();
+        let farm = Farm::build(&topology, &catalog, zone, &[RootLetter::F], usize::MAX);
+        assert!(farm.site_count() > 300, "{} sites", farm.site_count());
+        let mut cfg = chaos_cfg(31, 1_500);
+        let site = farm.letters[0].site_ids[300];
+        cfg.plan.add(
+            RootLetter::F,
+            site,
+            crate::recovery::FailureKind::Crash,
+            (200, 900),
+        );
+        let report = farm.run_chaos(&topology, &cfg);
+        assert_eq!(report.violations(), Vec::<String>::new());
+        assert!(!report.transitions.is_empty());
+        assert!(
+            report
+                .transitions
+                .iter()
+                .all(|&(li, slot, ..)| li == 0 && slot == 300),
+            "{:?}",
+            report.transitions
+        );
+        assert_eq!(report.recoveries.len(), 1);
+        assert_eq!(report.recoveries[0].site_id, site);
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub use farm::{
 pub use faults::{FaultCounters, FaultPlan, FaultSpec, FaultyTransport, Protocol};
 pub use health::{HealthConfig, HealthTimeline, ProbeOutcome, SiteHealth, SiteStatus};
 pub use index::{Lookup, Referral, ZoneIndex};
-pub use loadgen::{ArrivalSchedule, LoadReport, LoadgenConfig, QueryClass, QueryMix, SiteFleet};
+pub use loadgen::{ArrivalSchedule, LoadReport, LoadgenConfig, QueryClass, QueryMix};
 pub use recovery::{
     run_control_plane, ControlPlane, FailureKind, FailurePlan, FailureWindow, LetterControl,
     PoisonedReload, RecoveryLog, RecoveryPolicy,

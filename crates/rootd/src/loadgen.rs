@@ -3,33 +3,36 @@
 //! Replays seeded, B-Root-shaped query mixes (after Ginesin & Mirkovic's
 //! composition study: junk-heavy names, ~half DNSSEC-requesting, a thin
 //! stream of CHAOS identity probes) from many simulated clients against
-//! per-site [`Rootd`] engines. Each client is a stub AS from the `netsim`
-//! topology; which site answers it is decided by the same Gao-Rexford
-//! catchment computation the measurement layer uses, so load distributes
-//! across sites the way anycast would distribute it.
+//! one letter's per-site [`crate::Rootd`] engines — a one-letter [`Farm`]. Each
+//! client is a stub AS from the `netsim` topology; which site answers it
+//! is decided by the farm's IPv4 steering table (the same Gao-Rexford
+//! catchment computation the measurement layer uses), so load
+//! distributes across sites the way anycast would distribute it.
 //!
-//! Every query travels the full serve path on raw bytes
-//! ([`Rootd::serve_udp_into`], answer cache first, fallback parse →
-//! respond → encode otherwise); latency is recorded per query into a
-//! log-bucketed histogram (16 sub-buckets per octave, so quantile error
-//! is bounded at ~6%), and the report carries throughput, p50/p95/p99,
-//! and cache hit/miss counters. Queries are filled from precompiled wire
-//! templates into a per-worker scratch buffer — byte-identical to the
-//! `Message`-built stream (a test asserts it) but allocation-free, so the
-//! generator keeps up with the cached serve path.
+//! The generator shares the farm's partition ([`netsim::shard`]) and
+//! steering but keeps its own delivery: every query is a single-shot
+//! [`crate::Rootd::serve_udp_into`] call on raw bytes (answer cache first,
+//! fallback parse → respond → encode otherwise) or, in fault mode, a
+//! client retry loop over a [`FaultyTransport`] — the per-datagram path
+//! tests hold the farm's batched path against. Query content derives
+//! from the global query index alone, so every seeded counter of a
+//! [`LoadReport`] is identical for any worker-thread count. Latency is
+//! recorded per query into a log-bucketed histogram (16 sub-buckets per
+//! octave, so quantile error is bounded at ~6%), and the report carries
+//! throughput, p50/p95/p99, and cache hit/miss counters. Queries are
+//! filled from precompiled wire templates into a per-worker scratch
+//! buffer — byte-identical to the `Message`-built stream (a test asserts
+//! it) but allocation-free, so the generator keeps up with the cached
+//! serve path.
 
-use crate::engine::{Rootd, ServeOutcome, SiteIdentity};
+use crate::engine::ServeOutcome;
+use crate::farm::{Farm, Tally};
 use crate::faults::{FaultCounters, FaultPlan, FaultyTransport};
-use crate::index::ZoneIndex;
+use crate::rrl::ResponseClass;
 use crate::transport::{InprocTransport, Transport};
 use dns_wire::{Message, Name, Question, RrType};
-use dns_zone::Zone;
 use netsim::rng::SimRng;
-use netsim::routing::propagate;
-use netsim::topology::Topology;
-use netsim::types::{AsId, Family, Tier};
-use rss::catalog::RootCatalog;
-use rss::RootLetter;
+use netsim::shard::{self, Merge};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -121,7 +124,8 @@ pub struct LoadgenConfig {
     pub queries: usize,
     /// Worker threads.
     pub threads: usize,
-    /// Master seed; every client derives its own stream from it.
+    /// Master seed; every query derives its own stream from it and its
+    /// global index.
     pub seed: u64,
     pub mix: QueryMix,
     /// When set, every query travels through a [`FaultyTransport`]
@@ -148,90 +152,6 @@ impl LoadgenConfig {
             faults: None,
             arrivals: None,
         }
-    }
-}
-
-/// One letter's serving fleet: an engine per anycast site, plus the
-/// catchment map deciding which site each client AS reaches.
-pub struct SiteFleet {
-    pub(crate) engines: HashMap<u32, Arc<Rootd>>,
-    /// `client AS -> site` from the Gao-Rexford route computation.
-    pub(crate) catchment: HashMap<u32, u32>,
-    /// Fallback when an AS has no route (partial reachability).
-    pub(crate) default_site: u32,
-    /// Client pool: stub ASes of the topology.
-    pub(crate) clients: Vec<AsId>,
-    pub(crate) tlds: Vec<String>,
-}
-
-impl SiteFleet {
-    /// Build engines for every site of `letter`, sharing one precompiled
-    /// [`ZoneIndex`], and compute the IPv4 catchment for all stub ASes.
-    pub fn build(
-        topology: &Topology,
-        catalog: &RootCatalog,
-        letter: RootLetter,
-        zone: Arc<Zone>,
-    ) -> SiteFleet {
-        let index = Arc::new(ZoneIndex::build(zone));
-        let mut engines = HashMap::new();
-        let mut default_site = 0;
-        for (i, site) in catalog.sites_of(letter).enumerate() {
-            if i == 0 {
-                default_site = site.site_id.0;
-            }
-            let mut engine =
-                Rootd::new(Arc::clone(&index), SiteIdentity::for_site(site)).with_answer_cache();
-            engine.letter = Some(letter);
-            engines.insert(site.site_id.0, Arc::new(engine));
-        }
-        let routes = propagate(topology, catalog.deployment(letter), Family::V4);
-        let clients: Vec<AsId> = topology
-            .nodes()
-            .iter()
-            .filter(|n| n.tier == Tier::Stub)
-            .map(|n| n.id)
-            .collect();
-        let catchment = clients
-            .iter()
-            .filter_map(|asn| routes.best(*asn).map(|c| (asn.0, c.site.0)))
-            .collect();
-        let tlds = index.tld_labels();
-        SiteFleet {
-            engines,
-            catchment,
-            default_site,
-            clients,
-            tlds,
-        }
-    }
-
-    /// Number of sites serving.
-    pub fn site_count(&self) -> usize {
-        self.engines.len()
-    }
-
-    /// Swap the response-rate-limiter config on every site's engine
-    /// (fresh buckets/counters for `Some`, plain serving for `None`).
-    pub fn set_rrl(&self, cfg: Option<crate::rrl::RrlConfig>) {
-        for engine in self.engines.values() {
-            engine.set_rrl(cfg.clone());
-        }
-    }
-
-    /// Site ids in a deterministic (sorted) order.
-    pub(crate) fn site_ids(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = self.engines.keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    pub(crate) fn engine_for(&self, asn: AsId) -> &Arc<Rootd> {
-        let site = self.catchment.get(&asn.0).unwrap_or(&self.default_site);
-        self.engines
-            .get(site)
-            .or_else(|| self.engines.get(&self.default_site))
-            .expect("fleet has at least one site")
     }
 }
 
@@ -330,14 +250,25 @@ pub(crate) struct LatencyHistogram {
 
 pub(crate) const HISTOGRAM_BUCKETS: usize = 16 + 60 * 16;
 
-impl LatencyHistogram {
-    pub(crate) fn new() -> LatencyHistogram {
+impl Default for LatencyHistogram {
+    fn default() -> LatencyHistogram {
         LatencyHistogram {
             buckets: vec![0; HISTOGRAM_BUCKETS],
             count: 0,
         }
     }
+}
 
+impl Merge for LatencyHistogram {
+    fn merge(&mut self, other: LatencyHistogram) {
+        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+            *a += b;
+        }
+        self.count += other.count;
+    }
+}
+
+impl LatencyHistogram {
     fn bucket_of(v: u64) -> usize {
         if v < 16 {
             return v as usize;
@@ -363,13 +294,6 @@ impl LatencyHistogram {
         self.count += 1;
     }
 
-    pub(crate) fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-    }
-
     pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -386,38 +310,62 @@ impl LatencyHistogram {
     }
 }
 
-/// Per-worker tallies, merged after the threads join.
+/// Response counters classified from header bytes alone — the client
+/// side of every load loop stays cheap so the measured cost is the server
+/// path.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ResponseMix {
+    pub(crate) responses: u64,
+    pub(crate) nxdomain: u64,
+    pub(crate) referrals: u64,
+    pub(crate) truncated: u64,
+}
+
+impl ResponseMix {
+    /// Count one raw response datagram.
+    pub(crate) fn classify(&mut self, resp: &[u8]) {
+        self.responses += 1;
+        if resp.len() >= 12 && resp[2] & 0x02 != 0 {
+            self.truncated += 1;
+        }
+        match ResponseClass::of(resp) {
+            ResponseClass::NxDomain => self.nxdomain += 1,
+            // NOERROR with an empty answer section and a non-empty
+            // authority section is (at the root) a referral or NODATA.
+            ResponseClass::Referral | ResponseClass::NoData => self.referrals += 1,
+            ResponseClass::Answer | ResponseClass::Error => {}
+        }
+    }
+}
+
+impl Merge for ResponseMix {
+    fn merge(&mut self, other: ResponseMix) {
+        self.responses += other.responses;
+        self.nxdomain += other.nxdomain;
+        self.referrals += other.referrals;
+        self.truncated += other.truncated;
+    }
+}
+
+/// Per-worker tallies, merged in shard-id order after the threads join:
+/// the farm's serve tally (one letter wide) plus the fault-mode client's
+/// counters.
+#[derive(Default)]
 struct WorkerStats {
-    hist: LatencyHistogram,
-    responses: usize,
-    nxdomain: usize,
-    referrals: usize,
-    truncated: usize,
-    cache_hits: usize,
-    cache_misses: usize,
-    per_site: HashMap<u32, usize>,
+    tally: Tally,
     timeouts: usize,
     retries: usize,
     unanswered: usize,
     faults: FaultCounters,
 }
 
-impl WorkerStats {
-    fn new() -> WorkerStats {
-        WorkerStats {
-            hist: LatencyHistogram::new(),
-            responses: 0,
-            nxdomain: 0,
-            referrals: 0,
-            truncated: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            per_site: HashMap::new(),
-            timeouts: 0,
-            retries: 0,
-            unanswered: 0,
-            faults: FaultCounters::default(),
-        }
+impl Merge for WorkerStats {
+    fn merge(&mut self, other: WorkerStats) {
+        self.tally.merge(other.tally);
+        self.timeouts += other.timeouts;
+        self.retries += other.retries;
+        self.unanswered += other.unanswered;
+        self.faults.merge(&other.faults);
     }
 }
 
@@ -531,181 +479,115 @@ pub(crate) fn fill_query(
     class
 }
 
-/// Classify a raw response datagram by header bytes alone — the client
-/// side of the loop stays cheap so the measured cost is the server path.
-fn classify(stats: &mut WorkerStats, site: u32, resp: &[u8]) {
-    stats.responses += 1;
-    *stats.per_site.entry(site).or_insert(0) += 1;
-    if resp.len() < 12 {
-        return;
-    }
-    if resp[2] & 0x02 != 0 {
-        stats.truncated += 1;
-    }
-    match resp[3] & 0x0f {
-        3 => stats.nxdomain += 1,
-        0 => {
-            // NOERROR with an empty answer section and a non-empty
-            // authority section is (at the root) a referral or NODATA.
-            let ancount = u16::from_be_bytes([resp[6], resp[7]]);
-            let nscount = u16::from_be_bytes([resp[8], resp[9]]);
-            if ancount == 0 && nscount > 0 {
-                stats.referrals += 1;
+/// Run the generator: `cfg.queries` queries from `cfg.clients` simulated
+/// clients spread over `cfg.threads` workers against the first letter of
+/// `farm` (the facades build one-letter farms). Query `g` comes from
+/// client `g % clients`, is steered by the letter's IPv4 catchment table,
+/// and draws its content from `derive_ids(&[0x10ad, g])`.
+pub fn run(farm: &Farm, cfg: &LoadgenConfig) -> LoadReport {
+    let lf = &farm.letters[0];
+    let clients = cfg.clients.max(1);
+    let pool = farm.clients.len().max(1);
+    let plan = cfg.faults.clone().map(Arc::new);
+    let started = Instant::now();
+    let merged = shard::fold(shard::run(cfg.queries, cfg.threads, |range| {
+        let mut stats = WorkerStats::default();
+        stats.tally.site_counts = vec![vec![0; lf.engines.len()]];
+        // Per-worker scratch: the whole query/serve loop reuses these
+        // two buffers, no per-query allocation.
+        let mut wire = Vec::with_capacity(64);
+        let mut resp = Vec::with_capacity(4096);
+        // Fault mode: one wrapped transport per site this worker talks
+        // to. Fault decisions are keyed by global query index, not
+        // per-transport sequence, so totals do not depend on how queries
+        // partition across workers.
+        let mut transports: HashMap<usize, FaultyTransport<InprocTransport>> = HashMap::new();
+        for global in range {
+            let slot = lf.slot(0, (global % clients) % pool);
+            let engine = &lf.engines[slot];
+            let mut rng = SimRng::new(cfg.seed).derive_ids(&[0x10ad, global as u64]);
+            fill_query(&cfg.mix, &farm.templates, &mut rng, &mut wire);
+            if let Some(plan) = &plan {
+                let transport = transports.entry(slot).or_insert_with(|| {
+                    FaultyTransport::new(
+                        InprocTransport::new(Arc::clone(engine)),
+                        Arc::clone(plan),
+                        u64::from(lf.site_ids[slot]),
+                    )
+                });
+                let t0 = Instant::now();
+                let mut answered = false;
+                for attempt in 0..CLIENT_ATTEMPTS {
+                    transport.with_next_key((global as u64) * CLIENT_ATTEMPTS + attempt);
+                    if let Some(sched) = cfg.arrivals {
+                        // Pin the attempt to its scheduled virtual
+                        // instant: window membership becomes a pure
+                        // function of the global index, so no thread's
+                        // progress can skew which fault window another
+                        // thread's queries land in.
+                        transport.at_time(sched.attempt_at(
+                            global as u64,
+                            attempt,
+                            plan.client_timeout_ms,
+                        ));
+                    }
+                    // Scratch-slab path: the answer lands in the reused
+                    // `resp` buffer, no per-attempt `Vec`.
+                    match transport.exchange_udp_into(&wire, &mut resp) {
+                        Ok(true) if response_is_plausible(&resp, &wire) => {
+                            stats.tally.answered((0, slot), &resp);
+                            answered = true;
+                            break;
+                        }
+                        Ok(true) => {} // garbage/bitflipped: retry
+                        Ok(false) | Err(_) => stats.timeouts += 1,
+                    }
+                    if attempt + 1 < CLIENT_ATTEMPTS {
+                        stats.retries += 1;
+                    }
+                }
+                stats.tally.latency.record(t0.elapsed().as_nanos() as u64);
+                if !answered {
+                    stats.unanswered += 1;
+                }
+                continue;
+            }
+            let t0 = Instant::now();
+            let outcome = engine.serve_udp_into(&wire, &mut resp);
+            stats.tally.latency.record(t0.elapsed().as_nanos() as u64);
+            match outcome {
+                ServeOutcome::CacheHit => stats.tally.hits += 1,
+                ServeOutcome::Fallback => stats.tally.fallbacks += 1,
+                ServeOutcome::Dropped => stats.tally.dropped += 1,
+            }
+            if outcome != ServeOutcome::Dropped {
+                stats.tally.answered((0, slot), &resp);
             }
         }
-        _ => {}
-    }
-}
-
-/// Run the generator: `cfg.queries` queries from `cfg.clients` simulated
-/// clients spread over `cfg.threads` workers against `fleet`.
-pub fn run(fleet: &SiteFleet, cfg: &LoadgenConfig) -> LoadReport {
-    let threads = cfg.threads.max(1);
-    let clients = cfg.clients.max(1);
-    let per_thread = cfg.queries.div_ceil(threads);
-    let templates = QueryTemplates::build(&fleet.tlds);
-    let templates = &templates;
-    let plan = cfg.faults.clone().map(Arc::new);
-    let plan = &plan;
-    let started = Instant::now();
-    let mut stats: Vec<(usize, WorkerStats)> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let first = t * per_thread;
-            let count = per_thread.min(cfg.queries.saturating_sub(first));
-            handles.push(scope.spawn(move || {
-                let mut stats = WorkerStats::new();
-                // Each simulated client owns a derived, reproducible
-                // stream; threads interleave clients round-robin.
-                let mut rngs: HashMap<usize, SimRng> = HashMap::new();
-                // Per-worker scratch: the whole query/serve loop reuses
-                // these two buffers, no per-query allocation.
-                let mut wire = Vec::with_capacity(64);
-                let mut resp = Vec::with_capacity(4096);
-                // Fault mode: one wrapped transport per site this worker
-                // talks to. Fault decisions are keyed by global query
-                // index, not per-transport sequence, so totals do not
-                // depend on how queries partition across workers.
-                let mut transports: HashMap<u32, FaultyTransport<InprocTransport>> = HashMap::new();
-                for i in 0..count {
-                    let global = first + i;
-                    let client_idx = global % clients;
-                    let rng = rngs.entry(client_idx).or_insert_with(|| {
-                        SimRng::new(cfg.seed).derive_ids(&[0x10ad, client_idx as u64])
-                    });
-                    let asn = fleet.clients[client_idx % fleet.clients.len().max(1)];
-                    let engine = fleet.engine_for(asn);
-                    let site = *fleet.catchment.get(&asn.0).unwrap_or(&fleet.default_site);
-                    fill_query(&cfg.mix, templates, rng, &mut wire);
-                    if let Some(plan) = plan {
-                        let transport = transports.entry(site).or_insert_with(|| {
-                            FaultyTransport::new(
-                                InprocTransport::new(Arc::clone(engine)),
-                                Arc::clone(plan),
-                                site as u64,
-                            )
-                        });
-                        let t0 = Instant::now();
-                        let mut answered = false;
-                        for attempt in 0..CLIENT_ATTEMPTS {
-                            transport.with_next_key((global as u64) * CLIENT_ATTEMPTS + attempt);
-                            if let Some(sched) = cfg.arrivals {
-                                // Pin the attempt to its scheduled virtual
-                                // instant: window membership becomes a pure
-                                // function of the global index, so no
-                                // thread's progress can skew which fault
-                                // window another thread's queries land in.
-                                transport.at_time(sched.attempt_at(
-                                    global as u64,
-                                    attempt,
-                                    plan.client_timeout_ms,
-                                ));
-                            }
-                            // Scratch-slab path: the answer lands in the
-                            // reused `resp` buffer, no per-attempt `Vec`.
-                            match transport.exchange_udp_into(&wire, &mut resp) {
-                                Ok(true) if response_is_plausible(&resp, &wire) => {
-                                    classify(&mut stats, site, &resp);
-                                    answered = true;
-                                    break;
-                                }
-                                Ok(true) => {} // garbage/bitflipped: retry
-                                Ok(false) | Err(_) => stats.timeouts += 1,
-                            }
-                            if attempt + 1 < CLIENT_ATTEMPTS {
-                                stats.retries += 1;
-                            }
-                        }
-                        stats.hist.record(t0.elapsed().as_nanos() as u64);
-                        if !answered {
-                            stats.unanswered += 1;
-                        }
-                        continue;
-                    }
-                    let t0 = Instant::now();
-                    let outcome = engine.serve_udp_into(&wire, &mut resp);
-                    let lat = t0.elapsed().as_nanos() as u64;
-                    stats.hist.record(lat);
-                    match outcome {
-                        ServeOutcome::CacheHit => {
-                            stats.cache_hits += 1;
-                            classify(&mut stats, site, &resp);
-                        }
-                        ServeOutcome::Fallback => {
-                            stats.cache_misses += 1;
-                            classify(&mut stats, site, &resp);
-                        }
-                        ServeOutcome::Dropped => stats.cache_misses += 1,
-                    }
-                }
-                for transport in transports.values() {
-                    stats.faults.merge(&transport.counters());
-                }
-                (t, stats)
-            }));
+        for transport in transports.values() {
+            stats.faults.merge(&transport.counters());
         }
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+        stats
+    }));
     let elapsed = started.elapsed();
-    // Merge in shard-id order, explicitly: every per-thread tally folds in
-    // the same sequence no matter how the scheduler interleaved the
-    // workers, so merged histograms and counters are bit-identical across
-    // runs and thread counts (the histogram merge is commutative today,
-    // but the ordered discipline keeps that a non-assumption).
-    stats.sort_by_key(|&(shard, _)| shard);
-    let mut hist = LatencyHistogram::new();
-    let mut merged = WorkerStats::new();
-    for (_, s) in &stats {
-        hist.merge(&s.hist);
-        merged.responses += s.responses;
-        merged.nxdomain += s.nxdomain;
-        merged.referrals += s.referrals;
-        merged.truncated += s.truncated;
-        merged.cache_hits += s.cache_hits;
-        merged.cache_misses += s.cache_misses;
-        merged.timeouts += s.timeouts;
-        merged.retries += s.retries;
-        merged.unanswered += s.unanswered;
-        merged.faults.merge(&s.faults);
-        for (site, n) in &s.per_site {
-            *merged.per_site.entry(*site).or_insert(0) += n;
-        }
-    }
-    let mut per_site: Vec<(u32, usize)> = merged.per_site.into_iter().collect();
-    per_site.sort_unstable();
+    let tally = &merged.tally;
+    let per_site = (lf.site_ids.iter().zip(&tally.site_counts[0]))
+        .filter(|&(_, &n)| n > 0)
+        .map(|(&site, &n)| (site, n as usize))
+        .collect();
     LoadReport {
         queries: cfg.queries,
-        responses: merged.responses,
-        nxdomain: merged.nxdomain,
-        referrals: merged.referrals,
-        truncated: merged.truncated,
-        cache_hits: merged.cache_hits,
-        cache_misses: merged.cache_misses,
+        responses: tally.mix.responses as usize,
+        nxdomain: tally.mix.nxdomain as usize,
+        referrals: tally.mix.referrals as usize,
+        truncated: tally.mix.truncated as usize,
+        cache_hits: tally.hits as usize,
+        cache_misses: (tally.fallbacks + tally.dropped) as usize,
         elapsed,
         qps: cfg.queries as f64 / elapsed.as_secs_f64().max(1e-9),
-        p50_ns: hist.quantile(0.50),
-        p95_ns: hist.quantile(0.95),
-        p99_ns: hist.quantile(0.99),
+        p50_ns: tally.latency.quantile(0.50),
+        p95_ns: tally.latency.quantile(0.95),
+        p99_ns: tally.latency.quantile(0.99),
         per_site,
         timeouts: merged.timeouts,
         retries: merged.retries,
@@ -720,10 +602,11 @@ mod tests {
     use dns_zone::rollout::RolloutPhase;
     use dns_zone::rootzone::{build_root_zone, RootZoneConfig};
     use dns_zone::signer::ZoneKeys;
-    use netsim::topology::TopologyConfig;
-    use rss::catalog::WorldConfig;
+    use netsim::topology::{Topology, TopologyConfig};
+    use rss::catalog::{RootCatalog, WorldConfig};
+    use rss::RootLetter;
 
-    fn fleet() -> SiteFleet {
+    fn fleet() -> Farm {
         let mut topology = Topology::generate(&TopologyConfig {
             tier2_per_region: 4,
             stubs_per_region: [4, 8, 16, 12, 4, 6],
@@ -744,7 +627,13 @@ mod tests {
             },
             &ZoneKeys::from_seed(3),
         );
-        SiteFleet::build(&topology, &catalog, RootLetter::B, Arc::new(zone))
+        Farm::build(
+            &topology,
+            &catalog,
+            Arc::new(zone),
+            &[RootLetter::B],
+            usize::MAX,
+        )
     }
 
     #[test]
@@ -775,7 +664,7 @@ mod tests {
         let values: Vec<u64> = (0..queries)
             .map(|_| rng.next_range(5_000_000) as u64)
             .collect();
-        let mut baseline = LatencyHistogram::new();
+        let mut baseline = LatencyHistogram::default();
         for &v in &values {
             baseline.record(v);
         }
@@ -788,7 +677,7 @@ mod tests {
             let per_thread = queries.div_ceil(threads);
             let mut shards: Vec<(usize, LatencyHistogram)> = (0..threads)
                 .map(|t| {
-                    let mut h = LatencyHistogram::new();
+                    let mut h = LatencyHistogram::default();
                     let first = t * per_thread;
                     let count = per_thread.min(queries.saturating_sub(first));
                     for &v in &values[first..first + count] {
@@ -801,8 +690,8 @@ mod tests {
             // scheduler might finish them); the merge discipline sorts.
             shards.reverse();
             shards.sort_by_key(|&(shard, _)| shard);
-            let mut merged = LatencyHistogram::new();
-            for (_, h) in &shards {
+            let mut merged = LatencyHistogram::default();
+            for (_, h) in shards {
                 merged.merge(h);
             }
             assert_eq!(
@@ -819,7 +708,7 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_bracket_the_data() {
-        let mut h = LatencyHistogram::new();
+        let mut h = LatencyHistogram::default();
         for v in 1..=1000u64 {
             h.record(v);
         }
@@ -934,9 +823,8 @@ mod tests {
         // Loss only: the drop decision is a pure function of the global
         // per-query key, and whether a *delivered* response is accepted
         // never depends on worker partitioning. (Corruption classes are
-        // content-dependent — a flip may or may not hit the header — and
-        // query content rides per-worker client streams; their totals are
-        // deterministic per partition, asserted separately below.)
+        // content-dependent — a flip may or may not hit the header —
+        // and are asserted separately below.)
         let cfg = LoadgenConfig {
             queries: 2_000,
             faults: Some(FaultPlan::clean(5).with_default(FaultSpec::loss(0.2))),

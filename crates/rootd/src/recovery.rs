@@ -25,6 +25,7 @@
 
 use crate::health::{HealthConfig, HealthTimeline, ProbeOutcome, SiteHealth, SiteStatus};
 use netsim::rng::SimRng;
+use netsim::Fingerprint;
 use rss::RootLetter;
 use simclock::Scheduler;
 use std::cell::RefCell;
@@ -173,29 +174,25 @@ impl FailurePlan {
 
     /// Mix every scheduled fault into a fingerprint accumulator — plans
     /// are part of a chaos report's replay identity.
-    pub fn fold_fingerprint(&self, mut h: u64) -> u64 {
-        const PRIME: u64 = 0x100_0000_01b3;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(PRIME);
-        };
-        mix(self.seed);
+    pub fn fold_fingerprint(&self, h: u64) -> u64 {
+        let mut h = Fingerprint::resume(h);
+        h.mix(self.seed);
         for ((letter, site), w) in self.all_windows() {
-            mix(letter.index() as u64);
-            mix(u64::from(site));
-            mix(w.kind.id());
+            h.mix(letter.index() as u64);
+            h.mix(u64::from(site));
+            h.mix(w.kind.id());
             if let FailureKind::Stall { delay_ms } = w.kind {
-                mix(delay_ms);
+                h.mix(delay_ms);
             }
-            mix(w.start_ms);
-            mix(w.end_ms);
+            h.mix(w.start_ms);
+            h.mix(w.end_ms);
         }
         for p in &self.poisoned_reloads {
-            mix(p.letter.index() as u64);
-            mix(p.at_ms);
-            mix(p.flip_seed);
+            h.mix(p.letter.index() as u64);
+            h.mix(p.at_ms);
+            h.mix(p.flip_seed);
         }
-        h
+        h.finish()
     }
 }
 

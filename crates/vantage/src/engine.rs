@@ -24,7 +24,9 @@ use dns_zone::Zone;
 use netsim::anycast::{SiteId, SiteScope};
 use netsim::churn::SelectionState;
 use netsim::routing::{propagate, CandidateRoute};
-use netsim::{ChurnModel, Family, RouteTable, RttModel, SimRng, Topology, TopologyConfig};
+use netsim::{
+    shard, ChurnModel, Family, Fingerprint, RouteTable, RttModel, SimRng, Topology, TopologyConfig,
+};
 use parking_lot::Mutex;
 use rss::catalog::{RootCatalog, WorldConfig};
 use rss::RootLetter;
@@ -243,25 +245,21 @@ impl World {
     /// families, every AS, full candidate lists). Scenario apply→revert
     /// round-trips are checked against this hash.
     pub fn routing_hash(&self, letter: RootLetter) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        };
+        let mut h = Fingerprint::new();
         for family in Family::BOTH {
             let table = self.routes(letter, family);
             for node in self.topology.nodes() {
                 for c in table.candidates(node.id) {
-                    mix(node.id.0 as u64);
-                    mix(c.site.0 as u64);
-                    mix(c.via.map(|a| a.0 as u64 + 1).unwrap_or(0));
-                    mix(c.learned_from as u64);
-                    mix(c.path.len() as u64);
-                    mix(c.km as u64);
+                    h.mix(node.id.0 as u64);
+                    h.mix(c.site.0 as u64);
+                    h.mix(c.via.map(|a| a.0 as u64 + 1).unwrap_or(0));
+                    h.mix(c.learned_from as u64);
+                    h.mix(c.path.len() as u64);
+                    h.mix(c.km as u64);
                 }
             }
         }
-        h
+        h.finish()
     }
 
     /// Force every generated zone into `phase` (or back to the dated
@@ -576,40 +574,24 @@ impl<'w> MeasurementEngine<'w> {
         rounds: &[Round],
         workers: usize,
     ) -> VecSink {
-        let n = self.world.population.len() as u32;
-        let workers = workers.clamp(1, (n as usize).max(1));
-        let chunk = n.div_ceil(workers as u32);
+        let n = self.world.population.len();
+        let workers = workers.clamp(1, n.max(1));
         // Partition the session state by worker VP range; each worker owns
         // its slice exclusively (same disjointness argument as the VPs).
+        let ranges = shard::ranges(n, workers);
         let mut parts_in: Vec<HashMap<(u32, usize, usize), ProbeState>> =
             (0..workers).map(|_| HashMap::new()).collect();
         for (key, state) in session.states.drain() {
-            let w = ((key.0 / chunk) as usize).min(workers - 1);
-            parts_in[w].insert(key, state);
+            let owner = ranges.partition_point(|r| r.end <= key.0 as usize);
+            parts_in[owner].insert(key, state);
         }
-        type WorkerOut = (u32, VecSink, HashMap<(u32, usize, usize), ProbeState>);
-        let results: Mutex<Vec<WorkerOut>> = Mutex::new(Vec::new());
-        crossbeam::scope(|scope| {
-            for (w, mut states) in parts_in.into_iter().enumerate() {
-                let lo = w as u32 * chunk;
-                let hi = ((w as u32 + 1) * chunk).min(n);
-                if lo >= hi {
-                    continue;
-                }
-                let results = &results;
-                scope.spawn(move |_| {
-                    let ids: Vec<u32> = (lo..hi).collect();
-                    let mut sink = VecSink::default();
-                    self.run_vps_with(&mut states, &ids, rounds, &mut sink);
-                    results.lock().push((lo, sink, states));
-                });
-            }
-        })
-        .expect("worker panicked");
-        let mut parts = results.into_inner();
-        parts.sort_by_key(|(lo, _, _)| *lo);
         let mut merged = VecSink::default();
-        for (_, part, states) in parts {
+        for (part, states) in shard::run_with(n, parts_in, |vps, mut states| {
+            let ids: Vec<u32> = (vps.start as u32..vps.end as u32).collect();
+            let mut sink = VecSink::default();
+            self.run_vps_with(&mut states, &ids, rounds, &mut sink);
+            (sink, states)
+        }) {
             merged.probes.extend(part.probes);
             merged.transfers.extend(part.transfers);
             session.states.extend(states);

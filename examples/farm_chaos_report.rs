@@ -9,163 +9,28 @@
 //! cargo run --release --example farm_chaos_report -- 100000  # more load
 //! ```
 //!
-//! The run asserts the resilience acceptance gates and prints
-//! `farm chaos invariants: OK` when all of them hold:
-//!
-//! * ≥99% of legitimate (non-junk) queries are answered despite the
-//!   failures and the flood;
-//! * every delivered answer is byte-identical to the fault-free twin;
-//! * the poisoned reload is refused and no corrupt zone ever activates;
-//! * every crashed engine recovers within the backoff budget;
-//! * the whole report replays fingerprint-identical across 1..=8 shards
-//!   and stays seed-sensitive.
+//! Renders `roots_core::FarmChaosRun::demo` and prints
+//! `farm chaos invariants: OK` when its `violations()` are empty: ≥99% of
+//! legitimate queries answered, every delivered answer byte-identical to
+//! the fault-free twin, the poisoned reload refused, every crashed
+//! engine recovered within the backoff budget. `tests/farm_invariants.rs`
+//! holds the same gates (and replay identity across 1..=8 shards and
+//! seeds) in tier-1.
 
-use rootd::recovery::FailureKind;
-use rootd::{Farm, FarmChaosConfig, FloodWindow};
-use rss::RootLetter;
-use vantage::{World, WorldBuildConfig};
+use roots_core::{FarmChaosRun, Scale};
 
 fn main() {
     let queries: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(30_000);
-
-    let world = World::build(&WorldBuildConfig::tiny());
-    let zone = world.zone_at(0);
-    let letters = [RootLetter::A, RootLetter::B, RootLetter::C];
-    let farm = Farm::build(&world.topology, &world.catalog, zone, &letters, 4);
-
-    // Reload validation one day into the day-0 zone's RRSIG window:
-    // clean zones pass, poisoned ones fail on digest — not on expiry.
-    let mut cfg = FarmChaosConfig::tiny(0x2025_0417, 86_400);
-    cfg.farm.queries = queries;
-    cfg.farm.shards = std::thread::available_parallelism()
+    let shards = std::thread::available_parallelism()
         .map(|n| n.get().min(8))
         .unwrap_or(2);
+    let run = FarmChaosRun::demo(Scale::Tiny, 0x2025_0417, queries, shards);
+    print!("{}", run.render());
 
-    // Three concurrent site failures with overlapping windows, a stalled
-    // shard, a junk flood over the recovery period, and one poisoned
-    // zone push at letter B while its sibling site is dark.
-    let site = |letter: RootLetter, i: usize| -> u32 {
-        farm.deployment(letter).expect("farm serves letter").sites[i]
-            .id
-            .0
-    };
-    cfg.plan.add(
-        RootLetter::A,
-        site(RootLetter::A, 1),
-        FailureKind::Crash,
-        (1_000, 4_000),
-    );
-    cfg.plan.add(
-        RootLetter::B,
-        site(RootLetter::B, 0),
-        FailureKind::Blackhole,
-        (1_500, 3_500),
-    );
-    cfg.plan.add(
-        RootLetter::C,
-        site(RootLetter::C, 1),
-        FailureKind::Crash,
-        (1_200, 3_800),
-    );
-    cfg.plan.add(
-        RootLetter::C,
-        site(RootLetter::C, 0),
-        FailureKind::Stall { delay_ms: 250 },
-        (1_000, 5_000),
-    );
-    cfg.plan.add_poisoned_reload(RootLetter::B, 2_500);
-    cfg.floods.push(FloodWindow {
-        start_ms: 2_000,
-        end_ms: 6_000,
-        amplification: 8.0,
-    });
-
-    let report = farm.run_chaos(&world.topology, &cfg);
-    let twin = farm.run_chaos(&world.topology, &cfg.twin());
-
-    println!(
-        "Self-healing farm: {} letters, {} sites, {} clients, {} shards",
-        farm.letters().len(),
-        farm.site_count(),
-        farm.client_count(),
-        cfg.farm.shards,
-    );
-    print!("{}", report.render());
-
-    let mut problems = report.violations();
-
-    // Gate 1: degraded service floor.
-    if report.legit_served_fraction() < 0.99 {
-        problems.push(format!(
-            "legit served fraction {:.4} < 0.99",
-            report.legit_served_fraction()
-        ));
-    }
-
-    // Gate 2: every delivered answer byte-identical to the healthy twin.
-    let mismatches = report.diff_twin(&twin);
-    if !mismatches.is_empty() {
-        problems.push(format!(
-            "{} answers differ from the fault-free twin (first at query {})",
-            mismatches.len(),
-            mismatches[0]
-        ));
-    }
-
-    // Gate 3: the poisoned reload bounced and nothing corrupt activated.
-    if report.reloads_rejected != 1 || report.reloads_accepted != 0 {
-        problems.push(format!(
-            "poisoned reload: {} rejected, {} accepted (want 1, 0)",
-            report.reloads_rejected, report.reloads_accepted
-        ));
-    }
-
-    // Gate 4: both crashed engines recovered within the backoff budget.
-    if report.recoveries.len() != 2 {
-        problems.push(format!(
-            "expected 2 crash incidents, saw {}",
-            report.recoveries.len()
-        ));
-    }
-    for r in &report.recoveries {
-        match r.recovered_at {
-            Some(t) if t - r.detected_at <= cfg.recovery.budget_ms() => {}
-            _ => problems.push(format!("recovery did not converge in budget: {r:?}")),
-        }
-    }
-
-    // Gate 5: bit-identical replay across every shard count, and the
-    // fingerprint moves when the seed does.
-    let fp = report.fingerprint();
-    for shards in 1..=8 {
-        let mut sweep = cfg.clone();
-        sweep.farm.shards = shards;
-        let replay = farm.run_chaos(&world.topology, &sweep).fingerprint();
-        if replay != fp {
-            problems.push(format!(
-                "shards={shards}: fingerprint {replay:#x} != {fp:#x}"
-            ));
-        }
-    }
-    let mut reseeded = cfg.clone();
-    reseeded.farm.seed ^= 0x5eed;
-    let fp2 = {
-        let a = farm.run_chaos(&world.topology, &reseeded).fingerprint();
-        let mut b_cfg = reseeded.clone();
-        b_cfg.farm.shards = if reseeded.farm.shards == 1 { 2 } else { 1 };
-        let b = farm.run_chaos(&world.topology, &b_cfg).fingerprint();
-        if a != b {
-            problems.push(format!("second seed not shard-invariant: {a:#x} != {b:#x}"));
-        }
-        a
-    };
-    if fp2 == fp {
-        problems.push("different seed produced the same fingerprint".to_string());
-    }
-
+    let problems = run.violations();
     if problems.is_empty() {
         println!("farm chaos invariants: OK");
     } else {

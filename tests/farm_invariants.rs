@@ -1,0 +1,67 @@
+//! The serving farm's invariants in tier-1: what `examples/farm_report.rs`
+//! and `examples/farm_chaos_report.rs` print `… invariants: OK` for, at
+//! tiny scale — empty `violations()`, fingerprints identical for every
+//! shard count 1..=8, and fingerprints that move with the seed.
+
+use rootd::FarmConfig;
+use roots_core::{FarmChaosRun, FarmRun, Scale};
+use rss::RootLetter;
+
+#[test]
+fn farm_run_is_sound_and_replays_identically_for_one_through_eight_shards() {
+    let run_at = |seed: u64, shards: usize| {
+        let mut cfg = FarmConfig::tiny(seed);
+        cfg.queries = 5_000;
+        cfg.shards = shards;
+        FarmRun::run(Scale::Tiny, &[RootLetter::A, RootLetter::B], 4, &cfg)
+    };
+    let base = run_at(0x2024_0610, 1);
+    assert_eq!(base.report.violations(), Vec::<String>::new());
+    for shards in 2..=8 {
+        let replay = run_at(0x2024_0610, shards);
+        assert_eq!(replay.report.violations(), Vec::<String>::new());
+        assert_eq!(
+            replay.report.fingerprint(),
+            base.report.fingerprint(),
+            "shards={shards}"
+        );
+    }
+    assert_ne!(
+        run_at(0x2024_0611, 3).report.fingerprint(),
+        base.report.fingerprint(),
+        "a different seed must change the replay identity"
+    );
+}
+
+#[test]
+fn farm_chaos_run_holds_the_gates_and_replays_identically_for_one_through_eight_shards() {
+    let run_at = |seed: u64, shards: usize| FarmChaosRun::demo(Scale::Tiny, seed, 6_000, shards);
+    let base = run_at(0x2025_0417, 1);
+    assert_eq!(base.violations(), Vec::<String>::new());
+    // The schedule really bit: failover, shedding and a refused push all
+    // happened.
+    assert!(base.report.served_hedged > 0 && base.report.shed_junk > 0);
+    assert_eq!(base.report.reloads_rejected, 1);
+    assert_eq!(base.report.recoveries.len(), 2);
+    for shards in 2..=8 {
+        let replay = run_at(0x2025_0417, shards);
+        assert_eq!(replay.violations(), Vec::<String>::new(), "shards={shards}");
+        assert_eq!(
+            replay.report.fingerprint(),
+            base.report.fingerprint(),
+            "shards={shards}"
+        );
+    }
+    let reseeded = run_at(0x2025_0417 ^ 0x5eed, 2);
+    assert_eq!(reseeded.violations(), Vec::<String>::new());
+    assert_ne!(
+        reseeded.report.fingerprint(),
+        base.report.fingerprint(),
+        "a different seed must change the replay identity"
+    );
+    assert_eq!(
+        run_at(0x2025_0417 ^ 0x5eed, 5).report.fingerprint(),
+        reseeded.report.fingerprint(),
+        "the second seed must be shard-invariant too"
+    );
+}

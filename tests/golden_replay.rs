@@ -8,9 +8,8 @@ use netsim::rng::SimRng;
 use netsim::types::{AsId, Family, Tier};
 use netsim::ChurnModel;
 use planner::MoveSetConfig;
-use rootd::recovery::FailureKind;
-use rootd::{Farm, FarmChaosConfig, FarmConfig, FloodWindow, LoadgenConfig};
-use roots_core::{AttackRun, FarmRun, PlannerRun, Scale, ServingPipeline};
+use rootd::{Farm, FarmConfig, LoadgenConfig};
+use roots_core::{AttackRun, FarmChaosRun, FarmRun, PlannerRun, Scale};
 use rss::RootLetter;
 use vantage::{MeasurementConfig, MeasurementEngine, World, WorldBuildConfig};
 
@@ -22,39 +21,11 @@ fn farm_report_fingerprint() {
     assert_eq!(run.report.fingerprint(), 11455320921200104260);
 }
 
-/// `examples/farm_chaos_report.rs`'s schedule at 6 000 arrivals: two
-/// crashes, a blackhole, a stall, a poisoned reload and an 8× flood.
+/// `FarmChaosRun::demo`'s schedule at 6 000 arrivals: two crashes, a
+/// blackhole, a stall, a poisoned reload and an 8× flood.
 #[test]
 fn farm_chaos_report_fingerprint() {
-    let world = World::build(&WorldBuildConfig::tiny());
-    let letters = [RootLetter::A, RootLetter::B, RootLetter::C];
-    let farm = Farm::build(
-        &world.topology,
-        &world.catalog,
-        world.zone_at(0),
-        &letters,
-        4,
-    );
-    let mut cfg = FarmChaosConfig::tiny(0x2025_0417, 86_400);
-    cfg.farm.queries = 6_000;
-    let site = |letter: RootLetter, i: usize| farm.deployment(letter).unwrap().sites[i].id.0;
-    let (a1, b0) = (site(RootLetter::A, 1), site(RootLetter::B, 0));
-    let (c0, c1) = (site(RootLetter::C, 0), site(RootLetter::C, 1));
-    cfg.plan
-        .add(RootLetter::A, a1, FailureKind::Crash, (1_000, 4_000));
-    cfg.plan
-        .add(RootLetter::B, b0, FailureKind::Blackhole, (1_500, 3_500));
-    cfg.plan
-        .add(RootLetter::C, c1, FailureKind::Crash, (1_200, 3_800));
-    let stall = FailureKind::Stall { delay_ms: 250 };
-    cfg.plan.add(RootLetter::C, c0, stall, (1_000, 5_000));
-    cfg.plan.add_poisoned_reload(RootLetter::B, 2_500);
-    cfg.floods.push(FloodWindow {
-        start_ms: 2_000,
-        end_ms: 6_000,
-        amplification: 8.0,
-    });
-    let report = farm.run_chaos(&world.topology, &cfg);
+    let report = FarmChaosRun::demo(Scale::Tiny, 0x2025_0417, 6_000, 2).report;
     assert_eq!(report.violations(), Vec::<String>::new());
     assert_eq!(
         (report.served_hedged, report.shed_junk, report.late),
@@ -141,16 +112,37 @@ fn measurement_record_stream() {
     );
 }
 
+/// `LoadReport`'s seeded counters, and their independence of the
+/// worker-thread count. `nxdomain` / `referrals` / `truncated` were
+/// re-pinned when query content moved from per-client streams (which
+/// every worker restarted: 8385 / 8316 / 8278 NXDOMAINs at 1 / 2 / 5
+/// threads) to per-global-index derivation; the other values predate it.
 #[test]
 fn load_report_counters() {
-    let cfg = LoadgenConfig {
-        queries: 20_000,
-        ..LoadgenConfig::tiny(7)
-    };
-    let report = ServingPipeline::run(Scale::Tiny, RootLetter::B, &cfg).report;
-    assert_eq!((report.responses, report.cache_hits), (20_000, 20_000));
-    assert_eq!(
-        report.per_site,
-        vec![(0, 3756), (1, 14057), (2, 1248), (3, 939)]
+    let world = World::build(&WorldBuildConfig::tiny());
+    let letters = [RootLetter::B];
+    let farm = Farm::build(
+        &world.topology,
+        &world.catalog,
+        world.zone_at(0),
+        &letters,
+        usize::MAX,
     );
+    let run_at = |threads: usize| {
+        let cfg = LoadgenConfig {
+            queries: 20_000,
+            threads,
+            ..LoadgenConfig::tiny(7)
+        };
+        let r = rootd::loadgen::run(&farm, &cfg);
+        let counters = [r.responses, r.nxdomain, r.referrals, r.truncated];
+        (counters, [r.cache_hits, r.cache_misses], r.per_site)
+    };
+    let base = run_at(1);
+    assert_eq!(base.0, [20_000, 8_440, 9_467, 0]);
+    assert_eq!(base.1, [20_000, 0]);
+    assert_eq!(base.2, vec![(0, 3756), (1, 14057), (2, 1248), (3, 939)]);
+    for threads in 2..=8 {
+        assert_eq!(run_at(threads), base, "threads={threads}");
+    }
 }
