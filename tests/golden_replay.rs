@@ -146,3 +146,44 @@ fn load_report_counters() {
         assert_eq!(run_at(threads), base, "threads={threads}");
     }
 }
+
+/// `build_root_zone`'s output, record for record in insertion order
+/// (owner casing, NSEC type lists and RRSIG bytes included), as a digest
+/// of its presentation lines: the signer may be made faster, the zone it
+/// produces may not change.
+#[test]
+fn root_zone_presentation_dump() {
+    use dns_zone::rootzone::{build_root_zone, RootZoneConfig};
+    use dns_zone::{RolloutPhase, ZoneKeys};
+    let dump = |tld_count: usize, rollout: RolloutPhase| {
+        let cfg = RootZoneConfig {
+            tld_count,
+            rollout,
+            ..Default::default()
+        };
+        let zone = build_root_zone(&cfg, &ZoneKeys::from_seed(2023));
+        let mut fp = netsim::Fingerprint::new();
+        for rec in zone.records() {
+            let line = dns_wire::presentation::record_to_line(rec);
+            line.bytes().for_each(|b| fp.mix(u64::from(b)));
+            fp.mix(u64::from(b'\n'));
+        }
+        (zone.len(), fp.finish())
+    };
+    assert_eq!(
+        dump(40, RolloutPhase::NoRecord),
+        (633, 16411941496659071408)
+    );
+    assert_eq!(
+        dump(40, RolloutPhase::Validating),
+        (635, 846688851010302308)
+    );
+    assert_eq!(
+        dump(1_500, RolloutPhase::NoRecord),
+        (21_073, 12286474575566848644)
+    );
+    assert_eq!(
+        dump(1_500, RolloutPhase::Validating),
+        (21_075, 11292208020219933196)
+    );
+}
