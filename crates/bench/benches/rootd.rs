@@ -13,7 +13,7 @@ use dns_zone::rootzone::{build_root_zone, tld_label, RootZoneConfig};
 use dns_zone::signer::ZoneKeys;
 use rootd::{
     Farm, FarmConfig, FaultPlan, FaultyTransport, InprocTransport, LoadgenConfig, QueryMix, Rootd,
-    SiteIdentity, Transport, ZoneIndex,
+    SharedState, SiteIdentity, Transport, ZoneIndex,
 };
 use roots_core::{AttackRun, FarmChaosRun, FarmRun, Scale, ServingPipeline};
 use rss::RootLetter;
@@ -441,6 +441,49 @@ fn bench_farm_resilience(_c: &mut Criterion) {
     );
 }
 
+/// Not a timed closure: one zone push on a root-sized zone (1 500 TLDs,
+/// 21 k records), layer by layer, each figure the fastest of three in
+/// milliseconds. Signing, validation and the cache build were all once
+/// quadratic or eight-fold redundant here (868 / 934 / 504 ms, DESIGN
+/// §15); `bench_guard` holds each under an absolute ceiling a fraction of
+/// that, so a per-owner or per-signature scan, or a per-qtype cache
+/// build, cannot come back unnoticed — not even on a slow host.
+fn bench_zone_push_1500(_c: &mut Criterion) {
+    fn best_ms<T>(mut f: impl FnMut() -> T) -> (f64, T) {
+        let mut timed = || {
+            let t = Instant::now();
+            let out = black_box(f());
+            (t.elapsed().as_secs_f64() * 1e3, out)
+        };
+        let first = timed();
+        [timed(), timed()]
+            .into_iter()
+            .fold(first, |best, run| if run.0 < best.0 { run } else { best })
+    }
+    let cfg = RootZoneConfig {
+        tld_count: 1_500,
+        rollout: RolloutPhase::Validating,
+        ..Default::default()
+    };
+    let now = cfg.inception + 86_400;
+    let (sign_ms, zone) = best_ms(|| build_root_zone(&cfg, &ZoneKeys::from_seed(7)));
+    let zone = Arc::new(zone);
+    let (validate_ms, valid) = best_ms(|| dns_zone::validate_zone(&zone, now).is_valid());
+    assert!(valid);
+    let index = Arc::new(ZoneIndex::build(Arc::clone(&zone)));
+    let (cache_ms, shared) = best_ms(|| SharedState::build(Arc::clone(&index)));
+    let (reload_ms, pushed) = best_ms(|| shared.try_reload(Arc::clone(&zone), now));
+    assert!(pushed.is_ok() && shared.generation() == 3);
+    record_metric("dns_zone/sign_1500", sign_ms);
+    record_metric("dns_zone/validate_1500", validate_ms);
+    record_metric("rootd/cache/build_1500", cache_ms);
+    record_metric("rootd/reload_1500", reload_ms);
+    println!(
+        "zone push at 1500 TLDs: sign {sign_ms:.1} ms, validate {validate_ms:.1} ms, \
+         cache build {cache_ms:.1} ms, validated reload {reload_ms:.1} ms"
+    );
+}
+
 criterion_group!(
     benches,
     bench_engine,
@@ -449,6 +492,7 @@ criterion_group!(
     bench_attack_flood,
     bench_loadgen,
     bench_farm,
-    bench_farm_resilience
+    bench_farm_resilience,
+    bench_zone_push_1500
 );
 criterion_main!(benches);

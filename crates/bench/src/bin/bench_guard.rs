@@ -58,10 +58,22 @@ const PREFIXES: &[&str] = &["rootd/serve_", "codec/", "simclock/"];
 /// The bench records the best of three interleaved rounds, so the
 /// ceiling only trips on work that shows up in every round — a per-query
 /// table rebuild or health lookup on the hot path, not scheduler luck.
+/// The last four are milliseconds on a root-sized zone (1 500 TLDs), the
+/// fastest of three: signing, validating, building the shared answer
+/// cache, and one validated reload end to end. Each was 4–40× its
+/// ceiling while signing rescanned the zone per owner, validation per
+/// RRSIG, and the cache answered every qtype separately (868 / 934 /
+/// 504 / 1551 ms against 42 / 22 / 81 / 142 now); the ceilings sit 3–4×
+/// above today's figures, so a slow host passes and a scan coming back
+/// does not.
 const ABS_CEILING: &[(&str, f64)] = &[
     ("rootd/faultfree_wrapper_overhead_pct", 10.0),
     ("rootd/rrl_disabled_overhead_pct", 5.0),
     ("rootd/farm/healthy_overhead_pct", 5.0),
+    ("dns_zone/sign_1500", 170.0),
+    ("dns_zone/validate_1500", 90.0),
+    ("rootd/cache/build_1500", 250.0),
+    ("rootd/reload_1500", 500.0),
 ];
 
 /// Keys gated by an *absolute* floor — documented lower bounds the fresh
@@ -431,6 +443,28 @@ mod tests {
         let errs = r.unwrap_err();
         assert_eq!(errs.len(), 1);
         assert!(errs[0].contains("missing"));
+    }
+
+    #[test]
+    fn zone_push_layers_are_ceiling_gated_against_the_quadratic_figures() {
+        let keys = [
+            ("dns_zone/sign_1500", 42.0, 868.0),
+            ("dns_zone/validate_1500", 22.0, 934.0),
+            ("rootd/cache/build_1500", 81.0, 504.0),
+            ("rootd/reload_1500", 142.0, 1551.0),
+        ];
+        for (key, linear_ms, scanning_ms) in keys {
+            // Twice today's figure (a slow host) passes; the figure the
+            // scans produced fails, whatever the baseline recorded.
+            assert!(run(
+                &json(&[(key, scanning_ms)]),
+                &json(&[(key, 2.0 * linear_ms)])
+            )
+            .is_ok());
+            let errs = run(&json(&[(key, scanning_ms)]), &json(&[(key, scanning_ms)])).unwrap_err();
+            assert_eq!(errs.len(), 1, "{key}");
+            assert!(errs[0].contains("absolute ceiling"));
+        }
     }
 
     #[test]

@@ -30,6 +30,6 @@ pub mod zonemd;
 
 pub use rollout::{RolloutPhase, ZONEMD_PRIVATE_DATE, ZONEMD_VALIDATES_DATE};
 pub use signer::{SigningConfig, ZoneKeys};
-pub use validate::{validate_zone, ValidationIssue, ValidationReport};
+pub use validate::{validate_rrsigs, validate_zone, ValidationIssue, ValidationReport};
 pub use zone::{Zone, ZoneError};
 pub use zonemd::{compute_zonemd, verify_zonemd, ZonemdError};

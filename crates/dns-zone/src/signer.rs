@@ -5,7 +5,7 @@ use crate::zone::Zone;
 use dns_crypto::simsig::{SimKeyPair, SIMSIG_ALGORITHM};
 use dns_wire::rdata::{Dnskey, Nsec, Rdata, Rrsig};
 use dns_wire::{Name, Record, RrType};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Key material for a zone: one KSK (signs the DNSKEY RRset) and one ZSK
 /// (signs everything else), mirroring the root zone's split.
@@ -191,18 +191,26 @@ fn sign_rrset(
 
 /// signed_data = RRSIG_RDATA (minus signature) | canonical RRset.
 pub fn compute_signature(rrsig: &Rrsig, records: &[Record], key: &SimKeyPair) -> Vec<u8> {
-    key.sign(&signed_data(rrsig, records)).to_vec()
+    let records: Vec<&Record> = records.iter().collect();
+    key.sign(&signed_data(rrsig, &records)).to_vec()
 }
 
 /// Verify an RRSIG over its RRset with `key` (validity window NOT checked
 /// here — that is the validator's job, since it depends on the clock).
 pub fn verify_signature(rrsig: &Rrsig, records: &[Record], key: &SimKeyPair) -> bool {
+    let records: Vec<&Record> = records.iter().collect();
+    verify_rrset(rrsig, &records, key)
+}
+
+/// [`verify_signature`] over borrowed records: the validator verifies each
+/// RRSIG against its RRset where it lies in the zone, without cloning it.
+pub(crate) fn verify_rrset(rrsig: &Rrsig, records: &[&Record], key: &SimKeyPair) -> bool {
     key.verify(&signed_data(rrsig, records), &rrsig.signature)
 }
 
-fn signed_data(rrsig: &Rrsig, records: &[Record]) -> Vec<u8> {
+fn signed_data(rrsig: &Rrsig, records: &[&Record]) -> Vec<u8> {
     let mut data = rrsig.signed_prefix_wire();
-    let mut sorted: Vec<&Record> = records.iter().collect();
+    let mut sorted = records.to_vec();
     sorted.sort_by(|a, b| a.canonical_cmp(b));
     sorted.dedup_by(|a, b| a.canonical_cmp(b) == std::cmp::Ordering::Equal);
     for rec in sorted {
@@ -219,15 +227,14 @@ fn add_nsec_chain(zone: &mut Zone, ttl: u32) {
     if owners.is_empty() {
         return;
     }
+    let mut types_at: HashMap<&Name, Vec<RrType>> = HashMap::new();
+    for rec in zone.records() {
+        types_at.entry(&rec.name).or_default().push(rec.rr_type);
+    }
     let mut nsecs = Vec::new();
     for (i, owner) in owners.iter().enumerate() {
         let next = owners[(i + 1) % owners.len()].clone();
-        let mut types: Vec<RrType> = zone
-            .records()
-            .iter()
-            .filter(|r| &r.name == owner)
-            .map(|r| r.rr_type)
-            .collect();
+        let mut types = types_at.remove(owner).unwrap_or_default();
         types.push(RrType::Nsec);
         types.push(RrType::Rrsig);
         types.sort_by_key(|t| t.to_u16());

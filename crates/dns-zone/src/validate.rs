@@ -9,13 +9,14 @@
 //! * `SignatureExpired` — "Signature expired" (stale zone files);
 //! * ZONEMD-specific failures from [`crate::zonemd`].
 
-use crate::signer::verify_signature;
+use crate::signer::verify_rrset;
 use crate::zone::Zone;
 use crate::zonemd::{verify_zonemd, ZonemdError};
 use dns_crypto::simsig::SimKeyPair;
 use dns_crypto::validity::{check_window, SignatureValidity};
 use dns_wire::rdata::Rdata;
 use dns_wire::{Name, Record, RrType};
+use std::collections::HashMap;
 
 /// One validation finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,6 +76,24 @@ impl ValidationReport {
 /// via `Zonemd(...)` only for digest mismatches, mirroring how the paper's
 /// pipeline treated the roll-out phases.
 pub fn validate_zone(zone: &Zone, now: u32) -> ValidationReport {
+    validate(zone, now, verify_zonemd)
+}
+
+/// Structure, DNSKEYs and every RRSIG: [`validate_zone`] without its ZONEMD
+/// step. For a caller that runs [`verify_zonemd`] itself and applies its own
+/// policy to the verdict; when it has refused everything `validate_zone`
+/// would report (anything but success, absence or a private algorithm) the
+/// two reports are equal, and the zone — a canonical sort and a SHA-384 of
+/// all of it — is digested once per validation, not twice.
+pub fn validate_rrsigs(zone: &Zone, now: u32) -> ValidationReport {
+    validate(zone, now, |_| Ok(()))
+}
+
+fn validate(
+    zone: &Zone,
+    now: u32,
+    zonemd: impl FnOnce(&Zone) -> Result<(), ZonemdError>,
+) -> ValidationReport {
     let mut issues = Vec::new();
     let serial = zone.serial().ok();
     if let Err(e) = zone.check() {
@@ -86,10 +105,21 @@ pub fn validate_zone(zone: &Zone, now: u32) -> ValidationReport {
         };
     }
 
+    // One pass groups the zone into RRsets, records in zone order, so each
+    // RRSIG below finds what it covers by one lookup instead of a scan.
+    let mut rrsets: HashMap<(&Name, RrType), Vec<&Record>> = HashMap::new();
+    for rec in zone.records() {
+        rrsets
+            .entry((&rec.name, rec.rr_type))
+            .or_default()
+            .push(rec);
+    }
+
     // Collect apex DNSKEYs.
-    let dnskeys: Vec<(u16, SimKeyPair)> = zone
-        .rrset(zone.origin(), RrType::Dnskey)
+    let dnskeys: Vec<(u16, SimKeyPair)> = rrsets
+        .get(&(zone.origin(), RrType::Dnskey))
         .into_iter()
+        .flatten()
         .filter_map(|r| match &r.rdata {
             Rdata::Dnskey(k) => Some((k.key_tag(), SimKeyPair::from_public(&k.public_key))),
             _ => None,
@@ -104,56 +134,43 @@ pub fn validate_zone(zone: &Zone, now: u32) -> ValidationReport {
         let Rdata::Rrsig(sig) = &rec.rdata else {
             continue;
         };
-        let owner = rec.name.to_string();
-        match check_window(sig.inception, sig.expiration, now) {
-            Ok(SignatureValidity::Valid) => {}
-            Ok(SignatureValidity::NotYetIncepted) => {
-                issues.push(ValidationIssue::SignatureNotIncepted {
-                    owner: owner.clone(),
-                    covered: sig.type_covered,
-                });
-                continue;
-            }
-            Ok(SignatureValidity::Expired) => {
-                issues.push(ValidationIssue::SignatureExpired {
-                    owner: owner.clone(),
-                    covered: sig.type_covered,
-                });
-                continue;
-            }
-            Err(_) => {
-                issues.push(ValidationIssue::BogusSignature {
-                    owner: owner.clone(),
-                    covered: sig.type_covered,
-                });
-                continue;
-            }
-        }
-        let Some((_, key)) = dnskeys.iter().find(|(tag, _)| *tag == sig.key_tag) else {
-            if !dnskeys.is_empty() {
-                issues.push(ValidationIssue::UnknownKeyTag {
-                    owner: owner.clone(),
-                    key_tag: sig.key_tag,
-                });
-            }
-            continue;
+        let covered = sig.type_covered;
+        let owner = || rec.name.to_string();
+        let bogus = || ValidationIssue::BogusSignature {
+            owner: owner(),
+            covered,
         };
-        let covered: Vec<Record> = zone
-            .rrset(&rec.name, sig.type_covered)
-            .into_iter()
-            .cloned()
-            .collect();
-        if covered.is_empty() || !verify_signature(sig, &covered, key) {
-            issues.push(ValidationIssue::BogusSignature {
-                owner,
-                covered: sig.type_covered,
-            });
-        }
+        let issue = match check_window(sig.inception, sig.expiration, now) {
+            Ok(SignatureValidity::NotYetIncepted) => Some(ValidationIssue::SignatureNotIncepted {
+                owner: owner(),
+                covered,
+            }),
+            Ok(SignatureValidity::Expired) => Some(ValidationIssue::SignatureExpired {
+                owner: owner(),
+                covered,
+            }),
+            Err(_) => Some(bogus()),
+            Ok(SignatureValidity::Valid) => {
+                match dnskeys.iter().find(|(tag, _)| *tag == sig.key_tag) {
+                    None => (!dnskeys.is_empty()).then(|| ValidationIssue::UnknownKeyTag {
+                        owner: owner(),
+                        key_tag: sig.key_tag,
+                    }),
+                    Some((_, key)) => {
+                        let verified = rrsets
+                            .get(&(&rec.name, covered))
+                            .is_some_and(|rrset| verify_rrset(sig, rrset, key));
+                        (!verified).then(bogus)
+                    }
+                }
+            }
+        };
+        issues.extend(issue);
     }
 
     // ZONEMD: only a *mismatch* of a verifiable record is an integrity
     // issue; absence / private algorithm are roll-out states.
-    match verify_zonemd(zone) {
+    match zonemd(zone) {
         Ok(()) | Err(ZonemdError::NoZonemd) | Err(ZonemdError::UnsupportedAlgorithm) => {}
         Err(e) => issues.push(ValidationIssue::Zonemd(e)),
     }
@@ -223,7 +240,7 @@ mod tests {
     use super::*;
     use crate::rollout::RolloutPhase;
     use crate::rootzone::{build_root_zone, RootZoneConfig};
-    use crate::signer::ZoneKeys;
+    use crate::signer::{verify_signature, ZoneKeys};
 
     fn signed_zone() -> (Zone, RootZoneConfig) {
         let cfg = RootZoneConfig {
@@ -315,5 +332,179 @@ mod tests {
     fn bitflip_diff_none_when_identical() {
         let (z, _) = signed_zone();
         assert!(bitflip_diff(&z, &z.clone()).is_none());
+    }
+
+    /// The validator this module shipped with until the RRsets were
+    /// grouped: one `Zone::rrset` scan of the whole zone per RRSIG. Kept as
+    /// the oracle `validate_zone` must agree with, issue for issue.
+    fn reference(zone: &Zone, now: u32) -> ValidationReport {
+        let mut issues = Vec::new();
+        let serial = zone.serial().ok();
+        if let Err(e) = zone.check() {
+            issues.push(ValidationIssue::BadZone(e.to_string()));
+            return ValidationReport {
+                validated_at: now,
+                serial,
+                issues,
+            };
+        }
+
+        // Collect apex DNSKEYs.
+        let dnskeys: Vec<(u16, SimKeyPair)> = zone
+            .rrset(zone.origin(), RrType::Dnskey)
+            .into_iter()
+            .filter_map(|r| match &r.rdata {
+                Rdata::Dnskey(k) => Some((k.key_tag(), SimKeyPair::from_public(&k.public_key))),
+                _ => None,
+            })
+            .collect();
+        if dnskeys.is_empty() {
+            issues.push(ValidationIssue::NoDnskeys);
+        }
+
+        // Verify every RRSIG.
+        for rec in zone.records() {
+            let Rdata::Rrsig(sig) = &rec.rdata else {
+                continue;
+            };
+            let owner = rec.name.to_string();
+            match check_window(sig.inception, sig.expiration, now) {
+                Ok(SignatureValidity::Valid) => {}
+                Ok(SignatureValidity::NotYetIncepted) => {
+                    issues.push(ValidationIssue::SignatureNotIncepted {
+                        owner: owner.clone(),
+                        covered: sig.type_covered,
+                    });
+                    continue;
+                }
+                Ok(SignatureValidity::Expired) => {
+                    issues.push(ValidationIssue::SignatureExpired {
+                        owner: owner.clone(),
+                        covered: sig.type_covered,
+                    });
+                    continue;
+                }
+                Err(_) => {
+                    issues.push(ValidationIssue::BogusSignature {
+                        owner: owner.clone(),
+                        covered: sig.type_covered,
+                    });
+                    continue;
+                }
+            }
+            let Some((_, key)) = dnskeys.iter().find(|(tag, _)| *tag == sig.key_tag) else {
+                if !dnskeys.is_empty() {
+                    issues.push(ValidationIssue::UnknownKeyTag {
+                        owner: owner.clone(),
+                        key_tag: sig.key_tag,
+                    });
+                }
+                continue;
+            };
+            let covered: Vec<Record> = zone
+                .rrset(&rec.name, sig.type_covered)
+                .into_iter()
+                .cloned()
+                .collect();
+            if covered.is_empty() || !verify_signature(sig, &covered, key) {
+                issues.push(ValidationIssue::BogusSignature {
+                    owner,
+                    covered: sig.type_covered,
+                });
+            }
+        }
+
+        // ZONEMD: only a *mismatch* of a verifiable record is an integrity
+        // issue; absence / private algorithm are roll-out states.
+        match verify_zonemd(zone) {
+            Ok(()) | Err(ZonemdError::NoZonemd) | Err(ZonemdError::UnsupportedAlgorithm) => {}
+            Err(e) => issues.push(ValidationIssue::Zonemd(e)),
+        }
+
+        ValidationReport {
+            validated_at: now,
+            serial,
+            issues,
+        }
+    }
+
+    fn assert_matches_reference(zone: &Zone, cfg: &RootZoneConfig, what: &str) {
+        let clocks = [
+            cfg.inception - 100,
+            cfg.inception + 1000,
+            cfg.expiration + 100,
+        ];
+        for now in clocks {
+            assert_eq!(
+                validate_zone(zone, now).issues,
+                reference(zone, now).issues,
+                "{what} at {now}"
+            );
+        }
+    }
+
+    #[test]
+    fn grouped_validator_agrees_with_the_scanning_reference() {
+        use crate::corrupt::{flip_owner_label_bit, flip_rrsig_bit, stale_copy};
+        let (clean, cfg) = signed_zone();
+        assert_matches_reference(&clean, &cfg, "clean");
+        assert_matches_reference(&stale_copy(&clean), &cfg, "stale copy");
+        for seed in 0..32 {
+            let mut z = clean.clone();
+            flip_rrsig_bit(&mut z, seed).expect("zone has RRSIGs");
+            assert_matches_reference(&z, &cfg, &format!("rrsig flip {seed}"));
+            let mut z = clean.clone();
+            flip_owner_label_bit(&mut z, seed).expect("zone has delegations");
+            assert_matches_reference(&z, &cfg, &format!("owner flip {seed}"));
+        }
+
+        let com = Name::parse("com.").unwrap();
+        let mut z = clean.clone();
+        z.remove_rrset(&Name::root(), RrType::Dnskey);
+        assert_matches_reference(&z, &cfg, "no DNSKEY RRset");
+        let mut z = clean.clone();
+        assert!(z.remove_rrset(&com, RrType::Ds) > 0);
+        assert_matches_reference(&z, &cfg, "RRSIG without its RRset");
+        let mut z = clean.clone();
+        let ds = z.rrset(&com, RrType::Ds)[0].clone();
+        z.push(ds).unwrap();
+        assert_matches_reference(&z, &cfg, "duplicated record");
+        // A second DS under a differently-cased spelling of the owner
+        // joins the same RRset (names compare case-insensitively), so the
+        // signature over the original set no longer verifies.
+        let mut z = clean.clone();
+        let mut ds = z.rrset(&com, RrType::Ds)[0].clone();
+        ds.name = Name::parse("CoM.").unwrap();
+        if let Rdata::Ds(d) = &mut ds.rdata {
+            d.key_tag ^= 1;
+        }
+        z.push(ds).unwrap();
+        assert_matches_reference(&z, &cfg, "mixed-case duplicate owner");
+        assert!(!validate_zone(&z, cfg.inception + 1000).is_valid());
+        // An RRSIG naming a key the zone does not publish.
+        let mut z = clean.clone();
+        for rec in z.records_mut() {
+            if let Rdata::Rrsig(sig) = &mut rec.rdata {
+                sig.key_tag ^= 0x55;
+                break;
+            }
+        }
+        assert_matches_reference(&z, &cfg, "unknown key tag");
+        // Structurally broken zones stop at the same first finding.
+        let mut z = clean.clone();
+        z.remove_rrset(&Name::root(), RrType::Soa);
+        assert_matches_reference(&z, &cfg, "missing SOA");
+    }
+
+    #[test]
+    fn validate_rrsigs_is_validate_zone_without_the_zonemd_finding() {
+        let (mut z, cfg) = signed_zone();
+        let now = cfg.inception + 1000;
+        assert_eq!(validate_rrsigs(&z, now), validate_zone(&z, now));
+        crate::corrupt::flip_rrsig_bit(&mut z, 3).unwrap();
+        let full = validate_zone(&z, now).issues;
+        let (last, rest) = full.split_last().unwrap();
+        assert_eq!(last, &ValidationIssue::Zonemd(ZonemdError::DigestMismatch));
+        assert_eq!(validate_rrsigs(&z, now).issues, rest);
     }
 }

@@ -2,7 +2,7 @@
 
 use dns_wire::rdata::{Rdata, Soa};
 use dns_wire::{Name, Record, RrType};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 /// A DNS zone: an origin plus its records.
 ///
@@ -133,11 +133,12 @@ impl Zone {
         map
     }
 
-    /// All distinct owner names, canonical order.
+    /// All distinct owner names (first-seen casing), canonical order.
     pub fn owner_names(&self) -> Vec<Name> {
+        let mut seen: HashSet<&Name> = HashSet::new();
         let mut names: Vec<Name> = Vec::new();
         for rec in &self.records {
-            if !names.contains(&rec.name) {
+            if seen.insert(&rec.name) {
                 names.push(rec.name.clone());
             }
         }

@@ -32,7 +32,7 @@ use crate::metrics::Metrics;
 use crate::policy::{ValidationPolicy, ZonemdRequirement};
 use crate::refresh::{RetryPolicy, UpstreamHealth};
 use dns_wire::{Message, Name, Question, Rcode, RrType};
-use dns_zone::validate::validate_zone;
+use dns_zone::validate::validate_rrsigs;
 use dns_zone::zonemd::{verify_zonemd, ZonemdError};
 use dns_zone::Zone;
 use netsim::rng::SimRng;
@@ -720,8 +720,10 @@ fn validate_copy(zone: &Zone, now: u32, policy: &ValidationPolicy) -> Result<(),
         }
     }
     // RRSIGs per policy (catches stale zones and bitflips in signed data).
+    // Every ZONEMD verdict `validate_zone` reports was refused above, so
+    // the copy is digested once, not twice.
     if policy.require_rrsigs {
-        let report = validate_zone(zone, now);
+        let report = validate_rrsigs(zone, now);
         if !report.is_valid() {
             return Err(TransferRejected {
                 message: format!("DNSSEC: {:?}", report.issues.first()),
@@ -755,6 +757,166 @@ mod tests {
             },
             &ZoneKeys::from_seed(1),
         )
+    }
+
+    /// Every way a transferred copy can be refused, under both ZONEMD
+    /// policies, and the message it is refused with. The copy is digested
+    /// once per validation; the oracle is the composition this replaced —
+    /// `verify_zonemd`, then the full `validate_zone`, which digests again.
+    #[test]
+    fn validate_copy_rejection_table() {
+        use dns_wire::rdata::Rdata;
+        fn digested_twice(zone: &Zone, now: u32, policy: &ValidationPolicy) -> Option<String> {
+            match verify_zonemd(zone) {
+                Ok(()) => {}
+                Err(ZonemdError::NoZonemd) | Err(ZonemdError::UnsupportedAlgorithm)
+                    if policy.zonemd == ZonemdRequirement::Opportunistic => {}
+                Err(e) => return Some(format!("ZONEMD: {e}")),
+            }
+            let report = dns_zone::validate_zone(zone, now);
+            (policy.require_rrsigs && !report.is_valid())
+                .then(|| format!("DNSSEC: {:?}", report.issues.first()))
+        }
+        let build = |rollout| {
+            build_root_zone(
+                &RootZoneConfig {
+                    serial: 2023120600,
+                    tld_count: 8,
+                    inception: T0,
+                    expiration: T0 + 14 * 86400,
+                    rollout,
+                },
+                &ZoneKeys::from_seed(1),
+            )
+        };
+        let signed = build(RolloutPhase::Validating);
+        let undigested = build(RolloutPhase::NoRecord);
+        let now = T0 + 3600;
+        let edit = |zone: &Zone, f: &dyn Fn(&mut Zone)| {
+            let mut z = zone.clone();
+            f(&mut z);
+            z
+        };
+        // Glue is unsigned: rewriting it breaks the digest and no RRSIG.
+        let reglue = |z: &mut Zone| {
+            let glue = z.records_mut().iter_mut().find(|r| r.rr_type == RrType::A);
+            glue.unwrap().rdata = Rdata::A("192.0.2.1".parse().unwrap());
+        };
+        let flip = |z: &mut Zone| {
+            flip_rrsig_bit(z, 9).expect("flippable rrsig");
+        };
+        let soa = |z: &Zone| z.rrset(&Name::root(), RrType::Soa)[0].clone();
+        let mismatch = Some("ZONEMD: ZONEMD digest mismatch");
+
+        // (case, copy, clock, refusal when opportunistic, when required)
+        let cases = [
+            (
+                "no ZONEMD",
+                undigested.clone(),
+                now,
+                None,
+                Some("ZONEMD: no apex ZONEMD record"),
+            ),
+            (
+                "private algorithm",
+                build(RolloutPhase::PrivateAlgorithm),
+                now,
+                None,
+                Some("ZONEMD: no supported ZONEMD digest algorithm"),
+            ),
+            ("valid", signed.clone(), now, None, None),
+            (
+                "digest mismatch",
+                edit(&signed, &reglue),
+                now,
+                mismatch,
+                mismatch,
+            ),
+            (
+                "serial mismatch",
+                edit(&signed, &|z| {
+                    for rec in z.records_mut() {
+                        if let Rdata::Soa(soa) = &mut rec.rdata {
+                            soa.serial += 1;
+                        }
+                    }
+                }),
+                now,
+                Some("ZONEMD: ZONEMD serial 2023120600 != SOA serial 2023120601"),
+                Some("ZONEMD: ZONEMD serial 2023120600 != SOA serial 2023120601"),
+            ),
+            (
+                "missing SOA",
+                edit(&signed, &|z| {
+                    z.remove_rrset(&Name::root(), RrType::Soa);
+                }),
+                now,
+                Some("ZONEMD: bad zone: zone has no SOA record"),
+                Some("ZONEMD: bad zone: zone has no SOA record"),
+            ),
+            (
+                "duplicate SOA",
+                edit(&signed, &|z| z.push(soa(z)).unwrap()),
+                now,
+                Some("ZONEMD: bad zone: zone has multiple SOA records"),
+                Some("ZONEMD: bad zone: zone has multiple SOA records"),
+            ),
+            (
+                "RRSIG bit-flip under a digest",
+                edit(&signed, &flip),
+                now,
+                mismatch,
+                mismatch,
+            ),
+            (
+                "RRSIG bit-flip, no digest",
+                edit(&undigested, &flip),
+                now,
+                Some("DNSSEC: Some(BogusSignature { owner: \"j.root-servers.net.\", covered: Nsec })"),
+                Some("ZONEMD: no apex ZONEMD record"),
+            ),
+            (
+                "expired",
+                signed.clone(),
+                T0 + 15 * 86400,
+                Some("DNSSEC: Some(SignatureExpired { owner: \".\", covered: Ns })"),
+                Some("DNSSEC: Some(SignatureExpired { owner: \".\", covered: Ns })"),
+            ),
+            (
+                "not incepted",
+                signed.clone(),
+                T0 - 1,
+                Some("DNSSEC: Some(SignatureNotIncepted { owner: \".\", covered: Ns })"),
+                Some("DNSSEC: Some(SignatureNotIncepted { owner: \".\", covered: Ns })"),
+            ),
+            (
+                "digest mismatch and RRSIG bit-flip",
+                edit(&edit(&signed, &reglue), &flip),
+                now,
+                mismatch,
+                mismatch,
+            ),
+        ];
+        for (case, copy, clock, opportunistic, required) in cases {
+            for (policy, want) in [
+                (ValidationPolicy::default(), opportunistic),
+                (ValidationPolicy::strict(), required),
+            ] {
+                let got = validate_copy(&copy, clock, &policy).err();
+                assert!(!got.as_ref().is_some_and(|r| r.protocol_level), "{case}");
+                let got = got.map(|r| r.message);
+                assert_eq!(got, digested_twice(&copy, clock, &policy), "{case}");
+                assert_eq!(got.as_deref(), want, "{case} under {:?}", policy.zonemd);
+            }
+        }
+        // With RRSIG checking off, only the digest stands between a
+        // flipped signature and activation.
+        let lax = ValidationPolicy {
+            require_rrsigs: false,
+            ..Default::default()
+        };
+        assert!(validate_copy(&edit(&undigested, &flip), now, &lax).is_ok());
+        assert!(validate_copy(&edit(&signed, &flip), now, &lax).is_err());
     }
 
     fn server(letter: RootLetter, zone: Zone) -> (RootLetter, RootServer) {

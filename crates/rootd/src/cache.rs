@@ -4,7 +4,9 @@
 //! state {none, EDNS, EDNS+DO} — is run through the exact same answerer
 //! code the fallback path uses and the resulting wire bytes
 //! are stored, together with pre-truncated variants at the EDNS budget
-//! buckets {512, 1232, 4096}. Serving a hit is then a hash lookup plus a
+//! buckets {512, 1232, 4096}. The qtypes that resolve to one answer at a
+//! name share its stored bytes (see `NameEntry`): the splice below
+//! rewrites the question anyway. Serving a hit is then a hash lookup plus a
 //! splice: copy the stored bytes into the caller's scratch buffer and
 //! patch the message id, the RD bit, and the question region (which
 //! preserves the client's qname casing; compression pointers into the
@@ -25,7 +27,7 @@
 //! names below a delegation (referral qnames are unbounded too, and cold).
 
 use crate::engine::{encode_limited_into, Answerer};
-use crate::index::{RrsetEntry, ZoneIndex};
+use crate::index::{Lookup, RrsetEntry, ZoneIndex};
 use dns_wire::edns::{set_edns, Edns};
 use dns_wire::rdata::Rdata;
 use dns_wire::wire::WireWriter;
@@ -75,40 +77,192 @@ const CACHED_QTYPES: [RrType; 13] = [
     RrType::Any,
 ];
 
+/// Where one pre-encoded response lies in its name's byte arena. A zero
+/// length means "not stored": a DNS message is never shorter than its
+/// 12-byte header.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    /// Append `bytes` to `arena` and return where they landed.
+    fn push(arena: &mut Vec<u8>, bytes: &[u8]) -> Span {
+        let span = Span {
+            start: arena.len() as u32,
+            len: bytes.len() as u32,
+        };
+        arena.extend_from_slice(bytes);
+        span
+    }
+
+    fn of<'a>(&self, arena: &'a [u8]) -> &'a [u8] {
+        &arena[self.start as usize..][..self.len as usize]
+    }
+}
+
 /// One fully pre-encoded response, with truncated variants for every
 /// budget bucket it overflows.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy, Default)]
 struct ResponseSet {
-    full: Box<[u8]>,
-    t512: Option<Box<[u8]>>,
-    t1232: Option<Box<[u8]>>,
-    t4096: Option<Box<[u8]>>,
+    full: Span,
+    /// Indexed like [`BUCKETS`]; stored only where `full` overflows.
+    truncated: [Span; BUCKETS.len()],
 }
 
 impl ResponseSet {
     /// The stored bytes to serve under `limit`, if any: the full response
     /// when it fits, the exact bucket variant when the budget is a bucket,
     /// fallback otherwise.
-    fn select(&self, limit: usize) -> Option<&[u8]> {
-        if self.full.len() <= limit {
-            return Some(&self.full);
+    fn select<'a>(&self, limit: usize, arena: &'a [u8]) -> Option<&'a [u8]> {
+        if self.full.len as usize <= limit {
+            return Some(self.full.of(arena));
         }
-        match limit {
-            512 => self.t512.as_deref(),
-            1232 => self.t1232.as_deref(),
-            4096 => self.t4096.as_deref(),
-            _ => None,
-        }
+        let bucket = BUCKETS.iter().position(|&b| b == limit)?;
+        let variant = self.truncated[bucket];
+        (variant.len > 0).then(|| variant.of(arena))
+    }
+
+    fn spans(&self) -> impl Iterator<Item = Span> {
+        std::iter::once(self.full).chain(self.truncated)
     }
 }
 
-/// All precompiled responses for one (qtype, class) at one name.
-#[derive(Debug)]
-struct ExactShape {
+/// Most shapes one name holds: every cached qtype, plus a CHAOS identity
+/// shape should an identity name also be a zone name.
+const MAX_SHAPES: usize = CACHED_QTYPES.len() + 1;
+
+/// One (qtype, class) answered at a name, and which of the name's distinct
+/// answers it gets.
+#[derive(Debug, Clone, Copy, Default)]
+struct ShapeRef {
     qtype: u16,
     class: u16,
-    /// Indexed by EDNS state: 0 = no EDNS, 1 = EDNS, 2 = EDNS+DO.
-    states: [ResponseSet; 3],
+    set: u16,
+}
+
+/// Everything precompiled at one qname. Most qtypes at a name resolve to
+/// the same answer — at a delegated TLD eleven of the thirteen cached
+/// types get the referral, below a cut all thirteen do, at the apex every
+/// absent type gets the same NODATA — and [`splice_request`] overwrites
+/// the whole question, qtype included, at serve time. So each *distinct*
+/// answer is pre-encoded once and the qtypes resolving to it share it.
+///
+/// The shape table lies inline (the lookup that found the entry has
+/// already loaded it), and all of a name's response bytes share one arena:
+/// a hit is still hash lookup → descriptor → bytes, and a displaced epoch
+/// frees two allocations per name.
+#[derive(Debug)]
+struct NameEntry {
+    shapes: [ShapeRef; MAX_SHAPES],
+    nshapes: u8,
+    /// The distinct answers, each indexed by EDNS state: 0 = no EDNS,
+    /// 1 = EDNS, 2 = EDNS+DO.
+    sets: Box<[[ResponseSet; 3]]>,
+    arena: Box<[u8]>,
+}
+
+impl NameEntry {
+    /// Precompile `shapes` at `name` by running each distinct answer
+    /// through `answerer` — the code the fallback path executes.
+    fn build(answerer: &Answerer<'_>, name: &Name, shapes: &[(RrType, Class)]) -> NameEntry {
+        assert!(shapes.len() <= MAX_SHAPES, "{name}: {shapes:?}");
+        let mut table = [ShapeRef::default(); MAX_SHAPES];
+        // What each set built so far answers, for the IN shapes: two
+        // qtypes share a set exactly when `ZoneIndex::lookup` hands both
+        // the same thing.
+        let mut built: Vec<(Lookup<'_>, u16)> = Vec::new();
+        let mut sets = Vec::new();
+        let mut arena = Vec::new();
+        for (slot, &(qtype, class)) in table.iter_mut().zip(shapes) {
+            let lookup = (class == Class::In).then(|| answerer.index.lookup(name, qtype));
+            let shared = lookup.as_ref().and_then(|l| {
+                let (_, set) = built.iter().find(|(b, _)| same_answer(b, l))?;
+                Some(*set)
+            });
+            let set = shared.unwrap_or_else(|| {
+                let set = sets.len() as u16;
+                sets.push(build_set(answerer, name, qtype, class, &mut arena));
+                built.extend(lookup.map(|l| (l, set)));
+                set
+            });
+            debug_assert!(
+                shared.is_none() || {
+                    let mut own = Vec::new();
+                    let rebuilt = build_set(answerer, name, qtype, class, &mut own);
+                    differ_in_qtype_only(name, (&sets[set as usize], &arena), (&rebuilt, &own))
+                },
+                "{name} {qtype:?} does not share the answer it resolves to"
+            );
+            *slot = ShapeRef {
+                qtype: qtype.to_u16(),
+                class: class.to_u16(),
+                set,
+            };
+        }
+        NameEntry {
+            shapes: table,
+            nshapes: shapes.len() as u8,
+            sets: sets.into_boxed_slice(),
+            arena: arena.into_boxed_slice(),
+        }
+    }
+
+    /// The stored response for `q`'s (qtype, class, EDNS state, budget).
+    fn select(&self, q: &FastQuery) -> Option<&[u8]> {
+        let shape = self.shapes[..self.nshapes as usize]
+            .iter()
+            .find(|s| s.qtype == q.qtype && s.class == q.class)?;
+        self.sets[shape.set as usize][q.state].select(q.limit, &self.arena)
+    }
+
+    /// Serve `q` from this entry into `out`; false (with `out` untouched)
+    /// when the shape or the budget is not stored.
+    fn serve(&self, req: &[u8], q: &FastQuery, out: &mut Vec<u8>) -> bool {
+        let Some(bytes) = self.select(q) else {
+            return false;
+        };
+        out.clear();
+        out.extend_from_slice(bytes);
+        splice_request(req, q.qlen, out);
+        true
+    }
+}
+
+/// Whether two lookups at one name produce the same response but for the
+/// question's qtype: the same RRset, the same referral, or the same
+/// negative answer (whose NSEC proof depends on the name alone).
+fn same_answer(a: &Lookup<'_>, b: &Lookup<'_>) -> bool {
+    match (a, b) {
+        (Lookup::Answer(x), Lookup::Answer(y)) => std::ptr::eq(*x, *y),
+        (Lookup::Referral(x), Lookup::Referral(y)) => std::ptr::eq(*x, *y),
+        (Lookup::NoData, Lookup::NoData) | (Lookup::NxDomain, Lookup::NxDomain) => true,
+        _ => false,
+    }
+}
+
+/// The sharing rule, checked where it is applied: a set built for one
+/// qtype and the set built for another that resolves to the same answer
+/// must agree in every stored byte except the question's two qtype bytes.
+fn differ_in_qtype_only(
+    name: &Name,
+    (a, a_arena): (&[ResponseSet; 3], &[u8]),
+    (b, b_arena): (&[ResponseSet; 3], &[u8]),
+) -> bool {
+    let qtype_at = 12 + name.wire_len();
+    let masked = |bytes: &[u8]| {
+        let mut v = bytes.to_vec();
+        if let Some(qtype) = v.get_mut(qtype_at..qtype_at + 2) {
+            qtype.fill(0);
+        }
+        v
+    };
+    a.iter().zip(b).all(|(a, b)| {
+        a.spans()
+            .zip(b.spans())
+            .all(|(x, y)| masked(x.of(a_arena)) == masked(y.of(b_arena)))
+    })
 }
 
 /// A parametric negative response: pre-encoded against a root question,
@@ -283,8 +437,8 @@ impl FastQuery {
 /// for the serve-time contract.
 #[derive(Debug)]
 pub struct AnswerCache {
-    /// Lowercase canonical qname wire → the shapes cached at that name.
-    exact: HashMap<Vec<u8>, Vec<ExactShape>>,
+    /// Lowercase canonical qname wire → everything cached at that name.
+    exact: HashMap<Vec<u8>, NameEntry>,
     /// Lowercase delegated TLD labels: names under these are referrals and
     /// fall back.
     tlds: HashSet<Vec<u8>>,
@@ -329,20 +483,25 @@ impl AnswerCache {
 
     fn build_inner(answerer: &Answerer<'_>, include_chaos: bool) -> AnswerCache {
         let index = answerer.index;
-        let mut exact: HashMap<Vec<u8>, Vec<ExactShape>> = HashMap::new();
-        for name in index.names() {
-            let shapes = exact.entry(name.canonical_wire()).or_default();
-            for qtype in CACHED_QTYPES {
-                shapes.push(build_shape(answerer, name, qtype, Class::In));
-            }
-        }
+        let zone_shapes = CACHED_QTYPES.map(|qtype| (qtype, Class::In));
+        let mut exact: HashMap<Vec<u8>, NameEntry> = index
+            .names()
+            .map(|name| {
+                let entry = NameEntry::build(answerer, name, &zone_shapes);
+                (name.canonical_wire(), entry)
+            })
+            .collect();
         if include_chaos {
             for chaos in CHAOS_NAMES {
                 let name = Name::parse(chaos).expect("static chaos name");
-                exact
-                    .entry(name.canonical_wire())
-                    .or_default()
-                    .push(build_shape(answerer, &name, RrType::Txt, Class::Ch));
+                let key = name.canonical_wire();
+                // An identity name that is also a zone name keeps its
+                // zone shapes beside the CHAOS one.
+                let mut shapes = vec![(RrType::Txt, Class::Ch)];
+                if exact.contains_key(&key) {
+                    shapes.extend(zone_shapes);
+                }
+                exact.insert(key, NameEntry::build(answerer, &name, &shapes));
             }
         }
         let tlds = index
@@ -383,7 +542,7 @@ impl AnswerCache {
 
     /// Number of precompiled exact responses (shapes × EDNS states).
     pub fn entries(&self) -> usize {
-        self.exact.values().map(|s| s.len() * 3).sum()
+        self.exact.values().map(|e| e.nshapes as usize * 3).sum()
     }
 
     /// Try to serve `req` from the cache into `out`. Returns false — with
@@ -398,20 +557,8 @@ impl AnswerCache {
             // of qname; let the fallback build it.
             return false;
         }
-        if let Some(shapes) = self.exact.get(&q.lc[..q.qlen]) {
-            let Some(shape) = shapes
-                .iter()
-                .find(|s| s.qtype == q.qtype && s.class == q.class)
-            else {
-                return false;
-            };
-            let Some(bytes) = shape.states[q.state].select(q.limit) else {
-                return false;
-            };
-            out.clear();
-            out.extend_from_slice(bytes);
-            splice_request(req, q.qlen, out);
-            return true;
+        if let Some(entry) = self.exact.get(&q.lc[..q.qlen]) {
+            return entry.serve(req, &q, out);
         }
         if q.class != Class::In.to_u16() {
             return false;
@@ -468,28 +615,26 @@ fn splice_request(req: &[u8], qlen: usize, out: &mut [u8]) {
 /// Per-engine CHAOS identity shapes, consulted after a shared zone-only
 /// [`AnswerCache`] ([`AnswerCache::build_zone`]) declines. All sites of a
 /// letter share the zone cache; each engine keeps its own four identity
-/// answers here, built through the same [`build_shape`] path the legacy
+/// answers here, built through the same [`NameEntry::build`] path the legacy
 /// per-engine cache uses — so shared-state and standalone engines stay
 /// byte-identical on the CHAOS channel too.
 #[derive(Debug)]
 pub(crate) struct ChaosCache {
-    /// (canonical qname wire, TXT/CH shape) for each of [`CHAOS_NAMES`].
-    shapes: Vec<(Vec<u8>, ExactShape)>,
+    /// (canonical qname wire, its TXT/CH shape) for each of [`CHAOS_NAMES`].
+    names: Vec<(Vec<u8>, NameEntry)>,
 }
 
 impl ChaosCache {
     pub(crate) fn build(answerer: &Answerer<'_>) -> ChaosCache {
-        let shapes = CHAOS_NAMES
+        let names = CHAOS_NAMES
             .iter()
             .map(|chaos| {
                 let name = Name::parse(chaos).expect("static chaos name");
-                (
-                    name.canonical_wire(),
-                    build_shape(answerer, &name, RrType::Txt, Class::Ch),
-                )
+                let entry = NameEntry::build(answerer, &name, &[(RrType::Txt, Class::Ch)]);
+                (name.canonical_wire(), entry)
             })
             .collect();
-        ChaosCache { shapes }
+        ChaosCache { names }
     }
 
     /// Serve a CHAOS identity query from the per-engine shapes. Returns
@@ -499,18 +644,11 @@ impl ChaosCache {
         let Some(q) = FastQuery::parse(req) else {
             return false;
         };
-        let Some((_, shape)) = self.shapes.iter().find(|(name, s)| {
-            s.qtype == q.qtype && s.class == q.class && name.as_slice() == &q.lc[..q.qlen]
-        }) else {
-            return false;
-        };
-        let Some(bytes) = shape.states[q.state].select(q.limit) else {
-            return false;
-        };
-        out.clear();
-        out.extend_from_slice(bytes);
-        splice_request(req, q.qlen, out);
-        true
+        let name = &q.lc[..q.qlen];
+        self.names
+            .iter()
+            .find(|(n, _)| n.as_slice() == name)
+            .is_some_and(|(_, entry)| entry.serve(req, &q, out))
     }
 }
 
@@ -556,31 +694,31 @@ fn state_query(name: &Name, qtype: RrType, class: Class, state: usize) -> Messag
     q
 }
 
-fn build_shape(answerer: &Answerer<'_>, name: &Name, qtype: RrType, class: Class) -> ExactShape {
-    let states = [0, 1, 2].map(|state| {
+/// Pre-encode the answer to (`name`, `qtype`, `class`) for each EDNS state
+/// into `arena`, through the answerer and encoders the fallback path uses.
+fn build_set(
+    answerer: &Answerer<'_>,
+    name: &Name,
+    qtype: RrType,
+    class: Class,
+    arena: &mut Vec<u8>,
+) -> [ResponseSet; 3] {
+    let mut variant = Vec::new();
+    [0, 1, 2].map(|state| {
         let query = state_query(name, qtype, class, state);
         let resp = answerer.respond(&query);
         let full = resp.to_wire();
-        let variant = |bucket: usize| {
-            if full.len() <= bucket {
-                return None;
-            }
-            let mut v = Vec::new();
-            encode_limited_into(&resp, bucket, &mut v);
-            Some(v.into_boxed_slice())
-        };
         ResponseSet {
-            t512: variant(BUCKETS[0]),
-            t1232: variant(BUCKETS[1]),
-            t4096: variant(BUCKETS[2]),
-            full: full.into_boxed_slice(),
+            full: Span::push(arena, &full),
+            truncated: BUCKETS.map(|bucket| {
+                if full.len() <= bucket {
+                    return Span::default();
+                }
+                encode_limited_into(&resp, bucket, &mut variant);
+                Span::push(arena, &variant)
+            }),
         }
-    });
-    ExactShape {
-        qtype: qtype.to_u16(),
-        class: class.to_u16(),
-        states,
-    }
+    })
 }
 
 /// Pre-encode one NXDOMAIN template against a root question. `None` when

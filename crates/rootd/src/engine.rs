@@ -162,21 +162,12 @@ impl SharedState {
     }
 
     /// Swap in a new zone epoch for every sharing engine: rebuild the
-    /// index (and the zone-only cache), bump the generation, and publish
-    /// atomically.
-    pub fn reload(&self, zone: Arc<Zone>) {
-        let index = Arc::new(ZoneIndex::build(zone));
-        let (generation, rrl, cached) = {
-            let s = self.state.read();
-            (s.generation + 1, s.rrl.clone(), s.cache.is_some())
-        };
-        let cache = cached.then(|| Arc::new(AnswerCache::build_zone(&index)));
-        *self.state.write() = Arc::new(ServingState {
-            index,
-            cache,
-            generation,
-            rrl,
-        });
+    /// index and the zone-only cache, then publish atomically
+    /// (`publish_epoch`). Returns the new generation.
+    pub fn reload(&self, zone: Arc<Zone>) -> u64 {
+        publish_epoch(&self.state, zone, |index| {
+            Some(Arc::new(AnswerCache::build_zone(index)))
+        })
     }
 
     /// Validated, atomic reload: verify `zone` (ZONEMD, then RRSIG /
@@ -185,26 +176,9 @@ impl SharedState {
     /// failure the old `ServingState` keeps serving and the generation
     /// does not move — a poisoned zone can never activate, not even
     /// partially. Returns the new generation on success.
-    ///
-    /// Unlike [`Self::reload`], the generation bump happens under the same
-    /// write lock that publishes the state, so two concurrent reloads can
-    /// never mint the same generation.
     pub fn try_reload(&self, zone: Arc<Zone>, now: u32) -> Result<u64, ReloadError> {
         validate_for_reload(&zone, now)?;
-        // Heavy lifting outside the lock: readers keep serving the old
-        // epoch while the replacement index and cache are assembled.
-        let index = Arc::new(ZoneIndex::build(zone));
-        let cached = self.state.read().cache.is_some();
-        let cache = cached.then(|| Arc::new(AnswerCache::build_zone(&index)));
-        let mut guard = self.state.write();
-        let generation = guard.generation + 1;
-        *guard = Arc::new(ServingState {
-            index,
-            cache,
-            generation,
-            rrl: guard.rrl.clone(),
-        });
-        Ok(generation)
+        Ok(self.reload(zone))
     }
 
     /// Epoch generation: bumped by every [`Self::reload`]. Starts at 0.
@@ -257,7 +231,9 @@ fn validate_for_reload(zone: &Zone, now: u32) -> Result<(), ReloadError> {
         Ok(()) | Err(ZonemdError::NoZonemd) | Err(ZonemdError::UnsupportedAlgorithm) => {}
         Err(e) => return Err(ReloadError::Zonemd(e)),
     }
-    let report = dns_zone::validate_zone(zone, now);
+    // Every ZONEMD verdict `validate_zone` reports was refused above, so
+    // the zone is digested once per push: the RRSIG pass alone remains.
+    let report = dns_zone::validate_rrsigs(zone, now);
     if report.is_valid() {
         Ok(())
     } else {
@@ -265,6 +241,34 @@ fn validate_for_reload(zone: &Zone, now: u32) -> Result<(), ReloadError> {
             report.issues.iter().map(|i| format!("{i:?}")).collect(),
         ))
     }
+}
+
+/// The one publish step behind every reload: build the next epoch's index
+/// and cache outside the lock (readers keep serving the old epoch
+/// meanwhile), then take the write lock only to bump the generation and
+/// swap the pointer — so concurrent reloads can never mint the same
+/// generation — and free the displaced epoch (tens of megabytes on a
+/// root-sized zone) after the lock is released, where it stalls no reader.
+/// The rate limiter is carried across. Returns the new generation.
+fn publish_epoch(
+    state: &RwLock<Arc<ServingState>>,
+    zone: Arc<Zone>,
+    build_cache: impl FnOnce(&ZoneIndex) -> Option<Arc<AnswerCache>>,
+) -> u64 {
+    let index = Arc::new(ZoneIndex::build(zone));
+    let cache = build_cache(&index);
+    let mut guard = state.write();
+    let generation = guard.generation + 1;
+    let next = Arc::new(ServingState {
+        index,
+        cache,
+        generation,
+        rrl: guard.rrl.clone(),
+    });
+    let displaced = std::mem::replace(&mut *guard, next);
+    drop(guard);
+    drop(displaced);
+    generation
 }
 
 /// Per-batch serve tally from [`Rootd::serve_udp_batch`].
@@ -364,15 +368,16 @@ impl Rootd {
             cache_enabled: true,
             ..self
         };
-        let (index, generation, rrl) = {
-            let state = me.state.read();
-            (
-                Arc::clone(&state.index),
-                state.generation,
-                state.rrl.clone(),
-            )
-        };
-        *me.state.write() = Arc::new(me.build_state(index, generation, rrl));
+        let index = me.index();
+        let cache = me.build_cache(&index);
+        let mut guard = me.state.write();
+        *guard = Arc::new(ServingState {
+            index,
+            cache,
+            generation: guard.generation,
+            rrl: guard.rrl.clone(),
+        });
+        drop(guard);
         me
     }
 
@@ -417,44 +422,29 @@ impl Rootd {
     }
 
     /// Swap in a new zone epoch: rebuild the index (and the answer cache,
-    /// when enabled), bump the generation, and publish atomically. In-flight
-    /// queries finish against the old state; the next datagram sees the new.
-    pub fn reload(&self, zone: Arc<Zone>) {
-        let index = Arc::new(ZoneIndex::build(zone));
-        let (generation, rrl) = {
-            let state = self.state.read();
-            (state.generation + 1, state.rrl.clone())
-        };
-        let next = Arc::new(self.build_state(index, generation, rrl));
-        *self.state.write() = next;
+    /// when enabled), bump the generation, and publish atomically
+    /// (`publish_epoch`). In-flight queries finish against the old state;
+    /// the next datagram sees the new. Returns the new generation.
+    pub fn reload(&self, zone: Arc<Zone>) -> u64 {
+        publish_epoch(&self.state, zone, |index| self.build_cache(index))
     }
 
-    fn build_state(
-        &self,
-        index: Arc<ZoneIndex>,
-        generation: u64,
-        rrl: Option<Arc<Rrl>>,
-    ) -> ServingState {
-        let cache = self.cache_enabled.then(|| {
+    /// The answer cache this engine keeps over `index`, if enabled.
+    fn build_cache(&self, index: &ZoneIndex) -> Option<Arc<AnswerCache>> {
+        self.cache_enabled.then(|| {
             if self.chaos.is_some() {
                 // Shared-state engine: the cache is identity-free (all
                 // sharers see this swap; identity stays per-engine).
-                Arc::new(AnswerCache::build_zone(&index))
+                Arc::new(AnswerCache::build_zone(index))
             } else {
                 Arc::new(AnswerCache::build(&Answerer {
-                    index: &index,
+                    index,
                     hostname: self.identity.hostname.as_deref(),
                     chaos_hostname: self.chaos_hostname.as_ref(),
                     chaos_version: &self.chaos_version,
                 }))
             }
-        });
-        ServingState {
-            index,
-            cache,
-            generation,
-            rrl,
-        }
+        })
     }
 
     /// Override the AXFR message batch size (framing granularity only).
@@ -1245,6 +1235,182 @@ mod tests {
         assert_eq!(generation, 1);
         assert_eq!(shared.generation(), 1);
         assert_eq!(e.serve_udp(&wire).unwrap(), before);
+    }
+
+    /// Every way a push can be refused, and the exact error it is refused
+    /// with. Since the zone is digested once per validation, the oracle is
+    /// the composition this replaced: `verify_zonemd`, then the full
+    /// `validate_zone` (which digests again).
+    #[test]
+    fn validate_for_reload_error_table() {
+        fn digested_twice(zone: &Zone, now: u32) -> Result<(), ReloadError> {
+            match dns_zone::verify_zonemd(zone) {
+                Ok(()) | Err(ZonemdError::NoZonemd) | Err(ZonemdError::UnsupportedAlgorithm) => {}
+                Err(e) => return Err(ReloadError::Zonemd(e)),
+            }
+            let report = dns_zone::validate_zone(zone, now);
+            if report.is_valid() {
+                return Ok(());
+            }
+            let issues = report.issues.iter().map(|i| format!("{i:?}"));
+            Err(ReloadError::Invalid(issues.collect()))
+        }
+        let build = |rollout| {
+            let cfg = RootZoneConfig {
+                tld_count: 8,
+                rollout,
+                ..Default::default()
+            };
+            (build_root_zone(&cfg, &ZoneKeys::from_seed(5)), cfg)
+        };
+        let (signed, cfg) = build(RolloutPhase::Validating);
+        let (undigested, _) = build(RolloutPhase::NoRecord);
+        let (private, _) = build(RolloutPhase::PrivateAlgorithm);
+        let now = cfg.inception + 86_400;
+        let edit = |zone: &Zone, f: &dyn Fn(&mut Zone)| {
+            let mut z = zone.clone();
+            f(&mut z);
+            z
+        };
+        // Glue is unsigned: rewriting it breaks the digest and no RRSIG.
+        let reglue = |z: &mut Zone| {
+            let glue = z.records_mut().iter_mut().find(|r| r.rr_type == RrType::A);
+            glue.unwrap().rdata = Rdata::A("192.0.2.1".parse().unwrap());
+        };
+        let flip = |z: &mut Zone| {
+            dns_zone::corrupt::flip_rrsig_bit(z, 9).expect("flippable rrsig");
+        };
+        let soa = |z: &Zone| z.rrset(&Name::root(), RrType::Soa)[0].clone();
+        let zonemd = |e| Err(ReloadError::Zonemd(e));
+        // An RRSIG refusal lists every finding; the table pins the first.
+        let invalid = |first: &str| Err(ReloadError::Invalid(vec![first.to_string()]));
+
+        let cases = [
+            ("no ZONEMD", undigested.clone(), now, Ok(())),
+            ("private algorithm", private, now, Ok(())),
+            ("valid", signed.clone(), now, Ok(())),
+            (
+                "digest mismatch",
+                edit(&signed, &reglue),
+                now,
+                zonemd(ZonemdError::DigestMismatch),
+            ),
+            (
+                "serial mismatch",
+                edit(&signed, &|z| {
+                    for rec in z.records_mut() {
+                        if let Rdata::Soa(soa) = &mut rec.rdata {
+                            soa.serial += 1;
+                        }
+                    }
+                }),
+                now,
+                zonemd(ZonemdError::SerialMismatch {
+                    soa: cfg.serial + 1,
+                    zonemd: cfg.serial,
+                }),
+            ),
+            (
+                "missing SOA",
+                edit(&signed, &|z| {
+                    z.remove_rrset(&Name::root(), RrType::Soa);
+                }),
+                now,
+                zonemd(ZonemdError::BadZone("zone has no SOA record".into())),
+            ),
+            (
+                "duplicate SOA",
+                edit(&signed, &|z| z.push(soa(z)).unwrap()),
+                now,
+                zonemd(ZonemdError::BadZone("zone has multiple SOA records".into())),
+            ),
+            (
+                "RRSIG bit-flip under a digest",
+                edit(&signed, &flip),
+                now,
+                zonemd(ZonemdError::DigestMismatch),
+            ),
+            (
+                "RRSIG bit-flip, no digest",
+                edit(&undigested, &flip),
+                now,
+                invalid("BogusSignature { owner: \"j.root-servers.net.\", covered: Nsec }"),
+            ),
+            (
+                "expired",
+                signed.clone(),
+                cfg.expiration + 1,
+                invalid("SignatureExpired { owner: \".\", covered: Ns }"),
+            ),
+            (
+                "not incepted",
+                signed.clone(),
+                cfg.inception - 1,
+                invalid("SignatureNotIncepted { owner: \".\", covered: Ns }"),
+            ),
+            (
+                "digest mismatch and RRSIG bit-flip",
+                edit(&edit(&signed, &reglue), &flip),
+                now,
+                zonemd(ZonemdError::DigestMismatch),
+            ),
+        ];
+        for (case, zone, clock, want) in cases {
+            let got = validate_for_reload(&zone, clock);
+            assert_eq!(got, digested_twice(&zone, clock), "{case}");
+            let first_only = match got {
+                Err(ReloadError::Invalid(mut issues)) => {
+                    issues.truncate(1);
+                    Err(ReloadError::Invalid(issues))
+                }
+                other => other,
+            };
+            assert_eq!(first_only, want, "{case}");
+        }
+    }
+
+    /// Three entry points, one publish step: every reload, validated or
+    /// not, through the shared state or through a sharing engine, mints a
+    /// generation of its own.
+    #[test]
+    fn concurrent_reloads_mint_each_generation_exactly_once() {
+        let cfg = RootZoneConfig {
+            tld_count: 8,
+            rollout: RolloutPhase::Validating,
+            ..Default::default()
+        };
+        let now = cfg.inception + 86_400;
+        let zone = Arc::new(build_root_zone(&cfg, &ZoneKeys::from_seed(5)));
+        let shared = SharedState::build(Arc::new(ZoneIndex::build(Arc::clone(&zone))));
+        let engine = Rootd::with_shared_state(&shared, SiteIdentity::named("lax2f"));
+        const THREADS: usize = 8;
+        const RELOADS: usize = 4;
+        let start = std::sync::Barrier::new(THREADS);
+        let mut minted: Vec<u64> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (shared, engine, zone, start) = (&shared, &engine, &zone, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        (0..RELOADS)
+                            .map(|i| match (t + i) % 3 {
+                                0 => shared.reload(Arc::clone(zone)),
+                                1 => shared.try_reload(Arc::clone(zone), now).expect("valid"),
+                                _ => engine.reload(Arc::clone(zone)),
+                            })
+                            .collect::<Vec<u64>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("reloader panicked"))
+                .collect()
+        });
+        minted.sort_unstable();
+        let all: Vec<u64> = (1..=(THREADS * RELOADS) as u64).collect();
+        assert_eq!(minted, all);
+        assert_eq!(shared.generation(), all.len() as u64);
     }
 
     #[test]

@@ -233,6 +233,115 @@ fn cached_responses_match_the_fallback_path_across_the_matrix() {
     );
 }
 
+/// The differential oracle for the answer cache's shared sets: every name
+/// of a zone × every cached qtype and three uncached ones × every EDNS
+/// state and budget (bucket and not) × qname casing × RD, served by a farm
+/// engine from the cache and by an uncached twin — before and after a
+/// `Farm::reload_letter` swaps in a second epoch.
+#[test]
+fn every_shape_at_every_name_matches_the_uncached_twin_across_a_farm_reload() {
+    let qtypes = [
+        RrType::A,
+        RrType::Ns,
+        RrType::Cname,
+        RrType::Soa,
+        RrType::Mx,
+        RrType::Txt,
+        RrType::Aaaa,
+        RrType::Ds,
+        RrType::Rrsig,
+        RrType::Nsec,
+        RrType::Dnskey,
+        RrType::Zonemd,
+        RrType::Any,
+        RrType::from_u16(65), // HTTPS
+        RrType::from_u16(33), // SRV
+        RrType::from_u16(12), // PTR
+    ];
+    let cfg = |serial| RootZoneConfig {
+        serial,
+        tld_count: 40,
+        rollout: RolloutPhase::Validating,
+        ..Default::default()
+    };
+    let zone_of = |serial| Arc::new(build_root_zone(&cfg(serial), &ZoneKeys::from_seed(42)));
+    let epochs = [zone_of(2023112000), zone_of(2023112100)];
+
+    let world = vantage::World::build(&vantage::WorldBuildConfig::tiny());
+    let letter = rss::RootLetter::A;
+    let farm = rootd::Farm::build(
+        &world.topology,
+        &world.catalog,
+        Arc::clone(&epochs[0]),
+        &[letter],
+        1,
+    );
+    let site = farm.deployment(letter).unwrap().sites[0].id.0;
+    let cached = farm.engine_at(letter, site).unwrap();
+    let plain = engine_for(Arc::clone(&epochs[0]));
+
+    // None = no EDNS; otherwise (advertised payload, DO).
+    let mut edns_states = vec![None];
+    for payload in [512u16, 600, 1232, 4096] {
+        edns_states.extend([Some((payload, false)), Some((payload, true))]);
+    }
+    let mixed_case = |name: &Name| {
+        let labels = name.labels().map(|l| {
+            let flip = |(i, b): (usize, &u8)| match i % 2 {
+                0 => b.to_ascii_uppercase(),
+                _ => *b,
+            };
+            l.iter().enumerate().map(flip).collect::<Vec<u8>>()
+        });
+        Name::from_labels(labels).unwrap()
+    };
+
+    for (epoch, zone) in epochs.iter().enumerate() {
+        if epoch > 0 {
+            let now = cfg(0).inception + 3600;
+            assert_eq!(
+                farm.reload_letter(letter, Arc::clone(zone), now),
+                Ok(epoch as u64)
+            );
+            plain.reload(Arc::clone(zone));
+        }
+        let names = zone.owner_names();
+        assert_eq!(names.len(), 1 + 13 + 40 * 3);
+        let (mut asked, mut hits) = (0usize, 0usize);
+        for name in &names {
+            for qname in [name.clone(), mixed_case(name)] {
+                for qtype in qtypes {
+                    for edns in &edns_states {
+                        for rd in [false, true] {
+                            let mut q = Message::query(0xa5a5, Question::new(qname.clone(), qtype));
+                            q.header.flags.recursion_desired = rd;
+                            if let &Some((udp_payload_size, dnssec_ok)) = edns {
+                                let edns = Edns {
+                                    udp_payload_size,
+                                    dnssec_ok,
+                                    ..Default::default()
+                                };
+                                set_edns(&mut q, &edns);
+                            }
+                            let ctx = format!("epoch {epoch} {qname} {qtype:?} {edns:?} rd={rd}");
+                            asked += 1;
+                            hits += usize::from(assert_cache_agrees(
+                                cached,
+                                &plain,
+                                &q.to_wire(),
+                                &ctx,
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+        // Thirteen of the sixteen qtypes are cached; of those, only a
+        // non-bucket budget the answer overflows falls back.
+        assert!(hits * 16 > asked * 12, "epoch {epoch}: {hits}/{asked} hits");
+    }
+}
+
 #[test]
 fn zone_resign_bumps_the_generation_and_the_served_bytes() {
     let cached = engine_for(test_zone(2023112000)).with_answer_cache();
