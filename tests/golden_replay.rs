@@ -187,3 +187,73 @@ fn root_zone_presentation_dump() {
         (21_075, 11292208020219933196)
     );
 }
+
+/// The paper report at tiny scale, section by section: every table and
+/// figure `run_all` renders, digested byte for byte, next to the record
+/// counts and Table 2's shape. The measurement and the analyses may be
+/// made faster; what they print may not change.
+#[test]
+fn paper_report_sections() {
+    use roots_core::{experiments, Pipeline};
+    let p = Pipeline::shared(Scale::Tiny);
+    assert_eq!((p.probes.len(), p.transfers.len()), (67032, 61617));
+    let table2 = analysis::zonemd_pipeline::validate_transfers(&p.world, &p.transfers);
+    let rows: Vec<(&str, usize, u32, usize)> = (table2.rows.iter())
+        .map(|r| {
+            (
+                r.reason.label(),
+                r.serials.len(),
+                r.observations,
+                r.vps.len(),
+            )
+        })
+        .collect();
+    assert_eq!(rows, [("Signature expired", 2, 320, 24)]);
+    assert_eq!(
+        (table2.total_transfers, table2.distinct_failing),
+        (61617, 6)
+    );
+
+    // One digest per `==== id [..] ====` section, header line included.
+    let mut digests: Vec<(&str, netsim::Fingerprint)> = Vec::new();
+    let report = experiments::run_all(p);
+    for line in report.split_inclusive('\n') {
+        if let Some(header) = line.strip_prefix("==== ") {
+            let id = header.split(' ').next().expect("section id");
+            digests.push((id, netsim::Fingerprint::new()));
+        }
+        let (_, fp) = digests.last_mut().expect("report starts with a header");
+        line.bytes().for_each(|b| fp.mix(u64::from(b)));
+    }
+    let digests: Vec<(&str, u64)> = (digests.into_iter())
+        .map(|(id, fp)| (id, fp.finish()))
+        .collect();
+    assert_eq!(
+        digests,
+        [
+            ("table1", 15107438098986561113),
+            ("table2", 14491670330108206090),
+            ("table3", 7724164664387437538),
+            ("table4", 18381613859634090334),
+            ("fig1", 390794460178422935),
+            ("fig2", 18443095925473037381),
+            ("fig3", 11078024738552090320),
+            ("fig4", 106671317650671443),
+            ("fig5", 2324573732871904421),
+            ("fig6", 6819180304629623071),
+            ("fig7", 13186459547476249467),
+            ("fig8", 18225381188665065647),
+            ("fig9", 14742650181692715827),
+            ("fig10", 18431105312453467008),
+            ("fig11", 9214782159216177826),
+            ("fig12", 4531277674173382218),
+            ("fig13", 16127273217993932509),
+            ("sec5", 15404538123122287331),
+            ("fig14", 148342256156564169),
+            ("sec6_paths", 9745480162630315065),
+            ("sec7_channels", 2001185015306463584),
+            ("scenario_demo", 4412197540955171403),
+            ("rootd_demo", 16845500213565937867),
+        ]
+    );
+}
