@@ -6,8 +6,8 @@
 use netgeo::Region;
 use netsim::anycast::{SiteId, SiteScope};
 use rss::catalog::RootCatalog;
-use rss::RootLetter;
-use std::collections::{HashMap, HashSet};
+use rss::{IdentityId, RootLetter};
+use std::collections::HashSet;
 use vantage::records::ProbeRecord;
 
 /// One row of coverage counts.
@@ -56,7 +56,7 @@ fn pct(cov: u32, total: u32) -> Option<f64> {
 
 /// Full coverage report: worldwide and per region, plus identifier-mapping
 /// statistics and per-site observation flags.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoverageReport {
     /// Worldwide rows, indexed by letter.
     pub worldwide: [CoverageRow; 13],
@@ -73,30 +73,43 @@ pub struct CoverageReport {
 impl CoverageReport {
     /// Match every probe's observed identity against the catalog.
     pub fn compute(catalog: &RootCatalog, probes: &[ProbeRecord]) -> CoverageReport {
-        let mut distinct_ids: HashMap<(RootLetter, String), ()> = HashMap::new();
-        let mut observed_sites: HashSet<(RootLetter, SiteId)> = HashSet::new();
-        // Collect distinct (letter, identifier) pairs first — mapping work
-        // is per distinct identifier, as in the paper (1,604 observed ids).
+        // Collect the distinct identifiers first — mapping work is per
+        // distinct identifier, as in the paper (1,604 observed ids). The
+        // catalog interns them per letter, so that is one flag a handle.
+        let mut reported = vec![false; catalog.identity_count()];
         for p in probes {
-            if let Some(id) = &p.identity {
-                distinct_ids
-                    .entry((p.target.letter, id.clone()))
-                    .or_insert(());
+            if let Some(id) = p.identity {
+                reported[id.0 as usize] = true;
             }
             // The probe knows the true site; coverage "via identifier" is
             // what the paper measures, so only mapped identifiers count.
         }
+        let distinct_ids = (0..reported.len())
+            .filter(|&i| reported[i])
+            .map(|i| catalog.identity(IdentityId(i as u32)));
+        Self::from_distinct_ids(catalog, distinct_ids)
+    }
+
+    /// The §4.2 matching step over distinct `(letter, identifier)` pairs,
+    /// and the per-letter, per-region tallies of what they cover.
+    fn from_distinct_ids<'a>(
+        catalog: &RootCatalog,
+        distinct_ids: impl Iterator<Item = (RootLetter, &'a str)>,
+    ) -> CoverageReport {
+        let mut observed_sites: HashSet<(RootLetter, SiteId)> = HashSet::new();
+        let mut observed = 0;
         let mut mapped = 0;
-        for (letter, id) in distinct_ids.keys() {
-            if let Some(site) = catalog.map_identifier(*letter, id) {
+        for (letter, id) in distinct_ids {
+            observed += 1;
+            if let Some(site) = catalog.map_identifier(letter, id) {
                 mapped += 1;
-                observed_sites.insert((*letter, site.site_id));
+                observed_sites.insert((letter, site.site_id));
                 // IATA-fallback letters are metro-granular: mark every site
                 // of the letter in that metro observed (indistinguishable).
                 if !letter.identifiers_mappable() {
-                    for s in catalog.sites_of(*letter) {
+                    for s in catalog.sites_of(letter) {
                         if s.iata == site.iata {
-                            observed_sites.insert((*letter, s.site_id));
+                            observed_sites.insert((letter, s.site_id));
                         }
                     }
                 }
@@ -132,7 +145,7 @@ impl CoverageReport {
         CoverageReport {
             worldwide,
             per_region,
-            observed_identifiers: distinct_ids.len(),
+            observed_identifiers: observed,
             mapped_identifiers: mapped,
             observed_sites,
         }
@@ -315,6 +328,58 @@ mod tests {
         for letter in RootLetter::ALL {
             let map = report.site_map(&world.catalog, letter);
             assert_eq!(map.len(), world.catalog.sites_of(letter).count());
+        }
+    }
+
+    /// The distinct-identifier pass as it was when records carried the
+    /// answer's text: one owned string per probe into a hash map.
+    fn compute_reference(catalog: &RootCatalog, probes: &[ProbeRecord]) -> CoverageReport {
+        let mut distinct_ids: std::collections::HashMap<(RootLetter, String), ()> =
+            std::collections::HashMap::new();
+        for p in probes {
+            if let Some(id) = p.identity {
+                let text = catalog.identity(id).1.to_string();
+                distinct_ids.entry((p.target.letter, text)).or_insert(());
+            }
+        }
+        let distinct_ids = distinct_ids.keys().map(|(l, id)| (*l, id.as_str()));
+        CoverageReport::from_distinct_ids(catalog, distinct_ids)
+    }
+
+    #[test]
+    fn handle_flags_match_string_keyed_reference() {
+        let (world, probes) = run_small();
+        let report = CoverageReport::compute(&world.catalog, &probes);
+        assert_eq!(report, compute_reference(&world.catalog, &probes));
+        assert!(report.mapped_identifiers < report.observed_identifiers);
+
+        // Two rows of an IATA-fallback letter behind one answer: seen at
+        // either or both, it is one identifier, and it covers both.
+        let rows = world.catalog.sites.iter();
+        let fallback = rows.filter(|r| !r.letter.identifiers_mappable());
+        let (a, b) = fallback
+            .clone()
+            .find_map(|a| {
+                let twin = |b: &&rss::RootSite| b.identity == a.identity && b.site_id != a.site_id;
+                Some((a, fallback.clone().find(twin)?))
+            })
+            .expect("two instances share a hostname.bind answer");
+        let seen_at = |row: &rss::RootSite| ProbeRecord {
+            target: vantage::records::Target {
+                letter: row.letter,
+                b_phase: rss::BRootPhase::Old,
+            },
+            site: Some(row.site_id),
+            identity: Some(row.identity),
+            ..probes[0]
+        };
+        for stream in [vec![seen_at(a)], vec![seen_at(b), seen_at(a), seen_at(b)]] {
+            let report = CoverageReport::compute(&world.catalog, &stream);
+            assert_eq!(report, compute_reference(&world.catalog, &stream));
+            assert_eq!(report.observed_identifiers, 1);
+            for row in [a, b] {
+                assert!(report.observed_sites.contains(&(row.letter, row.site_id)));
+            }
         }
     }
 

@@ -35,17 +35,18 @@ impl DistancePoint {
 }
 
 /// Distance analysis for one (target, family).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DistanceResult {
     pub target: Target,
     pub family: Family,
     pub points: Vec<DistancePoint>,
-    /// Per-VP mean inflation (the per-client view in §6).
+    /// Per-VP mean inflation (the per-client view in §6), in `VpId`
+    /// order over the VPs that had a request answered.
     pub per_vp_inflation_km: Vec<f64>,
 }
 
 impl DistanceResult {
-    /// Compute from the probe stream.
+    /// Compute one panel from the probe stream.
     pub fn compute(
         catalog: &RootCatalog,
         population: &Population,
@@ -53,47 +54,80 @@ impl DistanceResult {
         target: Target,
         family: Family,
     ) -> DistanceResult {
-        let letter = target.letter;
-        // Pre-compute global site coordinates for the letter.
-        let globals: Vec<netgeo::Coord> = catalog
-            .sites_of(letter)
-            .filter(|s| s.scope == SiteScope::Global)
-            .map(|s| s.city.coord)
+        let mut panels = Self::compute_panels(catalog, population, probes, &[(target, family)]);
+        panels.pop().expect("one result a panel")
+    }
+
+    /// Compute several `(target, family)` panels in one pass over the
+    /// probe stream; results come back in `panels` order.
+    pub fn compute_panels(
+        catalog: &RootCatalog,
+        population: &Population,
+        probes: &[ProbeRecord],
+        panels: &[(Target, Family)],
+    ) -> Vec<DistanceResult> {
+        /// One panel being filled.
+        struct Panel {
+            /// Distance from each VP to the letter's closest global site
+            /// (infinite when the letter has none).
+            closest_global_km: Vec<f64>,
+            points: Vec<DistancePoint>,
+            /// Inflation sum and request count per VP.
+            per_vp: Vec<(f64, u32)>,
+        }
+        let mut filling: Vec<Panel> = (panels.iter())
+            .map(|(target, _)| {
+                let globals: Vec<netgeo::Coord> = catalog
+                    .sites_of(target.letter)
+                    .filter(|s| s.scope == SiteScope::Global)
+                    .map(|s| s.city.coord)
+                    .collect();
+                let closest = |vp: &vantage::population::VantagePoint| {
+                    (globals.iter())
+                        .map(|c| vp.coord.distance_km(c))
+                        .fold(f64::INFINITY, f64::min)
+                };
+                Panel {
+                    closest_global_km: population.vps().iter().map(closest).collect(),
+                    points: Vec::new(),
+                    per_vp: vec![(0.0, 0); population.len()],
+                }
+            })
             .collect();
-        let mut points = Vec::new();
-        let mut per_vp: std::collections::HashMap<vantage::population::VpId, (f64, u32)> =
-            std::collections::HashMap::new();
         for p in probes {
-            if p.target != target || p.family != family {
+            let Some(at) = (panels.iter()).position(|&(t, f)| t == p.target && f == p.family)
+            else {
                 continue;
-            }
+            };
             let Some(site) = p.site else { continue };
-            let vp = population.get(p.vp);
-            let closest = globals
-                .iter()
-                .map(|c| vp.coord.distance_km(c))
-                .fold(f64::INFINITY, f64::min);
+            let panel = &mut filling[at];
+            let closest = panel.closest_global_km[p.vp.0 as usize];
             if !closest.is_finite() {
                 continue;
             }
-            let row = catalog.site(letter, site);
-            let actual = vp.coord.distance_km(&row.city.coord);
+            let row = catalog.site(p.target.letter, site);
+            let actual = population.get(p.vp).coord.distance_km(&row.city.coord);
             let pt = DistancePoint {
                 closest_global_km: closest,
                 actual_km: actual,
             };
-            points.push(pt);
-            let e = per_vp.entry(p.vp).or_insert((0.0, 0));
+            panel.points.push(pt);
+            let e = &mut panel.per_vp[p.vp.0 as usize];
             e.0 += pt.inflation_km();
             e.1 += 1;
         }
-        let per_vp_inflation_km = per_vp.values().map(|(sum, n)| sum / *n as f64).collect();
-        DistanceResult {
-            target,
-            family,
-            points,
-            per_vp_inflation_km,
-        }
+        (panels.iter().zip(filling))
+            .map(|(&(target, family), panel)| DistanceResult {
+                target,
+                family,
+                points: panel.points,
+                // In `VpId` order, VPs without a request left out.
+                per_vp_inflation_km: (panel.per_vp.iter())
+                    .filter(|(_, n)| *n > 0)
+                    .map(|(sum, n)| sum / *n as f64)
+                    .collect(),
+            })
+            .collect()
     }
 
     /// Fraction of requests on/below the diagonal (closest global or
@@ -259,6 +293,38 @@ mod tests {
             s / r.points.len() as f64
         };
         assert!(mean_closest(RootLetter::B) > mean_closest(RootLetter::L));
+    }
+
+    #[test]
+    fn one_pass_panels_match_single_panels_with_clients_in_vp_order() {
+        let (world, probes) = run();
+        let panels = [
+            (target(RootLetter::B), Family::V4),
+            (target(RootLetter::M), Family::V6),
+            (target(RootLetter::B), Family::V6),
+        ];
+        let (catalog, population) = (&world.catalog, &world.population);
+        let results = DistanceResult::compute_panels(catalog, population, &probes, &panels);
+        assert_eq!(results.len(), panels.len());
+        for ((t, family), r) in panels.into_iter().zip(results) {
+            assert_eq!(
+                r,
+                DistanceResult::compute(catalog, population, &probes, t, family)
+            );
+            // A panel's points are its answered probes in stream order:
+            // regroup their inflation by VP and walk the VPs in id order.
+            let answered =
+                (probes.iter()).filter(|p| p.target == t && p.family == family && p.site.is_some());
+            let mut per_vp = std::collections::BTreeMap::<_, (f64, u32)>::new();
+            for (p, pt) in answered.zip(&r.points) {
+                let e = per_vp.entry(p.vp).or_default();
+                e.0 += pt.inflation_km();
+                e.1 += 1;
+            }
+            assert!(per_vp.len() > 10);
+            let in_vp_order: Vec<f64> = per_vp.values().map(|(sum, n)| sum / *n as f64).collect();
+            assert_eq!(r.per_vp_inflation_km, in_vp_order);
+        }
     }
 
     #[test]

@@ -4,13 +4,14 @@
 //! eCDF.
 
 use crate::stats::Ecdf;
+use netsim::anycast::SiteId;
 use netsim::Family;
 use std::collections::HashMap;
 use vantage::population::VpId;
 use vantage::records::{ProbeRecord, Target};
 
 /// Change-event counts and their eCDF for one (target, family).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StabilitySeries {
     pub target: Target,
     pub family: Family,
@@ -33,7 +34,7 @@ impl StabilitySeries {
 }
 
 /// Stability result across all targets and families.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StabilityResult {
     pub series: Vec<StabilitySeries>,
 }
@@ -41,50 +42,72 @@ pub struct StabilityResult {
 impl StabilityResult {
     /// Count change events from the probe stream.
     ///
-    /// Probes must be *grouped* per VP in time order per (vp, target,
-    /// family) — the engine emits rounds in order, so a stable sort by time
-    /// within each key suffices and is done here defensively.
+    /// Probes may arrive in any order: each (vp, target, family) key's
+    /// observations are bucketed together and put in time order here.
+    /// Observations at equal times keep their stream order, and the later
+    /// one of such a pair replaces the earlier without counting as a
+    /// change.
     pub fn compute(probes: &[ProbeRecord]) -> StabilityResult {
-        // Previous site and change count per (vp, target, family).
-        #[derive(Default, Clone)]
-        struct State {
-            prev: Option<netsim::anycast::SiteId>,
-            prev_time: u32,
-            changes: u64,
-            initialized: bool,
+        /// `(letter, address generation, family)` series a VP can be in.
+        const SERIES: usize = 13 * 2 * 2;
+        let series_of = |p: &ProbeRecord| {
+            (p.target.letter.index() * 2 + p.target.b_phase as usize) * 2 + p.family.index()
+        };
+        let key_of = |p: &ProbeRecord| p.vp.0 as usize * SERIES + series_of(p);
+        let vps = probes
+            .iter()
+            .map(|p| p.vp.0 as usize + 1)
+            .max()
+            .unwrap_or(0);
+
+        // Bucket the answered probes' `(time, site)` by key: count, turn
+        // the counts into each key's first slot, then fill in stream
+        // order. The stream is nearly in time order within a key already
+        // (rounds run in order; a re-measured window is appended late),
+        // so sorting each short run is cheap where sorting the whole
+        // stream by a four-field key was the figure's whole cost.
+        let mut next = vec![0usize; vps * SERIES + 1];
+        let mut labels = [None; SERIES];
+        for p in probes.iter().filter(|p| p.site.is_some()) {
+            next[key_of(p) + 1] += 1;
+            labels[series_of(p)] = Some((p.target, p.family));
         }
-        let mut per_key: HashMap<(VpId, Target, Family), State> = HashMap::new();
-        // Defensive ordering.
-        let mut ordered: Vec<&ProbeRecord> = probes.iter().collect();
-        ordered.sort_by_key(|p| (p.vp, p.target, p.family, p.time));
-        for p in ordered {
+        for k in 1..next.len() {
+            next[k] += next[k - 1];
+        }
+        let mut runs = vec![(0u32, SiteId(0)); next[vps * SERIES]];
+        for p in probes {
             let Some(site) = p.site else { continue };
-            let st = per_key.entry((p.vp, p.target, p.family)).or_default();
-            if st.initialized && st.prev_time < p.time && st.prev != Some(site) {
-                st.changes += 1;
+            let slot = &mut next[key_of(p)];
+            runs[*slot] = (p.time, site);
+            *slot += 1;
+        }
+
+        // `next[k]` is now the end of key `k`'s run, the start of `k + 1`'s.
+        let mut changes_per_vp: Vec<HashMap<VpId, u64>> = vec![HashMap::new(); SERIES];
+        let mut start = 0;
+        for (key, &end) in next[..vps * SERIES].iter().enumerate() {
+            let run = &mut runs[std::mem::replace(&mut start, end)..end];
+            if run.is_empty() {
+                continue;
             }
-            st.prev = Some(site);
-            st.prev_time = p.time;
-            st.initialized = true;
+            run.sort_by_key(|&(time, _)| time);
+            let changes = run
+                .windows(2)
+                .filter(|w| w[0].0 < w[1].0 && w[0].1 != w[1].1)
+                .count();
+            changes_per_vp[key % SERIES].insert(VpId((key / SERIES) as u32), changes as u64);
         }
-        // Group by (target, family).
-        let mut grouped: HashMap<(Target, Family), HashMap<VpId, u64>> = HashMap::new();
-        for ((vp, target, family), st) in per_key {
-            grouped
-                .entry((target, family))
-                .or_default()
-                .insert(vp, st.changes);
-        }
-        let mut series: Vec<StabilitySeries> = grouped
-            .into_iter()
-            .map(|((target, family), changes_per_vp)| {
-                let samples: Vec<u64> = changes_per_vp.values().copied().collect();
-                StabilitySeries {
+
+        let mut series: Vec<StabilitySeries> = (labels.into_iter().zip(changes_per_vp))
+            .filter_map(|(label, changes_per_vp)| {
+                let (target, family) = label?;
+                Some(StabilitySeries {
                     target,
                     family,
-                    ecdf: Ecdf::from_samples(samples),
+                    ecdf: Ecdf::from_samples(changes_per_vp.values().copied().collect()),
                     changes_per_vp,
-                }
+                })
             })
             .collect();
         series.sort_by_key(|s| (s.target, s.family));
@@ -141,11 +164,115 @@ mod tests {
                 b_phase: BRootPhase::Old,
             },
             family,
-            site: site.map(netsim::anycast::SiteId),
+            site: site.map(SiteId),
             rtt_ms: Some(10.0),
             second_to_last_hop: None,
             identity: None,
         }
+    }
+
+    /// `compute` as it was: a stable sort of the whole stream by
+    /// `(vp, target, family, time)`, then one walk with a hash map of
+    /// per-key state.
+    fn compute_reference(probes: &[ProbeRecord]) -> StabilityResult {
+        #[derive(Default, Clone)]
+        struct State {
+            prev: Option<SiteId>,
+            prev_time: u32,
+            changes: u64,
+            initialized: bool,
+        }
+        let mut per_key: HashMap<(VpId, Target, Family), State> = HashMap::new();
+        let mut ordered: Vec<&ProbeRecord> = probes.iter().collect();
+        ordered.sort_by_key(|p| (p.vp, p.target, p.family, p.time));
+        for p in ordered {
+            let Some(site) = p.site else { continue };
+            let st = per_key.entry((p.vp, p.target, p.family)).or_default();
+            if st.initialized && st.prev_time < p.time && st.prev != Some(site) {
+                st.changes += 1;
+            }
+            st.prev = Some(site);
+            st.prev_time = p.time;
+            st.initialized = true;
+        }
+        let mut grouped: HashMap<(Target, Family), HashMap<VpId, u64>> = HashMap::new();
+        for ((vp, target, family), st) in per_key {
+            grouped
+                .entry((target, family))
+                .or_default()
+                .insert(vp, st.changes);
+        }
+        let mut series: Vec<StabilitySeries> = grouped
+            .into_iter()
+            .map(|((target, family), changes_per_vp)| {
+                let samples: Vec<u64> = changes_per_vp.values().copied().collect();
+                StabilitySeries {
+                    target,
+                    family,
+                    ecdf: Ecdf::from_samples(samples),
+                    changes_per_vp,
+                }
+            })
+            .collect();
+        series.sort_by_key(|s| (s.target, s.family));
+        StabilityResult { series }
+    }
+
+    #[test]
+    fn bucketed_runs_match_the_whole_stream_sort() {
+        use netsim::SimRng;
+        let mut rng = SimRng::new(0x57AB);
+        let targets = Target::all();
+        // Rounds in order, VP by VP: flappy sites, timeouts, and now and
+        // then a second answer at the same time from another site.
+        let mut stream = Vec::new();
+        let round = |time: u32, stream: &mut Vec<ProbeRecord>, rng: &mut SimRng| {
+            for vp in [0, 1, 2, 5, 9] {
+                for target in &targets[..6] {
+                    for family in Family::BOTH {
+                        if family == Family::V6 && vp == 2 {
+                            continue;
+                        }
+                        let site = (!rng.chance(0.1)).then(|| rng.next_range(3) as u32);
+                        let mut p = probe(vp, time, site, target.letter, family);
+                        p.target = *target;
+                        stream.push(p);
+                        if rng.chance(0.05) {
+                            p.site = Some(SiteId(rng.next_range(3) as u32));
+                            stream.push(p);
+                        }
+                    }
+                }
+            }
+        };
+        for time in (1_000..40_000).step_by(1_800) {
+            round(time, &mut stream, &mut rng);
+        }
+        // A window inside the span measured afterwards, at rounds of its
+        // own, appended as `Pipeline::run` appends the stale-site windows.
+        for time in (10_100..13_000).step_by(900) {
+            round(time, &mut stream, &mut rng);
+        }
+        // One key nothing ever answered: it must not become a series row.
+        stream.push(probe(11, 5_000, None, RootLetter::M, Family::V6));
+
+        let result = StabilityResult::compute(&stream);
+        assert_eq!(result, compute_reference(&stream));
+        assert_eq!(result.series.len(), 12);
+        assert!(result.series.iter().any(|s| s.max_changes() > 5));
+        assert!(result
+            .series
+            .iter()
+            .all(|s| !s.changes_per_vp.contains_key(&VpId(11))));
+
+        for _ in 0..3 {
+            rng.shuffle(&mut stream);
+            assert_eq!(
+                StabilityResult::compute(&stream),
+                compute_reference(&stream)
+            );
+        }
+        assert_eq!(StabilityResult::compute(&[]), compute_reference(&[]));
     }
 
     #[test]

@@ -16,8 +16,12 @@ pub struct TrafficSeries<K: Ord + Clone> {
 }
 
 impl<K: Ord + Clone> TrafficSeries<K> {
-    /// Build by classifying each flow into a key.
-    pub fn build<F>(flows: &[FlowObservation], mut classify: F) -> TrafficSeries<K>
+    /// Build by classifying each flow into a key. `flows` is a slice, or
+    /// several chained: a bucket's volumes are summed in iteration order.
+    pub fn build<'a, F>(
+        flows: impl IntoIterator<Item = &'a FlowObservation>,
+        mut classify: F,
+    ) -> TrafficSeries<K>
     where
         F: FnMut(&FlowObservation) -> Option<K>,
     {
@@ -155,7 +159,9 @@ impl BRootShift {
 }
 
 /// All-roots traffic shares (Figures 12/13).
-pub fn all_roots_series(flows: &[FlowObservation]) -> TrafficSeries<RootLetter> {
+pub fn all_roots_series<'a>(
+    flows: impl IntoIterator<Item = &'a FlowObservation>,
+) -> TrafficSeries<RootLetter> {
     TrafficSeries::build(flows, |f| Some(f.target.letter))
 }
 

@@ -98,45 +98,19 @@ impl Table2 {
 /// `(serial, fault, vp_clock-class)` combination; healthy transfers of the
 /// same day's zone share a single validation.
 pub fn validate_transfers(world: &World, transfers: &[TransferRecord]) -> Table2 {
-    // Group raw observations by what makes them cryptographically distinct.
-    #[derive(PartialEq, Eq, PartialOrd, Ord)]
-    struct ObsKey {
-        serial: u32,
-        fault: Option<TransferFault>,
-        /// Clock bucket: validation outcome only depends on which side of
-        /// the validity window the clock falls; bucketing to the hour keeps
-        /// dedup effective while never mixing outcomes in practice.
-        clock_hour: u32,
-    }
-    // Make TransferFault orderable for the key.
-    impl ObsKey {
-        fn of(t: &TransferRecord) -> Option<ObsKey> {
-            Some(ObsKey {
-                serial: t.serial?,
-                fault: t.fault,
-                clock_hour: t.vp_clock / 3600,
-            })
-        }
-    }
-    let mut groups: BTreeMap<Vec<u8>, Vec<&TransferRecord>> = BTreeMap::new();
+    // Group raw observations by what makes them cryptographically
+    // distinct: `(serial, fault, clock hour)`. Validation outcome only
+    // depends on which side of the validity window the clock falls;
+    // bucketing to the hour keeps dedup effective while never mixing
+    // outcomes in practice. The tuple's order (healthy copies, then
+    // bitflips by seed, then stale copies by serial, within a serial) is
+    // the order distinct copies are validated and counted in.
+    type ObsKey = (u32, Option<TransferFault>, u32);
+    let mut groups: BTreeMap<ObsKey, Vec<&TransferRecord>> = BTreeMap::new();
     for t in transfers {
-        let Some(key) = ObsKey::of(t) else { continue };
-        // Serialize key to bytes for ordering (fault has no Ord).
-        let mut kb = Vec::with_capacity(17);
-        kb.extend_from_slice(&key.serial.to_be_bytes());
-        match key.fault {
-            None => kb.push(0),
-            Some(TransferFault::Bitflip { seed }) => {
-                kb.push(1);
-                kb.extend_from_slice(&seed.to_be_bytes());
-            }
-            Some(TransferFault::Stale { serial }) => {
-                kb.push(2);
-                kb.extend_from_slice(&serial.to_be_bytes());
-            }
-        }
-        kb.extend_from_slice(&key.clock_hour.to_be_bytes());
-        groups.entry(kb).or_default().push(t);
+        let Some(serial) = t.serial else { continue };
+        let key = (serial, t.fault, t.vp_clock / 3600);
+        groups.entry(key).or_default().push(t);
     }
 
     let mut failures: BTreeMap<FailureReason, Table2Row> = BTreeMap::new();

@@ -66,6 +66,12 @@ const PREFIXES: &[&str] = &["rootd/serve_", "codec/", "simclock/"];
 /// 504 / 1551 ms against 42 / 22 / 81 / 142 now); the ceilings sit 3–4×
 /// above today's figures, so a slow host passes and a scan coming back
 /// does not.
+/// The two `pipeline/small` keys are milliseconds too, the fastest of
+/// three: `Pipeline::run(Small)` and `run_all` over it. They were ≈3 000
+/// and ≈2 600 while every probe scanned the catalog, cloned its identity
+/// string and rebuilt its near-equal set, and four experiments each
+/// recomputed coverage (≈800 / ≈950 now, DESIGN §7 "Pipeline budget");
+/// the ceilings sit 2.5–3× above today's figures and below those.
 const ABS_CEILING: &[(&str, f64)] = &[
     ("rootd/faultfree_wrapper_overhead_pct", 10.0),
     ("rootd/rrl_disabled_overhead_pct", 5.0),
@@ -74,6 +80,8 @@ const ABS_CEILING: &[(&str, f64)] = &[
     ("dns_zone/validate_1500", 90.0),
     ("rootd/cache/build_1500", 250.0),
     ("rootd/reload_1500", 500.0),
+    ("pipeline/small/run_ms", 2_300.0),
+    ("pipeline/small/run_all_ms", 2_400.0),
 ];
 
 /// Keys gated by an *absolute* floor — documented lower bounds the fresh
@@ -452,6 +460,10 @@ mod tests {
             ("dns_zone/validate_1500", 22.0, 934.0),
             ("rootd/cache/build_1500", 81.0, 504.0),
             ("rootd/reload_1500", 142.0, 1551.0),
+            // The paper run: per-probe catalog scans and string clones,
+            // per-experiment recomputation.
+            ("pipeline/small/run_ms", 800.0, 3000.0),
+            ("pipeline/small/run_all_ms", 950.0, 2600.0),
         ];
         for (key, linear_ms, scanning_ms) in keys {
             // Twice today's figure (a slow host) passes; the figure the

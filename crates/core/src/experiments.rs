@@ -6,10 +6,7 @@
 
 use crate::pipeline::Pipeline;
 use analysis::clients::ClientAnalysis;
-use analysis::colocation::ColocationResult;
-use analysis::coverage::CoverageReport;
 use analysis::distance::DistanceResult;
-use analysis::rtt::RttByRegion;
 use analysis::stability::StabilityResult;
 use analysis::traffic::{all_roots_series, render_all_roots, BRootShift};
 use analysis::zonemd_pipeline::{bitflip_report, validate_transfers};
@@ -36,7 +33,7 @@ pub fn registry() -> Vec<Experiment> {
         Experiment {
             id: "table1",
             paper_ref: "Table 1: coverage of root sites (worldwide)",
-            run: |p| coverage(p).render_table1(),
+            run: |p| p.coverage().render_table1(),
         },
         Experiment {
             id: "table2",
@@ -51,7 +48,7 @@ pub fn registry() -> Vec<Experiment> {
         Experiment {
             id: "table4",
             paper_ref: "Table 4: coverage of root sites per region",
-            run: |p| coverage(p).render_table4(),
+            run: |p| p.coverage().render_table4(),
         },
         Experiment {
             id: "fig1",
@@ -71,7 +68,7 @@ pub fn registry() -> Vec<Experiment> {
         Experiment {
             id: "fig4",
             paper_ref: "Figure 4: reduced redundancy due to shared last hop",
-            run: |p| ColocationResult::compute(&p.probes).render_fig4(&p.world.population),
+            run: |p| p.colocation().render_fig4(&p.world.population),
         },
         Experiment {
             id: "fig5",
@@ -82,7 +79,7 @@ pub fn registry() -> Vec<Experiment> {
             id: "fig6",
             paper_ref: "Figure 6: RTTs of requests by continent",
             run: |p| {
-                RttByRegion::compute(&p.world.population, &p.probes).render_fig6(&[
+                p.rtt_by_region().render_fig6(&[
                     Region::Africa,
                     Region::SouthAmerica,
                     Region::NorthAmerica,
@@ -131,10 +128,8 @@ pub fn registry() -> Vec<Experiment> {
             id: "fig13",
             paper_ref: "Figure 13: IXP traffic to all roots",
             run: |p| {
-                let mut eu = p.ixp_flows_eu.clone();
-                eu.extend(p.ixp_flows_na.iter().cloned());
                 render_all_roots(
-                    &all_roots_series(&eu),
+                    &all_roots_series(p.ixp_flows_eu.iter().chain(&p.ixp_flows_na)),
                     "Figure 13: IXP traffic shares (2023-11-01..2023-12-22)",
                     DayBucket::of(ts("20231101000000").unwrap()),
                     DayBucket::of(ts("20231222000000").unwrap()),
@@ -149,7 +144,7 @@ pub fn registry() -> Vec<Experiment> {
         Experiment {
             id: "fig14",
             paper_ref: "Figure 14/15: RTTs by continent (all six regions)",
-            run: |p| RttByRegion::compute(&p.world.population, &p.probes).render_fig6(&Region::ALL),
+            run: |p| p.rtt_by_region().render_fig6(&Region::ALL),
         },
         Experiment {
             id: "sec6_paths",
@@ -279,10 +274,6 @@ pub fn run_all(pipeline: &Pipeline) -> String {
         .collect()
 }
 
-fn coverage(p: &Pipeline) -> CoverageReport {
-    CoverageReport::compute(&p.world.catalog, &p.probes)
-}
-
 fn table3(p: &Pipeline) -> String {
     let mut out = String::from("Table 3: distribution of vantage points per region\n");
     for region in Region::ALL {
@@ -304,8 +295,7 @@ fn table3(p: &Pipeline) -> String {
 }
 
 fn fig1(p: &Pipeline) -> String {
-    let report = coverage(p);
-    let map = report.site_map(&p.world.catalog, RootLetter::F);
+    let map = p.coverage().site_map(&p.world.catalog, RootLetter::F);
     let observed = map.iter().filter(|e| e.observed).count();
     let mut out = format!(
         "Figure 1: {} VPs; f.root sites observed {}/{}\n",
@@ -380,27 +370,22 @@ fn fig3(p: &Pipeline) -> String {
 }
 
 fn fig5(p: &Pipeline) -> String {
-    let mut out = String::new();
-    for letter in [RootLetter::B, RootLetter::M] {
-        for family in Family::BOTH {
-            let r = DistanceResult::compute(
-                &p.world.catalog,
-                &p.world.population,
-                &p.probes,
-                Target {
-                    letter,
-                    b_phase: if letter == RootLetter::B {
-                        BRootPhase::New
-                    } else {
-                        BRootPhase::Old
-                    },
-                },
-                family,
-            );
-            out.push_str(&r.render());
-        }
-    }
-    out
+    let new_b = Target {
+        letter: RootLetter::B,
+        b_phase: BRootPhase::New,
+    };
+    let m = Target {
+        letter: RootLetter::M,
+        b_phase: BRootPhase::Old,
+    };
+    let panels = [new_b, m].map(|t| Family::BOTH.map(|family| (t, family)));
+    let results = DistanceResult::compute_panels(
+        &p.world.catalog,
+        &p.world.population,
+        &p.probes,
+        panels.as_flattened(),
+    );
+    results.iter().map(DistanceResult::render).collect()
 }
 
 fn fig7(p: &Pipeline) -> String {
@@ -474,10 +459,9 @@ fn fig10(p: &Pipeline) -> String {
 }
 
 fn fig11(p: &Pipeline) -> String {
-    let report = coverage(p);
     let mut out = String::from("Figure 11: per-letter site coverage\n");
     for letter in RootLetter::ALL {
-        let map = report.site_map(&p.world.catalog, letter);
+        let map = p.coverage().site_map(&p.world.catalog, letter);
         let observed = map.iter().filter(|e| e.observed).count();
         out.push_str(&format!(
             "  {}: {}/{} sites observed\n",
@@ -490,7 +474,7 @@ fn fig11(p: &Pipeline) -> String {
 }
 
 fn sec5(p: &Pipeline) -> String {
-    let result = ColocationResult::compute(&p.probes);
+    let result = p.colocation();
     format!(
         "§5 takeaway: {:.1}% of VPs observe co-location of >=2 root letters; \
          maximum co-located letters observed: {}\n",

@@ -3,6 +3,9 @@
 //! experiments.
 
 use crate::scale::Scale;
+use analysis::colocation::ColocationResult;
+use analysis::coverage::CoverageReport;
+use analysis::rtt::RttByRegion;
 use netgeo::Region;
 use std::collections::HashSet;
 use std::sync::OnceLock;
@@ -12,6 +15,11 @@ use vantage::records::{ProbeRecord, TransferRecord};
 use vantage::{MeasurementConfig, MeasurementEngine, Round, Schedule, World};
 
 /// All data an experiment might need.
+///
+/// Nothing writes to the world or the streams once [`Pipeline::run`] has
+/// returned (experiments take `&Pipeline`), which is what lets the analysis
+/// products several experiments share be computed on first use and kept:
+/// each is a pure function of fields that no longer change.
 pub struct Pipeline {
     pub scale: Scale,
     pub world: World,
@@ -22,80 +30,46 @@ pub struct Pipeline {
     /// IXP-DNS-1 stand-in flows, per covered region.
     pub ixp_flows_eu: Vec<FlowObservation>,
     pub ixp_flows_na: Vec<FlowObservation>,
+    coverage: OnceLock<CoverageReport>,
+    rtt_by_region: OnceLock<RttByRegion>,
+    colocation: OnceLock<ColocationResult>,
 }
 
 impl Pipeline {
     /// Run everything at `scale`. Deterministic for a given scale: the
-    /// active measurement and the three passive trace syntheses run
-    /// concurrently (they share nothing but the seed), and within the
-    /// measurement each worker owns a disjoint VP range, so concurrency
-    /// only changes wall-clock time, never the records.
+    /// passive traces are synthesized on one thread of their own while
+    /// this one builds the world and runs the active measurement (they
+    /// share nothing but the seed), and within the measurement each
+    /// worker owns a disjoint VP range, so concurrency only changes
+    /// wall-clock time, never the records.
     pub fn run(scale: Scale) -> Pipeline {
-        let world = World::build(&scale.world());
+        let world_cfg = scale.world();
         let config = MeasurementConfig {
             schedule: scale.schedule(),
             ..Default::default()
         };
-        let engine = MeasurementEngine::new(&world, config.clone());
-
-        let seed = world.seed();
-        let clients = scale.trace_clients();
-        let trace = |cfg: &mut TraceConfig, windows: &[ObservationWindow]| {
-            cfg.population.clients_per_family = clients;
-            generate_flows(cfg, windows)
+        let seed = world_cfg.seed;
+        let trace = move |mut cfg: TraceConfig, windows: &[ObservationWindow]| {
+            cfg.population.clients_per_family = scale.trace_clients();
+            generate_flows(&cfg, windows)
         };
-        let (mut sink, isp_flows, ixp_flows_eu, ixp_flows_na) = crossbeam::scope(|s| {
-            let isp = s.spawn(move |_| {
-                trace(
-                    &mut TraceConfig::isp(seed),
-                    &ObservationWindow::isp_windows(),
-                )
+        let (world, sink, [isp_flows, ixp_flows_eu, ixp_flows_na]) = std::thread::scope(|s| {
+            // One generator after the other: the measurement's workers
+            // already fill the cores, and three more threads beside them
+            // cost more in contention than the overlap hid.
+            let traces = s.spawn(move || {
+                let ixp = ObservationWindow::ixp_windows();
+                [
+                    trace(TraceConfig::isp(seed), &ObservationWindow::isp_windows()),
+                    trace(TraceConfig::ixp(Region::Europe, seed ^ 1), &ixp),
+                    trace(TraceConfig::ixp(Region::NorthAmerica, seed ^ 2), &ixp),
+                ]
             });
-            let eu = s.spawn(move |_| {
-                trace(
-                    &mut TraceConfig::ixp(Region::Europe, seed ^ 1),
-                    &ObservationWindow::ixp_windows(),
-                )
-            });
-            let na = s.spawn(move |_| {
-                trace(
-                    &mut TraceConfig::ixp(Region::NorthAmerica, seed ^ 2),
-                    &ObservationWindow::ixp_windows(),
-                )
-            });
-            // The measurement keeps the current thread busy while the
-            // three trace generators run on their own threads.
-            let sink = engine.run_parallel(scale.workers());
-            (
-                sink,
-                isp.join().expect("isp trace generation panicked"),
-                eu.join().expect("ixp-eu trace generation panicked"),
-                na.join().expect("ixp-na trace generation panicked"),
-            )
-        })
-        .expect("pipeline scope panicked");
-
-        // Subsampled schedules can skip the short stale-site windows
-        // entirely; cover them at full resolution (like the paper's 15-min
-        // bursts did around the events it targeted), unless the main
-        // schedule already runs unsubsampled. Rounds the main schedule
-        // already executed are skipped: re-measuring them would duplicate
-        // (vp, time, target, family) observations downstream.
-        if config.schedule.subsample > 1 {
-            let mut covered: HashSet<u32> = config.schedule.rounds().map(|r| r.time).collect();
-            for window in &config.stale_windows {
-                let rounds = focused_rounds(&config.schedule, window.from, window.until, &covered);
-                if rounds.is_empty() {
-                    continue;
-                }
-                // Windows could overlap; never re-measure a round twice.
-                covered.extend(rounds.iter().map(|r| r.time));
-                let extra = engine.run_rounds_parallel(&rounds, scale.workers());
-                sink.probes.extend(extra.probes);
-                sink.transfers.extend(extra.transfers);
-            }
-        }
-
+            let world = World::build(&world_cfg);
+            let sink = measure(&world, config, scale.workers());
+            let traces = traces.join().expect("trace generation panicked");
+            (world, sink, traces)
+        });
         Pipeline {
             scale,
             world,
@@ -104,7 +78,26 @@ impl Pipeline {
             isp_flows,
             ixp_flows_eu,
             ixp_flows_na,
+            coverage: OnceLock::new(),
+            rtt_by_region: OnceLock::new(),
+            colocation: OnceLock::new(),
         }
+    }
+
+    /// Site coverage of the probe stream (Tables 1/4, Figures 1/11).
+    pub fn coverage(&self) -> &CoverageReport {
+        (self.coverage).get_or_init(|| CoverageReport::compute(&self.world.catalog, &self.probes))
+    }
+
+    /// RTT summaries by region, target and family (Figures 6/14/15).
+    pub fn rtt_by_region(&self) -> &RttByRegion {
+        (self.rtt_by_region)
+            .get_or_init(|| RttByRegion::compute(&self.world.population, &self.probes))
+    }
+
+    /// Shared-last-hop co-location per VP (Figure 4, §5).
+    pub fn colocation(&self) -> &ColocationResult {
+        (self.colocation).get_or_init(|| ColocationResult::compute(&self.probes))
     }
 
     /// The virtual-time axis this pipeline's records live on: wall-clock
@@ -133,6 +126,35 @@ impl Pipeline {
         };
         cell.get_or_init(|| Pipeline::run(scale))
     }
+}
+
+/// The active measurement: the scheduled rounds, then the stale-site
+/// windows a subsampled schedule skipped.
+fn measure(world: &World, config: MeasurementConfig, workers: usize) -> vantage::VecSink {
+    let engine = MeasurementEngine::new(world, config);
+    let config = &engine.config;
+    let mut sink = engine.run_parallel(workers);
+    // Subsampled schedules can skip the short stale-site windows
+    // entirely; cover them at full resolution (like the paper's 15-min
+    // bursts did around the events it targeted), unless the main
+    // schedule already runs unsubsampled. Rounds the main schedule
+    // already executed are skipped: re-measuring them would duplicate
+    // (vp, time, target, family) observations downstream.
+    if config.schedule.subsample > 1 {
+        let mut covered: HashSet<u32> = config.schedule.rounds().map(|r| r.time).collect();
+        for window in &config.stale_windows {
+            let rounds = focused_rounds(&config.schedule, window.from, window.until, &covered);
+            if rounds.is_empty() {
+                continue;
+            }
+            // Windows could overlap; never re-measure a round twice.
+            covered.extend(rounds.iter().map(|r| r.time));
+            let extra = engine.run_rounds_parallel(&rounds, workers);
+            sink.probes.extend(extra.probes);
+            sink.transfers.extend(extra.transfers);
+        }
+    }
+    sink
 }
 
 /// The full-resolution rounds inside `[from, until)` that the (subsampled)

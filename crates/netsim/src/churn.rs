@@ -17,7 +17,7 @@
 use crate::anycast::SiteId;
 use crate::fingerprint::Fingerprint;
 use crate::rng::SimRng;
-use crate::routing::RouteTable;
+use crate::routing::{CandidateRoute, RouteTable};
 use crate::types::AsId;
 
 /// Which stochastic process drives flips.
@@ -223,13 +223,30 @@ impl ChurnModel {
         upstream_pool: &[SiteId],
     ) -> (Option<SiteId>, Option<ChurnEventKind>) {
         let near = self.near_equal(table, asn);
+        let cands = table.candidates(asn);
+        self.step_near(cands, &near, state, rng, multiplier, upstream_pool)
+    }
+
+    /// [`ChurnModel::step_observed`] over a near-equal set the caller
+    /// holds: `near` must be [`near_equal`](Self::near_equal) of the AS
+    /// whose candidate list is `cands`. The set only changes when routing
+    /// does, so a caller stepping the same AS every round computes it once.
+    pub fn step_near(
+        &self,
+        cands: &[CandidateRoute],
+        near: &[usize],
+        state: &mut SelectionState,
+        rng: &mut SimRng,
+        multiplier: f64,
+        upstream_pool: &[SiteId],
+    ) -> (Option<SiteId>, Option<ChurnEventKind>) {
         if near.is_empty() {
             return (None, None);
         }
         if state.current >= near.len() {
             state.current = 0;
         }
-        let site_of = |idx: usize| table.candidates(asn)[near[idx]].site;
+        let site_of = |idx: usize| cands[near[idx]].site;
         let mut event = None;
         match self.model {
             FlipModel::Markov => {
@@ -472,6 +489,112 @@ mod tests {
                     model.step_observed(&table, asn, &mut st_b, &mut rng_b, 1.0, &pool);
                 assert_eq!(plain, observed);
             }
+        }
+    }
+
+    /// `step_observed` as it was before the near-equal set became the
+    /// caller's: the set is rebuilt from the route table on every step.
+    fn step_observed_reference(
+        model: &ChurnModel,
+        table: &RouteTable,
+        asn: AsId,
+        state: &mut SelectionState,
+        rng: &mut SimRng,
+        multiplier: f64,
+        upstream_pool: &[SiteId],
+    ) -> (Option<SiteId>, Option<ChurnEventKind>) {
+        let near = model.near_equal(table, asn);
+        if near.is_empty() {
+            return (None, None);
+        }
+        if state.current >= near.len() {
+            state.current = 0;
+        }
+        let site_of = |idx: usize| table.candidates(asn)[near[idx]].site;
+        let mut event = None;
+        match model.model {
+            FlipModel::Markov => {
+                if !upstream_pool.is_empty()
+                    && rng.chance((model.upstream_flip_prob * multiplier).min(1.0))
+                {
+                    state.upstream_override =
+                        if state.upstream_override.is_some() && rng.chance(0.5) {
+                            event = Some(ChurnEventKind::UpstreamRestore);
+                            None
+                        } else {
+                            let to = *rng.pick(upstream_pool);
+                            event = Some(ChurnEventKind::UpstreamRedirect { to });
+                            Some(to)
+                        };
+                }
+                if near.len() > 1 {
+                    let p = (model.base_flip_prob
+                        + model.per_candidate_prob * (near.len() - 1) as f64)
+                        * multiplier;
+                    if rng.chance(p.min(1.0)) {
+                        let from = state
+                            .upstream_override
+                            .unwrap_or_else(|| site_of(state.current));
+                        let mut next = rng.next_range(near.len() - 1);
+                        if next >= state.current {
+                            next += 1;
+                        }
+                        state.current = next;
+                        state.upstream_override = None;
+                        event = Some(ChurnEventKind::LocalFlip {
+                            from,
+                            to: site_of(next),
+                        });
+                    }
+                }
+            }
+            FlipModel::Iid => {
+                state.current = rng.next_range(near.len());
+            }
+        }
+        if let Some(site) = state.upstream_override {
+            return (Some(site), event);
+        }
+        (Some(site_of(state.current)), event)
+    }
+
+    #[test]
+    fn step_near_matches_the_per_step_rebuild() {
+        // `round_log_golden`'s inputs, both flip models: a near-equal set
+        // held across all 200 rounds selects the same site, reports the
+        // same event and leaves the rng where the rebuilt set does.
+        let (t, d) = world(6);
+        let table = propagate(&t, &d, Family::V4);
+        let pool = [SiteId(0), SiteId(3)];
+        let root = SimRng::new(0xC0FFEE).derive("churn-log");
+        for flip in [FlipModel::Markov, FlipModel::Iid] {
+            let model = ChurnModel {
+                base_flip_prob: 0.05,
+                per_candidate_prob: 0.02,
+                upstream_flip_prob: 0.05,
+                near_equal_slack: 3,
+                model: flip,
+            };
+            let mut events = 0;
+            for &asn in &t.stubs_in(Region::Europe)[..8] {
+                let near = model.near_equal(&table, asn);
+                let cands = table.candidates(asn);
+                let (mut rng_a, mut rng_b) = (
+                    root.derive_ids(&[asn.0 as u64]),
+                    root.derive_ids(&[asn.0 as u64]),
+                );
+                let (mut st_a, mut st_b) = (model.initial(), model.initial());
+                for round in 0..200 {
+                    let held = model.step_near(cands, &near, &mut st_a, &mut rng_a, 1.0, &pool);
+                    let rebuilt = step_observed_reference(
+                        &model, &table, asn, &mut st_b, &mut rng_b, 1.0, &pool,
+                    );
+                    assert_eq!(held, rebuilt, "AS{} round {round}", asn.0);
+                    assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "rng position");
+                    events += usize::from(held.1.is_some());
+                }
+            }
+            assert_eq!(events > 0, flip == FlipModel::Markov);
         }
     }
 

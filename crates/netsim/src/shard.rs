@@ -24,11 +24,17 @@ pub fn ranges(n: usize, k: usize) -> Vec<Range<usize>> {
 
 /// Cut `slice` along [`ranges`]`(slice.len(), k)`: per-shard output a
 /// worker writes in place instead of returning it for concatenation.
-pub fn split_mut<T>(mut slice: &mut [T], k: usize) -> Vec<&mut [T]> {
-    ranges(slice.len(), k)
-        .into_iter()
-        .map(|r| {
-            let (head, tail) = std::mem::take(&mut slice).split_at_mut(r.len());
+pub fn split_mut<T>(slice: &mut [T], k: usize) -> Vec<&mut [T]> {
+    let lens = ranges(slice.len(), k).into_iter().map(|r| r.len());
+    split_lens(slice, lens)
+}
+
+/// [`split_mut`] for shards whose units produce unequal amounts of
+/// output: consecutive parts of the given lengths, which must fit.
+pub fn split_lens<T>(mut slice: &mut [T], lens: impl IntoIterator<Item = usize>) -> Vec<&mut [T]> {
+    lens.into_iter()
+        .map(|len| {
+            let (head, tail) = std::mem::take(&mut slice).split_at_mut(len);
             slice = tail;
             head
         })

@@ -12,6 +12,7 @@ use netgeo::{City, CityDb, Region};
 use netsim::anycast::{Deployment, FacilityId, FacilityTable, Site, SiteId, SiteScope};
 use netsim::{AsId, Relation, SimRng, Tier, Topology};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Global/local site counts for one letter in one region.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -139,6 +140,12 @@ pub fn worldwide(letter: RootLetter) -> SiteCounts {
     total
 }
 
+/// Handle to one distinct `hostname.bind` answer of a catalog
+/// ([`RootCatalog::identity`]). What an instance reports is a constant of
+/// the instance, so observations carry this handle instead of the text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+pub struct IdentityId(pub u32);
+
 /// One concrete root site in the built world.
 #[derive(Debug, Clone)]
 pub struct RootSite {
@@ -156,6 +163,8 @@ pub struct RootSite {
     /// The IATA code embedded in the node hostname — the paper's fallback
     /// for `{a,c,j,e}`.root (makes same-metro instances indistinguishable).
     pub iata: &'static str,
+    /// What a probe reads from this instance's `hostname.bind`.
+    pub identity: IdentityId,
 }
 
 /// World-building parameters.
@@ -217,6 +226,11 @@ pub struct RootCatalog {
     pub deployments: Vec<Deployment>,
     /// Shared facility table.
     pub facilities: FacilityTable,
+    /// Index into `sites` of each letter's first row: a letter's rows are
+    /// contiguous and in `SiteId` order.
+    letter_offsets: [usize; 13],
+    /// Distinct observable identities, first-reporting row first.
+    identities: Vec<(RootLetter, String)>,
 }
 
 impl RootCatalog {
@@ -228,6 +242,9 @@ impl RootCatalog {
         let mut facility_host: Vec<AsId> = Vec::new();
         let mut sites: Vec<RootSite> = Vec::new();
         let mut deployments: Vec<Deployment> = Vec::new();
+        let mut letter_offsets = [0; 13];
+        let mut identities: Vec<(RootLetter, String)> = Vec::new();
+        let mut identity_ids: HashMap<(RootLetter, String), IdentityId> = HashMap::new();
 
         // Pre-create facility host ASes lazily, keyed by (city, index).
         let get_facility = |topology: &mut Topology,
@@ -284,6 +301,7 @@ impl RootCatalog {
         };
 
         for letter in RootLetter::ALL {
+            letter_offsets[letter.index()] = sites.len();
             let mut letter_sites: Vec<Site> = Vec::new();
             for region in Region::ALL {
                 let counts = ground_truth(letter, region);
@@ -382,7 +400,11 @@ impl RootCatalog {
                         } else {
                             None
                         };
-                        sites.push(RootSite {
+                        // A first-seen answer takes the next handle;
+                        // a repeat (same-metro `{a,c,j,e}` nodes) shares
+                        // the earlier row's.
+                        let fresh = IdentityId(identities.len() as u32);
+                        let mut row = RootSite {
                             letter,
                             site_id,
                             facility: fac,
@@ -391,7 +413,14 @@ impl RootCatalog {
                             city,
                             instance_id,
                             iata: city.iata,
+                            identity: fresh,
+                        };
+                        let key = (letter, observed_identity(&row));
+                        row.identity = *identity_ids.entry(key).or_insert_with_key(|key| {
+                            identities.push(key.clone());
+                            fresh
                         });
+                        sites.push(row);
                     }
                 }
             }
@@ -405,6 +434,8 @@ impl RootCatalog {
             sites,
             deployments,
             facilities,
+            letter_offsets,
+            identities,
         }
     }
 
@@ -418,12 +449,26 @@ impl RootCatalog {
         self.sites.iter().filter(move |s| s.letter == letter)
     }
 
-    /// Look up the catalog row for a (letter, site) pair.
+    /// Look up the catalog row for a (letter, site) pair: positional
+    /// through the letter's row offset, falling back to a scan should
+    /// `sites` have been edited since [`RootCatalog::build`].
     pub fn site(&self, letter: RootLetter, site: SiteId) -> &RootSite {
-        self.sites
-            .iter()
-            .find(|s| s.letter == letter && s.site_id == site)
+        let is_row = |s: &&RootSite| s.letter == letter && s.site_id == site;
+        let at = self.letter_offsets[letter.index()] + site.0 as usize;
+        (self.sites.get(at).filter(is_row))
+            .or_else(|| self.sites.iter().find(is_row))
             .expect("site exists in catalog")
+    }
+
+    /// The letter an identity belongs to and its `hostname.bind` text.
+    pub fn identity(&self, id: IdentityId) -> (RootLetter, &str) {
+        let (letter, text) = &self.identities[id.0 as usize];
+        (*letter, text)
+    }
+
+    /// Number of distinct identities ([`IdentityId`]s are `0..count`).
+    pub fn identity_count(&self) -> usize {
+        self.identities.len()
     }
 
     /// Try to map an observed identifier (a `hostname.bind` answer) back to
@@ -453,6 +498,29 @@ impl RootCatalog {
     pub fn b_root_phase_at(&self, now: u32) -> BRootPhase {
         crate::letters::Renumbering::B_ROOT.phase_at(now)
     }
+}
+
+/// What `hostname.bind` shows for a site: the mapped identifier when the
+/// operator publishes one; an IATA-bearing hostname for `{a,c,j,e}`; a
+/// stable-but-unmappable blob for the rest (the paper observed 1,604
+/// distinct identifiers, 135 of which did not map — identifiers are
+/// per-instance constants, not per-query noise).
+fn observed_identity(row: &RootSite) -> String {
+    if let Some(id) = &row.instance_id {
+        return id.clone();
+    }
+    if !row.letter.identifiers_mappable() {
+        // j.root contributed 75 of the paper's 135 unmapped identifiers:
+        // roughly a third of its instances report something that maps to
+        // nothing. Site-id keyed, so the set of opaque instances is stable.
+        if row.letter == RootLetter::J && row.site_id.0.is_multiple_of(3) {
+            return format!("opaque-j{:04}", row.site_id.0);
+        }
+        // IATA code embedded in the node hostname, metro-granular.
+        return format!("{}-{}{}", row.letter.ch(), row.iata, row.facility.0 % 4 + 1);
+    }
+    // Mappable operator, unmappable node: stable per site.
+    format!("opaque-{}{:04}", row.letter.ch(), row.site_id.0)
 }
 
 /// Skew facility choice toward index 0 (the bigger colo in town).
@@ -603,6 +671,50 @@ mod tests {
             .map_identifier(RootLetter::A, &observed)
             .expect("IATA fallback");
         assert_eq!(hit.iata, a_site.iata);
+    }
+
+    #[test]
+    fn site_and_identity_lookups_match_the_scan() {
+        // The tiny world's shape (as `vantage::WorldBuildConfig::tiny`)
+        // and the full one every larger scale uses.
+        let tiny = TopologyConfig {
+            tier2_per_region: 5,
+            stubs_per_region: [8, 12, 40, 25, 8, 10],
+            ..Default::default()
+        };
+        for (topology, site_scale) in [(tiny, 0.2), (TopologyConfig::default(), 1.0)] {
+            let mut t = Topology::generate(&topology);
+            let cfg = WorldConfig {
+                site_scale,
+                ..Default::default()
+            };
+            let mut cat = RootCatalog::build(&mut t, &cfg);
+            let scan = |cat: &RootCatalog, letter, id| -> *const RootSite {
+                let mut rows = cat.sites.iter();
+                rows.find(|s| s.letter == letter && s.site_id == id)
+                    .unwrap()
+            };
+            let mut texts = std::collections::HashSet::new();
+            for row in &cat.sites {
+                let found = cat.site(row.letter, row.site_id);
+                assert!(std::ptr::eq(found, scan(&cat, row.letter, row.site_id)));
+                assert!(std::ptr::eq(found, row));
+                let (letter, text) = cat.identity(row.identity);
+                assert_eq!((letter, text), (row.letter, &*observed_identity(row)));
+                texts.insert((letter, text));
+            }
+            // One handle per distinct answer, none unused.
+            assert_eq!(texts.len(), cat.identity_count());
+            assert!(cat.identity_count() < cat.sites.len(), "no shared answer");
+
+            // Rows moved after the build: the offsets no longer point at
+            // them, the verifying scan still finds each.
+            cat.sites.remove(0);
+            cat.sites.reverse();
+            for row in &cat.sites {
+                assert!(std::ptr::eq(cat.site(row.letter, row.site_id), row));
+            }
+        }
     }
 
     #[test]

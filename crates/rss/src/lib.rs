@@ -19,6 +19,6 @@ pub mod catalog;
 pub mod letters;
 pub mod server;
 
-pub use catalog::{RootCatalog, RootSite, SiteCounts, WorldConfig};
+pub use catalog::{IdentityId, RootCatalog, RootSite, SiteCounts, WorldConfig};
 pub use letters::{BRootPhase, Renumbering, RootLetter, B_ROOT_CHANGE_DATE};
 pub use server::{RootServer, ServerBehavior};

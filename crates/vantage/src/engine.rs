@@ -13,7 +13,7 @@
 //! VP — which is also what makes [`MeasurementEngine::run_parallel`]
 //! trivially correct: workers own disjoint VP ranges.
 
-use crate::population::{Population, PopulationConfig, VantagePoint, VpFault};
+use crate::population::{Population, PopulationConfig, VantagePoint, VpFault, VpId};
 use crate::records::{ProbeRecord, Target, TransferFault, TransferRecord};
 use crate::schedule::{Round, Schedule};
 use dns_crypto::validity::timestamp_to_ymd;
@@ -322,9 +322,9 @@ fn compute_letter_routing(
 /// full-scale runs never hold the record stream in memory.
 pub trait MeasurementSink {
     /// One active probe result.
-    fn probe(&mut self, rec: &ProbeRecord);
+    fn probe(&mut self, rec: ProbeRecord);
     /// One zone-transfer result.
-    fn transfer(&mut self, rec: &TransferRecord);
+    fn transfer(&mut self, rec: TransferRecord);
 }
 
 /// A sink that simply collects records (for tests and small runs).
@@ -335,11 +335,30 @@ pub struct VecSink {
 }
 
 impl MeasurementSink for VecSink {
-    fn probe(&mut self, rec: &ProbeRecord) {
-        self.probes.push(rec.clone());
+    fn probe(&mut self, rec: ProbeRecord) {
+        self.probes.push(rec);
     }
-    fn transfer(&mut self, rec: &TransferRecord) {
-        self.transfers.push(rec.clone());
+    fn transfer(&mut self, rec: TransferRecord) {
+        self.transfers.push(rec);
+    }
+}
+
+/// One shard's share of a parallel run's output buffers, filled in place:
+/// the next free slot of each is the head of its iterator.
+struct SliceSink<'a> {
+    probes: std::slice::IterMut<'a, ProbeRecord>,
+    transfers: std::slice::IterMut<'a, TransferRecord>,
+}
+
+impl MeasurementSink for SliceSink<'_> {
+    fn probe(&mut self, rec: ProbeRecord) {
+        *self.probes.next().expect("a slot per scheduled probe") = rec;
+    }
+    fn transfer(&mut self, rec: TransferRecord) {
+        *self
+            .transfers
+            .next()
+            .expect("a slot per probe with AXFR on") = rec;
     }
 }
 
@@ -482,17 +501,24 @@ impl Default for MeasurementConfig {
     }
 }
 
+/// `(target, family)` slots a VP owns in a session's state table.
+const STATES_PER_VP: usize = Target::COUNT * 2;
+
 /// Per-(vp, target, family) runtime state.
 struct ProbeState {
     selection: SelectionState,
+    /// The near-equal candidate set of the VP's AS towards the target
+    /// (`ChurnModel::near_equal`): a function of the routing ground truth
+    /// alone, so built on the first probe and kept until that changes.
+    near: Option<Vec<usize>>,
     /// Cached base RTT per (candidate index, site) — the site matters
     /// because an upstream redirect can serve a site off the candidate's
-    /// own facility.
-    rtt_cache: HashMap<(usize, u32), f64>,
+    /// own facility. A handful of entries at most: scanned, not hashed.
+    rtt_cache: Vec<((usize, SiteId), f64)>,
 }
 
 /// Cross-call engine state: the per-(vp, target, family) churn selection
-/// and RTT caches that normally live only for one `run` call.
+/// and routing-derived caches that normally live only for one `run` call.
 ///
 /// The scenario engine runs a measurement in epoch slices (one
 /// `run_rounds_session` call per epoch, with world mutations in between)
@@ -501,7 +527,10 @@ struct ProbeState {
 /// continuous pipeline's record stream bit for bit.
 #[derive(Default)]
 pub struct EngineSession {
-    states: HashMap<(u32, usize, usize), ProbeState>,
+    /// Dense `[vp][target][family]` table ([`STATES_PER_VP`] slots a VP),
+    /// sized by the first run: a worker's VP range is one contiguous slice
+    /// of it, whatever the worker count of the call.
+    states: Vec<ProbeState>,
 }
 
 impl EngineSession {
@@ -511,18 +540,62 @@ impl EngineSession {
     }
 
     /// Invalidate state that depends on the routing ground truth: cached
-    /// base RTTs (candidate indices may have shifted) and upstream
-    /// redirects (the redirect target may no longer attract traffic).
-    /// Call after any world mutation that recomputed route tables. The
-    /// Markov position survives — it is re-validated against the new
-    /// near-equal set on the next step.
+    /// near-equal sets and base RTTs (candidate indices may have shifted)
+    /// and upstream redirects (the redirect target may no longer attract
+    /// traffic). Call after any world mutation that recomputed route
+    /// tables. The Markov position survives — it is re-validated against
+    /// the new near-equal set on the next step.
     pub fn invalidate_routing(&mut self, churn: &ChurnModel) {
-        for state in self.states.values_mut() {
+        for state in &mut self.states {
+            state.near = None;
             state.rtt_cache.clear();
             churn.reset_override(&mut state.selection);
         }
     }
+
+    /// Grow the table to `vps` vantage points, new slots at the initial
+    /// selection.
+    fn ensure(&mut self, vps: usize, churn: &ChurnModel) {
+        let len = self.states.len().max(vps * STATES_PER_VP);
+        self.states.resize_with(len, || ProbeState {
+            selection: churn.initial(),
+            near: None,
+            rtt_cache: Vec::new(),
+        });
+    }
 }
+
+/// What every probe of one round shares.
+struct RoundContext {
+    time: u32,
+    /// Serial of the zone published on the round's day.
+    zone_serial: u32,
+}
+
+/// What output slots hold before their shard writes them.
+const UNWRITTEN_TARGET: Target = Target {
+    letter: RootLetter::A,
+    b_phase: rss::BRootPhase::Old,
+};
+const UNWRITTEN_PROBE: ProbeRecord = ProbeRecord {
+    time: 0,
+    vp: VpId(0),
+    target: UNWRITTEN_TARGET,
+    family: Family::V4,
+    site: None,
+    rtt_ms: None,
+    second_to_last_hop: None,
+    identity: None,
+};
+const UNWRITTEN_TRANSFER: TransferRecord = TransferRecord {
+    time: 0,
+    vp_clock: 0,
+    vp: VpId(0),
+    target: UNWRITTEN_TARGET,
+    family: Family::V4,
+    serial: None,
+    fault: None,
+};
 
 /// The engine.
 pub struct MeasurementEngine<'w> {
@@ -538,9 +611,11 @@ impl<'w> MeasurementEngine<'w> {
 
     /// Run the full measurement, streaming into `sink`.
     pub fn run<S: MeasurementSink>(&self, sink: &mut S) {
-        let vp_ids: Vec<u32> = (0..self.world.population.len() as u32).collect();
         let rounds: Vec<Round> = self.config.schedule.rounds().collect();
-        self.run_vps(&vp_ids, &rounds, sink);
+        let vps = 0..self.world.population.len();
+        let mut session = EngineSession::new();
+        session.ensure(vps.end, &self.config.churn);
+        self.run_vps(&mut session.states, vps, &rounds, sink);
     }
 
     /// Run the measurement in parallel over VP ranges; returns the merged
@@ -565,82 +640,111 @@ impl<'w> MeasurementEngine<'w> {
     }
 
     /// [`run_rounds_parallel`](Self::run_rounds_parallel) with explicit
-    /// cross-call state: churn selection and RTT caches are taken from
-    /// `session` and merged back afterwards, so consecutive calls behave
-    /// exactly like one continuous run over the concatenated round list.
+    /// cross-call state: churn selection and routing caches live in
+    /// `session`, so consecutive calls behave exactly like one continuous
+    /// run over the concatenated round list.
+    ///
+    /// Every record is written once, where it stays: a VP probes all 14
+    /// targets (over IPv6 too when it has it) every round, so each
+    /// worker's probe count is known up front and it fills its own slice
+    /// of the one output buffer — worker by worker, round by round, the
+    /// order a concatenation of per-worker streams has. A probe yields at
+    /// most one transfer; workers fill slices sized for that, and the
+    /// slots timeouts left unused are closed up afterwards.
     pub fn run_rounds_session(
         &self,
         session: &mut EngineSession,
         rounds: &[Round],
         workers: usize,
     ) -> VecSink {
-        let n = self.world.population.len();
+        let population = &self.world.population;
+        let n = population.len();
         let workers = workers.clamp(1, n.max(1));
-        // Partition the session state by worker VP range; each worker owns
-        // its slice exclusively (same disjointness argument as the VPs).
+        session.ensure(n, &self.config.churn);
+        let axfr_rounds = (rounds.iter())
+            .filter(|r| self.config.schedule.axfr_active(r.time))
+            .count();
         let ranges = shard::ranges(n, workers);
-        let mut parts_in: Vec<HashMap<(u32, usize, usize), ProbeState>> =
-            (0..workers).map(|_| HashMap::new()).collect();
-        for (key, state) in session.states.drain() {
-            let owner = ranges.partition_point(|r| r.end <= key.0 as usize);
-            parts_in[owner].insert(key, state);
+        let per_round = |vps: &std::ops::Range<usize>| -> usize {
+            let vps = &population.vps()[vps.clone()];
+            vps.iter()
+                .map(|vp| Target::COUNT * (1 + usize::from(vp.has_v6)))
+                .sum()
+        };
+        let probe_lens: Vec<usize> = (ranges.iter())
+            .map(|r| rounds.len() * per_round(r))
+            .collect();
+        let transfer_lens: Vec<usize> = ranges.iter().map(|r| axfr_rounds * per_round(r)).collect();
+        let mut probes = vec![UNWRITTEN_PROBE; probe_lens.iter().sum()];
+        let mut transfers = vec![UNWRITTEN_TRANSFER; transfer_lens.iter().sum()];
+
+        let states = &mut session.states[..n * STATES_PER_VP];
+        let state_lens = ranges.iter().map(|r| r.len() * STATES_PER_VP);
+        let parts = (shard::split_lens(states, state_lens).into_iter())
+            .zip(shard::split_lens(&mut probes, probe_lens))
+            .zip(shard::split_lens(
+                &mut transfers,
+                transfer_lens.iter().copied(),
+            ))
+            .collect();
+        let unused = shard::run_with(n, parts, |vps, ((states, probes), transfers)| {
+            let mut sink = SliceSink {
+                probes: probes.iter_mut(),
+                transfers: transfers.iter_mut(),
+            };
+            self.run_vps(states, vps, rounds, &mut sink);
+            assert_eq!(sink.probes.len(), 0, "a scheduled probe went unrecorded");
+            sink.transfers.len()
+        });
+
+        // Close the gaps between the workers' transfer runs.
+        let (mut start, mut end) = (0, 0);
+        for (len, unused) in transfer_lens.into_iter().zip(unused) {
+            transfers.copy_within(start..start + len - unused, end);
+            start += len;
+            end += len - unused;
         }
-        let mut merged = VecSink::default();
-        for (part, states) in shard::run_with(n, parts_in, |vps, mut states| {
-            let ids: Vec<u32> = (vps.start as u32..vps.end as u32).collect();
-            let mut sink = VecSink::default();
-            self.run_vps_with(&mut states, &ids, rounds, &mut sink);
-            (sink, states)
-        }) {
-            merged.probes.extend(part.probes);
-            merged.transfers.extend(part.transfers);
-            session.states.extend(states);
-        }
-        merged
+        transfers.truncate(end);
+        VecSink { probes, transfers }
     }
 
-    /// Run the measurement for a subset of VPs over the given rounds.
-    fn run_vps<S: MeasurementSink>(&self, vp_ids: &[u32], rounds: &[Round], sink: &mut S) {
-        let mut states: HashMap<(u32, usize, usize), ProbeState> = HashMap::new();
-        self.run_vps_with(&mut states, vp_ids, rounds, sink);
-    }
-
-    /// [`run_vps`](Self::run_vps) over caller-owned per-(vp, target,
-    /// family) states.
-    fn run_vps_with<S: MeasurementSink>(
+    /// Run the measurement for the VPs `vps` over the given rounds;
+    /// `states` is their slice of a session's table.
+    fn run_vps<S: MeasurementSink>(
         &self,
-        states: &mut HashMap<(u32, usize, usize), ProbeState>,
-        vp_ids: &[u32],
+        states: &mut [ProbeState],
+        vps: std::ops::Range<usize>,
         rounds: &[Round],
         sink: &mut S,
     ) {
         let targets = Target::all();
         let root_rng = SimRng::new(self.world.seed()).derive("measurement");
         for round in rounds {
-            for &vp_idx in vp_ids {
-                let vp = self.world.population.get(crate::population::VpId(vp_idx));
+            let round = RoundContext {
+                time: round.time,
+                zone_serial: serial_of_day(round.time - round.time % 86400),
+            };
+            for (vp, states) in (self.world.population.vps()[vps.clone()].iter())
+                .zip(states.chunks_exact_mut(STATES_PER_VP))
+            {
                 for (t_idx, target) in targets.iter().enumerate() {
                     for family in Family::BOTH {
                         if family == Family::V6 && !vp.has_v6 {
                             continue;
                         }
-                        let key = (vp_idx, t_idx, family.index());
-                        let state = states.entry(key).or_insert_with(|| ProbeState {
-                            selection: self.config.churn.initial(),
-                            rtt_cache: HashMap::new(),
-                        });
+                        let state = &mut states[t_idx * 2 + family.index()];
                         // Integer-tuple stream derivation: the string
                         // version of this key (`format!("probe/…")`)
                         // allocated on every probe and dominated the
                         // profile; `t_idx` is stable because
                         // `Target::all()` is a fixed ordered list.
                         let mut rng = root_rng.derive_ids(&[
-                            vp_idx as u64,
+                            vp.id.0 as u64,
                             t_idx as u64,
                             family.index() as u64,
                             round.time as u64,
                         ]);
-                        self.probe_once(vp, *target, family, round.time, state, &mut rng, sink);
+                        self.probe_once(vp, *target, family, &round, state, &mut rng, sink);
                     }
                 }
             }
@@ -654,49 +758,56 @@ impl<'w> MeasurementEngine<'w> {
         vp: &VantagePoint,
         target: Target,
         family: Family,
-        time: u32,
+        round: &RoundContext,
         state: &mut ProbeState,
         rng: &mut SimRng,
         sink: &mut S,
     ) {
+        let time = round.time;
         let world = self.world;
         let ov = self.config.overrides.letter(target.letter);
         let table = world.routes(target.letter, family);
         let timeout = rng.chance(self.config.timeout_prob);
+        let cands = table.candidates(vp.asn);
         let site = if timeout {
             None
         } else {
-            self.config.churn.step_full(
-                table,
-                vp.asn,
+            let churn = &self.config.churn;
+            let near = (state.near).get_or_insert_with(|| churn.near_equal(table, vp.asn));
+            let (site, _) = churn.step_near(
+                cands,
+                near,
                 &mut state.selection,
                 rng,
                 churn_multiplier(target.letter, family) * ov.churn_boost,
                 world.attracting_sites(target.letter, family),
-            )
+            );
+            site
         };
         let (rtt_ms, second_to_last_hop, identity, site_city) = match site {
             None => (None, None, None, None),
             Some(site_id) => {
-                // Selected candidate (for path geometry).
-                let cands = table.candidates(vp.asn);
-                let near = self.config.churn.near_equal(table, vp.asn);
-                let cand_idx = resolve_candidate(cands, &near, site_id);
-                let cand = &cands[cand_idx];
+                // Selected candidate (for path geometry). A site was
+                // selected, so the step above built the near-equal set.
+                let near = state.near.as_deref().unwrap_or_default();
+                let cand_idx = resolve_candidate(cands, near, site_id);
                 let deployment = world.catalog.deployment(target.letter);
                 let facility = deployment.site(site_id).facility;
-                let base = *state
-                    .rtt_cache
-                    .entry((cand_idx, site_id.0))
-                    .or_insert_with(|| {
-                        self.config.rtt.base_rtt_ms(
+                let key = (cand_idx, site_id);
+                let base = match state.rtt_cache.iter().find(|(k, _)| *k == key) {
+                    Some(&(_, base)) => base,
+                    None => {
+                        let base = self.config.rtt.base_rtt_ms(
                             &world.topology,
                             &world.catalog.facilities,
                             vp.coord,
-                            cand,
+                            &cands[cand_idx],
                             facility,
-                        )
-                    });
+                        );
+                        state.rtt_cache.push((key, base));
+                        base
+                    }
+                };
                 let rtt = self.config.rtt.jittered(base, rng) * ov.rtt_factor;
                 let hop = if rng.chance(self.config.missing_hop_prob) {
                     None
@@ -704,11 +815,10 @@ impl<'w> MeasurementEngine<'w> {
                     Some(world.catalog.facilities.get(facility).edge_router())
                 };
                 let row = world.catalog.site(target.letter, site_id);
-                let identity = observed_identity(row, rng);
-                (Some(rtt), hop, identity, Some(row.city.name))
+                (Some(rtt), hop, Some(row.identity), Some(row.city.name))
             }
         };
-        sink.probe(&ProbeRecord {
+        sink.probe(ProbeRecord {
             time,
             vp: vp.id,
             target,
@@ -750,9 +860,9 @@ impl<'w> MeasurementEngine<'w> {
             }
             let serial = match fault {
                 Some(TransferFault::Stale { serial }) => serial,
-                _ => serial_of_day(time - time % 86400),
+                _ => round.zone_serial,
             };
-            sink.transfer(&TransferRecord {
+            sink.transfer(TransferRecord {
                 time,
                 vp_clock,
                 vp: vp.id,
@@ -835,34 +945,6 @@ pub fn churn_multiplier(letter: RootLetter, family: Family) -> f64 {
 pub fn serial_of_day(day: u32) -> u32 {
     let ymd: String = timestamp_to_ymd(day).chars().take(8).collect();
     ymd.parse::<u32>().expect("8 digits") * 100
-}
-
-/// What `hostname.bind` shows for a site: the mapped identifier when the
-/// operator publishes one; an IATA-bearing hostname for `{a,c,j,e}`; a
-/// stable-but-unmappable blob for the rest (the paper observed 1,604
-/// distinct identifiers, 135 of which did not map — identifiers are
-/// per-instance constants, not per-query noise).
-fn observed_identity(row: &rss::catalog::RootSite, _rng: &mut SimRng) -> Option<String> {
-    if let Some(id) = &row.instance_id {
-        return Some(id.clone());
-    }
-    if !row.letter.identifiers_mappable() {
-        // j.root contributed 75 of the paper's 135 unmapped identifiers:
-        // roughly a third of its instances report something that maps to
-        // nothing. Site-id keyed, so the set of opaque instances is stable.
-        if row.letter == RootLetter::J && row.site_id.0.is_multiple_of(3) {
-            return Some(format!("opaque-j{:04}", row.site_id.0));
-        }
-        // IATA code embedded in the node hostname, metro-granular.
-        return Some(format!(
-            "{}-{}{}",
-            row.letter.ch(),
-            row.iata,
-            row.facility.0 % 4 + 1
-        ));
-    }
-    // Mappable operator, unmappable node: stable per site.
-    Some(format!("opaque-{}{:04}", row.letter.ch(), row.site_id.0))
 }
 
 /// How many sites of each scope a letter exposes to a VP — used by coverage
@@ -1008,6 +1090,67 @@ mod tests {
             (s.probes, s.transfers)
         };
         assert_eq!(normalize(continuous), normalize(sliced));
+    }
+
+    #[test]
+    fn routing_caches_match_per_probe_recomputation_across_a_mutation() {
+        // What a session keeps between rounds — near-equal sets and base
+        // RTTs — against rebuilding both from the live route tables for
+        // every probe, as the engine did before it kept anything derived
+        // from routing: a site withdrawal between two halves of the
+        // schedule, `invalidate_routing` after it, same records.
+        let letter = RootLetter::G;
+        let rounds: Vec<Round> = short_config().schedule.rounds().collect();
+        let (head, tail) = rounds.split_at(rounds.len() / 2);
+        let run = |workers: Option<usize>| {
+            let mut world = tiny_world();
+            let mut session = EngineSession::new();
+            let half = |world: &World, session: &mut EngineSession, rounds: &[Round]| {
+                let engine = MeasurementEngine::new(world, short_config());
+                let Some(workers) = workers else {
+                    let mut sink = VecSink::default();
+                    session.ensure(world.population.len(), &engine.config.churn);
+                    for round in rounds {
+                        for state in &mut session.states {
+                            state.near = None;
+                            state.rtt_cache.clear();
+                        }
+                        let vps = 0..world.population.len();
+                        engine.run_vps(&mut session.states, vps, &[*round], &mut sink);
+                    }
+                    return sink;
+                };
+                engine.run_rounds_session(session, rounds, workers)
+            };
+            let mut sink = half(&world, &mut session, head);
+            // Withdraw the site most of the first half's answers came from.
+            let mut answers = HashMap::<SiteId, usize>::new();
+            for p in sink.probes.iter().filter(|p| p.target.letter == letter) {
+                *answers
+                    .entry(p.site.unwrap_or(SiteId(u32::MAX)))
+                    .or_default() += 1;
+            }
+            let (&busiest, _) = answers.iter().max_by_key(|&(site, n)| (n, site)).unwrap();
+            assert!(world.withdraw_site(letter, busiest));
+            session.invalidate_routing(&short_config().churn);
+            let first_half = sink.probes.len();
+            let second = half(&world, &mut session, tail);
+            sink.probes.extend(second.probes);
+            sink.transfers.extend(second.transfers);
+            let moved = |p: &&ProbeRecord| p.target.letter == letter && p.site == Some(busiest);
+            assert!(sink.probes[..first_half].iter().filter(moved).count() > 100);
+            assert_eq!(sink.probes[first_half..].iter().filter(moved).count(), 0);
+            (sink.probes, sink.transfers)
+        };
+        let recomputed = run(None);
+        // One worker writes the serial order; more only regroup it.
+        assert_eq!(run(Some(1)), recomputed);
+        let sorted = |(mut probes, mut transfers): (Vec<ProbeRecord>, Vec<TransferRecord>)| {
+            probes.sort_by_key(|p| (p.time, p.vp, p.target, p.family));
+            transfers.sort_by_key(|t| (t.time, t.vp, t.target, t.family));
+            (probes, transfers)
+        };
+        assert_eq!(sorted(run(Some(3))), sorted(recomputed));
     }
 
     #[test]

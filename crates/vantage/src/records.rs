@@ -11,7 +11,7 @@
 use crate::population::VpId;
 use netsim::anycast::SiteId;
 use netsim::Family;
-use rss::{BRootPhase, RootLetter};
+use rss::{BRootPhase, IdentityId, RootLetter};
 use serde::{Deserialize, Serialize};
 
 /// A probe target: a letter, with b.root split into old/new addresses
@@ -23,9 +23,12 @@ pub struct Target {
 }
 
 impl Target {
+    /// How many targets a VP probes every round.
+    pub const COUNT: usize = 14;
+
     /// The 14 probe targets: a..m plus the second b.root address.
     pub fn all() -> Vec<Target> {
-        let mut out = Vec::with_capacity(14);
+        let mut out = Vec::with_capacity(Target::COUNT);
         for letter in RootLetter::ALL {
             out.push(Target {
                 letter,
@@ -55,7 +58,10 @@ impl Target {
 }
 
 /// One active probe observation (one VP, one target, one family, one round).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Plain data with no heap pointer: a run writes millions of these, each
+/// once, into a buffer sized up front.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ProbeRecord {
     /// Round time (seconds since epoch).
     pub time: u32,
@@ -68,9 +74,18 @@ pub struct ProbeRecord {
     pub rtt_ms: Option<f64>,
     /// Second-to-last traceroute hop identity (None = hop missing).
     pub second_to_last_hop: Option<u64>,
-    /// `hostname.bind`/`id.server` answer, as observed.
-    pub identity: Option<String>,
+    /// `hostname.bind`/`id.server` answer, as observed: a handle into the
+    /// catalog's identity table ([`rss::RootCatalog::identity`]).
+    pub identity: Option<IdentityId>,
 }
+
+// A record that grows a heap pointer or a cache line costs every probe.
+const _: () = {
+    const fn plain<T: Copy>() {}
+    plain::<ProbeRecord>();
+    plain::<TransferRecord>();
+    assert!(std::mem::size_of::<ProbeRecord>() <= 64);
+};
 
 /// Fault tags attached to a zone transfer observation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -83,7 +98,7 @@ pub enum TransferFault {
 }
 
 /// One zone-transfer observation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TransferRecord {
     /// True (wall-clock) observation time.
     pub time: u32,
@@ -106,7 +121,7 @@ mod tests {
     #[test]
     fn fourteen_targets() {
         let all = Target::all();
-        assert_eq!(all.len(), 14);
+        assert_eq!(all.len(), Target::COUNT);
         let b_targets: Vec<&Target> = all.iter().filter(|t| t.letter == RootLetter::B).collect();
         assert_eq!(b_targets.len(), 2);
     }
