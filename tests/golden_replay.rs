@@ -257,3 +257,445 @@ fn paper_report_sections() {
         ]
     );
 }
+
+/// The uncached serve path, pinned byte for byte.
+mod fallback {
+    use dns_wire::edns::{set_edns, Edns};
+    use dns_wire::message::Opcode;
+    use dns_wire::{Class, Message, Name, Question, RrType};
+    use dns_zone::rootzone::{build_root_zone, RootZoneConfig};
+    use dns_zone::{RolloutPhase, ZoneKeys};
+    use rootd::{Rootd, ServeOutcome, SiteIdentity, ZoneIndex};
+    use std::sync::Arc;
+
+    /// An engine without an answer cache over `rootd_serving.rs`'s zone
+    /// shape: every datagram it answers takes `ServeOutcome::Fallback`.
+    pub fn engine(tld_count: usize) -> Rootd {
+        let cfg = RootZoneConfig {
+            serial: 2023112000,
+            tld_count,
+            rollout: RolloutPhase::Validating,
+            ..Default::default()
+        };
+        let zone = build_root_zone(&cfg, &ZoneKeys::from_seed(42));
+        Rootd::new(
+            Arc::new(ZoneIndex::build(Arc::new(zone))),
+            SiteIdentity::named("iad7b"),
+        )
+    }
+
+    /// One digest per group of datagrams: how many were sent, answered and
+    /// answered with TC, and every response byte in order.
+    pub struct Digest<'a> {
+        engine: &'a Rootd,
+        out: Vec<u8>,
+        fp: netsim::Fingerprint,
+        counts: [usize; 3],
+    }
+
+    impl<'a> Digest<'a> {
+        pub fn new(engine: &'a Rootd) -> Self {
+            Digest {
+                engine,
+                out: Vec::new(),
+                fp: netsim::Fingerprint::new(),
+                counts: [0; 3],
+            }
+        }
+
+        pub fn serve(&mut self, wire: &[u8]) {
+            self.counts[0] += 1;
+            match self.engine.serve_udp_into(wire, &mut self.out) {
+                ServeOutcome::Dropped => self.fp.mix(u64::MAX),
+                outcome => {
+                    assert_eq!(outcome, ServeOutcome::Fallback);
+                    self.counts[1] += 1;
+                    self.counts[2] += usize::from(self.out[2] & 0x02 != 0);
+                    self.fp.mix(self.out.len() as u64);
+                    self.out.iter().for_each(|&b| self.fp.mix(u64::from(b)));
+                }
+            }
+        }
+
+        pub fn ask(&mut self, q: &Message) {
+            self.serve(&q.to_wire());
+        }
+
+        pub fn finish(self) -> ([usize; 3], u64) {
+            (self.counts, self.fp.finish())
+        }
+    }
+
+    pub fn name(s: &str) -> Name {
+        Name::parse(s).unwrap()
+    }
+
+    pub fn query(qname: &Name, qtype: RrType, edns: Option<(u16, bool)>) -> Message {
+        let mut q = Message::query(0xa5a5, Question::new(qname.clone(), qtype));
+        if let Some((udp_payload_size, dnssec_ok)) = edns {
+            let edns = Edns {
+                udp_payload_size,
+                dnssec_ok,
+                ..Default::default()
+            };
+            set_edns(&mut q, &edns);
+        }
+        q
+    }
+
+    /// Every other byte of every label uppercased.
+    pub fn mixed_case(name: &Name) -> Name {
+        let labels = name.labels().map(|l| {
+            let flip = |(i, b): (usize, &u8)| match i % 2 {
+                0 => b.to_ascii_uppercase(),
+                _ => *b,
+            };
+            l.iter().enumerate().map(flip).collect::<Vec<u8>>()
+        });
+        Name::from_labels(labels).unwrap()
+    }
+
+    pub const QTYPES: [RrType; 16] = [
+        RrType::A,
+        RrType::Ns,
+        RrType::Cname,
+        RrType::Soa,
+        RrType::Mx,
+        RrType::Txt,
+        RrType::Aaaa,
+        RrType::Ds,
+        RrType::Rrsig,
+        RrType::Nsec,
+        RrType::Dnskey,
+        RrType::Zonemd,
+        RrType::Any,
+        RrType::Other(65), // HTTPS
+        RrType::Other(33), // SRV
+        RrType::Other(12), // PTR
+    ];
+
+    /// None = no EDNS; otherwise (advertised payload, DO).
+    pub fn edns_states() -> Vec<Option<(u16, bool)>> {
+        let mut states = vec![None];
+        for payload in [512u16, 600, 1232, 4096] {
+            states.extend([Some((payload, false)), Some((payload, true))]);
+        }
+        states
+    }
+
+    /// `rootd_serving.rs`'s matrix: every zone name × 16 qtypes × 9 EDNS
+    /// states × 2 casings × RD.
+    pub fn matrix(engine: &Rootd) -> ([usize; 3], u64) {
+        let mut d = Digest::new(engine);
+        let names = engine.index().zone().owner_names();
+        assert_eq!(names.len(), 1 + 13 + 40 * 3);
+        for name in &names {
+            for qname in [name.clone(), mixed_case(name)] {
+                for qtype in QTYPES {
+                    for edns in edns_states() {
+                        for rd in [false, true] {
+                            let mut q = query(&qname, qtype, edns);
+                            q.header.flags.recursion_desired = rd;
+                            d.ask(&q);
+                        }
+                    }
+                }
+            }
+        }
+        d.finish()
+    }
+
+    /// Names below a cut: referrals whose qname the answer cache never
+    /// holds.
+    pub fn below_cut(engine: &Rootd) -> ([usize; 3], u64) {
+        let mut d = Digest::new(engine);
+        for tld in ["com.", "net.", "arpa.", "世界."] {
+            for prefix in ["www.", "a.b.c.", "Ns0.Ns0.", "xn--0.WWW."] {
+                let qname = name(&format!("{prefix}{tld}"));
+                for qtype in [RrType::A, RrType::Ds, RrType::Nsec, RrType::Other(65)] {
+                    for edns in edns_states() {
+                        d.ask(&query(&qname, qtype, edns));
+                    }
+                }
+            }
+        }
+        d.finish()
+    }
+
+    /// Junk qnames that share labels with the names a response carries
+    /// (SOA mname/rname, NSEC owners, glue owners), as a suffix and not.
+    /// `engine1` serves a zone whose only TLD is `com`, where
+    /// `*.root-servers.net.` is not below a cut: NXDOMAIN with the NSEC
+    /// owner compressed against the question.
+    pub fn shared_labels(engine: &Rootd, engine1: &Rootd) -> ([usize; 3], u64) {
+        let mut d = Digest::new(engine);
+        let mut d1 = Digest::new(engine1);
+        for junk in [
+            "junk.root-servers.net.",
+            "JUNK.Root-Servers.NET.",
+            "a.a.root-servers.net.",
+            "root-servers.net.",
+            "nstld.verisign-grs.com.",
+            "net.junk.",
+            "a.root-servers.net.junk.",
+            "root-servers.",
+            "ns0.",
+            "com.ns0.",
+            "zz--nosuchtld.",
+        ] {
+            for qtype in [RrType::A, RrType::Other(65)] {
+                for edns in edns_states() {
+                    d.ask(&query(&name(junk), qtype, edns));
+                    d1.ask(&query(&name(junk), qtype, edns));
+                }
+            }
+        }
+        let ((c, fp), (c1, fp1)) = (d.finish(), d1.finish());
+        let mut both = netsim::Fingerprint::resume(fp);
+        both.mix(fp1);
+        ([c[0] + c1[0], c[1] + c1[1], c[2] + c1[2]], both.finish())
+    }
+
+    /// Every budget from the floor past the largest answer: each answer
+    /// loses one record, then many, then all of them.
+    pub fn budgets(engine: &Rootd) -> ([usize; 3], u64) {
+        let mut d = Digest::new(engine);
+        for (qname, qtype) in [
+            (".", RrType::Ns),
+            (".", RrType::Dnskey),
+            (".", RrType::Any),
+            ("com.", RrType::A),
+            ("www.net.", RrType::Other(33)),
+            ("nosuchtld.", RrType::A),
+            ("a.root-servers.net.", RrType::Aaaa),
+        ] {
+            for dnssec_ok in [false, true] {
+                for payload in (500u16..=1300).chain([4095, 4096, 4097, u16::MAX]) {
+                    d.ask(&query(&name(qname), qtype, Some((payload, dnssec_ok))));
+                }
+            }
+        }
+        d.finish()
+    }
+
+    /// The stream path: every name × qtype ± DO untruncated, the odd
+    /// requests' TCP answers, and the whole zone as AXFR frames.
+    pub fn tcp(engine: &Rootd) -> ([usize; 3], u64) {
+        let mut fp = netsim::Fingerprint::new();
+        let mut counts = [0usize; 3];
+        let mut serve = |wire: &[u8]| {
+            counts[0] += 1;
+            let frames = engine.serve_tcp(wire);
+            fp.mix(frames.len() as u64);
+            for frame in frames {
+                counts[1] += 1;
+                counts[2] += usize::from(frame[2] & 0x02 != 0);
+                fp.mix(frame.len() as u64);
+                frame.iter().for_each(|&b| fp.mix(u64::from(b)));
+            }
+        };
+        for qname in engine.index().zone().owner_names() {
+            for qtype in QTYPES {
+                for edns in [None, Some((512, true))] {
+                    serve(&query(&mixed_case(&qname), qtype, edns).to_wire());
+                }
+            }
+        }
+        for qname in ["www.com.", "nosuchtld.", "junk.root-servers.net."] {
+            serve(&query(&name(qname), RrType::Other(65), Some((512, true))).to_wire());
+        }
+        let mut q = query(&Name::root(), RrType::Ns, None);
+        set_edns(&mut q, &Edns::dnssec().with_nsid_request());
+        serve(&q.to_wire());
+        q.questions.push(Question::new(name("com."), RrType::Ns));
+        serve(&q.to_wire());
+        q.header.opcode = Opcode::Notify;
+        serve(&q.to_wire());
+        q.header.flags.response = true;
+        serve(&q.to_wire());
+        serve(&Message::query(9, Question::chaos_txt(name("id.server."))).to_wire());
+        serve(&[0xab; 11]);
+        serve(&[0xde, 0xad, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff]);
+        for qname in [".", "com."] {
+            serve(&query(&name(qname), RrType::Axfr, None).to_wire());
+        }
+        (counts, fp.finish())
+    }
+
+    fn raw_opt(q: &mut Vec<u8>, payload: u16, ttl: [u8; 4], rdata: &[u8]) {
+        q[11] += 1;
+        q.extend_from_slice(&[0, 0, 41]);
+        q.extend_from_slice(&payload.to_be_bytes());
+        q.extend_from_slice(&ttl);
+        q.extend_from_slice(&(rdata.len() as u16).to_be_bytes());
+        q.extend_from_slice(rdata);
+    }
+
+    /// What `FastQuery` cannot prove canonical, and what does not parse.
+    pub fn odd_requests(engine: &Rootd) -> ([usize; 3], u64) {
+        let mut d = Digest::new(engine);
+        // NSID requests: full, truncated, on a referral, on CHAOS.
+        for (qname, qtype, payload) in [
+            (".", RrType::Soa, 4096u16),
+            (".", RrType::Ns, 512),
+            ("www.com.", RrType::A, 1232),
+            ("nosuchtld.", RrType::Other(65), 1232),
+        ] {
+            for dnssec_ok in [false, true] {
+                let mut q = query(&name(qname), qtype, None);
+                let edns = Edns {
+                    udp_payload_size: payload,
+                    dnssec_ok,
+                    ..Default::default()
+                };
+                set_edns(&mut q, &edns.with_nsid_request());
+                d.ask(&q);
+            }
+        }
+        let mut q = Message::query(9, Question::chaos_txt(name("Version.Bind.")));
+        set_edns(&mut q, &Edns::default().with_nsid_request());
+        d.ask(&q);
+        // CHAOS identity, every name, both casings; unknown names and
+        // types; other classes.
+        for chaos in [
+            "hostname.bind.",
+            "id.server.",
+            "version.bind.",
+            "version.server.",
+            "whoami.",
+            "bind.",
+            "a.hostname.bind.",
+        ] {
+            for qname in [name(chaos), mixed_case(&name(chaos))] {
+                for edns in [None, Some((1232, true))] {
+                    let mut q = query(&qname, RrType::Txt, edns);
+                    q.questions[0].class = Class::Ch;
+                    d.ask(&q);
+                }
+            }
+        }
+        let mut q = query(&name("id.server."), RrType::A, None);
+        q.questions[0].class = Class::Ch;
+        d.ask(&q);
+        for class in [Class::Other(255), Class::Other(3), Class::Other(0)] {
+            let mut q = query(&name("com."), RrType::Ns, Some((1232, false)));
+            q.questions[0].class = class;
+            d.ask(&q);
+        }
+        // AXFR over UDP.
+        for qname in [".", "com.", "nosuchtld."] {
+            for edns in [None, Some((1232, false)), Some((4096, true))] {
+                d.ask(&query(&name(qname), RrType::Axfr, edns));
+            }
+        }
+        // Zero, two and three questions (names sharing suffixes).
+        for edns in [None, Some((1232, true))] {
+            let mut q = query(&name("www.com."), RrType::A, edns);
+            q.questions.push(Question::new(name("com."), RrType::Ns));
+            d.ask(&q);
+            q.questions
+                .push(Question::new(name("MAIL.WWW.COM."), RrType::Mx));
+            d.ask(&q);
+            q.questions.clear();
+            d.ask(&q);
+        }
+        // Other opcodes.
+        for opcode in [Opcode::Notify, Opcode::Update, Opcode::Other(2)] {
+            for edns in [None, Some((1232, true))] {
+                let mut q = query(&Name::root(), RrType::Soa, edns);
+                q.header.opcode = opcode;
+                d.ask(&q);
+            }
+        }
+        // Request header bits the server ignores (AA, TC, RA, AD, CD, and
+        // a non-zero rcode), then a stray response (dropped).
+        let mut q = query(&name("com."), RrType::Other(65), Some((1232, true)));
+        q.header.flags.authoritative = true;
+        q.header.flags.truncated = true;
+        q.header.flags.recursion_available = true;
+        q.header.flags.authentic_data = true;
+        q.header.flags.checking_disabled = true;
+        q.header.rcode = dns_wire::Rcode::Refused;
+        d.ask(&q);
+        q.header.flags.response = true;
+        d.ask(&q);
+        // OPT records a canonical one is not: an unknown option, Z bits,
+        // an extended rcode, a payload below the floor, options that run
+        // past RDLENGTH (no EDNS at all, then), two OPTs, an OPT in the
+        // answer section's place.
+        let bare = query(&name("com."), RrType::Ns, None).to_wire();
+        let cookie = [0, 10, 0, 8, 1, 2, 3, 4, 5, 6, 7, 8];
+        for (payload, ttl, rdata) in [
+            (1232u16, [0, 0, 0x80, 0], &cookie[..]),
+            (1232, [0, 0, 0x80, 0x01], &[]),
+            (1232, [0, 0, 0x40, 0], &[]),
+            (1232, [7, 0, 0x80, 0], &[]),
+            (100, [0, 0, 0x80, 0], &[]),
+            (1232, [0, 0, 0x80, 0], &[0, 3, 0, 9, 1]),
+            (1232, [0, 0, 0, 0], &[0, 3, 0, 0, 0, 3, 0, 0]),
+        ] {
+            let mut q = bare.clone();
+            raw_opt(&mut q, payload, ttl, rdata);
+            d.serve(&q);
+        }
+        let mut q = bare.clone();
+        raw_opt(&mut q, 512, [0, 0, 0, 0], &[]);
+        raw_opt(&mut q, 4096, [0, 0, 0x80, 0], &[]);
+        d.serve(&q);
+        // Trailing bytes after a complete query; a qname that ends in a
+        // compression pointer into the header (`www` + the root at byte
+        // 4, the zero high byte of QDCOUNT).
+        let mut q = bare.clone();
+        q.extend_from_slice(&[0; 7]);
+        d.serve(&q);
+        let mut q = vec![0x12, 0x34, 0x01, 0, 0, 1, 0, 0, 0, 0, 0, 0];
+        q.extend_from_slice(&[3, b'w', b'W', b'w', 0xc0, 4, 0, 1, 0, 1]);
+        d.serve(&q);
+        // Malformed: shorter than a header (dropped), a header whose
+        // question is cut short, a query cut inside its OPT, a count that
+        // promises records that are not there, a pointer loop, a label
+        // with a reserved type (FORMERR stubs).
+        d.serve(&[0xab; 11]);
+        d.serve(&[0xde, 0xad, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff]);
+        let with_opt = query(&name("com."), RrType::Ns, Some((1232, true))).to_wire();
+        d.serve(&with_opt[..with_opt.len() - 3]);
+        let mut q = bare.clone();
+        q[7] = 2;
+        d.serve(&q);
+        let mut q = vec![0x56, 0x78, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0];
+        q.extend_from_slice(&[0xc0, 12, 0, 1, 0, 1]);
+        d.serve(&q);
+        let mut q = vec![0x9a, 0xbc, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0];
+        q.extend_from_slice(&[0x80, b'x', 0, 0, 1, 0, 1]);
+        d.serve(&q);
+        d.finish()
+    }
+}
+
+/// Every response the uncached path gives, byte for byte: the serving
+/// matrix of `tests/rootd_serving.rs` and the requests around it that only
+/// the fallback answers. The path may be made faster; a served byte, a
+/// truncation point or a drop-vs-FORMERR decision may not change.
+#[test]
+fn fallback_answer_matrix() {
+    let engine = fallback::engine(40);
+    let one_tld = fallback::engine(1);
+    assert_eq!(
+        [
+            ("matrix", fallback::matrix(&engine)),
+            ("below_cut", fallback::below_cut(&engine)),
+            ("shared_labels", fallback::shared_labels(&engine, &one_tld)),
+            ("budgets", fallback::budgets(&engine)),
+            ("odd_requests", fallback::odd_requests(&engine)),
+            ("tcp", fallback::tcp(&engine)),
+        ],
+        [
+            ("matrix", ([77184, 77184, 20], 4753916657649686845)),
+            ("below_cut", ([576, 576, 0], 1835154823386040797)),
+            ("shared_labels", ([396, 396, 0], 10463508180098662744)),
+            ("budgets", ([11270, 11270, 1168], 1789950733639156928)),
+            ("odd_requests", ([80, 78, 11], 5608061636228957611)),
+            ("tcp", ([4300, 4310, 0], 4516930315536125722)),
+        ]
+    );
+}
