@@ -11,7 +11,9 @@
 #   4. bench smoke run refreshing the committed BENCH_results.json,
 #      followed by the bench_guard regression gate (fails on >25%
 #      regression of rootd/loadgen/qps, rootd/serve_*, or codec/* vs the
-#      committed baseline);
+#      committed baseline, and on any absolute ceiling: among them the
+#      uncached path's rootd/serve_fallback_{referral_do,nxdomain_do,tc512}
+#      and codec/encode_referral on the 1 500-TLD zone);
 #   5. rustdoc with warnings promoted to errors;
 #   6. formatting check;
 #   7. clippy with warnings promoted to errors.

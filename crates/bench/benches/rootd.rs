@@ -82,6 +82,88 @@ fn bench_engine(c: &mut Criterion) {
     group.finish();
 }
 
+/// The uncached path on a root-sized zone (1 500 TLDs, working set far
+/// beyond the CPU caches): parse → `ZoneIndex` → borrowed plan → one-pass
+/// encode, per query, on an engine with no answer cache at all. Each
+/// bench walks its own 1 500 names, so a figure is what a query costs
+/// when its records are not already in cache — 2.4 µs and 55 allocations
+/// while the path cloned every record into an owned `Message` (DESIGN
+/// §15, "Slow path budget"). `codec/encode_referral` is the encoder's
+/// share alone: one signed referral, as an owned `Message`, into a reused
+/// buffer. `bench_guard` holds all four under absolute ceilings.
+fn bench_fallback_1500(c: &mut Criterion) {
+    let cfg = RootZoneConfig {
+        tld_count: 1_500,
+        rollout: RolloutPhase::Validating,
+        ..Default::default()
+    };
+    let zone = build_root_zone(&cfg, &ZoneKeys::from_seed(7));
+    let engine = Rootd::new(
+        Arc::new(ZoneIndex::build(Arc::new(zone))),
+        SiteIdentity::named("lax1b"),
+    );
+    let edns = |q: &mut Message, udp_payload_size| {
+        let edns = Edns {
+            udp_payload_size,
+            ..Edns::dnssec()
+        };
+        set_edns(q, &edns);
+    };
+    let ask = |name: String, rr_type, payload| {
+        let mut q = Message::query(1, Question::new(Name::parse(&name).unwrap(), rr_type));
+        edns(&mut q, payload);
+        q.to_wire()
+    };
+    let https = RrType::Other(65);
+    let tlds = engine.index().tld_labels();
+    let referrals: Vec<Vec<u8>> = (tlds.iter())
+        .map(|tld| ask(format!("{tld}."), https, 1232))
+        .collect();
+    let junk: Vec<Vec<u8>> = (0..tlds.len())
+        .map(|i| ask(format!("nx{i:06x}-junk."), https, 1232))
+        .collect();
+    // A 230-byte name below each cut: every signed referral overflows 512.
+    let long = format!("{0}.{0}.{0}.{1}", "x".repeat(63), "y".repeat(36));
+    let cut: Vec<Vec<u8>> = (tlds.iter())
+        .map(|tld| ask(format!("{long}.{tld}."), https, 512))
+        .collect();
+
+    let tc = |wire: &Vec<u8>| engine.serve_udp(wire).expect("answered")[2] & 0x02 != 0;
+    assert!(cut.iter().all(tc) && !referrals.iter().any(tc));
+
+    let mut group = c.benchmark_group("rootd");
+    group.sample_size(200_000);
+    for (label, queries) in [
+        ("serve_fallback_referral_do", &referrals),
+        ("serve_fallback_nxdomain_do", &junk),
+        ("serve_fallback_tc512", &cut),
+    ] {
+        group.bench_function(label, |b| {
+            let mut out = Vec::with_capacity(4096);
+            let mut next = 0;
+            b.iter(|| {
+                next = (next + 1) % queries.len();
+                black_box(engine.serve_udp_into(black_box(&queries[next]), &mut out))
+            })
+        });
+    }
+    group.finish();
+
+    let referral = engine.serve_udp(&referrals[7]).expect("answered");
+    let referral = Message::from_wire(&referral).expect("reparses");
+    assert_eq!(referral.authorities.len() + referral.additionals.len(), 9);
+    let mut group = c.benchmark_group("codec");
+    group.sample_size(200_000);
+    group.bench_function("encode_referral", |b| {
+        let mut out = Vec::with_capacity(4096);
+        b.iter(|| {
+            black_box(&referral).encode_into(&mut out);
+            black_box(out.len())
+        })
+    });
+    group.finish();
+}
+
 /// The zero-fault `FaultyTransport` must be free: its clean fast path
 /// (one precomputed bool test, no plan lookup or spec clone — see
 /// `FaultyTransport::new`) may add at most 5% over the bare
@@ -487,6 +569,7 @@ fn bench_zone_push_1500(_c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_engine,
+    bench_fallback_1500,
     bench_faultfree_wrapper,
     bench_rrl_disabled_overhead,
     bench_attack_flood,

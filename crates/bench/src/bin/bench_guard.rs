@@ -72,6 +72,15 @@ const PREFIXES: &[&str] = &["rootd/serve_", "codec/", "simclock/"];
 /// string and rebuilt its near-equal set, and four experiments each
 /// recomputed coverage (≈800 / ≈950 now, DESIGN §7 "Pipeline budget");
 /// the ceilings sit 2.5–3× above today's figures and below those.
+/// The `serve_fallback_*` keys and `codec/encode_referral` are nanoseconds
+/// on the same root-sized zone: one uncached answer — parse, `ZoneIndex`
+/// lookup, borrowed plan, one-pass encode — over 1 500 names in turn, and
+/// the encoder alone on one signed referral. They were ≈2 400 / ≈6 300
+/// (truncated) / ≈900 while the path cloned every record into an owned
+/// `Message`, compressed through a `HashMap` of key `Vec`s and re-encoded
+/// once per record it dropped (≈770 / ≈840 / ≈260 now, DESIGN §15 "Slow
+/// path budget"); the ceilings sit 2–3× above today's figures and below
+/// those, so an allocation per record or a re-encode loop cannot return.
 const ABS_CEILING: &[(&str, f64)] = &[
     ("rootd/faultfree_wrapper_overhead_pct", 10.0),
     ("rootd/rrl_disabled_overhead_pct", 5.0),
@@ -82,6 +91,10 @@ const ABS_CEILING: &[(&str, f64)] = &[
     ("rootd/reload_1500", 500.0),
     ("pipeline/small/run_ms", 2_300.0),
     ("pipeline/small/run_all_ms", 2_400.0),
+    ("rootd/serve_fallback_referral_do", 1_800.0),
+    ("rootd/serve_fallback_nxdomain_do", 1_500.0),
+    ("rootd/serve_fallback_tc512", 2_000.0),
+    ("codec/encode_referral", 800.0),
 ];
 
 /// Keys gated by an *absolute* floor — documented lower bounds the fresh

@@ -16,7 +16,8 @@ pub enum Opcode {
 }
 
 impl Opcode {
-    fn to_u8(self) -> u8 {
+    /// The four header bits.
+    pub fn to_u8(self) -> u8 {
         match self {
             Opcode::Query => 0,
             Opcode::Notify => 4,
@@ -48,7 +49,8 @@ pub enum Rcode {
 }
 
 impl Rcode {
-    fn to_u8(self) -> u8 {
+    /// The four header bits.
+    pub fn to_u8(self) -> u8 {
         match self {
             Rcode::NoError => 0,
             Rcode::FormErr => 1,
@@ -213,51 +215,6 @@ impl Message {
     /// Encode into a caller-provided writer (callers that need the
     /// writer's compression-pointer log, e.g. answer-template builders).
     pub fn encode_into_writer(&self, w: &mut WireWriter) {
-        self.encode_view(w, None);
-    }
-
-    /// Encode a truncated view into `out`: only the first `answers` /
-    /// `authorities` records of those sections, the first `additionals`
-    /// records of the additional section plus any OPT record beyond that
-    /// prefix (EDNS must survive truncation, RFC 6891), with the TC flag
-    /// forced on. Record boundaries are never split. This is how a server
-    /// fits a response into a UDP budget without cloning the message.
-    pub fn encode_truncated_into(
-        &self,
-        answers: usize,
-        authorities: usize,
-        additionals: usize,
-        out: &mut Vec<u8>,
-    ) {
-        let mut w = WireWriter::with_buffer(std::mem::take(out));
-        self.encode_view(&mut w, Some((answers, authorities, additionals)));
-        *out = w.into_bytes();
-    }
-
-    fn encode_view(&self, w: &mut WireWriter, view: Option<(usize, usize, usize)>) {
-        let (an, ns, ar, force_tc) = match view {
-            Some((a, n, r)) => (
-                a.min(self.answers.len()),
-                n.min(self.authorities.len()),
-                r.min(self.additionals.len()),
-                true,
-            ),
-            None => (
-                self.answers.len(),
-                self.authorities.len(),
-                self.additionals.len(),
-                false,
-            ),
-        };
-        // OPT records past the kept prefix still ride along.
-        let kept_opts = if force_tc {
-            self.additionals[ar..]
-                .iter()
-                .filter(|r| r.rr_type == RrType::Opt)
-                .count()
-        } else {
-            0
-        };
         w.put_u16(self.header.id);
         let f = &self.header.flags;
         let mut hi: u8 = 0;
@@ -268,7 +225,7 @@ impl Message {
         if f.authoritative {
             hi |= 0x04;
         }
-        if f.truncated || force_tc {
+        if f.truncated {
             hi |= 0x02;
         }
         if f.recursion_desired {
@@ -287,28 +244,19 @@ impl Message {
         w.put_u8(hi);
         w.put_u8(lo);
         w.put_u16(self.questions.len() as u16);
-        w.put_u16(an as u16);
-        w.put_u16(ns as u16);
-        w.put_u16((ar + kept_opts) as u16);
+        w.put_u16(self.answers.len() as u16);
+        w.put_u16(self.authorities.len() as u16);
+        w.put_u16(self.additionals.len() as u16);
         for q in &self.questions {
             q.name.write_wire_compressed(w);
             w.put_u16(q.rr_type.to_u16());
             w.put_u16(q.class.to_u16());
         }
-        for rec in self.answers[..an]
-            .iter()
-            .chain(&self.authorities[..ns])
-            .chain(&self.additionals[..ar])
+        for rec in (self.answers.iter())
+            .chain(&self.authorities)
+            .chain(&self.additionals)
         {
             rec.write_wire(w);
-        }
-        if kept_opts > 0 {
-            for rec in self.additionals[ar..]
-                .iter()
-                .filter(|r| r.rr_type == RrType::Opt)
-            {
-                rec.write_wire(w);
-            }
         }
     }
 

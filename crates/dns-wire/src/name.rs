@@ -11,18 +11,90 @@ pub const MAX_LABEL_LEN: usize = 63;
 
 /// A fully-qualified domain name.
 ///
-/// Stored as raw label bytes (no trailing root label byte); the root name has
-/// zero labels. Comparison and hashing are case-insensitive over ASCII, as
-/// DNS requires.
-#[derive(Debug, Clone, Default)]
+/// Stored as one contiguous buffer in uncompressed wire form without the
+/// terminating root byte (`len label len label …`; the root name is the
+/// empty buffer), so a comparison walks one run of bytes. A name of up to
+/// 22 bytes — every owner and all but one target in the root zone — lies
+/// inside the `Name` itself: reading it touches no other
+/// memory and cloning it allocates nothing; a longer one is one heap block.
+/// Comparison and hashing are case-insensitive over ASCII, as DNS
+/// requires; the stored bytes keep the case they arrived in.
+#[derive(Clone)]
 pub struct Name {
-    labels: Vec<Vec<u8>>,
+    repr: Repr,
+}
+
+/// Longest flat name stored inline: with it a `Name` is 24 bytes.
+const INLINE_LEN: usize = 22;
+
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, buf: [u8; INLINE_LEN] },
+    Heap(Box<[u8]>),
+}
+
+impl Default for Name {
+    fn default() -> Self {
+        Name::from_wire_unchecked(&[])
+    }
+}
+
+/// Iterator over the labels of a flat wire-form name.
+#[derive(Debug, Clone)]
+pub struct Labels<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for Labels<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let (&len, rest) = self.rest.split_first()?;
+        let (label, rest) = rest.split_at(len as usize);
+        self.rest = rest;
+        Some(label)
+    }
+}
+
+/// Append `label` to the flat buffer `wire`, enforcing the label bounds.
+fn push_label(wire: &mut Vec<u8>, label: &[u8]) -> Result<(), NameError> {
+    if label.is_empty() {
+        return Err(NameError::EmptyLabel);
+    }
+    if label.len() > MAX_LABEL_LEN {
+        return Err(NameError::LabelTooLong);
+    }
+    wire.push(label.len() as u8);
+    wire.extend_from_slice(label);
+    Ok(())
 }
 
 impl Name {
     /// The root name `.`.
     pub fn root() -> Self {
-        Name { labels: Vec::new() }
+        Name::default()
+    }
+
+    /// Wrap a flat buffer whose label structure the caller has checked.
+    pub(crate) fn from_wire_unchecked(wire: &[u8]) -> Self {
+        let repr = if wire.len() <= INLINE_LEN {
+            let mut buf = [0; INLINE_LEN];
+            buf[..wire.len()].copy_from_slice(wire);
+            Repr::Inline {
+                len: wire.len() as u8,
+                buf,
+            }
+        } else {
+            Repr::Heap(wire.into())
+        };
+        Name { repr }
+    }
+
+    fn from_checked_labels(wire: &[u8]) -> Result<Self, NameError> {
+        if wire.len() + 1 > MAX_NAME_LEN {
+            return Err(NameError::NameTooLong);
+        }
+        Ok(Name::from_wire_unchecked(wire))
     }
 
     /// Parse from presentation format. Accepts `"."` for the root, with or
@@ -35,16 +107,20 @@ impl Name {
         if s.is_empty() {
             return Err(NameError::EmptyLabel);
         }
-        let mut labels = Vec::new();
-        let mut current = Vec::new();
-        let mut bytes = s.bytes().peekable();
+        let mut wire = Vec::with_capacity(s.len() + 1);
+        // Offset of the length byte of the label being read.
+        let mut open = 0;
+        wire.push(0);
+        let mut bytes = s.bytes();
         while let Some(b) = bytes.next() {
             match b {
                 b'.' => {
-                    if current.is_empty() {
+                    if wire.len() == open + 1 {
                         return Err(NameError::EmptyLabel);
                     }
-                    labels.push(std::mem::take(&mut current));
+                    wire[open] = (wire.len() - open - 1) as u8;
+                    open = wire.len();
+                    wire.push(0);
                 }
                 b'\\' => {
                     // \DDD decimal escape or \X literal.
@@ -61,26 +137,22 @@ impl Name {
                         if v > 255 {
                             return Err(NameError::BadEscape);
                         }
-                        current.push(v as u8);
+                        wire.push(v as u8);
                     } else {
-                        current.push(first);
+                        wire.push(first);
                     }
                 }
-                other => current.push(other),
+                other => wire.push(other),
             }
-            if current.len() > MAX_LABEL_LEN {
+            if wire.len() - open - 1 > MAX_LABEL_LEN {
                 return Err(NameError::LabelTooLong);
             }
         }
-        if current.is_empty() {
+        if wire.len() == open + 1 {
             return Err(NameError::EmptyLabel);
         }
-        labels.push(current);
-        let name = Name { labels };
-        if name.wire_len() > MAX_NAME_LEN {
-            return Err(NameError::NameTooLong);
-        }
-        Ok(name)
+        wire[open] = (wire.len() - open - 1) as u8;
+        Name::from_checked_labels(&wire)
     }
 
     /// Build from raw label byte slices.
@@ -89,152 +161,147 @@ impl Name {
         I: IntoIterator<Item = L>,
         L: AsRef<[u8]>,
     {
-        let mut out = Vec::new();
+        let mut wire = Vec::new();
         for l in labels {
-            let l = l.as_ref();
-            if l.is_empty() {
-                return Err(NameError::EmptyLabel);
-            }
-            if l.len() > MAX_LABEL_LEN {
-                return Err(NameError::LabelTooLong);
-            }
-            out.push(l.to_vec());
+            push_label(&mut wire, l.as_ref())?;
         }
-        let name = Name { labels: out };
-        if name.wire_len() > MAX_NAME_LEN {
-            return Err(NameError::NameTooLong);
-        }
-        Ok(name)
+        Name::from_checked_labels(&wire)
     }
 
     /// Number of labels (the root has 0).
     pub fn label_count(&self) -> usize {
-        self.labels.len()
+        self.labels().count()
     }
 
     /// Iterate labels, most-significant (leftmost) first.
-    pub fn labels(&self) -> impl Iterator<Item = &[u8]> {
-        self.labels.iter().map(|l| l.as_slice())
+    pub fn labels(&self) -> Labels<'_> {
+        Labels {
+            rest: self.as_wire(),
+        }
+    }
+
+    /// The uncompressed wire form without the terminating root byte, in
+    /// the case the name was built with (empty for the root).
+    pub fn as_wire(&self) -> &[u8] {
+        match &self.repr {
+            Repr::Inline { len, buf } => &buf[..*len as usize],
+            Repr::Heap(wire) => wire,
+        }
     }
 
     /// True for the root name.
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.as_wire().is_empty()
     }
 
     /// Length of the uncompressed wire encoding (including the root byte).
     pub fn wire_len(&self) -> usize {
-        1 + self.labels.iter().map(|l| l.len() + 1).sum::<usize>()
+        self.as_wire().len() + 1
     }
 
     /// The parent name (strips the leftmost label). The root's parent is the
     /// root itself.
     pub fn parent(&self) -> Name {
-        if self.labels.is_empty() {
-            return Name::root();
-        }
-        Name {
-            labels: self.labels[1..].to_vec(),
-        }
+        let mut labels = self.labels();
+        labels.next();
+        Name::from_wire_unchecked(labels.rest)
     }
 
     /// Prepend `label`, producing a child name.
     pub fn child(&self, label: &[u8]) -> Result<Name, NameError> {
-        if label.is_empty() {
-            return Err(NameError::EmptyLabel);
-        }
-        if label.len() > MAX_LABEL_LEN {
-            return Err(NameError::LabelTooLong);
-        }
-        let mut labels = Vec::with_capacity(self.labels.len() + 1);
-        labels.push(label.to_vec());
-        labels.extend(self.labels.iter().cloned());
-        let name = Name { labels };
-        if name.wire_len() > MAX_NAME_LEN {
-            return Err(NameError::NameTooLong);
-        }
-        Ok(name)
+        let mut wire = Vec::with_capacity(label.len() + self.wire_len());
+        push_label(&mut wire, label)?;
+        wire.extend_from_slice(self.as_wire());
+        Name::from_checked_labels(&wire)
     }
 
     /// True if `self` is `other` or a descendant of `other`.
     pub fn is_subdomain_of(&self, other: &Name) -> bool {
-        if other.labels.len() > self.labels.len() {
-            return false;
+        let mut labels = self.labels();
+        while labels.rest.len() > other.as_wire().len() {
+            labels.next();
         }
-        let offset = self.labels.len() - other.labels.len();
-        self.labels[offset..]
-            .iter()
-            .zip(&other.labels)
-            .all(|(a, b)| eq_label(a, b))
+        labels.rest.eq_ignore_ascii_case(other.as_wire())
     }
 
     /// RFC 4034 §6.2 canonical form: all ASCII letters lowercased.
     pub fn canonical(&self) -> Name {
-        Name {
-            labels: self
-                .labels
-                .iter()
-                .map(|l| l.iter().map(u8::to_ascii_lowercase).collect())
-                .collect(),
-        }
+        // Length bytes are at most 63, below `A`: lowercasing the whole
+        // buffer touches label bytes only.
+        Name::from_wire_unchecked(&self.as_wire().to_ascii_lowercase())
     }
 
     /// Write the uncompressed (canonical if `lowercase`) wire form.
     pub fn write_wire(&self, w: &mut WireWriter, lowercase: bool) {
-        for label in &self.labels {
-            w.put_u8(label.len() as u8);
-            if lowercase {
-                for &b in label {
-                    w.put_u8(b.to_ascii_lowercase());
-                }
-            } else {
-                w.put_bytes(label);
+        if lowercase {
+            for &b in self.as_wire() {
+                w.put_u8(b.to_ascii_lowercase());
             }
+        } else {
+            w.put_bytes(self.as_wire());
         }
         w.put_u8(0);
     }
 
     /// Write with name compression via the writer's offset table.
     pub fn write_wire_compressed(&self, w: &mut WireWriter) {
-        w.put_name_compressed(&self.labels);
+        w.put_name_compressed(self.as_wire());
     }
 
     /// Read a (possibly compressed) name from the reader.
     pub fn read_wire(r: &mut WireReader) -> Result<Self, WireError> {
-        let labels = r.read_name_labels()?;
-        Ok(Name { labels })
+        r.read_name()
     }
 
     /// Uncompressed canonical wire bytes (used for signing and ZONEMD).
     pub fn canonical_wire(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        self.write_wire(&mut w, true);
-        w.into_bytes()
+        let mut wire = Vec::with_capacity(self.wire_len());
+        wire.extend(self.as_wire().iter().map(u8::to_ascii_lowercase));
+        wire.push(0);
+        wire
     }
 
     /// RFC 4034 §6.1 canonical ordering: compare label-by-label from the
     /// *rightmost* label, each label as a case-insensitive byte string.
     pub fn canonical_cmp(&self, other: &Name) -> Ordering {
-        let mut a = self.labels.iter().rev();
-        let mut b = other.labels.iter().rev();
+        let (mut a_starts, mut b_starts) = ([0u8; MAX_LABELS], [0u8; MAX_LABELS]);
+        let (this, other) = (self.as_wire(), other.as_wire());
+        let mut a = label_starts(this, &mut a_starts);
+        let mut b = label_starts(other, &mut b_starts);
         loop {
-            match (a.next(), b.next()) {
-                (None, None) => return Ordering::Equal,
-                (None, Some(_)) => return Ordering::Less,
-                (Some(_), None) => return Ordering::Greater,
-                (Some(la), Some(lb)) => {
-                    let ord = cmp_label(la, lb);
-                    if ord != Ordering::Equal {
-                        return ord;
-                    }
-                }
+            match (a, b) {
+                (0, 0) => return Ordering::Equal,
+                (0, _) => return Ordering::Less,
+                (_, 0) => return Ordering::Greater,
+                _ => {}
+            }
+            a -= 1;
+            b -= 1;
+            let ord = cmp_label(label_at(this, a_starts[a]), label_at(other, b_starts[b]));
+            if ord != Ordering::Equal {
+                return ord;
             }
         }
     }
 }
 
-fn eq_label(a: &[u8], b: &[u8]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.eq_ignore_ascii_case(y))
+/// Most labels a 255-byte name holds (each costs at least two bytes).
+const MAX_LABELS: usize = MAX_NAME_LEN / 2;
+
+/// Record the offset of every label's length byte; returns how many.
+fn label_starts(wire: &[u8], starts: &mut [u8; MAX_LABELS]) -> usize {
+    let (mut pos, mut n) = (0, 0);
+    while pos < wire.len() {
+        starts[n] = pos as u8;
+        n += 1;
+        pos += 1 + wire[pos] as usize;
+    }
+    n
+}
+
+fn label_at(wire: &[u8], start: u8) -> &[u8] {
+    let start = start as usize;
+    &wire[start + 1..start + 1 + wire[start] as usize]
 }
 
 fn cmp_label(a: &[u8], b: &[u8]) -> Ordering {
@@ -245,12 +312,10 @@ fn cmp_label(a: &[u8], b: &[u8]) -> Ordering {
 
 impl PartialEq for Name {
     fn eq(&self, other: &Self) -> bool {
-        self.labels.len() == other.labels.len()
-            && self
-                .labels
-                .iter()
-                .zip(&other.labels)
-                .all(|(a, b)| eq_label(a, b))
+        // Both buffers start at a length byte, and a length byte (at most
+        // 63) equals nothing but itself ignoring case: equal buffers have
+        // equal label boundaries.
+        self.as_wire().eq_ignore_ascii_case(other.as_wire())
     }
 }
 
@@ -258,7 +323,7 @@ impl Eq for Name {}
 
 impl std::hash::Hash for Name {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        for label in &self.labels {
+        for label in self.labels() {
             state.write_usize(label.len());
             for &b in label {
                 state.write_u8(b.to_ascii_lowercase());
@@ -281,10 +346,10 @@ impl Ord for Name {
 
 impl fmt::Display for Name {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.labels.is_empty() {
+        if self.is_root() {
             return f.write_str(".");
         }
-        for label in &self.labels {
+        for label in self.labels() {
             for &b in label {
                 match b {
                     b'.' | b'\\' => write!(f, "\\{}", b as char)?,
@@ -295,6 +360,12 @@ impl fmt::Display for Name {
             f.write_str(".")?;
         }
         Ok(())
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Name({self})")
     }
 }
 

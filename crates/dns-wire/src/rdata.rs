@@ -138,30 +138,28 @@ pub struct Nsec {
 impl Nsec {
     /// Encode the type bitmap (RFC 4034 §4.1.2).
     pub fn type_bitmap_wire(&self) -> Vec<u8> {
-        let mut by_window: std::collections::BTreeMap<u8, [u8; 32]> =
-            std::collections::BTreeMap::new();
-        for t in &self.types {
-            let v = t.to_u16();
-            let window = (v >> 8) as u8;
-            let bit = (v & 0xff) as usize;
-            let map = by_window.entry(window).or_insert([0u8; 32]);
-            map[bit / 8] |= 0x80 >> (bit % 8);
-        }
-        let mut out = Vec::new();
-        for (window, map) in by_window {
-            let len = map
-                .iter()
-                .rposition(|&b| b != 0)
-                .map(|p| p + 1)
-                .unwrap_or(0);
-            if len == 0 {
-                continue;
+        let mut w = WireWriter::new();
+        self.write_type_bitmap(&mut w);
+        w.into_bytes()
+    }
+
+    /// Write the type bitmap: one block per 256-type window that holds a
+    /// type, windows ascending, whatever order `types` is in.
+    fn write_type_bitmap(&self, w: &mut WireWriter) {
+        let window_of = |t: &RrType| (t.to_u16() >> 8) as u8;
+        let mut window = self.types.iter().map(window_of).min();
+        while let Some(win) = window {
+            let mut map = [0u8; 32];
+            for t in self.types.iter().filter(|t| window_of(t) == win) {
+                let bit = (t.to_u16() & 0xff) as usize;
+                map[bit / 8] |= 0x80 >> (bit % 8);
             }
-            out.push(window);
-            out.push(len as u8);
-            out.extend_from_slice(&map[..len]);
+            let len = map.iter().rposition(|&b| b != 0).map_or(0, |p| p + 1);
+            w.put_u8(win);
+            w.put_u8(len as u8);
+            w.put_bytes(&map[..len]);
+            window = self.types.iter().map(window_of).filter(|&x| x > win).min();
         }
-        out
     }
 
     /// Decode a type bitmap.
@@ -280,7 +278,7 @@ impl Rdata {
             }
             Rdata::Nsec(nsec) => {
                 nsec.next_domain.write_wire(w, canonical);
-                w.put_bytes(&nsec.type_bitmap_wire());
+                nsec.write_type_bitmap(w);
             }
             Rdata::Zonemd(z) => {
                 w.put_u32(z.serial);

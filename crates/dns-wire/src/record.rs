@@ -44,11 +44,13 @@ impl Record {
     /// Encode into a message body, with name compression for the owner.
     pub fn write_wire(&self, w: &mut WireWriter) {
         self.name.write_wire_compressed(w);
-        w.put_u16(self.rr_type.to_u16());
-        w.put_u16(self.class.to_u16());
-        w.put_u32(self.ttl);
-        let len_at = w.len();
-        w.put_u16(0); // placeholder RDLENGTH
+        // TYPE, CLASS, TTL and a placeholder RDLENGTH, in one append.
+        let mut fixed = [0u8; 10];
+        fixed[..2].copy_from_slice(&self.rr_type.to_u16().to_be_bytes());
+        fixed[2..4].copy_from_slice(&self.class.to_u16().to_be_bytes());
+        fixed[4..8].copy_from_slice(&self.ttl.to_be_bytes());
+        w.put_bytes(&fixed);
+        let len_at = w.len() - 2;
         let before = w.len();
         self.rdata.write_wire(w, false);
         w.patch_u16(len_at, (w.len() - before) as u16);

@@ -1,10 +1,10 @@
 //! Low-level wire reader/writer.
 //!
-//! The writer maintains a name-compression table (suffix → offset) so
-//! messages use RFC 1035 §4.1.4 compression pointers; the reader follows
-//! pointers with loop and bounds protection.
+//! The writer remembers where it wrote each name, so messages use RFC 1035
+//! §4.1.4 compression pointers; the reader follows pointers with loop and
+//! bounds protection.
 
-use std::collections::HashMap;
+use crate::name::{Name, MAX_NAME_LEN};
 
 /// Maximum offset addressable by a 14-bit compression pointer.
 const MAX_POINTER_TARGET: usize = 0x3fff;
@@ -13,7 +13,7 @@ const MAX_POINTER_TARGET: usize = 0x3fff;
 ///
 /// A 255-byte name has at most 127 labels, so any legitimate chain — even
 /// one pointer per label — stays far below this. The monotonic-target rule
-/// in [`WireReader::read_name_labels`] already makes loops structurally
+/// in [`WireReader::read_name`] already makes loops structurally
 /// impossible; the cap is defence in depth against degenerate (but acyclic)
 /// chains in hostile messages.
 pub const MAX_POINTER_JUMPS: u32 = 64;
@@ -115,7 +115,7 @@ impl<'a> WireReader<'a> {
         Ok(out)
     }
 
-    /// Read a possibly-compressed name as raw labels.
+    /// Read a possibly-compressed name.
     ///
     /// Pointer chasing is bounded two ways. Every jump must land strictly
     /// before its own position ([`WireError::ForwardPointer`] otherwise)
@@ -126,9 +126,10 @@ impl<'a> WireReader<'a> {
     /// referencing it, so real messages satisfy the monotonic rule; only
     /// crafted chains trip it. A hard cap of [`MAX_POINTER_JUMPS`] jumps
     /// backstops degenerate acyclic chains.
-    pub fn read_name_labels(&mut self) -> Result<Vec<Vec<u8>>, WireError> {
-        let mut labels = Vec::new();
-        let mut wire_len = 1usize; // trailing root byte
+    pub fn read_name(&mut self) -> Result<Name, WireError> {
+        // The labels as they will be stored: flat, without the root byte.
+        let mut flat = [0u8; MAX_NAME_LEN - 1];
+        let mut flat_len = 0usize;
         let mut pos = self.pos;
         let mut followed: u32 = 0;
         let mut lowest_target: Option<usize> = None;
@@ -137,19 +138,16 @@ impl<'a> WireReader<'a> {
             let len = *self.buf.get(pos).ok_or(WireError::Truncated)? as usize;
             match len & 0xc0 {
                 0x00 => {
-                    pos += 1;
                     if len == 0 {
+                        pos += 1;
                         break;
                     }
-                    if pos + len > self.buf.len() {
-                        return Err(WireError::Truncated);
-                    }
-                    wire_len += len + 1;
-                    if wire_len > super::name::MAX_NAME_LEN {
-                        return Err(WireError::NameTooLong);
-                    }
-                    labels.push(self.buf[pos..pos + len].to_vec());
-                    pos += len;
+                    let label = self.buf.get(pos..pos + 1 + len);
+                    let label = label.ok_or(WireError::Truncated)?;
+                    let dst = flat.get_mut(flat_len..flat_len + 1 + len);
+                    dst.ok_or(WireError::NameTooLong)?.copy_from_slice(label);
+                    flat_len += 1 + len;
+                    pos += 1 + len;
                 }
                 0xc0 => {
                     let lo = *self.buf.get(pos + 1).ok_or(WireError::Truncated)? as usize;
@@ -174,23 +172,81 @@ impl<'a> WireReader<'a> {
             }
         }
         self.pos = end_after_first_pointer.unwrap_or(pos);
-        Ok(labels)
+        Ok(Name::from_wire_unchecked(&flat[..flat_len]))
     }
 }
 
+/// A growing list of small `Copy` values: inline, with its owner, up to
+/// `N` entries — what a UDP-sized message needs never allocates — and on
+/// the heap as a whole once it outgrows that.
+#[derive(Debug, Clone)]
+struct SmallList<T, const N: usize> {
+    inline: [T; N],
+    inline_len: usize,
+    /// Empty until the list outgrows `inline`; every entry from then on.
+    heap: Vec<T>,
+}
+
+impl<T: Copy + Default, const N: usize> SmallList<T, N> {
+    fn new() -> Self {
+        SmallList {
+            inline: [T::default(); N],
+            inline_len: 0,
+            heap: Vec::new(),
+        }
+    }
+
+    fn as_slice(&self) -> &[T] {
+        if self.heap.is_empty() {
+            &self.inline[..self.inline_len]
+        } else {
+            &self.heap
+        }
+    }
+
+    fn push(&mut self, item: T) {
+        if self.heap.is_empty() && self.inline_len < N {
+            self.inline[self.inline_len] = item;
+            self.inline_len += 1;
+        } else {
+            if self.heap.is_empty() {
+                self.heap.extend_from_slice(&self.inline);
+            }
+            self.heap.push(item);
+        }
+    }
+
+    /// Keep the first `len` entries.
+    fn truncate(&mut self, len: usize) {
+        self.inline_len = self.inline_len.min(len);
+        self.heap.truncate(len);
+    }
+}
+
+/// Entries the writer's name table and pointer log hold inline.
+const INLINE_NAMES: usize = 48;
+
 /// Growable writer with a name-compression table.
+///
+/// The table is the list of offsets at which a label of a compressible
+/// name was written; the name that starts at each one is read back from
+/// the buffer (following the pointers that end it) when a later name looks
+/// for a suffix already present. No key is stored and, for messages of a
+/// few dozen names, nothing is allocated.
 pub struct WireWriter {
     buf: Vec<u8>,
-    /// Map from a name suffix (canonical lowercase wire bytes) to the offset
-    /// where that suffix was first written.
-    compress: HashMap<Vec<u8>, usize>,
+    /// Offsets (each at most [`MAX_POINTER_TARGET`]) of the labels written
+    /// by [`Self::put_name_compressed`], in write order. Every entry starts
+    /// a different name: a suffix that is already present is pointed at,
+    /// not written again.
+    names: SmallList<u16, INLINE_NAMES>,
     /// Whether `put_name_compressed` emits pointers (ablation toggle).
     compression_enabled: bool,
     /// Every compression pointer emitted, as `(position, target)` — the
     /// offset of the 2-byte pointer itself and the offset it refers to.
     /// Response-template builders use this to relocate pointers when the
     /// question region they were encoded against changes length.
-    pointers: Vec<(usize, usize)>,
+    pointers: SmallList<(u32, u16), INLINE_NAMES>,
 }
 
 impl Default for WireWriter {
@@ -219,9 +275,9 @@ impl WireWriter {
         buf.clear();
         WireWriter {
             buf,
-            compress: HashMap::new(),
+            names: SmallList::new(),
             compression_enabled: true,
-            pointers: Vec::new(),
+            pointers: SmallList::new(),
         }
     }
 
@@ -262,27 +318,73 @@ impl WireWriter {
         self.buf[offset + 1] = v as u8;
     }
 
+    /// Drop everything written at or after offset `len`, the names and
+    /// pointers recorded there included (a server cutting a response back
+    /// to the last record that fits its budget).
+    pub fn truncate(&mut self, len: usize) {
+        self.buf.truncate(len);
+        // Both lists are in write order, so ascending by offset.
+        let names = self.names.as_slice();
+        self.names
+            .truncate(names.partition_point(|&off| (off as usize) < len));
+        let pointers = self.pointers.as_slice();
+        self.pointers
+            .truncate(pointers.partition_point(|&(pos, _)| (pos as usize) < len));
+    }
+
     /// Write a name using compression pointers where a suffix was already
-    /// emitted. `labels` are raw label bytes, leftmost first.
-    pub fn put_name_compressed(&mut self, labels: &[Vec<u8>]) {
-        for i in 0..labels.len() {
-            let suffix_key = suffix_key(&labels[i..]);
+    /// emitted. `name` is the flat wire form without the root byte
+    /// ([`Name::as_wire`]), leftmost label first.
+    pub fn put_name_compressed(&mut self, name: &[u8]) {
+        let mut rest = name;
+        // The labels this call registers start names longer than any
+        // suffix still to come (and still unfinished): not candidates.
+        let known = self.names.as_slice().len();
+        while let Some(&len) = rest.first() {
             if self.compression_enabled {
-                if let Some(&off) = self.compress.get(&suffix_key) {
-                    debug_assert!(off <= MAX_POINTER_TARGET);
-                    self.pointers.push((self.buf.len(), off));
-                    self.put_u16(0xc000 | off as u16);
+                if let Some(off) = self.find_name(rest, known) {
+                    self.pointers.push((self.buf.len() as u32, off));
+                    self.put_u16(0xc000 | off);
                     return;
                 }
+                if self.buf.len() <= MAX_POINTER_TARGET {
+                    self.names.push(self.buf.len() as u16);
+                }
             }
-            let here = self.buf.len();
-            if self.compression_enabled && here <= MAX_POINTER_TARGET {
-                self.compress.insert(suffix_key, here);
-            }
-            self.put_u8(labels[i].len() as u8);
-            self.put_bytes(&labels[i]);
+            let (label, tail) = rest.split_at(1 + len as usize);
+            self.put_bytes(label);
+            rest = tail;
         }
         self.put_u8(0);
+    }
+
+    /// The offset, among the first `known` registered, of the name that
+    /// equals `name` (flat, non-root) ignoring case.
+    fn find_name(&self, name: &[u8], known: usize) -> Option<u16> {
+        let names = self.names.as_slice()[..known].iter();
+        names
+            .copied()
+            .find(|&off| self.name_at_is(off as usize, name))
+    }
+
+    /// Whether the name written at `pos` — labels up to a root byte, or up
+    /// to a pointer and on from its target — is `name`, ignoring case.
+    fn name_at_is(&self, mut pos: usize, mut name: &[u8]) -> bool {
+        loop {
+            let len = self.buf[pos] as usize;
+            if len & 0xc0 == 0xc0 {
+                pos = (len & 0x3f) << 8 | self.buf[pos + 1] as usize;
+            } else if len == 0 || name.len() <= len {
+                return len == 0 && name.is_empty();
+            } else {
+                let (label, rest) = name.split_at(1 + len);
+                if !self.buf[pos..pos + 1 + len].eq_ignore_ascii_case(label) {
+                    return false;
+                }
+                pos += 1 + len;
+                name = rest;
+            }
+        }
     }
 
     /// Finish, returning the buffer (no copy: the writer's own allocation).
@@ -297,8 +399,8 @@ impl WireWriter {
 
     /// The compression pointers emitted so far, as `(position, target)`
     /// pairs in write order.
-    pub fn pointers(&self) -> &[(usize, usize)] {
-        &self.pointers
+    pub fn pointers(&self) -> &[(u32, u16)] {
+        self.pointers.as_slice()
     }
 
     /// The name suffixes registered for compression so far, as canonical
@@ -306,19 +408,14 @@ impl WireWriter {
     /// trailing root byte). Response-template builders use this to detect
     /// question names whose labels would compress against record names —
     /// those encodings depend on the question and cannot be templated.
-    pub fn compressed_suffixes(&self) -> impl Iterator<Item = &[u8]> {
-        self.compress.keys().map(Vec::as_slice)
+    pub fn compressed_suffixes(&self) -> impl Iterator<Item = Vec<u8>> + '_ {
+        self.names.as_slice().iter().map(|&off| {
+            let mut r = WireReader::new(&self.buf);
+            r.pos = off as usize;
+            let name = r.read_name().expect("a name this writer wrote");
+            name.as_wire().to_ascii_lowercase()
+        })
     }
-}
-
-/// Case-insensitive key for a label suffix.
-fn suffix_key(labels: &[Vec<u8>]) -> Vec<u8> {
-    let mut key = Vec::new();
-    for l in labels {
-        key.push(l.len() as u8);
-        key.extend(l.iter().map(|b| b.to_ascii_lowercase()));
-    }
-    key
 }
 
 #[cfg(test)]
@@ -351,30 +448,32 @@ mod tests {
         assert_eq!(r.read_bytes(3), Err(WireError::Truncated));
     }
 
+    fn name(s: &str) -> Name {
+        Name::parse(s).unwrap()
+    }
+
     #[test]
     fn compression_reuses_suffix() {
-        let labels_b = vec![b"b".to_vec(), b"root-servers".to_vec(), b"net".to_vec()];
-        let labels_c = vec![b"c".to_vec(), b"root-servers".to_vec(), b"net".to_vec()];
+        let (b, c) = (name("b.root-servers.net."), name("c.root-servers.net."));
         let mut w = WireWriter::new();
-        w.put_name_compressed(&labels_b);
+        w.put_name_compressed(b.as_wire());
         let first_len = w.len();
-        w.put_name_compressed(&labels_c);
+        w.put_name_compressed(c.as_wire());
+        assert_eq!(w.pointers(), [(first_len as u32 + 2, 2)]);
         let bytes = w.into_bytes();
         // Second name: 1+1 ("c") + 2 (pointer) = 4 bytes.
         assert_eq!(bytes.len(), first_len + 4);
         let mut r = WireReader::new(&bytes);
-        assert_eq!(r.read_name_labels().unwrap(), labels_b);
-        assert_eq!(r.read_name_labels().unwrap(), labels_c);
+        assert_eq!(r.read_name().unwrap(), b);
+        assert_eq!(r.read_name().unwrap(), c);
         assert!(r.is_empty());
     }
 
     #[test]
     fn compression_case_insensitive() {
-        let upper = vec![b"NET".to_vec()];
-        let lower = vec![b"net".to_vec()];
         let mut w = WireWriter::new();
-        w.put_name_compressed(&upper);
-        w.put_name_compressed(&lower);
+        w.put_name_compressed(name("NET.").as_wire());
+        w.put_name_compressed(name("net.").as_wire());
         let bytes = w.into_bytes();
         // Second occurrence must be a 2-byte pointer.
         assert_eq!(bytes.len(), 5 + 2);
@@ -382,12 +481,78 @@ mod tests {
 
     #[test]
     fn without_compression_writes_full_names() {
-        let labels = vec![b"a".to_vec(), b"net".to_vec()];
+        let a_net = name("a.net.");
         let mut w = WireWriter::without_compression();
-        w.put_name_compressed(&labels);
-        w.put_name_compressed(&labels);
+        w.put_name_compressed(a_net.as_wire());
+        w.put_name_compressed(a_net.as_wire());
         let bytes = w.into_bytes();
         assert_eq!(bytes.len(), 2 * (2 + 4 + 1));
+    }
+
+    #[test]
+    fn suffix_of_a_pointer_terminated_name_is_found() {
+        // "b.x.net" is written as "b" + "x" + pointer("net"): a later
+        // "c.X.NET" must find "x.net" by reading through that pointer.
+        let mut w = WireWriter::new();
+        for n in ["net.", "b.x.net.", "c.X.NET.", "x.net.example."] {
+            w.put_name_compressed(name(n).as_wire());
+        }
+        assert_eq!(w.pointers(), [(9, 0), (13, 7)]);
+        let keys: Vec<Vec<u8>> = w.compressed_suffixes().collect();
+        assert_eq!(
+            keys[..3],
+            [&b"\x03net"[..], b"\x01b\x01x\x03net", b"\x01x\x03net"]
+        );
+        assert_eq!(keys.len(), 3 + 1 + 3);
+    }
+
+    #[test]
+    fn truncate_forgets_the_names_and_pointers_it_cuts() {
+        let mut w = WireWriter::new();
+        w.put_name_compressed(name("a.net.").as_wire());
+        let mark = w.len();
+        w.put_name_compressed(name("b.org.").as_wire());
+        w.put_name_compressed(name("c.net.").as_wire());
+        w.truncate(mark);
+        assert!(w.pointers().is_empty());
+        assert_eq!(w.compressed_suffixes().count(), 2);
+        // "org" is gone: written out again, not pointed at.
+        w.put_name_compressed(name("org.").as_wire());
+        assert_eq!(w.len(), mark + 5);
+    }
+
+    #[test]
+    fn name_table_outgrows_its_inline_storage() {
+        let mut w = WireWriter::new();
+        let names: Vec<Name> = (0..3 * INLINE_NAMES)
+            .map(|i| name(&format!("n{i}.example.")))
+            .collect();
+        let mut ends = Vec::new();
+        for n in names.iter().chain(&names) {
+            w.put_name_compressed(n.as_wire());
+            ends.push(w.len());
+        }
+        // One entry a name and one for "example"; the second round is all
+        // pointers.
+        assert_eq!(w.compressed_suffixes().count(), names.len() + 1);
+        assert_eq!(w.pointers().len(), names.len() - 1 + names.len());
+        let mut r = WireReader::new(w.as_bytes());
+        for n in names.iter().chain(&names) {
+            assert_eq!(&r.read_name().unwrap(), n);
+        }
+        // Cut back to the first ten names, and to none: the table follows.
+        w.truncate(ends[9]);
+        assert_eq!(w.compressed_suffixes().count(), 10 + 1);
+        assert_eq!(w.pointers().len(), 9);
+        w.put_name_compressed(names[10].as_wire());
+        assert_eq!(w.pointers().last(), Some(&(w.len() as u32 - 2, 3)));
+        w.truncate(0);
+        assert_eq!(
+            (w.compressed_suffixes().count(), w.pointers().len()),
+            (0, 0)
+        );
+        w.put_name_compressed(names[0].as_wire());
+        assert_eq!(w.as_bytes(), [names[0].as_wire(), &[0]].concat());
     }
 
     #[test]
@@ -395,11 +560,11 @@ mod tests {
         // Pointer at offset 0 pointing to itself.
         let bytes = [0xc0, 0x00];
         let mut r = WireReader::new(&bytes);
-        assert_eq!(r.read_name_labels(), Err(WireError::ForwardPointer));
+        assert_eq!(r.read_name(), Err(WireError::ForwardPointer));
         // Pointer at offset 0 pointing past itself.
         let bytes = [0xc0, 0x05, 1, b'a', 0];
         let mut r = WireReader::new(&bytes);
-        assert_eq!(r.read_name_labels(), Err(WireError::ForwardPointer));
+        assert_eq!(r.read_name(), Err(WireError::ForwardPointer));
     }
 
     #[test]
@@ -409,7 +574,7 @@ mod tests {
         let bytes = [0xc0, 0x02, 0xc0, 0x00];
         let mut r = WireReader::new(&bytes);
         r.pos = 2;
-        assert_eq!(r.read_name_labels(), Err(WireError::ForwardPointer));
+        assert_eq!(r.read_name(), Err(WireError::ForwardPointer));
     }
 
     #[test]
@@ -420,7 +585,7 @@ mod tests {
         let bytes = [1, b'a', 0xc0, 0x00];
         let mut r = WireReader::new(&bytes);
         r.pos = 2;
-        assert_eq!(r.read_name_labels(), Err(WireError::PointerLoop));
+        assert_eq!(r.read_name(), Err(WireError::PointerLoop));
     }
 
     #[test]
@@ -436,30 +601,30 @@ mod tests {
         let start = bytes.len() - 2;
         let mut r = WireReader::new(&bytes);
         r.pos = start;
-        assert_eq!(r.read_name_labels().unwrap(), vec![b"x".to_vec()]);
+        assert_eq!(r.read_name().unwrap(), name("x."));
         // One more pointer exceeds the jump budget.
         let target = bytes.len() - 2;
         bytes.extend_from_slice(&[0xc0 | (target >> 8) as u8, target as u8]);
         let mut r = WireReader::new(&bytes);
         r.pos = bytes.len() - 2;
-        assert_eq!(r.read_name_labels(), Err(WireError::PointerLoop));
+        assert_eq!(r.read_name(), Err(WireError::PointerLoop));
     }
 
     #[test]
     fn reserved_label_type_rejected() {
         let bytes = [0x80, 0x00];
         let mut r = WireReader::new(&bytes);
-        assert_eq!(r.read_name_labels(), Err(WireError::BadLabelType));
+        assert_eq!(r.read_name(), Err(WireError::BadLabelType));
     }
 
     #[test]
     fn truncated_name_rejected() {
         let bytes = [0x03, b'a', b'b']; // promises 3 bytes, has 2
         let mut r = WireReader::new(&bytes);
-        assert_eq!(r.read_name_labels(), Err(WireError::Truncated));
+        assert_eq!(r.read_name(), Err(WireError::Truncated));
         let bytes = [0x01, b'a']; // missing terminator
         let mut r = WireReader::new(&bytes);
-        assert_eq!(r.read_name_labels(), Err(WireError::Truncated));
+        assert_eq!(r.read_name(), Err(WireError::Truncated));
     }
 
     #[test]
@@ -468,8 +633,7 @@ mod tests {
         let bytes = [1, b'x', 0, 1, b'y', 0xc0, 0x00, 0xff];
         let mut r = WireReader::new(&bytes);
         r.pos = 3;
-        let labels = r.read_name_labels().unwrap();
-        assert_eq!(labels, vec![b"y".to_vec(), b"x".to_vec()]);
+        assert_eq!(r.read_name().unwrap(), name("y.x."));
         // Reader continues right after the pointer.
         assert_eq!(r.position(), 7);
         assert_eq!(r.read_u8().unwrap(), 0xff);
@@ -494,6 +658,6 @@ mod tests {
         }
         bytes.push(0);
         let mut r = WireReader::new(&bytes);
-        assert_eq!(r.read_name_labels(), Err(WireError::NameTooLong));
+        assert_eq!(r.read_name(), Err(WireError::NameTooLong));
     }
 }

@@ -1,30 +1,33 @@
 //! The answer path: request bytes in, response bytes out.
 //!
 //! [`Rootd`] is one serving instance — one anycast site's worth of
-//! authoritative root service. It parses untrusted request bytes with
-//! [`Message::from_wire`], resolves the question against the precompiled
+//! authoritative root service. It parses untrusted request bytes once
+//! into a `FastQuery`, resolves the question against the precompiled
 //! [`ZoneIndex`], and encodes the response honoring the client's EDNS
-//! payload budget with TC-bit truncation at record boundaries. AXFR is
-//! served as the multi-message stream `dns_zone::axfr` produces; CHAOS
-//! identity queries answer from the site's [`SiteIdentity`].
+//! payload budget with TC-bit truncation at record boundaries
+//! (`crate::answer`). AXFR is served as the multi-message stream
+//! `dns_zone::axfr` produces; CHAOS identity queries answer from the
+//! site's [`SiteIdentity`].
 //!
 //! The hot path is the precompiled [`AnswerCache`]: when enabled
 //! ([`Rootd::with_answer_cache`]), `serve_udp_into` first tries a hash
 //! lookup that splices the request id, RD bit, and question bytes into a
-//! pre-encoded response — zero allocation, zero record cloning. Cold
-//! shapes (AXFR, FORMERR, NSID, odd payload sizes) fall through to the
-//! full parse/respond/encode path below. Zone swaps ([`Rootd::reload`])
-//! replace the whole serving state atomically behind an epoch-swapped
-//! `Arc`, bumping [`Rootd::generation`].
+//! pre-encoded response. What it does not hold (uncached qtypes, names
+//! below a cut, odd payload sizes, AXFR) is resolved and encoded per
+//! query — without allocating, as the hit path. Only the requests
+//! `FastQuery::parse` cannot prove canonical (NSID and other options, a
+//! compressed qname, several questions, another opcode) take
+//! [`Message::from_wire`] first. Zone swaps ([`Rootd::reload`]) replace the
+//! whole serving state atomically behind an epoch-swapped `Arc`, bumping
+//! [`Rootd::generation`].
 
+use crate::answer::{encode_into, Answerer, Plan, SiteAnswers};
 use crate::cache::{AnswerCache, ChaosCache};
-use crate::index::{Lookup, ZoneIndex};
+use crate::index::ZoneIndex;
+use crate::query::FastQuery;
 use crate::rrl::{self, ResponseClass, Rrl, RrlConfig, RrlDecision};
 use crate::transport::UdpBatch;
-use dns_wire::edns::{edns_of, set_edns, Edns};
-use dns_wire::message::Opcode;
-use dns_wire::rdata::Rdata;
-use dns_wire::{Class, Message, Question, Rcode, Record, RrType};
+use dns_wire::{Message, Rcode};
 use dns_zone::axfr::serve_axfr;
 use dns_zone::zone::Zone;
 use dns_zone::zonemd::ZonemdError;
@@ -33,13 +36,7 @@ use rss::catalog::RootSite;
 use rss::RootLetter;
 use std::sync::Arc;
 
-/// Minimum response budget every DNS/UDP client must accept (RFC 1035).
-pub const MIN_UDP_PAYLOAD: usize = 512;
-
-/// The payload size this server advertises in its own OPT records, and the
-/// ceiling it honors from clients (RFC 6891 recommends not trusting larger
-/// advertisements across unknown paths).
-pub const MAX_UDP_PAYLOAD: usize = 4096;
+pub use crate::query::{MAX_UDP_PAYLOAD, MIN_UDP_PAYLOAD};
 
 /// What an instance reports on the CHAOS identity channel.
 #[derive(Debug, Clone)]
@@ -286,11 +283,8 @@ pub struct BatchTally {
 #[derive(Debug)]
 pub struct Rootd {
     state: Arc<RwLock<Arc<ServingState>>>,
-    identity: SiteIdentity,
-    /// CHAOS TXT rdata precomputed at build time so identity queries do
-    /// not re-allocate the banner strings per query.
-    chaos_hostname: Option<Rdata>,
-    chaos_version: Rdata,
+    /// The identity answers (CHAOS TXT records, NSID payload), built once.
+    site: SiteAnswers,
     /// Per-engine CHAOS identity shapes, present on engines built over a
     /// [`SharedState`] (whose answer cache is identity-free).
     chaos: Option<ChaosCache>,
@@ -308,11 +302,6 @@ impl Rootd {
     /// serve path parses and encodes every datagram. Chain
     /// [`Self::with_answer_cache`] for the precompiled fast path.
     pub fn new(index: Arc<ZoneIndex>, identity: SiteIdentity) -> Rootd {
-        let chaos_hostname = identity
-            .hostname
-            .as_ref()
-            .map(|h| Rdata::Txt(vec![h.clone().into_bytes()]));
-        let chaos_version = Rdata::Txt(vec![identity.version.clone().into_bytes()]);
         Rootd {
             state: Arc::new(RwLock::new(Arc::new(ServingState {
                 index,
@@ -320,9 +309,7 @@ impl Rootd {
                 generation: 0,
                 rrl: None,
             }))),
-            identity,
-            chaos_hostname,
-            chaos_version,
+            site: SiteAnswers::new(&identity),
             chaos: None,
             cache_enabled: false,
             axfr_batch: dns_zone::axfr::DEFAULT_BATCH,
@@ -336,16 +323,9 @@ impl Rootd {
     /// [`SharedState::reload`] (or a [`Rootd::reload`] through any
     /// sharing engine) swaps the epoch for every sharer at once.
     pub fn with_shared_state(shared: &SharedState, identity: SiteIdentity) -> Rootd {
-        let chaos_hostname = identity
-            .hostname
-            .as_ref()
-            .map(|h| Rdata::Txt(vec![h.clone().into_bytes()]));
-        let chaos_version = Rdata::Txt(vec![identity.version.clone().into_bytes()]);
         let mut me = Rootd {
             state: Arc::clone(&shared.state),
-            identity,
-            chaos_hostname,
-            chaos_version,
+            site: SiteAnswers::new(&identity),
             chaos: None,
             cache_enabled: true,
             axfr_batch: dns_zone::axfr::DEFAULT_BATCH,
@@ -439,9 +419,7 @@ impl Rootd {
             } else {
                 Arc::new(AnswerCache::build(&Answerer {
                     index,
-                    hostname: self.identity.hostname.as_deref(),
-                    chaos_hostname: self.chaos_hostname.as_ref(),
-                    chaos_version: &self.chaos_version,
+                    site: Some(&self.site),
                 }))
             }
         })
@@ -471,22 +449,53 @@ impl Rootd {
         request: &[u8],
         out: &mut Vec<u8>,
     ) -> ServeOutcome {
+        let Some(q) = FastQuery::parse(request) else {
+            return self.serve_uncanonical(state, request, out);
+        };
         if let Some(cache) = &state.cache {
-            if cache.serve(request, out) {
+            if cache.serve(&state.index, request, &q, out) {
                 return ServeOutcome::CacheHit;
             }
         }
         if let Some(chaos) = &self.chaos {
-            if chaos.serve(request, out) {
+            if chaos.serve(request, &q, out) {
                 return ServeOutcome::CacheHit;
             }
         }
-        let answerer = self.answerer(state);
-        if serve_udp_fallback(&answerer, request, out) {
-            ServeOutcome::Fallback
-        } else {
-            ServeOutcome::Dropped
+        self.answer_udp(state, &q, out)
+    }
+
+    /// The uncached UDP answer: resolve `q`, encode within its budget.
+    fn answer_udp(
+        &self,
+        state: &ServingState,
+        q: &FastQuery<'_>,
+        out: &mut Vec<u8>,
+    ) -> ServeOutcome {
+        let plan = self.answerer(state).answer(q, true);
+        encode_into(&plan, q, q.limit, out);
+        ServeOutcome::Fallback
+    }
+
+    /// The UDP path of a request `FastQuery::parse` refused: the full
+    /// parse, adapted onto the same view, answered by the same code.
+    fn serve_uncanonical(
+        &self,
+        state: &ServingState,
+        request: &[u8],
+        out: &mut Vec<u8>,
+    ) -> ServeOutcome {
+        let query = match Message::from_wire(request) {
+            Ok(query) => query,
+            // Untrusted bytes: answer FORMERR when at least a header is
+            // there to echo, drop otherwise (real servers do both).
+            Err(_) if formerr_stub(request, out) => return ServeOutcome::Fallback,
+            Err(_) => return ServeOutcome::Dropped,
+        };
+        if query.header.flags.response {
+            return ServeOutcome::Dropped;
         }
+        self.answer_udp(state, &FastQuery::from_message(&query), out)
     }
 
     /// Serve every request in `batch`, writing each answer into the
@@ -580,235 +589,26 @@ impl Rootd {
             return Vec::new();
         }
         let state = self.state.read();
-        if is_axfr(&query) {
-            return match serve_axfr(state.index.zone(), query.header.id, self.axfr_batch) {
-                Ok(msgs) => msgs.iter().map(|m| m.to_wire()).collect(),
-                Err(_) => {
-                    vec![Message::response_to(&query, Rcode::ServFail, Vec::new()).to_wire()]
-                }
-            };
-        }
-        vec![self.answerer(&state).respond(&query).to_wire()]
-    }
-
-    /// Build the (single-message) response to a parsed, non-AXFR query.
-    pub fn respond(&self, query: &Message) -> Message {
-        let state = self.state.read();
-        self.answerer(&state).respond(query)
+        let q = FastQuery::from_message(&query);
+        let plan = if q.is_axfr() && !q.bad_version() {
+            match serve_axfr(state.index.zone(), query.header.id, self.axfr_batch) {
+                Ok(msgs) => return msgs.iter().map(|m| m.to_wire()).collect(),
+                Err(_) => Plan::bare(Rcode::ServFail),
+            }
+        } else {
+            self.answerer(&state).answer(&q, false)
+        };
+        let mut out = Vec::new();
+        encode_into(&plan, &q, usize::MAX, &mut out);
+        vec![out]
     }
 
     fn answerer<'a>(&'a self, state: &'a ServingState) -> Answerer<'a> {
         Answerer {
             index: &state.index,
-            hostname: self.identity.hostname.as_deref(),
-            chaos_hostname: self.chaos_hostname.as_ref(),
-            chaos_version: &self.chaos_version,
+            site: Some(&self.site),
         }
     }
-}
-
-/// The full (uncached) answer logic, borrowed from one serving state. The
-/// answer cache is built by running every reachable shape through this
-/// exact code, so cached and fallback responses are byte-identical by
-/// construction.
-pub(crate) struct Answerer<'a> {
-    pub(crate) index: &'a ZoneIndex,
-    pub(crate) hostname: Option<&'a str>,
-    pub(crate) chaos_hostname: Option<&'a Rdata>,
-    pub(crate) chaos_version: &'a Rdata,
-}
-
-impl Answerer<'_> {
-    /// Build the (single-message) response to a parsed, non-AXFR query.
-    pub(crate) fn respond(&self, query: &Message) -> Message {
-        let mut resp = self.respond_inner(query);
-        self.attach_edns(query, &mut resp);
-        resp
-    }
-
-    fn respond_inner(&self, query: &Message) -> Message {
-        if query.header.opcode != Opcode::Query {
-            return Message::response_to(query, Rcode::NotImp, Vec::new());
-        }
-        let [q] = query.questions.as_slice() else {
-            // Zero or multiple questions: nothing sane to answer.
-            return Message::response_to(query, Rcode::FormErr, Vec::new());
-        };
-        let q = q.clone();
-        match q.class {
-            Class::Ch => self.answer_chaos(query, &q),
-            Class::In => self.answer_in(query, &q),
-            _ => Message::response_to(query, Rcode::Refused, Vec::new()),
-        }
-    }
-
-    fn answer_chaos(&self, query: &Message, q: &Question) -> Message {
-        let rdata = if q.rr_type == RrType::Txt {
-            if chaos_name_is(&q.name, b"hostname", b"bind")
-                || chaos_name_is(&q.name, b"id", b"server")
-            {
-                self.chaos_hostname.cloned()
-            } else if chaos_name_is(&q.name, b"version", b"bind")
-                || chaos_name_is(&q.name, b"version", b"server")
-            {
-                Some(self.chaos_version.clone())
-            } else {
-                None
-            }
-        } else {
-            None
-        };
-        match rdata {
-            Some(r) => Message::response_to(
-                query,
-                Rcode::NoError,
-                vec![Record::chaos(q.name.clone(), 0, r)],
-            ),
-            None => Message::response_to(query, Rcode::Refused, Vec::new()),
-        }
-    }
-
-    fn answer_in(&self, query: &Message, q: &Question) -> Message {
-        let dnssec = edns_of(query).map(|e| e.dnssec_ok).unwrap_or(false);
-        match self.index.lookup(&q.name, q.rr_type) {
-            Lookup::Answer(entry) => {
-                let mut answers = entry.records.clone();
-                if dnssec {
-                    answers.extend(entry.rrsigs.iter().cloned());
-                }
-                let mut resp = Message::response_to(query, Rcode::NoError, answers);
-                if q.rr_type == RrType::Ns && q.name == *self.index.origin() {
-                    // Priming response (RFC 8109): ship the root server
-                    // addresses so resolvers can bootstrap.
-                    for rec in &entry.records {
-                        let Rdata::Ns(target) = &rec.rdata else {
-                            continue;
-                        };
-                        for glue_type in [RrType::A, RrType::Aaaa] {
-                            if let Some(glue) = self.index.rrset(target, glue_type) {
-                                resp.additionals.extend(glue.records.iter().cloned());
-                            }
-                        }
-                    }
-                }
-                resp
-            }
-            Lookup::Referral(referral) => {
-                let mut resp = Message::response_to(query, Rcode::NoError, Vec::new());
-                // Referrals are non-authoritative: the data lives below the
-                // zone cut.
-                resp.header.flags.authoritative = false;
-                resp.authorities.extend(referral.ns.iter().cloned());
-                if dnssec {
-                    resp.authorities.extend(referral.ds.iter().cloned());
-                    resp.authorities.extend(referral.ds_rrsigs.iter().cloned());
-                }
-                resp.additionals.extend(referral.glue.iter().cloned());
-                resp
-            }
-            Lookup::NoData => self.negative(query, q, Rcode::NoError, dnssec),
-            Lookup::NxDomain => self.negative(query, q, Rcode::NxDomain, dnssec),
-        }
-    }
-
-    /// NODATA / NXDOMAIN: SOA in the authority section, plus the covering
-    /// NSEC proof when the client asked for DNSSEC.
-    fn negative(&self, query: &Message, q: &Question, rcode: Rcode, dnssec: bool) -> Message {
-        let nsec = if dnssec {
-            self.index.covering_nsec(&q.name)
-        } else {
-            None
-        };
-        self.negative_with(query, rcode, dnssec, nsec)
-    }
-
-    /// Negative response with an explicitly chosen NSEC link (the answer
-    /// cache precompiles one NXDOMAIN template per chain link).
-    pub(crate) fn negative_with(
-        &self,
-        query: &Message,
-        rcode: Rcode,
-        dnssec: bool,
-        nsec: Option<&crate::index::RrsetEntry>,
-    ) -> Message {
-        let mut resp = Message::response_to(query, rcode, Vec::new());
-        resp.authorities = self.index.negative_authority(dnssec);
-        if let Some(nsec) = nsec {
-            resp.authorities.extend(nsec.records.iter().cloned());
-            resp.authorities.extend(nsec.rrsigs.iter().cloned());
-        }
-        resp
-    }
-
-    /// Mirror the client's EDNS: advertise our payload size, echo DO, and
-    /// answer an NSID request with the instance identity (RFC 5001).
-    pub(crate) fn attach_edns(&self, query: &Message, resp: &mut Message) {
-        let Some(edns) = edns_of(query) else { return };
-        let mut reply = Edns {
-            udp_payload_size: MAX_UDP_PAYLOAD as u16,
-            dnssec_ok: edns.dnssec_ok,
-            ..Default::default()
-        };
-        if edns.nsid_requested() {
-            if let Some(hostname) = self.hostname {
-                reply = reply.with_nsid(hostname.as_bytes());
-            }
-        }
-        set_edns(resp, &reply);
-    }
-}
-
-/// Two-label CHAOS identity name match, case-insensitive, no allocation.
-fn chaos_name_is(name: &dns_wire::Name, first: &[u8], second: &[u8]) -> bool {
-    let mut labels = name.labels();
-    matches!(
-        (labels.next(), labels.next(), labels.next()),
-        (Some(a), Some(b), None)
-            if a.eq_ignore_ascii_case(first) && b.eq_ignore_ascii_case(second)
-    )
-}
-
-/// The uncached UDP path: full parse, respond, budget-limited encode into
-/// `out`. Returns false to drop the datagram.
-fn serve_udp_fallback(answerer: &Answerer<'_>, request: &[u8], out: &mut Vec<u8>) -> bool {
-    let query = match Message::from_wire(request) {
-        Ok(q) => q,
-        // Untrusted bytes: answer FORMERR when at least a header is
-        // there to echo, drop otherwise (real servers do both).
-        Err(_) => return formerr_stub(request, out),
-    };
-    if query.header.flags.response {
-        return false;
-    }
-    let limit = udp_limit(&query);
-    if is_axfr(&query) {
-        // Zone transfers need a stream; over UDP the only honest answer
-        // is an empty truncated response forcing the TCP retry.
-        let mut resp = Message::response_to(&query, Rcode::NoError, Vec::new());
-        resp.header.flags.truncated = true;
-        answerer.attach_edns(&query, &mut resp);
-        resp.encode_into(out);
-        return true;
-    }
-    let resp = answerer.respond(&query);
-    encode_limited_into(&resp, limit, out);
-    true
-}
-
-/// Whether the (first) question asks for a zone transfer.
-fn is_axfr(query: &Message) -> bool {
-    query
-        .questions
-        .first()
-        .is_some_and(|q| q.rr_type == RrType::Axfr && q.class == Class::In)
-}
-
-/// The response budget a query's EDNS advertises (512 without EDNS,
-/// clamped to `[512, 4096]` with it).
-fn udp_limit(query: &Message) -> usize {
-    edns_of(query)
-        .map(|e| (e.udp_payload_size as usize).clamp(MIN_UDP_PAYLOAD, MAX_UDP_PAYLOAD))
-        .unwrap_or(MIN_UDP_PAYLOAD)
 }
 
 /// A header-only FORMERR echoing the request id, written into `out` when a
@@ -823,46 +623,13 @@ fn formerr_stub(request: &[u8], out: &mut Vec<u8>) -> bool {
     true
 }
 
-/// Encode `msg` within `limit` bytes into `out`: while it does not fit,
-/// drop whole records — opportunistic additionals first, then authority,
-/// then answer — and set TC. The OPT pseudo-record survives truncation (it
-/// carries the EDNS negotiation itself). Dropping never splits a record,
-/// so the result always reparses with consistent section counts.
-pub(crate) fn encode_limited_into(msg: &Message, limit: usize, out: &mut Vec<u8>) {
-    msg.encode_into(out);
-    if out.len() <= limit {
-        return;
-    }
-    let mut an = msg.answers.len();
-    let mut ns = msg.authorities.len();
-    let mut ar = msg
-        .additionals
-        .iter()
-        .filter(|r| r.rr_type != RrType::Opt)
-        .count();
-    loop {
-        if ar > 0 {
-            ar -= 1;
-        } else if ns > 0 {
-            ns -= 1;
-        } else if an > 0 {
-            an -= 1;
-        } else {
-            // Header + question + OPT alone always fit 512 bytes for names
-            // the root serves; return as-is rather than loop forever.
-            return;
-        }
-        msg.encode_truncated_into(an, ns, ar, out);
-        if out.len() <= limit {
-            return;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dns_wire::Name;
+    use dns_wire::edns::{edns_of, set_edns, Edns};
+    use dns_wire::message::Opcode;
+    use dns_wire::rdata::Rdata;
+    use dns_wire::{Name, Question, RrType};
     use dns_zone::rollout::RolloutPhase;
     use dns_zone::rootzone::{build_root_zone, RootZoneConfig};
     use dns_zone::signer::ZoneKeys;
@@ -1105,7 +872,63 @@ mod tests {
             Message::query(78, Question::chaos_txt(Name::parse("id.server.").unwrap())).to_wire(),
         );
         queries.push(Message::query(79, Question::new(Name::root(), RrType::Axfr)).to_wire());
+        queries.push(versioned_query(80, ".", RrType::Soa, 1).to_wire());
         queries
+    }
+
+    /// A DO query whose OPT record speaks EDNS version `version`.
+    fn versioned_query(id: u16, name: &str, rr_type: RrType, version: u8) -> Message {
+        let mut q = Message::query(id, Question::new(Name::parse(name).unwrap(), rr_type));
+        let edns = Edns {
+            version,
+            ..Edns::dnssec()
+        };
+        set_edns(&mut q, &edns);
+        q
+    }
+
+    /// RFC 6891 §6.1.3: an OPT record in a version this server does not
+    /// speak is answered BADVERS — rcode 16, split between the OPT TTL and
+    /// the header — in version 0, whatever the question.
+    #[test]
+    fn edns_version_above_zero_answers_badvers() {
+        let e = engine();
+        let cached = engine().with_answer_cache();
+        for (name, rr_type) in [
+            (".", RrType::Soa),
+            ("com.", RrType::Ns),
+            ("nosuchtld12345.", RrType::A),
+            (".", RrType::Axfr),
+        ] {
+            let q = versioned_query(40, name, rr_type, 1);
+            let wire = q.to_wire();
+            let udp = e.serve_udp(&wire).expect("answered");
+            let tcp = e.serve_tcp(&wire);
+            assert_eq!(tcp.len(), 1, "{name} {rr_type:?}");
+            assert_eq!(tcp[0], udp, "{name} {rr_type:?}: the UDP bytes");
+            let resp = Message::from_wire(&udp).unwrap();
+            assert_eq!(resp.header.id, 40);
+            assert!(resp.header.flags.response && !resp.header.flags.truncated);
+            assert_eq!(resp.header.rcode, Rcode::NoError, "low four bits of 16");
+            assert_eq!(resp.questions, q.questions);
+            assert!(resp.answers.is_empty() && resp.authorities.is_empty());
+            assert_eq!(resp.additionals.len(), 1, "the OPT and nothing else");
+            let edns = edns_of(&resp).unwrap();
+            assert_eq!((edns.extended_rcode, edns.version), (1, 0));
+            assert!(edns.dnssec_ok && edns.options.is_empty());
+            // The cache refuses such an OPT: the twin with a cache takes
+            // the same path to the same bytes.
+            let mut out = Vec::new();
+            assert_eq!(
+                cached.serve_udp_into(&wire, &mut out),
+                ServeOutcome::Fallback
+            );
+            assert_eq!(out, udp);
+        }
+        // Version 0 with the version byte's neighbours set is not BADVERS.
+        let resp = ask(&e, versioned_query(41, ".", RrType::Soa, 0));
+        assert_eq!(edns_of(&resp).unwrap().extended_rcode, 0);
+        assert_eq!(resp.answers.len(), 2);
     }
 
     #[test]
@@ -1500,5 +1323,169 @@ mod tests {
         let edns = edns_of(&resp).unwrap();
         assert_eq!(edns.nsid(), Some(b"lax2f".as_slice()));
         assert_eq!(edns.udp_payload_size as usize, MAX_UDP_PAYLOAD);
+    }
+
+    /// Strategy: a query the serve path has something to say about — a
+    /// zone name, a name below a cut or junk, in either case; any of a few
+    /// qtypes and classes; no EDNS, or an OPT of any payload, version and
+    /// DO with or without an NSID request.
+    fn some_query() -> impl proptest::prelude::Strategy<Value = Message> {
+        use proptest::prelude::*;
+        let label = proptest::collection::vec(0usize..38, 1..12).prop_map(|picks| {
+            let alphabet = b"abcdefghijklmnopqrstuvwxyzABCDEFGH-0";
+            picks.iter().map(|&p| alphabet[p % 36]).collect::<Vec<u8>>()
+        });
+        let known = prop_oneof![
+            Just(&b"com"[..]),
+            Just(&b"NET"[..]),
+            Just(&b"root-servers"[..]),
+            Just(&b"ns0"[..]),
+            Just(&b"a"[..]),
+            Just(&b"bind"[..]),
+            Just(&b"hostname"[..]),
+        ];
+        let label = prop_oneof![label, known.prop_map(<[u8]>::to_vec)];
+        let name = proptest::collection::vec(label, 0..5)
+            .prop_map(|labels| Name::from_labels(labels).expect("short labels"));
+        let qtype = prop_oneof![0u16..70, Just(252), Just(255), any::<u16>()];
+        let class = prop_oneof![Just(1u16), Just(1), Just(3), any::<u16>()];
+        let edns = (any::<u16>(), 0u8..3, any::<bool>(), any::<bool>());
+        (
+            any::<u16>(),
+            name,
+            qtype,
+            class,
+            0u8..3,
+            edns,
+            any::<bool>(),
+        )
+            .prop_map(
+                |(id, name, qtype, class, with_edns, (payload, version, dnssec_ok, nsid), rd)| {
+                    let question = Question {
+                        name,
+                        rr_type: RrType::from_u16(qtype),
+                        class: dns_wire::Class::from_u16(class),
+                    };
+                    let mut q = Message::query(id, question);
+                    q.header.flags.recursion_desired = rd;
+                    if with_edns > 0 {
+                        let edns = Edns {
+                            udp_payload_size: payload,
+                            version: version / 2,
+                            dnssec_ok,
+                            ..Default::default()
+                        };
+                        let edns = if nsid && with_edns > 1 {
+                            edns.with_nsid_request()
+                        } else {
+                            edns
+                        };
+                        set_edns(&mut q, &edns);
+                    }
+                    q
+                },
+            )
+    }
+
+    /// Whatever `serve_udp_into` answers `request` reparses, and within
+    /// the budget the request advertises (512 bytes unless a parseable OPT
+    /// says otherwise).
+    fn assert_reply_is_sound(
+        e: &Rootd,
+        request: &[u8],
+    ) -> Result<(), proptest::prelude::TestCaseError> {
+        use proptest::prelude::TestCaseError;
+        let mut out = Vec::new();
+        if e.serve_udp_into(request, &mut out) == ServeOutcome::Dropped {
+            return Ok(());
+        }
+        let reply =
+            Message::from_wire(&out).map_err(|e| TestCaseError::fail(format!("{e}: {out:?}")))?;
+        let asked = Message::from_wire(request).ok();
+        let budget = asked.as_ref().and_then(edns_of).map_or(512, |edns| {
+            (edns.udp_payload_size as usize).clamp(MIN_UDP_PAYLOAD, MAX_UDP_PAYLOAD)
+        });
+        if out.len() > budget || !reply.header.flags.response {
+            let len = out.len();
+            return Err(TestCaseError::fail(format!("{len} bytes, budget {budget}")));
+        }
+        if out[..2] != request[..2] {
+            return Err(TestCaseError::fail("id not echoed"));
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn arbitrary_datagrams_never_panic_and_replies_reparse(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..80),
+            // Most random bytes fail the header checks: graft a plausible
+            // header on half of them.
+            header in proptest::prelude::any::<bool>(),
+        ) {
+            let mut bytes = bytes;
+            if header && bytes.len() >= 12 {
+                bytes[2] &= 0x01;
+                let arcount = bytes[11] & 1;
+                bytes[4..12].copy_from_slice(&[0, 1, 0, 0, 0, 0, 0, arcount]);
+            }
+            for e in [engine(), engine().with_answer_cache()] {
+                assert_reply_is_sound(&e, &bytes)?;
+            }
+        }
+
+        #[test]
+        fn mutated_valid_datagrams_never_panic_and_replies_reparse(
+            q in some_query(),
+            at in 0usize..400,
+            flip in 0u8..=255,
+            cut in 0usize..400,
+        ) {
+            let plain = engine();
+            let cached = engine().with_answer_cache();
+            let mut wire = q.to_wire();
+            for round in 0..3 {
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                let outcome = plain.serve_udp_into(&wire, &mut a);
+                // A cache changes the path, never the verdict or a byte.
+                let cached_outcome = cached.serve_udp_into(&wire, &mut b);
+                proptest::prop_assert_eq!(
+                    outcome == ServeOutcome::Dropped,
+                    cached_outcome == ServeOutcome::Dropped
+                );
+                if outcome != ServeOutcome::Dropped {
+                    proptest::prop_assert_eq!(&a, &b);
+                }
+                assert_reply_is_sound(&plain, &wire)?;
+                let _ = plain.serve_tcp(&wire);
+                // Then one flipped byte, then a truncation on top.
+                match round {
+                    0 => {
+                        let at = at % wire.len();
+                        wire[at] ^= flip;
+                    }
+                    _ => wire.truncate(cut % (wire.len() + 1)),
+                }
+            }
+        }
+
+        /// The zero-copy parse and the full parse lead to the same view:
+        /// whatever `FastQuery::parse` accepts is answered byte for byte
+        /// the same when forced through `Message::from_wire` and the
+        /// adapter.
+        #[test]
+        fn canonical_requests_answer_the_same_through_the_adapter(q in some_query()) {
+            let e = engine();
+            let wire = q.to_wire();
+            let state = e.state.read();
+            let (mut fast, mut adapted) = (Vec::new(), Vec::new());
+            if FastQuery::parse(&wire).is_some() {
+                let outcome = e.serve_locked(&state, &wire, &mut fast);
+                proptest::prop_assert_eq!(outcome, ServeOutcome::Fallback);
+                let outcome = e.serve_uncanonical(&state, &wire, &mut adapted);
+                proptest::prop_assert_eq!(outcome, ServeOutcome::Fallback);
+                proptest::prop_assert_eq!(fast, adapted);
+            }
+        }
     }
 }

@@ -43,6 +43,7 @@
 //!   producing the piecewise-constant [`ControlPlane`] that keeps chaos
 //!   runs bit-identical across shard counts.
 
+mod answer;
 pub mod attack;
 pub mod cache;
 pub mod engine;
@@ -51,6 +52,7 @@ pub mod faults;
 pub mod health;
 pub mod index;
 pub mod loadgen;
+mod query;
 pub mod recovery;
 pub mod rrl;
 pub mod transport;

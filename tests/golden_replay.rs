@@ -522,6 +522,61 @@ mod fallback {
         (counts, fp.finish())
     }
 
+    /// Requests whose OPT record speaks an EDNS version above 0, over UDP
+    /// and TCP: BADVERS, whatever they ask.
+    pub fn bad_versions(engine: &Rootd) -> ([usize; 3], u64) {
+        let mut d = Digest::new(engine);
+        let mut ask = |q: &Message| {
+            d.ask(q);
+            // Nothing to truncate and nothing to stream: TCP says the same.
+            assert_eq!(engine.serve_tcp(&q.to_wire()), [d.out.clone()]);
+        };
+        let versioned = |q: &mut Message, version: u8, payload: u16, dnssec_ok: bool| {
+            let edns = Edns {
+                version,
+                udp_payload_size: payload,
+                dnssec_ok,
+                ..Default::default()
+            };
+            set_edns(q, &edns);
+        };
+        for version in [1, 2, 255] {
+            for (qname, qtype) in [
+                (".", RrType::Soa),
+                (".", RrType::Ns),
+                ("CoM.", RrType::Other(65)),
+                ("www.net.", RrType::A),
+                ("nosuchtld.", RrType::A),
+                (".", RrType::Axfr),
+            ] {
+                for (payload, dnssec_ok) in [(512, false), (1232, true), (100, true)] {
+                    let mut q = query(&name(qname), qtype, None);
+                    versioned(&mut q, version, payload, dnssec_ok);
+                    q.header.flags.recursion_desired = version == 2;
+                    ask(&q);
+                }
+            }
+        }
+        // BADVERS outranks what the rest of the request would earn: NSID,
+        // CHAOS, another opcode, two questions.
+        let mut q = query(&Name::root(), RrType::Soa, None);
+        let edns = Edns {
+            version: 1,
+            ..Edns::dnssec()
+        };
+        set_edns(&mut q, &edns.with_nsid_request());
+        ask(&q);
+        let mut q = Message::query(9, Question::chaos_txt(name("id.server.")));
+        versioned(&mut q, 1, 1232, false);
+        ask(&q);
+        q.header.opcode = Opcode::Notify;
+        ask(&q);
+        q.header.opcode = Opcode::Query;
+        q.questions.push(Question::new(name("com."), RrType::Ns));
+        ask(&q);
+        d.finish()
+    }
+
     fn raw_opt(q: &mut Vec<u8>, payload: u16, ttl: [u8; 4], rdata: &[u8]) {
         q[11] += 1;
         q.extend_from_slice(&[0, 0, 41]);
@@ -697,5 +752,16 @@ fn fallback_answer_matrix() {
             ("odd_requests", ([80, 78, 11], 5608061636228957611)),
             ("tcp", ([4300, 4310, 0], 4516930315536125722)),
         ]
+    );
+}
+
+/// RFC 6891 §6.1.3, pinned the same way: what a request in an EDNS version
+/// above 0 is answered, byte for byte, over UDP and TCP.
+#[test]
+fn fallback_badvers_answers() {
+    let engine = fallback::engine(40);
+    assert_eq!(
+        fallback::bad_versions(&engine),
+        ([58, 58, 0], 13604104242460324612)
     );
 }

@@ -100,6 +100,14 @@ fn query_stream() -> Vec<Vec<u8>> {
     let mut q = Message::query(id, Question::new(Name::root(), RrType::Soa));
     set_edns(&mut q, &Edns::dnssec().with_nsid_request());
     push(q);
+    // An EDNS version the server does not speak: BADVERS.
+    let mut q = Message::query(id + 1, Question::new(Name::root(), RrType::Soa));
+    let edns = Edns {
+        version: 1,
+        ..Edns::dnssec()
+    };
+    set_edns(&mut q, &edns);
+    push(q);
     queries
 }
 
