@@ -65,3 +65,31 @@ fn farm_chaos_run_holds_the_gates_and_replays_identically_for_one_through_eight_
         "the second seed must be shard-invariant too"
     );
 }
+
+/// Digests and flags are per query, so nothing a chaos run reports may
+/// depend on how many datagrams share a flush: the demo schedule replays
+/// to the `golden_replay::farm_chaos_report_fingerprint` literal at every
+/// batch size — including the sizes below, at and just past a small
+/// power of two, and one past the default cap.
+#[test]
+fn farm_chaos_fingerprint_is_batch_size_invariant() {
+    let (seed, queries) = (0x2025_0417, 6_000);
+    let scheduled_on = FarmChaosRun::demo(Scale::Tiny, seed, queries, 1);
+    assert_eq!(scheduled_on.report.fingerprint(), 2004476337518850456);
+    for batch in [1, 2, 3, 4, 5, 7, 32, 33] {
+        for shards in [1, 3] {
+            let mut cfg = FarmChaosRun::demo_schedule(&scheduled_on.farm, seed, queries, shards);
+            cfg.farm.batch = batch;
+            let run = FarmChaosRun::run(
+                Scale::Tiny,
+                &FarmChaosRun::DEMO_LETTERS,
+                FarmChaosRun::DEMO_SITES,
+                &cfg,
+            );
+            let at = format!("batch={batch} shards={shards}");
+            assert_eq!(run.violations(), Vec::<String>::new(), "{at}");
+            assert_eq!(run.report.diff_twin(&run.twin), Vec::<u64>::new(), "{at}");
+            assert_eq!(run.report.fingerprint(), 2004476337518850456, "{at}");
+        }
+    }
+}
