@@ -4,6 +4,12 @@
 #
 #   1. release build of every crate;
 #   2. full test suite;
+#   2a. the serving crate and the farm's root tests (`farm_*` in
+#      tests/farm_invariants.rs and tests/golden_replay.rs) once more at
+#      release optimisation with debug assertions and overflow checks on
+#      (own target dir): the digest kernel's lane arithmetic and the
+#      shared-set debug_assert! run checked at the optimisation level they
+#      ship at;
 #   2b. the frozen benchmark package (benchmark/, a workspace of its own):
 #      release build against its committed lock file, and its unit tests —
 #      a break of the public surface it is pinned to fails here;
@@ -13,7 +19,10 @@
 #      regression of rootd/loadgen/qps, rootd/serve_*, or codec/* vs the
 #      committed baseline, and on any absolute ceiling: among them the
 #      uncached path's rootd/serve_fallback_{referral_do,nxdomain_do,tc512}
-#      and codec/encode_referral on the 1 500-TLD zone);
+#      and codec/encode_referral on the 1 500-TLD zone, and the chaos
+#      run's rootd/chaos/digest_batch_ps_per_byte, which must also read
+#      under rootd/chaos/digest_scalar_ps_per_byte; rootd/farm/
+#      chaos_wall_pct is recorded and printed, not gated);
 #   5. rustdoc with warnings promoted to errors;
 #   6. formatting check;
 #   7. clippy with warnings promoted to errors.
@@ -22,6 +31,19 @@ cd "$(dirname "$0")"
 
 cargo build --release --offline
 cargo test -q --offline
+
+# Checked arithmetic where the kernels live: release optimisation, debug
+# assertions and overflow checks on. Of the two root tests only the farm's
+# own (`farm_` in both files) are selected: the step exists for the serve
+# and digest kernels, and whole-suite release coverage waits for the
+# `CITIES` fix (ROADMAP, tier-1 item c).
+checked() {
+    CARGO_TARGET_DIR=target/checked \
+        RUSTFLAGS="-C debug-assertions=on -C overflow-checks=on" \
+        cargo test --release --offline -q "$@"
+}
+checked -p rootd
+checked -p roots-core --test farm_invariants --test golden_replay farm_
 
 # rootbench is a package of its own with a frozen Cargo.lock: build it
 # --locked so a changed dependency edge or a broken pinned signature

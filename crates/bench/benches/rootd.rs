@@ -11,9 +11,11 @@ use dns_wire::{Message, Name, Question, RrType};
 use dns_zone::rollout::RolloutPhase;
 use dns_zone::rootzone::{build_root_zone, tld_label, RootZoneConfig};
 use dns_zone::signer::ZoneKeys;
+use netsim::rng::SimRng;
+use rootd::farm::{digest_batch, digest_response};
 use rootd::{
     Farm, FarmConfig, FaultPlan, FaultyTransport, InprocTransport, LoadgenConfig, QueryMix, Rootd,
-    SharedState, SiteIdentity, Transport, ZoneIndex,
+    SharedState, SiteIdentity, Transport, UdpBatch, ZoneIndex,
 };
 use roots_core::{AttackRun, FarmChaosRun, FarmRun, Scale, ServingPipeline};
 use rss::RootLetter;
@@ -447,18 +449,21 @@ fn bench_farm(_c: &mut Criterion) {
     );
 }
 
-/// The self-healing farm's two resilience numbers, both gated by
+/// The self-healing farm's resilience numbers. Two are gated by
 /// bench_guard against absolute documented bounds (DESIGN §16), not a
-/// baseline. `rootd/farm/healthy_overhead_pct` is the busy-rate cost of
-/// carrying the chaos machinery with an *empty* failure plan — the
-/// control plane elides probes for never-faulted sites and the shed /
-/// digest bookkeeping stays outside the timed serve window, so the
-/// chaos path must stay within 5% of the plain farm's aggregate rate
-/// (best-of-3 to ride out shared-core scheduler luck: real added work
-/// shows up in every round, noise doesn't). `rootd/farm/
-/// degraded_served_fraction` is the legit service floor under the
-/// headline chaos schedule — three concurrent site failures, a stalled
-/// shard, a poisoned reload and an 8× junk flood — floor-gated at 0.99.
+/// baseline. `rootd/farm/healthy_overhead_pct` compares the plain farm's
+/// aggregate busy rate with the chaos path's under an *empty* failure
+/// plan — and a busy rate counts only the timed `serve_udp_batch` window,
+/// so it says the two serve at the same speed (within 5%, best-of-3 to
+/// ride out shared-core scheduler luck) and nothing about what routing,
+/// shedding and digesting cost around that window. `rootd/farm/
+/// chaos_wall_pct` is the number that does: best-of-3 wall-clock q/s of
+/// the empty-plan chaos run as a percentage of best-of-3 of the plain run,
+/// recorded and printed, not gated — the yardstick for folding `run` into `run_chaos`
+/// (ROADMAP). `rootd/farm/degraded_served_fraction` is the legit service
+/// floor under the headline chaos schedule — three concurrent site
+/// failures, a stalled shard, a poisoned reload and an 8× junk flood —
+/// floor-gated at 0.99.
 fn bench_farm_resilience(_c: &mut Criterion) {
     let queries: usize = std::env::var("ROOTD_CHAOS_QUERIES")
         .ok()
@@ -488,15 +493,21 @@ fn bench_farm_resilience(_c: &mut Criterion) {
     let healthy = cfg.twin();
     let mut overhead_pct = f64::INFINITY;
     let (mut base_qps, mut wrapped_qps) = (0.0f64, 0.0f64);
+    let (mut base_wall, mut wrapped_wall) = (0.0f64, 0.0f64);
     for _ in 0..3 {
-        let base = farm.run(&cfg.farm).aggregate_qps;
-        let wrapped = farm.run_chaos(&world.topology, &healthy).aggregate_qps;
-        let pct = (base / wrapped - 1.0) * 100.0;
+        let base = farm.run(&cfg.farm);
+        let wrapped = farm.run_chaos(&world.topology, &healthy);
+        let pct = (base.aggregate_qps / wrapped.aggregate_qps - 1.0) * 100.0;
         if pct < overhead_pct {
-            (overhead_pct, base_qps, wrapped_qps) = (pct, base, wrapped);
+            (overhead_pct, base_qps, wrapped_qps) =
+                (pct, base.aggregate_qps, wrapped.aggregate_qps);
         }
+        base_wall = base_wall.max(base.wall_qps);
+        wrapped_wall = wrapped_wall.max(wrapped.wall_qps);
     }
     record_metric("rootd/farm/healthy_overhead_pct", overhead_pct.max(0.0));
+    let wall_pct = wrapped_wall / base_wall * 100.0;
+    record_metric("rootd/farm/chaos_wall_pct", wall_pct);
 
     // The degraded run: seeded counters, not timings — byte-stable
     // across machines and shard counts.
@@ -515,11 +526,93 @@ fn bench_farm_resilience(_c: &mut Criterion) {
     println!(
         "rootd/farm/resilience: healthy overhead {overhead_pct:+.2}% \
          (base {base_qps:.0} q/s, chaos-wrapped {wrapped_qps:.0} q/s), \
+         chaos wall clock {wall_pct:.1}% of plain ({wrapped_wall:.0} / {base_wall:.0} q/s), \
          degraded legit served {:.4} ({} hedged, {} junk shed, {} unanswered)",
         report.legit_served_fraction(),
         report.served_hedged,
         report.shed_junk,
         report.unanswered,
+    );
+}
+
+/// What a chaos run pays to digest what it delivered: one flushed
+/// 32-response slab — B-Root-mix queries answered by a zone8 farm site —
+/// through the lane-interleaved [`digest_batch`] and through the scalar
+/// [`digest_response`] chain it must equal, in picoseconds per response
+/// byte (fastest of 32 rounds). The scalar chain is one dependent multiply
+/// a byte, ≈1 000 ps; `bench_guard` holds the lane figure under an
+/// absolute ceiling and under the scalar one.
+fn bench_chaos_digest(_c: &mut Criterion) {
+    const SLAB: usize = 32;
+    let world = World::build(&WorldBuildConfig::tiny());
+    let zone = build_root_zone(
+        &RootZoneConfig {
+            tld_count: 8,
+            rollout: RolloutPhase::Validating,
+            ..Default::default()
+        },
+        &ZoneKeys::from_seed(7),
+    );
+    let farm = Farm::build(
+        &world.topology,
+        &world.catalog,
+        Arc::new(zone),
+        &[RootLetter::B],
+        1,
+    );
+    let site = farm.deployment(RootLetter::B).expect("b.root").sites[0]
+        .id
+        .0;
+    let engine = farm.engine_at(RootLetter::B, site).expect("site engine");
+    let mix = QueryMix::broot();
+    let mut rng = SimRng::new(0x2025_0417).derive("chaos-digest-slab");
+    let mut batch = UdpBatch::new();
+    let mut wire = Vec::new();
+    for _ in 0..SLAB {
+        farm.fill_query(&mix, &mut rng, &mut wire);
+        batch.push_request(&wire);
+    }
+    let served = engine.serve_udp_batch(&mut batch);
+    assert_eq!(served.dropped, 0);
+    let bytes: usize = (0..SLAB)
+        .map(|i| batch.response(i).map_or(0, <[u8]>::len))
+        .sum();
+
+    let mut lanes = [0u64; SLAB];
+    let mut scalar = [0u64; SLAB];
+    let best_ps_per_byte = |digest: &mut dyn FnMut()| {
+        const ITERS: u32 = 2_000;
+        (0..32)
+            .map(|_| {
+                let t = Instant::now();
+                for _ in 0..ITERS {
+                    digest();
+                }
+                t.elapsed().as_nanos() as f64 * 1e3 / f64::from(ITERS) / bytes as f64
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let lanes_ps = best_ps_per_byte(&mut || {
+        digest_batch(
+            (0..SLAB).map(|i| (i as u64, i)),
+            black_box(&batch),
+            &mut lanes,
+        );
+        black_box(&mut lanes);
+    });
+    let scalar_ps = best_ps_per_byte(&mut || {
+        for (i, slot) in scalar.iter_mut().enumerate() {
+            *slot = digest_response(i as u64, black_box(&batch).response(i).unwrap_or(&[]));
+        }
+        black_box(&mut scalar);
+    });
+    assert_eq!(lanes, scalar, "lane kernel and scalar chain disagree");
+    record_metric("rootd/chaos/digest_batch_ps_per_byte", lanes_ps);
+    record_metric("rootd/chaos/digest_scalar_ps_per_byte", scalar_ps);
+    println!(
+        "rootd/chaos/digest: {SLAB} responses, {bytes} bytes: lanes {lanes_ps:.0} ps/byte, \
+         scalar {scalar_ps:.0} ps/byte ({:.2}x)",
+        scalar_ps / lanes_ps
     );
 }
 
@@ -576,6 +669,7 @@ criterion_group!(
     bench_loadgen,
     bench_farm,
     bench_farm_resilience,
+    bench_chaos_digest,
     bench_zone_push_1500
 );
 criterion_main!(benches);

@@ -52,12 +52,19 @@ const PREFIXES: &[&str] = &["rootd/serve_", "codec/", "simclock/"];
 /// — so the percentage only moves when real work (an allocation, a
 /// hash, a probe — all ≥ 20 ns) lands on the disabled path, not on
 /// per-process code-layout luck.
-/// The chaos wrapper joins the same bargain: with an empty failure plan
-/// the self-healing farm (health timelines, steering epochs, shed
-/// draws) must serve within 5% of the plain farm's aggregate busy rate.
-/// The bench records the best of three interleaved rounds, so the
-/// ceiling only trips on work that shows up in every round — a per-query
-/// table rebuild or health lookup on the hot path, not scheduler luck.
+/// `healthy_overhead_pct` holds the chaos run's *serve window* to the
+/// plain farm's: with an empty failure plan its aggregate busy rate must
+/// stay within 5%. A busy rate counts only time inside `serve_udp_batch`,
+/// so this catches work landing under the engine lock — not what the
+/// chaos policy costs around it, which `rootd/farm/chaos_wall_pct`
+/// records (printed below, ungated). The bench keeps the best of three
+/// interleaved rounds, so the ceiling only trips on work that shows up
+/// in every round, not scheduler luck.
+/// `digest_batch_ps_per_byte` is the lane-interleaved digest of a flushed
+/// chaos batch, ≈380 ps a byte against the scalar chain's ≈1 000 (four
+/// cycles a byte on any x86 of the last decade): the ceiling sits at 2×
+/// today's figure and under the scalar one, and [`run`] also fails a run
+/// where the lanes did not beat the scalar chain they were timed beside.
 /// The last four are milliseconds on a root-sized zone (1 500 TLDs), the
 /// fastest of three: signing, validating, building the shared answer
 /// cache, and one validated reload end to end. Each was 4–40× its
@@ -85,6 +92,7 @@ const ABS_CEILING: &[(&str, f64)] = &[
     ("rootd/faultfree_wrapper_overhead_pct", 10.0),
     ("rootd/rrl_disabled_overhead_pct", 5.0),
     ("rootd/farm/healthy_overhead_pct", 5.0),
+    ("rootd/chaos/digest_batch_ps_per_byte", 800.0),
     ("dns_zone/sign_1500", 170.0),
     ("dns_zone/validate_1500", 90.0),
     ("rootd/cache/build_1500", 250.0),
@@ -260,6 +268,21 @@ fn run(baseline: &str, fresh: &str) -> Result<(), Vec<String>> {
             }
             _ => {}
         }
+    }
+    // The lane digest against the scalar chain of the same run: a
+    // relation, so no baseline and no host speed enters it.
+    const LANES: &str = "rootd/chaos/digest_batch_ps_per_byte";
+    const SCALAR: &str = "rootd/chaos/digest_scalar_ps_per_byte";
+    if let (Some(lanes), Some(scalar)) = (lookup(LANES), lookup(SCALAR)) {
+        checked += 1;
+        if lanes >= scalar {
+            failures.push(format!(
+                "{LANES}: {lanes:.1} is not under {SCALAR} {scalar:.1}"
+            ));
+        }
+    }
+    if let Some(pct) = lookup("rootd/farm/chaos_wall_pct") {
+        println!("bench_guard: rootd/farm/chaos_wall_pct {pct:.1} (recorded, not gated)");
     }
     println!(
         "bench_guard: {checked} guarded keys checked, {} regressed",
@@ -464,6 +487,26 @@ mod tests {
         let errs = r.unwrap_err();
         assert_eq!(errs.len(), 1);
         assert!(errs[0].contains("missing"));
+    }
+
+    #[test]
+    fn lane_digest_is_ceiling_gated_and_must_beat_the_scalar_chain() {
+        let lanes = "rootd/chaos/digest_batch_ps_per_byte";
+        let scalar = "rootd/chaos/digest_scalar_ps_per_byte";
+        let none = json(&[]);
+        assert!(run(&none, &json(&[(lanes, 380.0), (scalar, 1_000.0)])).is_ok());
+        let errs = run(&none, &json(&[(lanes, 900.0), (scalar, 1_000.0)])).unwrap_err();
+        assert_eq!(errs.len(), 1);
+        assert!(errs[0].contains("absolute ceiling"));
+        // Under the ceiling on a fast host, yet no faster than the chain
+        // it replaced.
+        let errs = run(&none, &json(&[(lanes, 700.0), (scalar, 600.0)])).unwrap_err();
+        assert_eq!(errs.len(), 1);
+        assert!(errs[0].contains("is not under"));
+        // The wall-clock percentage is a record, not a gate.
+        let pct = "rootd/farm/chaos_wall_pct";
+        assert!(run(&json(&[(pct, 90.0)]), &json(&[(pct, 10.0)])).is_ok());
+        assert!(run(&json(&[(pct, 90.0)]), &none).is_ok());
     }
 
     #[test]

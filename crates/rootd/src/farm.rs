@@ -26,8 +26,12 @@
 //! drain → ordered merge. [`Farm::run`] and [`Farm::run_chaos`] are its
 //! two instantiations; they differ only in two statically dispatched
 //! closures — where a query is routed (the steering table, or steering
-//! epoch → shed → hedge) and what is kept of its response (site / size /
-//! rcode tallies, or a digest and an outcome flag written in place).
+//! epoch → shed → hedge) and what is kept of a served batch (site / size
+//! / rcode tallies, or a digest and an outcome flag per query written in
+//! place). The second closure sees a whole flushed batch at a time: what
+//! is per response by definition is then done over 32 responses that are
+//! still in cache, which is what lets a chaos run digest them four
+//! abreast ([`digest_batch`]).
 //!
 //! Throughput is reported two ways, deliberately: `wall_qps` is total
 //! queries over wall-clock time — on an N-core box the shards genuinely
@@ -393,16 +397,16 @@ struct Query {
 }
 
 /// Serve one (letter, site) request slab through its site's `engine` —
-/// one lock acquire for the whole batch — and hand every response (or
-/// engine drop), with what the router attached to its datagram, to
-/// `observe`.
-fn flush<O, M: Copy>(
+/// one lock acquire for the whole batch — and hand the served batch,
+/// with what the router attached to each of its datagrams, to `observe`:
+/// `metas[i]` rides beside request and response `i`.
+fn flush<O, M>(
     engine: &Rootd,
     site: (usize, usize),
     (batch, metas): &mut (UdpBatch, Vec<M>),
     tally: &mut Tally,
     out: &mut O,
-    observe: &impl Fn((usize, usize), M, Option<&[u8]>, &mut Tally, &mut O),
+    observe: &impl Fn((usize, usize), &[M], &UdpBatch, &mut Tally, &mut O),
 ) {
     if batch.is_empty() {
         return;
@@ -417,15 +421,8 @@ fn flush<O, M: Copy>(
     tally.fallbacks += served.fallbacks;
     tally.dropped += served.dropped;
     // Flush time split evenly across the batch's datagrams.
-    let per_query = dt / n;
-    for _ in 0..n {
-        tally.latency.record(per_query);
-    }
-    // By reference, then `clear`: a `drain` here costs the healthy run
-    // ~6 ns a query (its drop guard keeps the loop from being optimised).
-    for (i, &meta) in metas.iter().enumerate() {
-        observe(site, meta, batch.response(i), tally, out);
-    }
+    tally.latency.record_n(dt / n, n);
+    observe(site, metas, batch, tally, out);
     metas.clear();
     batch.clear();
 }
@@ -569,6 +566,12 @@ impl Farm {
         Some(&lf.engines[slot])
     }
 
+    /// One query of `mix` over this farm's zone, drawn from `rng` into
+    /// `out` — the datagram generator every run of the farm uses.
+    pub fn fill_query(&self, mix: &QueryMix, rng: &mut SimRng, out: &mut Vec<u8>) -> QueryClass {
+        fill_query(mix, &self.templates, rng, out)
+    }
+
     /// Current zone-epoch generation of `letter`'s shared state.
     pub fn generation(&self, letter: RootLetter) -> Option<u64> {
         self.farm_of(letter).map(|lf| lf.shared.generation())
@@ -605,21 +608,23 @@ impl Farm {
     /// without serving it) — all pure functions of `g`. Routed queries
     /// accumulate in one request slab per (letter, site), flushed at
     /// `cfg.batch` datagrams and once more at the end of the range;
-    /// `observe` sees every response. Shard tallies fold in shard-id
-    /// order, so every deterministic output is shard-count-invariant.
+    /// `observe` is called once per flush with the served batch. Shard
+    /// tallies fold in shard-id order, so every deterministic output is
+    /// shard-count-invariant.
     ///
     /// `route` and `observe` are all that distinguishes one kind of run
     /// from another, and the function is monomorphised per pair: a
     /// healthy run executes none of a chaos run's policy and branches on
     /// none of its state. `outs` holds, per shard, the output both write
-    /// in place; `M` is what `route` attaches to a batched datagram for
-    /// `observe`. Returns the merged tally and the run's wall time.
-    fn data_plane<O: Send, M: Copy>(
+    /// in place; `M` is what `route` attaches to a batched datagram, and
+    /// `observe` gets them as a slice parallel to the batch. Returns the
+    /// merged tally and the run's wall time.
+    fn data_plane<O: Send, M>(
         &self,
         cfg: &FarmConfig,
         outs: Vec<O>,
         route: impl Fn(&Query, &LetterFarm, &mut Tally, &mut O) -> Option<(usize, M)> + Sync,
-        observe: impl Fn((usize, usize), M, Option<&[u8]>, &mut Tally, &mut O) + Sync,
+        observe: impl Fn((usize, usize), &[M], &UdpBatch, &mut Tally, &mut O) + Sync,
     ) -> (Tally, Duration) {
         let clients = cfg.clients.max(1);
         let batch_cap = cfg.batch.max(1);
@@ -707,9 +712,11 @@ impl Farm {
         let route = |q: &Query, lf: &LetterFarm, _: &mut Tally, _: &mut ()| {
             Some((lf.slot(q.fam, q.client_idx), ()))
         };
-        let observe = |site, (), resp: Option<&[u8]>, tally: &mut Tally, _: &mut ()| {
-            if let Some(resp) = resp {
-                tally.answered(site, resp);
+        let observe = |site, _: &[()], batch: &UdpBatch, tally: &mut Tally, _: &mut ()| {
+            for i in 0..batch.len() {
+                if let Some(resp) = batch.response(i) {
+                    tally.answered(site, resp);
+                }
             }
         };
         let outs = vec![(); cfg.shards.max(1)];
@@ -1016,6 +1023,7 @@ impl FarmChaosReport {
                 self.legit_served_fraction(),
             ),
             (format!("{prefix}/aggregate_qps"), self.aggregate_qps),
+            (format!("{prefix}/wall_qps"), self.wall_qps),
             (format!("{prefix}/shed_junk"), self.shed_junk as f64),
             (format!("{prefix}/shed_benign"), self.shed_benign as f64),
             (format!("{prefix}/unanswered"), self.unanswered as f64),
@@ -1025,7 +1033,7 @@ impl FarmChaosReport {
     /// Human-readable summary of the run.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "queries          {:>12}\nserved           {:>12}\n  hedged         {:>12}\n  late           {:>12}\nshed junk        {:>12}\nshed benign      {:>12}\nunanswered       {:>12}\nengine dropped   {:>12}\nlegit served     {:>12} / {} ({:.4})\nhedges attempted {:>12}\nreloads rejected {:>12}\nreloads accepted {:>12}\nsteering epochs  {:>12}\nprobes           {:>12}\nrecoveries       {:>12}\nelapsed          {:>12.3} s\naggregate        {:>12.0} q/s\n",
+            "queries          {:>12}\nserved           {:>12}\n  hedged         {:>12}\n  late           {:>12}\nshed junk        {:>12}\nshed benign      {:>12}\nunanswered       {:>12}\nengine dropped   {:>12}\nlegit served     {:>12} / {} ({:.4})\nhedges attempted {:>12}\nreloads rejected {:>12}\nreloads accepted {:>12}\nsteering epochs  {:>12}\nprobes           {:>12}\nrecoveries       {:>12}\nelapsed          {:>12.3} s\nwall clock       {:>12.0} q/s\naggregate        {:>12.0} q/s (sum of per-letter busy rates)\n",
             self.queries,
             self.served + self.served_hedged,
             self.served_hedged,
@@ -1044,6 +1052,7 @@ impl FarmChaosReport {
             self.probes,
             self.recoveries.len(),
             self.elapsed.as_secs_f64(),
+            self.wall_qps,
             self.aggregate_qps,
         );
         for r in &self.recoveries {
@@ -1075,15 +1084,112 @@ struct EpochSteer {
     weights: Vec<f64>,
 }
 
-/// FNV over one delivered response, salted with the global query index.
-/// Never 0, so 0 unambiguously means "no response".
-fn digest_response(g: u64, resp: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ g.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    for &b in resp {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
+/// Where the digest chain of global query `g`'s response starts: the
+/// FNV-1a offset basis, salted with the index.
+fn digest_basis(g: u64) -> u64 {
+    0xcbf2_9ce4_8422_2325 ^ g.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// One link of the digest chain: FNV-1a's xor, then multiply.
+fn digest_step(h: u64, b: u8) -> u64 {
+    (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+}
+
+/// The digest chain `h` continued over `bytes`, one dependent multiply
+/// per byte.
+fn digest_fold(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| digest_step(h, b))
+}
+
+/// FNV over one delivered response, salted with the global query index
+/// — the definition of a [`FarmChaosReport::digests`] entry. Never 0, so
+/// 0 unambiguously means "no response".
+pub fn digest_response(g: u64, resp: &[u8]) -> u64 {
+    digest_fold(digest_basis(g), resp) | 1
+}
+
+/// Responses [`digest_batch`] steps abreast. A response's chain is a
+/// multiply-latency-bound dependency (≈4 cycles a byte); independent
+/// chains overlap until the multiplier issues one a cycle, and eight
+/// lanes measured no faster than four.
+const LANES: usize = 4;
+
+/// One response in flight in [`digest_batch`]: its chain so far, the
+/// bytes still to fold in, and the `digests` slot the result belongs in.
+#[derive(Clone, Copy)]
+struct Lane<'a> {
+    h: u64,
+    rest: &'a [u8],
+    local: usize,
+}
+
+/// [`digest_response`] of a whole served batch: `entries[i] = (g, local)`
+/// names the global query index response `i` of `batch` answers and the
+/// slot of `digests` its digest is written to; a request the engine
+/// dropped leaves its slot alone. The digest of one response does not
+/// depend on another's, so `LANES` (four) chains advance together over the
+/// shortest remaining length, a finished lane is refilled from the next
+/// response, and the last few lanes finish on the scalar chain — every
+/// value is bit for bit what [`digest_response`] returns.
+pub fn digest_batch(
+    entries: impl IntoIterator<Item = (u64, usize)>,
+    batch: &UdpBatch,
+    digests: &mut [u64],
+) {
+    let mut todo = (entries.into_iter().enumerate()).filter_map(|(i, (g, local))| {
+        Some(Lane {
+            h: digest_basis(g),
+            rest: batch.response(i)?,
+            local,
+        })
+    });
+    let mut lanes = [Lane {
+        h: 0,
+        rest: &[],
+        local: 0,
+    }; LANES];
+    let mut live = 0;
+    for (lane, next) in lanes.iter_mut().zip(&mut todo) {
+        *lane = next;
+        live += 1;
     }
-    h | 1
+    while live == LANES {
+        let n = lanes.iter().map(|l| l.rest.len()).min().unwrap_or(0);
+        let heads = lanes.map(|l| &l.rest[..n]);
+        let mut hs = lanes.map(|l| l.h);
+        for k in 0..n {
+            for (h, head) in hs.iter_mut().zip(&heads) {
+                *h = digest_step(*h, head[k]);
+            }
+        }
+        for (i, h) in hs.into_iter().enumerate() {
+            lanes[i].h = h;
+            lanes[i].rest = &lanes[i].rest[n..];
+        }
+        // Finished lanes: write out, refill — or, once the batch runs
+        // dry, close the gap so `lanes[..live]` stays the unfinished ones.
+        let mut i = 0;
+        while i < live {
+            if !lanes[i].rest.is_empty() {
+                i += 1;
+                continue;
+            }
+            digests[lanes[i].local] = lanes[i].h | 1;
+            match todo.next() {
+                Some(next) => {
+                    lanes[i] = next;
+                    i += 1;
+                }
+                None => {
+                    live -= 1;
+                    lanes[i] = lanes[live];
+                }
+            }
+        }
+    }
+    for lane in &lanes[..live] {
+        digests[lane.local] = digest_fold(lane.h, lane.rest) | 1;
+    }
 }
 
 /// Shed probabilities `(junk, benign)` for a slot whose offered share is
@@ -1135,9 +1241,9 @@ fn flood_amp_at(floods: &[FloodWindow], t: u64) -> f64 {
 struct Pending {
     g: u64,
     local: usize,
-    class: u8,
-    hedged: bool,
-    late: bool,
+    /// The flag the query gets if its site answers: class, `Served` or
+    /// `ServedHedged`, and the late bit.
+    served_flag: u8,
 }
 
 impl Farm {
@@ -1359,29 +1465,31 @@ impl Farm {
             } else {
                 (slot, t_arr, false)
             };
+            let outcome = if hedged {
+                ChaosOutcome::ServedHedged
+            } else {
+                ChaosOutcome::Served
+            };
+            let late = u8::from(lc.stall_delay_at(serve_slot, serve_t).is_some());
             let pending = Pending {
                 g: q.g,
                 local: q.local,
-                class,
-                hedged,
-                late: lc.stall_delay_at(serve_slot, serve_t).is_some(),
+                served_flag: class | ((outcome as u8) << 2) | (late << 5),
             };
             Some((serve_slot, pending))
         };
-        let observe = |_, p: Pending, resp: Option<&[u8]>, _: &mut Tally, out: &mut Out| {
-            let outcome = match resp {
-                Some(resp) => {
-                    out.0[p.local] = digest_response(p.g, resp);
-                    if p.hedged {
-                        ChaosOutcome::ServedHedged
-                    } else {
-                        ChaosOutcome::Served
+        let observe = |_, pending: &[Pending], batch: &UdpBatch, _: &mut Tally, out: &mut Out| {
+            let (digests, flags) = out;
+            digest_batch(pending.iter().map(|p| (p.g, p.local)), batch, digests);
+            for (i, p) in pending.iter().enumerate() {
+                flags[p.local] = match batch.response(i) {
+                    Some(_) => p.served_flag,
+                    None => {
+                        FarmChaosReport::class_of(p.served_flag)
+                            | ((ChaosOutcome::EngineDropped as u8) << 2)
                     }
-                }
-                None => ChaosOutcome::EngineDropped,
-            };
-            let late = u8::from(p.late && resp.is_some());
-            out.1[p.local] = p.class | ((outcome as u8) << 2) | (late << 5);
+                };
+            }
         };
         let outs = shard::split_mut(&mut digests, shards)
             .into_iter()
@@ -1763,6 +1871,93 @@ mod tests {
             1.0,
             "benign traffic rides out the flood untouched"
         );
+    }
+
+    /// A served batch: one committed response per span, `None` an engine
+    /// drop.
+    fn served_batch(spans: &[Option<Vec<u8>>]) -> UdpBatch {
+        let mut batch = UdpBatch::new();
+        for span in spans {
+            batch.push_request(&[0]);
+            match span {
+                Some(bytes) => batch.commit_response_bytes(bytes),
+                None => batch.commit_response(false),
+            }
+        }
+        batch
+    }
+
+    /// The scalar chain itself, as it stood before the lane kernel
+    /// existed: three `(g, bytes) → digest` values computed at PR 15.
+    #[test]
+    fn digest_response_matches_its_pinned_values() {
+        let header = [0x12, 0x34, 0x84, 0, 0, 1, 0, 0, 0, 0, 0, 0];
+        let ramp: Vec<u8> = (0..=255).collect();
+        assert_eq!(digest_response(0, &[]), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(digest_response(7, &header), 0xf32b_1312_a268_c007);
+        assert_eq!(digest_response(u64::MAX, &ramp), 0x4dba_bb10_7341_cccf);
+    }
+
+    proptest::proptest! {
+        /// Lane kernel ≡ scalar oracle, slot for slot: batches shorter
+        /// than the lane count, refills, the serial tail, drops anywhere,
+        /// and lengths that are equal, one apart and far apart.
+        #[test]
+        fn digest_batch_equals_the_scalar_digest_of_every_response(
+            base in 13usize..=4_095,
+            entries in proptest::collection::vec(
+                (0u8..5, 12usize..=4_096, proptest::prelude::any::<u64>(), 0u8..6),
+                0..71,
+            ),
+            (gap, offset, reversed) in (1usize..3, 0usize..4, proptest::prelude::any::<bool>()),
+        ) {
+            let spans: Vec<Option<Vec<u8>>> = entries
+                .iter()
+                .map(|&(kind, len, g, fate)| {
+                    let len = match kind {
+                        0 | 1 => base,
+                        2 => base - 1,
+                        3 => base + 1,
+                        _ => len,
+                    };
+                    let mut fill = SimRng::new(g);
+                    (fate != 0).then(|| (0..len).map(|_| fill.next_u64() as u8).collect())
+                })
+                .collect();
+            let batch = served_batch(&spans);
+            let slots = offset + gap * spans.len() + 1;
+            let local_of = |i: usize| {
+                offset + gap * if reversed { spans.len() - 1 - i } else { i }
+            };
+            let mut expected = vec![0u64; slots];
+            for (i, (span, &(_, _, g, _))) in spans.iter().zip(&entries).enumerate() {
+                if let Some(bytes) = span {
+                    expected[local_of(i)] = digest_response(g, bytes);
+                }
+            }
+            let mut digests = vec![0u64; slots];
+            let keyed = entries.iter().enumerate().map(|(i, &(_, _, g, _))| (g, local_of(i)));
+            digest_batch(keyed, &batch, &mut digests);
+            proptest::prop_assert_eq!(digests, expected);
+        }
+    }
+
+    #[test]
+    fn chaos_report_leads_with_the_wall_clock_rate() {
+        let (topology, _, _, farm) = small_farm();
+        let report = farm.run_chaos(&topology, &chaos_cfg(13, 1_000));
+        let text = report.render();
+        let wall = text.find("\nwall clock ").expect(&text);
+        let aggregate = text.find("\naggregate ").expect(&text);
+        assert!(wall < aggregate, "{text}");
+        assert!(
+            text.contains("q/s (sum of per-letter busy rates)\n"),
+            "{text}"
+        );
+        let metrics = report.metrics("p");
+        let value_of = |key: &str| metrics.iter().find(|(k, _)| k == key).map(|&(_, v)| v);
+        assert_eq!(value_of("p/wall_qps"), Some(report.wall_qps));
+        assert_eq!(value_of("p/aggregate_qps"), Some(report.aggregate_qps));
     }
 
     #[test]

@@ -289,9 +289,14 @@ impl LatencyHistogram {
     }
 
     pub(crate) fn record(&mut self, v: u64) {
+        self.record_n(v, 1);
+    }
+
+    /// `n` samples of the same value `v`.
+    pub(crate) fn record_n(&mut self, v: u64, n: u64) {
         let idx = Self::bucket_of(v).min(HISTOGRAM_BUCKETS - 1);
-        self.buckets[idx] += 1;
-        self.count += 1;
+        self.buckets[idx] += n;
+        self.count += n;
     }
 
     pub(crate) fn quantile(&self, q: f64) -> u64 {
@@ -649,6 +654,30 @@ mod tests {
             assert!(LatencyHistogram::bucket_floor(idx) <= v);
             if idx + 1 < HISTOGRAM_BUCKETS {
                 assert!(LatencyHistogram::bucket_floor(idx + 1) > v);
+            }
+        }
+    }
+
+    #[test]
+    fn record_n_is_n_records_of_one_value() {
+        for v in [0u64, 7, 15, 16, 17, 1_000, 123_456_789, u64::MAX] {
+            for n in [0u64, 1, 2, 32, 1_000] {
+                let (mut looped, mut batched) = <(LatencyHistogram, LatencyHistogram)>::default();
+                // Samples either side, so the quantiles have something to
+                // cross.
+                for h in [&mut looped, &mut batched] {
+                    h.record(3);
+                    h.record(40_000);
+                }
+                for _ in 0..n {
+                    looped.record(v);
+                }
+                batched.record_n(v, n);
+                assert_eq!(batched.buckets, looped.buckets, "v={v} n={n}");
+                assert_eq!(batched.count, looped.count, "v={v} n={n}");
+                for q in [0.5, 0.99] {
+                    assert_eq!(batched.quantile(q), looped.quantile(q), "v={v} n={n}");
+                }
             }
         }
     }
