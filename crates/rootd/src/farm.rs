@@ -1873,6 +1873,79 @@ mod tests {
         );
     }
 
+    /// `diff_twin` catching something. Two synthetic reports over real
+    /// served bytes: one flipped bit in one benign served answer is named
+    /// by its `g`; a CHAOS answer from another site, a shed query and a
+    /// query the twin did not serve are not.
+    #[test]
+    fn diff_twin_names_exactly_the_queries_whose_bytes_differ() {
+        let (topology, _, _, farm) = small_farm();
+        let shell = farm.run_chaos(&topology, &chaos_cfg(37, 64));
+        let mix = QueryMix::broot();
+        let mut rng = SimRng::new(37).derive("diff-twin");
+        let (mut benign, mut chaos) = (Vec::new(), Vec::new());
+        let mut wire = Vec::new();
+        while benign.len() < 5 || chaos.is_empty() {
+            match farm.fill_query(&mix, &mut rng, &mut wire) {
+                QueryClass::Chaos => chaos.push(wire.clone()),
+                QueryClass::Junk => {}
+                QueryClass::Apex | QueryClass::Tld => benign.push(wire.clone()),
+            }
+        }
+        // b.root: a.root refuses CHAOS identity queries at every site.
+        let sites = &farm.letters[1].engines;
+        let served = |site: usize, query: &[u8]| {
+            let mut out = Vec::new();
+            let outcome = sites[site].serve_udp_into(query, &mut out);
+            assert_ne!(outcome, crate::engine::ServeOutcome::Dropped);
+            out
+        };
+        let flag = |class: u8, outcome: ChaosOutcome, late: u8| {
+            class | ((outcome as u8) << 2) | (late << 5)
+        };
+        use ChaosOutcome::{Served, ServedHedged, Shed, Unanswered};
+
+        let same = served(0, &benign[0]);
+        let intact = served(0, &benign[1]);
+        let mut flipped = intact.clone();
+        flipped[intact.len() / 2] ^= 0x10;
+        let (identity_here, identity_there) = (served(1, &chaos[0]), served(0, &chaos[0]));
+        assert_ne!(identity_here, identity_there, "CHAOS answers are per site");
+        let only_twin = served(0, &benign[2]);
+        let only_ours = served(1, &benign[3]);
+        let hedged = served(1, &benign[4]);
+        assert_eq!(hedged, served(0, &benign[4]), "zone answers are not");
+
+        // (flag, delivered bytes) per global index, ours and the twin's.
+        let ours = [
+            (flag(0, Served, 0), Some(&same)),
+            (flag(0, Served, 0), Some(&flipped)),
+            (flag(2, ServedHedged, 0), Some(&identity_here)),
+            (flag(0, Shed, 0), None),
+            (flag(0, ServedHedged, 0), Some(&only_ours)),
+            (flag(0, ServedHedged, 1), Some(&hedged)),
+        ];
+        let twins = [
+            (flag(0, Served, 0), Some(&same)),
+            (flag(0, Served, 0), Some(&intact)),
+            (flag(2, Served, 0), Some(&identity_there)),
+            (flag(0, Served, 0), Some(&only_twin)),
+            (flag(0, Unanswered, 0), None),
+            (flag(0, Served, 0), Some(&hedged)),
+        ];
+        let report_of = |rows: &[(u8, Option<&Vec<u8>>)]| FarmChaosReport {
+            flags: rows.iter().map(|&(f, _)| f).collect(),
+            digests: (rows.iter().enumerate())
+                .map(|(g, &(_, bytes))| bytes.map_or(0, |b| digest_response(g as u64, b)))
+                .collect(),
+            ..shell.clone()
+        };
+        let (report, twin) = (report_of(&ours), report_of(&twins));
+        assert_eq!(report.diff_twin(&twin), vec![1]);
+        assert_eq!(twin.diff_twin(&report), vec![1]);
+        assert_eq!(report.diff_twin(&report), Vec::<u64>::new());
+    }
+
     /// A served batch: one committed response per span, `None` an engine
     /// drop.
     fn served_batch(spans: &[Option<Vec<u8>>]) -> UdpBatch {

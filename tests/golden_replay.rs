@@ -34,6 +34,22 @@ fn farm_chaos_report_fingerprint() {
     assert_eq!(report.fingerprint(), 2004476337518850456);
 }
 
+/// Everything the same run decided, without the response hash: the
+/// report's fingerprint over an emptied `digests`, the outcome flags on
+/// their own, and how many queries were delivered an answer. A change of
+/// the digest function moves `farm_chaos_report_fingerprint` and nothing
+/// here.
+#[test]
+fn farm_chaos_policy_fingerprint() {
+    let mut report = FarmChaosRun::demo(Scale::Tiny, 0x2025_0417, 6_000, 2).report;
+    let mut flags = netsim::Fingerprint::new();
+    report.flags.iter().for_each(|&f| flags.mix(u64::from(f)));
+    assert_eq!(flags.finish(), 7057400647096685390);
+    assert_eq!(report.digests.iter().filter(|&&d| d != 0).count(), 5_018);
+    report.digests.clear();
+    assert_eq!(report.fingerprint(), 11018399587467928190);
+}
+
 #[test]
 fn attack_report_fingerprint() {
     let scenario = AttackRun::demo_scenario(Scale::Tiny, RootLetter::B);
