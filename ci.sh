@@ -7,12 +7,17 @@
 #   2a. the serving crate and the farm's root tests (`farm_*` in
 #      tests/farm_invariants.rs and tests/golden_replay.rs) once more at
 #      release optimisation with debug assertions and overflow checks on
-#      (own target dir): the digest kernel's lane arithmetic and the
-#      shared-set debug_assert! run checked at the optimisation level they
-#      ship at;
+#      (own target dir): the serve kernels' and the response digest's
+#      arithmetic and the shared-set debug_assert! run checked at the
+#      optimisation level they ship at;
 #   2b. the frozen benchmark package (benchmark/, a workspace of its own):
 #      release build against its committed lock file, and its unit tests —
 #      a break of the public surface it is pinned to fails here;
+#   2c. the driver's view of the repo: benchmark/run.sh, one second of
+#      every workload with tracing off and on, each required to exit 0
+#      with "correct":true and "failed":0 — a failed output check or a
+#      failed `unattributed` bound fails here — and to leave benchmark/
+#      and BENCHMARK.json as committed;
 #   3. examples build + smoke runs (tiny scale, temp output dirs);
 #   4. bench smoke run refreshing the committed BENCH_results.json,
 #      followed by the bench_guard regression gate (fails on >25%
@@ -20,8 +25,7 @@
 #      committed baseline, and on any absolute ceiling: among them the
 #      uncached path's rootd/serve_fallback_{referral_do,nxdomain_do,tc512}
 #      and codec/encode_referral on the 1 500-TLD zone, and the chaos
-#      run's rootd/chaos/digest_batch_ps_per_byte, which must also read
-#      under rootd/chaos/digest_scalar_ps_per_byte; rootd/farm/
+#      run's word-wise rootd/chaos/digest_ps_per_byte; rootd/farm/
 #      chaos_wall_pct is recorded and printed, not gated);
 #   5. rustdoc with warnings promoted to errors;
 #   6. formatting check;
@@ -51,6 +55,19 @@ checked -p roots-core --test farm_invariants --test golden_replay farm_
 # fails in CI rather than in the driver.
 cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+# What the driver runs: every workload for a second, untraced and traced.
+# run.sh builds without --locked and would rewrite benchmark/Cargo.lock on
+# a changed dependency edge, hence the diff after it.
+for workload in farm_hit farm_rootzone farm_slowpath farm_reload farm_chaos pipeline_small; do
+    for trace in 0 1; do
+        result="$(benchmark/run.sh --workload "$workload" --seed 7 --seconds 1 --trace "$trace" | tail -n 1)"
+        if [[ "$result" != *'"correct":true'* || "$result" != *'"failed":0,'* ]]; then
+            echo "ci: rootbench $workload --trace $trace: $result" >&2
+            exit 1
+        fi
+    done
+done
+git diff --quiet -- benchmark BENCHMARK.json
 
 cargo build --release --offline --examples
 figdir="$(mktemp -d)"

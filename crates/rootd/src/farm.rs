@@ -30,8 +30,8 @@
 //! / rcode tallies, or a digest and an outcome flag per query written in
 //! place). The second closure sees a whole flushed batch at a time: what
 //! is per response by definition is then done over 32 responses that are
-//! still in cache, which is what lets a chaos run digest them four
-//! abreast ([`digest_batch`]).
+//! still in cache — a chaos run digests each of them eight bytes a
+//! multiply ([`digest_response`]).
 //!
 //! Throughput is reported two ways, deliberately: `wall_qps` is total
 //! queries over wall-clock time — on an N-core box the shards genuinely
@@ -113,6 +113,9 @@ impl LetterFarm {
 /// cut from the build-time zone's TLD label set.
 pub struct Farm {
     pub(crate) letters: Vec<LetterFarm>,
+    /// `RootLetter::index()` → position in `letters`, `usize::MAX` for a
+    /// letter the farm does not serve: the public accessors' lookup.
+    letter_pos: [usize; 13],
     pub(crate) clients: Vec<AsId>,
     pub(crate) templates: QueryTemplates,
     /// The zone epoch the farm was built from — kept so chaos runs can
@@ -501,7 +504,8 @@ impl Farm {
                     engines.push(Arc::new(engine));
                     site_ids.push(site.site_id.0);
                 }
-                debug_assert!(site_ids.windows(2).all(|w| w[0] < w[1]), "catalog order");
+                // `engine_at` binary-searches them.
+                assert!(site_ids.windows(2).all(|w| w[0] < w[1]), "catalog order");
                 // Steering must route over the sites the farm actually
                 // serves: announce only the kept sites.
                 let deployment = announcing(catalog.deployment(letter), &site_ids);
@@ -516,8 +520,14 @@ impl Farm {
                 }
             })
             .collect();
+        // In reverse, so a repeated letter resolves to its first farm.
+        let mut letter_pos = [usize::MAX; 13];
+        for (pos, &letter) in letters.iter().enumerate().rev() {
+            letter_pos[letter.index()] = pos;
+        }
         Farm {
             letters: farms,
+            letter_pos,
             clients,
             templates,
             zone,
@@ -562,7 +572,7 @@ impl Farm {
     /// The engine serving `letter` at `site_id`.
     pub fn engine_at(&self, letter: RootLetter, site_id: u32) -> Option<&Arc<Rootd>> {
         let lf = self.farm_of(letter)?;
-        let slot = lf.site_ids.iter().position(|&id| id == site_id)?;
+        let slot = lf.site_ids.binary_search(&site_id).ok()?;
         Some(&lf.engines[slot])
     }
 
@@ -597,7 +607,7 @@ impl Farm {
     }
 
     fn farm_of(&self, letter: RootLetter) -> Option<&LetterFarm> {
-        self.letters.iter().find(|lf| lf.letter == letter)
+        self.letters.get(self.letter_pos[letter.index()])
     }
 
     /// The one data plane. Shard `t` owns a contiguous range of global
@@ -841,8 +851,8 @@ pub enum ChaosOutcome {
 
 /// What one chaos run measured. `flags` and `digests` are per global
 /// query index: flags pack class (bits 0..=1: 0 benign, 1 junk,
-/// 2 chaos), outcome (bits 2..=4) and a late bit (5); digests are a
-/// per-response FNV over the delivered bytes (0 = no response), which is
+/// 2 chaos), outcome (bits 2..=4) and a late bit (5); digests are
+/// [`digest_response`] of the delivered bytes (0 = no response), which is
 /// what [`FarmChaosReport::diff_twin`] compares for byte-identity.
 #[derive(Debug, Clone)]
 pub struct FarmChaosReport {
@@ -1084,112 +1094,39 @@ struct EpochSteer {
     weights: Vec<f64>,
 }
 
-/// Where the digest chain of global query `g`'s response starts: the
-/// FNV-1a offset basis, salted with the index.
-fn digest_basis(g: u64) -> u64 {
-    0xcbf2_9ce4_8422_2325 ^ g.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-}
-
-/// One link of the digest chain: FNV-1a's xor, then multiply.
-fn digest_step(h: u64, b: u8) -> u64 {
-    (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-}
-
-/// The digest chain `h` continued over `bytes`, one dependent multiply
-/// per byte.
-fn digest_fold(h: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(h, |h, &b| digest_step(h, b))
-}
-
-/// FNV over one delivered response, salted with the global query index
-/// — the definition of a [`FarmChaosReport::digests`] entry. Never 0, so
-/// 0 unambiguously means "no response".
+/// The digest of one delivered response, salted with the global query
+/// index — the definition of a [`FarmChaosReport::digests`] entry. Never
+/// 0, so 0 unambiguously means "no response".
+///
+/// The response is folded as little-endian `u64` words — eight bytes a
+/// multiply — with [`Fingerprint::mix`] as the only step: the length
+/// first, then the whole words, then one zero-padded tail word, which is
+/// sound only because the length is already in. `h ^ (h >> 32)` brings
+/// the high bits down: a word's top bits reach nothing lower through a
+/// multiply.
+///
+/// Every step is a bijection in the state and in the word, which is what
+/// an equality oracle between two runs of one program needs: one flipped
+/// bit, a swapped pair of words, an added or dropped trailing zero all
+/// change the value. It is not a collision-resistant hash — a difference
+/// only travels upward through a multiply, so two in the top bit of two
+/// words cancel — and must not be used as one.
 pub fn digest_response(g: u64, resp: &[u8]) -> u64 {
-    digest_fold(digest_basis(g), resp) | 1
-}
-
-/// Responses [`digest_batch`] steps abreast. A response's chain is a
-/// multiply-latency-bound dependency (≈4 cycles a byte); independent
-/// chains overlap until the multiplier issues one a cycle, and eight
-/// lanes measured no faster than four.
-const LANES: usize = 4;
-
-/// One response in flight in [`digest_batch`]: its chain so far, the
-/// bytes still to fold in, and the `digests` slot the result belongs in.
-#[derive(Clone, Copy)]
-struct Lane<'a> {
-    h: u64,
-    rest: &'a [u8],
-    local: usize,
-}
-
-/// [`digest_response`] of a whole served batch: `entries[i] = (g, local)`
-/// names the global query index response `i` of `batch` answers and the
-/// slot of `digests` its digest is written to; a request the engine
-/// dropped leaves its slot alone. The digest of one response does not
-/// depend on another's, so `LANES` (four) chains advance together over the
-/// shortest remaining length, a finished lane is refilled from the next
-/// response, and the last few lanes finish on the scalar chain — every
-/// value is bit for bit what [`digest_response`] returns.
-pub fn digest_batch(
-    entries: impl IntoIterator<Item = (u64, usize)>,
-    batch: &UdpBatch,
-    digests: &mut [u64],
-) {
-    let mut todo = (entries.into_iter().enumerate()).filter_map(|(i, (g, local))| {
-        Some(Lane {
-            h: digest_basis(g),
-            rest: batch.response(i)?,
-            local,
-        })
-    });
-    let mut lanes = [Lane {
-        h: 0,
-        rest: &[],
-        local: 0,
-    }; LANES];
-    let mut live = 0;
-    for (lane, next) in lanes.iter_mut().zip(&mut todo) {
-        *lane = next;
-        live += 1;
+    let salted = Fingerprint::new().finish() ^ g.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let mut h = Fingerprint::resume(salted);
+    h.mix(resp.len() as u64);
+    let mut words = resp.chunks_exact(8);
+    for w in &mut words {
+        h.mix(u64::from_le_bytes(w.try_into().expect("chunks of eight")));
     }
-    while live == LANES {
-        let n = lanes.iter().map(|l| l.rest.len()).min().unwrap_or(0);
-        let heads = lanes.map(|l| &l.rest[..n]);
-        let mut hs = lanes.map(|l| l.h);
-        for k in 0..n {
-            for (h, head) in hs.iter_mut().zip(&heads) {
-                *h = digest_step(*h, head[k]);
-            }
-        }
-        for (i, h) in hs.into_iter().enumerate() {
-            lanes[i].h = h;
-            lanes[i].rest = &lanes[i].rest[n..];
-        }
-        // Finished lanes: write out, refill — or, once the batch runs
-        // dry, close the gap so `lanes[..live]` stays the unfinished ones.
-        let mut i = 0;
-        while i < live {
-            if !lanes[i].rest.is_empty() {
-                i += 1;
-                continue;
-            }
-            digests[lanes[i].local] = lanes[i].h | 1;
-            match todo.next() {
-                Some(next) => {
-                    lanes[i] = next;
-                    i += 1;
-                }
-                None => {
-                    live -= 1;
-                    lanes[i] = lanes[live];
-                }
-            }
-        }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut padded = [0; 8];
+        padded[..tail.len()].copy_from_slice(tail);
+        h.mix(u64::from_le_bytes(padded));
     }
-    for lane in &lanes[..live] {
-        digests[lane.local] = digest_fold(lane.h, lane.rest) | 1;
-    }
+    let h = h.finish();
+    (h ^ (h >> 32)) | 1
 }
 
 /// Shed probabilities `(junk, benign)` for a slot whose offered share is
@@ -1480,10 +1417,12 @@ impl Farm {
         };
         let observe = |_, pending: &[Pending], batch: &UdpBatch, _: &mut Tally, out: &mut Out| {
             let (digests, flags) = out;
-            digest_batch(pending.iter().map(|p| (p.g, p.local)), batch, digests);
             for (i, p) in pending.iter().enumerate() {
                 flags[p.local] = match batch.response(i) {
-                    Some(_) => p.served_flag,
+                    Some(resp) => {
+                        digests[p.local] = digest_response(p.g, resp);
+                        p.served_flag
+                    }
                     None => {
                         FarmChaosReport::class_of(p.served_flag)
                             | ((ChaosOutcome::EngineDropped as u8) << 2)
@@ -1669,6 +1608,56 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The public steering accessors over the whole constellation (the
+    /// farm rootbench replays against): every letter, family and client
+    /// position resolves as a linear scan of the roster does, and what
+    /// the farm does not serve resolves to nothing.
+    #[test]
+    fn steering_accessors_agree_with_a_linear_scan_of_the_full_farm() {
+        let mut topology = Topology::generate(&TopologyConfig {
+            tier2_per_region: 5,
+            stubs_per_region: [8, 12, 40, 25, 8, 10],
+            ..Default::default()
+        });
+        let catalog = RootCatalog::build(
+            &mut topology,
+            &WorldConfig {
+                site_scale: 0.2,
+                ..Default::default()
+            },
+        );
+        let (_, _, zone) = world();
+        let served = &RootLetter::ALL[..12];
+        let farm = Farm::build(&topology, &catalog, zone, served, usize::MAX);
+        let unserved = RootLetter::ALL[12];
+        assert_eq!(farm.site_count() + catalog.sites_of(unserved).count(), 296);
+        for &letter in served {
+            let lf = (farm.letters.iter())
+                .find(|lf| lf.letter == letter)
+                .expect("served letter");
+            for (fam, family) in [Family::V4, Family::V6].into_iter().enumerate() {
+                // Past the pool too: positions wrap.
+                for pos in 0..farm.clients.len() + 3 {
+                    let slot = steered(&lf.steer[fam], pos % farm.clients.len());
+                    let site = farm.site_for(letter, family, pos);
+                    assert_eq!(site, Some(lf.site_ids[slot]), "{letter:?} {family:?} {pos}");
+                }
+            }
+            for &id in &lf.site_ids {
+                let scanned = lf.site_ids.iter().position(|&other| other == id);
+                let scanned = &lf.engines[scanned.expect("rostered site")];
+                let found = farm.engine_at(letter, id).expect("rostered site");
+                assert!(Arc::ptr_eq(found, scanned), "{letter:?} site {id}");
+            }
+            let beyond = lf.site_ids.last().expect("sites") + 1;
+            assert!(farm.engine_at(letter, beyond).is_none());
+            assert!(farm.engine_at(letter, u32::MAX).is_none());
+        }
+        assert!(farm.site_for(unserved, Family::V4, 0).is_none());
+        assert!(farm.engine_at(unserved, 0).is_none());
+        assert!(farm.deployment(unserved).is_none());
     }
 
     /// A second inside the default zone config's RRSIG validity window.
@@ -1946,72 +1935,130 @@ mod tests {
         assert_eq!(report.diff_twin(&report), Vec::<u64>::new());
     }
 
-    /// A served batch: one committed response per span, `None` an engine
-    /// drop.
-    fn served_batch(spans: &[Option<Vec<u8>>]) -> UdpBatch {
-        let mut batch = UdpBatch::new();
-        for span in spans {
-            batch.push_request(&[0]);
-            match span {
-                Some(bytes) => batch.commit_response_bytes(bytes),
-                None => batch.commit_response(false),
+    /// [`digest_response`] written independently: words assembled with
+    /// shifts a byte at a time, the multiply spelled out.
+    fn reference_digest(g: u64, resp: &[u8]) -> u64 {
+        const PRIME: u64 = 0x100_0000_01b3;
+        let mut h = 0xcbf2_9ce4_8422_2325 ^ g.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        h = (h ^ resp.len() as u64).wrapping_mul(PRIME);
+        for at in (0..resp.len()).step_by(8) {
+            let mut word = 0u64;
+            for (k, &b) in resp[at..].iter().take(8).enumerate() {
+                word |= u64::from(b) << (8 * k);
             }
+            h = (h ^ word).wrapping_mul(PRIME);
         }
-        batch
+        (h ^ (h >> 32)) | 1
     }
 
-    /// The scalar chain itself, as it stood before the lane kernel
-    /// existed: three `(g, bytes) → digest` values computed at PR 15.
+    /// Seeded bytes, so neighbouring words are never equal by accident.
+    fn noise(seed: u64, len: usize) -> Vec<u8> {
+        let mut fill = SimRng::new(seed);
+        (0..len).map(|_| fill.next_u64() as u8).collect()
+    }
+
+    fn with_bit_flipped(resp: &[u8], bit: usize) -> Vec<u8> {
+        let mut flipped = resp.to_vec();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        flipped
+    }
+
+    /// `resp` with the eight bytes at `at` and at `at + gap` exchanged.
+    fn with_words_swapped(resp: &[u8], at: usize, gap: usize) -> Vec<u8> {
+        let mut swapped = resp.to_vec();
+        for k in at..at + 8 {
+            swapped.swap(k, k + gap);
+        }
+        swapped
+    }
+
+    /// Three `(g, bytes) → digest` values of the word-wise digest, from a
+    /// Python transcription made when it replaced the byte-wise chain
+    /// (PR 20).
     #[test]
     fn digest_response_matches_its_pinned_values() {
         let header = [0x12, 0x34, 0x84, 0, 0, 1, 0, 0, 0, 0, 0, 0];
         let ramp: Vec<u8> = (0..=255).collect();
-        assert_eq!(digest_response(0, &[]), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(digest_response(7, &header), 0xf32b_1312_a268_c007);
-        assert_eq!(digest_response(u64::MAX, &ramp), 0x4dba_bb10_7341_cccf);
+        assert_eq!(digest_response(0, &[]), 0xaf63_bd4c_2962_0a93);
+        assert_eq!(digest_response(7, &header), 0x475f_02ef_9ed0_f793);
+        assert_eq!(digest_response(u64::MAX, &ramp), 0xce76_0fab_c974_94a1);
+    }
+
+    /// The lengths around every boundary of the fold — empty, inside the
+    /// tail word, whole words, a word short of and past 32 and 64 bytes —
+    /// against the reference, with each of the properties the proptest
+    /// below draws at random.
+    #[test]
+    fn digest_response_holds_its_properties_at_every_boundary_length() {
+        for len in [0, 1, 7, 8, 9, 31, 32, 33, 63, 64] {
+            let resp = noise(len as u64, len);
+            for g in [0, 1, 41, u64::MAX] {
+                let d = digest_response(g, &resp);
+                assert_eq!(d, reference_digest(g, &resp), "len {len} g {g}");
+                assert_ne!(d, 0);
+                assert_ne!(d, digest_response(g ^ 1, &resp), "len {len} g {g}");
+                let mut longer = resp.clone();
+                longer.push(0);
+                assert_ne!(d, digest_response(g, &longer), "len {len} + a zero");
+                for bit in 0..8 * len {
+                    let flipped = with_bit_flipped(&resp, bit);
+                    assert_ne!(d, digest_response(g, &flipped), "len {len} bit {bit}");
+                }
+                for gap in [8, 32] {
+                    for at in (0..len.saturating_sub(gap + 7)).step_by(8) {
+                        let swapped = with_words_swapped(&resp, at, gap);
+                        let what = format!("len {len} words at {at} and {}", at + gap);
+                        assert_ne!(d, digest_response(g, &swapped), "{what}");
+                    }
+                }
+            }
+        }
+        // All-zero responses differ by their length alone.
+        let zeros = [0u8; 65];
+        let by_len: Vec<u64> = (0..=65).map(|n| digest_response(3, &zeros[..n])).collect();
+        for (n, d) in by_len.iter().enumerate() {
+            assert!(!by_len[..n].contains(d), "{n} zero bytes");
+        }
     }
 
     proptest::proptest! {
-        /// Lane kernel ≡ scalar oracle, slot for slot: batches shorter
-        /// than the lane count, refills, the serial tail, drops anywhere,
-        /// and lengths that are equal, one apart and far apart.
+        /// What the twin oracle relies on, over whole responses: equal to
+        /// the reference and never 0; one flipped bit, a trailing zero
+        /// added or removed, two adjacent words swapped, two words 32
+        /// bytes apart swapped, or another `g`, and the digest moves.
         #[test]
-        fn digest_batch_equals_the_scalar_digest_of_every_response(
-            base in 13usize..=4_095,
-            entries in proptest::collection::vec(
-                (0u8..5, 12usize..=4_096, proptest::prelude::any::<u64>(), 0u8..6),
-                0..71,
-            ),
-            (gap, offset, reversed) in (1usize..3, 0usize..4, proptest::prelude::any::<bool>()),
+        fn digest_response_moves_with_any_one_change(
+            resp in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..4_097),
+            (g, other_g) in (proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>()),
+            (bit, at) in (proptest::prelude::any::<usize>(), proptest::prelude::any::<usize>()),
         ) {
-            let spans: Vec<Option<Vec<u8>>> = entries
-                .iter()
-                .map(|&(kind, len, g, fate)| {
-                    let len = match kind {
-                        0 | 1 => base,
-                        2 => base - 1,
-                        3 => base + 1,
-                        _ => len,
-                    };
-                    let mut fill = SimRng::new(g);
-                    (fate != 0).then(|| (0..len).map(|_| fill.next_u64() as u8).collect())
-                })
-                .collect();
-            let batch = served_batch(&spans);
-            let slots = offset + gap * spans.len() + 1;
-            let local_of = |i: usize| {
-                offset + gap * if reversed { spans.len() - 1 - i } else { i }
-            };
-            let mut expected = vec![0u64; slots];
-            for (i, (span, &(_, _, g, _))) in spans.iter().zip(&entries).enumerate() {
-                if let Some(bytes) = span {
-                    expected[local_of(i)] = digest_response(g, bytes);
-                }
+            let d = digest_response(g, &resp);
+            proptest::prop_assert_eq!(d, reference_digest(g, &resp));
+            proptest::prop_assert_ne!(d, 0);
+            if other_g != g {
+                proptest::prop_assert_ne!(d, digest_response(other_g, &resp));
             }
-            let mut digests = vec![0u64; slots];
-            let keyed = entries.iter().enumerate().map(|(i, &(_, _, g, _))| (g, local_of(i)));
-            digest_batch(keyed, &batch, &mut digests);
-            proptest::prop_assert_eq!(digests, expected);
+            // Read the other way, `resp` is `longer` with its trailing
+            // zero removed.
+            let mut longer = resp.clone();
+            longer.push(0);
+            proptest::prop_assert_ne!(d, digest_response(g, &longer));
+            if !resp.is_empty() {
+                let flipped = with_bit_flipped(&resp, bit % (8 * resp.len()));
+                proptest::prop_assert_ne!(d, digest_response(g, &flipped));
+            }
+            for gap in [8, 32] {
+                let words = resp.len().saturating_sub(gap) / 8;
+                if words == 0 {
+                    continue;
+                }
+                let at = at % words * 8;
+                if resp[at..at + 8] == resp[at + gap..at + gap + 8] {
+                    continue;
+                }
+                let swapped = with_words_swapped(&resp, at, gap);
+                proptest::prop_assert_ne!(d, digest_response(g, &swapped));
+            }
         }
     }
 
