@@ -19,7 +19,8 @@ use dns_zone::rootzone::{build_root_zone, RootZoneConfig};
 use dns_zone::signer::ZoneKeys;
 use dns_zone::Zone;
 use rootd::{
-    InprocTransport, LoopbackServer, Rootd, ServeOutcome, SiteIdentity, Transport, ZoneIndex,
+    InprocTransport, LoopbackServer, Rootd, ServeOutcome, SiteIdentity, Transport, UdpBatch,
+    ZoneIndex,
 };
 use std::sync::Arc;
 
@@ -241,53 +242,57 @@ fn cached_responses_match_the_fallback_path_across_the_matrix() {
     );
 }
 
-/// The differential oracle for the answer cache's shared sets: every name
-/// of a zone × every cached qtype and three uncached ones × every EDNS
-/// state and budget (bucket and not) × qname casing × RD, served by a farm
-/// engine from the cache and by an uncached twin — before and after a
-/// `Farm::reload_letter` swaps in a second epoch.
-#[test]
-fn every_shape_at_every_name_matches_the_uncached_twin_across_a_farm_reload() {
-    let qtypes = [
-        RrType::A,
-        RrType::Ns,
-        RrType::Cname,
-        RrType::Soa,
-        RrType::Mx,
-        RrType::Txt,
-        RrType::Aaaa,
-        RrType::Ds,
-        RrType::Rrsig,
-        RrType::Nsec,
-        RrType::Dnskey,
-        RrType::Zonemd,
-        RrType::Any,
-        RrType::from_u16(65), // HTTPS
-        RrType::from_u16(33), // SRV
-        RrType::from_u16(12), // PTR
-    ];
-    let cfg = |serial| RootZoneConfig {
+/// The qtypes of the answer matrix: the thirteen the cache precompiles and
+/// three it does not.
+const MATRIX_QTYPES: [RrType; 16] = [
+    RrType::A,
+    RrType::Ns,
+    RrType::Cname,
+    RrType::Soa,
+    RrType::Mx,
+    RrType::Txt,
+    RrType::Aaaa,
+    RrType::Ds,
+    RrType::Rrsig,
+    RrType::Nsec,
+    RrType::Dnskey,
+    RrType::Zonemd,
+    RrType::Any,
+    RrType::Other(65), // HTTPS
+    RrType::Other(33), // SRV
+    RrType::Other(12), // PTR
+];
+
+fn matrix_config(serial: u32) -> RootZoneConfig {
+    RootZoneConfig {
         serial,
         tld_count: 40,
         rollout: RolloutPhase::Validating,
         ..Default::default()
-    };
-    let zone_of = |serial| Arc::new(build_root_zone(&cfg(serial), &ZoneKeys::from_seed(42)));
-    let epochs = [zone_of(2023112000), zone_of(2023112100)];
+    }
+}
 
+fn matrix_zone(serial: u32) -> Arc<Zone> {
+    Arc::new(build_root_zone(
+        &matrix_config(serial),
+        &ZoneKeys::from_seed(42),
+    ))
+}
+
+/// A one-letter farm over `zone`, and the id of its first site.
+fn matrix_farm(zone: Arc<Zone>) -> (rootd::Farm, u32) {
     let world = vantage::World::build(&vantage::WorldBuildConfig::tiny());
     let letter = rss::RootLetter::A;
-    let farm = rootd::Farm::build(
-        &world.topology,
-        &world.catalog,
-        Arc::clone(&epochs[0]),
-        &[letter],
-        1,
-    );
+    let farm = rootd::Farm::build(&world.topology, &world.catalog, zone, &[letter], 1);
     let site = farm.deployment(letter).unwrap().sites[0].id.0;
-    let cached = farm.engine_at(letter, site).unwrap();
-    let plain = engine_for(Arc::clone(&epochs[0]));
+    (farm, site)
+}
 
+/// The answer matrix over `names`: every name, as the zone spells it and
+/// in mixed case, × [`MATRIX_QTYPES`] × no EDNS and four advertised
+/// payloads (bucket and not) with DO clear and set × RD clear and set.
+/// Each request comes with a label for failure messages.
+fn shape_matrix(names: &[Name]) -> Vec<(String, Vec<u8>)> {
     // None = no EDNS; otherwise (advertised payload, DO).
     let mut edns_states = vec![None];
     for payload in [512u16, 600, 1232, 4096] {
@@ -303,10 +308,48 @@ fn every_shape_at_every_name_matches_the_uncached_twin_across_a_farm_reload() {
         });
         Name::from_labels(labels).unwrap()
     };
+    let mut matrix = Vec::new();
+    for name in names {
+        for qname in [name.clone(), mixed_case(name)] {
+            for qtype in MATRIX_QTYPES {
+                for edns in &edns_states {
+                    for rd in [false, true] {
+                        let mut q = Message::query(0xa5a5, Question::new(qname.clone(), qtype));
+                        q.header.flags.recursion_desired = rd;
+                        if let &Some((udp_payload_size, dnssec_ok)) = edns {
+                            let edns = Edns {
+                                udp_payload_size,
+                                dnssec_ok,
+                                ..Default::default()
+                            };
+                            set_edns(&mut q, &edns);
+                        }
+                        let label = format!("{qname} {qtype:?} {edns:?} rd={rd}");
+                        matrix.push((label, q.to_wire()));
+                    }
+                }
+            }
+        }
+    }
+    matrix
+}
+
+/// The differential oracle for the answer cache's shared sets: every name
+/// of a zone × every cached qtype and three uncached ones × every EDNS
+/// state and budget (bucket and not) × qname casing × RD, served by a farm
+/// engine from the cache and by an uncached twin — before and after a
+/// `Farm::reload_letter` swaps in a second epoch.
+#[test]
+fn every_shape_at_every_name_matches_the_uncached_twin_across_a_farm_reload() {
+    let epochs = [matrix_zone(2023112000), matrix_zone(2023112100)];
+    let letter = rss::RootLetter::A;
+    let (farm, site) = matrix_farm(Arc::clone(&epochs[0]));
+    let cached = farm.engine_at(letter, site).unwrap();
+    let plain = engine_for(Arc::clone(&epochs[0]));
 
     for (epoch, zone) in epochs.iter().enumerate() {
         if epoch > 0 {
-            let now = cfg(0).inception + 3600;
+            let now = matrix_config(0).inception + 3600;
             assert_eq!(
                 farm.reload_letter(letter, Arc::clone(zone), now),
                 Ok(epoch as u64)
@@ -315,38 +358,123 @@ fn every_shape_at_every_name_matches_the_uncached_twin_across_a_farm_reload() {
         }
         let names = zone.owner_names();
         assert_eq!(names.len(), 1 + 13 + 40 * 3);
-        let (mut asked, mut hits) = (0usize, 0usize);
-        for name in &names {
-            for qname in [name.clone(), mixed_case(name)] {
-                for qtype in qtypes {
-                    for edns in &edns_states {
-                        for rd in [false, true] {
-                            let mut q = Message::query(0xa5a5, Question::new(qname.clone(), qtype));
-                            q.header.flags.recursion_desired = rd;
-                            if let &Some((udp_payload_size, dnssec_ok)) = edns {
-                                let edns = Edns {
-                                    udp_payload_size,
-                                    dnssec_ok,
-                                    ..Default::default()
-                                };
-                                set_edns(&mut q, &edns);
-                            }
-                            let ctx = format!("epoch {epoch} {qname} {qtype:?} {edns:?} rd={rd}");
-                            asked += 1;
-                            hits += usize::from(assert_cache_agrees(
-                                cached,
-                                &plain,
-                                &q.to_wire(),
-                                &ctx,
-                            ));
-                        }
-                    }
-                }
-            }
-        }
+        let matrix = shape_matrix(&names);
+        let hits = matrix
+            .iter()
+            .filter(|(label, wire)| {
+                assert_cache_agrees(cached, &plain, wire, &format!("epoch {epoch} {label}"))
+            })
+            .count();
         // Thirteen of the sixteen qtypes are cached; of those, only a
         // non-bucket budget the answer overflows falls back.
+        let asked = matrix.len();
         assert!(hits * 16 > asked * 12, "epoch {epoch}: {hits}/{asked} hits");
+    }
+}
+
+/// Datagrams no engine parses as a query, one per `pick`: shorter than a
+/// header (dropped), empty (dropped), a header claiming a question that
+/// is not there (FORMERR), a stray response (dropped), and `valid` cut off
+/// inside its question (FORMERR).
+fn malformed(pick: u64, valid: &[u8]) -> Vec<u8> {
+    match pick % 5 {
+        0 => vec![0xab; 5],
+        1 => Vec::new(),
+        2 => {
+            let mut junk = vec![0xde, 0xad, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0];
+            junk.extend_from_slice(&[0xff, 0xff, 0xff]);
+            junk
+        }
+        3 => {
+            let mut stray = valid.to_vec();
+            stray[2] |= 0x80;
+            stray
+        }
+        _ => valid[..14.min(valid.len())].to_vec(),
+    }
+}
+
+/// The batch path against the one-shot path: the whole answer matrix, the
+/// CHAOS / NSID / BADVERS stream behind it and malformed datagrams at
+/// seeded positions between them, pushed through `serve_udp_batch` in
+/// slabs of 1, 2, 31, 32 and 33 on one reused `UdpBatch`. Response `i` of
+/// every slab must be byte-equal to a one-shot `serve_udp_into` of request
+/// `i` — `None` exactly where the one-shot drops, whatever its neighbours
+/// in the slab were — and the tally must count the one-shot outcomes.
+#[test]
+fn batched_serves_match_one_shot_serves_across_the_matrix() {
+    let zone = matrix_zone(2023112000);
+    let (farm, site) = matrix_farm(Arc::clone(&zone));
+    let engine = farm.engine_at(rss::RootLetter::A, site).unwrap();
+
+    // One datagram in eight is malformed (splitmix64 of its position).
+    let draw = |at: usize| {
+        let mut z = (at as u64).wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let mut stream: Vec<(String, Vec<u8>)> = Vec::new();
+    let valid = shape_matrix(&zone.owner_names()).into_iter().chain(
+        query_stream()
+            .into_iter()
+            .map(|wire| ("stream".into(), wire)),
+    );
+    for (label, wire) in valid {
+        let coin = draw(stream.len());
+        if coin % 8 == 0 {
+            stream.push((
+                format!("malformed before {label}"),
+                malformed(coin >> 3, &wire),
+            ));
+        }
+        stream.push((label, wire));
+    }
+    let malformed_count = stream
+        .iter()
+        .filter(|(l, _)| l.starts_with("malformed"))
+        .count();
+    assert!(stream.len() > 77_000 && malformed_count > 8_000);
+
+    let mut batch = UdpBatch::new();
+    let mut one_shot = Vec::new();
+    for slab in [1usize, 2, 31, 32, 33] {
+        let (mut dropped, mut lower, mut mixed) = (0usize, 0usize, 0usize);
+        for (chunk_no, chunk) in stream.chunks(slab).enumerate() {
+            batch.clear();
+            for (_, wire) in chunk {
+                batch.push_request(wire);
+            }
+            let tally = engine.serve_udp_batch(&mut batch);
+            let mut expected = rootd::BatchTally::default();
+            for (i, (label, wire)) in chunk.iter().enumerate() {
+                let ctx = || format!("slab {slab}, chunk {chunk_no}, request {i}: {label}");
+                let outcome = engine.serve_udp_into(wire, &mut one_shot);
+                match outcome {
+                    ServeOutcome::CacheHit => expected.hits += 1,
+                    ServeOutcome::Fallback => expected.fallbacks += 1,
+                    ServeOutcome::Dropped => expected.dropped += 1,
+                }
+                match batch.response(i) {
+                    None => assert_eq!(outcome, ServeOutcome::Dropped, "{}", ctx()),
+                    Some(resp) => {
+                        assert_ne!(outcome, ServeOutcome::Dropped, "{}", ctx());
+                        assert_eq!(resp, &one_shot[..], "{}", ctx());
+                    }
+                }
+                if outcome == ServeOutcome::Dropped {
+                    dropped += 1;
+                } else if wire[12..].iter().any(u8::is_ascii_uppercase) {
+                    mixed += 1;
+                } else {
+                    lower += 1;
+                }
+            }
+            assert_eq!(tally, expected, "slab {slab}, chunk {chunk_no}");
+        }
+        // Every kind of neighbour occurred: drops inside slabs, and both
+        // qname casings answered.
+        assert!(dropped > 4_000 && lower > 30_000 && mixed > 30_000);
     }
 }
 
