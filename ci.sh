@@ -4,12 +4,14 @@
 #
 #   1. release build of every crate;
 #   2. full test suite;
-#   2a. the serving crate and the farm's root tests (`farm_*` in
-#      tests/farm_invariants.rs and tests/golden_replay.rs) once more at
-#      release optimisation with debug assertions and overflow checks on
-#      (own target dir): the serve kernels' and the response digest's
-#      arithmetic and the shared-set debug_assert! run checked at the
-#      optimisation level they ship at;
+#   2a. the serving crate, the simulator crate and the farm's root tests
+#      (`farm_*` in tests/farm_invariants.rs and tests/golden_replay.rs)
+#      once more at release optimisation with debug assertions and
+#      overflow checks on (own target dir): the serve kernels' and the
+#      response digest's arithmetic, `propagate`'s packed rank (shifts,
+#      the path-length field) and its `u32` kilometre sums, and the
+#      shared-set debug_assert! run checked at the optimisation level
+#      they ship at;
 #   2b. the frozen benchmark package (benchmark/, a workspace of its own):
 #      release build against its committed lock file, and its unit tests —
 #      a break of the public surface it is pinned to fails here;
@@ -18,15 +20,19 @@
 #      with "correct":true and "failed":0 — a failed output check or a
 #      failed `unattributed` bound fails here — and to leave benchmark/
 #      and BENCHMARK.json as committed;
-#   3. examples build + smoke runs (tiny scale, temp output dirs);
+#   3. examples build + smoke runs (tiny scale, temp output dirs; three
+#      of them still carry their invariants and are grepped for them —
+#      attack_report's moved to tests/attack_rrl.rs);
 #   4. bench smoke run refreshing the committed BENCH_results.json,
 #      followed by the bench_guard regression gate (fails on >25%
 #      regression of rootd/loadgen/qps, rootd/serve_*, or codec/* vs the
 #      committed baseline, and on any absolute ceiling: among them the
 #      uncached path's rootd/serve_fallback_{referral_do,nxdomain_do,tc512}
-#      and codec/encode_referral on the 1 500-TLD zone, and the chaos
-#      run's word-wise rootd/chaos/digest_ps_per_byte; rootd/farm/
-#      chaos_wall_pct is recorded and printed, not gated);
+#      and codec/encode_referral on the 1 500-TLD zone, the chaos run's
+#      word-wise rootd/chaos/digest_ps_per_byte, the cached serve
+#      path's rootd/serve_hit_slab32_{ns,junk_do_ns} and set-up's
+#      routing/propagate_{b,f}_v4, these four held by ceiling alone;
+#      rootd/farm/chaos_wall_pct is recorded and printed, not gated);
 #   5. rustdoc with warnings promoted to errors;
 #   6. formatting check;
 #   7. clippy with warnings promoted to errors.
@@ -38,15 +44,16 @@ cargo test -q --offline
 
 # Checked arithmetic where the kernels live: release optimisation, debug
 # assertions and overflow checks on. Of the two root tests only the farm's
-# own (`farm_` in both files) are selected: the step exists for the serve
-# and digest kernels, and whole-suite release coverage waits for the
-# `CITIES` fix (ROADMAP, tier-1 item c).
+# own (`farm_` in both files) are selected: the step exists for the serve,
+# digest and route-rank kernels, and whole-suite release coverage waits
+# for the `CITIES` fix (ROADMAP, tier-1 item c).
 checked() {
     CARGO_TARGET_DIR=target/checked \
         RUSTFLAGS="-C debug-assertions=on -C overflow-checks=on" \
         cargo test --release --offline -q "$@"
 }
 checked -p rootd
+checked -p netsim
 checked -p roots-core --test farm_invariants --test golden_replay farm_
 
 # rootbench is a package of its own with a frozen Cargo.lock: build it
@@ -93,11 +100,10 @@ grep -q "chaos invariants: OK" "$figdir/chaos.txt"
 cargo run -q --release --offline --example clock_chaos_demo > "$figdir/clock_chaos.txt"
 grep -q "clock chaos invariants: OK" "$figdir/clock_chaos.txt"
 # Adversarial-traffic smoke: the demo attack scenario against a
-# rate-limited fleet — legit service must hold through every flood
-# window, delivered answers must match the unlimited twin byte for byte,
-# and the run must replay identically across worker counts.
-cargo run -q --release --offline --example attack_report > "$figdir/attack.txt"
-grep -q "attack invariants: OK" "$figdir/attack.txt"
+# rate-limited fleet must render and exit 0 (its invariants — legit
+# service through every flood window, byte identity with the unlimited
+# twin, replay across worker counts — are tier-1: tests/attack_rrl.rs).
+cargo run -q --release --offline --example attack_report > /dev/null
 # Planner smoke: a 1000-candidate what-if sweep over b.root — the
 # baseline must match the world's routing bit-for-bit, the identity
 # candidate must score exactly zero, and scores/ranking/frontier must be

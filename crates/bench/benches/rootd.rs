@@ -14,8 +14,8 @@ use dns_zone::signer::ZoneKeys;
 use netsim::rng::SimRng;
 use rootd::farm::digest_response;
 use rootd::{
-    Farm, FarmConfig, FaultPlan, FaultyTransport, InprocTransport, LoadgenConfig, QueryMix, Rootd,
-    SharedState, SiteIdentity, Transport, UdpBatch, ZoneIndex,
+    Farm, FarmConfig, FaultPlan, FaultyTransport, InprocTransport, LoadgenConfig, QueryClass,
+    QueryMix, Rootd, SharedState, SiteIdentity, Transport, UdpBatch, ZoneIndex,
 };
 use roots_core::{AttackRun, FarmChaosRun, FarmRun, Scale, ServingPipeline};
 use rss::RootLetter;
@@ -535,15 +535,9 @@ fn bench_farm_resilience(_c: &mut Criterion) {
     );
 }
 
-/// What a chaos run pays to digest what it delivered: one flushed
-/// 32-response slab — B-Root-mix queries answered by a zone8 farm site —
-/// through [`digest_response`], in picoseconds per response byte (fastest
-/// of 32 rounds). The digest folds eight bytes a multiply; the byte-wise
-/// chains it replaced read ≈1 000 ps (one response at a time) and ≈380
-/// (four abreast). `bench_guard` holds the figure under an absolute
-/// ceiling.
-fn bench_chaos_digest(_c: &mut Criterion) {
-    const SLAB: usize = 32;
+/// A one-letter (b.root) farm over a signed 8-TLD zone — `farm_hit`'s zone
+/// — and the id of its first site.
+fn zone8_farm() -> (Farm, u32) {
     let world = World::build(&WorldBuildConfig::tiny());
     let zone = build_root_zone(
         &RootZoneConfig {
@@ -563,6 +557,19 @@ fn bench_chaos_digest(_c: &mut Criterion) {
     let site = farm.deployment(RootLetter::B).expect("b.root").sites[0]
         .id
         .0;
+    (farm, site)
+}
+
+/// What a chaos run pays to digest what it delivered: one flushed
+/// 32-response slab — B-Root-mix queries answered by a zone8 farm site —
+/// through [`digest_response`], in picoseconds per response byte (fastest
+/// of 32 rounds). The digest folds eight bytes a multiply; the byte-wise
+/// chains it replaced read ≈1 000 ps (one response at a time) and ≈380
+/// (four abreast). `bench_guard` holds the figure under an absolute
+/// ceiling.
+fn bench_chaos_digest(_c: &mut Criterion) {
+    const SLAB: usize = 32;
+    let (farm, site) = zone8_farm();
     let engine = farm.engine_at(RootLetter::B, site).expect("site engine");
     let mix = QueryMix::broot();
     let mut rng = SimRng::new(0x2025_0417).derive("chaos-digest-slab");
@@ -594,6 +601,63 @@ fn bench_chaos_digest(_c: &mut Criterion) {
         .fold(f64::INFINITY, f64::min);
     record_metric("rootd/chaos/digest_ps_per_byte", ps_per_byte);
     println!("rootd/chaos/digest: {SLAB} responses, {bytes} bytes: {ps_per_byte:.0} ps/byte");
+}
+
+/// What `farm_hit` pays inside the engine: one 32-request slab pushed into
+/// a warm `UdpBatch` and served by `serve_udp_batch` on a zone8 farm site,
+/// in nanoseconds a query (fastest of 32 rounds; every query a cache hit).
+/// Two slabs: the B-Root mix as `Farm::fill_query` draws it, and its
+/// dearest class alone — junk labels with DO set, an NXDOMAIN spliced from
+/// the covering NSEC link's template after the exact table and the cut
+/// table both miss. `bench_guard` holds both under absolute ceilings.
+fn bench_hit_slab(_c: &mut Criterion) {
+    const SLAB: usize = 32;
+    let (farm, site) = zone8_farm();
+    let engine = farm.engine_at(RootLetter::B, site).expect("site engine");
+    let mix = QueryMix::broot();
+    let mut rng = SimRng::new(0x2025_1005).derive("hit-slab");
+    let mut wire = Vec::new();
+    let mut draw = |keep: &dyn Fn(QueryClass, &[u8]) -> bool| {
+        let mut slab: Vec<Vec<u8>> = Vec::new();
+        while slab.len() < SLAB {
+            let class = farm.fill_query(&mix, &mut rng, &mut wire);
+            if keep(class, &wire) {
+                slab.push(wire.clone());
+            }
+        }
+        slab
+    };
+    let mixed = draw(&|_, _| true);
+    // ARCOUNT 1 is the generator's DO OPT.
+    let junk_do = draw(&|class, wire| class == QueryClass::Junk && wire[11] == 1);
+
+    const ITERS: u32 = 20_000;
+    let mut batch = UdpBatch::new();
+    for (key, slab) in [
+        ("rootd/serve_hit_slab32_ns", &mixed),
+        ("rootd/serve_hit_slab32_junk_do_ns", &junk_do),
+    ] {
+        let serve = |batch: &mut UdpBatch| {
+            batch.clear();
+            for wire in slab {
+                batch.push_request(black_box(wire));
+            }
+            engine.serve_udp_batch(batch)
+        };
+        let warm = serve(&mut batch);
+        assert_eq!((warm.hits, warm.dropped), (SLAB as u64, 0), "{key}");
+        let ns = (0..32)
+            .map(|_| {
+                let t = Instant::now();
+                for _ in 0..ITERS {
+                    black_box(serve(&mut batch));
+                }
+                t.elapsed().as_nanos() as f64 / f64::from(ITERS) / SLAB as f64
+            })
+            .fold(f64::INFINITY, f64::min);
+        record_metric(key, ns);
+        println!("{key}: {ns:.1} ns a query");
+    }
 }
 
 /// Not a timed closure: one zone push on a root-sized zone (1 500 TLDs,
@@ -650,6 +714,7 @@ criterion_group!(
     bench_farm,
     bench_farm_resilience,
     bench_chaos_digest,
+    bench_hit_slab,
     bench_zone_push_1500
 );
 criterion_main!(benches);

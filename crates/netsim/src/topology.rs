@@ -51,6 +51,11 @@ pub struct Link {
     pub v4: bool,
     /// Whether the link carries IPv6.
     pub v6: bool,
+    /// Great-circle kilometres between the two ASes' home cities,
+    /// truncated — fixed when the link is made (an AS never moves), so
+    /// [`crate::routing::propagate`] reads its hop distances instead of
+    /// running a haversine per exported route.
+    pub km: u32,
 }
 
 impl Link {
@@ -196,7 +201,15 @@ impl Topology {
         // Full tier-1 peer mesh (both families).
         for i in 0..tier1.len() {
             for j in (i + 1)..tier1.len() {
-                link(&mut adj, tier1[i], tier1[j], Relation::Peer, true, true);
+                link(
+                    &nodes,
+                    &mut adj,
+                    tier1[i],
+                    tier1[j],
+                    Relation::Peer,
+                    true,
+                    true,
+                );
             }
         }
         let open_peering_backbone = tier1[0];
@@ -224,10 +237,11 @@ impl Topology {
                 for &p in providers.iter().take(n_prov) {
                     // South American v4 transit is disproportionately carried
                     // by the transit backbone (the AS12956 analog).
-                    link(&mut adj, id, p, Relation::Provider, true, true);
+                    link(&nodes, &mut adj, id, p, Relation::Provider, true, true);
                 }
                 if region == Region::SouthAmerica {
                     ensure_link(
+                        &nodes,
                         &mut adj,
                         id,
                         transit_backbone,
@@ -243,7 +257,7 @@ impl Topology {
             for i in 0..t2.len() {
                 for j in (i + 1)..t2.len() {
                     if rng.chance(0.6) {
-                        link(&mut adj, t2[i], t2[j], Relation::Peer, true, true);
+                        link(&nodes, &mut adj, t2[i], t2[j], Relation::Peer, true, true);
                     }
                 }
             }
@@ -269,7 +283,7 @@ impl Topology {
                 let mut providers = t2.clone();
                 rng.shuffle(&mut providers);
                 for &p in providers.iter().take(n_prov) {
-                    link(&mut adj, id, p, Relation::Provider, true, has_v6);
+                    link(&nodes, &mut adj, id, p, Relation::Provider, true, has_v6);
                 }
                 // Occasional out-of-region multihoming.
                 if rng.chance(0.1) {
@@ -277,7 +291,7 @@ impl Topology {
                     let pool = &tier2_by_region[other_region.index()];
                     if !pool.is_empty() {
                         let p = *rng.pick(pool);
-                        link(&mut adj, id, p, Relation::Provider, true, has_v6);
+                        link(&nodes, &mut adj, id, p, Relation::Provider, true, has_v6);
                     }
                 }
             }
@@ -296,6 +310,7 @@ impl Topology {
         for id in candidates {
             if rng.chance(cfg.open_v6_peering_fraction) {
                 ensure_link(
+                    &nodes,
                     &mut adj,
                     id,
                     open_peering_backbone,
@@ -376,7 +391,7 @@ impl Topology {
 
     /// Add a (bidirectional) link after generation.
     pub fn add_link(&mut self, from: AsId, to: AsId, relation: Relation, v4: bool, v6: bool) {
-        ensure_link(&mut self.adj, from, to, relation, v4, v6);
+        ensure_link(&self.nodes, &mut self.adj, from, to, relation, v4, v6);
     }
 
     /// Take the direct link between `a` and `b` out of service (both
@@ -456,19 +471,33 @@ fn region_tag(r: Region) -> &'static str {
     }
 }
 
-/// Insert the link both ways (relation reversed on the far side).
-fn link(adj: &mut [Vec<Link>], from: AsId, to: AsId, relation: Relation, v4: bool, v6: bool) {
+/// Insert the link both ways (relation reversed on the far side), its
+/// length measured once between the two home cities.
+fn link(
+    nodes: &[AsNode],
+    adj: &mut [Vec<Link>],
+    from: AsId,
+    to: AsId,
+    relation: Relation,
+    v4: bool,
+    v6: bool,
+) {
+    let km = nodes[from.0 as usize]
+        .coord()
+        .distance_km(&nodes[to.0 as usize].coord()) as u32;
     adj[from.0 as usize].push(Link {
         to,
         relation,
         v4,
         v6,
+        km,
     });
     adj[to.0 as usize].push(Link {
         to: from,
         relation: relation.reverse(),
         v4,
         v6,
+        km,
     });
 }
 
@@ -476,6 +505,7 @@ fn link(adj: &mut [Vec<Link>], from: AsId, to: AsId, relation: Relation, v4: boo
 /// post-generation adjustments replace rather than duplicate, then merges
 /// family coverage.
 fn ensure_link(
+    nodes: &[AsNode],
     adj: &mut [Vec<Link>],
     from: AsId,
     to: AsId,
@@ -490,7 +520,7 @@ fn ensure_link(
     };
     adj[from.0 as usize].retain(|l| l.to != to);
     adj[to.0 as usize].retain(|l| l.to != from);
-    link(adj, from, to, relation, v4, v6);
+    link(nodes, adj, from, to, relation, v4, v6);
 }
 
 #[cfg(test)]

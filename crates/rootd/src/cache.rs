@@ -7,10 +7,21 @@
 //! budget buckets {512, 1232, 4096}. The qtypes that resolve to one answer at a
 //! name share its stored bytes (see `NameEntry`): the splice below
 //! rewrites the question anyway. Serving a hit is then a hash lookup plus a
-//! splice: copy the stored bytes into the caller's scratch buffer and
-//! patch the message id, the RD bit, and the question region (which
-//! preserves the client's qname casing; compression pointers into the
-//! question stay valid because suffix matching is case-insensitive).
+//! splice: **append** the stored bytes to the caller's buffer — the batch's
+//! response slab itself on the batched path, so a response is copied once,
+//! from the cache to where it is sent from — and patch the message id, the
+//! RD bit, and the question region there (which preserves the client's
+//! qname casing; compression pointers into the question stay valid because
+//! suffix matching is case-insensitive). A serve function that declines
+//! leaves the buffer untouched.
+//!
+//! The lookup key is the lowercased qname with its root byte, borrowed
+//! from the request whenever that is lower-case already (`crate::query`,
+//! "Key layout"). The exact-name table and each template's excluded
+//! suffixes hash through `crate::hash::ZoneHasher`, a word-wise unkeyed
+//! hash: sound because both are filled from the zone at build time and
+//! queries only ever look up — see that type for the HashDoS argument and
+//! for the one map (`crate::rrl`'s buckets) that must keep SipHash.
 //!
 //! NXDOMAIN cannot be enumerated — junk qnames are unbounded — so it is
 //! served from *templates*: one pre-encoded negative response per NSEC
@@ -29,11 +40,11 @@
 //! gets here.
 
 use crate::answer::{encode, encode_into, Answerer, CHAOS_NAMES};
+use crate::hash::{ZoneMap, ZoneSet};
 use crate::index::{Lookup, RrsetEntry, ZoneIndex};
-use crate::query::FastQuery;
+use crate::query::{FastQuery, MAX_QNAME};
 use dns_wire::wire::WireWriter;
 use dns_wire::{Class, Name, Rcode, RrType};
-use std::collections::{HashMap, HashSet};
 
 /// Offset where the question section of a message ends when the qname is
 /// the 1-byte root: 12-byte header + 1 + qtype (2) + qclass (2).
@@ -205,15 +216,15 @@ impl NameEntry {
         self.sets[shape.set as usize][q.state].select(q.limit, &self.arena)
     }
 
-    /// Serve `q` from this entry into `out`; false (with `out` untouched)
-    /// when the shape or the budget is not stored.
+    /// Append this entry's answer to `q` to `out`; false (with `out`
+    /// untouched) when the shape or the budget is not stored.
     fn serve(&self, req: &[u8], q: &FastQuery<'_>, out: &mut Vec<u8>) -> bool {
         let Some(bytes) = self.select(q) else {
             return false;
         };
-        out.clear();
+        let base = out.len();
         out.extend_from_slice(bytes);
-        splice_request(req, q.qlen, out);
+        splice_request(req, q.lc.len(), &mut out[base..]);
         true
     }
 }
@@ -268,12 +279,15 @@ struct NegTemplate {
     /// Label-suffix keys (see [`WireWriter::compressed_suffixes`]) the
     /// response's record names registered. A qname with any of these as a
     /// suffix would compress differently — fall back.
-    excluded: HashSet<Vec<u8>>,
+    excluded: ZoneSet<Vec<u8>>,
 }
 
 impl NegTemplate {
+    /// Append the template relocated to `q`'s qname to `out`; false (with
+    /// `out` untouched) when it does not fit the budget or the qname would
+    /// compress against a record name.
     fn emit(&self, req: &[u8], q: &FastQuery<'_>, out: &mut Vec<u8>) -> bool {
-        let qend = 12 + q.qlen + 4;
+        let qend = 12 + q.lc.len() + 4;
         if qend + self.tail.len() > q.limit {
             return false;
         }
@@ -285,17 +299,18 @@ impl NegTemplate {
             }
             start += 1 + name[start] as usize;
         }
-        out.clear();
-        out.extend_from_slice(&self.head);
-        out[0] = req[0];
-        out[1] = req[1];
-        out[2] = (out[2] & !0x01) | (req[2] & 0x01);
+        let base = out.len();
+        let mut head = self.head;
+        head[0] = req[0];
+        head[1] = req[1];
+        head[2] = (head[2] & !0x01) | (req[2] & 0x01);
+        out.extend_from_slice(&head);
         out.extend_from_slice(&req[12..qend]);
         out.extend_from_slice(&self.tail);
-        let delta = q.qlen - 1;
+        let delta = q.lc.len() - 1;
         if delta > 0 {
             for &(pos, target) in self.fixups.iter() {
-                let p = qend + pos as usize;
+                let p = base + qend + pos as usize;
                 let v = 0xc000u16 | (target as usize + delta) as u16;
                 out[p] = (v >> 8) as u8;
                 out[p + 1] = v as u8;
@@ -311,7 +326,7 @@ impl NegTemplate {
 #[derive(Debug)]
 pub struct AnswerCache {
     /// Lowercase canonical qname wire → everything cached at that name.
-    exact: HashMap<Vec<u8>, NameEntry>,
+    exact: ZoneMap<Vec<u8>, NameEntry>,
     /// NXDOMAIN templates: no EDNS, EDNS, and EDNS+DO per link of
     /// `ZoneIndex::nsec_chain`.
     nx_plain: Option<NegTemplate>,
@@ -343,7 +358,7 @@ impl AnswerCache {
     fn build_inner(answerer: &Answerer<'_>, include_chaos: bool) -> AnswerCache {
         let index = answerer.index;
         let zone_shapes = CACHED_QTYPES.map(|qtype| (qtype, Class::In));
-        let mut exact: HashMap<Vec<u8>, NameEntry> = index
+        let mut exact: ZoneMap<Vec<u8>, NameEntry> = index
             .names()
             .map(|name| {
                 let entry = NameEntry::build(answerer, name, &zone_shapes);
@@ -388,8 +403,9 @@ impl AnswerCache {
     }
 
     /// Try to serve `req` — parsed as `q`, against the epoch's `index` —
-    /// from the cache into `out`. Returns false — with `out` in an
-    /// unspecified state — when the request must take the fallback path.
+    /// from the cache, appending the response to `out`. Returns false —
+    /// with `out` untouched — when the request must take the fallback
+    /// path.
     pub(crate) fn serve(
         &self,
         index: &ZoneIndex,
@@ -402,13 +418,20 @@ impl AnswerCache {
             // of qname; let the fallback build it.
             return false;
         }
-        if let Some(entry) = self.exact.get(&q.lc[..q.qlen]) {
+        if let Some(entry) = self.exact.get(q.lc) {
             return entry.serve(req, q, out);
         }
         if q.class != Class::In.to_u16() {
             return false;
         }
-        if index.referral_above(q.name_lc()).is_some() {
+        // `exact` holds every owner name of the zone, so a name that missed
+        // it is no cut itself: only a name of several labels can lie below
+        // one, and only for those is the index asked.
+        let name = q.name_lc();
+        let one_label = name
+            .first()
+            .is_some_and(|&len| name.len() == 1 + len as usize);
+        if !one_label && index.referral_above(name).is_some() {
             // Below a delegation: referral qnames are unbounded, fall back.
             return false;
         }
@@ -416,7 +439,7 @@ impl AnswerCache {
         let template = match q.state {
             0 => self.nx_plain.as_ref(),
             1 => self.nx_edns.as_ref(),
-            _ => match index.covering_link(q.name_lc()) {
+            _ => match index.covering_link(name) {
                 Some(i) => self.nx_do[i].as_ref(),
                 None => self.nx_do_unsigned.as_ref(),
             },
@@ -428,9 +451,10 @@ impl AnswerCache {
     }
 }
 
-/// Splice the live request's id, RD bit, and question bytes into a
-/// pre-encoded response already copied into `out` (the stored bytes were
-/// built from an id-0, RD-clear query for the same canonical qname).
+/// Splice the live request's id, RD bit, and question bytes into `out`, a
+/// pre-encoded response already copied to where it is sent from (the
+/// stored bytes were built from an id-0, RD-clear query for the same
+/// canonical qname).
 fn splice_request(req: &[u8], qlen: usize, out: &mut [u8]) {
     out[0] = req[0];
     out[1] = req[1];
@@ -464,14 +488,14 @@ impl ChaosCache {
         ChaosCache { names }
     }
 
-    /// Serve a CHAOS identity query from the per-engine shapes. Returns
-    /// false (with `out` unspecified) for anything else — including the
-    /// shapes the legacy cache also declines (odd payloads, NSID).
+    /// Serve a CHAOS identity query from the per-engine shapes, appending
+    /// the response to `out`. Returns false (with `out` untouched) for
+    /// anything else — including the shapes the legacy cache also declines
+    /// (odd payloads, NSID).
     pub(crate) fn serve(&self, req: &[u8], q: &FastQuery<'_>, out: &mut Vec<u8>) -> bool {
-        let name = &q.lc[..q.qlen];
         self.names
             .iter()
-            .find(|(n, _)| n.as_slice() == name)
+            .find(|(n, _)| n.as_slice() == q.lc)
             .is_some_and(|(_, entry)| entry.serve(req, q, out))
     }
 }
@@ -487,7 +511,8 @@ fn build_set(
 ) -> [ResponseSet; 3] {
     let mut bytes = Vec::new();
     [0, 1, 2].map(|state| {
-        let q = FastQuery::for_question(name, qtype, class, state);
+        let lc = &mut [0; MAX_QNAME];
+        let q = FastQuery::for_question(name, qtype, class, state, lc);
         let plan = answerer.answer(&q, true);
         encode_into(&plan, &q, usize::MAX, &mut bytes);
         let full = Span::push(arena, &bytes);
@@ -513,7 +538,8 @@ fn build_negative(
     nsec: Option<&RrsetEntry>,
 ) -> Option<NegTemplate> {
     let root = Name::root();
-    let q = FastQuery::for_question(&root, RrType::A, Class::In, state);
+    let lc = &mut [0; MAX_QNAME];
+    let q = FastQuery::for_question(&root, RrType::A, Class::In, state, lc);
     let mut plan = answerer.negative_with(Rcode::NxDomain, state == 2, nsec);
     answerer.attach_edns(&q, &mut plan);
     let mut w = WireWriter::new();
@@ -703,6 +729,53 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Nothing reads the zone-built maps in iteration order: the chain and
+    /// the label list are sorted, the cache is a sum. Two builds of one
+    /// zone agree on all three.
+    #[test]
+    fn two_builds_of_one_zone_agree() {
+        let zone = Arc::new(build_root_zone(
+            &RootZoneConfig {
+                tld_count: 10,
+                rollout: RolloutPhase::Validating,
+                ..Default::default()
+            },
+            &ZoneKeys::from_seed(5),
+        ));
+        let build = || {
+            let index = ZoneIndex::build(Arc::clone(&zone));
+            let owners: Vec<Name> = (index.nsec_chain().iter())
+                .map(|(owner, _)| owner.clone())
+                .collect();
+            let entries = AnswerCache::build_zone(&index).entries();
+            (owners, index.tld_labels(), entries)
+        };
+        let (first, second) = (build(), build());
+        assert_eq!(first, second);
+        assert_eq!((first.0.len(), first.1.len()), (1 + 13 + 10 * 3, 10));
+        assert_eq!(first.2, first.0.len() * CACHED_QTYPES.len() * 3);
+    }
+
+    /// What lets `serve` skip the cut table for a one-label name that
+    /// missed `exact`: every owner of the zone — every cut among them — has
+    /// an exact entry, with or without the CHAOS names beside them.
+    #[test]
+    fn every_owner_name_has_an_exact_entry() {
+        let (_, cached) = engines();
+        let index = cached.index();
+        let site = crate::answer::SiteAnswers::new(&SiteIdentity::named("lax2f"));
+        let with_chaos = AnswerCache::build(&Answerer {
+            index: &index,
+            site: Some(&site),
+        });
+        for cache in [AnswerCache::build_zone(&index), with_chaos] {
+            for name in index.names() {
+                assert!(cache.exact.contains_key(&name.canonical_wire()), "{name}");
+            }
+        }
+        assert!(index.referral_above(b"\x03com").is_some());
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use crate::answer::{encode_into, Answerer, Plan, SiteAnswers};
 use crate::cache::{AnswerCache, ChaosCache};
 use crate::index::ZoneIndex;
-use crate::query::FastQuery;
+use crate::query::{FastQuery, NameScratch, MAX_QNAME};
 use crate::rrl::{self, ResponseClass, Rrl, RrlConfig, RrlDecision};
 use crate::transport::UdpBatch;
 use dns_wire::{Message, Rcode};
@@ -371,13 +371,17 @@ impl Rootd {
     /// a fresh [`Rrl`] (empty buckets, zeroed counters) for `Some`, the
     /// plain unlimited path for `None`. Epoch-swapped like
     /// [`Self::reload`] — in-flight queries finish under the old config.
+    /// The next state is built from the current one under the write lock,
+    /// as `publish_epoch` builds its own: a reload landing beside this
+    /// call is kept, never overwritten with the epoch it displaced.
     pub fn set_rrl(&self, cfg: Option<RrlConfig>) {
-        let current = Arc::clone(&self.state.read());
-        *self.state.write() = Arc::new(ServingState {
-            index: Arc::clone(&current.index),
-            cache: current.cache.clone(),
-            generation: current.generation,
-            rrl: cfg.map(|c| Arc::new(Rrl::new(c))),
+        let rrl = cfg.map(|c| Arc::new(Rrl::new(c)));
+        let mut guard = self.state.write();
+        *guard = Arc::new(ServingState {
+            index: Arc::clone(&guard.index),
+            cache: guard.cache.clone(),
+            generation: guard.generation,
+            rrl,
         });
     }
 
@@ -433,24 +437,38 @@ impl Rootd {
 
     /// Serve one UDP datagram into a caller-provided scratch buffer.
     /// [`ServeOutcome::Dropped`] means no response (unparseable beyond the
-    /// header, or a stray response); `out` is untouched garbage then. The
+    /// header, or a stray response); `out` is empty then. The
     /// response never exceeds the client's advertised EDNS payload size
     /// (512 without EDNS); when the full response would, records are
     /// dropped at record boundaries and TC is set so the client retries
     /// over TCP.
     pub fn serve_udp_into(&self, request: &[u8], out: &mut Vec<u8>) -> ServeOutcome {
         let state = self.state.read();
-        self.serve_locked(&state, request, out)
+        self.serve_alone(&state, request, out)
     }
 
+    /// One datagram on its own: `out` is cleared first, so the appended
+    /// response is all it holds, and the name scratch is this call's.
+    fn serve_alone(&self, state: &ServingState, request: &[u8], out: &mut Vec<u8>) -> ServeOutcome {
+        out.clear();
+        self.serve_locked(state, request, &mut [0; MAX_QNAME], &mut Vec::new(), out)
+    }
+
+    /// Serve `request`, **appending** the response to `out`: a hit is
+    /// copied from the cache straight to where it is sent from and spliced
+    /// there. `lc` is room for a mixed-case qname's key, `scratch` for an
+    /// uncached answer's encoding when `out` already holds responses
+    /// (`answer_udp`). Nothing is appended on [`ServeOutcome::Dropped`].
     fn serve_locked(
         &self,
         state: &ServingState,
         request: &[u8],
+        lc: &mut NameScratch,
+        scratch: &mut Vec<u8>,
         out: &mut Vec<u8>,
     ) -> ServeOutcome {
-        let Some(q) = FastQuery::parse(request) else {
-            return self.serve_uncanonical(state, request, out);
+        let Some(q) = FastQuery::parse(request, lc) else {
+            return self.serve_uncanonical(state, request, lc, scratch, out);
         };
         if let Some(cache) = &state.cache {
             if cache.serve(&state.index, request, &q, out) {
@@ -462,18 +480,29 @@ impl Rootd {
                 return ServeOutcome::CacheHit;
             }
         }
-        self.answer_udp(state, &q, out)
+        self.answer_udp(state, &q, scratch, out)
     }
 
-    /// The uncached UDP answer: resolve `q`, encode within its budget.
+    /// The uncached UDP answer: resolve `q`, encode within its budget,
+    /// append to `out`. Compression pointers count from the start of a
+    /// message, so the encoder needs a buffer the message starts in: `out`
+    /// itself while it is empty (the one-shot entry points), `scratch`
+    /// behind earlier responses of a batch — one copy into the slab, what a
+    /// batched answer has always paid.
     fn answer_udp(
         &self,
         state: &ServingState,
         q: &FastQuery<'_>,
+        scratch: &mut Vec<u8>,
         out: &mut Vec<u8>,
     ) -> ServeOutcome {
         let plan = self.answerer(state).answer(q, true);
-        encode_into(&plan, q, q.limit, out);
+        if out.is_empty() {
+            encode_into(&plan, q, q.limit, out);
+        } else {
+            encode_into(&plan, q, q.limit, scratch);
+            out.extend_from_slice(scratch);
+        }
         ServeOutcome::Fallback
     }
 
@@ -483,6 +512,8 @@ impl Rootd {
         &self,
         state: &ServingState,
         request: &[u8],
+        lc: &mut NameScratch,
+        scratch: &mut Vec<u8>,
         out: &mut Vec<u8>,
     ) -> ServeOutcome {
         let query = match Message::from_wire(request) {
@@ -495,29 +526,31 @@ impl Rootd {
         if query.header.flags.response {
             return ServeOutcome::Dropped;
         }
-        self.answer_udp(state, &FastQuery::from_message(&query), out)
+        self.answer_udp(state, &FastQuery::from_message(&query, lc), scratch, out)
     }
 
-    /// Serve every request in `batch`, writing each answer into the
-    /// batch's response slab (the farm's recvmmsg-style inner loop). One
-    /// state read covers the whole batch — the per-datagram epoch-pointer
-    /// load of [`Self::serve_udp_into`] is amortized across it — and no
-    /// per-query allocation happens once the slabs are warm. Answers are
-    /// byte-identical to per-datagram [`Self::serve_udp_into`] calls.
+    /// Serve every request in `batch`, appending each answer to the
+    /// batch's response slab in place (the farm's recvmmsg-style inner
+    /// loop). One state read and one name scratch cover the whole batch —
+    /// the per-datagram epoch-pointer load of [`Self::serve_udp_into`] is
+    /// amortized across it — and no per-query allocation happens once the
+    /// slabs are warm. Answers are byte-identical to per-datagram
+    /// [`Self::serve_udp_into`] calls.
     pub fn serve_udp_batch(&self, batch: &mut UdpBatch) -> BatchTally {
         let state = self.state.read();
         let mut tally = BatchTally::default();
+        let mut lc = [0; MAX_QNAME];
         for i in 0..batch.len() {
             let outcome = {
-                let (req, scratch) = batch.io(i);
-                self.serve_locked(&state, req, scratch)
+                let (req, scratch, resp) = batch.serve_io(i);
+                self.serve_locked(&state, req, &mut lc, scratch, resp)
             };
             match outcome {
                 ServeOutcome::CacheHit => tally.hits += 1,
                 ServeOutcome::Fallback => tally.fallbacks += 1,
                 ServeOutcome::Dropped => tally.dropped += 1,
             }
-            batch.commit_response(outcome != ServeOutcome::Dropped);
+            batch.commit(outcome != ServeOutcome::Dropped);
         }
         tally
     }
@@ -540,7 +573,7 @@ impl Rootd {
         out: &mut Vec<u8>,
     ) -> ServeVerdict {
         let state = self.state.read();
-        let outcome = self.serve_locked(&state, request, out);
+        let outcome = self.serve_alone(&state, request, out);
         let Some(rrl) = &state.rrl else {
             return ServeVerdict::Answered(outcome);
         };
@@ -589,7 +622,8 @@ impl Rootd {
             return Vec::new();
         }
         let state = self.state.read();
-        let q = FastQuery::from_message(&query);
+        let lc = &mut [0; MAX_QNAME];
+        let q = FastQuery::from_message(&query, lc);
         let plan = if q.is_axfr() && !q.bad_version() {
             match serve_axfr(state.index.zone(), query.header.id, self.axfr_batch) {
                 Ok(msgs) => return msgs.iter().map(|m| m.to_wire()).collect(),
@@ -611,13 +645,12 @@ impl Rootd {
     }
 }
 
-/// A header-only FORMERR echoing the request id, written into `out` when a
+/// A header-only FORMERR echoing the request id, appended to `out` when a
 /// header exists to echo at all.
 fn formerr_stub(request: &[u8], out: &mut Vec<u8>) -> bool {
     if request.len() < 12 {
         return false;
     }
-    out.clear();
     // QR=1, rcode=FORMERR(1), all counts zero.
     out.extend_from_slice(&[request[0], request[1], 0x80, 0x01, 0, 0, 0, 0, 0, 0, 0, 0]);
     true
@@ -633,6 +666,7 @@ mod tests {
     use dns_zone::rollout::RolloutPhase;
     use dns_zone::rootzone::{build_root_zone, RootZoneConfig};
     use dns_zone::signer::ZoneKeys;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn engine() -> Rootd {
         let zone = build_root_zone(
@@ -1236,6 +1270,71 @@ mod tests {
         assert_eq!(shared.generation(), all.len() as u64);
     }
 
+    /// A config swap racing zone pushes keeps every push: `set_rrl` once
+    /// cloned the state under a read guard and wrote the clone back under
+    /// a later write guard, so a reload landing between the two was
+    /// replaced by the epoch it had displaced — the generation went
+    /// backwards and a stale zone served again.
+    #[test]
+    fn set_rrl_racing_reloads_never_republishes_a_displaced_epoch() {
+        const RELOADS: u32 = 12;
+        const SETTERS: usize = 3;
+        let zone_of = |serial| {
+            let cfg = RootZoneConfig {
+                serial,
+                tld_count: 8,
+                rollout: RolloutPhase::Validating,
+                ..Default::default()
+            };
+            Arc::new(build_root_zone(&cfg, &ZoneKeys::from_seed(5)))
+        };
+        let first_serial = 2_023_112_000;
+        let zones: Vec<Arc<Zone>> = (1..=RELOADS).map(|i| zone_of(first_serial + i)).collect();
+        let shared = SharedState::build(Arc::new(ZoneIndex::build(zone_of(first_serial))));
+        let engine = Rootd::with_shared_state(&shared, SiteIdentity::named("lax2f"));
+        let start = std::sync::Barrier::new(SETTERS + 2);
+        let done = AtomicBool::new(false);
+        // Nothing asserts before `done` is set: a failure must end the
+        // spinning threads, not strand them.
+        let (minted, observed) = std::thread::scope(|scope| {
+            for t in 0..SETTERS {
+                let (engine, start, done) = (&engine, &start, &done);
+                scope.spawn(move || {
+                    start.wait();
+                    let mut on = t % 2 == 0;
+                    while !done.load(Ordering::SeqCst) {
+                        engine.set_rrl(on.then(RrlConfig::default));
+                        on = !on;
+                    }
+                });
+            }
+            let observer = {
+                let (engine, start, done) = (&engine, &start, &done);
+                scope.spawn(move || {
+                    start.wait();
+                    let mut observed = vec![engine.generation()];
+                    while !done.load(Ordering::SeqCst) {
+                        let generation = engine.generation();
+                        if observed.last() != Some(&generation) {
+                            observed.push(generation);
+                        }
+                    }
+                    observed
+                })
+            };
+            start.wait();
+            let minted: Vec<u64> = (zones.iter())
+                .map(|zone| shared.reload(Arc::clone(zone)))
+                .collect();
+            done.store(true, Ordering::SeqCst);
+            (minted, observer.join().expect("observer"))
+        });
+        assert_eq!(minted, (1..=u64::from(RELOADS)).collect::<Vec<u64>>());
+        assert!(observed.windows(2).all(|w| w[0] < w[1]), "{observed:?}");
+        assert_eq!(engine.generation(), u64::from(RELOADS));
+        assert_eq!(engine.index().serial(), first_serial + RELOADS);
+    }
+
     #[test]
     fn shared_state_engine_is_byte_identical_to_standalone() {
         let zone = build_root_zone(
@@ -1479,10 +1578,12 @@ mod tests {
             let wire = q.to_wire();
             let state = e.state.read();
             let (mut fast, mut adapted) = (Vec::new(), Vec::new());
-            if FastQuery::parse(&wire).is_some() {
-                let outcome = e.serve_locked(&state, &wire, &mut fast);
+            let lc = &mut [0; MAX_QNAME];
+            if FastQuery::parse(&wire, lc).is_some() {
+                let scratch = &mut Vec::new();
+                let outcome = e.serve_locked(&state, &wire, lc, scratch, &mut fast);
                 proptest::prop_assert_eq!(outcome, ServeOutcome::Fallback);
-                let outcome = e.serve_uncanonical(&state, &wire, &mut adapted);
+                let outcome = e.serve_uncanonical(&state, &wire, lc, scratch, &mut adapted);
                 proptest::prop_assert_eq!(outcome, ServeOutcome::Fallback);
                 proptest::prop_assert_eq!(fast, adapted);
             }

@@ -16,11 +16,11 @@
 //! lowercased flat wire form — and hand out borrowed record slices: a
 //! query is resolved without cloning a name or a record.
 
+use crate::hash::ZoneMap;
 use dns_wire::rdata::Rdata;
 use dns_wire::{Name, Record, RrType};
 use dns_zone::Zone;
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A delegation response bundle for one TLD.
@@ -101,7 +101,7 @@ pub struct ZoneIndex {
     origin: Name,
     serial: u32,
     /// Lowercased flat owner name → what the zone holds there.
-    nodes: HashMap<Box<[u8]>, Node>,
+    nodes: ZoneMap<Box<[u8]>, Node>,
     /// Apex SOA, then its RRSIG, for negative-response authority sections.
     negative: RrsetEntry,
     /// A and AAAA of every apex NS target, in NS order: the additional
@@ -160,7 +160,7 @@ impl ZoneIndex {
 
         // First pass: group records by (owner, type), zone order kept;
         // RRSIGs go with the type they cover, behind the RRset.
-        let mut nodes: HashMap<Box<[u8]>, Node> = HashMap::new();
+        let mut nodes: ZoneMap<Box<[u8]>, Node> = ZoneMap::default();
         for rec in zone.records() {
             let node = nodes.entry(key_of(&rec.name)).or_insert_with(|| Node {
                 name: rec.name.clone(),
@@ -191,7 +191,7 @@ impl ZoneIndex {
         // Second pass: delegation bundles. A delegated TLD is a non-apex
         // owner holding an NS RRset (the root zone has no in-zone cuts
         // deeper than one label).
-        let glue_of = |nodes: &HashMap<Box<[u8]>, Node>, ns: &[Record]| {
+        let glue_of = |nodes: &ZoneMap<Box<[u8]>, Node>, ns: &[Record]| {
             let mut glue = Vec::new();
             for ns in ns {
                 let Rdata::Ns(target) = &ns.rdata else {

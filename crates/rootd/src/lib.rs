@@ -49,6 +49,7 @@ pub mod cache;
 pub mod engine;
 pub mod farm;
 pub mod faults;
+mod hash;
 pub mod health;
 pub mod index;
 pub mod loadgen;

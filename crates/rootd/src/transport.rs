@@ -72,10 +72,21 @@ impl From<std::io::Error> for TransportError {
 ///
 /// Requests are appended with [`UdpBatch::push_request`]. A server or
 /// transport then commits exactly one response — or an explicit drop —
-/// per request, *in request order*, via [`UdpBatch::io`] +
-/// [`UdpBatch::commit_response`] (or [`UdpBatch::commit_response_bytes`]);
-/// [`UdpBatch::response`] reads them back. [`UdpBatch::clear`] recycles
-/// the batch, keeping every slab's capacity.
+/// per request, *in request order*; [`UdpBatch::response`] reads them
+/// back. [`UdpBatch::clear`] recycles the batch, keeping every slab's
+/// capacity.
+///
+/// Two ways to commit. A transport that produces whole datagrams builds
+/// each in the scratch buffer and has it copied over: [`UdpBatch::io`] +
+/// [`UdpBatch::commit_response`] (or [`UdpBatch::commit_response_bytes`]).
+/// The engine **appends**: `Rootd::serve_udp_batch` is handed the response
+/// slab itself, extends it in place with request `i`'s answer — a cache
+/// hit is copied once, from the cache to the slab, and spliced there — and
+/// commits the new end; a drop truncates the slab back to the previous
+/// end, so whatever a failed attempt left behind never reaches a
+/// neighbour. Only an uncached answer still goes through the scratch (its
+/// encoder counts compression pointers from the start of its buffer) and
+/// pays the one copy a batched answer has always paid.
 #[derive(Debug, Default, Clone)]
 pub struct UdpBatch {
     /// Request bytes back to back; `req_ends[i]` ends request `i`.
@@ -130,10 +141,8 @@ impl UdpBatch {
     /// Request `i` plus the scratch buffer to build its response in;
     /// follow with [`Self::commit_response`].
     pub fn io(&mut self, i: usize) -> (&[u8], &mut Vec<u8>) {
-        let start = if i == 0 { 0 } else { self.req_ends[i - 1] };
-        let end = self.req_ends[i];
-        let UdpBatch { req, scratch, .. } = self;
-        (&req[start..end], scratch)
+        let (req, scratch, _) = self.serve_io(i);
+        (req, scratch)
     }
 
     /// Commit the scratch buffer as the next response; `answered = false`
@@ -142,13 +151,36 @@ impl UdpBatch {
         if answered {
             self.resp.extend_from_slice(&self.scratch);
         }
+        self.commit(answered);
+    }
+
+    /// Request `i`, the encode scratch, and the response slab itself for a
+    /// server that appends its answer in place (`Rootd::serve_udp_batch`);
+    /// follow with [`Self::commit`].
+    pub(crate) fn serve_io(&mut self, i: usize) -> (&[u8], &mut Vec<u8>, &mut Vec<u8>) {
+        let start = if i == 0 { 0 } else { self.req_ends[i - 1] };
+        let end = self.req_ends[i];
+        let UdpBatch {
+            req, scratch, resp, ..
+        } = self;
+        (&req[start..end], scratch, resp)
+    }
+
+    /// Commit what was appended to the response slab since the previous
+    /// commit as the next response; `answered = false` records a dropped
+    /// datagram instead, truncating the slab back to the previous end.
+    pub(crate) fn commit(&mut self, answered: bool) {
+        if !answered {
+            self.resp
+                .truncate(self.resp_ends.last().copied().unwrap_or(0));
+        }
         self.resp_ends.push(self.resp.len());
     }
 
     /// Commit `bytes` directly as the next response.
     pub fn commit_response_bytes(&mut self, bytes: &[u8]) {
         self.resp.extend_from_slice(bytes);
-        self.resp_ends.push(self.resp.len());
+        self.commit(true);
     }
 
     /// Response `i`: `None` when the server dropped the request (a real

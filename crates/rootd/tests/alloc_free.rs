@@ -2,7 +2,10 @@
 //! warm — the precompiled cache's hits and the uncached parse → lookup →
 //! encode path alike: single-shot `serve_udp_into`, the scratch-slab
 //! `exchange_udp_into` transport path, and the batched `serve_udp_batch`
-//! path must all run entirely inside pre-grown buffers.
+//! path must all run entirely inside pre-grown buffers — the last also
+//! over a slab that mixes every kind of answer, where hits are appended to
+//! the response slab in place and fallbacks reach it through the batch's
+//! encode scratch.
 //!
 //! Lives in its own test binary, its tests taking turns, so no sibling
 //! test thread can allocate concurrently and pollute the counter.
@@ -200,4 +203,62 @@ fn warm_fallback_paths_do_not_allocate() {
     }
     let after = ALLOCATIONS.load(Ordering::Relaxed);
     assert_eq!(after - before, 0, "warm fallback paths must not allocate");
+}
+
+/// One slab of everything the batched path tells apart: lower-case hits
+/// (the key borrowed from the request), 0x20 mixed-case hits (the key in
+/// the batch's name scratch), junk NXDOMAINs with and without DO (template
+/// splices), CHAOS probes (the per-engine shapes), HTTPS / SRV fallbacks
+/// (encoded in the batch's scratch, then appended behind the hits), and a
+/// dropped datagram in the middle.
+#[test]
+fn warm_mixed_slab_does_not_allocate() {
+    let _turn = TURN.lock().unwrap();
+    let engine = engine(10);
+    let chaos =
+        |name: &str| Message::query(33, Question::chaos_txt(Name::parse(name).unwrap())).to_wire();
+    let slab = [
+        query(".", RrType::Soa, Some((4096, true))),
+        query("com.", RrType::A, None),
+        query("CoM.", RrType::A, Some((1232, true))),
+        query("Org.", RrType::Ns, None),
+        query("nx0123456789ab.", RrType::A, Some((4096, true))),
+        query("nx0123456789ac.", RrType::Aaaa, None),
+        query("NX0123456789ad.", RrType::A, Some((4096, true))),
+        chaos("hostname.bind."),
+        vec![0xab; 5],
+        chaos("Version.Bind."),
+        query("com.", RrType::Other(65), Some((1232, true))),
+        query("Net.", RrType::Other(33), None),
+        query(".", RrType::Ns, Some((1232, true))),
+    ];
+    let expected: Vec<Option<Vec<u8>>> = slab.iter().map(|q| engine.serve_udp(q)).collect();
+
+    let mut batch = UdpBatch::new();
+    let serve = |batch: &mut UdpBatch| {
+        batch.clear();
+        for q in &slab {
+            batch.push_request(q);
+        }
+        engine.serve_udp_batch(batch)
+    };
+    // The first slab grows the buffers; the responses are the one-shot
+    // path's, the drop a drop.
+    let tally = serve(&mut batch);
+    assert_eq!((tally.hits, tally.fallbacks, tally.dropped), (10, 2, 1));
+    for (i, want) in expected.iter().enumerate() {
+        assert_eq!(batch.response(i), want.as_deref(), "response {i}");
+    }
+
+    // A grown slab is a `realloc`, which the counter counts: zero
+    // allocations is also "no buffer of the batch changed capacity".
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..50 {
+        assert_eq!(serve(&mut batch), tally);
+    }
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(after - before, 0, "a warm mixed slab must not allocate");
+    for (i, want) in expected.iter().enumerate() {
+        assert_eq!(batch.response(i), want.as_deref(), "response {i}");
+    }
 }

@@ -1,7 +1,8 @@
 //! Wire-level RRL behavior: a slipped TC=1 response must drive the
 //! stub's TCP-fallback retry, and the TCP answer must be the full,
 //! DNSSEC-validatable response — rate limiting degrades the *transport*,
-//! never the *data* a validating client ends up with.
+//! never the *data* a validating client ends up with. And the attack
+//! demo's invariants (`examples/attack_report` renders the same run).
 
 use dns_crypto::SimKeyPair;
 use dns_wire::edns::{set_edns, Edns};
@@ -11,6 +12,8 @@ use dns_zone::rollout::RolloutPhase;
 use dns_zone::rootzone::{build_root_zone, RootZoneConfig};
 use dns_zone::signer::{verify_signature, ZoneKeys};
 use rootd::{Rootd, RrlConfig, ServeVerdict, SiteIdentity, ZoneIndex};
+use roots_core::{AttackRun, Scale};
+use rss::RootLetter;
 use std::sync::Arc;
 
 fn engines() -> (Rootd, Rootd) {
@@ -117,4 +120,35 @@ fn slipped_tc_response_recovers_the_validated_answer_over_tcp() {
         limited.serve_udp_from(8, 3, &wire, &mut out),
         ServeVerdict::Answered(_)
     ));
+}
+
+/// The demo attack scenario against b.root's rate-limited fleet: every
+/// answer that got through matched the unlimited twin (each one compared
+/// through `serve_udp_from`), every slip recovered over TCP, ≥ 99 % of
+/// legitimate queries served through the floods — and the limiter really
+/// engaged, and the run replays to the same fingerprint again and at
+/// another worker count (window-chunk ownership makes the partitioning
+/// invisible).
+#[test]
+fn attack_demo_holds_its_invariants_and_replays_identically() {
+    let letter = RootLetter::B;
+    let scenario = AttackRun::demo_scenario(Scale::Tiny, letter);
+    let run = |threads| {
+        AttackRun::run(
+            Scale::Tiny,
+            letter,
+            &scenario,
+            AttackRun::DEMO_DURATION_MS,
+            threads,
+        )
+    };
+    let a = run(2);
+    assert_eq!(a.violations(), Vec::<String>::new());
+    let rrl = &a.report.rrl;
+    assert!(
+        rrl.dropped > 0 && rrl.slipped > 0,
+        "the limiter never engaged — the attack windows missed the run: {rrl:?}"
+    );
+    assert_eq!(a.fingerprint(), run(2).fingerprint(), "identical runs");
+    assert_eq!(a.fingerprint(), run(5).fingerprint(), "2 vs 5 workers");
 }
