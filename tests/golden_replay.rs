@@ -275,6 +275,197 @@ fn paper_report_sections() {
     );
 }
 
+/// The analysis products behind those sections at full precision — the
+/// values the report rounds to `{:.1}` — one digest per product, floats by
+/// bit pattern. A product may be computed differently; not one bit of what
+/// it computes may change.
+#[test]
+fn analysis_products_bit_for_bit() {
+    use analysis::clients::ClientAnalysis;
+    use analysis::distance::DistanceResult;
+    use analysis::traffic::{all_roots_series, BRootShift};
+    use analysis::zonemd_pipeline::validate_transfers;
+    use dns_crypto::validity::timestamp_from_ymd as ts;
+    use dns_zone::channels::{snapshots, validate_channel, Channel};
+    use netsim::Fingerprint;
+    use roots_core::Pipeline;
+    use rss::BRootPhase;
+    use traces::flows::DayBucket;
+    use vantage::records::Target;
+
+    let p = Pipeline::shared(Scale::Tiny);
+    let day = |ymd: &str| DayBucket::of(ts(ymd).unwrap());
+    let text = |fp: &mut Fingerprint, s: &str| {
+        fp.mix(s.len() as u64);
+        s.bytes().for_each(|b| fp.mix(u64::from(b)));
+    };
+    let mut products: Vec<(&str, u64)> = Vec::new();
+
+    let mut fp = Fingerprint::new();
+    let rtt = p.rtt_by_region();
+    for (ri, per_target) in rtt.summaries.iter().enumerate() {
+        for (ti, families) in per_target.iter().enumerate() {
+            for (fi, summary) in families.iter().enumerate() {
+                let Some(s) = summary else { continue };
+                [ri, ti, fi, s.n].into_iter().for_each(|v| fp.mix(v as u64));
+                [s.mean, s.std_dev, s.min, s.p25, s.median, s.p75, s.max]
+                    .into_iter()
+                    .for_each(|v| fp.mix(v.to_bits()));
+            }
+        }
+    }
+    products.push(("rtt_by_region", fp.finish()));
+
+    let mut fp = Fingerprint::new();
+    let clients =
+        ClientAnalysis::compute(&p.isp_flows, day("20240205000000"), day("20240304000000"));
+    for c in &clients.curves {
+        fp.mix(c.target.letter.index() as u64);
+        fp.mix(c.target.b_phase as u64);
+        fp.mix(c.family.index() as u64);
+        fp.mix(c.mean_clients_per_day.to_bits());
+        fp.mix(c.curve.len() as u64);
+        for &(flows, frac) in &c.curve {
+            fp.mix(u64::from(flows));
+            fp.mix(frac.to_bits());
+        }
+    }
+    products.push(("clients", fp.finish()));
+
+    // Every `(bucket, key, share)` of a series, in map order.
+    fn series<K: Ord + Clone>(
+        s: &analysis::traffic::TrafficSeries<K>,
+        key: impl Fn(&K) -> u64,
+    ) -> u64 {
+        let mut fp = Fingerprint::new();
+        for ((day, hour), shares) in &s.buckets {
+            fp.mix(u64::from(day.0));
+            fp.mix(hour.map_or(u64::MAX, u64::from));
+            fp.mix(shares.len() as u64);
+            for (k, share) in shares {
+                fp.mix(key(k));
+                fp.mix(share.to_bits());
+            }
+        }
+        fp.finish()
+    }
+    let letter = |l: &RootLetter| l.index() as u64;
+    products.push((
+        "all_roots_isp",
+        series(&all_roots_series(&p.isp_flows), letter),
+    ));
+    let ixp = p.ixp_flows_eu.iter().chain(&p.ixp_flows_na);
+    products.push(("all_roots_ixp", series(&all_roots_series(ixp), letter)));
+    for (name, flows) in [
+        ("b_shift_isp", &p.isp_flows),
+        ("b_shift_ixp_na", &p.ixp_flows_na),
+        ("b_shift_ixp_eu", &p.ixp_flows_eu),
+    ] {
+        let shift = BRootShift::compute(flows);
+        products.push((name, series(&shift.series, |k| *k as u64)));
+    }
+
+    let mut fp = Fingerprint::new();
+    for r in &p.colocation().per_vp {
+        [
+            r.vp.0,
+            r.family.index() as u32,
+            r.letters_observed,
+            r.reduced,
+        ]
+        .into_iter()
+        .for_each(|v| fp.mix(u64::from(v)));
+    }
+    products.push(("colocation", fp.finish()));
+
+    let mut fp = Fingerprint::new();
+    let table2 = validate_transfers(&p.world, &p.transfers);
+    fp.mix(table2.total_transfers);
+    fp.mix(table2.distinct_failing);
+    for row in &table2.rows {
+        fp.mix(row.reason as u64);
+        fp.mix(row.serials.len() as u64);
+        row.serials.iter().for_each(|&s| fp.mix(u64::from(s)));
+        [row.first_obs, row.last_obs, row.observations]
+            .into_iter()
+            .for_each(|v| fp.mix(u64::from(v)));
+        fp.mix(row.servers.len() as u64);
+        row.servers.iter().for_each(|s| text(&mut fp, s));
+        fp.mix(row.vps.len() as u64);
+        row.vps.iter().for_each(|&v| fp.mix(u64::from(v)));
+    }
+    products.push(("table2", fp.finish()));
+
+    // `sec7_channels`' window and zone size.
+    let mut fp = Fingerprint::new();
+    let (from, until) = (ts("20231201000000").unwrap(), ts("20231210000000").unwrap());
+    for channel in [Channel::Czds, Channel::IanaWebsite] {
+        let snaps = snapshots(channel, from, until, &p.world.keys, 10);
+        let r = validate_channel(&snaps);
+        [
+            r.total,
+            r.no_record,
+            r.unverifiable,
+            r.validating,
+            r.invalid,
+        ]
+        .into_iter()
+        .for_each(|v| fp.mix(u64::from(v)));
+        for s in &snaps {
+            assert_eq!(s.channel, channel);
+            fp.mix(u64::from(s.time));
+            fp.mix(u64::from(s.zone.serial().unwrap()));
+            fp.mix(s.zone.len() as u64);
+        }
+    }
+    products.push(("channels", fp.finish()));
+
+    // Figure 5's four panels (a VP's mean inflation sums its own requests
+    // in stream order, which no worker count changes).
+    let mut fp = Fingerprint::new();
+    let panels = [
+        (RootLetter::B, BRootPhase::New),
+        (RootLetter::M, BRootPhase::Old),
+    ]
+    .map(|(letter, b_phase)| Family::BOTH.map(|f| (Target { letter, b_phase }, f)));
+    let (catalog, population) = (&p.world.catalog, &p.world.population);
+    for r in DistanceResult::compute_panels(catalog, population, &p.probes, panels.as_flattened()) {
+        // Sorted: the points come in stream order, and the stream's order
+        // across VPs follows the host's worker count.
+        let mut points: Vec<(u64, u64)> = (r.points.iter())
+            .map(|pt| (pt.closest_global_km.to_bits(), pt.actual_km.to_bits()))
+            .collect();
+        points.sort_unstable();
+        fp.mix(points.len() as u64);
+        for (closest, actual) in points {
+            fp.mix(closest);
+            fp.mix(actual);
+        }
+        fp.mix(r.per_vp_inflation_km.len() as u64);
+        r.per_vp_inflation_km
+            .iter()
+            .for_each(|v| fp.mix(v.to_bits()));
+    }
+    products.push(("distance_panels", fp.finish()));
+
+    assert_eq!(
+        products,
+        [
+            ("rtt_by_region", 15910952962372083627),
+            ("clients", 14049397856347475229),
+            ("all_roots_isp", 10080478734777123264),
+            ("all_roots_ixp", 15398611022925976604),
+            ("b_shift_isp", 16818963983924016363),
+            ("b_shift_ixp_na", 17733147626636873549),
+            ("b_shift_ixp_eu", 16516897616150503937),
+            ("colocation", 2631821368050459416),
+            ("table2", 7187203246465847962),
+            ("channels", 15948302055854163670),
+            ("distance_panels", 17723169040135433805),
+        ]
+    );
+}
+
 /// The uncached serve path, pinned byte for byte.
 mod fallback {
     use dns_wire::edns::{set_edns, Edns};
