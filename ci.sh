@@ -4,14 +4,18 @@
 #
 #   1. release build of every crate;
 #   2. full test suite;
-#   2a. the serving crate, the simulator crate and the farm's root tests
+#   2a. the serving crate, the simulator crate, the farm's root tests
 #      (`farm_*` in tests/farm_invariants.rs and tests/golden_replay.rs)
-#      once more at release optimisation with debug assertions and
-#      overflow checks on (own target dir): the serve kernels' and the
-#      response digest's arithmetic, `propagate`'s packed rank (shifts,
-#      the path-length field) and its `u32` kilometre sums, and the
-#      shared-set debug_assert! run checked at the optimisation level
-#      they ship at;
+#      and the analysis, zone and trace crates once more at release
+#      optimisation with debug assertions and overflow checks on (own
+#      target dir): the serve kernels' and the response digest's
+#      arithmetic, `propagate`'s packed rank (shifts, the path-length
+#      field) and its `u32` kilometre sums, the shared-set debug_assert!,
+#      and the analyses' dense indices — the RTT cell `(region · targets +
+#      target) · 2 + family`, the traffic bucket `(day − first) · 25 +
+#      hour slot`, the `day << 32 | client` key, the count-to-offset prefix
+#      sums and `from_sorted`'s order assertion — run checked at the
+#      optimisation level they ship at;
 #   2b. the frozen benchmark package (benchmark/, a workspace of its own):
 #      release build against its committed lock file, and its unit tests —
 #      a break of the public surface it is pinned to fails here;
@@ -46,7 +50,10 @@ cargo test -q --offline
 # assertions and overflow checks on. Of the two root tests only the farm's
 # own (`farm_` in both files) are selected: the step exists for the serve,
 # digest and route-rank kernels, and whole-suite release coverage waits
-# for the `CITIES` fix (ROADMAP, tier-1 item c).
+# for the `CITIES` fix (ROADMAP, tier-1 item c). That caveat does not
+# reach the analysis, zone and trace crates' own tests: they hold at
+# every optimisation level, and their per-record index arithmetic runs
+# here with the checks a release build drops.
 checked() {
     CARGO_TARGET_DIR=target/checked \
         RUSTFLAGS="-C debug-assertions=on -C overflow-checks=on" \
@@ -55,6 +62,7 @@ checked() {
 checked -p rootd
 checked -p netsim
 checked -p roots-core --test farm_invariants --test golden_replay farm_
+checked -p analysis -p dns-zone -p traces
 
 # rootbench is a package of its own with a frozen Cargo.lock: build it
 # --locked so a changed dependency edge or a broken pinned signature

@@ -5,11 +5,17 @@
 //! The priming signature: after the change, the old b.root IPv6 subnet is
 //! contacted by many clients exactly once a day — they prime against the
 //! old address and then move on.
+//!
+//! A flow belongs to one of 13 letters × 2 address generations × 2
+//! families = 52 series, and within a series to a `(day, client)` pair
+//! that packs into one `u64`. The window's flows are scattered into one
+//! vector per series and sorted as integers; a client-day is then a run of
+//! equal keys and a point of the curve a run of equal client-day counts.
+//! Every quantity up to the final two divisions is an integer, so the
+//! curves do not depend on the order the flows arrive in.
 
 use netsim::Family;
 use rss::{BRootPhase, RootLetter};
-use std::collections::{BTreeMap, HashMap};
-use traces::client::ClientId;
 use traces::flows::{DayBucket, FlowObservation, FlowTarget};
 
 /// Figure 8 curve for one (target, family): at each flows-per-client
@@ -54,47 +60,58 @@ impl ClientAnalysis {
         from_day: DayBucket,
         until_day: DayBucket,
     ) -> ClientAnalysis {
-        // (target, family) -> (day, client) -> flow count
-        let mut counts: HashMap<(FlowTarget, Family), HashMap<(DayBucket, ClientId), u64>> =
-            HashMap::new();
-        let mut days: HashMap<(FlowTarget, Family), std::collections::HashSet<DayBucket>> =
-            HashMap::new();
+        /// `(letter, address generation, family)` series a flow can be in;
+        /// index order is `(FlowTarget, Family)` order.
+        const SERIES: usize = 13 * 2 * 2;
+        // Per series: `(day << 32 | client, flows)` of every flow in the
+        // window.
+        let mut contacts: Vec<Vec<(u64, u32)>> = vec![Vec::new(); SERIES];
         for f in flows {
             if f.day < from_day || f.day >= until_day {
                 continue;
             }
-            *counts
-                .entry((f.target, f.family))
-                .or_default()
-                .entry((f.day, f.client))
-                .or_insert(0) += f.flows as u64;
-            days.entry((f.target, f.family)).or_default().insert(f.day);
+            let series =
+                (f.target.letter.index() * 2 + f.target.b_phase as usize) * 2 + f.family.index();
+            let client_day = u64::from(f.day.0) << 32 | u64::from(f.client.0);
+            contacts[series].push((client_day, f.flows));
         }
         let mut curves = Vec::new();
-        for ((target, family), per_client_day) in counts {
-            let n_days = days[&(target, family)].len().max(1);
-            let total_client_days = per_client_day.len();
-            // Histogram over flows-per-client-day.
-            let mut hist: BTreeMap<u32, u64> = BTreeMap::new();
-            for count in per_client_day.values() {
-                *hist
-                    .entry((*count).min(u32::MAX as u64) as u32)
-                    .or_insert(0) += 1;
+        for (series, mut contacts) in contacts.into_iter().enumerate() {
+            if contacts.is_empty() {
+                continue;
             }
-            let mut curve = Vec::with_capacity(hist.len());
-            let mut cum = 0u64;
-            for (flows_ct, n) in hist {
-                cum += n;
-                curve.push((flows_ct, cum as f64 / total_client_days as f64));
+            contacts.sort_unstable();
+            // One flow count per client-day; days come out in order.
+            let mut per_client_day: Vec<u32> = Vec::new();
+            let mut n_days = 0usize;
+            let mut last_day = None;
+            for run in contacts.chunk_by(|a, b| a.0 == b.0) {
+                let count: u64 = run.iter().map(|&(_, flows)| u64::from(flows)).sum();
+                per_client_day.push(count.min(u64::from(u32::MAX)) as u32);
+                let day = run[0].0 >> 32;
+                if last_day.replace(day) != Some(day) {
+                    n_days += 1;
+                }
+            }
+            // Histogram over flows-per-client-day, cumulated.
+            per_client_day.sort_unstable();
+            let total_client_days = per_client_day.len();
+            let mut curve = Vec::new();
+            let mut cum = 0usize;
+            for run in per_client_day.chunk_by(|a, b| a == b) {
+                cum += run.len();
+                curve.push((run[0], cum as f64 / total_client_days as f64));
             }
             curves.push(ClientCurve {
-                target,
-                family,
+                target: FlowTarget {
+                    letter: RootLetter::ALL[series / 4],
+                    b_phase: [BRootPhase::Old, BRootPhase::New][series / 2 % 2],
+                },
+                family: Family::BOTH[series % 2],
                 mean_clients_per_day: total_client_days as f64 / n_days as f64,
                 curve,
             });
         }
-        curves.sort_by_key(|c| (c.target, c.family));
         ClientAnalysis { curves }
     }
 
@@ -151,6 +168,160 @@ mod tests {
 
     fn day(s: &str) -> DayBucket {
         DayBucket::of(ts(s).unwrap())
+    }
+
+    /// `compute` as it was: a hash map of `(day, client)` counts and a
+    /// hash set of days per `(target, family)`, a B-tree histogram.
+    fn compute_reference(
+        flows: &[FlowObservation],
+        from_day: DayBucket,
+        until_day: DayBucket,
+    ) -> ClientAnalysis {
+        use std::collections::{BTreeMap, HashMap, HashSet};
+        use traces::client::ClientId;
+        let mut counts: HashMap<(FlowTarget, Family), HashMap<(DayBucket, ClientId), u64>> =
+            HashMap::new();
+        let mut days: HashMap<(FlowTarget, Family), HashSet<DayBucket>> = HashMap::new();
+        for f in flows {
+            if f.day < from_day || f.day >= until_day {
+                continue;
+            }
+            *counts
+                .entry((f.target, f.family))
+                .or_default()
+                .entry((f.day, f.client))
+                .or_insert(0) += f.flows as u64;
+            days.entry((f.target, f.family)).or_default().insert(f.day);
+        }
+        let mut curves = Vec::new();
+        for ((target, family), per_client_day) in counts {
+            let n_days = days[&(target, family)].len().max(1);
+            let total_client_days = per_client_day.len();
+            let mut hist: BTreeMap<u32, u64> = BTreeMap::new();
+            for count in per_client_day.values() {
+                *hist
+                    .entry((*count).min(u32::MAX as u64) as u32)
+                    .or_insert(0) += 1;
+            }
+            let mut curve = Vec::with_capacity(hist.len());
+            let mut cum = 0u64;
+            for (flows_ct, n) in hist {
+                cum += n;
+                curve.push((flows_ct, cum as f64 / total_client_days as f64));
+            }
+            curves.push(ClientCurve {
+                target,
+                family,
+                mean_clients_per_day: total_client_days as f64 / n_days as f64,
+                curve,
+            });
+        }
+        curves.sort_by_key(|c| (c.target, c.family));
+        ClientAnalysis { curves }
+    }
+
+    /// Target, family, mean clients a day and the curve's points.
+    type CurveBits = (FlowTarget, Family, u64, Vec<(u32, u64)>);
+
+    /// Every field of every curve, floats by bit pattern.
+    fn bits(a: &ClientAnalysis) -> Vec<CurveBits> {
+        (a.curves.iter())
+            .map(|c| {
+                let curve = c.curve.iter().map(|&(f, frac)| (f, frac.to_bits()));
+                (
+                    c.target,
+                    c.family,
+                    c.mean_clients_per_day.to_bits(),
+                    curve.collect(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sorted_series_match_the_nested_maps() {
+        use netsim::SimRng;
+        use traces::client::ClientId;
+        let mut rng = SimRng::new(0xC11E);
+        let targets = FlowTarget::all();
+        let (from, until) = (DayBucket(19_700), DayBucket(19_710));
+        let mut flows = Vec::new();
+        // Days on both sides of the window and on its two edges; a client
+        // seen daily and hourly on one day, several times in one bucket,
+        // and with counts whose sum passes `u32::MAX`; a client id far
+        // above the others; a series with one client-day, one with none.
+        for day in 19_697..19_713 {
+            for client in [0u32, 1, 2, 3, 7, 4_000_000_000] {
+                for target in &targets[..5] {
+                    for family in Family::BOTH {
+                        if rng.chance(0.3) {
+                            continue;
+                        }
+                        let heavy = client == 7 && target.letter == RootLetter::A;
+                        let flow = |hour, flows| FlowObservation {
+                            day: DayBucket(day),
+                            hour,
+                            client: ClientId(client),
+                            family,
+                            target: *target,
+                            flows,
+                        };
+                        flows.push(flow(None, 1 + rng.next_range(4) as u32));
+                        if rng.chance(0.4) {
+                            flows.push(flow(Some(rng.next_range(24) as u8), 1));
+                            flows.push(flow(None, if heavy { u32::MAX } else { 2 }));
+                        }
+                    }
+                }
+            }
+        }
+        flows.push(FlowObservation {
+            day: DayBucket(19_705),
+            hour: None,
+            client: ClientId(9),
+            family: Family::V6,
+            target: targets[13],
+            flows: 3,
+        });
+        let lone = |a: &ClientAnalysis| {
+            let c = a.curve(targets[13], Family::V6).expect("m.root v6");
+            (c.mean_clients_per_day, c.curve.clone())
+        };
+
+        let result = ClientAnalysis::compute(&flows, from, until);
+        assert_eq!(bits(&result), bits(&compute_reference(&flows, from, until)));
+        assert_eq!(result.curves.len(), 5 * 2 + 1);
+        assert_eq!(lone(&result), (1.0, vec![(3, 1.0)]));
+        let saturated = result.curve(targets[0], Family::V4).unwrap();
+        assert_eq!(saturated.curve.last().unwrap().0, u32::MAX);
+        for _ in 0..3 {
+            rng.shuffle(&mut flows);
+            let shuffled = ClientAnalysis::compute(&flows, from, until);
+            assert_eq!(bits(&shuffled), bits(&result));
+            assert_eq!(
+                bits(&shuffled),
+                bits(&compute_reference(&flows, from, until))
+            );
+        }
+        // A window nothing falls in, an empty window, no flows at all.
+        for (from, until) in [(19_800, 19_900), (19_705, 19_705), (19_710, 19_700)] {
+            let (from, until) = (DayBucket(from), DayBucket(until));
+            let empty = ClientAnalysis::compute(&flows, from, until);
+            assert!(empty.curves.is_empty());
+            assert!(compute_reference(&flows, from, until).curves.is_empty());
+        }
+        assert!(ClientAnalysis::compute(&[], from, until).curves.is_empty());
+    }
+
+    #[test]
+    fn generated_window_matches_the_nested_maps() {
+        let mut cfg = TraceConfig::isp(13);
+        cfg.population.clients_per_family = 60;
+        let flows = generate_flows(&cfg, &ObservationWindow::isp_windows());
+        let (from, until) = (day("20240205000000"), day("20240304000000"));
+        let result = ClientAnalysis::compute(&flows, from, until);
+        assert_eq!(bits(&result), bits(&compute_reference(&flows, from, until)));
+        assert_eq!(result.curves.len(), 28);
     }
 
     fn post_change_analysis() -> ClientAnalysis {

@@ -6,11 +6,15 @@
 //! observed hops minus the number of unique hops. Missing hops count as
 //! unique, so the measure is a lower bound — exactly as the paper computes
 //! it.
+//!
+//! The latest hop per `(vp, family, letter)` lives in one `vps × 2 × 13`
+//! array indexed by the three small integers, and a VP's thirteen hops
+//! are compared in a fixed array: nothing is hashed per probe.
 
 use netgeo::Region;
 use netsim::Family;
 use rss::{BRootPhase, RootLetter};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use vantage::population::{Population, VpId};
 use vantage::records::ProbeRecord;
 
@@ -38,8 +42,11 @@ impl ColocationResult {
     /// b.root's two addresses share physical sites; only the old-address
     /// target is used so each letter contributes exactly one hop.
     pub fn compute(probes: &[ProbeRecord]) -> ColocationResult {
-        // (vp, family, letter) -> (time, hop option)
-        let mut latest: HashMap<(VpId, Family, RootLetter), (u32, Option<u64>)> = HashMap::new();
+        const LETTERS: usize = RootLetter::ALL.len();
+        // `latest[(vp * 2 + family) * 13 + letter]`: time and hop of the
+        // latest answered probe; a later probe at an equal time replaces
+        // an earlier one. Grown to the highest VP id seen so far.
+        let mut latest: Vec<Option<(u32, Option<u64>)>> = Vec::new();
         for p in probes {
             if p.target.b_phase != BRootPhase::Old {
                 continue;
@@ -47,41 +54,43 @@ impl ColocationResult {
             if p.site.is_none() {
                 continue;
             }
-            let key = (p.vp, p.family, p.target.letter);
-            let entry = latest.entry(key).or_insert((0, None));
-            if p.time >= entry.0 {
-                *entry = (p.time, p.second_to_last_hop);
+            let vp = p.vp.0 as usize;
+            if vp * 2 * LETTERS >= latest.len() {
+                latest.resize((vp + 1) * 2 * LETTERS, None);
+            }
+            let entry =
+                &mut latest[(vp * 2 + p.family.index()) * LETTERS + p.target.letter.index()];
+            if entry.is_none_or(|(time, _)| p.time >= time) {
+                *entry = Some((p.time, p.second_to_last_hop));
             }
         }
-        // Group per (vp, family).
-        let mut grouped: HashMap<(VpId, Family), Vec<Option<u64>>> = HashMap::new();
-        for ((vp, family, _letter), (_, hop)) in latest {
-            grouped.entry((vp, family)).or_default().push(hop);
+        // One row per (vp, family) with an observed letter, in that order.
+        let mut per_vp = Vec::new();
+        for (row, hops) in latest.chunks_exact(LETTERS).enumerate() {
+            let mut seen = [0u64; LETTERS];
+            let mut n_seen = 0;
+            let mut total = 0u32;
+            for (_, hop) in hops.iter().flatten() {
+                total += 1;
+                // A missing hop counts as unique.
+                if let Some(hop) = hop {
+                    seen[n_seen] = *hop;
+                    n_seen += 1;
+                }
+            }
+            if total == 0 {
+                continue;
+            }
+            let seen = &mut seen[..n_seen];
+            seen.sort_unstable();
+            let shared = seen.windows(2).filter(|w| w[0] == w[1]).count();
+            per_vp.push(ReducedRedundancy {
+                vp: VpId((row / 2) as u32),
+                family: Family::BOTH[row % 2],
+                letters_observed: total,
+                reduced: shared as u32,
+            });
         }
-        let mut per_vp: Vec<ReducedRedundancy> = grouped
-            .into_iter()
-            .map(|((vp, family), hops)| {
-                let total = hops.len() as u32;
-                let mut unique: HashSet<u64> = HashSet::new();
-                let mut missing = 0u32;
-                for h in &hops {
-                    match h {
-                        Some(r) => {
-                            unique.insert(*r);
-                        }
-                        None => missing += 1, // missing counts as unique
-                    }
-                }
-                let unique_count = unique.len() as u32 + missing;
-                ReducedRedundancy {
-                    vp,
-                    family,
-                    letters_observed: total,
-                    reduced: total - unique_count,
-                }
-            })
-            .collect();
-        per_vp.sort_by_key(|r| (r.vp, r.family));
         ColocationResult { per_vp }
     }
 
@@ -197,6 +206,101 @@ mod tests {
             second_to_last_hop: hop,
             identity: None,
         }
+    }
+
+    /// `compute` as it was: a hash map of the latest hop per
+    /// `(vp, family, letter)`, regrouped per `(vp, family)` through a
+    /// second one, unique hops through a hash set.
+    fn compute_reference(probes: &[ProbeRecord]) -> ColocationResult {
+        use std::collections::HashSet;
+        let mut latest: HashMap<(VpId, Family, RootLetter), (u32, Option<u64>)> = HashMap::new();
+        for p in probes {
+            if p.target.b_phase != BRootPhase::Old {
+                continue;
+            }
+            if p.site.is_none() {
+                continue;
+            }
+            let key = (p.vp, p.family, p.target.letter);
+            let entry = latest.entry(key).or_insert((0, None));
+            if p.time >= entry.0 {
+                *entry = (p.time, p.second_to_last_hop);
+            }
+        }
+        let mut grouped: HashMap<(VpId, Family), Vec<Option<u64>>> = HashMap::new();
+        for ((vp, family, _letter), (_, hop)) in latest {
+            grouped.entry((vp, family)).or_default().push(hop);
+        }
+        let mut per_vp: Vec<ReducedRedundancy> = grouped
+            .into_iter()
+            .map(|((vp, family), hops)| {
+                let total = hops.len() as u32;
+                let mut unique: HashSet<u64> = HashSet::new();
+                let mut missing = 0u32;
+                for h in &hops {
+                    match h {
+                        Some(r) => {
+                            unique.insert(*r);
+                        }
+                        None => missing += 1,
+                    }
+                }
+                let unique_count = unique.len() as u32 + missing;
+                ReducedRedundancy {
+                    vp,
+                    family,
+                    letters_observed: total,
+                    reduced: total - unique_count,
+                }
+            })
+            .collect();
+        per_vp.sort_by_key(|r| (r.vp, r.family));
+        ColocationResult { per_vp }
+    }
+
+    #[test]
+    fn dense_latest_hops_match_the_hash_maps() {
+        use netsim::SimRng;
+        let mut rng = SimRng::new(0xC010);
+        // Rounds out of time order and repeated (equal times: the later
+        // probe in the stream wins), a handful of hops so letters share
+        // them, missing hops, timeouts, the new b.root address, a VP id
+        // far above the others, a VP nothing ever answers, time 0.
+        let mut stream = Vec::new();
+        for time in [500u32, 100, 300, 300, 0, 200, 500] {
+            for vp in [0u32, 1, 2, 6, 5_000] {
+                for letter in RootLetter::ALL {
+                    for family in Family::BOTH {
+                        if rng.chance(0.25) || (vp == 2 && family == Family::V6) {
+                            continue;
+                        }
+                        let hop = (!rng.chance(0.2)).then(|| rng.next_range(4) as u64);
+                        let mut p = probe(vp, letter, family, hop, time);
+                        if vp == 6 || rng.chance(0.1) {
+                            p.site = None;
+                        }
+                        if letter == RootLetter::B && rng.chance(0.5) {
+                            p.target.b_phase = BRootPhase::New;
+                        }
+                        stream.push(p);
+                    }
+                }
+            }
+        }
+        let result = ColocationResult::compute(&stream);
+        assert_eq!(result.per_vp, compute_reference(&stream).per_vp);
+        assert_eq!(result.per_vp.len(), 4 * 2 - 1);
+        assert!(result.max_reduced() >= 5);
+        assert!(result.per_vp.iter().all(|r| r.vp != VpId(6)));
+        for _ in 0..3 {
+            rng.shuffle(&mut stream);
+            assert_eq!(
+                ColocationResult::compute(&stream).per_vp,
+                compute_reference(&stream).per_vp
+            );
+        }
+        assert!(ColocationResult::compute(&[]).per_vp.is_empty());
+        assert!(ColocationResult::compute(&stream[..1]).per_vp.len() <= 1);
     }
 
     #[test]

@@ -5,6 +5,11 @@
 //! Requests routed to their closest global site fall on the diagonal;
 //! requests at a closer local site fall below; requests routed to a more
 //! distant instance fall above.
+//!
+//! A request's distance is a function of its VP and the site that
+//! answered, and a panel sees a few thousand such pairs millions of
+//! times: each pair's haversine is computed when first met and read from
+//! a per-panel `vps × sites` table afterwards.
 
 use netsim::anycast::SiteScope;
 use netsim::Family;
@@ -74,6 +79,11 @@ impl DistanceResult {
             points: Vec<DistancePoint>,
             /// Inflation sum and request count per VP.
             per_vp: Vec<(f64, u32)>,
+            /// Site ids the letter uses, and `actual_km[vp * sites + site]`:
+            /// the distance from the VP to the site, computed the first
+            /// time a request lands there (NaN until then).
+            sites: usize,
+            actual_km: Vec<f64>,
         }
         let mut filling: Vec<Panel> = (panels.iter())
             .map(|(target, _)| {
@@ -87,10 +97,16 @@ impl DistanceResult {
                         .map(|c| vp.coord.distance_km(c))
                         .fold(f64::INFINITY, f64::min)
                 };
+                let sites = (catalog.sites_of(target.letter))
+                    .map(|s| s.site_id.0 as usize + 1)
+                    .max()
+                    .unwrap_or(0);
                 Panel {
                     closest_global_km: population.vps().iter().map(closest).collect(),
                     points: Vec::new(),
                     per_vp: vec![(0.0, 0); population.len()],
+                    sites,
+                    actual_km: vec![f64::NAN; population.len() * sites],
                 }
             })
             .collect();
@@ -105,8 +121,12 @@ impl DistanceResult {
             if !closest.is_finite() {
                 continue;
             }
-            let row = catalog.site(p.target.letter, site);
-            let actual = population.get(p.vp).coord.distance_km(&row.city.coord);
+            let actual = &mut panel.actual_km[p.vp.0 as usize * panel.sites + site.0 as usize];
+            if actual.is_nan() {
+                let row = catalog.site(p.target.letter, site);
+                *actual = population.get(p.vp).coord.distance_km(&row.city.coord);
+            }
+            let actual = *actual;
             let pt = DistancePoint {
                 closest_global_km: closest,
                 actual_km: actual,
@@ -293,6 +313,134 @@ mod tests {
             s / r.points.len() as f64
         };
         assert!(mean_closest(RootLetter::B) > mean_closest(RootLetter::L));
+    }
+
+    /// `compute_panels` as it was: a haversine per matching probe.
+    fn compute_panels_reference(
+        catalog: &RootCatalog,
+        population: &Population,
+        probes: &[ProbeRecord],
+        panels: &[(Target, Family)],
+    ) -> Vec<DistanceResult> {
+        /// One panel being filled.
+        struct Panel {
+            /// Distance from each VP to the letter's closest global site
+            /// (infinite when the letter has none).
+            closest_global_km: Vec<f64>,
+            points: Vec<DistancePoint>,
+            /// Inflation sum and request count per VP.
+            per_vp: Vec<(f64, u32)>,
+        }
+        let mut filling: Vec<Panel> = (panels.iter())
+            .map(|(target, _)| {
+                let globals: Vec<netgeo::Coord> = catalog
+                    .sites_of(target.letter)
+                    .filter(|s| s.scope == SiteScope::Global)
+                    .map(|s| s.city.coord)
+                    .collect();
+                let closest = |vp: &vantage::population::VantagePoint| {
+                    (globals.iter())
+                        .map(|c| vp.coord.distance_km(c))
+                        .fold(f64::INFINITY, f64::min)
+                };
+                Panel {
+                    closest_global_km: population.vps().iter().map(closest).collect(),
+                    points: Vec::new(),
+                    per_vp: vec![(0.0, 0); population.len()],
+                }
+            })
+            .collect();
+        for p in probes {
+            let Some(at) = (panels.iter()).position(|&(t, f)| t == p.target && f == p.family)
+            else {
+                continue;
+            };
+            let Some(site) = p.site else { continue };
+            let panel = &mut filling[at];
+            let closest = panel.closest_global_km[p.vp.0 as usize];
+            if !closest.is_finite() {
+                continue;
+            }
+            let row = catalog.site(p.target.letter, site);
+            let actual = population.get(p.vp).coord.distance_km(&row.city.coord);
+            let pt = DistancePoint {
+                closest_global_km: closest,
+                actual_km: actual,
+            };
+            panel.points.push(pt);
+            let e = &mut panel.per_vp[p.vp.0 as usize];
+            e.0 += pt.inflation_km();
+            e.1 += 1;
+        }
+        (panels.iter().zip(filling))
+            .map(|(&(target, family), panel)| DistanceResult {
+                target,
+                family,
+                points: panel.points,
+                // In `VpId` order, VPs without a request left out.
+                per_vp_inflation_km: (panel.per_vp.iter())
+                    .filter(|(_, n)| *n > 0)
+                    .map(|(sum, n)| sum / *n as f64)
+                    .collect(),
+            })
+            .collect()
+    }
+
+    /// A panel's label, points and per-VP means.
+    type PanelBits = (Target, Family, Vec<[u64; 2]>, Vec<u64>);
+
+    /// Points and per-VP means, floats by bit pattern.
+    fn bits(results: &[DistanceResult]) -> Vec<PanelBits> {
+        (results.iter())
+            .map(|r| {
+                let points = (r.points.iter())
+                    .map(|p| [p.closest_global_km.to_bits(), p.actual_km.to_bits()]);
+                let per_vp = r.per_vp_inflation_km.iter().map(|v| v.to_bits());
+                (r.target, r.family, points.collect(), per_vp.collect())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn distances_met_before_match_a_haversine_per_probe() {
+        let (world, mut probes) = run();
+        let (catalog, population) = (&world.catalog, &world.population);
+        // Figure 5's panels, one twice, and one nothing is measured on.
+        let new_b = Target {
+            letter: RootLetter::B,
+            b_phase: BRootPhase::New,
+        };
+        let mut panels: Vec<(Target, Family)> = [new_b, target(RootLetter::M)]
+            .into_iter()
+            .flat_map(|t| Family::BOTH.map(|f| (t, f)))
+            .collect();
+        panels.push((target(RootLetter::M), Family::V4));
+        panels.push((
+            Target {
+                letter: RootLetter::C,
+                b_phase: BRootPhase::New,
+            },
+            Family::V4,
+        ));
+        let mut rng = netsim::SimRng::new(0xD157);
+        for round in 0..3 {
+            let results = DistanceResult::compute_panels(catalog, population, &probes, &panels);
+            let reference = compute_panels_reference(catalog, population, &probes, &panels);
+            assert_eq!(bits(&results), bits(&reference), "round {round}");
+            // A duplicate panel is never reached: its first copy takes
+            // the probes.
+            assert!(results[1].points.len() > 100);
+            assert_eq!(results[4].points.is_empty(), round == 0);
+            assert!(results[5].points.is_empty());
+            rng.shuffle(&mut probes);
+            panels.truncate(4);
+            panels.extend([(target(RootLetter::K), Family::V6); 2]);
+        }
+        let none = DistanceResult::compute_panels(catalog, population, &[], &panels);
+        assert_eq!(
+            bits(&none),
+            bits(&compute_panels_reference(catalog, population, &[], &panels))
+        );
     }
 
     #[test]

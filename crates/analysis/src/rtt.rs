@@ -3,6 +3,13 @@
 //! Produces the distribution summaries behind the paper's violin/box plots
 //! and the per-region v4-vs-v6 comparisons (a.root in South America,
 //! i.root in North America, l.root in Africa, …).
+//!
+//! The samples of all 6 × 14 × 2 cells live in one exactly-sized vector:
+//! a counting pass sizes each cell's run, a second pass scatters every
+//! RTT's bit pattern into its cell. An RTT is finite and not negative, so
+//! its bit pattern orders as its value does and each cell is sorted as
+//! integers. The summary then sums a cell in ascending order, as it
+//! always has — mean and deviation keep every bit.
 
 use crate::stats::DistSummary;
 use netgeo::Region;
@@ -22,21 +29,57 @@ impl RttByRegion {
     /// Aggregate RTT samples from the probe stream.
     pub fn compute(population: &Population, probes: &[ProbeRecord]) -> RttByRegion {
         let targets = Target::all();
-        let t_index = |t: &Target| targets.iter().position(|x| x == t).expect("known target");
-        // samples[region][target][family]
-        let mut samples: Vec<Vec<[Vec<f64>; 2]>> =
-            vec![vec![[Vec::new(), Vec::new()]; targets.len()]; 6];
+        // Target index by `letter * 2 + address generation`; regions read
+        // once per VP.
+        let mut target_at = [None; 13 * 2];
+        for (i, t) in targets.iter().enumerate() {
+            target_at[t.letter.index() * 2 + t.b_phase as usize] = Some(i);
+        }
+        let regions: Vec<usize> = (population.vps().iter())
+            .map(|vp| vp.region.index())
+            .collect();
+        let cell_of = |p: &ProbeRecord| {
+            let target = target_at[p.target.letter.index() * 2 + p.target.b_phase as usize]
+                .expect("known target");
+            (regions[p.vp.0 as usize] * targets.len() + target) * 2 + p.family.index()
+        };
+        let cells = Region::ALL.len() * targets.len() * 2;
+
+        // Count, turn the counts into each cell's first slot, then fill.
+        let mut next = vec![0usize; cells + 1];
+        for p in probes.iter().filter(|p| p.rtt_ms.is_some()) {
+            next[cell_of(p) + 1] += 1;
+        }
+        for c in 1..next.len() {
+            next[c] += next[c - 1];
+        }
+        let mut bits = vec![0u64; next[cells]];
         for p in probes {
             let Some(rtt) = p.rtt_ms else { continue };
-            let region = population.get(p.vp).region;
-            samples[region.index()][t_index(&p.target)][p.family.index()].push(rtt);
+            // Finite and not below +0.0: bit order is value order.
+            assert!(rtt.to_bits() < f64::INFINITY.to_bits(), "RTT {rtt} ms");
+            let slot = &mut next[cell_of(p)];
+            bits[*slot] = rtt.to_bits();
+            *slot += 1;
         }
-        let summaries = samples
-            .into_iter()
-            .map(|per_target| {
-                per_target
-                    .into_iter()
-                    .map(|[v4, v6]| [DistSummary::from_samples(v4), DistSummary::from_samples(v6)])
+
+        // `next[c]` is now the end of cell `c`'s run, the start of `c + 1`'s.
+        let mut sample: Vec<f64> = Vec::new();
+        let mut summarize = |cell: usize| {
+            let start = if cell == 0 { 0 } else { next[cell - 1] };
+            let run = &mut bits[start..next[cell]];
+            run.sort_unstable();
+            sample.clear();
+            sample.extend(run.iter().map(|&b| f64::from_bits(b)));
+            DistSummary::from_sorted(&sample)
+        };
+        let summaries = (0..Region::ALL.len())
+            .map(|region| {
+                (0..targets.len())
+                    .map(|target| {
+                        let v4 = (region * targets.len() + target) * 2;
+                        [summarize(v4), summarize(v4 + 1)]
+                    })
                     .collect()
             })
             .collect();
@@ -114,6 +157,126 @@ mod tests {
             letter,
             b_phase: BRootPhase::Old,
         }
+    }
+
+    /// `compute` as it was: 168 growing vectors of `f64`, each sorted by
+    /// `partial_cmp`.
+    fn compute_reference(population: &Population, probes: &[ProbeRecord]) -> RttByRegion {
+        let targets = Target::all();
+        let t_index = |t: &Target| targets.iter().position(|x| x == t).expect("known target");
+        let mut samples: Vec<Vec<[Vec<f64>; 2]>> =
+            vec![vec![[Vec::new(), Vec::new()]; targets.len()]; 6];
+        for p in probes {
+            let Some(rtt) = p.rtt_ms else { continue };
+            let region = population.get(p.vp).region;
+            samples[region.index()][t_index(&p.target)][p.family.index()].push(rtt);
+        }
+        let summaries = samples
+            .into_iter()
+            .map(|per_target| {
+                per_target
+                    .into_iter()
+                    .map(|[v4, v6]| [DistSummary::from_samples(v4), DistSummary::from_samples(v6)])
+                    .collect()
+            })
+            .collect();
+        RttByRegion { targets, summaries }
+    }
+
+    /// Every field of every cell, floats by bit pattern.
+    fn bits(r: &RttByRegion) -> Vec<Option<(usize, [u64; 7])>> {
+        let cells = r.summaries.iter().flatten().flatten();
+        cells
+            .map(|cell| {
+                cell.as_ref().map(|s| {
+                    let floats = [s.mean, s.std_dev, s.min, s.p25, s.median, s.p75, s.max];
+                    (s.n, floats.map(f64::to_bits))
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn scattered_integer_sort_matches_the_float_vectors() {
+        use netsim::SimRng;
+        use vantage::population::VpId;
+        let world = World::build(&WorldBuildConfig::tiny());
+        let population = &world.population;
+        let mut rng = SimRng::new(0x277);
+        let targets = Target::all();
+        let probe = |vp: usize, target: Target, family, time, rtt_ms| ProbeRecord {
+            time,
+            vp: VpId(vp as u32),
+            target,
+            family,
+            site: None,
+            rtt_ms,
+            second_to_last_hop: None,
+            identity: None,
+        };
+        // Rounds out of time order and repeated; RTTs over twelve binades
+        // with exact repeats, zero and a subnormal among them; timeouts.
+        let mut stream = Vec::new();
+        for time in [900u32, 100, 500, 500, 300] {
+            for vp in 0..population.len() {
+                for target in &targets[..9] {
+                    for family in Family::BOTH {
+                        let rtt = match rng.next_range(12) {
+                            0 => None,
+                            1 => Some(0.0),
+                            2 => Some(f64::MIN_POSITIVE / 4.0),
+                            3 => Some(17.25),
+                            k => Some(rng.next_f64() * (1u64 << k) as f64),
+                        };
+                        stream.push(probe(vp, *target, family, time, rtt));
+                    }
+                }
+            }
+        }
+        // Cells with two samples, one, and none but timeouts.
+        let europe = population.in_region(Region::Europe).next().expect("a VP");
+        let vp = europe.id.0 as usize;
+        stream.push(probe(vp, targets[10], Family::V4, 100, Some(30.5)));
+        stream.push(probe(vp, targets[10], Family::V4, 200, Some(2.25)));
+        stream.push(probe(vp, targets[11], Family::V6, 100, Some(7.0)));
+        stream.push(probe(vp, targets[12], Family::V6, 100, None));
+
+        let result = RttByRegion::compute(population, &stream);
+        assert_eq!(bits(&result), bits(&compute_reference(population, &stream)));
+        let n = |t: usize, family| result.get(Region::Europe, targets[t], family).map(|s| s.n);
+        assert_eq!(n(10, Family::V4), Some(2));
+        assert_eq!(n(11, Family::V6), Some(1));
+        assert_eq!(n(12, Family::V6), None);
+        assert_eq!(n(13, Family::V4), None);
+        let two = result.get(Region::Europe, targets[10], Family::V4).unwrap();
+        assert_eq!((two.min, two.median, two.max), (2.25, 16.375, 30.5));
+        for _ in 0..2 {
+            rng.shuffle(&mut stream);
+            assert_eq!(
+                bits(&RttByRegion::compute(population, &stream)),
+                bits(&compute_reference(population, &stream))
+            );
+        }
+        let empty = RttByRegion::compute(population, &[]);
+        assert_eq!(bits(&empty), bits(&compute_reference(population, &[])));
+        assert_eq!(bits(&empty), vec![None; 6 * 14 * 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "RTT")]
+    fn negative_rtt_is_refused() {
+        let (world, mut probes) = run();
+        probes[0].rtt_ms = Some(-0.0);
+        RttByRegion::compute(&world.population, &probes);
+    }
+
+    #[test]
+    fn measured_stream_matches_the_float_vectors() {
+        let (world, probes) = run();
+        assert_eq!(
+            bits(&RttByRegion::compute(&world.population, &probes)),
+            bits(&compute_reference(&world.population, &probes))
+        );
     }
 
     #[test]

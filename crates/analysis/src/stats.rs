@@ -124,19 +124,22 @@ pub struct DistSummary {
 impl DistSummary {
     /// Summarize a sample; `None` when empty.
     pub fn from_samples(samples: Vec<f64>) -> Option<DistSummary> {
-        if samples.is_empty() {
-            return None;
-        }
-        let s = sorted(samples);
+        Self::from_sorted(&sorted(samples))
+    }
+
+    /// Summarize a sample already in ascending order; `None` when empty.
+    /// Mean and deviation sum in that order.
+    pub fn from_sorted(s: &[f64]) -> Option<DistSummary> {
+        debug_assert!(s.windows(2).all(|w| w[0] <= w[1]), "sample not sorted");
         Some(DistSummary {
             n: s.len(),
-            mean: mean(&s).unwrap(),
-            std_dev: std_dev(&s).unwrap(),
+            mean: mean(s)?,
+            std_dev: std_dev(s)?,
             min: s[0],
-            p25: percentile(&s, 0.25).unwrap(),
-            median: percentile(&s, 0.5).unwrap(),
-            p75: percentile(&s, 0.75).unwrap(),
-            max: *s.last().unwrap(),
+            p25: percentile(s, 0.25)?,
+            median: percentile(s, 0.5)?,
+            p75: percentile(s, 0.75)?,
+            max: *s.last()?,
         })
     }
 }

@@ -1,6 +1,15 @@
 //! Traffic-shift analyses over the passive flow streams (Figures 7, 9, 12,
 //! 13): normalized per-bucket traffic shares, b.root old/new splits per
 //! family, and in-family shift ratios.
+//!
+//! While a series is built its buckets are dense: a capture spans a few
+//! hundred consecutive days and a day has 25 buckets (the daily aggregate
+//! and 24 hours), so a flow's bucket is `(day − first day) × 25 + hour
+//! slot` into one vector — grown at either end when a day outside the
+//! range so far arrives — and a bucket's handful of keys sit in a small
+//! vector searched linearly. No float changes: each `(bucket, key)` volume
+//! is still summed in stream order, and the public `BTreeMap`s are built
+//! before normalisation, so each bucket is still totalled in key order.
 
 use netsim::Family;
 use rss::{BRootPhase, RootLetter};
@@ -18,6 +27,8 @@ pub struct TrafficSeries<K: Ord + Clone> {
 impl<K: Ord + Clone> TrafficSeries<K> {
     /// Build by classifying each flow into a key. `flows` is a slice, or
     /// several chained: a bucket's volumes are summed in iteration order.
+    /// The days of the classified flows should lie within a capture's span
+    /// of each other (memory is 25 small vectors per day of the range).
     pub fn build<'a, F>(
         flows: impl IntoIterator<Item = &'a FlowObservation>,
         mut classify: F,
@@ -25,13 +36,46 @@ impl<K: Ord + Clone> TrafficSeries<K> {
     where
         F: FnMut(&FlowObservation) -> Option<K>,
     {
-        let mut raw: BTreeMap<(DayBucket, Option<u8>), BTreeMap<K, f64>> = BTreeMap::new();
+        /// Buckets a day has: slot 0 is the daily aggregate (`hour: None`),
+        /// slot `h + 1` is hour `h` — `(DayBucket, Option<u8>)` order.
+        const SLOTS: usize = 25;
+        // `volumes[(day - first_day) * SLOTS + slot]`: `(key, flows)` per
+        // key seen in the bucket, in order of first appearance.
+        let mut first_day = 0u32;
+        let mut volumes: Vec<Vec<(K, f64)>> = Vec::new();
         for f in flows {
             let Some(key) = classify(f) else { continue };
-            *raw.entry((f.day, f.hour))
-                .or_default()
-                .entry(key)
-                .or_insert(0.0) += f.flows as f64;
+            let slot = f.hour.map_or(0, |h| {
+                assert!(h < 24, "hour {h} of a flow on day {}", f.day.0);
+                usize::from(h) + 1
+            });
+            if volumes.is_empty() {
+                first_day = f.day.0;
+            } else if f.day.0 < first_day {
+                // An earlier day arriving late: the range grows downwards.
+                let missing = (first_day - f.day.0) as usize * SLOTS;
+                volumes.splice(0..0, std::iter::repeat_with(Vec::new).take(missing));
+                first_day = f.day.0;
+            }
+            let day = (f.day.0 - first_day) as usize;
+            if day * SLOTS >= volumes.len() {
+                volumes.resize_with((day + 1) * SLOTS, Vec::new);
+            }
+            let bucket = &mut volumes[day * SLOTS + slot];
+            let at = (bucket.iter().position(|(k, _)| *k == key)).unwrap_or_else(|| {
+                bucket.push((key, 0.0));
+                bucket.len() - 1
+            });
+            bucket[at].1 += f.flows as f64;
+        }
+        let mut raw: BTreeMap<(DayBucket, Option<u8>), BTreeMap<K, f64>> = BTreeMap::new();
+        for (i, bucket) in volumes.into_iter().enumerate() {
+            if bucket.is_empty() {
+                continue;
+            }
+            let day = DayBucket(first_day + (i / SLOTS) as u32);
+            let hour = (i % SLOTS).checked_sub(1).map(|h| h as u8);
+            raw.insert((day, hour), bucket.into_iter().collect());
         }
         // Normalize per bucket.
         for shares in raw.values_mut() {
@@ -203,6 +247,141 @@ mod tests {
 
     fn day(s: &str) -> DayBucket {
         DayBucket::of(ts(s).unwrap())
+    }
+
+    /// `TrafficSeries::build` as it was: one B-tree probe per flow for the
+    /// bucket, one for the key.
+    fn build_reference<'a, K: Ord + Clone>(
+        flows: impl IntoIterator<Item = &'a FlowObservation>,
+        mut classify: impl FnMut(&FlowObservation) -> Option<K>,
+    ) -> TrafficSeries<K> {
+        let mut raw: BTreeMap<(DayBucket, Option<u8>), BTreeMap<K, f64>> = BTreeMap::new();
+        for f in flows {
+            let Some(key) = classify(f) else { continue };
+            *raw.entry((f.day, f.hour))
+                .or_default()
+                .entry(key)
+                .or_insert(0.0) += f.flows as f64;
+        }
+        for shares in raw.values_mut() {
+            let total: f64 = shares.values().sum();
+            if total > 0.0 {
+                for v in shares.values_mut() {
+                    *v /= total;
+                }
+            }
+        }
+        TrafficSeries { buckets: raw }
+    }
+
+    /// A bucket's day and hour, and its `(key, share)`s.
+    type BucketBits<K> = ((u32, Option<u8>), Vec<(K, u64)>);
+
+    /// Every `(bucket, key, share)`, shares by bit pattern.
+    fn bits<K: Ord + Clone>(s: &TrafficSeries<K>) -> Vec<BucketBits<K>> {
+        (s.buckets.iter())
+            .map(|(&(day, hour), shares)| {
+                let shares = shares.iter().map(|(k, v)| (k.clone(), v.to_bits()));
+                ((day.0, hour), shares.collect())
+            })
+            .collect()
+    }
+
+    /// The dense build against the B-tree build under three classifiers.
+    fn check_against_reference(flows: &[&[FlowObservation]]) -> usize {
+        let chained = || flows.iter().copied().flatten();
+        let letters = all_roots_series(chained());
+        let reference = build_reference(chained(), |f| Some(f.target.letter));
+        assert_eq!(bits(&letters), bits(&reference));
+        let b = TrafficSeries::build(chained(), BKey::of);
+        assert_eq!(bits(&b), bits(&build_reference(chained(), BKey::of)));
+        let fine = TrafficSeries::build(chained(), target_family_key);
+        assert_eq!(
+            bits(&fine),
+            bits(&build_reference(chained(), target_family_key))
+        );
+        let none = TrafficSeries::<BKey>::build(chained(), |_| None);
+        assert!(none.buckets.is_empty());
+        letters.buckets.len()
+    }
+
+    #[test]
+    fn dense_buckets_match_the_nested_maps() {
+        use netsim::SimRng;
+        use traces::client::ClientId;
+        let mut rng = SimRng::new(0x7AFF);
+        let targets = FlowTarget::all();
+        // Volumes whose sum depends on the order they are added in, so a
+        // bucket summed in another order shows in the last bits.
+        let flows_on = |days: std::ops::Range<u32>, rng: &mut SimRng| {
+            let mut out = Vec::new();
+            for day in days {
+                for client in 0..5u32 {
+                    for target in &targets {
+                        for family in Family::BOTH {
+                            if rng.chance(0.35) {
+                                continue;
+                            }
+                            // Daily and hourly buckets on day 19_703.
+                            let hour = (day == 19_703 && rng.chance(0.7))
+                                .then(|| [0u8, 11, 23][rng.next_range(3)]);
+                            out.push(FlowObservation {
+                                day: DayBucket(day),
+                                hour,
+                                client: ClientId(client),
+                                family,
+                                target: *target,
+                                flows: (1u32 << rng.next_range(31)) + rng.next_range(1000) as u32,
+                            });
+                        }
+                    }
+                }
+            }
+            out
+        };
+        // Days in order, with a gap; then earlier days arriving late (the
+        // range grows downwards, twice); then two slices chained, the
+        // second overlapping the first's days.
+        let mut first = flows_on(19_700..19_706, &mut rng);
+        first.extend(flows_on(19_720..19_722, &mut rng));
+        assert_eq!(check_against_reference(&[&first]), 6 + 3 + 2);
+        let mut late = first.clone();
+        late.extend(flows_on(19_690..19_692, &mut rng));
+        late.extend(flows_on(19_650..19_651, &mut rng));
+        late.extend(flows_on(19_721..19_723, &mut rng));
+        check_against_reference(&[&late]);
+        let second = flows_on(19_698..19_704, &mut rng);
+        check_against_reference(&[&first, &second]);
+        check_against_reference(&[&second, &late, &first]);
+        for _ in 0..3 {
+            rng.shuffle(&mut late);
+            check_against_reference(&[&late, &second]);
+        }
+        // One flow; a sparse classifier's only bucket at the far end of
+        // the range; zero-volume buckets (left unnormalised); nothing.
+        check_against_reference(&[&first[..1]]);
+        let mut zeros = flows_on(19_700..19_702, &mut rng);
+        zeros.iter_mut().for_each(|f| f.flows = 0);
+        check_against_reference(&[&zeros, &first[..40]]);
+        assert_eq!(check_against_reference(&[]), 0);
+        assert_eq!(check_against_reference(&[&[], &[]]), 0);
+    }
+
+    #[test]
+    fn generated_captures_match_the_nested_maps() {
+        let mut cfg = TraceConfig::isp(3);
+        cfg.population.clients_per_family = 40;
+        let isp = generate_flows(&cfg, &ObservationWindow::isp_windows());
+        // 24 hourly buckets, 28 + 7 daily ones.
+        assert_eq!(check_against_reference(&[&isp]), 24 + 28 + 7);
+        let ixp = |region, seed| {
+            let mut cfg = TraceConfig::ixp(region, seed);
+            cfg.population.clients_per_family = 40;
+            generate_flows(&cfg, &ObservationWindow::ixp_windows())
+        };
+        let (eu, na) = (ixp(Region::Europe, 8), ixp(Region::NorthAmerica, 9));
+        check_against_reference(&[&eu, &na]);
+        check_against_reference(&[&na, &isp, &eu]);
     }
 
     #[test]

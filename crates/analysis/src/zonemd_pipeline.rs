@@ -7,6 +7,14 @@
 //! are grouped into the Table 2 rows (reason × serial set × affected
 //! servers × VPs), and bitflipped copies are diffed against the reference
 //! zone to produce the Figure 10 two-line rendering.
+//!
+//! Validate, then collect: one pass finds the distinct copies, each with
+//! the observation that first delivered it; each copy is validated once;
+//! and only if some fail does a second pass walk the stream again, to
+//! gather the footprint of those few. The stream runs in long stretches
+//! of one copy (a round's transfers share a serial, and mostly a clock
+//! hour), so both passes compare a record's key with the previous one's
+//! before they look anything up.
 
 use dns_zone::corrupt::flip_rrsig_bit;
 use dns_zone::validate::{bitflip_diff, validate_zone, BitflipReport, ValidationIssue};
@@ -106,32 +114,53 @@ pub fn validate_transfers(world: &World, transfers: &[TransferRecord]) -> Table2
     // bitflips by seed, then stale copies by serial, within a serial) is
     // the order distinct copies are validated and counted in.
     type ObsKey = (u32, Option<TransferFault>, u32);
-    let mut groups: BTreeMap<ObsKey, Vec<&TransferRecord>> = BTreeMap::new();
+    let key_of =
+        |t: &TransferRecord| -> Option<ObsKey> { Some((t.serial?, t.fault, t.vp_clock / 3600)) };
+    // Each distinct copy with its first observation in the stream.
+    let mut copies: BTreeMap<ObsKey, &TransferRecord> = BTreeMap::new();
+    let mut last = None;
     for t in transfers {
-        let Some(serial) = t.serial else { continue };
-        let key = (serial, t.fault, t.vp_clock / 3600);
-        groups.entry(key).or_default().push(t);
+        let Some(key) = key_of(t) else { continue };
+        if last != Some(key) {
+            copies.entry(key).or_insert(t);
+            last = Some(key);
+        }
     }
 
-    let mut failures: BTreeMap<FailureReason, Table2Row> = BTreeMap::new();
-    let mut distinct_failing = 0u64;
-    for obs in groups.values() {
-        let sample = obs[0];
+    let mut failing: BTreeMap<ObsKey, FailureReason> = BTreeMap::new();
+    for (key, sample) in copies {
         let zone = materialize(world, sample);
         let report = validate_zone(&zone, sample.vp_clock);
-        let reason = classify(&report.issues);
-        let Some(reason) = reason else { continue };
-        distinct_failing += 1;
-        let row = failures.entry(reason).or_insert_with(|| Table2Row {
-            reason,
-            serials: BTreeSet::new(),
-            first_obs: u32::MAX,
-            last_obs: 0,
-            observations: 0,
-            servers: BTreeSet::new(),
-            vps: BTreeSet::new(),
-        });
-        for t in obs {
+        let Some(reason) = classify(&report.issues) else {
+            continue;
+        };
+        failing.insert(key, reason);
+    }
+
+    // The footprint of the failing copies: every observation of each.
+    let mut failures: BTreeMap<FailureReason, Table2Row> = BTreeMap::new();
+    if !failing.is_empty() {
+        let mut last: Option<(ObsKey, Option<FailureReason>)> = None;
+        for t in transfers {
+            let Some(key) = key_of(t) else { continue };
+            let reason = match last {
+                Some((held, reason)) if held == key => reason,
+                _ => {
+                    let reason = failing.get(&key).copied();
+                    last = Some((key, reason));
+                    reason
+                }
+            };
+            let Some(reason) = reason else { continue };
+            let row = failures.entry(reason).or_insert_with(|| Table2Row {
+                reason,
+                serials: BTreeSet::new(),
+                first_obs: u32::MAX,
+                last_obs: 0,
+                observations: 0,
+                servers: BTreeSet::new(),
+                vps: BTreeSet::new(),
+            });
             row.serials.extend(t.serial);
             row.first_obs = row.first_obs.min(t.time);
             row.last_obs = row.last_obs.max(t.time);
@@ -144,7 +173,7 @@ pub fn validate_transfers(world: &World, transfers: &[TransferRecord]) -> Table2
     Table2 {
         rows: failures.into_values().collect(),
         total_transfers: transfers.len() as u64,
-        distinct_failing,
+        distinct_failing: failing.len() as u64,
     }
 }
 
@@ -239,6 +268,184 @@ mod tests {
     }
 
     const T0: u32 = vantage::schedule::MEASUREMENT_START + 40 * 86400;
+
+    /// `validate_transfers` as it was: every observation pushed into its
+    /// copy's group, groups validated and collected in one loop.
+    fn validate_reference(world: &World, transfers: &[TransferRecord]) -> Table2 {
+        type ObsKey = (u32, Option<TransferFault>, u32);
+        let mut groups: BTreeMap<ObsKey, Vec<&TransferRecord>> = BTreeMap::new();
+        for t in transfers {
+            let Some(serial) = t.serial else { continue };
+            let key = (serial, t.fault, t.vp_clock / 3600);
+            groups.entry(key).or_default().push(t);
+        }
+        let mut failures: BTreeMap<FailureReason, Table2Row> = BTreeMap::new();
+        let mut distinct_failing = 0u64;
+        for obs in groups.values() {
+            let sample = obs[0];
+            let zone = materialize(world, sample);
+            let report = validate_zone(&zone, sample.vp_clock);
+            let reason = classify(&report.issues);
+            let Some(reason) = reason else { continue };
+            distinct_failing += 1;
+            let row = failures.entry(reason).or_insert_with(|| Table2Row {
+                reason,
+                serials: BTreeSet::new(),
+                first_obs: u32::MAX,
+                last_obs: 0,
+                observations: 0,
+                servers: BTreeSet::new(),
+                vps: BTreeSet::new(),
+            });
+            for t in obs {
+                row.serials.extend(t.serial);
+                row.first_obs = row.first_obs.min(t.time);
+                row.last_obs = row.last_obs.max(t.time);
+                row.observations += 1;
+                row.servers
+                    .insert(format!("{}({})", t.target.label(), t.family.label()));
+                row.vps.insert(t.vp.0);
+            }
+        }
+        Table2 {
+            rows: failures.into_values().collect(),
+            total_transfers: transfers.len() as u64,
+            distinct_failing,
+        }
+    }
+
+    fn assert_same(world: &World, transfers: &[TransferRecord]) -> Table2 {
+        let (table, reference) = (
+            validate_transfers(world, transfers),
+            validate_reference(world, transfers),
+        );
+        assert_eq!(table.rows, reference.rows);
+        assert_eq!(
+            (table.total_transfers, table.distinct_failing),
+            (reference.total_transfers, reference.distinct_failing)
+        );
+        table
+    }
+
+    #[test]
+    fn two_passes_match_the_grouped_observations() {
+        let w = world();
+        let day = |n: u32| T0 + n * 86400;
+        let stale = TransferFault::Stale {
+            serial: vantage::engine::serial_of_day(vantage::schedule::MEASUREMENT_START),
+        };
+        let flip = |seed| Some(TransferFault::Bitflip { seed });
+        let on = |t: TransferRecord, letter, family| TransferRecord {
+            target: Target {
+                letter,
+                b_phase: BRootPhase::Old,
+            },
+            family,
+            ..t
+        };
+        // Copies A (healthy) and B (bitflipped) interleaved A B A B, then
+        // A's run resumed: one group each, every observation counted.
+        let a = |vp| transfer(day(0) + 3600, day(0) + 3600, vp, None);
+        let b = |vp| transfer(day(0) + 3700, day(0) + 3700, vp, flip(5));
+        let mut stream = vec![a(0), b(1), a(2), b(3), a(4), a(5), b(1)];
+        // A failed transfer inside a run, and one between two keys.
+        stream.insert(
+            5,
+            TransferRecord {
+                serial: None,
+                ..a(9)
+            },
+        );
+        stream.push(TransferRecord {
+            serial: None,
+            ..b(9)
+        });
+        // Two bitflips of one zone that differ in the seed alone; a stale
+        // copy seen on two days through two servers; a second stale copy
+        // in the same clock hour but of another serial.
+        stream.push(transfer(day(1) + 60, day(1) + 60, 6, flip(6)));
+        stream.push(transfer(day(1) + 90, day(1) + 90, 6, flip(7)));
+        stream.push(on(
+            transfer(day(1) + 90, day(1) + 90, 7, Some(stale)),
+            RootLetter::K,
+            Family::V4,
+        ));
+        stream.push(transfer(day(2) + 90, day(2) + 90, 8, Some(stale)));
+        let staler = TransferFault::Stale {
+            serial: vantage::engine::serial_of_day(vantage::schedule::MEASUREMENT_START + 86400),
+        };
+        stream.push(transfer(day(1) + 95, day(1) + 95, 8, Some(staler)));
+        // A clock two hours slow: healthy bytes, not yet incepted — and
+        // the same copy seen again later with the key in between changed.
+        stream.push(transfer(day(3) + 600, day(3) - 7200, 2, None));
+        stream.push(transfer(day(3) + 600, day(3) + 600, 3, None));
+        stream.push(transfer(day(3) + 700, day(3) - 7100, 4, None));
+        // A failing copy whose first observation is the stream's last
+        // record, and whose key sorts before every other.
+        stream.push(transfer(
+            day(0) - 86400 + 30,
+            day(0) - 86400 - 7000,
+            11,
+            None,
+        ));
+
+        let table = assert_same(&w, &stream);
+        assert_eq!(table.total_transfers, stream.len() as u64);
+        assert_eq!(table.distinct_failing, 3 + 3 + 2);
+        let row = |reason| {
+            let row = table.rows.iter().find(|r| r.reason == reason);
+            row.expect("a row per reason")
+        };
+        let bogus = row(FailureReason::BogusSignature);
+        assert_eq!(
+            (bogus.observations, bogus.vps.len(), bogus.serials.len()),
+            (5, 3, 2)
+        );
+        let expired = row(FailureReason::SignatureExpired);
+        assert_eq!((expired.observations, expired.servers.len()), (3, 2));
+        assert_eq!(
+            (expired.first_obs, expired.last_obs),
+            (day(1) + 90, day(2) + 90)
+        );
+        let early = row(FailureReason::SigNotIncepted);
+        assert_eq!((early.observations, early.vps.len()), (3, 3));
+        assert_eq!(early.first_obs, day(0) - 86400 + 30);
+
+        // Any order of the stream groups the same copies (their first
+        // observations change, and with them nothing: a copy's records
+        // share what validation reads).
+        let mut rng = netsim::SimRng::new(0x7AB2);
+        for _ in 0..3 {
+            rng.shuffle(&mut stream);
+            assert_same(&w, &stream);
+        }
+        // Nothing failing (no second pass), nothing delivered, nothing.
+        let healthy = [
+            a(0),
+            a(1),
+            TransferRecord {
+                serial: None,
+                ..a(2)
+            },
+        ];
+        assert!(assert_same(&w, &healthy).rows.is_empty());
+        assert!(assert_same(&w, &healthy[2..]).rows.is_empty());
+        assert_eq!(assert_same(&w, &[]).total_transfers, 0);
+    }
+
+    #[test]
+    fn measured_transfers_match_the_grouped_observations() {
+        use vantage::{MeasurementConfig, MeasurementEngine, Schedule, VecSink};
+        let w = world();
+        let config = MeasurementConfig {
+            schedule: Schedule::subsampled(400),
+            ..Default::default()
+        };
+        let mut sink = VecSink::default();
+        MeasurementEngine::new(&w, config).run(&mut sink);
+        assert!(sink.transfers.len() > 10_000);
+        assert_same(&w, &sink.transfers);
+    }
 
     #[test]
     fn healthy_transfers_produce_no_rows() {

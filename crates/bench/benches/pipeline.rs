@@ -8,16 +8,73 @@
 //! back unnoticed; rootbench's `pipeline_small` measures the same run
 //! with its layers.
 
+use analysis::colocation::ColocationResult;
+use analysis::coverage::CoverageReport;
+use analysis::rtt::RttByRegion;
 use criterion::{criterion_group, criterion_main, record_counter, record_metric, Criterion};
 use roots_core::{experiments, Pipeline, Scale};
 use std::hint::black_box;
 use std::time::Instant;
 
+/// Calls per ledger row; the fastest is kept.
+const LEDGER_CALLS: usize = 5;
+
+/// Fastest of [`LEDGER_CALLS`] calls, in milliseconds.
+fn fastest_ms<T>(mut call: impl FnMut() -> T) -> f64 {
+    (0..LEDGER_CALLS)
+        .map(|_| {
+            let t = Instant::now();
+            black_box(call());
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// `run_all`'s cost product by product, one thread, public calls only:
+/// the three products `Pipeline` memoises through their `compute`, the
+/// rest through their registry entry. These ten are what `run_all`'s CPU
+/// time is made of (the other thirteen sections read a memoised product
+/// or cost under 10 ms).
+fn analysis_ledger(p: &Pipeline) {
+    let (world, probes) = (&p.world, &p.probes);
+    let mut rows = vec![
+        (
+            "coverage",
+            fastest_ms(|| CoverageReport::compute(&world.catalog, probes)),
+        ),
+        (
+            "rtt_by_region",
+            fastest_ms(|| RttByRegion::compute(&world.population, probes)),
+        ),
+        (
+            "colocation",
+            fastest_ms(|| ColocationResult::compute(probes)),
+        ),
+    ];
+    let registry = experiments::registry();
+    for id in [
+        "table2",
+        "fig3",
+        "fig5",
+        "fig8",
+        "fig12",
+        "fig13",
+        "sec7_channels",
+    ] {
+        let e = registry.iter().find(|e| e.id == id).expect("registered");
+        rows.push((id, fastest_ms(|| (e.run)(p))));
+    }
+    for (name, ms) in rows {
+        record_metric(&format!("analysis/small/{name}_ms"), ms);
+    }
+}
+
 /// Not a timed closure: three full runs, the fastest of each half kept —
-/// the first `run_all` of a process also builds the memoised demos.
+/// the first `run_all` of a process also builds the memoised demos — and
+/// the analysis ledger over the last run's records.
 fn bench_pipeline_small(_c: &mut Criterion) {
     let (mut run_ms, mut run_all_ms) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..3 {
+    for round in 0..3 {
         let t = Instant::now();
         let pipeline = black_box(Pipeline::run(Scale::Small));
         run_ms = run_ms.min(t.elapsed().as_secs_f64() * 1e3);
@@ -27,6 +84,9 @@ fn bench_pipeline_small(_c: &mut Criterion) {
         assert_eq!(report.matches("\n==== ").count() + 1, 23);
         record_counter("pipeline/small/probes", pipeline.probes.len() as u64);
         record_counter("pipeline/small/transfers", pipeline.transfers.len() as u64);
+        if round == 2 {
+            analysis_ledger(&pipeline);
+        }
     }
     record_metric("pipeline/small/run_ms", run_ms);
     record_metric("pipeline/small/run_all_ms", run_all_ms);

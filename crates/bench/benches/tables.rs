@@ -1,6 +1,6 @@
-//! One benchmark per paper table: measures the analysis pass that
-//! regenerates the table from a shared measurement (the measurement itself
-//! is set up once, outside the timed region).
+//! One benchmark per paper table, and §7's channel timelines: measures the
+//! analysis pass that regenerates the table from a shared measurement (the
+//! measurement itself is set up once, outside the timed region).
 
 use analysis::coverage::CoverageReport;
 use analysis::zonemd_pipeline::validate_transfers;
@@ -49,9 +49,16 @@ fn bench_table4(c: &mut Criterion) {
     });
 }
 
+fn bench_sec7_channels(c: &mut Criterion) {
+    let p = pipeline();
+    c.bench_function("sec7_channel_timelines", |b| {
+        b.iter(|| black_box(roots_core::experiments::run_one(p, "sec7_channels").unwrap()))
+    });
+}
+
 criterion_group!(
     name = tables;
     config = Criterion::default().sample_size(10);
-    targets = bench_table1, bench_table2, bench_table3, bench_table4
+    targets = bench_table1, bench_table2, bench_table3, bench_table4, bench_sec7_channels
 );
 criterion_main!(tables);

@@ -77,8 +77,19 @@ const PREFIXES: &[&str] = &["rootd/serve_", "codec/", "simclock/"];
 /// three: `Pipeline::run(Small)` and `run_all` over it. They were ≈3 000
 /// and ≈2 600 while every probe scanned the catalog, cloned its identity
 /// string and rebuilt its near-equal set, and four experiments each
-/// recomputed coverage (≈800 / ≈950 now, DESIGN §7 "Pipeline budget");
-/// the ceilings sit 2.5–3× above today's figures and below those.
+/// recomputed coverage (≈800 / ≈950 after that, DESIGN §7 "Pipeline
+/// budget"); `run`'s ceiling sits 3× above today's figure and below the
+/// old one. `run_all` fell again, to ≈ 400, when the analyses' per-record
+/// loops went onto dense indices and `sec7_channels` stopped building a
+/// zone per snapshot: its ceiling (1 200) sits 3× above that and only
+/// just above the ≈ 950, so the maps coming back trip it on any host a
+/// third slower than this one. The ten `analysis/small/*_ms` keys are that ledger row by
+/// row — one product's `compute` or one experiment's runner over the
+/// Small pipeline, one thread, the fastest of five calls (DESIGN §7
+/// "Analysis budget") — each with a ceiling ≈ 2.5× today's figure:
+/// `sec7_channels` at 270 means a zone is built per snapshot again,
+/// `fig8` at 200 that a hash map is back in the flow loop. All ten are
+/// held by their ceilings alone ([`CEILING_ONLY`]).
 /// The `serve_fallback_*` keys and `codec/encode_referral` are nanoseconds
 /// on the same root-sized zone: one uncached answer — parse, `ZoneIndex`
 /// lookup, borrowed plan, one-pass encode — over 1 500 names in turn, and
@@ -117,7 +128,17 @@ const ABS_CEILING: &[(&str, f64)] = &[
     ("rootd/cache/build_1500", 250.0),
     ("rootd/reload_1500", 500.0),
     ("pipeline/small/run_ms", 2_300.0),
-    ("pipeline/small/run_all_ms", 2_400.0),
+    ("pipeline/small/run_all_ms", 1_200.0),
+    ("analysis/small/coverage_ms", 75.0),
+    ("analysis/small/rtt_by_region_ms", 420.0),
+    ("analysis/small/colocation_ms", 110.0),
+    ("analysis/small/table2_ms", 250.0),
+    ("analysis/small/fig3_ms", 320.0),
+    ("analysis/small/fig5_ms", 115.0),
+    ("analysis/small/fig8_ms", 50.0),
+    ("analysis/small/fig12_ms", 40.0),
+    ("analysis/small/fig13_ms", 110.0),
+    ("analysis/small/sec7_channels_ms", 20.0),
     ("rootd/serve_fallback_referral_do", 1_800.0),
     ("rootd/serve_fallback_nxdomain_do", 1_500.0),
     ("rootd/serve_fallback_tc512", 2_000.0),
@@ -128,14 +149,25 @@ const ABS_CEILING: &[(&str, f64)] = &[
     ("routing/propagate_f_v4", 4_200_000.0),
 ];
 
-/// Keys under a guarded prefix that are *not* diffed against the
-/// baseline: rootbench owns the before/after of the cached serve path
-/// (`farm_hit`, alternating pairs), a committed baseline of a ≈ 100 ns
-/// wall-clock key only records which hour it was taken in, and the
-/// [`ABS_CEILING`] above already stops the regression class.
+/// Keys that are *not* diffed against the baseline, whatever prefix they
+/// sit under: rootbench owns the before/after of the cached serve path
+/// (`farm_hit`, alternating pairs) and of the paper run's analysis half
+/// (`pipeline_small`), a committed baseline of a wall-clock key only
+/// records which hour it was taken in, and the [`ABS_CEILING`] above
+/// already stops the regression class.
 const CEILING_ONLY: &[&str] = &[
     "rootd/serve_hit_slab32_ns",
     "rootd/serve_hit_slab32_junk_do_ns",
+    "analysis/small/coverage_ms",
+    "analysis/small/rtt_by_region_ms",
+    "analysis/small/colocation_ms",
+    "analysis/small/table2_ms",
+    "analysis/small/fig3_ms",
+    "analysis/small/fig5_ms",
+    "analysis/small/fig8_ms",
+    "analysis/small/fig12_ms",
+    "analysis/small/fig13_ms",
+    "analysis/small/sec7_channels_ms",
 ];
 
 /// Keys gated by an *absolute* floor — documented lower bounds the fresh
@@ -584,7 +616,7 @@ mod tests {
             // The paper run: per-probe catalog scans and string clones,
             // per-experiment recomputation.
             ("pipeline/small/run_ms", 800.0, 3000.0),
-            ("pipeline/small/run_all_ms", 950.0, 2600.0),
+            ("pipeline/small/run_all_ms", 400.0, 2600.0),
         ];
         for (key, linear_ms, scanning_ms) in keys {
             // Twice today's figure (a slow host) passes; the figure the
@@ -598,6 +630,44 @@ mod tests {
             assert_eq!(errs.len(), 1, "{key}");
             assert!(errs[0].contains("absolute ceiling"));
         }
+    }
+
+    #[test]
+    fn analysis_ledger_is_held_by_ceilings_below_the_per_record_maps() {
+        // (key, today, with a map probe per record / a zone per snapshot)
+        let rows = [
+            ("analysis/small/rtt_by_region_ms", 160.0, 233.0),
+            ("analysis/small/colocation_ms", 42.0, 117.0),
+            ("analysis/small/fig8_ms", 19.0, 217.0),
+            ("analysis/small/fig12_ms", 15.0, 55.0),
+            ("analysis/small/fig13_ms", 44.0, 140.0),
+            ("analysis/small/sec7_channels_ms", 6.0, 284.0),
+        ];
+        for (key, today, before) in rows {
+            assert!(CEILING_ONLY.contains(&key), "{key}");
+            let ceiling = ABS_CEILING.iter().find(|(k, _)| *k == key).expect(key).1;
+            // A host twice as slow passes whatever the baseline recorded;
+            // nothing diffs a wall-clock key.
+            assert!(run(&json(&[(key, today / 4.0)]), &json(&[(key, 2.0 * today)])).is_ok());
+            // `rtt_by_region` is mostly its sort, before and after: its
+            // ceiling stops a quadratic, not the 168 vectors.
+            if before > 2.5 * today {
+                assert!(before > ceiling, "{key}");
+            }
+            let errs = run(&json(&[]), &json(&[(key, ceiling + 1.0)])).unwrap_err();
+            assert_eq!(errs.len(), 1, "{key}");
+            assert!(errs[0].contains("absolute ceiling"));
+            // And the row may not silently vanish.
+            assert_eq!(
+                run(&json(&[(key, today)]), &json(&[])).unwrap_err().len(),
+                1
+            );
+        }
+        // `run_all` over the old analyses (≈ 950 ms) on a host a third
+        // slower is over its ceiling; today's on one twice as slow is not.
+        let run_all = "pipeline/small/run_all_ms";
+        assert!(run(&json(&[]), &json(&[(run_all, 950.0 * 1.3)])).is_err());
+        assert!(run(&json(&[]), &json(&[(run_all, 800.0)])).is_ok());
     }
 
     #[test]

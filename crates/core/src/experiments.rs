@@ -18,6 +18,7 @@ use traces::flows::DayBucket;
 use vantage::records::{Target, TransferFault};
 
 /// One registered experiment.
+#[derive(Clone, Copy)]
 pub struct Experiment {
     /// Stable id (`table1`, `fig3`, …).
     pub id: &'static str,
@@ -236,14 +237,38 @@ pub fn run_one(pipeline: &Pipeline, id: &str) -> Option<String> {
 }
 
 /// Run every experiment, concatenating artefacts in registry order.
+pub fn run_all(pipeline: &Pipeline) -> String {
+    run_selected(pipeline, &registry())
+}
+
+/// The registered experiments `ids` name, in the order given. `Err`
+/// carries the ids that are not registered.
+pub fn select(ids: &[&str]) -> Result<Vec<Experiment>, Vec<String>> {
+    let registry = registry();
+    let (mut selected, mut unknown) = (Vec::new(), Vec::new());
+    for id in ids {
+        match registry.iter().find(|e| e.id == *id) {
+            Some(e) => selected.push(*e),
+            None => unknown.push(id.to_string()),
+        }
+    }
+    if unknown.is_empty() {
+        Ok(selected)
+    } else {
+        Err(unknown)
+    }
+}
+
+/// Run `experiments`, concatenating their sections in slice order, each
+/// under its `==== id [paper_ref] ====` header: a section of a subset run
+/// can be diffed against the full report's.
 ///
 /// Experiments only read the pipeline, so they run concurrently on a
 /// worker pool; each worker claims the next unstarted experiment from a
 /// shared counter and writes into its own slot, and the slots are joined
-/// in registry order afterwards — the output is byte-identical to a
-/// serial loop.
-pub fn run_all(pipeline: &Pipeline) -> String {
-    let experiments = registry();
+/// in slice order afterwards — the output is byte-identical to a serial
+/// loop.
+pub fn run_selected(pipeline: &Pipeline, experiments: &[Experiment]) -> String {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -525,6 +550,32 @@ mod tests {
         let all = run_all(p);
         assert!(all.contains("==== table1"));
         assert!(all.contains("==== fig13"));
+    }
+
+    #[test]
+    fn selection_is_by_registry_membership_and_prints_run_alls_sections() {
+        let p = pipeline();
+        let ids: Vec<&str> = registry().iter().map(|e| e.id).collect();
+        let all = run_all(p);
+        assert_eq!(run_selected(p, &select(&ids).unwrap()), all);
+        // The two demos carry no `table` / `fig` / `sec` prefix and are
+        // selectable like any other id; sections come in the order named,
+        // each exactly as the full report prints it.
+        let named = ["rootd_demo", "scenario_demo", "fig2"];
+        let section = |id: &str| {
+            let start = all.find(&format!("==== {id} [")).expect("section");
+            let len = all[start + 1..].find("\n==== ");
+            &all[start..len.map_or(all.len(), |n| start + n + 2)]
+        };
+        assert_eq!(
+            run_selected(p, &select(&named).unwrap()),
+            named.map(section).concat()
+        );
+        assert!(select(&[]).unwrap().is_empty());
+        // A typo is an error that names it; so is a scale's name.
+        let unknown = |ids: &[&str]| select(ids).err().expect("unknown ids");
+        assert_eq!(unknown(&["fig2", "fgi3", "table9"]), ["fgi3", "table9"]);
+        assert_eq!(unknown(&["small"]), ["small"]);
     }
 
     #[test]

@@ -5,21 +5,34 @@
 //! cargo run --release --example paper_report -- tiny    # fastest
 //! cargo run --release --example paper_report -- paper   # full resolution
 //! cargo run --release --example paper_report -- small fig7 fig9   # subset
+//! cargo run --release --example paper_report -- tiny scenario_demo
 //! ```
+//!
+//! A subset is any ids of `experiments::registry()`, printed in the order
+//! named under the headers the full report uses; an id that is not
+//! registered is an error (exit 1) before anything is measured.
 
 use roots_core::{experiments, Pipeline, Scale};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = match args.first().map(String::as_str) {
-        Some("tiny") => Scale::Tiny,
-        Some("paper") => Scale::Paper,
-        _ => Scale::Small,
+    // A leading scale name is the scale; every other argument is an
+    // experiment id.
+    let (scale, ids) = match args.split_first() {
+        Some((first, rest)) if first == "tiny" => (Scale::Tiny, rest),
+        Some((first, rest)) if first == "small" => (Scale::Small, rest),
+        Some((first, rest)) if first == "paper" => (Scale::Paper, rest),
+        _ => (Scale::Small, &args[..]),
     };
-    let ids: Vec<&String> = args
-        .iter()
-        .filter(|a| a.starts_with("table") || a.starts_with("fig") || a.starts_with("sec"))
-        .collect();
+    let ids: Vec<&str> = ids.iter().map(String::as_str).collect();
+    let selected = match experiments::select(&ids) {
+        Ok(selected) => selected,
+        Err(unknown) => {
+            eprintln!("unknown experiment id(s): {}", unknown.join(" "));
+            return ExitCode::FAILURE;
+        }
+    };
 
     eprintln!("running pipeline at {scale:?} scale (this does the full measurement once)...");
     let start = std::time::Instant::now();
@@ -31,14 +44,10 @@ fn main() {
         pipeline.transfers.len()
     );
 
-    if ids.is_empty() {
+    if selected.is_empty() {
         print!("{}", experiments::run_all(pipeline));
     } else {
-        for id in ids {
-            match experiments::run_one(pipeline, id) {
-                Some(out) => println!("==== {id} ====\n{out}"),
-                None => eprintln!("unknown experiment id: {id}"),
-            }
-        }
+        print!("{}", experiments::run_selected(pipeline, &selected));
     }
+    ExitCode::SUCCESS
 }
