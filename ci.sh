@@ -5,17 +5,20 @@
 #   1. release build of every crate;
 #   2. full test suite;
 #   2a. the serving crate, the simulator crate, the farm's root tests
-#      (`farm_*` in tests/farm_invariants.rs and tests/golden_replay.rs)
-#      and the analysis, zone and trace crates once more at release
-#      optimisation with debug assertions and overflow checks on (own
-#      target dir): the serve kernels' and the response digest's
-#      arithmetic, `propagate`'s packed rank (shifts, the path-length
-#      field) and its `u32` kilometre sums, the shared-set debug_assert!,
-#      and the analyses' dense indices — the RTT cell `(region · targets +
-#      target) · 2 + family`, the traffic bucket `(day − first) · 25 +
-#      hour slot`, the `day << 32 | client` key, the count-to-offset prefix
-#      sums and `from_sorted`'s order assertion — run checked at the
-#      optimisation level they ship at;
+#      (`farm_*` in tests/farm_invariants.rs and tests/golden_replay.rs),
+#      the analysis, zone and trace crates, and the measurement and
+#      scenario crates once more at release optimisation with debug
+#      assertions and overflow checks on (own target dir): the serve
+#      kernels' and the response digest's arithmetic, `propagate`'s packed
+#      rank (shifts, the path-length field) and its `u32` kilometre sums,
+#      the shared-set debug_assert!, the analyses' dense indices — the RTT
+#      cell `(region · targets + target) · 2 + family`, the traffic bucket
+#      `(day − first) · 25 + hour slot`, the `day << 32 | client` key, the
+#      count-to-offset prefix sums and `from_sorted`'s order assertion —
+#      and the measurement's slot tables — the session slot `(vp · 14 +
+#      target) · 2 + family`, the probe-plan slot `(vp · 13 + letter) · 2
+#      + family`, the `u32` plan offsets and their shift when VP ranges
+#      merge — run checked at the optimisation level they ship at;
 #   2b. the frozen benchmark package (benchmark/, a workspace of its own):
 #      release build against its committed lock file, and its unit tests —
 #      a break of the public surface it is pinned to fails here;
@@ -51,9 +54,10 @@ cargo test -q --offline
 # own (`farm_` in both files) are selected: the step exists for the serve,
 # digest and route-rank kernels, and whole-suite release coverage waits
 # for the `CITIES` fix (ROADMAP, tier-1 item c). That caveat does not
-# reach the analysis, zone and trace crates' own tests: they hold at
-# every optimisation level, and their per-record index arithmetic runs
-# here with the checks a release build drops.
+# reach the analysis, zone, trace, measurement and scenario crates' own
+# tests: they hold at every optimisation level, and their per-record and
+# per-slot index arithmetic runs here with the checks a release build
+# drops.
 checked() {
     CARGO_TARGET_DIR=target/checked \
         RUSTFLAGS="-C debug-assertions=on -C overflow-checks=on" \
@@ -63,6 +67,7 @@ checked -p rootd
 checked -p netsim
 checked -p roots-core --test farm_invariants --test golden_replay farm_
 checked -p analysis -p dns-zone -p traces
+checked -p vantage -p scenario
 
 # rootbench is a package of its own with a frozen Cargo.lock: build it
 # --locked so a changed dependency edge or a broken pinned signature

@@ -6,7 +6,8 @@
 //! the catalog and cloned its identity string and the analyses each
 //! recomputed what they share (≈3 000 / 2 600 ms), so that cannot come
 //! back unnoticed; rootbench's `pipeline_small` measures the same run
-//! with its layers.
+//! with its layers. One measurement round is recorded twice, through a
+//! fresh session and through one already used (`vantage/small/round_*`).
 
 use analysis::colocation::ColocationResult;
 use analysis::coverage::CoverageReport;
@@ -15,9 +16,57 @@ use criterion::{criterion_group, criterion_main, record_counter, record_metric, 
 use roots_core::{experiments, Pipeline, Scale};
 use std::hint::black_box;
 use std::time::Instant;
+use vantage::{EngineSession, MeasurementConfig, MeasurementEngine, Round};
 
 /// Calls per ledger row; the fastest is kept.
 const LEDGER_CALLS: usize = 5;
+
+/// Every `ROUND_STRIDE`-th round of the Small schedule is timed on its own
+/// on one worker — rootbench's `op_p50_ns` rounds (54 of them).
+const ROUND_STRIDE: usize = 4;
+/// Passes over those rounds; each round keeps its fastest.
+const ROUND_PASSES: usize = 4;
+
+/// p50 over the strided rounds of the fastest of [`ROUND_PASSES`] timings
+/// of `round`, in milliseconds.
+fn round_p50_ms(rounds: &[Round], mut round: impl FnMut(&Round)) -> f64 {
+    let mut best = vec![f64::INFINITY; rounds.len()];
+    for _ in 0..ROUND_PASSES {
+        for (r, best) in rounds.iter().zip(&mut best) {
+            let t = Instant::now();
+            round(r);
+            *best = best.min(t.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    best.sort_by(f64::total_cmp);
+    best[best.len() / 2]
+}
+
+/// One measurement round over a world that has been measured: through a
+/// fresh `EngineSession` (what rootbench's `op_p50_ns` times) and through
+/// one that has already run every timed round. What separates the two is
+/// what a session builds for itself — its selection states and its first
+/// redirects — so a fresh round several times a warm one means routing
+/// facts are being re-derived per session again.
+fn round_ledger(p: &Pipeline) {
+    let config = MeasurementConfig {
+        schedule: Scale::Small.schedule(),
+        ..Default::default()
+    };
+    let rounds: Vec<Round> = (config.schedule.rounds()).step_by(ROUND_STRIDE).collect();
+    let engine = MeasurementEngine::new(&p.world, config);
+    let fresh = round_p50_ms(&rounds, |r| {
+        black_box(engine.run_rounds_parallel(std::slice::from_ref(r), 1));
+    });
+    let mut session = EngineSession::new();
+    black_box(engine.run_rounds_session(&mut session, &rounds, 1));
+    let warm = round_p50_ms(&rounds, |r| {
+        black_box(engine.run_rounds_session(&mut session, std::slice::from_ref(r), 1));
+    });
+    record_metric("vantage/small/round_fresh_ms", fresh);
+    record_metric("vantage/small/round_warm_ms", warm);
+    println!("one Small round on one worker: fresh session {fresh:.2} ms, warm {warm:.2} ms");
+}
 
 /// Fastest of [`LEDGER_CALLS`] calls, in milliseconds.
 fn fastest_ms<T>(mut call: impl FnMut() -> T) -> f64 {
@@ -86,6 +135,7 @@ fn bench_pipeline_small(_c: &mut Criterion) {
         record_counter("pipeline/small/transfers", pipeline.transfers.len() as u64);
         if round == 2 {
             analysis_ledger(&pipeline);
+            round_ledger(&pipeline);
         }
     }
     record_metric("pipeline/small/run_ms", run_ms);

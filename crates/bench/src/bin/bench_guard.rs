@@ -90,6 +90,14 @@ const PREFIXES: &[&str] = &["rootd/serve_", "codec/", "simclock/"];
 /// `sec7_channels` at 270 means a zone is built per snapshot again,
 /// `fig8` at 200 that a hash map is back in the flow loop. All ten are
 /// held by their ceilings alone ([`CEILING_ONLY`]).
+/// The two `vantage/small/round_*` keys are milliseconds for one Small
+/// measurement round on one worker over a measured world — rootbench's
+/// `op_p50_ns` rounds, the p50 over 54 of them, each the fastest of four:
+/// through a fresh session and through a warm one, both ≈ 2.3. A fresh
+/// round read ≈ 9 while each session re-derived every slot's near-equal
+/// set and path geometry, which the world now keeps (DESIGN §7 "Round
+/// ledger"); both ceilings sit ≈ 2.5× above today's figures and below
+/// that, held by the ceilings alone.
 /// The `serve_fallback_*` keys and `codec/encode_referral` are nanoseconds
 /// on the same root-sized zone: one uncached answer — parse, `ZoneIndex`
 /// lookup, borrowed plan, one-pass encode — over 1 500 names in turn, and
@@ -139,6 +147,8 @@ const ABS_CEILING: &[(&str, f64)] = &[
     ("analysis/small/fig12_ms", 40.0),
     ("analysis/small/fig13_ms", 110.0),
     ("analysis/small/sec7_channels_ms", 20.0),
+    ("vantage/small/round_fresh_ms", 6.0),
+    ("vantage/small/round_warm_ms", 6.0),
     ("rootd/serve_fallback_referral_do", 1_800.0),
     ("rootd/serve_fallback_nxdomain_do", 1_500.0),
     ("rootd/serve_fallback_tc512", 2_000.0),
@@ -151,11 +161,13 @@ const ABS_CEILING: &[(&str, f64)] = &[
 
 /// Keys that are *not* diffed against the baseline, whatever prefix they
 /// sit under: rootbench owns the before/after of the cached serve path
-/// (`farm_hit`, alternating pairs) and of the paper run's analysis half
-/// (`pipeline_small`), a committed baseline of a wall-clock key only
-/// records which hour it was taken in, and the [`ABS_CEILING`] above
-/// already stops the regression class.
+/// (`farm_hit`, alternating pairs) and of the paper run's analysis and
+/// measurement halves (`pipeline_small`), a committed baseline of a
+/// wall-clock key only records which hour it was taken in, and the
+/// [`ABS_CEILING`] above already stops the regression class.
 const CEILING_ONLY: &[&str] = &[
+    "vantage/small/round_fresh_ms",
+    "vantage/small/round_warm_ms",
     "rootd/serve_hit_slab32_ns",
     "rootd/serve_hit_slab32_junk_do_ns",
     "analysis/small/coverage_ms",
@@ -668,6 +680,28 @@ mod tests {
         let run_all = "pipeline/small/run_all_ms";
         assert!(run(&json(&[]), &json(&[(run_all, 950.0 * 1.3)])).is_err());
         assert!(run(&json(&[]), &json(&[(run_all, 800.0)])).is_ok());
+    }
+
+    #[test]
+    fn a_round_is_ceiling_gated_below_a_session_that_rebuilds_its_routing() {
+        let (fresh, warm) = (
+            "vantage/small/round_fresh_ms",
+            "vantage/small/round_warm_ms",
+        );
+        for key in [fresh, warm] {
+            assert!(CEILING_ONLY.contains(&key), "{key}");
+        }
+        // Today's figures on a host twice as slow pass, whatever the
+        // baseline recorded.
+        let base = json(&[(fresh, 1.0), (warm, 1.0)]);
+        assert!(run(&base, &json(&[(fresh, 4.6), (warm, 4.7)])).is_ok());
+        // A fresh session that derives every slot's near-equal set and
+        // path geometry again (≈ 9 ms): over.
+        let errs = run(&base, &json(&[(fresh, 9.0), (warm, 2.4)])).unwrap_err();
+        assert_eq!(errs.len(), 1);
+        assert!(errs[0].contains("absolute ceiling"));
+        // Neither may silently vanish.
+        assert_eq!(run(&base, &json(&[])).unwrap_err().len(), 2);
     }
 
     #[test]

@@ -132,14 +132,24 @@ impl Pipeline {
 /// windows a subsampled schedule skipped.
 fn measure(world: &World, config: MeasurementConfig, workers: usize) -> vantage::VecSink {
     let engine = MeasurementEngine::new(world, config);
-    let config = &engine.config;
     let mut sink = engine.run_parallel(workers);
-    // Subsampled schedules can skip the short stale-site windows
-    // entirely; cover them at full resolution (like the paper's 15-min
-    // bursts did around the events it targeted), unless the main
-    // schedule already runs unsubsampled. Rounds the main schedule
-    // already executed are skipped: re-measuring them would duplicate
-    // (vp, time, target, family) observations downstream.
+    for rounds in stale_reruns(&engine.config) {
+        let extra = engine.run_rounds_parallel(&rounds, workers);
+        sink.probes.extend(extra.probes);
+        sink.transfers.extend(extra.transfers);
+    }
+    sink
+}
+
+/// The rounds to re-measure after the main schedule, one list a stale-site
+/// window. Subsampled schedules can skip the short windows entirely; cover
+/// them at full resolution (like the paper's 15-min bursts did around the
+/// events it targeted), unless the main schedule already runs
+/// unsubsampled. Rounds the main schedule already executed are skipped:
+/// re-measuring them would duplicate (vp, time, target, family)
+/// observations downstream.
+fn stale_reruns(config: &MeasurementConfig) -> Vec<Vec<Round>> {
+    let mut reruns = Vec::new();
     if config.schedule.subsample > 1 {
         let mut covered: HashSet<u32> = config.schedule.rounds().map(|r| r.time).collect();
         for window in &config.stale_windows {
@@ -149,12 +159,10 @@ fn measure(world: &World, config: MeasurementConfig, workers: usize) -> vantage:
             }
             // Windows could overlap; never re-measure a round twice.
             covered.extend(rounds.iter().map(|r| r.time));
-            let extra = engine.run_rounds_parallel(&rounds, workers);
-            sink.probes.extend(extra.probes);
-            sink.transfers.extend(extra.transfers);
+            reruns.push(rounds);
         }
     }
-    sink
+    reruns
 }
 
 /// The full-resolution rounds inside `[from, until)` that the (subsampled)
@@ -212,6 +220,36 @@ mod tests {
             "{} duplicate probe keys",
             total - keys.len()
         );
+    }
+
+    #[test]
+    fn stale_window_reruns_start_warm_and_write_what_a_cold_world_does() {
+        // The re-runs open fresh sessions on a world the main schedule has
+        // just measured, so they read the probe plans it built instead of
+        // building their own. A plan is a function of the route tables, the
+        // VP and the near-equal slack alone; measuring changes none of
+        // them, and a session's own state (Markov positions, redirect
+        // geometry) starts fresh either way. So the same re-runs on a world
+        // that never measured write the same records — the tail of the
+        // pipeline's streams.
+        let p = Pipeline::shared(Scale::Tiny);
+        let cold = World::build(&Scale::Tiny.world());
+        let engine = MeasurementEngine::new(
+            &cold,
+            MeasurementConfig {
+                schedule: Scale::Tiny.schedule(),
+                ..Default::default()
+            },
+        );
+        let (mut probes, mut transfers) = (Vec::new(), Vec::new());
+        for rounds in stale_reruns(&engine.config) {
+            let sink = engine.run_rounds_parallel(&rounds, Scale::Tiny.workers());
+            probes.extend(sink.probes);
+            transfers.extend(sink.transfers);
+        }
+        assert!(!probes.is_empty() && !transfers.is_empty());
+        assert!(p.probes[p.probes.len() - probes.len()..] == probes[..]);
+        assert!(p.transfers[p.transfers.len() - transfers.len()..] == transfers[..]);
     }
 
     #[test]

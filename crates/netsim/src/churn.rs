@@ -146,19 +146,23 @@ impl ChurnModel {
     /// The near-equal candidate indices for `asn` (indices into
     /// `table.candidates(asn)`).
     pub fn near_equal(&self, table: &RouteTable, asn: AsId) -> Vec<usize> {
-        let cands = table.candidates(asn);
-        let Some(best) = cands.first() else {
-            return Vec::new();
+        self.near_equal_in(table.candidates(asn)).collect()
+    }
+
+    /// [`near_equal`](Self::near_equal) over a candidate list, best-first,
+    /// without collecting it. Of the model's parameters only
+    /// `near_equal_slack` reaches the set.
+    pub fn near_equal_in<'c>(
+        &self,
+        cands: &'c [CandidateRoute],
+    ) -> impl Iterator<Item = usize> + 'c {
+        let best = (cands.first()).map(|b| (b.learned_from, b.path_len() + self.near_equal_slack));
+        let near = move |c: &CandidateRoute| {
+            best.is_some_and(|(class, max_len)| c.learned_from == class && c.path_len() <= max_len)
         };
-        cands
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| {
-                c.learned_from == best.learned_from
-                    && c.path_len() <= best.path_len() + self.near_equal_slack
-            })
+        (cands.iter().enumerate())
+            .filter(move |(_, c)| near(c))
             .map(|(i, _)| i)
-            .collect()
     }
 
     /// Initial selection (the best route).

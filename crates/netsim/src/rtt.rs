@@ -33,22 +33,29 @@ impl Default for RttModel {
     }
 }
 
-impl RttModel {
-    /// Deterministic base RTT (no jitter) from a client at `client_coord`
-    /// over `route` to the site's facility.
-    ///
+/// What a base RTT is made of before any [`RttModel`] parameter applies:
+/// the great-circle distance from a client along a route to a site's
+/// facility, and the route's AS-path length. A function of the topology
+/// alone, so it can be kept while routing stands and priced by any model.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PathGeometry {
+    pub km: f64,
+    pub path_len: u32,
+}
+
+impl PathGeometry {
     /// Geometry: client → first-hop AS city → ... → origin AS city →
-    /// facility city, accumulating great-circle distance leg by leg. Policy
-    /// detours (e.g. a v6 path through a remote open-peering backbone) thus
-    /// cost real milliseconds.
-    pub fn base_rtt_ms(
-        &self,
+    /// facility city, accumulating great-circle distance leg by leg, client
+    /// side first (the sum is not reassociated: a kept geometry prices to
+    /// the bits a fresh walk does). Policy detours (e.g. a v6 path through
+    /// a remote open-peering backbone) thus cost real kilometres.
+    pub fn of(
         topology: &Topology,
         facilities: &FacilityTable,
         client_coord: Coord,
         route: &CandidateRoute,
         site_facility: crate::anycast::FacilityId,
-    ) -> f64 {
+    ) -> PathGeometry {
         let mut km = 0.0;
         let mut prev = client_coord;
         // Path is origin-first; walk it client-side first, so iterate in
@@ -60,8 +67,41 @@ impl RttModel {
         }
         let fac = facilities.get(site_facility);
         km += prev.distance_km(&fac.coord());
-        let hops = route.path.len() as f64 + 1.0;
-        (fiber_rtt_ms(km) + hops * self.per_hop_ms).max(self.floor_ms)
+        PathGeometry {
+            km,
+            path_len: u32::try_from(route.path.len()).expect("AS path length fits u32"),
+        }
+    }
+}
+
+impl RttModel {
+    /// Deterministic base RTT (no jitter) from a client at `client_coord`
+    /// over `route` to the site's facility: [`PathGeometry::of`] priced by
+    /// [`path_rtt_ms`](Self::path_rtt_ms).
+    pub fn base_rtt_ms(
+        &self,
+        topology: &Topology,
+        facilities: &FacilityTable,
+        client_coord: Coord,
+        route: &CandidateRoute,
+        site_facility: crate::anycast::FacilityId,
+    ) -> f64 {
+        self.path_rtt_ms(PathGeometry::of(
+            topology,
+            facilities,
+            client_coord,
+            route,
+            site_facility,
+        ))
+    }
+
+    /// Base RTT over a path of known geometry: fibre propagation over its
+    /// kilometres plus the per-hop cost of every AS hop and the last mile,
+    /// never under the floor.
+    #[inline]
+    pub fn path_rtt_ms(&self, path: PathGeometry) -> f64 {
+        let hops = path.path_len as f64 + 1.0;
+        (fiber_rtt_ms(path.km) + hops * self.per_hop_ms).max(self.floor_ms)
     }
 
     /// Apply round-specific jitter to a base RTT.

@@ -86,6 +86,8 @@ fn event_free_scenario_matches_continuous_run() {
     assert_eq!(run.epochs.len(), 1);
     assert!(run.epochs[0].active.is_empty());
 
+    // The scenario's session built this world's probe plans; the
+    // continuous run's session reads them warm.
     let continuous = MeasurementEngine::new(&world, short_config()).run_parallel(3);
     assert_eq!(
         sorted(run.all_probes(), run.all_transfers()),

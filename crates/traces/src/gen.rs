@@ -125,6 +125,12 @@ impl TraceConfig {
 
 /// Poisson sample (Knuth for small means, normal approximation above 30).
 pub fn poisson(rng: &mut SimRng, mean: f64) -> u32 {
+    poisson_with(rng, mean, |mean| f64::exp(-mean))
+}
+
+/// [`poisson`] with Knuth's threshold `exp(-mean)` supplied by `exp_neg`,
+/// which is asked only when the Knuth loop runs.
+fn poisson_with(rng: &mut SimRng, mean: f64, exp_neg: impl FnOnce(f64) -> f64) -> u32 {
     if mean <= 0.0 {
         return 0;
     }
@@ -132,7 +138,7 @@ pub fn poisson(rng: &mut SimRng, mean: f64) -> u32 {
         let v = mean + mean.sqrt() * rng.next_gaussian();
         return v.max(0.0).round() as u32;
     }
-    let l = f64::exp(-mean);
+    let l = exp_neg(mean);
     let mut k = 0u32;
     let mut p = 1.0;
     loop {
@@ -149,159 +155,185 @@ pub fn poisson(rng: &mut SimRng, mean: f64) -> u32 {
 
 /// Generate all flows for `windows` at this vantage.
 ///
-/// Zero-count buckets are suppressed (as in real flow exports).
+/// Zero-count buckets are suppressed (as in real flow exports). Every
+/// (window, day, client, target[, hour]) bucket draws its count from one
+/// serial rng chain, in that order.
 pub fn generate_flows(cfg: &TraceConfig, windows: &[ObservationWindow]) -> Vec<FlowObservation> {
     let population = ClientPopulation::synthesize(&cfg.population);
-    let mut rng = SimRng::new(cfg.seed).derive("flows");
-    let mut out = Vec::new();
+    let at_ixp = cfg.vantage.at_ixp();
+    let mut flows = FlowGen {
+        cfg,
+        shares: RootLetter::ALL.map(|letter| letter_share(letter, at_ixp)),
+        diurnal: std::array::from_fn(|hour| diurnal_weight(hour as u8)),
+        rng: SimRng::new(cfg.seed).derive("flows"),
+        out: Vec::new(),
+    };
+    let mut memos = vec![[ExpMemo::START; FLOW_TARGETS]; population.clients.len()];
     for window in windows {
         let mut day = window.from - window.from % 86400;
         while day < window.until {
-            for client in &population.clients {
-                emit_client_day(cfg, client, day, *window, &mut rng, &mut out);
+            for (client, memos) in population.clients.iter().zip(&mut memos) {
+                flows.client_day(client, day, *window, memos);
             }
             day += 86400;
         }
     }
-    out
+    flows.out
 }
 
-/// Flows of one client on one day.
-fn emit_client_day(
-    cfg: &TraceConfig,
-    client: &ClientBehavior,
-    day: u32,
-    window: ObservationWindow,
-    rng: &mut SimRng,
-    out: &mut Vec<FlowObservation>,
-) {
-    let bucket = DayBucket::of(day);
-    let at_ixp = cfg.vantage.at_ixp();
-    for letter in RootLetter::ALL {
-        let mut share = letter_share(letter, at_ixp);
-        if letter == RootLetter::A {
-            if let Some((dip_day, factor)) = cfg.a_root_dip {
-                if dip_day == day {
-                    share *= factor;
-                }
-            }
+/// A client's flow targets: the 13 letters at their index (b.root's old
+/// address at b's), and b.root's new address last.
+const FLOW_TARGETS: usize = 14;
+const B_NEW: usize = 13;
+
+/// `exp(-mean)` for the last Knuth-sampled mean of one (client, target)
+/// slot, keyed on the mean's bits. A client's daily mean for a target is
+/// the same day after day, so the exponential is paid when it changes — a
+/// dip day, a b.root switch, each hour of an hourly window — and a changed
+/// mean is a miss, never a stale value.
+#[derive(Debug, Clone, Copy)]
+struct ExpMemo {
+    mean_bits: u64,
+    exp_neg: f64,
+}
+
+impl ExpMemo {
+    /// `exp(-0) = 1`: a true pair, like every other the memo holds.
+    const START: ExpMemo = ExpMemo {
+        mean_bits: 0,
+        exp_neg: 1.0,
+    };
+
+    fn exp_neg(&mut self, mean: f64) -> f64 {
+        if self.mean_bits != mean.to_bits() {
+            *self = ExpMemo {
+                mean_bits: mean.to_bits(),
+                exp_neg: f64::exp(-mean),
+            };
         }
-        let mean_day = client.daily_rate * share / cfg.sampling;
-        if letter == RootLetter::B {
-            emit_b_root(cfg, client, day, bucket, window, mean_day, rng, out);
-        } else {
-            emit_target(
-                FlowTarget {
-                    letter,
-                    b_phase: BRootPhase::Old,
-                },
-                client,
-                bucket,
-                window,
-                mean_day,
-                rng,
-                out,
-            );
-        }
+        self.exp_neg
     }
 }
 
-/// b.root flows: split across old/new addresses per switching state.
-#[allow(clippy::too_many_arguments)]
-fn emit_b_root(
-    cfg: &TraceConfig,
-    client: &ClientBehavior,
-    day: u32,
-    bucket: DayBucket,
-    window: ObservationWindow,
-    mean_day: f64,
-    rng: &mut SimRng,
-    out: &mut Vec<FlowObservation>,
-) {
-    let end_of_day = day + 86399;
-    let (old_mean, new_mean) = if end_of_day < cfg.b_change_date {
-        // Pre-change: new prefixes are operational but unpublished; a small
-        // trickle (measurement/testing traffic) already reaches them —
-        // v4-heavier, matching the paper's 0.7%/0.1% observation.
-        let trickle = match client.family {
-            Family::V4 => 0.008,
-            Family::V6 => 0.002,
-        };
-        (mean_day * (1.0 - trickle), mean_day * trickle)
-    } else if client.switched_by(day, cfg.b_change_date) {
-        // Switched: bulk to new; primers touch old ~once a day (sampled).
-        let prime_mean = if client.primes {
-            1.0 / cfg.sampling
-        } else {
-            0.0
-        };
-        (prime_mean, mean_day)
-    } else {
-        (mean_day, 0.0)
-    };
-    emit_target(
-        FlowTarget {
-            letter: RootLetter::B,
-            b_phase: BRootPhase::Old,
-        },
-        client,
-        bucket,
-        window,
-        old_mean,
-        rng,
-        out,
-    );
-    emit_target(
-        FlowTarget {
-            letter: RootLetter::B,
-            b_phase: BRootPhase::New,
-        },
-        client,
-        bucket,
-        window,
-        new_mean,
-        rng,
-        out,
-    );
+/// One `generate_flows` call: the config, what it reads for every bucket
+/// (letter shares at the vantage, hour weights), the rng chain and the
+/// flows so far.
+struct FlowGen<'a> {
+    cfg: &'a TraceConfig,
+    /// [`letter_share`] by [`RootLetter::index`].
+    shares: [f64; 13],
+    /// [`diurnal_weight`] by hour.
+    diurnal: [f64; 24],
+    rng: SimRng,
+    out: Vec<FlowObservation>,
 }
 
-/// Emit one (client, day, target) bucket — hourly when the window asks.
-fn emit_target(
-    target: FlowTarget,
-    client: &ClientBehavior,
-    bucket: DayBucket,
-    window: ObservationWindow,
-    mean_day: f64,
-    rng: &mut SimRng,
-    out: &mut Vec<FlowObservation>,
-) {
-    if window.hourly {
-        for hour in 0..24u8 {
-            // Diurnal shape: eyeball traffic peaks in the evening.
-            let weight = diurnal_weight(hour);
-            let flows = poisson(rng, mean_day * weight);
+impl FlowGen<'_> {
+    /// Flows of one client on one day.
+    fn client_day(
+        &mut self,
+        client: &ClientBehavior,
+        day: u32,
+        window: ObservationWindow,
+        memos: &mut [ExpMemo; FLOW_TARGETS],
+    ) {
+        let bucket = DayBucket::of(day);
+        for letter in RootLetter::ALL {
+            let mut share = self.shares[letter.index()];
+            if letter == RootLetter::A {
+                if let Some((dip_day, factor)) = self.cfg.a_root_dip {
+                    if dip_day == day {
+                        share *= factor;
+                    }
+                }
+            }
+            let mean_day = client.daily_rate * share / self.cfg.sampling;
+            if letter == RootLetter::B {
+                self.b_root(client, day, bucket, window, mean_day, memos);
+            } else {
+                let target = FlowTarget {
+                    letter,
+                    b_phase: BRootPhase::Old,
+                };
+                let memo = &mut memos[letter.index()];
+                self.target(target, client, bucket, window, mean_day, memo);
+            }
+        }
+    }
+
+    /// b.root flows: split across old/new addresses per switching state.
+    fn b_root(
+        &mut self,
+        client: &ClientBehavior,
+        day: u32,
+        bucket: DayBucket,
+        window: ObservationWindow,
+        mean_day: f64,
+        memos: &mut [ExpMemo; FLOW_TARGETS],
+    ) {
+        let cfg = self.cfg;
+        let end_of_day = day + 86399;
+        let (old_mean, new_mean) = if end_of_day < cfg.b_change_date {
+            // Pre-change: new prefixes are operational but unpublished; a
+            // small trickle (measurement/testing traffic) already reaches
+            // them — v4-heavier, matching the paper's 0.7%/0.1% observation.
+            let trickle = match client.family {
+                Family::V4 => 0.008,
+                Family::V6 => 0.002,
+            };
+            (mean_day * (1.0 - trickle), mean_day * trickle)
+        } else if client.switched_by(day, cfg.b_change_date) {
+            // Switched: bulk to new; primers touch old ~once a day (sampled).
+            let prime_mean = if client.primes {
+                1.0 / cfg.sampling
+            } else {
+                0.0
+            };
+            (prime_mean, mean_day)
+        } else {
+            (mean_day, 0.0)
+        };
+        let b = |b_phase| FlowTarget {
+            letter: RootLetter::B,
+            b_phase,
+        };
+        let old = &mut memos[RootLetter::B.index()];
+        self.target(b(BRootPhase::Old), client, bucket, window, old_mean, old);
+        let new = &mut memos[B_NEW];
+        self.target(b(BRootPhase::New), client, bucket, window, new_mean, new);
+    }
+
+    /// Emit one (client, day, target) bucket — hourly when the window asks.
+    fn target(
+        &mut self,
+        target: FlowTarget,
+        client: &ClientBehavior,
+        bucket: DayBucket,
+        window: ObservationWindow,
+        mean_day: f64,
+        memo: &mut ExpMemo,
+    ) {
+        let mut emit = |hour, flows| {
             if flows > 0 {
-                out.push(FlowObservation {
+                self.out.push(FlowObservation {
                     day: bucket,
-                    hour: Some(hour),
+                    hour,
                     client: client.id,
                     family: client.family,
                     target,
                     flows,
                 });
             }
-        }
-    } else {
-        let flows = poisson(rng, mean_day);
-        if flows > 0 {
-            out.push(FlowObservation {
-                day: bucket,
-                hour: None,
-                client: client.id,
-                family: client.family,
-                target,
-                flows,
-            });
+        };
+        if window.hourly {
+            // Diurnal shape: eyeball traffic peaks in the evening.
+            for (hour, weight) in (0..24u8).zip(self.diurnal) {
+                let flows = poisson_with(&mut self.rng, mean_day * weight, |m| memo.exp_neg(m));
+                emit(Some(hour), flows);
+            }
+        } else {
+            let flows = poisson_with(&mut self.rng, mean_day, |m| memo.exp_neg(m));
+            emit(None, flows);
         }
     }
 }
@@ -313,9 +345,194 @@ fn diurnal_weight(hour: u8) -> f64 {
     base / 24.0
 }
 
+/// `generate_flows` as it was before the per-call tables and the `exp`
+/// memo: the oracle of `generated_flows_match_the_reference`.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub fn generate_flows(
+        cfg: &TraceConfig,
+        windows: &[ObservationWindow],
+    ) -> Vec<FlowObservation> {
+        let population = ClientPopulation::synthesize(&cfg.population);
+        let mut rng = SimRng::new(cfg.seed).derive("flows");
+        let mut out = Vec::new();
+        for window in windows {
+            let mut day = window.from - window.from % 86400;
+            while day < window.until {
+                for client in &population.clients {
+                    emit_client_day(cfg, client, day, *window, &mut rng, &mut out);
+                }
+                day += 86400;
+            }
+        }
+        out
+    }
+
+    fn emit_client_day(
+        cfg: &TraceConfig,
+        client: &ClientBehavior,
+        day: u32,
+        window: ObservationWindow,
+        rng: &mut SimRng,
+        out: &mut Vec<FlowObservation>,
+    ) {
+        let bucket = DayBucket::of(day);
+        let at_ixp = cfg.vantage.at_ixp();
+        for letter in RootLetter::ALL {
+            let mut share = letter_share(letter, at_ixp);
+            if letter == RootLetter::A {
+                if let Some((dip_day, factor)) = cfg.a_root_dip {
+                    if dip_day == day {
+                        share *= factor;
+                    }
+                }
+            }
+            let mean_day = client.daily_rate * share / cfg.sampling;
+            if letter == RootLetter::B {
+                emit_b_root(cfg, client, day, bucket, window, mean_day, rng, out);
+            } else {
+                let target = FlowTarget {
+                    letter,
+                    b_phase: BRootPhase::Old,
+                };
+                emit_target(target, client, bucket, window, mean_day, rng, out);
+            }
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn emit_b_root(
+        cfg: &TraceConfig,
+        client: &ClientBehavior,
+        day: u32,
+        bucket: DayBucket,
+        window: ObservationWindow,
+        mean_day: f64,
+        rng: &mut SimRng,
+        out: &mut Vec<FlowObservation>,
+    ) {
+        let end_of_day = day + 86399;
+        let (old_mean, new_mean) = if end_of_day < cfg.b_change_date {
+            let trickle = match client.family {
+                Family::V4 => 0.008,
+                Family::V6 => 0.002,
+            };
+            (mean_day * (1.0 - trickle), mean_day * trickle)
+        } else if client.switched_by(day, cfg.b_change_date) {
+            let prime_mean = if client.primes {
+                1.0 / cfg.sampling
+            } else {
+                0.0
+            };
+            (prime_mean, mean_day)
+        } else {
+            (mean_day, 0.0)
+        };
+        emit_target(
+            FlowTarget {
+                letter: RootLetter::B,
+                b_phase: BRootPhase::Old,
+            },
+            client,
+            bucket,
+            window,
+            old_mean,
+            rng,
+            out,
+        );
+        emit_target(
+            FlowTarget {
+                letter: RootLetter::B,
+                b_phase: BRootPhase::New,
+            },
+            client,
+            bucket,
+            window,
+            new_mean,
+            rng,
+            out,
+        );
+    }
+
+    fn emit_target(
+        target: FlowTarget,
+        client: &ClientBehavior,
+        bucket: DayBucket,
+        window: ObservationWindow,
+        mean_day: f64,
+        rng: &mut SimRng,
+        out: &mut Vec<FlowObservation>,
+    ) {
+        if window.hourly {
+            for hour in 0..24u8 {
+                let weight = diurnal_weight(hour);
+                let flows = poisson(rng, mean_day * weight);
+                if flows > 0 {
+                    out.push(FlowObservation {
+                        day: bucket,
+                        hour: Some(hour),
+                        client: client.id,
+                        family: client.family,
+                        target,
+                        flows,
+                    });
+                }
+            }
+        } else {
+            let flows = poisson(rng, mean_day);
+            if flows > 0 {
+                out.push(FlowObservation {
+                    day: bucket,
+                    hour: None,
+                    client: client.id,
+                    family: client.family,
+                    target,
+                    flows,
+                });
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn generated_flows_match_the_reference() {
+        // Every generator the pipeline runs, over its own windows: the
+        // hourly pre-change day, the a.root dip day, days either side of
+        // the b.root change, clients that never switch and switchers that
+        // do not prime. Flows compare whole — counts, order and all.
+        let isp = ObservationWindow::isp_windows();
+        let ixp = ObservationWindow::ixp_windows();
+        let (dip_day, _) = small_isp().a_root_dip.unwrap();
+        assert!(isp[0].hourly && isp[0].until <= B_ROOT_CHANGE_DATE);
+        assert!(isp.iter().any(|w| (w.from..w.until).contains(&dip_day)));
+        assert!((ixp[0].from..ixp[0].until).contains(&B_ROOT_CHANGE_DATE));
+        let mut configs = vec![
+            (small_isp(), isp),
+            (TraceConfig::ixp(Region::Europe, 11), ixp.clone()),
+            (TraceConfig::ixp(Region::NorthAmerica, 13), ixp.clone()),
+        ];
+        // A scenario's own change date, three days into the window.
+        let mut early = TraceConfig::ixp(Region::Europe, 17);
+        early.b_change_date = ixp[0].from + 3 * 86400;
+        configs.push((early, ixp));
+        for (mut cfg, windows) in configs {
+            cfg.population.clients_per_family = 300;
+            let clients = ClientPopulation::synthesize(&cfg.population).clients;
+            assert!(clients.iter().any(|c| c.switch_after.is_none()));
+            assert!(clients
+                .iter()
+                .any(|c| c.switch_after.is_some() && !c.primes));
+            let flows = generate_flows(&cfg, &windows);
+            assert!(!flows.is_empty());
+            assert!(flows == reference::generate_flows(&cfg, &windows));
+        }
+    }
 
     fn small_isp() -> TraceConfig {
         let mut cfg = TraceConfig::isp(7);

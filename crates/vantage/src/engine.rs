@@ -12,6 +12,21 @@
 //! round time)`, so a VP's observation stream is independent of every other
 //! VP — which is also what makes [`MeasurementEngine::run_parallel`]
 //! trivially correct: workers own disjoint VP ranges.
+//!
+//! Who keeps what. A probe needs two facts derived from routing alone: the
+//! near-equal candidate set of the VP's AS (what the churn process selects
+//! among) and the path geometry from the VP to each site that set leads
+//! to. The [`World`] owns them, beside the route tables they derive from:
+//! a *probe plan* per near-equal slack, built by the first measurement that
+//! needs it, whose entries for a letter are built again after the letter's
+//! routing is ([`World::recompute_letter`]) — so every engine and every
+//! session over an unchanged world reads the same plan. An
+//! [`EngineSession`] owns only what must carry across rounds and epochs:
+//! each slot's Markov selection,
+//! and the geometry of sites an upstream redirect sent the slot to that no
+//! near-equal candidate serves. Those redirect pairs stay per session
+//! because which ones occur is decided by the session's own churn draws —
+//! a handful per slot, seen by one session and no other.
 
 use crate::population::{Population, PopulationConfig, VantagePoint, VpFault, VpId};
 use crate::records::{ProbeRecord, Target, TransferFault, TransferRecord};
@@ -24,6 +39,7 @@ use dns_zone::Zone;
 use netsim::anycast::{SiteId, SiteScope};
 use netsim::churn::SelectionState;
 use netsim::routing::{propagate, CandidateRoute};
+use netsim::rtt::PathGeometry;
 use netsim::{
     shard, ChurnModel, Family, Fingerprint, RouteTable, RttModel, SimRng, Topology, TopologyConfig,
 };
@@ -31,6 +47,7 @@ use parking_lot::Mutex;
 use rss::catalog::{RootCatalog, WorldConfig};
 use rss::RootLetter;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Everything a measurement needs: topology, catalog, routing, VPs, zones.
@@ -59,6 +76,124 @@ pub struct World {
     /// When set, every generated zone uses this ZONEMD roll-out phase
     /// instead of the dated timeline (scenario override).
     zonemd_override: Option<RolloutPhase>,
+    /// Probe plans derived from `route_tables`, filled by the first
+    /// measurement that needs them ([`World::probe_plan`]).
+    plans: Mutex<Vec<SlackPlan>>,
+}
+
+/// The probe plan for one near-equal slack a measurement has asked for.
+struct SlackPlan {
+    slack: usize,
+    plan: Arc<ProbePlan>,
+    /// Letters whose routing was recomputed since `plan` was built (all of
+    /// them before the first build): the next measurement builds their
+    /// entries again and copies every other letter's.
+    stale: [bool; 13],
+    /// Times each letter's entries have been built.
+    #[cfg(test)]
+    builds: [usize; 13],
+}
+
+/// What a probe needs of routing alone, for every VP, letter and family:
+/// the near-equal candidate set of the VP's AS (indices into its candidate
+/// list, what `ChurnModel::step_near` selects among) and, per near-equal
+/// candidate, the site it leads to and the path from the VP to that site.
+/// Slot `(vp · 13 + letter) · 2 + family` owns entries `offsets[slot]..
+/// offsets[slot + 1]` of `near` and of `legs`: VP-major, the order a round
+/// probes in, so a worker reads the plan front to back (DESIGN §7).
+#[derive(Debug, Default, PartialEq)]
+struct ProbePlan {
+    offsets: Vec<u32>,
+    near: Vec<usize>,
+    legs: Vec<PlanLeg>,
+}
+
+/// Where one near-equal candidate leads, and how far.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PlanLeg {
+    site: SiteId,
+    path: PathGeometry,
+}
+
+/// Plan slots a VP owns.
+const PLAN_SLOTS_PER_VP: usize = 13 * 2;
+
+impl ProbePlan {
+    /// The plan for the VPs `vps`, slots numbered from the range's start:
+    /// the letters `stale` marks built from the world's route tables, every
+    /// other letter's slots copied from `old`.
+    fn build(
+        world: &World,
+        churn: &ChurnModel,
+        old: &ProbePlan,
+        stale: &[bool; 13],
+        vps: Range<usize>,
+    ) -> Self {
+        let mut plan = ProbePlan {
+            offsets: Vec::with_capacity(vps.len() * PLAN_SLOTS_PER_VP + 1),
+            ..ProbePlan::default()
+        };
+        plan.offsets.push(0);
+        for v in vps {
+            let vp = &world.population.vps()[v];
+            for letter in RootLetter::ALL {
+                for family in Family::BOTH {
+                    if stale[letter.index()] {
+                        plan.push_built(world, churn, vp, letter, family);
+                    } else {
+                        let (near, legs) = old.slot(v, letter, family);
+                        plan.near.extend_from_slice(near);
+                        plan.legs.extend_from_slice(legs);
+                    }
+                    let end = u32::try_from(plan.near.len()).expect("a plan fits u32 offsets");
+                    plan.offsets.push(end);
+                }
+            }
+        }
+        plan
+    }
+
+    /// Append the entries of `vp`'s slot for `letter` in `family`, from the
+    /// route tables.
+    fn push_built(
+        &mut self,
+        world: &World,
+        churn: &ChurnModel,
+        vp: &VantagePoint,
+        letter: RootLetter,
+        family: Family,
+    ) {
+        let cands = world.routes(letter, family).candidates(vp.asn);
+        let first = self.near.len();
+        self.near.extend(churn.near_equal_in(cands));
+        let near = &self.near[first..];
+        self.legs.extend(near.iter().map(|&i| {
+            let site = cands[i].site;
+            let route = &cands[resolve_candidate(cands, near, site)];
+            PlanLeg {
+                site,
+                path: world.path_to(vp, letter, route, site),
+            }
+        }));
+    }
+
+    /// The near-equal set and its legs for VP `vp`, `letter`, `family`.
+    #[inline]
+    fn slot(&self, vp: usize, letter: RootLetter, family: Family) -> (&[usize], &[PlanLeg]) {
+        let slot = (vp * 13 + letter.index()) * 2 + family.index();
+        let entries = self.offsets[slot] as usize..self.offsets[slot + 1] as usize;
+        (&self.near[entries.clone()], &self.legs[entries])
+    }
+}
+
+impl shard::Merge for ProbePlan {
+    /// Append the next VP range's plan: its slots follow this one's.
+    fn merge(&mut self, other: Self) {
+        let base = *self.offsets.last().expect("offsets start at 0");
+        (self.offsets).extend(other.offsets[1..].iter().map(|&end| base + end));
+        self.near.extend(other.near);
+        self.legs.extend(other.legs);
+    }
 }
 
 /// World construction parameters.
@@ -131,6 +266,7 @@ impl World {
             seed: cfg.seed,
             withdrawn: vec![Vec::new(); 13],
             zonemd_override: None,
+            plans: Mutex::default(),
         }
     }
 
@@ -159,11 +295,9 @@ impl World {
         if let Some(z) = self.zone_cache.lock().get(&day) {
             return z.clone();
         }
-        let ymd: String = timestamp_to_ymd(day).chars().take(8).collect();
-        let serial: u32 = ymd.parse::<u32>().expect("8 digits") * 100;
         let zone = Arc::new(build_root_zone(
             &RootZoneConfig {
-                serial,
+                serial: serial_of_day(day),
                 tld_count: self.zone_tlds,
                 inception: day,
                 expiration: day + 14 * 86400,
@@ -221,7 +355,9 @@ impl World {
     }
 
     /// Recompute route tables and attracting pools for one letter from the
-    /// current topology and withdrawal set.
+    /// current topology and withdrawal set, and mark the letter's probe
+    /// plan entries stale: the next measurement builds them from the new
+    /// tables.
     pub fn recompute_letter(&mut self, letter: RootLetter) {
         let (tables, pool) = compute_letter_routing(
             &self.topology,
@@ -231,6 +367,69 @@ impl World {
         );
         self.route_tables[letter.index()] = tables;
         self.attracting[letter.index()] = pool;
+        for plan in self.plans.get_mut() {
+            plan.stale[letter.index()] = true;
+        }
+    }
+
+    /// The probe plan at `churn`'s near-equal slack (the only parameter of
+    /// the model a near-equal set depends on). Entries of letters never
+    /// planned at this slack, or whose routing was recomputed since, are
+    /// built now, one VP range of `shard::ranges(vps, workers)` a thread;
+    /// the plan is kept for every later measurement of this world.
+    fn probe_plan(&self, churn: &ChurnModel, workers: usize) -> Arc<ProbePlan> {
+        let slack = churn.near_equal_slack;
+        let mut plans = self.plans.lock();
+        let at = match plans.iter().position(|p| p.slack == slack) {
+            Some(at) => at,
+            None => {
+                plans.push(SlackPlan {
+                    slack,
+                    plan: Arc::default(),
+                    stale: [true; 13],
+                    #[cfg(test)]
+                    builds: [0; 13],
+                });
+                plans.len() - 1
+            }
+        };
+        let entry = &mut plans[at];
+        if entry.stale.contains(&true) {
+            let (old, stale) = (&*entry.plan, &entry.stale);
+            let parts = shard::run(self.population.len(), workers, |vps| {
+                ProbePlan::build(self, churn, old, stale, vps)
+            });
+            entry.plan = Arc::new(shard::fold(parts));
+            #[cfg(test)]
+            for (builds, stale) in entry.builds.iter_mut().zip(entry.stale) {
+                *builds += usize::from(stale);
+            }
+            entry.stale = [false; 13];
+        }
+        let plan = Arc::clone(&entry.plan);
+        debug_assert_eq!(
+            plan.offsets.len(),
+            self.population.len() * PLAN_SLOTS_PER_VP + 1
+        );
+        plan
+    }
+
+    /// Path geometry from `vp` over `route` to `site` of `letter`.
+    fn path_to(
+        &self,
+        vp: &VantagePoint,
+        letter: RootLetter,
+        route: &CandidateRoute,
+        site: SiteId,
+    ) -> PathGeometry {
+        let facility = self.catalog.deployment(letter).site(site).facility;
+        PathGeometry::of(
+            &self.topology,
+            &self.catalog.facilities,
+            vp.coord,
+            route,
+            facility,
+        )
     }
 
     /// Recompute routing for every letter — required after a topology-level
@@ -507,24 +706,21 @@ const STATES_PER_VP: usize = Target::COUNT * 2;
 /// Per-(vp, target, family) runtime state.
 struct ProbeState {
     selection: SelectionState,
-    /// The near-equal candidate set of the VP's AS towards the target
-    /// (`ChurnModel::near_equal`): a function of the routing ground truth
-    /// alone, so built on the first probe and kept until that changes.
-    near: Option<Vec<usize>>,
-    /// Cached base RTT per (candidate index, site) — the site matters
-    /// because an upstream redirect can serve a site off the candidate's
-    /// own facility. A handful of entries at most: scanned, not hashed.
-    rtt_cache: Vec<((usize, SiteId), f64)>,
+    /// Path geometry to sites an upstream redirect sent this slot to that
+    /// no near-equal candidate of its plan serves (8 % of answered probes
+    /// at Small). A handful of entries at most: scanned, not hashed.
+    redirects: Vec<(SiteId, PathGeometry)>,
 }
 
 /// Cross-call engine state: the per-(vp, target, family) churn selection
-/// and routing-derived caches that normally live only for one `run` call.
+/// and redirect geometry that normally live only for one `run` call.
 ///
 /// The scenario engine runs a measurement in epoch slices (one
 /// `run_rounds_session` call per epoch, with world mutations in between)
 /// and needs the churn process to *continue* across the boundary rather
 /// than restart — otherwise an event-free scenario would not reproduce the
-/// continuous pipeline's record stream bit for bit.
+/// continuous pipeline's record stream bit for bit. What routing alone
+/// decides is not here: the world keeps it (see the module docs).
 #[derive(Default)]
 pub struct EngineSession {
     /// Dense `[vp][target][family]` table ([`STATES_PER_VP`] slots a VP),
@@ -539,16 +735,15 @@ impl EngineSession {
         EngineSession::default()
     }
 
-    /// Invalidate state that depends on the routing ground truth: cached
-    /// near-equal sets and base RTTs (candidate indices may have shifted)
-    /// and upstream redirects (the redirect target may no longer attract
+    /// Invalidate state that depends on the routing ground truth: redirect
+    /// geometry (the serving candidate may have changed) and the upstream
+    /// redirects themselves (the redirect target may no longer attract
     /// traffic). Call after any world mutation that recomputed route
     /// tables. The Markov position survives — it is re-validated against
     /// the new near-equal set on the next step.
     pub fn invalidate_routing(&mut self, churn: &ChurnModel) {
         for state in &mut self.states {
-            state.near = None;
-            state.rtt_cache.clear();
+            state.redirects.clear();
             churn.reset_override(&mut state.selection);
         }
     }
@@ -559,8 +754,7 @@ impl EngineSession {
         let len = self.states.len().max(vps * STATES_PER_VP);
         self.states.resize_with(len, || ProbeState {
             selection: churn.initial(),
-            near: None,
-            rtt_cache: Vec::new(),
+            redirects: Vec::new(),
         });
     }
 }
@@ -615,7 +809,8 @@ impl<'w> MeasurementEngine<'w> {
         let vps = 0..self.world.population.len();
         let mut session = EngineSession::new();
         session.ensure(vps.end, &self.config.churn);
-        self.run_vps(&mut session.states, vps, &rounds, sink);
+        let plan = self.world.probe_plan(&self.config.churn, 1);
+        self.run_planned(&plan, &mut session.states, vps, &rounds, sink);
     }
 
     /// Run the measurement in parallel over VP ranges; returns the merged
@@ -640,9 +835,11 @@ impl<'w> MeasurementEngine<'w> {
     }
 
     /// [`run_rounds_parallel`](Self::run_rounds_parallel) with explicit
-    /// cross-call state: churn selection and routing caches live in
+    /// cross-call state: churn selection and redirect geometry live in
     /// `session`, so consecutive calls behave exactly like one continuous
-    /// run over the concatenated round list.
+    /// run over the concatenated round list. The world's probe plans are
+    /// built first if this is the first measurement that needs them, over
+    /// the same VP ranges the workers probe.
     ///
     /// Every record is written once, where it stays: a VP probes all 14
     /// targets (over IPv6 too when it has it) every round, so each
@@ -678,6 +875,7 @@ impl<'w> MeasurementEngine<'w> {
         let mut probes = vec![UNWRITTEN_PROBE; probe_lens.iter().sum()];
         let mut transfers = vec![UNWRITTEN_TRANSFER; transfer_lens.iter().sum()];
 
+        let plan = self.world.probe_plan(&self.config.churn, workers);
         let states = &mut session.states[..n * STATES_PER_VP];
         let state_lens = ranges.iter().map(|r| r.len() * STATES_PER_VP);
         let parts = (shard::split_lens(states, state_lens).into_iter())
@@ -692,7 +890,7 @@ impl<'w> MeasurementEngine<'w> {
                 probes: probes.iter_mut(),
                 transfers: transfers.iter_mut(),
             };
-            self.run_vps(states, vps, rounds, &mut sink);
+            self.run_planned(&plan, states, vps, rounds, &mut sink);
             assert_eq!(sink.probes.len(), 0, "a scheduled probe went unrecorded");
             sink.transfers.len()
         });
@@ -708,14 +906,45 @@ impl<'w> MeasurementEngine<'w> {
         VecSink { probes, transfers }
     }
 
-    /// Run the measurement for the VPs `vps` over the given rounds;
-    /// `states` is their slice of a session's table.
-    fn run_vps<S: MeasurementSink>(
+    /// [`run_vps`](Self::run_vps) selecting through the world's `plan`.
+    fn run_planned<S: MeasurementSink>(
         &self,
+        plan: &ProbePlan,
         states: &mut [ProbeState],
-        vps: std::ops::Range<usize>,
+        vps: Range<usize>,
         rounds: &[Round],
         sink: &mut S,
+    ) {
+        self.run_vps(
+            states,
+            vps,
+            rounds,
+            sink,
+            |v, vp, target, family, state, rng| {
+                self.select(plan, v, vp, target, family, state, rng)
+            },
+        );
+    }
+
+    /// Run the measurement for the VPs `vps` over the given rounds;
+    /// `states` is their slice of a session's table, and `select(vp index,
+    /// vp, target, family, slot state, rng)` picks the site and base RTT of
+    /// every probe that did not time out.
+    #[allow(clippy::type_complexity)]
+    fn run_vps<T, S: MeasurementSink>(
+        &self,
+        states: &mut [T],
+        vps: Range<usize>,
+        rounds: &[Round],
+        sink: &mut S,
+        select: impl Fn(
+            usize,
+            &VantagePoint,
+            Target,
+            Family,
+            &mut T,
+            &mut SimRng,
+        ) -> Option<(SiteId, f64)>,
     ) {
         let targets = Target::all();
         let root_rng = SimRng::new(self.world.seed()).derive("measurement");
@@ -724,10 +953,11 @@ impl<'w> MeasurementEngine<'w> {
                 time: round.time,
                 zone_serial: serial_of_day(round.time - round.time % 86400),
             };
-            for (vp, states) in (self.world.population.vps()[vps.clone()].iter())
+            for ((v, vp), states) in (vps.clone())
+                .zip(&self.world.population.vps()[vps.clone()])
                 .zip(states.chunks_exact_mut(STATES_PER_VP))
             {
-                for (t_idx, target) in targets.iter().enumerate() {
+                for (t_idx, &target) in targets.iter().enumerate() {
                     for family in Family::BOTH {
                         if family == Family::V6 && !vp.has_v6 {
                             continue;
@@ -744,14 +974,63 @@ impl<'w> MeasurementEngine<'w> {
                             family.index() as u64,
                             round.time as u64,
                         ]);
-                        self.probe_once(vp, *target, family, &round, state, &mut rng, sink);
+                        self.probe_once(vp, target, family, &round, &mut rng, sink, |rng| {
+                            select(v, vp, target, family, state, rng)
+                        });
                     }
                 }
             }
         }
     }
 
-    /// One probe: selection, RTT, traceroute tail, identity, AXFR.
+    /// Site selection and base RTT of one probe of VP number `v`, from the
+    /// world's `plan`: a Markov step over the slot's near-equal set, then
+    /// the geometry of the leg that reaches the selected site — or, for a
+    /// site an upstream redirect chose that no near-equal candidate serves,
+    /// of the route [`resolve_candidate`] finds, computed once per session
+    /// and slot.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn select(
+        &self,
+        plan: &ProbePlan,
+        v: usize,
+        vp: &VantagePoint,
+        target: Target,
+        family: Family,
+        state: &mut ProbeState,
+        rng: &mut SimRng,
+    ) -> Option<(SiteId, f64)> {
+        let world = self.world;
+        let ov = self.config.overrides.letter(target.letter);
+        let cands = world.routes(target.letter, family).candidates(vp.asn);
+        let (near, legs) = plan.slot(v, target.letter, family);
+        let (site, _) = self.config.churn.step_near(
+            cands,
+            near,
+            &mut state.selection,
+            rng,
+            churn_multiplier(target.letter, family) * ov.churn_boost,
+            world.attracting_sites(target.letter, family),
+        );
+        let site = site?;
+        let path = match legs.iter().find(|leg| leg.site == site) {
+            Some(leg) => leg.path,
+            None => match state.redirects.iter().find(|(s, _)| *s == site) {
+                Some(&(_, path)) => path,
+                None => {
+                    let route = &cands[resolve_candidate(cands, near, site)];
+                    let path = world.path_to(vp, target.letter, route, site);
+                    state.redirects.push((site, path));
+                    path
+                }
+            },
+        };
+        Some((site, self.config.rtt.path_rtt_ms(path)))
+    }
+
+    /// One probe: timeout, selection (`select`, given the probe's rng), RTT,
+    /// traceroute tail, identity, AXFR.
     #[allow(clippy::too_many_arguments)]
     fn probe_once<S: MeasurementSink>(
         &self,
@@ -759,55 +1038,24 @@ impl<'w> MeasurementEngine<'w> {
         target: Target,
         family: Family,
         round: &RoundContext,
-        state: &mut ProbeState,
         rng: &mut SimRng,
         sink: &mut S,
+        select: impl FnOnce(&mut SimRng) -> Option<(SiteId, f64)>,
     ) {
         let time = round.time;
         let world = self.world;
         let ov = self.config.overrides.letter(target.letter);
-        let table = world.routes(target.letter, family);
         let timeout = rng.chance(self.config.timeout_prob);
-        let cands = table.candidates(vp.asn);
-        let site = if timeout {
-            None
-        } else {
-            let churn = &self.config.churn;
-            let near = (state.near).get_or_insert_with(|| churn.near_equal(table, vp.asn));
-            let (site, _) = churn.step_near(
-                cands,
-                near,
-                &mut state.selection,
-                rng,
-                churn_multiplier(target.letter, family) * ov.churn_boost,
-                world.attracting_sites(target.letter, family),
-            );
-            site
-        };
-        let (rtt_ms, second_to_last_hop, identity, site_city) = match site {
+        let selected = if timeout { None } else { select(rng) };
+        let site = selected.map(|(site, _)| site);
+        let (rtt_ms, second_to_last_hop, identity, site_city) = match selected {
             None => (None, None, None, None),
-            Some(site_id) => {
-                // Selected candidate (for path geometry). A site was
-                // selected, so the step above built the near-equal set.
-                let near = state.near.as_deref().unwrap_or_default();
-                let cand_idx = resolve_candidate(cands, near, site_id);
-                let deployment = world.catalog.deployment(target.letter);
-                let facility = deployment.site(site_id).facility;
-                let key = (cand_idx, site_id);
-                let base = match state.rtt_cache.iter().find(|(k, _)| *k == key) {
-                    Some(&(_, base)) => base,
-                    None => {
-                        let base = self.config.rtt.base_rtt_ms(
-                            &world.topology,
-                            &world.catalog.facilities,
-                            vp.coord,
-                            &cands[cand_idx],
-                            facility,
-                        );
-                        state.rtt_cache.push((key, base));
-                        base
-                    }
-                };
+            Some((site_id, base)) => {
+                let facility = world
+                    .catalog
+                    .deployment(target.letter)
+                    .site(site_id)
+                    .facility;
                 let rtt = self.config.rtt.jittered(base, rng) * ov.rtt_factor;
                 let hop = if rng.chance(self.config.missing_hop_prob) {
                     None
@@ -1092,65 +1340,251 @@ mod tests {
         assert_eq!(normalize(continuous), normalize(sliced));
     }
 
+    /// A slot of the selection path the world's probe plans replaced: the
+    /// near-equal set built on the slot's first probe and the base RTT of
+    /// every (candidate, site) pair it was served over, both kept in the
+    /// session.
+    struct ReferenceSlot {
+        selection: SelectionState,
+        near: Option<Vec<usize>>,
+        rtt_cache: Vec<((usize, SiteId), f64)>,
+    }
+
+    impl MeasurementEngine<'_> {
+        /// The reference path over every VP, its caches dropped before
+        /// each round, so every probe rebuilds its near-equal set and base
+        /// RTT from the live route tables: the oracle for the plans.
+        fn run_reference(&self, slots: &mut Vec<ReferenceSlot>, rounds: &[Round]) -> VecSink {
+            let n = self.world.population.len();
+            slots.resize_with(n * STATES_PER_VP, || ReferenceSlot {
+                selection: self.config.churn.initial(),
+                near: None,
+                rtt_cache: Vec::new(),
+            });
+            let mut sink = VecSink::default();
+            for round in rounds {
+                for slot in slots.iter_mut() {
+                    slot.near = None;
+                    slot.rtt_cache.clear();
+                }
+                let select = |_, vp: &VantagePoint, target, family, slot: &mut _, rng: &mut _| {
+                    self.select_reference(vp, target, family, slot, rng)
+                };
+                self.run_vps(slots, 0..n, &[*round], &mut sink, select);
+            }
+            sink
+        }
+
+        /// [`MeasurementEngine::select`] as it was when a session kept the
+        /// routing facts per slot, built on first use.
+        fn select_reference(
+            &self,
+            vp: &VantagePoint,
+            target: Target,
+            family: Family,
+            slot: &mut ReferenceSlot,
+            rng: &mut SimRng,
+        ) -> Option<(SiteId, f64)> {
+            let world = self.world;
+            let churn = &self.config.churn;
+            let table = world.routes(target.letter, family);
+            let cands = table.candidates(vp.asn);
+            let near = (slot.near).get_or_insert_with(|| churn.near_equal(table, vp.asn));
+            let (site, _) = churn.step_near(
+                cands,
+                near,
+                &mut slot.selection,
+                rng,
+                churn_multiplier(target.letter, family)
+                    * self.config.overrides.letter(target.letter).churn_boost,
+                world.attracting_sites(target.letter, family),
+            );
+            let site_id = site?;
+            let cand_idx = resolve_candidate(cands, near, site_id);
+            let facility = world
+                .catalog
+                .deployment(target.letter)
+                .site(site_id)
+                .facility;
+            let key = (cand_idx, site_id);
+            let base = match slot.rtt_cache.iter().find(|(k, _)| *k == key) {
+                Some(&(_, base)) => base,
+                None => {
+                    let base = self.config.rtt.base_rtt_ms(
+                        &world.topology,
+                        &world.catalog.facilities,
+                        vp.coord,
+                        &cands[cand_idx],
+                        facility,
+                    );
+                    slot.rtt_cache.push((key, base));
+                    base
+                }
+            };
+            Some((site_id, base))
+        }
+    }
+
+    /// How many times each letter's entries of `world`'s plan at `slack`
+    /// have been built.
+    fn builds(world: &World, slack: usize) -> [usize; 13] {
+        let plans = world.plans.lock();
+        plans
+            .iter()
+            .find(|p| p.slack == slack)
+            .map_or([0; 13], |p| p.builds)
+    }
+
+    /// `[n; 13]` with `letter`'s count `at`.
+    fn all_but(n: usize, letter: RootLetter, at: usize) -> [usize; 13] {
+        let mut counts = [n; 13];
+        counts[letter.index()] = at;
+        counts
+    }
+
+    /// One engine configuration measured twice over the same world state,
+    /// segment by segment: through a session, and through the reference.
+    struct Twin {
+        config: MeasurementConfig,
+        session: EngineSession,
+        slots: Vec<ReferenceSlot>,
+        planned: VecSink,
+        reference: VecSink,
+    }
+
+    impl Twin {
+        fn new(config: MeasurementConfig) -> Twin {
+            Twin {
+                config,
+                session: EngineSession::new(),
+                slots: Vec::new(),
+                planned: VecSink::default(),
+                reference: VecSink::default(),
+            }
+        }
+
+        fn run(&mut self, world: &World, rounds: &[Round], workers: usize) {
+            let engine = MeasurementEngine::new(world, self.config.clone());
+            let planned = engine.run_rounds_session(&mut self.session, rounds, workers);
+            let reference = engine.run_reference(&mut self.slots, rounds);
+            self.planned.probes.extend(planned.probes);
+            self.planned.transfers.extend(planned.transfers);
+            self.reference.probes.extend(reference.probes);
+            self.reference.transfers.extend(reference.transfers);
+        }
+
+        /// What a caller does after a mutation recomputed routing.
+        fn invalidate_routing(&mut self) {
+            self.session.invalidate_routing(&self.config.churn);
+            for slot in &mut self.slots {
+                self.config.churn.reset_override(&mut slot.selection);
+            }
+        }
+
+        /// Both record streams in one order: workers regroup records, the
+        /// reference writes them round by round.
+        fn assert_agree(&self) {
+            let sorted = |s: &VecSink| {
+                let (mut probes, mut transfers) = (s.probes.clone(), s.transfers.clone());
+                probes.sort_by_key(|p| (p.time, p.vp, p.target, p.family));
+                transfers.sort_by_key(|t| (t.time, t.vp, t.target, t.family));
+                (probes, transfers)
+            };
+            assert!(!self.planned.probes.is_empty());
+            assert_eq!(sorted(&self.planned), sorted(&self.reference));
+        }
+    }
+
     #[test]
     fn routing_caches_match_per_probe_recomputation_across_a_mutation() {
-        // What a session keeps between rounds — near-equal sets and base
-        // RTTs — against rebuilding both from the live route tables for
-        // every probe, as the engine did before it kept anything derived
-        // from routing: a site withdrawal between two halves of the
-        // schedule, `invalidate_routing` after it, same records.
+        // What the world keeps per letter (near-equal sets and path
+        // geometry) and a session per slot (redirect geometry), against
+        // the per-slot path they replaced with its caches dropped every
+        // round, so every probe rebuilds both from the live route tables.
+        // One world: two engines share its plan; a site withdrawal and its
+        // restore, each followed by `invalidate_routing`, rebuild that
+        // letter's entries and no other's; a wider near-equal slack gets a
+        // plan of its own. Records equal the reference's throughout.
         let letter = RootLetter::G;
+        let churn = short_config().churn;
         let rounds: Vec<Round> = short_config().schedule.rounds().collect();
-        let (head, tail) = rounds.split_at(rounds.len() / 2);
-        let run = |workers: Option<usize>| {
-            let mut world = tiny_world();
-            let mut session = EngineSession::new();
-            let half = |world: &World, session: &mut EngineSession, rounds: &[Round]| {
-                let engine = MeasurementEngine::new(world, short_config());
-                let Some(workers) = workers else {
-                    let mut sink = VecSink::default();
-                    session.ensure(world.population.len(), &engine.config.churn);
-                    for round in rounds {
-                        for state in &mut session.states {
-                            state.near = None;
-                            state.rtt_cache.clear();
-                        }
-                        let vps = 0..world.population.len();
-                        engine.run_vps(&mut session.states, vps, &[*round], &mut sink);
-                    }
-                    return sink;
-                };
-                engine.run_rounds_session(session, rounds, workers)
-            };
-            let mut sink = half(&world, &mut session, head);
-            // Withdraw the site most of the first half's answers came from.
-            let mut answers = HashMap::<SiteId, usize>::new();
-            for p in sink.probes.iter().filter(|p| p.target.letter == letter) {
-                *answers
-                    .entry(p.site.unwrap_or(SiteId(u32::MAX)))
-                    .or_default() += 1;
-            }
-            let (&busiest, _) = answers.iter().max_by_key(|&(site, n)| (n, site)).unwrap();
-            assert!(world.withdraw_site(letter, busiest));
-            session.invalidate_routing(&short_config().churn);
-            let first_half = sink.probes.len();
-            let second = half(&world, &mut session, tail);
-            sink.probes.extend(second.probes);
-            sink.transfers.extend(second.transfers);
-            let moved = |p: &&ProbeRecord| p.target.letter == letter && p.site == Some(busiest);
-            assert!(sink.probes[..first_half].iter().filter(moved).count() > 100);
-            assert_eq!(sink.probes[first_half..].iter().filter(moved).count(), 0);
-            (sink.probes, sink.transfers)
+        let (head, rest) = rounds.split_at(rounds.len() / 3);
+        let (middle, tail) = rest.split_at(rest.len() / 2);
+        let mut world = tiny_world();
+        let mut main = Twin::new(short_config());
+        main.run(&world, head, 3);
+        let slack = churn.near_equal_slack;
+        assert_eq!(builds(&world, slack), [1; 13]);
+        let first = world.probe_plan(&churn, 1);
+
+        // A second engine over the same world with an RTT model of its own:
+        // the plan holds kilometres, so it prices them its own way, reads
+        // the first engine's plan and builds nothing. One worker writes the
+        // reference's order.
+        let mut other = Twin::new(MeasurementConfig {
+            rtt: RttModel {
+                per_hop_ms: 1.7,
+                ..RttModel::default()
+            },
+            ..short_config()
+        });
+        other.run(&world, head, 1);
+        assert_eq!(other.planned.probes, other.reference.probes);
+        assert_eq!(other.planned.transfers, other.reference.transfers);
+        assert_ne!(other.planned.probes, main.reference.probes);
+        assert!(Arc::ptr_eq(&first, &world.probe_plan(&churn, 1)));
+        assert_eq!(builds(&world, slack), [1; 13]);
+
+        // Withdraw the site most of the head's answers came from, then put
+        // it back: each change rebuilds the letter's entries, and only them.
+        let mut answers = HashMap::<SiteId, usize>::new();
+        for p in main
+            .planned
+            .probes
+            .iter()
+            .filter(|p| p.target.letter == letter)
+        {
+            *answers
+                .entry(p.site.unwrap_or(SiteId(u32::MAX)))
+                .or_default() += 1;
+        }
+        let (&busiest, _) = answers.iter().max_by_key(|&(site, n)| (n, site)).unwrap();
+        let head_len = main.planned.probes.len();
+        assert!(world.withdraw_site(letter, busiest));
+        main.invalidate_routing();
+        main.run(&world, middle, 3);
+        assert_eq!(builds(&world, slack), all_but(1, letter, 2));
+        let middle_len = main.planned.probes.len();
+        assert!(world.restore_site(letter, busiest));
+        main.invalidate_routing();
+        main.run(&world, tail, 3);
+        assert_eq!(builds(&world, slack), all_but(1, letter, 3));
+        let restored = world.probe_plan(&churn, 1);
+        assert!(!Arc::ptr_eq(&restored, &first) && restored == first);
+        // Redirects outside the plans happened, and were priced too.
+        assert!(main.session.states.iter().any(|s| !s.redirects.is_empty()));
+        main.assert_agree();
+        let moved = |p: &&ProbeRecord| p.target.letter == letter && p.site == Some(busiest);
+        let probes = &main.planned.probes;
+        assert!(probes[..head_len].iter().filter(moved).count() > 100);
+        assert_eq!(probes[head_len..middle_len].iter().filter(moved).count(), 0);
+        assert!(probes[middle_len..].iter().filter(moved).count() > 100);
+
+        // A wider near-equal slack: a plan of its own, the other kept.
+        let wide_churn = ChurnModel {
+            near_equal_slack: 3,
+            ..churn.clone()
         };
-        let recomputed = run(None);
-        // One worker writes the serial order; more only regroup it.
-        assert_eq!(run(Some(1)), recomputed);
-        let sorted = |(mut probes, mut transfers): (Vec<ProbeRecord>, Vec<TransferRecord>)| {
-            probes.sort_by_key(|p| (p.time, p.vp, p.target, p.family));
-            transfers.sort_by_key(|t| (t.time, t.vp, t.target, t.family));
-            (probes, transfers)
-        };
-        assert_eq!(sorted(run(Some(3))), sorted(recomputed));
+        let mut wide = Twin::new(MeasurementConfig {
+            churn: wide_churn.clone(),
+            ..short_config()
+        });
+        wide.run(&world, head, 2);
+        wide.assert_agree();
+        assert_eq!(builds(&world, 3), [1; 13]);
+        assert_eq!(builds(&world, slack), all_but(1, letter, 3));
+        assert!(Arc::ptr_eq(&restored, &world.probe_plan(&churn, 1)));
+        assert!(world.probe_plan(&wide_churn, 1).near.len() > restored.near.len());
     }
 
     #[test]

@@ -1,15 +1,19 @@
 //! Counting-allocator guard on the probe loop: once a session is warm, a
 //! run allocates per call and per worker — output buffers, threads, the
-//! target list — and for the odd base RTT seen for the first time, never
+//! target list — and for the odd redirect seen for the first time, never
 //! per probe. Before records became plain data every probe paid four
 //! allocations or more (its identity string twice, the near-equal
-//! candidate set twice) and every transfer a formatted serial.
+//! candidate set twice) and every transfer a formatted serial. A *fresh*
+//! session on a world measured before allocates the same way: the
+//! near-equal sets and path geometry are the world's, not the session's
+//! (before, a fresh session built them again, two allocations a slot).
 //!
-//! Lives in its own test binary so no sibling test thread can allocate
-//! concurrently and pollute the counter.
+//! Lives in its own test binary, its tests one at a time, so no sibling
+//! test thread can allocate concurrently and pollute the counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use vantage::{
     EngineSession, MeasurementConfig, MeasurementEngine, Round, Schedule, World, WorldBuildConfig,
 };
@@ -44,29 +48,66 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-#[test]
-fn a_warm_session_allocates_per_call_not_per_probe() {
+/// Held for the whole of each test: the counter is process-wide, so the
+/// tests of this binary take turns.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+/// A world and an engine config whose schedule tail has AXFR on, so every
+/// probe has its transfer; returns the last six rounds.
+fn tiny_tail() -> (World, MeasurementConfig, Vec<Round>) {
     let world = World::build(&WorldBuildConfig::tiny());
     let config = MeasurementConfig {
         schedule: Schedule::subsampled(400),
         ..Default::default()
     };
     let rounds: Vec<Round> = config.schedule.rounds().collect();
-    // The schedule's tail: AXFR is on, so every probe has its transfer.
-    let (warm_up, timed) = rounds[rounds.len() - 6..].split_at(3);
-    let engine = MeasurementEngine::new(&world, config);
-    let mut session = EngineSession::new();
-    let warm = engine.run_rounds_session(&mut session, warm_up, 3);
+    let tail = rounds[rounds.len() - 6..].to_vec();
+    (world, config, tail)
+}
 
+/// Run `timed` through `session`, counting allocations, and check them
+/// against the per-call bound.
+fn assert_allocates_per_call(
+    engine: &MeasurementEngine,
+    session: &mut EngineSession,
+    timed: &[Round],
+    expected_probes: usize,
+) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let sink = engine.run_rounds_session(&mut session, timed, 3);
+    let sink = engine.run_rounds_session(session, timed, 3);
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
 
     let probes = sink.probes.len() as u64;
-    assert_eq!(probes, warm.probes.len() as u64);
+    assert_eq!(probes, expected_probes as u64);
     assert!(probes > 5_000 && sink.transfers.len() as u64 > probes * 9 / 10);
     assert!(
         allocations <= 64 + probes / 100,
         "{allocations} allocations for {probes} probes"
+    );
+}
+
+#[test]
+fn a_warm_session_allocates_per_call_not_per_probe() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let (world, config, tail) = tiny_tail();
+    let (warm_up, timed) = tail.split_at(3);
+    let engine = MeasurementEngine::new(&world, config);
+    let mut session = EngineSession::new();
+    let warm = engine.run_rounds_session(&mut session, warm_up, 3);
+    assert_allocates_per_call(&engine, &mut session, timed, warm.probes.len());
+}
+
+#[test]
+fn a_fresh_session_on_a_measured_world_allocates_per_call_not_per_slot() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let (world, config, tail) = tiny_tail();
+    let (first, timed) = tail.split_at(3);
+    let engine = MeasurementEngine::new(&world, config);
+    let measured = engine.run_rounds_parallel(first, 3);
+    assert_allocates_per_call(
+        &engine,
+        &mut EngineSession::new(),
+        timed,
+        measured.probes.len(),
     );
 }
