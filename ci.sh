@@ -6,9 +6,10 @@
 #   2. full test suite;
 #   2a. the serving crate, the simulator crate, the farm's root tests
 #      (`farm_*` in tests/farm_invariants.rs and tests/golden_replay.rs),
-#      the analysis, zone and trace crates, and the measurement and
-#      scenario crates once more at release optimisation with debug
-#      assertions and overflow checks on (own target dir): the serve
+#      the analysis, zone and trace crates, the measurement and scenario
+#      crates, and the pipeline's own tests (`roots-core --lib`) once more
+#      at release optimisation with debug assertions and overflow checks
+#      on (own target dir): the serve
 #      kernels' and the response digest's arithmetic, `propagate`'s packed
 #      rank (shifts, the path-length field) and its `u32` kilometre sums,
 #      the shared-set debug_assert!, the analyses' dense indices — the RTT
@@ -18,7 +19,9 @@
 #      and the measurement's slot tables — the session slot `(vp · 14 +
 #      target) · 2 + family`, the probe-plan slot `(vp · 13 + letter) · 2
 #      + family`, the `u32` plan offsets and their shift when VP ranges
-#      merge — run checked at the optimisation level they ship at;
+#      merge — and the pipeline's stale-window re-runs and duplicate-key
+#      check over the packed records — run checked at the optimisation
+#      level they ship at;
 #   2b. the frozen benchmark package (benchmark/, a workspace of its own):
 #      release build against its committed lock file, and its unit tests —
 #      a break of the public surface it is pinned to fails here;
@@ -55,9 +58,9 @@ cargo test -q --offline
 # digest and route-rank kernels, and whole-suite release coverage waits
 # for the `CITIES` fix (ROADMAP, tier-1 item c). That caveat does not
 # reach the analysis, zone, trace, measurement and scenario crates' own
-# tests: they hold at every optimisation level, and their per-record and
-# per-slot index arithmetic runs here with the checks a release build
-# drops.
+# tests, nor `roots-core`'s unit tests: they hold at every optimisation
+# level, and their per-record and per-slot index arithmetic runs here
+# with the checks a release build drops.
 checked() {
     CARGO_TARGET_DIR=target/checked \
         RUSTFLAGS="-C debug-assertions=on -C overflow-checks=on" \
@@ -68,6 +71,7 @@ checked -p netsim
 checked -p roots-core --test farm_invariants --test golden_replay farm_
 checked -p analysis -p dns-zone -p traces
 checked -p vantage -p scenario
+checked -p roots-core --lib
 
 # rootbench is a package of its own with a frozen Cargo.lock: build it
 # --locked so a changed dependency edge or a broken pinned signature

@@ -258,13 +258,16 @@ mod tests {
                             continue;
                         }
                         let heavy = client == 7 && target.letter == RootLetter::A;
-                        let flow = |hour, flows| FlowObservation {
-                            day: DayBucket(day),
-                            hour,
-                            client: ClientId(client),
-                            family,
-                            target: *target,
-                            flows,
+                        let flow = |hour, flows| {
+                            let client = ClientId(client);
+                            FlowObservation::new(
+                                DayBucket(day),
+                                hour,
+                                client,
+                                family,
+                                *target,
+                                flows,
+                            )
                         };
                         flows.push(flow(None, 1 + rng.next_range(4) as u32));
                         if rng.chance(0.4) {
@@ -275,14 +278,14 @@ mod tests {
                 }
             }
         }
-        flows.push(FlowObservation {
-            day: DayBucket(19_705),
-            hour: None,
-            client: ClientId(9),
-            family: Family::V6,
-            target: targets[13],
-            flows: 3,
-        });
+        flows.push(FlowObservation::new(
+            DayBucket(19_705),
+            None,
+            ClientId(9),
+            Family::V6,
+            targets[13],
+            3,
+        ));
         let lone = |a: &ClientAnalysis| {
             let c = a.curve(targets[13], Family::V6).expect("m.root v6");
             (c.mean_clients_per_day, c.curve.clone())

@@ -51,7 +51,7 @@ impl ColocationResult {
             if p.target.b_phase != BRootPhase::Old {
                 continue;
             }
-            if p.site.is_none() {
+            if p.site().is_none() {
                 continue;
             }
             let vp = p.vp.0 as usize;
@@ -61,7 +61,7 @@ impl ColocationResult {
             let entry =
                 &mut latest[(vp * 2 + p.family.index()) * LETTERS + p.target.letter.index()];
             if entry.is_none_or(|(time, _)| p.time >= time) {
-                *entry = Some((p.time, p.second_to_last_hop));
+                *entry = Some((p.time, p.second_to_last_hop()));
             }
         }
         // One row per (vp, family) with an observed letter, in that order.
@@ -193,19 +193,15 @@ mod tests {
         hop: Option<u64>,
         time: u32,
     ) -> ProbeRecord {
-        ProbeRecord {
-            time,
-            vp: VpId(vp),
-            target: Target {
-                letter,
-                b_phase: BRootPhase::Old,
-            },
-            family,
-            site: Some(netsim::anycast::SiteId(0)),
-            rtt_ms: Some(5.0),
-            second_to_last_hop: hop,
-            identity: None,
-        }
+        let target = Target {
+            letter,
+            b_phase: BRootPhase::Old,
+        };
+        ProbeRecord::new(time, VpId(vp), target, family)
+            .with_site(Some(netsim::anycast::SiteId(0)))
+            .with_rtt_ms(Some(5.0))
+            .with_second_to_last_hop(hop)
+            .expect("a 32-bit hop")
     }
 
     /// `compute` as it was: a hash map of the latest hop per
@@ -218,13 +214,13 @@ mod tests {
             if p.target.b_phase != BRootPhase::Old {
                 continue;
             }
-            if p.site.is_none() {
+            if p.site().is_none() {
                 continue;
             }
             let key = (p.vp, p.family, p.target.letter);
             let entry = latest.entry(key).or_insert((0, None));
             if p.time >= entry.0 {
-                *entry = (p.time, p.second_to_last_hop);
+                *entry = (p.time, p.second_to_last_hop());
             }
         }
         let mut grouped: HashMap<(VpId, Family), Vec<Option<u64>>> = HashMap::new();
@@ -277,7 +273,7 @@ mod tests {
                         let hop = (!rng.chance(0.2)).then(|| rng.next_range(4) as u64);
                         let mut p = probe(vp, letter, family, hop, time);
                         if vp == 6 || rng.chance(0.1) {
-                            p.site = None;
+                            p = p.with_site(None);
                         }
                         if letter == RootLetter::B && rng.chance(0.5) {
                             p.target.b_phase = BRootPhase::New;

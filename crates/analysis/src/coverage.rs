@@ -78,7 +78,7 @@ impl CoverageReport {
         // catalog interns them per letter, so that is one flag a handle.
         let mut reported = vec![false; catalog.identity_count()];
         for p in probes {
-            if let Some(id) = p.identity {
+            if let Some(id) = p.identity() {
                 reported[id.0 as usize] = true;
             }
             // The probe knows the true site; coverage "via identifier" is
@@ -337,7 +337,7 @@ mod tests {
         let mut distinct_ids: std::collections::HashMap<(RootLetter, String), ()> =
             std::collections::HashMap::new();
         for p in probes {
-            if let Some(id) = p.identity {
+            if let Some(id) = p.identity() {
                 let text = catalog.identity(id).1.to_string();
                 distinct_ids.entry((p.target.letter, text)).or_insert(());
             }
@@ -364,14 +364,15 @@ mod tests {
                 Some((a, fallback.clone().find(twin)?))
             })
             .expect("two instances share a hostname.bind answer");
-        let seen_at = |row: &rss::RootSite| ProbeRecord {
-            target: vantage::records::Target {
+        let seen_at = |row: &rss::RootSite| {
+            let mut p = probes[0]
+                .with_site(Some(row.site_id))
+                .with_identity(Some(row.identity));
+            p.target = vantage::records::Target {
                 letter: row.letter,
                 b_phase: rss::BRootPhase::Old,
-            },
-            site: Some(row.site_id),
-            identity: Some(row.identity),
-            ..probes[0]
+            };
+            p
         };
         for stream in [vec![seen_at(a)], vec![seen_at(b), seen_at(a), seen_at(b)]] {
             let report = CoverageReport::compute(&world.catalog, &stream);

@@ -115,7 +115,7 @@ impl DistanceResult {
             else {
                 continue;
             };
-            let Some(site) = p.site else { continue };
+            let Some(site) = p.site() else { continue };
             let panel = &mut filling[at];
             let closest = panel.closest_global_km[p.vp.0 as usize];
             if !closest.is_finite() {
@@ -355,7 +355,7 @@ mod tests {
             else {
                 continue;
             };
-            let Some(site) = p.site else { continue };
+            let Some(site) = p.site() else { continue };
             let panel = &mut filling[at];
             let closest = panel.closest_global_km[p.vp.0 as usize];
             if !closest.is_finite() {
@@ -461,8 +461,8 @@ mod tests {
             );
             // A panel's points are its answered probes in stream order:
             // regroup their inflation by VP and walk the VPs in id order.
-            let answered =
-                (probes.iter()).filter(|p| p.target == t && p.family == family && p.site.is_some());
+            let answered = (probes.iter())
+                .filter(|p| p.target == t && p.family == family && p.site().is_some());
             let mut per_vp = std::collections::BTreeMap::<_, (f64, u32)>::new();
             for (p, pt) in answered.zip(&r.points) {
                 let e = per_vp.entry(p.vp).or_default();

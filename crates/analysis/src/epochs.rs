@@ -58,8 +58,8 @@ impl EpochStats {
             accum.observe(
                 population.get(p.vp).region,
                 p.family,
-                p.site.map(|s| s.0),
-                p.rtt_ms,
+                p.site().map(|s| s.0),
+                p.rtt_ms(),
             );
         }
         EpochStats {
@@ -316,19 +316,13 @@ mod tests {
         rtt: Option<f64>,
         family: Family,
     ) -> ProbeRecord {
-        ProbeRecord {
-            time,
-            vp: VpId(vp),
-            target: Target {
-                letter,
-                b_phase: rss::BRootPhase::Old,
-            },
-            family,
-            site: site.map(SiteId),
-            rtt_ms: rtt,
-            second_to_last_hop: None,
-            identity: None,
-        }
+        let target = Target {
+            letter,
+            b_phase: rss::BRootPhase::Old,
+        };
+        ProbeRecord::new(time, VpId(vp), target, family)
+            .with_site(site.map(SiteId))
+            .with_rtt_ms(rtt)
     }
 
     #[test]

@@ -47,7 +47,7 @@ impl RttByRegion {
 
         // Count, turn the counts into each cell's first slot, then fill.
         let mut next = vec![0usize; cells + 1];
-        for p in probes.iter().filter(|p| p.rtt_ms.is_some()) {
+        for p in probes.iter().filter(|p| p.rtt_ms().is_some()) {
             next[cell_of(p) + 1] += 1;
         }
         for c in 1..next.len() {
@@ -55,7 +55,7 @@ impl RttByRegion {
         }
         let mut bits = vec![0u64; next[cells]];
         for p in probes {
-            let Some(rtt) = p.rtt_ms else { continue };
+            let Some(rtt) = p.rtt_ms() else { continue };
             // Finite and not below +0.0: bit order is value order.
             assert!(rtt.to_bits() < f64::INFINITY.to_bits(), "RTT {rtt} ms");
             let slot = &mut next[cell_of(p)];
@@ -167,7 +167,7 @@ mod tests {
         let mut samples: Vec<Vec<[Vec<f64>; 2]>> =
             vec![vec![[Vec::new(), Vec::new()]; targets.len()]; 6];
         for p in probes {
-            let Some(rtt) = p.rtt_ms else { continue };
+            let Some(rtt) = p.rtt_ms() else { continue };
             let region = population.get(p.vp).region;
             samples[region.index()][t_index(&p.target)][p.family.index()].push(rtt);
         }
@@ -204,15 +204,8 @@ mod tests {
         let population = &world.population;
         let mut rng = SimRng::new(0x277);
         let targets = Target::all();
-        let probe = |vp: usize, target: Target, family, time, rtt_ms| ProbeRecord {
-            time,
-            vp: VpId(vp as u32),
-            target,
-            family,
-            site: None,
-            rtt_ms,
-            second_to_last_hop: None,
-            identity: None,
+        let probe = |vp: usize, target: Target, family, time, rtt_ms| {
+            ProbeRecord::new(time, VpId(vp as u32), target, family).with_rtt_ms(rtt_ms)
         };
         // Rounds out of time order and repeated; RTTs over twelve binades
         // with exact repeats, zero and a subnormal among them; timeouts.
@@ -266,7 +259,7 @@ mod tests {
     #[should_panic(expected = "RTT")]
     fn negative_rtt_is_refused() {
         let (world, mut probes) = run();
-        probes[0].rtt_ms = Some(-0.0);
+        probes[0] = probes[0].with_rtt_ms(Some(-0.0));
         RttByRegion::compute(&world.population, &probes);
     }
 

@@ -68,7 +68,7 @@ impl StabilityResult {
         // stream by a four-field key was the figure's whole cost.
         let mut next = vec![0usize; vps * SERIES + 1];
         let mut labels = [None; SERIES];
-        for p in probes.iter().filter(|p| p.site.is_some()) {
+        for p in probes.iter().filter(|p| p.site().is_some()) {
             next[key_of(p) + 1] += 1;
             labels[series_of(p)] = Some((p.target, p.family));
         }
@@ -77,7 +77,7 @@ impl StabilityResult {
         }
         let mut runs = vec![(0u32, SiteId(0)); next[vps * SERIES]];
         for p in probes {
-            let Some(site) = p.site else { continue };
+            let Some(site) = p.site() else { continue };
             let slot = &mut next[key_of(p)];
             runs[*slot] = (p.time, site);
             *slot += 1;
@@ -156,19 +156,13 @@ mod tests {
         letter: RootLetter,
         family: Family,
     ) -> ProbeRecord {
-        ProbeRecord {
-            time,
-            vp: VpId(vp),
-            target: Target {
-                letter,
-                b_phase: BRootPhase::Old,
-            },
-            family,
-            site: site.map(SiteId),
-            rtt_ms: Some(10.0),
-            second_to_last_hop: None,
-            identity: None,
-        }
+        let target = Target {
+            letter,
+            b_phase: BRootPhase::Old,
+        };
+        ProbeRecord::new(time, VpId(vp), target, family)
+            .with_site(site.map(SiteId))
+            .with_rtt_ms(Some(10.0))
     }
 
     /// `compute` as it was: a stable sort of the whole stream by
@@ -186,7 +180,7 @@ mod tests {
         let mut ordered: Vec<&ProbeRecord> = probes.iter().collect();
         ordered.sort_by_key(|p| (p.vp, p.target, p.family, p.time));
         for p in ordered {
-            let Some(site) = p.site else { continue };
+            let Some(site) = p.site() else { continue };
             let st = per_key.entry((p.vp, p.target, p.family)).or_default();
             if st.initialized && st.prev_time < p.time && st.prev != Some(site) {
                 st.changes += 1;
@@ -238,7 +232,7 @@ mod tests {
                         p.target = *target;
                         stream.push(p);
                         if rng.chance(0.05) {
-                            p.site = Some(SiteId(rng.next_range(3) as u32));
+                            p = p.with_site(Some(SiteId(rng.next_range(3) as u32)));
                             stream.push(p);
                         }
                     }

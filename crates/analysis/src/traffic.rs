@@ -45,10 +45,8 @@ impl<K: Ord + Clone> TrafficSeries<K> {
         let mut volumes: Vec<Vec<(K, f64)>> = Vec::new();
         for f in flows {
             let Some(key) = classify(f) else { continue };
-            let slot = f.hour.map_or(0, |h| {
-                assert!(h < 24, "hour {h} of a flow on day {}", f.day.0);
-                usize::from(h) + 1
-            });
+            // A flow's hour is 0–23 by construction.
+            let slot = f.hour().map_or(0, |h| usize::from(h) + 1);
             if volumes.is_empty() {
                 first_day = f.day.0;
             } else if f.day.0 < first_day {
@@ -258,7 +256,7 @@ mod tests {
         let mut raw: BTreeMap<(DayBucket, Option<u8>), BTreeMap<K, f64>> = BTreeMap::new();
         for f in flows {
             let Some(key) = classify(f) else { continue };
-            *raw.entry((f.day, f.hour))
+            *raw.entry((f.day, f.hour()))
                 .or_default()
                 .entry(key)
                 .or_insert(0.0) += f.flows as f64;
@@ -325,14 +323,15 @@ mod tests {
                             // Daily and hourly buckets on day 19_703.
                             let hour = (day == 19_703 && rng.chance(0.7))
                                 .then(|| [0u8, 11, 23][rng.next_range(3)]);
-                            out.push(FlowObservation {
-                                day: DayBucket(day),
+                            let flows = (1u32 << rng.next_range(31)) + rng.next_range(1000) as u32;
+                            out.push(FlowObservation::new(
+                                DayBucket(day),
                                 hour,
-                                client: ClientId(client),
+                                ClientId(client),
                                 family,
-                                target: *target,
-                                flows: (1u32 << rng.next_range(31)) + rng.next_range(1000) as u32,
-                            });
+                                *target,
+                                flows,
+                            ));
                         }
                     }
                 }

@@ -114,8 +114,9 @@ pub fn validate_transfers(world: &World, transfers: &[TransferRecord]) -> Table2
     // bitflips by seed, then stale copies by serial, within a serial) is
     // the order distinct copies are validated and counted in.
     type ObsKey = (u32, Option<TransferFault>, u32);
-    let key_of =
-        |t: &TransferRecord| -> Option<ObsKey> { Some((t.serial?, t.fault, t.vp_clock / 3600)) };
+    let key_of = |t: &TransferRecord| -> Option<ObsKey> {
+        Some((t.serial()?, t.fault(), t.vp_clock / 3600))
+    };
     // Each distinct copy with its first observation in the stream.
     let mut copies: BTreeMap<ObsKey, &TransferRecord> = BTreeMap::new();
     let mut last = None;
@@ -161,7 +162,7 @@ pub fn validate_transfers(world: &World, transfers: &[TransferRecord]) -> Table2
                 servers: BTreeSet::new(),
                 vps: BTreeSet::new(),
             });
-            row.serials.extend(t.serial);
+            row.serials.extend(t.serial());
             row.first_obs = row.first_obs.min(t.time);
             row.last_obs = row.last_obs.max(t.time);
             row.observations += 1;
@@ -179,7 +180,7 @@ pub fn validate_transfers(world: &World, transfers: &[TransferRecord]) -> Table2
 
 /// Rebuild the exact zone copy a transfer delivered.
 pub fn materialize(world: &World, t: &TransferRecord) -> Arc<Zone> {
-    let base = match t.fault {
+    let base = match t.fault() {
         Some(TransferFault::Stale { serial }) => {
             // The stale zone is the one whose serial matches: reconstruct
             // from the day encoded in the serial.
@@ -187,7 +188,7 @@ pub fn materialize(world: &World, t: &TransferRecord) -> Arc<Zone> {
         }
         _ => world.zone_at(t.time - t.time % 86400),
     };
-    match t.fault {
+    match t.fault() {
         Some(TransferFault::Bitflip { seed }) => {
             let mut corrupted = (*base).clone();
             flip_rrsig_bit(&mut corrupted, seed);
@@ -232,7 +233,7 @@ fn classify(issues: &[ValidationIssue]) -> Option<FailureReason> {
 /// Produce the Figure 10 rendering for a bitflipped transfer: the diff
 /// between the reference zone and the received copy.
 pub fn bitflip_report(world: &World, t: &TransferRecord) -> Option<BitflipReport> {
-    matches!(t.fault, Some(TransferFault::Bitflip { .. })).then(|| {
+    matches!(t.fault(), Some(TransferFault::Bitflip { .. })).then(|| {
         let reference = world.zone_at(t.time - t.time % 86400);
         let observed = materialize(world, t);
         bitflip_diff(&reference, &observed)
@@ -253,18 +254,13 @@ mod tests {
     }
 
     fn transfer(time: u32, vp_clock: u32, vp: u32, fault: Option<TransferFault>) -> TransferRecord {
-        TransferRecord {
-            time,
-            vp_clock,
-            vp: VpId(vp),
-            target: Target {
-                letter: RootLetter::D,
-                b_phase: BRootPhase::Old,
-            },
-            family: Family::V6,
-            serial: Some(vantage::engine::serial_of_day(time - time % 86400)),
-            fault,
-        }
+        let target = Target {
+            letter: RootLetter::D,
+            b_phase: BRootPhase::Old,
+        };
+        TransferRecord::new(time, vp_clock, VpId(vp), target, Family::V6)
+            .with_serial(Some(vantage::engine::serial_of_day(time - time % 86400)))
+            .with_fault(fault)
     }
 
     const T0: u32 = vantage::schedule::MEASUREMENT_START + 40 * 86400;
@@ -275,8 +271,8 @@ mod tests {
         type ObsKey = (u32, Option<TransferFault>, u32);
         let mut groups: BTreeMap<ObsKey, Vec<&TransferRecord>> = BTreeMap::new();
         for t in transfers {
-            let Some(serial) = t.serial else { continue };
-            let key = (serial, t.fault, t.vp_clock / 3600);
+            let Some(serial) = t.serial() else { continue };
+            let key = (serial, t.fault(), t.vp_clock / 3600);
             groups.entry(key).or_default().push(t);
         }
         let mut failures: BTreeMap<FailureReason, Table2Row> = BTreeMap::new();
@@ -298,7 +294,7 @@ mod tests {
                 vps: BTreeSet::new(),
             });
             for t in obs {
-                row.serials.extend(t.serial);
+                row.serials.extend(t.serial());
                 row.first_obs = row.first_obs.min(t.time);
                 row.last_obs = row.last_obs.max(t.time);
                 row.observations += 1;
@@ -335,13 +331,13 @@ mod tests {
             serial: vantage::engine::serial_of_day(vantage::schedule::MEASUREMENT_START),
         };
         let flip = |seed| Some(TransferFault::Bitflip { seed });
-        let on = |t: TransferRecord, letter, family| TransferRecord {
-            target: Target {
+        let on = |mut t: TransferRecord, letter, family| {
+            t.target = Target {
                 letter,
                 b_phase: BRootPhase::Old,
-            },
-            family,
-            ..t
+            };
+            t.family = family;
+            t
         };
         // Copies A (healthy) and B (bitflipped) interleaved A B A B, then
         // A's run resumed: one group each, every observation counted.
@@ -349,17 +345,8 @@ mod tests {
         let b = |vp| transfer(day(0) + 3700, day(0) + 3700, vp, flip(5));
         let mut stream = vec![a(0), b(1), a(2), b(3), a(4), a(5), b(1)];
         // A failed transfer inside a run, and one between two keys.
-        stream.insert(
-            5,
-            TransferRecord {
-                serial: None,
-                ..a(9)
-            },
-        );
-        stream.push(TransferRecord {
-            serial: None,
-            ..b(9)
-        });
+        stream.insert(5, a(9).with_serial(None));
+        stream.push(b(9).with_serial(None));
         // Two bitflips of one zone that differ in the seed alone; a stale
         // copy seen on two days through two servers; a second stale copy
         // in the same clock hour but of another serial.
@@ -420,14 +407,7 @@ mod tests {
             assert_same(&w, &stream);
         }
         // Nothing failing (no second pass), nothing delivered, nothing.
-        let healthy = [
-            a(0),
-            a(1),
-            TransferRecord {
-                serial: None,
-                ..a(2)
-            },
-        ];
+        let healthy = [a(0), a(1), a(2).with_serial(None)];
         assert!(assert_same(&w, &healthy).rows.is_empty());
         assert!(assert_same(&w, &healthy[2..]).rows.is_empty());
         assert_eq!(assert_same(&w, &[]).total_transfers, 0);

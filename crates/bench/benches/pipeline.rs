@@ -7,7 +7,9 @@
 //! recomputed what they share (≈3 000 / 2 600 ms), so that cannot come
 //! back unnoticed; rootbench's `pipeline_small` measures the same run
 //! with its layers. One measurement round is recorded twice, through a
-//! fresh session and through one already used (`vantage/small/round_*`).
+//! fresh session and through one already used (`vantage/small/round_*`),
+//! and what the run's five record streams occupy once
+//! (`pipeline/small/record_mib`).
 
 use analysis::colocation::ColocationResult;
 use analysis::coverage::CoverageReport;
@@ -16,7 +18,10 @@ use criterion::{criterion_group, criterion_main, record_counter, record_metric, 
 use roots_core::{experiments, Pipeline, Scale};
 use std::hint::black_box;
 use std::time::Instant;
-use vantage::{EngineSession, MeasurementConfig, MeasurementEngine, Round};
+use traces::flows::FlowObservation;
+use vantage::{
+    EngineSession, MeasurementConfig, MeasurementEngine, ProbeRecord, Round, TransferRecord,
+};
 
 /// Calls per ledger row; the fastest is kept.
 const LEDGER_CALLS: usize = 5;
@@ -66,6 +71,17 @@ fn round_ledger(p: &Pipeline) {
     record_metric("vantage/small/round_fresh_ms", fresh);
     record_metric("vantage/small/round_warm_ms", warm);
     println!("one Small round on one worker: fresh session {fresh:.2} ms, warm {warm:.2} ms");
+}
+
+/// The bytes `p`'s five record streams hold, in MiB: Σ `len × size_of`
+/// over the probes, the transfers and the three flow traces. 490.2 at
+/// Small while a probe was 64 bytes, a transfer 40 and a flow 20.
+fn record_mib(p: &Pipeline) -> f64 {
+    let flows = [&p.isp_flows, &p.ixp_flows_eu, &p.ixp_flows_na].map(Vec::len);
+    let bytes = p.probes.len() * size_of::<ProbeRecord>()
+        + p.transfers.len() * size_of::<TransferRecord>()
+        + flows.iter().sum::<usize>() * size_of::<FlowObservation>();
+    bytes as f64 / f64::from(1 << 20)
 }
 
 /// Fastest of [`LEDGER_CALLS`] calls, in milliseconds.
@@ -134,6 +150,7 @@ fn bench_pipeline_small(_c: &mut Criterion) {
         record_counter("pipeline/small/probes", pipeline.probes.len() as u64);
         record_counter("pipeline/small/transfers", pipeline.transfers.len() as u64);
         if round == 2 {
+            record_metric("pipeline/small/record_mib", record_mib(&pipeline));
             analysis_ledger(&pipeline);
             round_ledger(&pipeline);
         }

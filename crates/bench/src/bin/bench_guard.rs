@@ -98,6 +98,15 @@ const PREFIXES: &[&str] = &["rootd/serve_", "codec/", "simclock/"];
 /// set and path geometry, which the world now keeps (DESIGN §7 "Round
 /// ledger"); both ceilings sit ≈ 2.5× above today's figures and below
 /// that, held by the ceilings alone.
+/// `pipeline/small/record_mib` is no timing: Σ `len × size_of` over the
+/// Small pipeline's five record streams (4.0 M probes, 3.5 M transfers,
+/// 5.8 M flows), ≈ 305 MiB at 32 / 28 / 16 bytes a record. It read 490.2
+/// while padded `Option`s made them 64 / 40 / 20 (DESIGN §7 "Record
+/// layout"). The ceiling, 320, sits above the packed figure and below
+/// each record type's old size on its own (a transfer at 40 bytes reads
+/// 345, a flow at 20 reads 327) and a probe growing one word (336), held
+/// by the ceiling alone: the value only moves with a layout or a record
+/// count.
 /// The `serve_fallback_*` keys and `codec/encode_referral` are nanoseconds
 /// on the same root-sized zone: one uncached answer — parse, `ZoneIndex`
 /// lookup, borrowed plan, one-pass encode — over 1 500 names in turn, and
@@ -149,6 +158,7 @@ const ABS_CEILING: &[(&str, f64)] = &[
     ("analysis/small/sec7_channels_ms", 20.0),
     ("vantage/small/round_fresh_ms", 6.0),
     ("vantage/small/round_warm_ms", 6.0),
+    ("pipeline/small/record_mib", 320.0),
     ("rootd/serve_fallback_referral_do", 1_800.0),
     ("rootd/serve_fallback_nxdomain_do", 1_500.0),
     ("rootd/serve_fallback_tc512", 2_000.0),
@@ -166,6 +176,7 @@ const ABS_CEILING: &[(&str, f64)] = &[
 /// wall-clock key only records which hour it was taken in, and the
 /// [`ABS_CEILING`] above already stops the regression class.
 const CEILING_ONLY: &[&str] = &[
+    "pipeline/small/record_mib",
     "vantage/small/round_fresh_ms",
     "vantage/small/round_warm_ms",
     "rootd/serve_hit_slab32_ns",
@@ -702,6 +713,38 @@ mod tests {
         assert!(errs[0].contains("absolute ceiling"));
         // Neither may silently vanish.
         assert_eq!(run(&base, &json(&[])).unwrap_err().len(), 2);
+    }
+
+    #[test]
+    fn record_bytes_are_ceiling_gated_below_a_regrown_record() {
+        let key = "pipeline/small/record_mib";
+        assert!(CEILING_ONLY.contains(&key));
+        let (probes, transfers, flows) = (4_019_400.0, 3_512_171.0, 5_813_370.0);
+        let mib = |probe: f64, transfer: f64, flow: f64| {
+            (probes * probe + transfers * transfer + flows * flow) / f64::from(1 << 20)
+        };
+        // The packed layout passes whatever the baseline recorded...
+        let packed = mib(32.0, 28.0, 16.0);
+        assert!((packed - 305.15).abs() < 0.01, "{packed}");
+        assert!(run(&json(&[(key, 100.0)]), &json(&[(key, packed)])).is_ok());
+        // ...and the padded one it replaced does not, nor a probe grown by
+        // a word or a transfer or a flow back at its padded size.
+        for regrown in [
+            mib(64.0, 40.0, 20.0),
+            mib(40.0, 28.0, 16.0),
+            mib(32.0, 40.0, 16.0),
+            mib(32.0, 28.0, 20.0),
+        ] {
+            let errs = run(&json(&[(key, regrown)]), &json(&[(key, regrown)])).unwrap_err();
+            assert_eq!(errs.len(), 1, "{regrown}");
+            assert!(errs[0].contains("absolute ceiling"));
+        }
+        assert!((mib(64.0, 40.0, 20.0) - 490.19).abs() < 0.01);
+        // And the key may not silently vanish.
+        assert_eq!(
+            run(&json(&[(key, packed)]), &json(&[])).unwrap_err().len(),
+            1
+        );
     }
 
     #[test]

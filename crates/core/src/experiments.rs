@@ -462,7 +462,7 @@ fn fig10(p: &Pipeline) -> String {
     let flipped = p
         .transfers
         .iter()
-        .find(|t| matches!(t.fault, Some(TransferFault::Bitflip { .. })));
+        .find(|t| matches!(t.fault(), Some(TransferFault::Bitflip { .. })));
     match flipped {
         Some(t) => match bitflip_report(&p.world, t) {
             Some(report) => format!(

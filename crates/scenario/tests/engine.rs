@@ -184,7 +184,7 @@ fn outage_epoch_diff_shows_catchment_shift() {
     let mut served: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
     for p in &pre.probes {
         if p.target.letter == RootLetter::D {
-            if let Some(site) = p.site {
+            if let Some(site) = p.site() {
                 *served.entry(site.0).or_default() += 1;
             }
         }
@@ -225,7 +225,7 @@ fn outage_epoch_diff_shows_catchment_shift() {
     // No probe in the outage epoch may be served by the withdrawn site.
     for p in &run.epochs[1].probes {
         if p.target.letter == RootLetter::D {
-            assert_ne!(p.site, Some(SiteId(top_site)));
+            assert_ne!(p.site(), Some(SiteId(top_site)));
         }
     }
 

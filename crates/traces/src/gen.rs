@@ -315,14 +315,14 @@ impl FlowGen<'_> {
     ) {
         let mut emit = |hour, flows| {
             if flows > 0 {
-                self.out.push(FlowObservation {
-                    day: bucket,
+                self.out.push(FlowObservation::new(
+                    bucket,
                     hour,
-                    client: client.id,
-                    family: client.family,
+                    client.id,
+                    client.family,
                     target,
                     flows,
-                });
+                ));
             }
         };
         if window.hourly {
@@ -470,27 +470,27 @@ mod reference {
                 let weight = diurnal_weight(hour);
                 let flows = poisson(rng, mean_day * weight);
                 if flows > 0 {
-                    out.push(FlowObservation {
-                        day: bucket,
-                        hour: Some(hour),
-                        client: client.id,
-                        family: client.family,
+                    out.push(FlowObservation::new(
+                        bucket,
+                        Some(hour),
+                        client.id,
+                        client.family,
                         target,
                         flows,
-                    });
+                    ));
                 }
             }
         } else {
             let flows = poisson(rng, mean_day);
             if flows > 0 {
-                out.push(FlowObservation {
-                    day: bucket,
-                    hour: None,
-                    client: client.id,
-                    family: client.family,
+                out.push(FlowObservation::new(
+                    bucket,
+                    None,
+                    client.id,
+                    client.family,
                     target,
                     flows,
-                });
+                ));
             }
         }
     }
@@ -649,8 +649,8 @@ mod tests {
     fn hourly_window_emits_hours() {
         let cfg = small_isp();
         let flows = generate_flows(&cfg, &[ObservationWindow::isp_windows()[0]]);
-        assert!(flows.iter().all(|f| f.hour.is_some()));
-        let hours: std::collections::HashSet<u8> = flows.iter().filter_map(|f| f.hour).collect();
+        assert!(flows.iter().all(|f| f.hour().is_some()));
+        let hours: std::collections::HashSet<u8> = flows.iter().filter_map(|f| f.hour()).collect();
         assert!(hours.len() >= 20);
     }
 

@@ -37,7 +37,9 @@ pub enum DatasetError {
         expected: String,
         found: String,
     },
-    /// A record line failed to parse.
+    /// A record line failed to parse, or holds a value the record has no
+    /// encoding for (a second-to-last hop wider than 32 bits): the reader
+    /// never keeps part of a value.
     BadRecord {
         line_no: u64,
         message: String,
@@ -250,6 +252,81 @@ mod tests {
         match read_probes(text.as_bytes()) {
             Err(DatasetError::BadRecord { line_no, .. }) => assert_eq!(line_no, 3),
             other => panic!("unexpected: {other:?}"),
+        }
+    }
+
+    /// A dataset of `kind` holding the one record `line`.
+    fn file(kind: &str, line: &str) -> String {
+        format!("{{\"schema\":1,\"kind\":\"{kind}\",\"count\":1,\"seed\":0}}\n{line}\n")
+    }
+
+    #[test]
+    fn values_a_record_cannot_hold_are_refused_not_truncated() {
+        let probe = |hop: &str| {
+            format!(
+                r#"{{"time":1,"vp":2,"target":{{"letter":"K","b_phase":"Old"}},"family":"V4","site":3,"rtt_ms":4.5,"second_to_last_hop":{hop},"identity":6}}"#
+            )
+        };
+        let transfer = |serial: &str, fault: &str| {
+            format!(
+                r#"{{"time":1,"vp_clock":2,"vp":3,"target":{{"letter":"K","b_phase":"Old"}},"family":"V6","serial":{serial},"fault":{fault}}}"#
+            )
+        };
+        // The widest value of every field reads back whole: writing what
+        // was read gives the same line.
+        for line in [probe("4294967295"), probe("null")] {
+            let (_, back) = read_probes(file("probes", &line).as_bytes()).unwrap();
+            let mut written = Vec::new();
+            write_probes(&mut written, &back, 0).unwrap();
+            assert_eq!(String::from_utf8(written).unwrap(), file("probes", &line));
+        }
+        for line in [
+            transfer("4294967295", r#"{"Bitflip":{"seed":18446744073709551615}}"#),
+            transfer("null", r#"{"Stale":{"serial":4294967295}}"#),
+        ] {
+            let (_, back) = read_transfers(file("transfers", &line).as_bytes()).unwrap();
+            let mut written = Vec::new();
+            write_transfers(&mut written, &back, 0).unwrap();
+            assert_eq!(
+                String::from_utf8(written).unwrap(),
+                file("transfers", &line)
+            );
+        }
+        // A hop past 32 bits is the one value a record has no encoding
+        // for; the reader names it rather than keeping its low bits.
+        for hop in ["4294967296", "18446744073709551615"] {
+            match read_probes(file("probes", &probe(hop)).as_bytes()) {
+                Err(DatasetError::BadRecord {
+                    line_no: 2,
+                    message,
+                }) => assert!(message.contains("second_to_last_hop"), "{message}"),
+                other => panic!("hop {hop}: {other:?}"),
+            }
+        }
+        // One past what the JSON field's own type holds fails as it always
+        // did.
+        let past = [
+            file("probes", &probe("18446744073709551616")),
+            file("transfers", &transfer("4294967296", "null")),
+            file(
+                "transfers",
+                &transfer("1", r#"{"Stale":{"serial":4294967296}}"#),
+            ),
+            file(
+                "transfers",
+                &transfer("1", r#"{"Bitflip":{"seed":18446744073709551616}}"#),
+            ),
+        ];
+        for text in &past {
+            let err = if text.contains("vp_clock") {
+                read_transfers(text.as_bytes()).map(drop)
+            } else {
+                read_probes(text.as_bytes()).map(drop)
+            };
+            assert!(
+                matches!(err, Err(DatasetError::BadRecord { line_no: 2, .. })),
+                "{text}"
+            );
         }
     }
 

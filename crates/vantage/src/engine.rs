@@ -771,25 +771,9 @@ const UNWRITTEN_TARGET: Target = Target {
     letter: RootLetter::A,
     b_phase: rss::BRootPhase::Old,
 };
-const UNWRITTEN_PROBE: ProbeRecord = ProbeRecord {
-    time: 0,
-    vp: VpId(0),
-    target: UNWRITTEN_TARGET,
-    family: Family::V4,
-    site: None,
-    rtt_ms: None,
-    second_to_last_hop: None,
-    identity: None,
-};
-const UNWRITTEN_TRANSFER: TransferRecord = TransferRecord {
-    time: 0,
-    vp_clock: 0,
-    vp: VpId(0),
-    target: UNWRITTEN_TARGET,
-    family: Family::V4,
-    serial: None,
-    fault: None,
-};
+const UNWRITTEN_PROBE: ProbeRecord = ProbeRecord::new(0, VpId(0), UNWRITTEN_TARGET, Family::V4);
+const UNWRITTEN_TRANSFER: TransferRecord =
+    TransferRecord::new(0, 0, VpId(0), UNWRITTEN_TARGET, Family::V4);
 
 /// The engine.
 pub struct MeasurementEngine<'w> {
@@ -1047,9 +1031,9 @@ impl<'w> MeasurementEngine<'w> {
         let ov = self.config.overrides.letter(target.letter);
         let timeout = rng.chance(self.config.timeout_prob);
         let selected = if timeout { None } else { select(rng) };
-        let site = selected.map(|(site, _)| site);
-        let (rtt_ms, second_to_last_hop, identity, site_city) = match selected {
-            None => (None, None, None, None),
+        let unanswered = ProbeRecord::new(time, vp.id, target, family);
+        let (record, site_city) = match selected {
+            None => (unanswered, None),
             Some((site_id, base)) => {
                 let facility = world
                     .catalog
@@ -1063,22 +1047,19 @@ impl<'w> MeasurementEngine<'w> {
                     Some(world.catalog.facilities.get(facility).edge_router())
                 };
                 let row = world.catalog.site(target.letter, site_id);
-                (Some(rtt), hop, Some(row.identity), Some(row.city.name))
+                let record = unanswered
+                    .with_site(Some(site_id))
+                    .with_rtt_ms(Some(rtt))
+                    .with_identity(Some(row.identity))
+                    .with_second_to_last_hop(hop)
+                    .expect("facility ids stay below 2^24, so edge-router hops fit 32 bits");
+                (record, Some(row.city.name))
             }
         };
-        sink.probe(ProbeRecord {
-            time,
-            vp: vp.id,
-            target,
-            family,
-            site,
-            rtt_ms,
-            second_to_last_hop,
-            identity,
-        });
+        sink.probe(record);
 
         // AXFR (once active, every round, as the script does).
-        if self.config.schedule.axfr_active(time) && site.is_some() {
+        if self.config.schedule.axfr_active(time) && selected.is_some() {
             let vp_clock = self.vp_clock(vp, time);
             // A letter-wide degraded-behavior override beats the dated
             // per-site stale windows.
@@ -1110,15 +1091,11 @@ impl<'w> MeasurementEngine<'w> {
                 Some(TransferFault::Stale { serial }) => serial,
                 _ => round.zone_serial,
             };
-            sink.transfer(TransferRecord {
-                time,
-                vp_clock,
-                vp: vp.id,
-                target,
-                family,
-                serial: Some(serial),
-                fault,
-            });
+            sink.transfer(
+                TransferRecord::new(time, vp_clock, vp.id, target, family)
+                    .with_serial(Some(serial))
+                    .with_fault(fault),
+            );
         }
     }
 
@@ -1545,7 +1522,7 @@ mod tests {
             .filter(|p| p.target.letter == letter)
         {
             *answers
-                .entry(p.site.unwrap_or(SiteId(u32::MAX)))
+                .entry(p.site().unwrap_or(SiteId(u32::MAX)))
                 .or_default() += 1;
         }
         let (&busiest, _) = answers.iter().max_by_key(|&(site, n)| (n, site)).unwrap();
@@ -1564,7 +1541,7 @@ mod tests {
         // Redirects outside the plans happened, and were priced too.
         assert!(main.session.states.iter().any(|s| !s.redirects.is_empty()));
         main.assert_agree();
-        let moved = |p: &&ProbeRecord| p.target.letter == letter && p.site == Some(busiest);
+        let moved = |p: &&ProbeRecord| p.target.letter == letter && p.site() == Some(busiest);
         let probes = &main.planned.probes;
         assert!(probes[..head_len].iter().filter(moved).count() > 100);
         assert_eq!(probes[head_len..middle_len].iter().filter(moved).count(), 0);
@@ -1625,7 +1602,7 @@ mod tests {
             s.probes
                 .iter()
                 .filter(|p| p.target.letter == RootLetter::K)
-                .filter_map(|p| p.rtt_ms)
+                .filter_map(|p| p.rtt_ms())
                 .collect()
         };
         let (inflated, baseline) = (rtts(&sink), rtts(&base));
@@ -1643,7 +1620,7 @@ mod tests {
         assert!(!k_transfers.is_empty());
         for t in k_transfers {
             assert!(
-                matches!(t.fault, Some(TransferFault::Bitflip { .. })),
+                matches!(t.fault(), Some(TransferFault::Bitflip { .. })),
                 "unflipped K transfer"
             );
         }
@@ -1759,7 +1736,7 @@ mod tests {
         let mut sink = VecSink::default();
         engine.run(&mut sink);
         for p in &sink.probes {
-            if let Some(rtt) = p.rtt_ms {
+            if let Some(rtt) = p.rtt_ms() {
                 assert!(rtt > 0.0 && rtt < 2000.0, "rtt {rtt}");
             }
         }
@@ -1835,13 +1812,13 @@ mod tests {
         let stale: Vec<&TransferRecord> = sink
             .transfers
             .iter()
-            .filter(|t| matches!(t.fault, Some(TransferFault::Stale { .. })))
+            .filter(|t| matches!(t.fault(), Some(TransferFault::Stale { .. })))
             .collect();
         // The tiny world may or may not route any VP to a Leeds d.root site;
         // if it does, the stale fault must be tagged with the stuck serial.
         for t in &stale {
             assert_eq!(t.target.letter, RootLetter::D);
-            match t.fault {
+            match t.fault() {
                 Some(TransferFault::Stale { serial }) => {
                     assert_eq!(serial, 2023091800);
                 }

@@ -15,7 +15,7 @@ fn no_false_positives_on_legitimate_measurements() {
     let check = SpeedOfLightCheck::default();
     let mut checked = 0;
     for probe in &p.probes {
-        let Some(rtt) = probe.rtt_ms else { continue };
+        let Some(rtt) = probe.rtt_ms() else { continue };
         let vp = p.world.population.get(probe.vp);
         let verdict = check.check(&p.world.catalog, probe.target.letter, vp.coord, rtt);
         assert_eq!(
@@ -62,7 +62,7 @@ fn rtt_series_of_single_vp_shows_no_level_shift() {
     use std::collections::HashMap;
     let mut series: HashMap<_, Vec<(u32, f64)>> = HashMap::new();
     for probe in &p.probes {
-        if let Some(rtt) = probe.rtt_ms {
+        if let Some(rtt) = probe.rtt_ms() {
             series
                 .entry((probe.vp, probe.target, probe.family))
                 .or_default()
@@ -87,9 +87,9 @@ fn injected_level_shift_detected_in_series() {
     let probe_rtts: Vec<f64> = p
         .probes
         .iter()
-        .filter(|pr| pr.rtt_ms.is_some())
+        .filter(|pr| pr.rtt_ms().is_some())
         .take(32)
-        .map(|pr| pr.rtt_ms.unwrap().max(20.0))
+        .map(|pr| pr.rtt_ms().unwrap().max(20.0))
         .collect();
     assert!(probe_rtts.len() >= 32);
     let mut series = probe_rtts;

@@ -18,7 +18,7 @@ fn pipeline() -> &'static Pipeline {
 fn probes_reference_valid_catalog_sites() {
     let p = pipeline();
     for probe in &p.probes {
-        if let Some(site) = probe.site {
+        if let Some(site) = probe.site() {
             // site() panics if unknown — this is the consistency check.
             let row = p.world.catalog.site(probe.target.letter, site);
             assert_eq!(row.letter, probe.target.letter);
@@ -40,7 +40,7 @@ fn transfers_only_from_reachable_probes() {
     let p = pipeline();
     // Every transfer must have a serial (site answered).
     for t in &p.transfers {
-        assert!(t.serial.is_some());
+        assert!(t.serial().is_some());
     }
 }
 
@@ -113,7 +113,7 @@ fn rtt_regions_only_have_their_own_vps() {
             }
         }
     }
-    let reachable = p.probes.iter().filter(|p| p.rtt_ms.is_some()).count();
+    let reachable = p.probes.iter().filter(|p| p.rtt_ms().is_some()).count();
     assert_eq!(total, reachable);
 }
 
@@ -125,7 +125,7 @@ fn table2_transfers_match_stream() {
     // Every failing class the engine injected appears.
     let has_bitflip = p.transfers.iter().any(|t| {
         matches!(
-            t.fault,
+            t.fault(),
             Some(vantage::records::TransferFault::Bitflip { .. })
         )
     });
@@ -146,4 +146,25 @@ fn deterministic_pipeline() {
     assert_eq!(a.transfers.len(), b.transfers.len());
     assert_eq!(a.probes.first(), b.probes.first());
     assert_eq!(a.isp_flows.len(), b.isp_flows.len());
+}
+
+#[test]
+fn dataset_files_read_back_the_streams_they_were_written_from() {
+    use vantage::dataset::{read_probes, read_transfers, write_probes, write_transfers};
+    let p = pipeline();
+    let seed = p.world.seed();
+    let mut buf = Vec::new();
+    write_probes(&mut buf, &p.probes, seed).unwrap();
+    let (header, probes) = read_probes(buf.as_slice()).unwrap();
+    assert_eq!(header.seed, seed);
+    assert!(probes == p.probes);
+    buf.clear();
+    write_transfers(&mut buf, &p.transfers, seed).unwrap();
+    let (_, transfers) = read_transfers(buf.as_slice()).unwrap();
+    assert!(transfers == p.transfers);
+    // The streams hold timeouts, answers without a hop and stale copies.
+    assert!(p.probes.iter().any(|r| r.site().is_none()));
+    assert!((p.probes.iter()).any(|r| r.site().is_some() && r.second_to_last_hop().is_none()));
+    assert!((p.transfers.iter())
+        .any(|t| matches!(t.fault(), Some(vantage::TransferFault::Stale { .. }))));
 }
