@@ -4,13 +4,17 @@
 #
 #   1. release build of every crate;
 #   2. full test suite;
-#   2a. the serving crate, the simulator crate, the farm's root tests
-#      (`farm_*` in tests/farm_invariants.rs and tests/golden_replay.rs),
-#      the analysis, zone and trace crates, the measurement and scenario
-#      crates, and the pipeline's own tests (`roots-core --lib`) once more
-#      at release optimisation with debug assertions and overflow checks
-#      on (own target dir): the serve
-#      kernels' and the response digest's arithmetic, `propagate`'s packed
+#   2a. the serving crate, the wire codec (`dns-wire`), the simulator
+#      crate, the farm's root tests (`farm_*` in tests/farm_invariants.rs
+#      and tests/golden_replay.rs), the serving byte pins
+#      (tests/rootd_serving.rs, tests/wire_interop.rs and golden_replay's
+#      `fallback_*`), the analysis, zone and trace crates, the measurement
+#      and scenario crates, and the pipeline's own tests (`roots-core
+#      --lib`) once more at release optimisation with debug assertions and
+#      overflow checks on (own target dir): the serve
+#      kernels' and the response digest's arithmetic, the encoder's
+#      arena walk (owner length bytes, RDLENGTH, same-owner pointer
+#      targets) and the writer's name table, `propagate`'s packed
 #      rank (shifts, the path-length field) and its `u32` kilometre sums,
 #      the shared-set debug_assert!, the analyses' dense indices — the RTT
 #      cell `(region · targets + target) · 2 + family`, the traffic bucket
@@ -53,10 +57,14 @@ cargo build --release --offline
 cargo test -q --offline
 
 # Checked arithmetic where the kernels live: release optimisation, debug
-# assertions and overflow checks on. Of the two root tests only the farm's
-# own (`farm_` in both files) are selected: the step exists for the serve,
-# digest and route-rank kernels, and whole-suite release coverage waits
-# for the `CITIES` fix (ROADMAP, tier-1 item c). That caveat does not
+# assertions and overflow checks on. Of the farm's two root tests only the
+# farm's own (`farm_` in both files) are selected, and of golden_replay
+# beside them only the serving pins (`fallback_`, which hold at every
+# optimisation level): the step exists for the serve, encode, digest and
+# route-rank kernels, and whole-suite release coverage waits for the
+# `CITIES` fix (ROADMAP, tier-1 item c). The serving suites
+# (rootd_serving, wire_interop) pin no world-dependent literal: they hold
+# answers to each other, to the wire and to their own zones. That caveat does not
 # reach the analysis, zone, trace, measurement and scenario crates' own
 # tests, nor `roots-core`'s unit tests: they hold at every optimisation
 # level, and their per-record and per-slot index arithmetic runs here
@@ -67,8 +75,11 @@ checked() {
         cargo test --release --offline -q "$@"
 }
 checked -p rootd
+checked -p dns-wire
 checked -p netsim
 checked -p roots-core --test farm_invariants --test golden_replay farm_
+checked -p roots-core --test rootd_serving --test wire_interop
+checked -p roots-core --test golden_replay fallback_
 checked -p analysis -p dns-zone -p traces
 checked -p vantage -p scenario
 checked -p roots-core --lib

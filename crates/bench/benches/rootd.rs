@@ -666,7 +666,9 @@ fn bench_hit_slab(_c: &mut Criterion) {
 /// quadratic or eight-fold redundant here (868 / 934 / 504 ms, DESIGN
 /// §15); `bench_guard` holds each under an absolute ceiling a fraction of
 /// that, so a per-owner or per-signature scan, or a per-qtype cache
-/// build, cannot come back unnoticed — not even on a slow host.
+/// build, cannot come back unnoticed — not even on a slow host. The
+/// index build — every record encoded once into the index's arena, whose
+/// size the line printed beside it gives — is held the same way.
 fn bench_zone_push_1500(_c: &mut Criterion) {
     fn best_ms<T>(mut f: impl FnMut() -> T) -> (f64, T) {
         let mut timed = || {
@@ -689,17 +691,21 @@ fn bench_zone_push_1500(_c: &mut Criterion) {
     let zone = Arc::new(zone);
     let (validate_ms, valid) = best_ms(|| dns_zone::validate_zone(&zone, now).is_valid());
     assert!(valid);
-    let index = Arc::new(ZoneIndex::build(Arc::clone(&zone)));
+    let (index_ms, index) = best_ms(|| ZoneIndex::build(Arc::clone(&zone)));
+    let index = Arc::new(index);
     let (cache_ms, shared) = best_ms(|| SharedState::build(Arc::clone(&index)));
     let (reload_ms, pushed) = best_ms(|| shared.try_reload(Arc::clone(&zone), now));
     assert!(pushed.is_ok() && shared.generation() == 3);
     record_metric("dns_zone/sign_1500", sign_ms);
     record_metric("dns_zone/validate_1500", validate_ms);
+    record_metric("rootd/index/build_1500", index_ms);
     record_metric("rootd/cache/build_1500", cache_ms);
     record_metric("rootd/reload_1500", reload_ms);
     println!(
         "zone push at 1500 TLDs: sign {sign_ms:.1} ms, validate {validate_ms:.1} ms, \
-         cache build {cache_ms:.1} ms, validated reload {reload_ms:.1} ms"
+         index build {index_ms:.1} ms ({} KiB of wire), cache build {cache_ms:.1} ms, \
+         validated reload {reload_ms:.1} ms",
+        index.wire_len() / 1024
     );
 }
 

@@ -65,14 +65,18 @@ const PREFIXES: &[&str] = &["rootd/serve_", "codec/", "simclock/"];
 /// chains it replaced read ≈1 000 (one response at a time) and ≈380
 /// (four abreast): the ceiling sits at 2× today's figure and well under
 /// both, so a digest that steps by the byte cannot come back unnoticed.
-/// The last four are milliseconds on a root-sized zone (1 500 TLDs), the
-/// fastest of three: signing, validating, building the shared answer
-/// cache, and one validated reload end to end. Each was 4–40× its
-/// ceiling while signing rescanned the zone per owner, validation per
-/// RRSIG, and the cache answered every qtype separately (868 / 934 /
-/// 504 / 1551 ms against 42 / 22 / 81 / 142 now); the ceilings sit 3–4×
-/// above today's figures, so a slow host passes and a scan coming back
-/// does not.
+/// The last five are milliseconds on a root-sized zone (1 500 TLDs), the
+/// fastest of three: signing, validating, building the index, building
+/// the shared answer cache, and one validated reload end to end. Each
+/// but the index was 4–40× its ceiling while signing rescanned the zone
+/// per owner, validation per RRSIG, and the cache answered every qtype
+/// separately (868 / 934 / 504 / 1551 ms against 42 / 22 / 81 / 142 then,
+/// 31 / 19 / 17 / 54 once the index encoded its records into one arena);
+/// the ceilings sit 3–15× above today's figures, so a slow host passes
+/// and a scan coming back does not. The index build (≈ 9 ms: every
+/// record encoded once, each referral copied into a run of its own) is
+/// held by its ceiling alone ([`CEILING_ONLY`]), 3× above it: a scan of
+/// the zone per owner or per delegation cannot hide under it.
 /// The two `pipeline/small` keys are milliseconds too, the fastest of
 /// three: `Pipeline::run(Small)` and `run_all` over it. They were ≈3 000
 /// and ≈2 600 while every probe scanned the catalog, cloned its identity
@@ -109,13 +113,18 @@ const PREFIXES: &[&str] = &["rootd/serve_", "codec/", "simclock/"];
 /// count.
 /// The `serve_fallback_*` keys and `codec/encode_referral` are nanoseconds
 /// on the same root-sized zone: one uncached answer — parse, `ZoneIndex`
-/// lookup, borrowed plan, one-pass encode — over 1 500 names in turn, and
-/// the encoder alone on one signed referral. They were ≈2 400 / ≈6 300
-/// (truncated) / ≈900 while the path cloned every record into an owned
-/// `Message`, compressed through a `HashMap` of key `Vec`s and re-encoded
-/// once per record it dropped (≈770 / ≈840 / ≈260 now, DESIGN §15 "Slow
-/// path budget"); the ceilings sit 2–3× above today's figures and below
-/// those, so an allocation per record or a re-encode loop cannot return.
+/// lookup, a plan of arena spans, one-pass encode — over 1 500 names in
+/// turn, and the `Message` encoder alone on one signed referral. They
+/// were ≈2 400 / ≈6 300 (truncated) / ≈900 while the path cloned every
+/// record into an owned `Message`, compressed through a `HashMap` of key
+/// `Vec`s and re-encoded once per record it dropped, and ≈450 / ≈300 /
+/// ≈590 (referral / NXDOMAIN / truncated) while it walked the zone's
+/// `Record`s instead of copying their wire bodies (≈270 / ≈235 / ≈435
+/// now, DESIGN §9 "Zone as wire"). The serve ceilings sit 2× above
+/// today's figures — a tenth to a third of the cloning path's — so an
+/// allocation per record or a re-encode loop cannot return even on a
+/// slow host; the `Record` walk itself sits under them, and rootbench's
+/// `farm_slowpath` pairs are what hold that one.
 /// The two `serve_hit_slab32` keys are nanoseconds a query for one warm
 /// 32-request slab through `serve_udp_batch` on `farm_hit`'s zone: the
 /// B-Root mix (≈ 80) and junk-with-DO alone (≈ 125). They read ≈ 110 / 175
@@ -142,6 +151,7 @@ const ABS_CEILING: &[(&str, f64)] = &[
     ("rootd/chaos/digest_ps_per_byte", 200.0),
     ("dns_zone/sign_1500", 170.0),
     ("dns_zone/validate_1500", 90.0),
+    ("rootd/index/build_1500", 30.0),
     ("rootd/cache/build_1500", 250.0),
     ("rootd/reload_1500", 500.0),
     ("pipeline/small/run_ms", 2_300.0),
@@ -159,9 +169,9 @@ const ABS_CEILING: &[(&str, f64)] = &[
     ("vantage/small/round_fresh_ms", 6.0),
     ("vantage/small/round_warm_ms", 6.0),
     ("pipeline/small/record_mib", 320.0),
-    ("rootd/serve_fallback_referral_do", 1_800.0),
-    ("rootd/serve_fallback_nxdomain_do", 1_500.0),
-    ("rootd/serve_fallback_tc512", 2_000.0),
+    ("rootd/serve_fallback_referral_do", 550.0),
+    ("rootd/serve_fallback_nxdomain_do", 480.0),
+    ("rootd/serve_fallback_tc512", 900.0),
     ("codec/encode_referral", 800.0),
     ("rootd/serve_hit_slab32_ns", 250.0),
     ("rootd/serve_hit_slab32_junk_do_ns", 350.0),
@@ -176,6 +186,7 @@ const ABS_CEILING: &[(&str, f64)] = &[
 /// wall-clock key only records which hour it was taken in, and the
 /// [`ABS_CEILING`] above already stops the regression class.
 const CEILING_ONLY: &[&str] = &[
+    "rootd/index/build_1500",
     "pipeline/small/record_mib",
     "vantage/small/round_fresh_ms",
     "vantage/small/round_warm_ms",
@@ -653,6 +664,34 @@ mod tests {
             assert_eq!(errs.len(), 1, "{key}");
             assert!(errs[0].contains("absolute ceiling"));
         }
+    }
+
+    #[test]
+    fn the_uncached_path_is_ceiling_gated_at_twice_its_arena_figures() {
+        // (key, today, while the encoder walked `Record`s)
+        let rows = [
+            ("rootd/serve_fallback_referral_do", 270.0, 447.0),
+            ("rootd/serve_fallback_nxdomain_do", 236.0, 299.0),
+            ("rootd/serve_fallback_tc512", 436.0, 588.0),
+        ];
+        for (key, today, walking) in rows {
+            let ceiling = ABS_CEILING.iter().find(|(k, _)| *k == key).expect(key).1;
+            assert!((1.8 * today..=2.1 * today).contains(&ceiling), "{key}");
+            // A host a third slower passes against the older baseline;
+            // the figure doubled fails, whatever the baseline recorded.
+            let base = json(&[(key, walking)]);
+            assert!(run(&base, &json(&[(key, 1.33 * today)])).is_ok(), "{key}");
+            let errs = run(&base, &json(&[(key, 2.1 * today)])).unwrap_err();
+            assert!(errs.iter().any(|e| e.contains("absolute ceiling")), "{key}");
+        }
+        // The index build is held by its ceiling alone, and may not vanish.
+        let key = "rootd/index/build_1500";
+        assert!(CEILING_ONLY.contains(&key));
+        assert!(run(&json(&[(key, 1.0)]), &json(&[(key, 18.0)])).is_ok());
+        let errs = run(&json(&[(key, 9.0)]), &json(&[(key, 31.0)])).unwrap_err();
+        assert_eq!(errs.len(), 1);
+        assert!(errs[0].contains("absolute ceiling"));
+        assert_eq!(run(&json(&[(key, 9.0)]), &json(&[])).unwrap_err().len(), 1);
     }
 
     #[test]

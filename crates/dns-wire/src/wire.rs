@@ -281,6 +281,23 @@ impl WireWriter {
         }
     }
 
+    /// Start the next message in `buf` (cleared first), forgetting every
+    /// name and pointer of the last one: a writer kept across messages
+    /// resets two list lengths where [`Self::with_buffer`] fills both
+    /// inline tables anew. Pair with [`Self::take_bytes`].
+    pub fn reset(&mut self, mut buf: Vec<u8>) {
+        buf.clear();
+        self.buf = buf;
+        self.names.truncate(0);
+        self.pointers.truncate(0);
+    }
+
+    /// Hand the bytes written so far back without consuming the writer
+    /// (no copy: its own allocation; the writer is left empty).
+    pub fn take_bytes(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.buf)
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -356,6 +373,38 @@ impl WireWriter {
             rest = tail;
         }
         self.put_u8(0);
+    }
+
+    /// [`Self::put_name_compressed`], returning where a later copy of
+    /// `name` may point: the target of the pointer the name was written as,
+    /// or the offset of its first label once registered. Either is the
+    /// first registered name equal to `name` — what `put_name_compressed`
+    /// finds for a second copy, since registration only appends. `None`
+    /// when that call would find nothing: the root, compression off, or a
+    /// first label past 0x3FFF, which is not registered.
+    pub fn put_name_compressed_at(&mut self, name: &[u8]) -> Option<u16> {
+        let start = self.buf.len();
+        let (known, logged) = (self.names.as_slice().len(), self.pointers.as_slice().len());
+        self.put_name_compressed(name);
+        match self.pointers.as_slice().get(logged) {
+            Some(&(pos, target)) if pos as usize == start => Some(target),
+            _ => {
+                let first = self.names.as_slice().get(known);
+                (start <= MAX_POINTER_TARGET && first == Some(&(start as u16)))
+                    .then_some(start as u16)
+            }
+        }
+    }
+
+    /// Write a name as a pointer to `target`, an offset
+    /// [`Self::put_name_compressed_at`] returned for an equal name, logged
+    /// as `put_name_compressed` logs its own: the bytes and the log a
+    /// second `put_name_compressed` of that name writes, as long as the
+    /// writer was not truncated to `target` or below in between.
+    pub fn put_name_pointer(&mut self, target: u16) {
+        debug_assert!(target as usize <= MAX_POINTER_TARGET && (target as usize) < self.buf.len());
+        self.pointers.push((self.buf.len() as u32, target));
+        self.put_u16(0xc000 | target);
     }
 
     /// The offset, among the first `known` registered, of the name that
@@ -553,6 +602,78 @@ mod tests {
         );
         w.put_name_compressed(names[0].as_wire());
         assert_eq!(w.as_bytes(), [names[0].as_wire(), &[0]].concat());
+    }
+
+    /// A repeated owner as a logged pointer is what `put_name_compressed`
+    /// writes for it — and where the first copy's labels start past
+    /// 0x3FFF, no pointer is offered: the labels are written again, as
+    /// `put_name_compressed` writes them.
+    #[test]
+    fn a_repeated_name_points_where_put_name_compressed_would() {
+        let (suffix, owner) = (name("example."), name("ns0.Example."));
+        // `suffix` at 12 (9 bytes), `owner` there too when `early`, then
+        // padding, then `owner` twice: the first copy starts at 21 + `pad`
+        // when not `early` — 0x3FFF for 0x3fea, 0x4000 for 0x3feb.
+        for (early, pad) in [
+            (false, 0),
+            (false, 0x3fea),
+            (false, 0x3feb),
+            (false, 0x4100),
+            (true, 0x4100),
+        ] {
+            let mut plain = WireWriter::new();
+            let mut fast = WireWriter::new();
+            for w in [&mut plain, &mut fast] {
+                w.put_bytes(&[0; 12]);
+                w.put_name_compressed(suffix.as_wire());
+                if early {
+                    w.put_name_compressed(owner.as_wire());
+                }
+                w.put_bytes(&vec![0xab; pad]);
+            }
+            let start = plain.len();
+            plain.put_name_compressed(owner.as_wire());
+            plain.put_name_compressed(owner.as_wire());
+            let target = fast.put_name_compressed_at(owner.as_wire());
+            match target {
+                Some(target) => fast.put_name_pointer(target),
+                None => fast.put_name_compressed(owner.as_wire()),
+            }
+            assert_eq!(fast.as_bytes(), plain.as_bytes(), "{early} {pad}");
+            assert_eq!(fast.pointers(), plain.pointers(), "{early} {pad}");
+            let want = match (early, start <= MAX_POINTER_TARGET) {
+                (true, _) => Some(12 + 9),
+                (false, true) => Some(start as u16),
+                (false, false) => None,
+            };
+            assert_eq!(target, want, "{early} {pad}");
+            // Past 0x3FFF the second copy spells `ns0` again.
+            let second = &plain.as_bytes()[plain.len() - 6..];
+            assert_eq!(second == [3, b'n', b's', b'0', 0xc0, 12], want.is_none());
+        }
+        // The root and a writer without compression offer nothing.
+        let mut w = WireWriter::new();
+        assert_eq!(w.put_name_compressed_at(&[]), None);
+        let mut w = WireWriter::without_compression();
+        assert_eq!(w.put_name_compressed_at(owner.as_wire()), None);
+    }
+
+    #[test]
+    fn reset_writes_what_a_new_writer_writes() {
+        let mut w = WireWriter::new();
+        for n in ["a.net.", "b.net.", "a.net."] {
+            w.put_name_compressed(name(n).as_wire());
+        }
+        let first = w.take_bytes();
+        w.reset(first);
+        let mut fresh = WireWriter::new();
+        for w in [&mut w, &mut fresh] {
+            w.put_name_compressed(name("b.net.").as_wire());
+            w.put_name_compressed(name("a.net.").as_wire());
+        }
+        assert_eq!(w.as_bytes(), fresh.as_bytes());
+        assert_eq!(w.pointers(), fresh.pointers());
+        assert!(w.compressed_suffixes().eq(fresh.compressed_suffixes()));
     }
 
     #[test]

@@ -1588,5 +1588,105 @@ mod tests {
                 proptest::prop_assert_eq!(fast, adapted);
             }
         }
+
+        /// The batched path on hostile bytes, over generated zones (1–63
+        /// TLDs, every roll-out phase, any signing key), for an uncached
+        /// engine and a farm-style one: a slab of arbitrary datagrams and
+        /// of valid queries flipped or cut is served without a panic,
+        /// every reply reparses with the section counts its header claims,
+        /// and each is byte for byte the one-shot answer to its request —
+        /// drops included.
+        #[test]
+        fn batched_hostile_datagrams_over_generated_zones(
+            tld_count in 1usize..64,
+            phase in 0usize..3,
+            key_seed in proptest::prelude::any::<u64>(),
+            junk in proptest::collection::vec(
+                (proptest::collection::vec(proptest::prelude::any::<u8>(), 0..80),
+                 proptest::prelude::any::<bool>()),
+                0..8,
+            ),
+            queries in proptest::collection::vec(
+                (some_query(), 0usize..400, 1u8..=255, 0usize..400, 0u8..3),
+                1..12,
+            ),
+        ) {
+            let phases = [
+                RolloutPhase::NoRecord,
+                RolloutPhase::PrivateAlgorithm,
+                RolloutPhase::Validating,
+            ];
+            let zone = build_root_zone(
+                &RootZoneConfig {
+                    tld_count,
+                    rollout: phases[phase],
+                    ..Default::default()
+                },
+                &ZoneKeys::from_seed(key_seed),
+            );
+            let index = Arc::new(ZoneIndex::build(Arc::new(zone)));
+            let shared = SharedState::build(Arc::clone(&index));
+            let engines = [
+                Rootd::new(index, SiteIdentity::named("lax2f")),
+                Rootd::with_shared_state(&shared, SiteIdentity::named("lax2f")),
+            ];
+            // Junk first, a plausible header grafted on some; then the
+            // queries as asked, with a byte flipped, or cut short.
+            let mut slab = Vec::new();
+            for (mut bytes, header) in junk {
+                if header && bytes.len() >= 12 {
+                    bytes[2] &= 0x01;
+                    let arcount = bytes[11] & 1;
+                    bytes[4..12].copy_from_slice(&[0, 1, 0, 0, 0, 0, 0, arcount]);
+                }
+                slab.push(bytes);
+            }
+            for (q, at, flip, cut, how) in queries {
+                let mut wire = q.to_wire();
+                match how {
+                    0 => {}
+                    1 => {
+                        let at = at % wire.len();
+                        wire[at] ^= flip;
+                    }
+                    _ => wire.truncate(cut % (wire.len() + 1)),
+                }
+                slab.push(wire);
+            }
+            for engine in &engines {
+                let mut batch = crate::transport::UdpBatch::new();
+                for datagram in &slab {
+                    batch.push_request(datagram);
+                }
+                let tally = engine.serve_udp_batch(&mut batch);
+                proptest::prop_assert_eq!(
+                    tally.hits + tally.fallbacks + tally.dropped,
+                    slab.len() as u64
+                );
+                let mut one_shot = Vec::new();
+                for (i, datagram) in slab.iter().enumerate() {
+                    let outcome = engine.serve_udp_into(datagram, &mut one_shot);
+                    let Some(reply) = batch.response(i) else {
+                        proptest::prop_assert_eq!(outcome, ServeOutcome::Dropped);
+                        continue;
+                    };
+                    proptest::prop_assert_ne!(outcome, ServeOutcome::Dropped);
+                    proptest::prop_assert_eq!(reply, &one_shot[..]);
+                    let msg = Message::from_wire(reply).map_err(|e| {
+                        proptest::prelude::TestCaseError::fail(format!("{e}: {reply:?}"))
+                    })?;
+                    let counts = [4, 6, 8, 10].map(|at| {
+                        u16::from_be_bytes([reply[at], reply[at + 1]]) as usize
+                    });
+                    let sections = [
+                        msg.questions.len(),
+                        msg.answers.len(),
+                        msg.authorities.len(),
+                        msg.additionals.len(),
+                    ];
+                    proptest::prop_assert_eq!(counts, sections);
+                }
+            }
+        }
     }
 }

@@ -12,48 +12,177 @@
 //! * the apex SOA (+RRSIG) for negative responses;
 //! * the NSEC chain in canonical order, for NXDOMAIN proofs.
 //!
+//! # The zone as wire
+//!
+//! The records themselves are encoded once, at build, into one arena per
+//! index, end to end as [`WireRecords`] reads them: the owner's flat wire
+//! form behind its length byte, then exactly what `Record::write_wire`
+//! writes after the owner — TYPE, CLASS, TTL, RDLENGTH and RDATA. Response
+//! RDATA is never compressed, so that body means the same at any offset of
+//! any message: an answer copies it and compresses only the owner. Every
+//! RRset is one run in the arena (its records, then the RRSIGs covering
+//! them), and each referral is one run of its own — NS, DS, RRSIG(DS),
+//! then the glue — so a delegation is answered from a few consecutive
+//! cache lines. Everything the answer path is handed is a [`Span`] into
+//! that arena ([`ZoneIndex::wire`]); no `Record` is kept beside it. Zone
+//! transfers and ZONEMD still read the [`Zone`] the index was built from.
+//!
 //! Lookups take the query name as the answer path already has it —
-//! lowercased flat wire form — and hand out borrowed record slices: a
-//! query is resolved without cloning a name or a record.
+//! lowercased flat wire form — and hand out spans: a query is resolved
+//! without cloning a name or a record.
 
 use crate::hash::ZoneMap;
 use dns_wire::rdata::Rdata;
+use dns_wire::wire::WireWriter;
 use dns_wire::{Name, Record, RrType};
 use dns_zone::Zone;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
+/// Where a run of records lies in a [`ZoneIndex`]'s arena; read it with
+/// [`ZoneIndex::wire`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Span {
+    start: u32,
+    end: u32,
+}
+
 /// A delegation response bundle for one TLD.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Referral {
     /// The NS RRset at the TLD; DS and RRSIG(DS) ride along as its
     /// "signatures" when the query asks for DNSSEC.
     pub authority: RrsetEntry,
     /// In-bailiwick glue (A/AAAA of the delegated name servers).
-    pub glue: Vec<Record>,
+    pub glue: Span,
 }
 
-/// One positive answer: the RRset and its covering signatures.
-#[derive(Debug, Clone, Default)]
+/// One positive answer: the RRset, then its covering signatures, in one
+/// run of the arena.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RrsetEntry {
-    /// The RRset, then what DNSSEC clients get with it.
-    all: Vec<Record>,
-    n_records: usize,
+    start: u32,
+    /// Where the RRset ends and its signatures begin.
+    records_end: u32,
+    end: u32,
 }
 
 impl RrsetEntry {
     /// The RRset itself.
-    pub fn records(&self) -> &[Record] {
-        &self.all[..self.n_records]
+    pub fn records(&self) -> Span {
+        Span {
+            start: self.start,
+            end: self.records_end,
+        }
     }
 
     /// The section this RRset fills: with its signatures when `dnssec`.
-    pub fn section(&self, dnssec: bool) -> &[Record] {
-        if dnssec {
-            &self.all
-        } else {
-            self.records()
+    pub fn section(&self, dnssec: bool) -> Span {
+        Span {
+            start: self.start,
+            end: if dnssec { self.end } else { self.records_end },
         }
+    }
+}
+
+/// Records laid end to end as the index's arena holds them: each the
+/// owner's flat wire form (no root byte) behind its length byte, then
+/// TYPE, CLASS, TTL, RDLENGTH and RDATA as a message carries them.
+#[derive(Debug, Clone, Copy)]
+pub struct WireRecords<'a>(&'a [u8]);
+
+impl<'a> WireRecords<'a> {
+    /// The records of `run` (an arena span's bytes, or a run built the
+    /// same way).
+    pub fn new(run: &'a [u8]) -> WireRecords<'a> {
+        WireRecords(run)
+    }
+}
+
+impl<'a> Iterator for WireRecords<'a> {
+    type Item = WireRecord<'a>;
+
+    fn next(&mut self) -> Option<WireRecord<'a>> {
+        let &owner_len = self.0.first()?;
+        let body = 1 + owner_len as usize;
+        let rdlength = u16::from_be_bytes([self.0[body + 8], self.0[body + 9]]) as usize;
+        let (record, rest) = self.0.split_at(body + 10 + rdlength);
+        self.0 = rest;
+        Some(WireRecord(record))
+    }
+}
+
+/// One record of a [`WireRecords`] run.
+#[derive(Debug, Clone, Copy)]
+pub struct WireRecord<'a>(&'a [u8]);
+
+impl<'a> WireRecord<'a> {
+    /// The whole record as the run holds it.
+    pub fn bytes(&self) -> &'a [u8] {
+        self.0
+    }
+
+    /// The owner: flat wire form, no root byte, in the zone's case.
+    pub fn owner(&self) -> &'a [u8] {
+        &self.0[1..1 + self.0[0] as usize]
+    }
+
+    /// TYPE, CLASS, TTL, RDLENGTH and RDATA: what follows the owner in a
+    /// message, never compressed.
+    pub fn body(&self) -> &'a [u8] {
+        &self.0[1 + self.0[0] as usize..]
+    }
+}
+
+/// A run of records being laid out in the [`WireRecords`] form.
+pub(crate) struct RunBuilder {
+    bytes: Vec<u8>,
+    /// Each record passes through here: its body is what
+    /// `Record::write_wire` writes after the owner, byte for byte.
+    w: WireWriter,
+}
+
+impl RunBuilder {
+    pub(crate) fn new() -> RunBuilder {
+        RunBuilder {
+            bytes: Vec::new(),
+            // The owner of a message's first name is written out in full
+            // either way; without compression that is by definition.
+            w: WireWriter::without_compression(),
+        }
+    }
+
+    /// Offset of the next record.
+    fn len(&self) -> u32 {
+        u32::try_from(self.bytes.len()).expect("an arena under 4 GiB")
+    }
+
+    /// Append `rec`.
+    pub(crate) fn push(&mut self, rec: &Record) {
+        self.w.truncate(0);
+        rec.write_wire(&mut self.w);
+        let owner = rec.name.as_wire();
+        self.bytes.push(owner.len() as u8);
+        self.bytes.extend_from_slice(owner);
+        self.bytes
+            .extend_from_slice(&self.w.as_bytes()[owner.len() + 1..]);
+    }
+
+    /// Append copies of runs already laid out here.
+    fn copy(&mut self, spans: impl IntoIterator<Item = Span>) -> Span {
+        let start = self.len();
+        for span in spans {
+            let range = span.start as usize..span.end as usize;
+            self.bytes.extend_from_within(range);
+        }
+        Span {
+            start,
+            end: self.len(),
+        }
+    }
+
+    pub(crate) fn finish(self) -> Box<[u8]> {
+        self.bytes.into_boxed_slice()
     }
 }
 
@@ -88,25 +217,34 @@ impl Node {
 
     fn answer(&self, rr_type: RrType) -> Lookup<'_> {
         match self.rrset(rr_type) {
-            Some(entry) if entry.n_records > 0 => Lookup::Answer(entry),
+            Some(entry) if entry.records_end > entry.start => Lookup::Answer(entry),
             _ => Lookup::NoData,
         }
     }
 }
 
-/// The signed root zone, precompiled into hash lookups.
+/// The records of one owner name before they are laid out: per type, the
+/// RRset and then the RRSIGs covering it, each in zone order.
+struct Grouped<'z> {
+    name: &'z Name,
+    rrsets: Vec<(RrType, Vec<&'z Record>, Vec<&'z Record>)>,
+}
+
+/// The signed root zone, precompiled into hash lookups over one arena.
 #[derive(Debug)]
 pub struct ZoneIndex {
     zone: Arc<Zone>,
     origin: Name,
     serial: u32,
+    /// Every record the answer path can hand out, as wire (module docs).
+    arena: Box<[u8]>,
     /// Lowercased flat owner name → what the zone holds there.
     nodes: ZoneMap<Box<[u8]>, Node>,
     /// Apex SOA, then its RRSIG, for negative-response authority sections.
     negative: RrsetEntry,
     /// A and AAAA of every apex NS target, in NS order: the additional
     /// section of the priming response (RFC 8109).
-    priming_glue: Vec<Record>,
+    priming_glue: Span,
     /// NSEC owners in canonical order with their records and signatures.
     nsec_chain: Vec<(Name, RrsetEntry)>,
     /// Link by link, the owner's [`sort_key`]: what the NXDOMAIN path's
@@ -160,84 +298,107 @@ impl ZoneIndex {
 
         // First pass: group records by (owner, type), zone order kept;
         // RRSIGs go with the type they cover, behind the RRset.
-        let mut nodes: ZoneMap<Box<[u8]>, Node> = ZoneMap::default();
+        let mut grouped: ZoneMap<Box<[u8]>, Grouped<'_>> = ZoneMap::default();
         for rec in zone.records() {
-            let node = nodes.entry(key_of(&rec.name)).or_insert_with(|| Node {
-                name: rec.name.clone(),
+            let node = grouped.entry(key_of(&rec.name)).or_insert_with(|| Grouped {
+                name: &rec.name,
                 rrsets: Vec::new(),
-                referral: None,
             });
             let covered = match &rec.rdata {
                 Rdata::Rrsig(sig) => Some(sig.type_covered),
                 _ => None,
             };
             let rr_type = covered.unwrap_or(rec.rr_type);
-            let at = match node.rrsets.iter().position(|(t, _)| *t == rr_type) {
+            let at = match node.rrsets.iter().position(|(t, ..)| *t == rr_type) {
                 Some(at) => at,
                 None => {
-                    node.rrsets.push((rr_type, RrsetEntry::default()));
+                    node.rrsets.push((rr_type, Vec::new(), Vec::new()));
                     node.rrsets.len() - 1
                 }
             };
-            let entry = &mut node.rrsets[at].1;
-            if covered.is_some() {
-                entry.all.push(rec.clone());
-            } else {
-                entry.all.insert(entry.n_records, rec.clone());
-                entry.n_records += 1;
+            let (_, records, sigs) = &mut node.rrsets[at];
+            match covered {
+                Some(_) => sigs.push(rec),
+                None => records.push(rec),
             }
         }
 
-        // Second pass: delegation bundles. A delegated TLD is a non-apex
-        // owner holding an NS RRset (the root zone has no in-zone cuts
-        // deeper than one label).
-        let glue_of = |nodes: &ZoneMap<Box<[u8]>, Node>, ns: &[Record]| {
-            let mut glue = Vec::new();
-            for ns in ns {
-                let Rdata::Ns(target) = &ns.rdata else {
-                    continue;
+        // Second pass: every RRset into the arena, one run each. Owners
+        // holding NS records note where those point, for the glue.
+        let mut arena = RunBuilder::new();
+        let mut nodes: ZoneMap<Box<[u8]>, Node> = ZoneMap::default();
+        let mut delegations = Vec::new();
+        for (key, group) in grouped {
+            let mut rrsets = Vec::with_capacity(group.rrsets.len());
+            for (rr_type, records, sigs) in &group.rrsets {
+                let start = arena.len();
+                records.iter().for_each(|rec| arena.push(rec));
+                let records_end = arena.len();
+                sigs.iter().for_each(|rec| arena.push(rec));
+                let entry = RrsetEntry {
+                    start,
+                    records_end,
+                    end: arena.len(),
                 };
-                let Some(node) = nodes.get(&key_of(target)) else {
-                    continue;
-                };
-                for glue_type in [RrType::A, RrType::Aaaa] {
-                    if let Some(entry) = node.rrset(glue_type) {
-                        glue.extend_from_slice(entry.records());
-                    }
+                rrsets.push((*rr_type, entry));
+                if *rr_type == RrType::Ns && !records.is_empty() {
+                    let targets = records.iter().filter_map(|rec| match &rec.rdata {
+                        Rdata::Ns(target) => Some(key_of(target)),
+                        _ => None,
+                    });
+                    delegations.push((key.clone(), targets.collect::<Vec<_>>()));
                 }
             }
-            glue
+            let node = Node {
+                name: group.name.clone(),
+                rrsets,
+                referral: None,
+            };
+            nodes.insert(key, node);
+        }
+
+        // Third pass: delegation bundles, each one run of its own — NS, DS
+        // and RRSIG(DS), then the glue: A, then AAAA, of each NS target in
+        // NS order. A delegated TLD is a non-apex owner holding an NS RRset
+        // (the root zone has no in-zone cuts deeper than one label); the
+        // apex's NS targets give the priming glue.
+        let glue_of = |nodes: &ZoneMap<Box<[u8]>, Node>, targets: &[Box<[u8]>]| {
+            let found = targets.iter().filter_map(|target| nodes.get(target));
+            let glue = found.flat_map(|node| {
+                let types = [RrType::A, RrType::Aaaa].into_iter();
+                types.filter_map(|glue_type| Some(node.rrset(glue_type)?.records()))
+            });
+            glue.collect::<Vec<Span>>()
         };
-        let referrals: Vec<(Box<[u8]>, Referral)> = nodes
-            .iter()
-            .filter(|(_, node)| node.name != origin)
-            .filter_map(|(key, node)| {
-                let ns = node.rrset(RrType::Ns)?.records();
-                if ns.is_empty() {
-                    return None;
-                }
-                let ds = node.rrset(RrType::Ds).map_or(&[][..], |ds| &ds.all);
-                let authority = RrsetEntry {
-                    all: [ns, ds].concat(),
-                    n_records: ns.len(),
-                };
-                let glue = glue_of(&nodes, ns);
-                let referral = Referral { authority, glue };
-                Some((key.clone(), referral))
-            })
-            .collect();
-        for (key, referral) in referrals {
+        let apex_key = key_of(&origin);
+        let mut priming_glue = Span::default();
+        for (key, targets) in delegations {
+            let glue = glue_of(&nodes, &targets);
+            if key == apex_key {
+                priming_glue = arena.copy(glue);
+                continue;
+            }
+            let node = &nodes[&key];
+            let ns = node.rrset(RrType::Ns).expect("a delegation").records();
+            let ds = node.rrset(RrType::Ds).map(|ds| ds.section(true));
+            let ns = arena.copy([ns]);
+            let ds = arena.copy(ds);
+            let referral = Referral {
+                authority: RrsetEntry {
+                    start: ns.start,
+                    records_end: ns.end,
+                    end: ds.end,
+                },
+                glue: arena.copy(glue),
+            };
             nodes.get_mut(&key).expect("an owner").referral = Some(referral);
         }
 
-        let apex = nodes.get(&key_of(&origin));
-        let apex_rrset = |rr_type| apex.and_then(|node| node.rrset(rr_type));
-        let negative = apex_rrset(RrType::Soa).cloned().unwrap_or_default();
-        let priming_glue = glue_of(&nodes, apex_rrset(RrType::Ns).map_or(&[], |e| e.records()));
-
+        let apex = nodes.get(&apex_key);
+        let negative = apex.and_then(|node| node.rrset(RrType::Soa).copied());
         let mut nsec_chain: Vec<(Name, RrsetEntry)> = nodes
             .values()
-            .filter_map(|node| Some((node.name.clone(), node.rrset(RrType::Nsec)?.clone())))
+            .filter_map(|node| Some((node.name.clone(), *node.rrset(RrType::Nsec)?)))
             .collect();
         nsec_chain.sort_by(|a, b| a.0.canonical_cmp(&b.0));
         let nsec_keys = nsec_chain
@@ -249,12 +410,24 @@ impl ZoneIndex {
             zone,
             origin,
             serial,
+            arena: arena.finish(),
             nodes,
-            negative,
+            negative: negative.unwrap_or_default(),
             priming_glue,
             nsec_chain,
             nsec_keys,
         }
+    }
+
+    /// The bytes of `span`: records end to end, as [`WireRecords`] reads
+    /// them.
+    pub fn wire(&self, span: Span) -> &[u8] {
+        &self.arena[span.start as usize..span.end as usize]
+    }
+
+    /// The arena's size in bytes: every run the answer path reads.
+    pub fn wire_len(&self) -> usize {
+        self.arena.len()
     }
 
     /// The indexed zone (AXFR streams straight from it).
@@ -299,13 +472,13 @@ impl ZoneIndex {
     }
 
     /// SOA (+ RRSIG when `dnssec`) for negative-response authority.
-    pub fn negative_authority(&self, dnssec: bool) -> &[Record] {
-        self.negative.section(dnssec)
+    pub fn negative_authority(&self, dnssec: bool) -> &[u8] {
+        self.wire(self.negative.section(dnssec))
     }
 
     /// The additional section of the priming response.
-    pub fn priming_glue(&self) -> &[Record] {
-        &self.priming_glue
+    pub fn priming_glue(&self) -> &[u8] {
+        self.wire(self.priming_glue)
     }
 
     /// Where in [`Self::nsec_chain`] the link covering `name` (flat wire
@@ -375,6 +548,19 @@ impl ZoneIndex {
         }
     }
 }
+/// `run`'s records decoded back into `Record`s: what the arena was
+/// encoded from.
+#[cfg(test)]
+pub(crate) fn decode_run(run: &[u8]) -> Vec<Record> {
+    let decode = |rec: WireRecord<'_>| {
+        let wire = [rec.owner(), &[0], rec.body()].concat();
+        let mut r = dns_wire::wire::WireReader::new(&wire);
+        let decoded = Record::read_wire(&mut r).expect("a record the arena holds");
+        assert!(r.is_empty());
+        decoded
+    };
+    WireRecords::new(run).map(decode).collect()
+}
 
 #[cfg(test)]
 mod tests {
@@ -395,22 +581,99 @@ mod tests {
         ZoneIndex::build(Arc::new(zone))
     }
 
+    /// The types of the records `span` holds, in order.
+    fn types(idx: &ZoneIndex, span: Span) -> Vec<RrType> {
+        decode_run(idx.wire(span))
+            .iter()
+            .map(|r| r.rr_type)
+            .collect()
+    }
+
+    /// Every run decodes to the records the zone holds, in zone order:
+    /// each RRset then the RRSIGs covering it, each referral its NS, DS
+    /// and RRSIG(DS) then the glue of each NS target, the priming glue
+    /// the A and AAAA of the thirteen letters — and no byte of the arena
+    /// lies outside the runs the index hands out.
+    #[test]
+    fn arena_runs_decode_to_the_zone_records() {
+        let idx = index();
+        let zone = idx.zone();
+        let at = |owner: &Name, rr_type: RrType, sigs: bool| -> Vec<Record> {
+            let same = |rec: &&Record| {
+                let covered = match &rec.rdata {
+                    Rdata::Rrsig(sig) => Some(sig.type_covered),
+                    _ => None,
+                };
+                rec.name == *owner
+                    && covered.is_some() == sigs
+                    && covered.unwrap_or(rec.rr_type) == rr_type
+            };
+            zone.records().iter().filter(same).cloned().collect()
+        };
+        let mut covered = vec![false; idx.wire_len()];
+        let mut cover = |span: Span| {
+            covered[span.start as usize..span.end as usize].fill(true);
+        };
+        for node in idx.nodes.values() {
+            for (rr_type, entry) in &node.rrsets {
+                let want = [
+                    at(&node.name, *rr_type, false),
+                    at(&node.name, *rr_type, true),
+                ];
+                assert_eq!(decode_run(idx.wire(entry.records())), want[0]);
+                assert_eq!(decode_run(idx.wire(entry.section(true))), want.concat());
+                cover(entry.section(true));
+            }
+            let Some(referral) = &node.referral else {
+                continue;
+            };
+            let ns = at(&node.name, RrType::Ns, false);
+            let authority = [ns.clone(), at(&node.name, RrType::Ds, false)];
+            let authority = [&authority[..], &[at(&node.name, RrType::Ds, true)]].concat();
+            let glue = ns.iter().flat_map(|ns| {
+                let Rdata::Ns(target) = &ns.rdata else {
+                    unreachable!()
+                };
+                [
+                    at(target, RrType::A, false),
+                    at(target, RrType::Aaaa, false),
+                ]
+                .concat()
+            });
+            let auth = idx.wire(referral.authority.section(true));
+            assert_eq!(decode_run(auth), authority.concat(), "{}", node.name);
+            assert_eq!(
+                decode_run(idx.wire(referral.glue)),
+                glue.collect::<Vec<_>>()
+            );
+            cover(referral.authority.section(true));
+            cover(referral.glue);
+        }
+        let priming = decode_run(idx.priming_glue());
+        assert_eq!(priming.len(), 26);
+        assert!(priming
+            .iter()
+            .all(|r| r.name.to_string().ends_with(".root-servers.net.")));
+        cover(idx.priming_glue);
+        assert!(covered.iter().all(|&c| c));
+    }
+
     #[test]
     fn apex_rrsets_found_with_rrsigs() {
         let idx = index();
         match idx.lookup(b"", RrType::Soa) {
             Lookup::Answer(e) => {
-                assert_eq!(e.records().len(), 1);
-                assert_eq!(e.section(false).len(), 1);
-                assert!(e.section(true).len() > 1);
+                assert_eq!(types(&idx, e.records()), [RrType::Soa]);
+                assert_eq!(e.section(false), e.records());
+                assert_eq!(types(&idx, e.section(true)), [RrType::Soa, RrType::Rrsig]);
             }
             other => panic!("unexpected {other:?}"),
         }
         match idx.lookup(b"", RrType::Ns) {
-            Lookup::Answer(e) => assert_eq!(e.records().len(), 13),
+            Lookup::Answer(e) => assert_eq!(types(&idx, e.records()), [RrType::Ns; 13]),
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(idx.priming_glue().len(), 26);
+        assert_eq!(WireRecords::new(idx.priming_glue()).count(), 26);
     }
 
     #[test]
@@ -418,9 +681,15 @@ mod tests {
         let idx = index();
         match idx.lookup(b"\x03com", RrType::A) {
             Lookup::Referral(r) => {
-                assert_eq!(r.authority.records().len(), 2);
-                assert!(r.authority.section(true).len() > 2);
-                assert_eq!(r.glue.len(), 4); // 2 NS × (A + AAAA)
+                assert_eq!(types(&idx, r.authority.records()), [RrType::Ns; 2]);
+                assert_eq!(
+                    types(&idx, r.authority.section(true)),
+                    [RrType::Ns, RrType::Ns, RrType::Ds, RrType::Rrsig]
+                );
+                // 2 NS × (A + AAAA), right behind the authority.
+                let glue = [RrType::A, RrType::Aaaa, RrType::A, RrType::Aaaa];
+                assert_eq!(types(&idx, r.glue), glue);
+                assert_eq!(r.glue.start, r.authority.section(true).end);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -443,8 +712,8 @@ mod tests {
         let idx = index();
         match idx.lookup(b"\x03com", RrType::Ds) {
             Lookup::Answer(e) => {
-                assert!(!e.records().is_empty());
-                assert!(e.section(true).len() > e.records().len());
+                assert_eq!(types(&idx, e.records()), [RrType::Ds]);
+                assert_eq!(types(&idx, e.section(true)), [RrType::Ds, RrType::Rrsig]);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -471,11 +740,15 @@ mod tests {
     #[test]
     fn negative_authority_carries_soa_and_optionally_rrsig() {
         let idx = index();
-        let plain = idx.negative_authority(false);
-        assert_eq!(plain.len(), 1);
-        assert_eq!(plain[0].rr_type, RrType::Soa);
-        let signed = idx.negative_authority(true);
-        assert!(signed.iter().any(|r| r.rr_type == RrType::Rrsig));
+        let types = |run| {
+            decode_run(run)
+                .iter()
+                .map(|r| r.rr_type)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(types(idx.negative_authority(false)), [RrType::Soa]);
+        let signed = types(idx.negative_authority(true));
+        assert_eq!(signed, [RrType::Soa, RrType::Rrsig]);
     }
 
     #[test]
@@ -485,8 +758,11 @@ mod tests {
         let nsec = idx
             .covering_nsec(junk.as_wire())
             .expect("signed zone has a chain");
-        assert!(!nsec.records().is_empty());
-        assert!(nsec.section(true).len() > nsec.records().len());
+        assert_eq!(types(&idx, nsec.records()), [RrType::Nsec]);
+        assert_eq!(
+            types(&idx, nsec.section(true)),
+            [RrType::Nsec, RrType::Rrsig]
+        );
         // The chain wraps: the root sorts first and owns the first link; a
         // name equal to an owner is covered by its own link, in any case.
         assert_eq!(idx.covering_link(b""), Some(0));

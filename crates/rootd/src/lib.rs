@@ -7,7 +7,8 @@
 //!
 //! * [`index`] — [`ZoneIndex`]: the signed root zone precompiled into hash
 //!   lookups (positive RRsets with covering RRSIGs, TLD referral bundles
-//!   with glue, the NSEC chain for negative proofs);
+//!   with glue, the NSEC chain for negative proofs) over one arena holding
+//!   every record as wire, encoded once;
 //! * [`engine`] — [`Rootd`]: parse with `dns_wire::Message::from_wire`,
 //!   answer (authoritative data, referrals, NXDOMAIN, CHAOS identity,
 //!   AXFR), encode honoring the advertised EDNS payload size with TC-bit
