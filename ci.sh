@@ -4,15 +4,19 @@
 #
 #   1. release build of every crate;
 #   2. full test suite;
-#   2a. the serving crate, the wire codec (`dns-wire`), the simulator
-#      crate, the farm's root tests (`farm_*` in tests/farm_invariants.rs
-#      and tests/golden_replay.rs), the serving byte pins
+#   2a. the serving crate, the wire codec (`dns-wire`), the hash and
+#      signature crate (`dns-crypto`), the simulator crate, the farm's root
+#      tests (`farm_*` in tests/farm_invariants.rs and
+#      tests/golden_replay.rs), the serving byte pins
 #      (tests/rootd_serving.rs, tests/wire_interop.rs and golden_replay's
-#      `fallback_*`), the analysis, zone and trace crates, the measurement
+#      `fallback_*`), the zone-integrity suite (tests/zone_integrity.rs),
+#      the analysis, zone and trace crates, the measurement
 #      and scenario crates, and the pipeline's own tests (`roots-core
 #      --lib`) once more at release optimisation with debug assertions and
 #      overflow checks on (own target dir): the serve
-#      kernels' and the response digest's arithmetic, the encoder's
+#      kernels' and the response digest's arithmetic, the SHA-2 rounds and
+#      SIMSIG's keyed digests, the canonical form's offsets (owner keys,
+#      span offsets, the TTL patched into signed data), the encoder's
 #      arena walk (owner length bytes, RDLENGTH, same-owner pointer
 #      targets) and the writer's name table, `propagate`'s packed
 #      rank (shifts, the path-length field) and its `u32` kilometre sums,
@@ -63,8 +67,10 @@ cargo test -q --offline
 # optimisation level): the step exists for the serve, encode, digest and
 # route-rank kernels, and whole-suite release coverage waits for the
 # `CITIES` fix (ROADMAP, tier-1 item c). The serving suites
-# (rootd_serving, wire_interop) pin no world-dependent literal: they hold
-# answers to each other, to the wire and to their own zones. That caveat does not
+# (rootd_serving, wire_interop) and zone_integrity pin no world-dependent
+# literal: they hold answers to each other, to the wire and to their own
+# zones, and zone_integrity and `dns-crypto` run the hash rounds and the
+# signing arithmetic the zone code shares. That caveat does not
 # reach the analysis, zone, trace, measurement and scenario crates' own
 # tests, nor `roots-core`'s unit tests: they hold at every optimisation
 # level, and their per-record and per-slot index arithmetic runs here
@@ -76,9 +82,11 @@ checked() {
 }
 checked -p rootd
 checked -p dns-wire
+checked -p dns-crypto
 checked -p netsim
 checked -p roots-core --test farm_invariants --test golden_replay farm_
 checked -p roots-core --test rootd_serving --test wire_interop
+checked -p roots-core --test zone_integrity
 checked -p roots-core --test golden_replay fallback_
 checked -p analysis -p dns-zone -p traces
 checked -p vantage -p scenario

@@ -35,38 +35,73 @@ pub struct ColocationResult {
     pub per_vp: Vec<ReducedRedundancy>,
 }
 
+/// Co-location's share of a probe walk: the latest answered probe's time
+/// and hop per `(vp, family, letter)`, in one array indexed
+/// `(vp * 2 + family) * 13 + letter`, grown to the highest VP seen. A
+/// later probe at an equal time replaces an earlier one.
+///
+/// b.root's two addresses share physical sites; only the old-address
+/// target is kept, so each letter contributes exactly one hop.
+#[derive(Debug, Clone, Default)]
+pub struct LatestHops {
+    latest: Vec<Option<(u32, Option<u64>)>>,
+}
+
+const LETTERS: usize = RootLetter::ALL.len();
+
+impl LatestHops {
+    /// Keep `p` if it is its slot's latest answered probe so far.
+    #[inline]
+    pub fn add(&mut self, p: &ProbeRecord) {
+        if p.target.b_phase != BRootPhase::Old || p.site().is_none() {
+            return;
+        }
+        let vp = p.vp.0 as usize;
+        if vp * 2 * LETTERS >= self.latest.len() {
+            self.latest.resize((vp + 1) * 2 * LETTERS, None);
+        }
+        let slot = (vp * 2 + p.family.index()) * LETTERS + p.target.letter.index();
+        let entry = &mut self.latest[slot];
+        if entry.is_none_or(|(time, _)| p.time >= time) {
+            *entry = Some((p.time, p.second_to_last_hop()));
+        }
+    }
+
+    /// Add every probe of `chunk`, in order.
+    pub fn fold(&mut self, chunk: &[ProbeRecord]) {
+        chunk.iter().for_each(|p| self.add(p));
+    }
+
+    /// Add a later chunk's latest hops: its entry wins a slot at an equal
+    /// time, as its probe would have in one walk.
+    pub fn merge(&mut self, later: &LatestHops) {
+        if later.latest.len() > self.latest.len() {
+            self.latest.resize(later.latest.len(), None);
+        }
+        for (entry, later) in self.latest.iter_mut().zip(&later.latest) {
+            if let Some((time, _)) = later {
+                if entry.is_none_or(|(held, _)| *time >= held) {
+                    *entry = *later;
+                }
+            }
+        }
+    }
+}
+
 impl ColocationResult {
     /// Compute from the probe stream, using each VP's most recent observed
     /// second-to-last hop per letter (the paper's per-VP view).
-    ///
-    /// b.root's two addresses share physical sites; only the old-address
-    /// target is used so each letter contributes exactly one hop.
     pub fn compute(probes: &[ProbeRecord]) -> ColocationResult {
-        const LETTERS: usize = RootLetter::ALL.len();
-        // `latest[(vp * 2 + family) * 13 + letter]`: time and hop of the
-        // latest answered probe; a later probe at an equal time replaces
-        // an earlier one. Grown to the highest VP id seen so far.
-        let mut latest: Vec<Option<(u32, Option<u64>)>> = Vec::new();
-        for p in probes {
-            if p.target.b_phase != BRootPhase::Old {
-                continue;
-            }
-            if p.site().is_none() {
-                continue;
-            }
-            let vp = p.vp.0 as usize;
-            if vp * 2 * LETTERS >= latest.len() {
-                latest.resize((vp + 1) * 2 * LETTERS, None);
-            }
-            let entry =
-                &mut latest[(vp * 2 + p.family.index()) * LETTERS + p.target.letter.index()];
-            if entry.is_none_or(|(time, _)| p.time >= time) {
-                *entry = Some((p.time, p.second_to_last_hop()));
-            }
-        }
-        // One row per (vp, family) with an observed letter, in that order.
+        let mut latest = LatestHops::default();
+        latest.fold(probes);
+        Self::finish(&latest)
+    }
+
+    /// One row per `(vp, family)` with an observed letter, in that order:
+    /// the VP's thirteen hops compared in a fixed array.
+    pub fn finish(hops: &LatestHops) -> ColocationResult {
         let mut per_vp = Vec::new();
-        for (row, hops) in latest.chunks_exact(LETTERS).enumerate() {
+        for (row, hops) in hops.latest.chunks_exact(LETTERS).enumerate() {
             let mut seen = [0u64; LETTERS];
             let mut n_seen = 0;
             let mut total = 0u32;

@@ -5,8 +5,9 @@
 //! i.root in North America, l.root in Africa, …).
 //!
 //! The samples of all 6 × 14 × 2 cells live in one exactly-sized vector:
-//! a counting pass sizes each cell's run, a second pass scatters every
-//! RTT's bit pattern into its cell. An RTT is finite and not negative, so
+//! a counting pass ([`RttCells`], part of the pipeline's one probe walk)
+//! sizes each cell's run, a second pass scatters every RTT's bit pattern
+//! into its cell. An RTT is finite and not negative, so
 //! its bit pattern orders as its value does and each cell is sorted as
 //! integers. The summary then sums a cell in ascending order, as it
 //! always has — mean and deviation keep every bit.
@@ -25,40 +26,92 @@ pub struct RttByRegion {
     pub summaries: Vec<Vec<[Option<DistSummary>; 2]>>,
 }
 
-impl RttByRegion {
-    /// Aggregate RTT samples from the probe stream.
-    pub fn compute(population: &Population, probes: &[ProbeRecord]) -> RttByRegion {
+/// RTT's share of a probe walk: how many answered probes fall in each
+/// `[region][target][family]` cell, the cell `(region · targets + target)
+/// · 2 + family` — what sizes each cell's run before the samples scatter.
+#[derive(Debug, Clone)]
+pub struct RttCells {
+    targets: Vec<Target>,
+    /// Target index by `letter * 2 + address generation`.
+    target_at: [Option<usize>; 13 * 2],
+    /// Region index by VP, read once per VP.
+    regions: Vec<usize>,
+    counts: Vec<usize>,
+}
+
+impl RttCells {
+    /// Every cell empty.
+    pub fn new(population: &Population) -> Self {
         let targets = Target::all();
-        // Target index by `letter * 2 + address generation`; regions read
-        // once per VP.
         let mut target_at = [None; 13 * 2];
         for (i, t) in targets.iter().enumerate() {
             target_at[t.letter.index() * 2 + t.b_phase as usize] = Some(i);
         }
-        let regions: Vec<usize> = (population.vps().iter())
+        let regions = (population.vps().iter())
             .map(|vp| vp.region.index())
             .collect();
-        let cell_of = |p: &ProbeRecord| {
-            let target = target_at[p.target.letter.index() * 2 + p.target.b_phase as usize]
-                .expect("known target");
-            (regions[p.vp.0 as usize] * targets.len() + target) * 2 + p.family.index()
-        };
-        let cells = Region::ALL.len() * targets.len() * 2;
+        let counts = vec![0; Region::ALL.len() * targets.len() * 2];
+        RttCells {
+            targets,
+            target_at,
+            regions,
+            counts,
+        }
+    }
 
-        // Count, turn the counts into each cell's first slot, then fill.
-        let mut next = vec![0usize; cells + 1];
-        for p in probes.iter().filter(|p| p.rtt_ms().is_some()) {
-            next[cell_of(p) + 1] += 1;
+    #[inline]
+    fn cell_of(&self, p: &ProbeRecord) -> usize {
+        let target = self.target_at[p.target.letter.index() * 2 + p.target.b_phase as usize]
+            .expect("known target");
+        (self.regions[p.vp.0 as usize] * self.targets.len() + target) * 2 + p.family.index()
+    }
+
+    /// Count `p` if it was answered.
+    #[inline]
+    pub fn add(&mut self, p: &ProbeRecord) {
+        if p.rtt_ms().is_some() {
+            let cell = self.cell_of(p);
+            self.counts[cell] += 1;
         }
-        for c in 1..next.len() {
-            next[c] += next[c - 1];
+    }
+
+    /// Count every answered probe of `chunk`.
+    pub fn fold(&mut self, chunk: &[ProbeRecord]) {
+        chunk.iter().for_each(|p| self.add(p));
+    }
+
+    /// Add a later chunk's counts.
+    pub fn merge(&mut self, later: &RttCells) {
+        for (count, later) in self.counts.iter_mut().zip(&later.counts) {
+            *count += later;
         }
-        let mut bits = vec![0u64; next[cells]];
+    }
+}
+
+impl RttByRegion {
+    /// Aggregate RTT samples from the probe stream.
+    pub fn compute(population: &Population, probes: &[ProbeRecord]) -> RttByRegion {
+        let mut cells = RttCells::new(population);
+        cells.fold(probes);
+        Self::finish(&cells, probes)
+    }
+
+    /// Scatter the samples of `probes` — the stream `cells` counted — into
+    /// their cells' runs and summarize each.
+    pub fn finish(cells: &RttCells, probes: &[ProbeRecord]) -> RttByRegion {
+        let targets = cells.targets.clone();
+        // Each cell's first slot; filling advances it to the cell's end.
+        let mut next = Vec::with_capacity(cells.counts.len() + 1);
+        next.push(0);
+        for &count in &cells.counts {
+            next.push(next[next.len() - 1] + count);
+        }
+        let mut bits = vec![0u64; next[cells.counts.len()]];
         for p in probes {
             let Some(rtt) = p.rtt_ms() else { continue };
             // Finite and not below +0.0: bit order is value order.
             assert!(rtt.to_bits() < f64::INFINITY.to_bits(), "RTT {rtt} ms");
-            let slot = &mut next[cell_of(p)];
+            let slot = &mut next[cells.cell_of(p)];
             bits[*slot] = rtt.to_bits();
             *slot += 1;
         }

@@ -39,6 +39,72 @@ pub struct StabilityResult {
     pub series: Vec<StabilitySeries>,
 }
 
+/// `(letter, address generation, family)` series a VP can be in.
+const SERIES: usize = 13 * 2 * 2;
+
+/// Stability's share of a probe walk: how many answered probes each
+/// `(vp, series)` key has — the key `vp · 52 + series` — what sizes each
+/// key's run before the observations scatter, and which series occur.
+#[derive(Debug, Clone)]
+pub struct SeriesCounts {
+    /// Grown to the highest VP answered so far.
+    counts: Vec<usize>,
+    labels: [Option<(Target, Family)>; SERIES],
+}
+
+impl Default for SeriesCounts {
+    fn default() -> Self {
+        SeriesCounts {
+            counts: Vec::new(),
+            labels: [None; SERIES],
+        }
+    }
+}
+
+#[inline]
+fn series_of(p: &ProbeRecord) -> usize {
+    (p.target.letter.index() * 2 + p.target.b_phase as usize) * 2 + p.family.index()
+}
+
+#[inline]
+fn key_of(p: &ProbeRecord) -> usize {
+    p.vp.0 as usize * SERIES + series_of(p)
+}
+
+impl SeriesCounts {
+    /// Count `p` if it was answered.
+    #[inline]
+    pub fn add(&mut self, p: &ProbeRecord) {
+        if p.site().is_none() {
+            return;
+        }
+        let key = key_of(p);
+        if key >= self.counts.len() {
+            self.counts.resize((p.vp.0 as usize + 1) * SERIES, 0);
+        }
+        self.counts[key] += 1;
+        self.labels[series_of(p)] = Some((p.target, p.family));
+    }
+
+    /// Count every answered probe of `chunk`.
+    pub fn fold(&mut self, chunk: &[ProbeRecord]) {
+        chunk.iter().for_each(|p| self.add(p));
+    }
+
+    /// Add a later chunk's counts.
+    pub fn merge(&mut self, later: &SeriesCounts) {
+        if later.counts.len() > self.counts.len() {
+            self.counts.resize(later.counts.len(), 0);
+        }
+        for (count, later) in self.counts.iter_mut().zip(&later.counts) {
+            *count += later;
+        }
+        for (label, later) in self.labels.iter_mut().zip(later.labels) {
+            *label = label.or(later);
+        }
+    }
+}
+
 impl StabilityResult {
     /// Count change events from the probe stream.
     ///
@@ -48,34 +114,26 @@ impl StabilityResult {
     /// one of such a pair replaces the earlier without counting as a
     /// change.
     pub fn compute(probes: &[ProbeRecord]) -> StabilityResult {
-        /// `(letter, address generation, family)` series a VP can be in.
-        const SERIES: usize = 13 * 2 * 2;
-        let series_of = |p: &ProbeRecord| {
-            (p.target.letter.index() * 2 + p.target.b_phase as usize) * 2 + p.family.index()
-        };
-        let key_of = |p: &ProbeRecord| p.vp.0 as usize * SERIES + series_of(p);
-        let vps = probes
-            .iter()
-            .map(|p| p.vp.0 as usize + 1)
-            .max()
-            .unwrap_or(0);
+        let mut counts = SeriesCounts::default();
+        counts.fold(probes);
+        Self::finish(&counts, probes)
+    }
 
-        // Bucket the answered probes' `(time, site)` by key: count, turn
-        // the counts into each key's first slot, then fill in stream
-        // order. The stream is nearly in time order within a key already
-        // (rounds run in order; a re-measured window is appended late),
-        // so sorting each short run is cheap where sorting the whole
-        // stream by a four-field key was the figure's whole cost.
-        let mut next = vec![0usize; vps * SERIES + 1];
-        let mut labels = [None; SERIES];
-        for p in probes.iter().filter(|p| p.site().is_some()) {
-            next[key_of(p) + 1] += 1;
-            labels[series_of(p)] = Some((p.target, p.family));
+    /// Bucket the answered probes' `(time, site)` of `probes` — the stream
+    /// `counts` counted — by key, in stream order, and count each key's
+    /// changes. The stream is nearly in time order within a key already
+    /// (rounds run in order; a re-measured window is appended late), so
+    /// sorting each short run is cheap where sorting the whole stream by a
+    /// four-field key was the figure's whole cost.
+    pub fn finish(counts: &SeriesCounts, probes: &[ProbeRecord]) -> StabilityResult {
+        let keys = counts.counts.len();
+        // Each key's first slot; filling advances it to the key's end.
+        let mut next = Vec::with_capacity(keys + 1);
+        next.push(0);
+        for &count in &counts.counts {
+            next.push(next[next.len() - 1] + count);
         }
-        for k in 1..next.len() {
-            next[k] += next[k - 1];
-        }
-        let mut runs = vec![(0u32, SiteId(0)); next[vps * SERIES]];
+        let mut runs = vec![(0u32, SiteId(0)); next[keys]];
         for p in probes {
             let Some(site) = p.site() else { continue };
             let slot = &mut next[key_of(p)];
@@ -86,7 +144,7 @@ impl StabilityResult {
         // `next[k]` is now the end of key `k`'s run, the start of `k + 1`'s.
         let mut changes_per_vp: Vec<HashMap<VpId, u64>> = vec![HashMap::new(); SERIES];
         let mut start = 0;
-        for (key, &end) in next[..vps * SERIES].iter().enumerate() {
+        for (key, &end) in next[..keys].iter().enumerate() {
             let run = &mut runs[std::mem::replace(&mut start, end)..end];
             if run.is_empty() {
                 continue;
@@ -99,7 +157,7 @@ impl StabilityResult {
             changes_per_vp[key % SERIES].insert(VpId((key / SERIES) as u32), changes as u64);
         }
 
-        let mut series: Vec<StabilitySeries> = (labels.into_iter().zip(changes_per_vp))
+        let mut series: Vec<StabilitySeries> = (counts.labels.into_iter().zip(changes_per_vp))
             .filter_map(|(label, changes_per_vp)| {
                 let (target, family) = label?;
                 Some(StabilitySeries {

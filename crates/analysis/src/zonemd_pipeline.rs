@@ -8,18 +8,21 @@
 //! servers × VPs), and bitflipped copies are diffed against the reference
 //! zone to produce the Figure 10 two-line rendering.
 //!
-//! Validate, then collect: one pass finds the distinct copies, each with
-//! the observation that first delivered it; each copy is validated once;
-//! and only if some fail does a second pass walk the stream again, to
-//! gather the footprint of those few. The stream runs in long stretches
-//! of one copy (a round's transfers share a serial, and mostly a clock
-//! hour), so both passes compare a record's key with the previous one's
-//! before they look anything up.
+//! One pass over the transfers: each distinct observation key is
+//! classified when it first appears, and every observation of a failing
+//! key joins its row's footprint as the pass reaches it. Validating a copy
+//! splits in two: the clock-free half — structure, every RRSIG's
+//! cryptographic verdict, the ZONEMD digest ([`ZoneVerdicts`]) — runs once
+//! per distinct copy, and each key applies its own clock to those
+//! verdicts, which yields the issue list `validate_zone` would, in order.
+//! The stream runs in long stretches of one key (a round's transfers
+//! share a serial, and mostly a clock hour), so the pass compares a
+//! record's key with the previous one's before it looks anything up.
 
 use dns_zone::corrupt::flip_rrsig_bit;
-use dns_zone::validate::{bitflip_diff, validate_zone, BitflipReport, ValidationIssue};
+use dns_zone::validate::{bitflip_diff, BitflipReport, ValidationIssue, ZoneVerdicts};
 use dns_zone::Zone;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use vantage::records::{TransferFault, TransferRecord};
 use vantage::World;
@@ -102,92 +105,77 @@ impl Table2 {
 
 /// Validate all transfer records against the world's zone store.
 ///
-/// Validation is deduplicated: one cryptographic pass per distinct
-/// `(serial, fault, vp_clock-class)` combination; healthy transfers of the
-/// same day's zone share a single validation.
+/// Validation is deduplicated: one cryptographic pass per distinct zone
+/// copy (the day's zone, bitflipped or not, or a stale day's), and one
+/// clock applied to it per distinct `(serial, fault, clock hour)` of the
+/// observations.
 pub fn validate_transfers(world: &World, transfers: &[TransferRecord]) -> Table2 {
-    // Group raw observations by what makes them cryptographically
-    // distinct: `(serial, fault, clock hour)`. Validation outcome only
-    // depends on which side of the validity window the clock falls;
-    // bucketing to the hour keeps dedup effective while never mixing
-    // outcomes in practice. The tuple's order (healthy copies, then
-    // bitflips by seed, then stale copies by serial, within a serial) is
-    // the order distinct copies are validated and counted in.
+    // Observations are distinct by `(serial, fault, clock hour)`: the
+    // outcome only depends on which side of the validity window the clock
+    // falls, and bucketing to the hour keeps dedup effective while never
+    // mixing outcomes in practice. Each distinct key is classified at its
+    // first observation in the stream, as every observation of it is.
     type ObsKey = (u32, Option<TransferFault>, u32);
-    let key_of = |t: &TransferRecord| -> Option<ObsKey> {
-        Some((t.serial()?, t.fault(), t.vp_clock / 3600))
-    };
-    // Each distinct copy with its first observation in the stream.
-    let mut copies: BTreeMap<ObsKey, &TransferRecord> = BTreeMap::new();
-    let mut last = None;
-    for t in transfers {
-        let Some(key) = key_of(t) else { continue };
-        if last != Some(key) {
-            copies.entry(key).or_insert(t);
-            last = Some(key);
-        }
-    }
-
-    let mut failing: BTreeMap<ObsKey, FailureReason> = BTreeMap::new();
-    for (key, sample) in copies {
-        let zone = materialize(world, sample);
-        let report = validate_zone(&zone, sample.vp_clock);
-        let Some(reason) = classify(&report.issues) else {
-            continue;
-        };
-        failing.insert(key, reason);
-    }
-
-    // The footprint of the failing copies: every observation of each.
+    let mut keys: HashMap<ObsKey, Option<FailureReason>> = HashMap::new();
+    // The clock-free half of each copy's validation, by the copy `materialize`
+    // builds: the base zone's day, and the fault.
+    let mut copies: HashMap<(u32, Option<TransferFault>), ZoneVerdicts> = HashMap::new();
     let mut failures: BTreeMap<FailureReason, Table2Row> = BTreeMap::new();
-    if !failing.is_empty() {
-        let mut last: Option<(ObsKey, Option<FailureReason>)> = None;
-        for t in transfers {
-            let Some(key) = key_of(t) else { continue };
-            let reason = match last {
-                Some((held, reason)) if held == key => reason,
-                _ => {
-                    let reason = failing.get(&key).copied();
-                    last = Some((key, reason));
-                    reason
-                }
-            };
-            let Some(reason) = reason else { continue };
-            let row = failures.entry(reason).or_insert_with(|| Table2Row {
-                reason,
-                serials: BTreeSet::new(),
-                first_obs: u32::MAX,
-                last_obs: 0,
-                observations: 0,
-                servers: BTreeSet::new(),
-                vps: BTreeSet::new(),
-            });
-            row.serials.extend(t.serial());
-            row.first_obs = row.first_obs.min(t.time);
-            row.last_obs = row.last_obs.max(t.time);
-            row.observations += 1;
-            row.servers
-                .insert(format!("{}({})", t.target.label(), t.family.label()));
-            row.vps.insert(t.vp.0);
-        }
+    let mut last: Option<(ObsKey, Option<FailureReason>)> = None;
+    for t in transfers {
+        let Some(serial) = t.serial() else { continue };
+        let key = (serial, t.fault(), t.vp_clock / 3600);
+        let reason = match last {
+            Some((held, reason)) if held == key => reason,
+            _ => {
+                let reason = *keys.entry(key).or_insert_with(|| {
+                    let copy = copies
+                        .entry((base_day(t), t.fault()))
+                        .or_insert_with(|| ZoneVerdicts::of(&materialize(world, t)));
+                    classify(&copy.at(t.vp_clock).issues)
+                });
+                last = Some((key, reason));
+                reason
+            }
+        };
+        let Some(reason) = reason else { continue };
+        let row = failures.entry(reason).or_insert_with(|| Table2Row {
+            reason,
+            serials: BTreeSet::new(),
+            first_obs: u32::MAX,
+            last_obs: 0,
+            observations: 0,
+            servers: BTreeSet::new(),
+            vps: BTreeSet::new(),
+        });
+        row.serials.insert(serial);
+        row.first_obs = row.first_obs.min(t.time);
+        row.last_obs = row.last_obs.max(t.time);
+        row.observations += 1;
+        row.servers
+            .insert(format!("{}({})", t.target.label(), t.family.label()));
+        row.vps.insert(t.vp.0);
     }
     Table2 {
         rows: failures.into_values().collect(),
         total_transfers: transfers.len() as u64,
-        distinct_failing: failing.len() as u64,
+        distinct_failing: keys.values().filter(|reason| reason.is_some()).count() as u64,
+    }
+}
+
+/// The day of the zone a transfer's copy is built from.
+fn base_day(t: &TransferRecord) -> u32 {
+    match t.fault() {
+        // The stale zone is the one whose serial matches: reconstruct
+        // from the day encoded in the serial.
+        Some(TransferFault::Stale { serial }) => day_of_serial(serial),
+        _ => t.time - t.time % 86400,
     }
 }
 
 /// Rebuild the exact zone copy a transfer delivered.
 pub fn materialize(world: &World, t: &TransferRecord) -> Arc<Zone> {
-    let base = match t.fault() {
-        Some(TransferFault::Stale { serial }) => {
-            // The stale zone is the one whose serial matches: reconstruct
-            // from the day encoded in the serial.
-            world.zone_at(day_of_serial(serial))
-        }
-        _ => world.zone_at(t.time - t.time % 86400),
-    };
+    let base = world.zone_at(base_day(t));
     match t.fault() {
         Some(TransferFault::Bitflip { seed }) => {
             let mut corrupted = (*base).clone();
@@ -243,6 +231,7 @@ pub fn bitflip_report(world: &World, t: &TransferRecord) -> Option<BitflipReport
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dns_zone::validate::validate_zone;
     use netsim::Family;
     use rss::{BRootPhase, RootLetter};
     use vantage::population::VpId;

@@ -14,13 +14,16 @@
 use analysis::colocation::ColocationResult;
 use analysis::coverage::CoverageReport;
 use analysis::rtt::RttByRegion;
+use analysis::stability::StabilityResult;
+use analysis::walk::ProbeWalk;
+use analysis::zonemd_pipeline::validate_transfers;
 use criterion::{criterion_group, criterion_main, record_counter, record_metric, Criterion};
 use roots_core::{experiments, Pipeline, Scale};
 use std::hint::black_box;
 use std::time::Instant;
 use traces::flows::FlowObservation;
 use vantage::{
-    EngineSession, MeasurementConfig, MeasurementEngine, ProbeRecord, Round, TransferRecord,
+    EngineSession, MeasurementConfig, MeasurementEngine, ProbeRecord, Round, TransferRecord, World,
 };
 
 /// Calls per ledger row; the fastest is kept.
@@ -96,13 +99,25 @@ fn fastest_ms<T>(mut call: impl FnMut() -> T) -> f64 {
 }
 
 /// `run_all`'s cost product by product, one thread, public calls only:
-/// the three products `Pipeline` memoises through their `compute`, the
-/// rest through their registry entry. These ten are what `run_all`'s CPU
-/// time is made of (the other thirteen sections read a memoised product
-/// or cost under 10 ms).
+/// the four products `Pipeline` memoises through their `compute` (each
+/// with a walk of its own; `fig3` is stability's), the rest through their
+/// registry entry. These ten are what `run_all`'s CPU time is made of (the
+/// other thirteen sections read a memoised product or cost under 10 ms).
+/// Two more rows say what a block pays that the others hide: the one walk
+/// `Pipeline` takes for all four probe products, and Table 2 on a world
+/// whose zone cache is empty — every block builds its zones, where the
+/// `table2` row, timed after the first call filled the cache, reads them.
 fn analysis_ledger(p: &Pipeline) {
     let (world, probes) = (&p.world, &p.probes);
     let mut rows = vec![
+        (
+            "probe_walk",
+            fastest_ms(|| {
+                let mut walk = ProbeWalk::new(&world.catalog, &world.population);
+                walk.fold(probes);
+                walk
+            }),
+        ),
         (
             "coverage",
             fastest_ms(|| CoverageReport::compute(&world.catalog, probes)),
@@ -115,20 +130,22 @@ fn analysis_ledger(p: &Pipeline) {
             "colocation",
             fastest_ms(|| ColocationResult::compute(probes)),
         ),
+        ("fig3", fastest_ms(|| StabilityResult::compute(probes))),
     ];
     let registry = experiments::registry();
-    for id in [
-        "table2",
-        "fig3",
-        "fig5",
-        "fig8",
-        "fig12",
-        "fig13",
-        "sec7_channels",
-    ] {
+    for id in ["table2", "fig5", "fig8", "fig12", "fig13", "sec7_channels"] {
         let e = registry.iter().find(|e| e.id == id).expect("registered");
         rows.push((id, fastest_ms(|| (e.run)(p))));
     }
+    let table2_cold = (0..LEDGER_CALLS)
+        .map(|_| {
+            let fresh = World::build(&Scale::Small.world());
+            let t = Instant::now();
+            black_box(validate_transfers(&fresh, &p.transfers));
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .fold(f64::INFINITY, f64::min);
+    rows.push(("table2_cold", table2_cold));
     for (name, ms) in rows {
         record_metric(&format!("analysis/small/{name}_ms"), ms);
     }

@@ -87,13 +87,19 @@ const PREFIXES: &[&str] = &["rootd/serve_", "codec/", "simclock/"];
 /// loops went onto dense indices and `sec7_channels` stopped building a
 /// zone per snapshot: its ceiling (1 200) sits 3× above that and only
 /// just above the ≈ 950, so the maps coming back trip it on any host a
-/// third slower than this one. The ten `analysis/small/*_ms` keys are that ledger row by
-/// row — one product's `compute` or one experiment's runner over the
-/// Small pipeline, one thread, the fastest of five calls (DESIGN §7
-/// "Analysis budget") — each with a ceiling ≈ 2.5× today's figure:
-/// `sec7_channels` at 270 means a zone is built per snapshot again,
-/// `fig8` at 200 that a hash map is back in the flow loop. All ten are
-/// held by their ceilings alone ([`CEILING_ONLY`]).
+/// third slower than this one. The ten `analysis/small/*_ms` keys up to
+/// `sec7_channels` are that ledger row by row — one product's `compute` or
+/// one experiment's runner over the Small pipeline, one thread, the
+/// fastest of five calls (DESIGN §7 "Analysis budget") — each with a
+/// ceiling ≈ 2.5× its figure when it was set: `sec7_channels` at 270 means
+/// a zone is built per snapshot again, `fig8` at 200 that a hash map is
+/// back in the flow loop. Two more rows are what a block pays that those
+/// hide: `probe_walk`, the one walk over the probes all four probe
+/// products count from (≈ 27–33; four walks of their own read ≈ 75), and
+/// `table2_cold`, Table 2 on a world that has built no zone yet (≈ 72–77;
+/// ≈ 135 while every copy was validated at every clock hour and signing
+/// re-encoded RDATA per comparison), each with a ceiling ≈ 2× its figure.
+/// All twelve are held by their ceilings alone ([`CEILING_ONLY`]).
 /// The two `vantage/small/round_*` keys are milliseconds for one Small
 /// measurement round on one worker over a measured world — rootbench's
 /// `op_p50_ns` rounds, the p50 over 54 of them, each the fastest of four:
@@ -166,6 +172,8 @@ const ABS_CEILING: &[(&str, f64)] = &[
     ("analysis/small/fig12_ms", 40.0),
     ("analysis/small/fig13_ms", 110.0),
     ("analysis/small/sec7_channels_ms", 20.0),
+    ("analysis/small/probe_walk_ms", 65.0),
+    ("analysis/small/table2_cold_ms", 150.0),
     ("vantage/small/round_fresh_ms", 6.0),
     ("vantage/small/round_warm_ms", 6.0),
     ("pipeline/small/record_mib", 320.0),
@@ -202,6 +210,8 @@ const CEILING_ONLY: &[&str] = &[
     "analysis/small/fig12_ms",
     "analysis/small/fig13_ms",
     "analysis/small/sec7_channels_ms",
+    "analysis/small/probe_walk_ms",
+    "analysis/small/table2_cold_ms",
 ];
 
 /// Keys gated by an *absolute* floor — documented lower bounds the fresh
@@ -696,7 +706,8 @@ mod tests {
 
     #[test]
     fn analysis_ledger_is_held_by_ceilings_below_the_per_record_maps() {
-        // (key, today, with a map probe per record / a zone per snapshot)
+        // (key, today, with a map probe per record / a zone per snapshot /
+        // a walk per product / a validation per copy and clock hour)
         let rows = [
             ("analysis/small/rtt_by_region_ms", 160.0, 233.0),
             ("analysis/small/colocation_ms", 42.0, 117.0),
@@ -704,6 +715,8 @@ mod tests {
             ("analysis/small/fig12_ms", 15.0, 55.0),
             ("analysis/small/fig13_ms", 44.0, 140.0),
             ("analysis/small/sec7_channels_ms", 6.0, 284.0),
+            ("analysis/small/probe_walk_ms", 30.0, 75.0),
+            ("analysis/small/table2_cold_ms", 75.0, 137.0),
         ];
         for (key, today, before) in rows {
             assert!(CEILING_ONLY.contains(&key), "{key}");

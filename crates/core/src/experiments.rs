@@ -7,7 +7,6 @@
 use crate::pipeline::Pipeline;
 use analysis::clients::ClientAnalysis;
 use analysis::distance::DistanceResult;
-use analysis::stability::StabilityResult;
 use analysis::traffic::{all_roots_series, render_all_roots, BRootShift};
 use analysis::zonemd_pipeline::{bitflip_report, validate_transfers};
 use dns_crypto::validity::timestamp_from_ymd as ts;
@@ -377,8 +376,7 @@ impl MeasurementScheduleView {
 }
 
 fn fig3(p: &Pipeline) -> String {
-    let result = StabilityResult::compute(&p.probes);
-    result.render_fig3(&[
+    p.stability().render_fig3(&[
         Target {
             letter: RootLetter::B,
             b_phase: BRootPhase::Old,

@@ -6,6 +6,8 @@ use crate::scale::Scale;
 use analysis::colocation::ColocationResult;
 use analysis::coverage::CoverageReport;
 use analysis::rtt::RttByRegion;
+use analysis::stability::StabilityResult;
+use analysis::walk::ProbeWalk;
 use netgeo::Region;
 use std::collections::HashSet;
 use std::sync::OnceLock;
@@ -19,7 +21,9 @@ use vantage::{MeasurementConfig, MeasurementEngine, Round, Schedule, World};
 /// Nothing writes to the world or the streams once [`Pipeline::run`] has
 /// returned (experiments take `&Pipeline`), which is what lets the analysis
 /// products several experiments share be computed on first use and kept:
-/// each is a pure function of fields that no longer change.
+/// each is a pure function of fields that no longer change. The four that
+/// count the probe stream finish from one walk over it ([`ProbeWalk`]),
+/// taken when the first of them is asked for.
 pub struct Pipeline {
     pub scale: Scale,
     pub world: World,
@@ -30,9 +34,11 @@ pub struct Pipeline {
     /// IXP-DNS-1 stand-in flows, per covered region.
     pub ixp_flows_eu: Vec<FlowObservation>,
     pub ixp_flows_na: Vec<FlowObservation>,
+    probe_walk: OnceLock<ProbeWalk>,
     coverage: OnceLock<CoverageReport>,
     rtt_by_region: OnceLock<RttByRegion>,
     colocation: OnceLock<ColocationResult>,
+    stability: OnceLock<StabilityResult>,
 }
 
 impl Pipeline {
@@ -78,26 +84,45 @@ impl Pipeline {
             isp_flows,
             ixp_flows_eu,
             ixp_flows_na,
+            probe_walk: OnceLock::new(),
             coverage: OnceLock::new(),
             rtt_by_region: OnceLock::new(),
             colocation: OnceLock::new(),
+            stability: OnceLock::new(),
         }
+    }
+
+    /// The four probe products' counts, from one walk over the stream.
+    fn probe_walk(&self) -> &ProbeWalk {
+        self.probe_walk.get_or_init(|| {
+            let mut walk = ProbeWalk::new(&self.world.catalog, &self.world.population);
+            walk.fold(&self.probes);
+            walk
+        })
     }
 
     /// Site coverage of the probe stream (Tables 1/4, Figures 1/11).
     pub fn coverage(&self) -> &CoverageReport {
-        (self.coverage).get_or_init(|| CoverageReport::compute(&self.world.catalog, &self.probes))
+        (self.coverage).get_or_init(|| {
+            CoverageReport::finish(&self.world.catalog, &self.probe_walk().identities)
+        })
     }
 
     /// RTT summaries by region, target and family (Figures 6/14/15).
     pub fn rtt_by_region(&self) -> &RttByRegion {
         (self.rtt_by_region)
-            .get_or_init(|| RttByRegion::compute(&self.world.population, &self.probes))
+            .get_or_init(|| RttByRegion::finish(&self.probe_walk().rtt_cells, &self.probes))
     }
 
     /// Shared-last-hop co-location per VP (Figure 4, §5).
     pub fn colocation(&self) -> &ColocationResult {
-        (self.colocation).get_or_init(|| ColocationResult::compute(&self.probes))
+        (self.colocation).get_or_init(|| ColocationResult::finish(&self.probe_walk().latest_hops))
+    }
+
+    /// Site-change events per VP, target and family (Figure 3).
+    pub fn stability(&self) -> &StabilityResult {
+        (self.stability)
+            .get_or_init(|| StabilityResult::finish(&self.probe_walk().series, &self.probes))
     }
 
     /// The virtual-time axis this pipeline's records live on: wall-clock

@@ -95,16 +95,34 @@ impl DigestAlg {
     /// number stands in for the undisclosed private scheme: it has the right
     /// length but intentionally does not match any public algorithm.
     pub fn digest(self, data: &[u8]) -> Vec<u8> {
+        self.digest_parts([data])
+    }
+
+    /// [`Self::digest`] of `parts` laid end to end, without laying them
+    /// end to end first.
+    pub fn digest_parts<'a>(self, parts: impl IntoIterator<Item = &'a [u8]>) -> Vec<u8> {
         match self {
-            DigestAlg::Sha256 => Sha256::digest(data).to_vec(),
-            DigestAlg::Sha384 => Sha384::digest(data).to_vec(),
-            DigestAlg::Sha512 => Sha512::digest(data).to_vec(),
+            DigestAlg::Sha256 => {
+                let mut h = Sha256::new();
+                parts.into_iter().for_each(|p| h.update(p));
+                h.finalize().to_vec()
+            }
+            DigestAlg::Sha384 => {
+                let mut h = Sha384::new();
+                parts.into_iter().for_each(|p| h.update(p));
+                h.finalize().to_vec()
+            }
+            DigestAlg::Sha512 => {
+                let mut h = Sha512::new();
+                parts.into_iter().for_each(|p| h.update(p));
+                h.finalize().to_vec()
+            }
             DigestAlg::Private(n) => {
                 let mut h = Sha384::new();
                 // 0x50 ('P') is a domain-separation byte so private digests
                 // can never collide with plain SHA-384 of the same data.
                 h.update(&[0x50, n]);
-                h.update(data);
+                parts.into_iter().for_each(|p| h.update(p));
                 h.finalize().to_vec()
             }
         }
@@ -141,6 +159,26 @@ mod tests {
         assert_ne!(
             DigestAlg::Private(240).digest(data),
             DigestAlg::Sha384.digest(data)
+        );
+    }
+
+    #[test]
+    fn digest_parts_is_the_digest_of_the_parts_end_to_end() {
+        let data: Vec<u8> = (0..1000u32).map(|i| (i * 31 + 7) as u8).collect();
+        let cuts = [0, 1, 63, 64, 65, 127, 128, 129, 500, 999, 1000];
+        for alg in [
+            DigestAlg::Sha256,
+            DigestAlg::Sha384,
+            DigestAlg::Sha512,
+            DigestAlg::Private(240),
+        ] {
+            let parts = cuts.windows(2).map(|w| &data[w[0]..w[1]]);
+            assert_eq!(alg.digest_parts(parts), alg.digest(&data), "{alg:?}");
+            assert_eq!(alg.digest_parts([]), alg.digest(&[]), "{alg:?}");
+        }
+        assert_eq!(
+            DigestAlg::Sha384.digest(&data),
+            Sha384::digest(&data).to_vec()
         );
     }
 

@@ -234,9 +234,7 @@ impl Name {
     /// Write the uncompressed (canonical if `lowercase`) wire form.
     pub fn write_wire(&self, w: &mut WireWriter, lowercase: bool) {
         if lowercase {
-            for &b in self.as_wire() {
-                w.put_u8(b.to_ascii_lowercase());
-            }
+            w.put_bytes_lowercase(self.as_wire());
         } else {
             w.put_bytes(self.as_wire());
         }

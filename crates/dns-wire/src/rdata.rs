@@ -110,11 +110,10 @@ pub struct Rrsig {
 }
 
 impl Rrsig {
-    /// The RDATA prefix that is included in the signed data (everything up to
-    /// but excluding the signature field), with the signer name in canonical
-    /// form (RFC 4034 §3.1.8.1).
-    pub fn signed_prefix_wire(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
+    /// Append the RDATA prefix that is included in the signed data
+    /// (everything up to but excluding the signature field), with the
+    /// signer name in canonical form (RFC 4034 §3.1.8.1).
+    pub fn write_signed_prefix(&self, w: &mut WireWriter) {
         w.put_u16(self.type_covered.to_u16());
         w.put_u8(self.algorithm);
         w.put_u8(self.labels);
@@ -122,8 +121,7 @@ impl Rrsig {
         w.put_u32(self.expiration);
         w.put_u32(self.inception);
         w.put_u16(self.key_tag);
-        self.signer_name.write_wire(&mut w, true);
-        w.into_bytes()
+        self.signer_name.write_wire(w, true);
     }
 }
 

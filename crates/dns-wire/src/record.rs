@@ -61,7 +61,15 @@ impl Record {
     /// owner and embedded names lowercased.
     pub fn canonical_wire(&self, ttl_override: Option<u32>) -> Vec<u8> {
         let mut w = WireWriter::new();
-        self.name.write_wire(&mut w, true);
+        self.write_canonical(ttl_override, &mut w);
+        w.into_bytes()
+    }
+
+    /// Append [`Self::canonical_wire`]'s bytes to `w`: the owner
+    /// ([`Name::wire_len`] bytes), TYPE, CLASS, TTL, RDLENGTH, then the
+    /// RDATA, which starts 10 bytes after the owner.
+    pub fn write_canonical(&self, ttl_override: Option<u32>, w: &mut WireWriter) {
+        self.name.write_wire(w, true);
         w.put_u16(self.rr_type.to_u16());
         w.put_u16(self.class.to_u16());
         w.put_u32(ttl_override.unwrap_or(self.ttl));
@@ -69,9 +77,8 @@ impl Record {
         w.put_u16(0);
         let before = w.len();
         self.rdata
-            .write_wire(&mut w, self.rr_type.rdata_has_canonical_names());
+            .write_wire(w, self.rr_type.rdata_has_canonical_names());
         w.patch_u16(len_at, (w.len() - before) as u16);
-        w.into_bytes()
     }
 
     /// Decode one record from a message body.
@@ -160,6 +167,31 @@ mod tests {
         let owner_len = Name::parse("b.root-servers.net.").unwrap().wire_len();
         let ttl_off = owner_len + 4;
         assert_eq!(&wire[ttl_off..ttl_off + 4], &3600u32.to_be_bytes());
+    }
+
+    #[test]
+    fn write_canonical_appends_canonical_wire() {
+        let ns = Record::new(
+            Name::parse("COM.").unwrap(),
+            172800,
+            Rdata::Ns(Name::parse("A.GTLD-Servers.net.").unwrap()),
+        );
+        let a = a_record("B.Root-Servers.NET.", "199.9.14.201");
+        let mut w = WireWriter::new();
+        w.put_bytes(b"before");
+        let mut want = b"before".to_vec();
+        for (rec, ttl) in [(&ns, None), (&a, Some(60)), (&ns, Some(0))] {
+            let at = w.len();
+            rec.write_canonical(ttl, &mut w);
+            let form = rec.canonical_wire(ttl);
+            // The RDATA, RDLENGTH bytes of it, starts 10 bytes after the owner.
+            let owner = rec.name.wire_len();
+            let rdlength = u16::from_be_bytes([form[owner + 8], form[owner + 9]]);
+            assert_eq!(w.len() - (at + owner + 10), usize::from(rdlength));
+            want.extend_from_slice(&form);
+        }
+        assert_eq!(w.as_bytes(), &want[..]);
+        assert!(!w.as_bytes()[6..].iter().any(u8::is_ascii_uppercase));
     }
 
     #[test]

@@ -328,6 +328,13 @@ impl WireWriter {
         self.buf.extend_from_slice(v);
     }
 
+    /// Append raw bytes with their ASCII letters lowercased.
+    pub(crate) fn put_bytes_lowercase(&mut self, v: &[u8]) {
+        let at = self.buf.len();
+        self.buf.extend_from_slice(v);
+        self.buf[at..].make_ascii_lowercase();
+    }
+
     /// Overwrite a previously written big-endian u16 (for patching RDLENGTH
     /// and section counts).
     pub fn patch_u16(&mut self, offset: usize, v: u16) {

@@ -9,14 +9,14 @@
 //! * `SignatureExpired` — "Signature expired" (stale zone files);
 //! * ZONEMD-specific failures from [`crate::zonemd`].
 
-use crate::signer::verify_rrset;
+use crate::canonical::Canonical;
 use crate::zone::Zone;
-use crate::zonemd::{verify_zonemd, ZonemdError};
+use crate::zonemd::{self, ZonemdError};
 use dns_crypto::simsig::SimKeyPair;
 use dns_crypto::validity::{check_window, SignatureValidity};
 use dns_wire::rdata::Rdata;
-use dns_wire::{Name, Record, RrType};
-use std::collections::HashMap;
+use dns_wire::wire::WireWriter;
+use dns_wire::{Name, RrType};
 
 /// One validation finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,71 +76,176 @@ impl ValidationReport {
 /// via `Zonemd(...)` only for digest mismatches, mirroring how the paper's
 /// pipeline treated the roll-out phases.
 pub fn validate_zone(zone: &Zone, now: u32) -> ValidationReport {
-    validate(zone, now, verify_zonemd)
+    ZoneVerdicts::of(zone).at(now)
 }
 
 /// Structure, DNSKEYs and every RRSIG: [`validate_zone`] without its ZONEMD
-/// step. For a caller that runs [`verify_zonemd`] itself and applies its own
-/// policy to the verdict; when it has refused everything `validate_zone`
-/// would report (anything but success, absence or a private algorithm) the
-/// two reports are equal, and the zone — a canonical sort and a SHA-384 of
-/// all of it — is digested once per validation, not twice.
+/// step. For a caller that runs [`crate::verify_zonemd`] itself and applies
+/// its own policy to the verdict; when it has refused everything
+/// `validate_zone` would report (anything but success, absence or a private
+/// algorithm) the two reports are equal, and the zone — a SHA-384 of all
+/// of it — is digested once per validation, not twice.
 pub fn validate_rrsigs(zone: &Zone, now: u32) -> ValidationReport {
-    validate(zone, now, |_| Ok(()))
+    ZoneVerdicts::compute(zone, false).at(now)
 }
 
-fn validate(
-    zone: &Zone,
-    now: u32,
-    zonemd: impl FnOnce(&Zone) -> Result<(), ZonemdError>,
-) -> ValidationReport {
-    let mut issues = Vec::new();
-    let serial = zone.serial().ok();
-    if let Err(e) = zone.check() {
-        issues.push(ValidationIssue::BadZone(e.to_string()));
-        return ValidationReport {
-            validated_at: now,
+/// Everything [`validate_zone`] finds that does not depend on the clock:
+/// the zone's structure, its usable DNSKEYs, each RRSIG's cryptographic
+/// verdict and validity window, and the ZONEMD verdict. [`Self::at`]
+/// applies a clock to them, so a copy observed at many times is verified
+/// once: `ZoneVerdicts::of(z).at(t)` is `validate_zone(z, t)`, issue for
+/// issue.
+///
+/// The zone is written in canonical form once (`Canonical`): each
+/// RRSIG's signed data copies its RRset's forms from the owner's run, and
+/// the ZONEMD digest reads the same forms.
+#[derive(Debug, Clone)]
+pub struct ZoneVerdicts {
+    serial: Option<u32>,
+    /// `Err`: the structural check's finding; nothing else was looked at.
+    checked: Result<Checked, String>,
+}
+
+#[derive(Debug, Clone)]
+struct Checked {
+    no_dnskeys: bool,
+    /// One per RRSIG record, in zone order.
+    rrsigs: Vec<RrsigVerdict>,
+    /// A ZONEMD finding that is an integrity issue.
+    zonemd: Option<ZonemdError>,
+}
+
+#[derive(Debug, Clone)]
+struct RrsigVerdict {
+    owner: Name,
+    covered: RrType,
+    inception: u32,
+    expiration: u32,
+    key: KeyVerdict,
+}
+
+/// What an RRSIG's key tag found, and what its key made of the signature.
+#[derive(Debug, Clone, Copy)]
+enum KeyVerdict {
+    /// The zone publishes no usable DNSKEY: nothing to report per RRSIG.
+    NoKeys,
+    /// No usable DNSKEY has this tag.
+    UnknownTag(u16),
+    /// Whether the first key with the tag verifies the covered RRset.
+    Verified(bool),
+}
+
+impl ZoneVerdicts {
+    /// The verdicts [`validate_zone`] reads, ZONEMD included.
+    pub fn of(zone: &Zone) -> ZoneVerdicts {
+        ZoneVerdicts::compute(zone, true)
+    }
+
+    fn compute(zone: &Zone, with_zonemd: bool) -> ZoneVerdicts {
+        let serial = zone.serial().ok();
+        if let Err(e) = zone.check() {
+            return ZoneVerdicts {
+                serial,
+                checked: Err(e.to_string()),
+            };
+        }
+        // Apex DNSKEYs in zone order; a key that is not 32 bytes of SIMSIG
+        // material is no key.
+        let dnskeys: Vec<(u16, SimKeyPair)> = (zone.rrset(zone.origin(), RrType::Dnskey))
+            .into_iter()
+            .filter_map(|r| match &r.rdata {
+                Rdata::Dnskey(k) => Some((k.key_tag(), SimKeyPair::from_public(&k.public_key)?)),
+                _ => None,
+            })
+            .collect();
+
+        // An RRSIG and the RRset it covers share an owner, and an owner's
+        // records are one run of the canonical order: verify each RRSIG
+        // from its run, then put the verdicts back in zone order.
+        let canon = Canonical::new(zone.records());
+        let mut rrsigs: Vec<(u32, RrsigVerdict)> = Vec::new();
+        let mut data = WireWriter::new();
+        for owner in canon.owners() {
+            for e in owner {
+                let Rdata::Rrsig(sig) = &e.rec.rdata else {
+                    continue;
+                };
+                let key = if dnskeys.is_empty() {
+                    KeyVerdict::NoKeys
+                } else {
+                    match dnskeys.iter().find(|(tag, _)| *tag == sig.key_tag) {
+                        None => KeyVerdict::UnknownTag(sig.key_tag),
+                        Some((_, key)) => {
+                            let covered = sig.type_covered;
+                            let rrset = || owner.iter().filter(move |e| e.rec.rr_type == covered);
+                            let verified = rrset().next().is_some() && {
+                                data.truncate(0);
+                                canon.write_signed_data(sig, rrset(), &mut data);
+                                key.verify(data.as_bytes(), &sig.signature)
+                            };
+                            KeyVerdict::Verified(verified)
+                        }
+                    }
+                };
+                let verdict = RrsigVerdict {
+                    owner: e.rec.name.clone(),
+                    covered: sig.type_covered,
+                    inception: sig.inception,
+                    expiration: sig.expiration,
+                    key,
+                };
+                rrsigs.push((e.index, verdict));
+            }
+        }
+        rrsigs.sort_unstable_by_key(|&(index, _)| index);
+
+        // ZONEMD: only a *mismatch* of a verifiable record is an integrity
+        // issue; absence / private algorithm are roll-out states.
+        let zonemd = match with_zonemd.then(|| zonemd::verify(zone, Some(&canon))) {
+            None | Some(Ok(())) => None,
+            Some(Err(ZonemdError::NoZonemd | ZonemdError::UnsupportedAlgorithm)) => None,
+            Some(Err(e)) => Some(e),
+        };
+        ZoneVerdicts {
             serial,
+            checked: Ok(Checked {
+                no_dnskeys: dnskeys.is_empty(),
+                rrsigs: rrsigs.into_iter().map(|(_, verdict)| verdict).collect(),
+                zonemd,
+            }),
+        }
+    }
+
+    /// The report of validating the zone at `now`.
+    pub fn at(&self, now: u32) -> ValidationReport {
+        let mut issues = Vec::new();
+        match &self.checked {
+            Err(bad) => issues.push(ValidationIssue::BadZone(bad.clone())),
+            Ok(checked) => {
+                if checked.no_dnskeys {
+                    issues.push(ValidationIssue::NoDnskeys);
+                }
+                issues.extend(checked.rrsigs.iter().filter_map(|sig| sig.issue_at(now)));
+                issues.extend(checked.zonemd.clone().map(ValidationIssue::Zonemd));
+            }
+        }
+        ValidationReport {
+            validated_at: now,
+            serial: self.serial,
             issues,
-        };
+        }
     }
+}
 
-    // One pass groups the zone into RRsets, records in zone order, so each
-    // RRSIG below finds what it covers by one lookup instead of a scan.
-    let mut rrsets: HashMap<(&Name, RrType), Vec<&Record>> = HashMap::new();
-    for rec in zone.records() {
-        rrsets
-            .entry((&rec.name, rec.rr_type))
-            .or_default()
-            .push(rec);
-    }
-
-    // Collect apex DNSKEYs.
-    let dnskeys: Vec<(u16, SimKeyPair)> = rrsets
-        .get(&(zone.origin(), RrType::Dnskey))
-        .into_iter()
-        .flatten()
-        .filter_map(|r| match &r.rdata {
-            Rdata::Dnskey(k) => Some((k.key_tag(), SimKeyPair::from_public(&k.public_key))),
-            _ => None,
-        })
-        .collect();
-    if dnskeys.is_empty() {
-        issues.push(ValidationIssue::NoDnskeys);
-    }
-
-    // Verify every RRSIG.
-    for rec in zone.records() {
-        let Rdata::Rrsig(sig) = &rec.rdata else {
-            continue;
-        };
-        let covered = sig.type_covered;
-        let owner = || rec.name.to_string();
+impl RrsigVerdict {
+    /// The window first, at `now`; inside it, what the key found.
+    fn issue_at(&self, now: u32) -> Option<ValidationIssue> {
+        let (owner, covered) = (|| self.owner.to_string(), self.covered);
         let bogus = || ValidationIssue::BogusSignature {
             owner: owner(),
             covered,
         };
-        let issue = match check_window(sig.inception, sig.expiration, now) {
+        match check_window(self.inception, self.expiration, now) {
             Ok(SignatureValidity::NotYetIncepted) => Some(ValidationIssue::SignatureNotIncepted {
                 owner: owner(),
                 covered,
@@ -150,35 +255,15 @@ fn validate(
                 covered,
             }),
             Err(_) => Some(bogus()),
-            Ok(SignatureValidity::Valid) => {
-                match dnskeys.iter().find(|(tag, _)| *tag == sig.key_tag) {
-                    None => (!dnskeys.is_empty()).then(|| ValidationIssue::UnknownKeyTag {
-                        owner: owner(),
-                        key_tag: sig.key_tag,
-                    }),
-                    Some((_, key)) => {
-                        let verified = rrsets
-                            .get(&(&rec.name, covered))
-                            .is_some_and(|rrset| verify_rrset(sig, rrset, key));
-                        (!verified).then(bogus)
-                    }
-                }
-            }
-        };
-        issues.extend(issue);
-    }
-
-    // ZONEMD: only a *mismatch* of a verifiable record is an integrity
-    // issue; absence / private algorithm are roll-out states.
-    match zonemd(zone) {
-        Ok(()) | Err(ZonemdError::NoZonemd) | Err(ZonemdError::UnsupportedAlgorithm) => {}
-        Err(e) => issues.push(ValidationIssue::Zonemd(e)),
-    }
-
-    ValidationReport {
-        validated_at: now,
-        serial,
-        issues,
+            Ok(SignatureValidity::Valid) => match self.key {
+                KeyVerdict::NoKeys | KeyVerdict::Verified(true) => None,
+                KeyVerdict::UnknownTag(key_tag) => Some(ValidationIssue::UnknownKeyTag {
+                    owner: owner(),
+                    key_tag,
+                }),
+                KeyVerdict::Verified(false) => Some(bogus()),
+            },
+        }
     }
 }
 
@@ -241,6 +326,8 @@ mod tests {
     use crate::rollout::RolloutPhase;
     use crate::rootzone::{build_root_zone, RootZoneConfig};
     use crate::signer::{verify_signature, ZoneKeys};
+    use crate::zonemd::verify_zonemd;
+    use dns_wire::Record;
 
     fn signed_zone() -> (Zone, RootZoneConfig) {
         let cfg = RootZoneConfig {
@@ -354,7 +441,7 @@ mod tests {
             .rrset(zone.origin(), RrType::Dnskey)
             .into_iter()
             .filter_map(|r| match &r.rdata {
-                Rdata::Dnskey(k) => Some((k.key_tag(), SimKeyPair::from_public(&k.public_key))),
+                Rdata::Dnskey(k) => Some((k.key_tag(), SimKeyPair::from_public(&k.public_key)?)),
                 _ => None,
             })
             .collect();
@@ -494,6 +581,69 @@ mod tests {
         let mut z = clean.clone();
         z.remove_rrset(&Name::root(), RrType::Soa);
         assert_matches_reference(&z, &cfg, "missing SOA");
+    }
+
+    #[test]
+    fn a_padded_dnskey_is_no_key() {
+        use crate::signer::compute_signature;
+        // The ZSK's DNSKEY carries its 32 key bytes and one more, and every
+        // RRSIG the ZSK made names that record's key tag (the DNSKEY set
+        // re-signed by the KSK, which stays as published). Cut back to 32
+        // bytes, the padded key would verify all of them.
+        let keys = ZoneKeys::from_seed(5);
+        let cfg = RootZoneConfig {
+            tld_count: 8,
+            ..Default::default()
+        };
+        let mut z = build_root_zone(&cfg, &keys);
+        let mut padded = keys.zsk.public.to_vec();
+        padded.push(0xff);
+        let mut tag = 0;
+        for rec in z.records_mut() {
+            if let Rdata::Dnskey(k) = &mut rec.rdata {
+                if k.flags == 256 {
+                    k.public_key = padded.clone();
+                    tag = k.key_tag();
+                }
+            }
+        }
+        assert_ne!(tag, crate::signer::dnskey_tag(&keys, false));
+        let unsigned = z.clone();
+        let mut resigned = 0;
+        for rec in z.records_mut() {
+            let Rdata::Rrsig(sig) = &mut rec.rdata else {
+                continue;
+            };
+            let rrset: Vec<Record> = (unsigned.rrset(&rec.name, sig.type_covered))
+                .into_iter()
+                .cloned()
+                .collect();
+            let key = if sig.type_covered == RrType::Dnskey {
+                &keys.ksk
+            } else {
+                sig.key_tag = tag;
+                resigned += 1;
+                &keys.zsk
+            };
+            sig.signature = compute_signature(sig, &rrset, key);
+        }
+        let report = validate_zone(&z, cfg.inception + 1000);
+        assert_eq!(report.issues.len(), resigned);
+        assert!(report.issues.iter().all(
+            |i| matches!(i, ValidationIssue::UnknownKeyTag { key_tag, .. } if *key_tag == tag)
+        ));
+
+        // The KSK's signature over the DNSKEY set still verifies; with the
+        // KSK padded too, no DNSKEY is usable at all.
+        for rec in z.records_mut() {
+            if let Rdata::Dnskey(k) = &mut rec.rdata {
+                k.public_key.push(0);
+            }
+        }
+        assert_eq!(
+            validate_zone(&z, cfg.inception + 1000).issues,
+            [ValidationIssue::NoDnskeys]
+        );
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The zone model.
 
+use crate::canonical::Canonical;
 use dns_wire::rdata::{Rdata, Soa};
 use dns_wire::{Name, Record, RrType};
 use std::collections::{BTreeMap, HashSet};
@@ -150,10 +151,8 @@ impl Zone {
     /// (identical owner/class/type/RDATA) removed — the exact form both
     /// signing and ZONEMD digesting require.
     pub fn canonical_records(&self) -> Vec<&Record> {
-        let mut recs: Vec<&Record> = self.records.iter().collect();
-        recs.sort_by(|a, b| a.canonical_cmp(b));
-        recs.dedup_by(|a, b| a.canonical_cmp(b) == std::cmp::Ordering::Equal);
-        recs
+        let canon = Canonical::new(&self.records);
+        canon.unique().map(|e| e.rec).collect()
     }
 
     /// Structural sanity check: exactly one apex SOA, everything in-zone.

@@ -10,10 +10,11 @@
 //! plus duplicate records and occluded/out-of-zone data, which the
 //! [`crate::zone::Zone`] model already excludes structurally.
 
+use crate::canonical::Canonical;
 use crate::zone::Zone;
 use dns_crypto::DigestAlg;
 use dns_wire::rdata::{Rdata, Zonemd};
-use dns_wire::{Record, RrType};
+use dns_wire::{Name, Record, RrType};
 
 /// The SIMPLE scheme (RFC 8976 §2.2.2) — the only one defined so far.
 pub const SCHEME_SIMPLE: u8 = 1;
@@ -51,8 +52,8 @@ impl std::error::Error for ZonemdError {}
 
 /// True if `rec` must be excluded from the digest input: the apex ZONEMD
 /// RRset and RRSIGs covering it.
-fn excluded_from_digest(rec: &Record, zone: &Zone) -> bool {
-    if rec.name != *zone.origin() {
+fn excluded_from_digest(rec: &Record, origin: &Name) -> bool {
+    if rec.name != *origin {
         return false;
     }
     match (&rec.rr_type, &rec.rdata) {
@@ -64,16 +65,17 @@ fn excluded_from_digest(rec: &Record, zone: &Zone) -> bool {
 
 /// Compute the zone digest with `alg` over the SIMPLE scheme.
 pub fn compute_zonemd(zone: &Zone, alg: DigestAlg) -> Result<Vec<u8>, ZonemdError> {
+    digest(zone, &Canonical::new(zone.records()), alg)
+}
+
+/// [`compute_zonemd`] over `zone`'s records already in canonical form.
+fn digest(zone: &Zone, canon: &Canonical, alg: DigestAlg) -> Result<Vec<u8>, ZonemdError> {
     zone.check()
         .map_err(|e| ZonemdError::BadZone(e.to_string()))?;
-    let mut input = Vec::new();
-    for rec in zone.canonical_records() {
-        if excluded_from_digest(rec, zone) {
-            continue;
-        }
-        input.extend_from_slice(&rec.canonical_wire(None));
-    }
-    Ok(alg.digest(&input))
+    let input = (canon.unique())
+        .filter(|e| !excluded_from_digest(e.rec, zone.origin()))
+        .map(|e| canon.form(e));
+    Ok(alg.digest_parts(input))
 }
 
 /// Build the apex ZONEMD record for the current zone content.
@@ -101,6 +103,12 @@ pub fn make_zonemd_record(zone: &Zone, alg: DigestAlg, ttl: u32) -> Result<Recor
 /// recomputed digest. A present-but-unverifiable record (the roll-out's
 /// private-algorithm phase) yields [`ZonemdError::UnsupportedAlgorithm`].
 pub fn verify_zonemd(zone: &Zone) -> Result<(), ZonemdError> {
+    verify(zone, None)
+}
+
+/// [`verify_zonemd`], reading the zone's canonical form from `canon` when
+/// the caller has it, writing it otherwise — only once a digest is due.
+pub(crate) fn verify(zone: &Zone, canon: Option<&Canonical>) -> Result<(), ZonemdError> {
     let soa_serial = zone
         .serial()
         .map_err(|e| ZonemdError::BadZone(e.to_string()))?;
@@ -109,8 +117,7 @@ pub fn verify_zonemd(zone: &Zone) -> Result<(), ZonemdError> {
         return Err(ZonemdError::NoZonemd);
     }
     let mut serial_mismatch = None;
-    let mut any_supported = false;
-    let mut mismatch = false;
+    let mut candidates = Vec::new();
     for rec in zonemds {
         let Rdata::Zonemd(z) = &rec.rdata else {
             continue;
@@ -123,29 +130,33 @@ pub fn verify_zonemd(zone: &Zone) -> Result<(), ZonemdError> {
             continue;
         }
         let alg = DigestAlg::from_zonemd_number(z.hash_algorithm);
-        if !alg.is_verifiable() {
-            continue;
+        if alg.is_verifiable() {
+            candidates.push((alg, &z.digest));
         }
-        any_supported = true;
-        let computed = compute_zonemd(zone, alg)?;
-        if computed == z.digest {
+    }
+    if candidates.is_empty() {
+        return Err(match serial_mismatch {
+            Some(zonemd) => ZonemdError::SerialMismatch {
+                soa: soa_serial,
+                zonemd,
+            },
+            None => ZonemdError::UnsupportedAlgorithm,
+        });
+    }
+    let own;
+    let canon = match canon {
+        Some(canon) => canon,
+        None => {
+            own = Canonical::new(zone.records());
+            &own
+        }
+    };
+    for (alg, published) in candidates {
+        if digest(zone, canon, alg)? == *published {
             return Ok(());
         }
-        mismatch = true;
     }
-    if mismatch {
-        Err(ZonemdError::DigestMismatch)
-    } else if any_supported {
-        // unreachable: any_supported implies either Ok or mismatch.
-        Err(ZonemdError::DigestMismatch)
-    } else if let Some(zserial) = serial_mismatch {
-        Err(ZonemdError::SerialMismatch {
-            soa: soa_serial,
-            zonemd: zserial,
-        })
-    } else {
-        Err(ZonemdError::UnsupportedAlgorithm)
-    }
+    Err(ZonemdError::DigestMismatch)
 }
 
 #[cfg(test)]

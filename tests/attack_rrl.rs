@@ -99,7 +99,7 @@ fn slipped_tc_response_recovers_the_validated_answer_over_tcp() {
         .iter()
         .find_map(|r| match &r.rdata {
             Rdata::Dnskey(k) if k.key_tag() == sig.key_tag => {
-                Some(SimKeyPair::from_public(&k.public_key))
+                SimKeyPair::from_public(&k.public_key)
             }
             _ => None,
         })
