@@ -20,9 +20,13 @@
 #      arena walk (owner length bytes, RDLENGTH, same-owner pointer
 #      targets) and the writer's name table, `propagate`'s packed
 #      rank (shifts, the path-length field) and its `u32` kilometre sums,
-#      the shared-set debug_assert!, the analyses' dense indices — the RTT
-#      cell `(region · targets + target) · 2 + family`, the traffic bucket
-#      `(day − first) · 25 + hour slot`, the `day << 32 | client` key, the
+#      the shared-set debug_assert!, the answer cache build's shard ranges
+#      over names and NSEC links and its in-order merge (the `-p rootd`
+#      run builds 1- to 1 500-TLD zones in one shard up to more shards
+#      than names and requires the one-shard build's bytes), the
+#      analyses' dense indices — the RTT cell `(region · targets +
+#      target) · 2 + family`, the traffic bucket `(day − first) · 25 +
+#      hour slot`, the `day << 32 | client` key, the
 #      count-to-offset prefix sums and `from_sorted`'s order assertion —
 #      and the measurement's slot tables — the session slot `(vp · 14 +
 #      target) · 2 + family`, the probe-plan slot `(vp · 13 + letter) · 2

@@ -45,6 +45,8 @@ use crate::index::{Lookup, RrsetEntry, ZoneIndex};
 use crate::query::{FastQuery, MAX_QNAME};
 use dns_wire::wire::WireWriter;
 use dns_wire::{Class, Name, Rcode, RrType};
+use netsim::shard;
+use std::ops::Range;
 
 /// Offset where the question section of a message ends when the qname is
 /// the 1-byte root: 12-byte header + 1 + qtype (2) + qclass (2).
@@ -164,33 +166,42 @@ struct NameEntry {
 impl NameEntry {
     /// Precompile `shapes` at `name` by running each distinct answer
     /// through `answerer` — the code the fallback path executes.
-    fn build(answerer: &Answerer<'_>, name: &Name, shapes: &[(RrType, Class)]) -> NameEntry {
+    fn build(
+        answerer: &Answerer<'_>,
+        name: &Name,
+        shapes: &[(RrType, Class)],
+        scratch: &mut Scratch,
+    ) -> NameEntry {
         assert!(shapes.len() <= MAX_SHAPES, "{name}: {shapes:?}");
         let mut table = [ShapeRef::default(); MAX_SHAPES];
         // What each set built so far answers, for the IN shapes: two
         // qtypes share a set exactly when `ZoneIndex::lookup` hands both
         // the same thing.
         let mut built: Vec<(Lookup<'_>, u16)> = Vec::new();
-        let mut sets = Vec::new();
-        let mut arena = Vec::new();
+        let Scratch { bytes, sets, arena } = scratch;
+        sets.clear();
+        arena.clear();
+        let mut canonical = None;
         for (slot, &(qtype, class)) in table.iter_mut().zip(shapes) {
-            let lookup = (class == Class::In)
-                .then(|| answerer.index.lookup(name.canonical().as_wire(), qtype));
+            let lookup = (class == Class::In).then(|| {
+                let key = canonical.get_or_insert_with(|| name.canonical());
+                answerer.index.lookup(key.as_wire(), qtype)
+            });
             let shared = lookup.as_ref().and_then(|l| {
                 let (_, set) = built.iter().find(|(b, _)| same_answer(b, l))?;
                 Some(*set)
             });
             let set = shared.unwrap_or_else(|| {
                 let set = sets.len() as u16;
-                sets.push(build_set(answerer, name, qtype, class, &mut arena));
+                sets.push(build_set(answerer, name, qtype, class, arena, bytes));
                 built.extend(lookup.map(|l| (l, set)));
                 set
             });
             debug_assert!(
                 shared.is_none() || {
                     let mut own = Vec::new();
-                    let rebuilt = build_set(answerer, name, qtype, class, &mut own);
-                    differ_in_qtype_only(name, (&sets[set as usize], &arena), (&rebuilt, &own))
+                    let rebuilt = build_set(answerer, name, qtype, class, &mut own, bytes);
+                    differ_in_qtype_only(name, (&sets[set as usize], arena), (&rebuilt, &own))
                 },
                 "{name} {qtype:?} does not share the answer it resolves to"
             );
@@ -203,8 +214,8 @@ impl NameEntry {
         NameEntry {
             shapes: table,
             nshapes: shapes.len() as u8,
-            sets: sets.into_boxed_slice(),
-            arena: arena.into_boxed_slice(),
+            sets: sets.as_slice().into(),
+            arena: arena.as_slice().into(),
         }
     }
 
@@ -227,6 +238,16 @@ impl NameEntry {
         splice_request(req, q.lc.len(), &mut out[base..]);
         true
     }
+}
+
+/// What one builder reuses from name to name: the encode buffer, and the
+/// sets and byte arena a name's responses collect in before they are
+/// copied out at their final size.
+#[derive(Default)]
+struct Scratch {
+    bytes: Vec<u8>,
+    sets: Vec<[ResponseSet; 3]>,
+    arena: Vec<u8>,
 }
 
 /// Whether two lookups at one name produce the same response but for the
@@ -320,6 +341,21 @@ impl NegTemplate {
     }
 }
 
+/// Owner names a cache-build shard must have before another shard — a
+/// thread spawned and joined per build — pays for itself.
+const NAMES_PER_SHARD: usize = 64;
+
+/// How many shards build the cache of a zone with `names` owner names:
+/// one per core, but no more than one per [`NAMES_PER_SHARD`] names, so a
+/// small zone (the 8-TLD farm's 38 names) builds in one shard, inline on
+/// the caller, without asking for the core count.
+fn shard_count(names: usize) -> usize {
+    match names.div_ceil(NAMES_PER_SHARD) {
+        0 | 1 => 1,
+        most => most.min(std::thread::available_parallelism().map_or(1, |n| n.get())),
+    }
+}
+
 /// Precompiled wire responses for one zone epoch. Built from (and
 /// invalidated with) a [`crate::index::ZoneIndex`]; see the module docs
 /// for the serve-time contract.
@@ -356,15 +392,56 @@ impl AnswerCache {
     }
 
     fn build_inner(answerer: &Answerer<'_>, include_chaos: bool) -> AnswerCache {
+        let k = shard_count(answerer.index.names().count());
+        Self::build_in_shards(answerer, include_chaos, k)
+    }
+
+    /// [`Self::build_inner`] on `k` shards (the production count is
+    /// [`shard_count`]'s). Shard `t` precompiles the `NameEntry`s of its
+    /// range of `index.names()` and the DO templates of its range of the
+    /// NSEC chain, reusing one [`Scratch`]; the caller merges the shards
+    /// in shard-id order into a map reserved to the name count, so the
+    /// map's insertion order and capacity, every stored span and every
+    /// template are those of a serial build whatever `k` is. One shard
+    /// runs inline on the caller.
+    pub(crate) fn build_in_shards(
+        answerer: &Answerer<'_>,
+        include_chaos: bool,
+        k: usize,
+    ) -> AnswerCache {
         let index = answerer.index;
+        let names: Vec<&Name> = index.names().collect();
+        let links = index.nsec_chain();
         let zone_shapes = CACHED_QTYPES.map(|qtype| (qtype, Class::In));
-        let mut exact: ZoneMap<Vec<u8>, NameEntry> = index
-            .names()
-            .map(|name| {
-                let entry = NameEntry::build(answerer, name, &zone_shapes);
-                (name.canonical_wire(), entry)
-            })
-            .collect();
+        let shard = |names_range: Range<usize>, links_range: Range<usize>| {
+            let mut scratch = Scratch::default();
+            let entries: Vec<(Vec<u8>, NameEntry)> = names[names_range]
+                .iter()
+                .map(|name| {
+                    let entry = NameEntry::build(answerer, name, &zone_shapes, &mut scratch);
+                    (name.canonical_wire(), entry)
+                })
+                .collect();
+            let templates: Vec<Option<NegTemplate>> = links[links_range]
+                .iter()
+                .map(|(_, entry)| build_negative(answerer, 2, Some(entry), &mut scratch.bytes))
+                .collect();
+            (entries, templates)
+        };
+        let shards = match k {
+            0 | 1 => vec![shard(0..names.len(), 0..links.len())],
+            k => shard::run_with(names.len(), shard::ranges(links.len(), k), shard),
+        };
+        let mut exact: ZoneMap<Vec<u8>, NameEntry> =
+            ZoneMap::with_capacity_and_hasher(names.len(), Default::default());
+        let mut nx_do = Vec::with_capacity(links.len());
+        for (entries, templates) in shards {
+            for (key, entry) in entries {
+                exact.insert(key, entry);
+            }
+            nx_do.extend(templates);
+        }
+        let mut scratch = Scratch::default();
         if include_chaos {
             for chaos in CHAOS_NAMES {
                 let name = Name::parse(chaos).expect("static chaos name");
@@ -375,23 +452,21 @@ impl AnswerCache {
                 if exact.contains_key(&key) {
                     shapes.extend(zone_shapes);
                 }
-                exact.insert(key, NameEntry::build(answerer, &name, &shapes));
+                exact.insert(
+                    key,
+                    NameEntry::build(answerer, &name, &shapes, &mut scratch),
+                );
             }
         }
-        let nx_do: Vec<Option<NegTemplate>> = index
-            .nsec_chain()
-            .iter()
-            .map(|(_, entry)| build_negative(answerer, 2, Some(entry)))
-            .collect();
         let nx_do_unsigned = if nx_do.is_empty() {
-            build_negative(answerer, 2, None)
+            build_negative(answerer, 2, None, &mut scratch.bytes)
         } else {
             None
         };
         AnswerCache {
             exact,
-            nx_plain: build_negative(answerer, 0, None),
-            nx_edns: build_negative(answerer, 1, None),
+            nx_plain: build_negative(answerer, 0, None, &mut scratch.bytes),
+            nx_edns: build_negative(answerer, 1, None, &mut scratch.bytes),
             nx_do,
             nx_do_unsigned,
         }
@@ -477,11 +552,13 @@ pub(crate) struct ChaosCache {
 
 impl ChaosCache {
     pub(crate) fn build(answerer: &Answerer<'_>) -> ChaosCache {
+        let mut scratch = Scratch::default();
         let names = CHAOS_NAMES
             .iter()
             .map(|chaos| {
                 let name = Name::parse(chaos).expect("static chaos name");
-                let entry = NameEntry::build(answerer, &name, &[(RrType::Txt, Class::Ch)]);
+                let entry =
+                    NameEntry::build(answerer, &name, &[(RrType::Txt, Class::Ch)], &mut scratch);
                 (name.canonical_wire(), entry)
             })
             .collect();
@@ -501,48 +578,51 @@ impl ChaosCache {
 }
 
 /// Pre-encode the answer to (`name`, `qtype`, `class`) for each EDNS state
-/// into `arena`, through the answerer and encoder the fallback path uses.
+/// into `arena`, through the answerer and encoder the fallback path uses;
+/// `bytes` is the encode scratch.
 fn build_set(
     answerer: &Answerer<'_>,
     name: &Name,
     qtype: RrType,
     class: Class,
     arena: &mut Vec<u8>,
+    bytes: &mut Vec<u8>,
 ) -> [ResponseSet; 3] {
-    let mut bytes = Vec::new();
     [0, 1, 2].map(|state| {
         let lc = &mut [0; MAX_QNAME];
         let q = FastQuery::for_question(name, qtype, class, state, lc);
         let plan = answerer.answer(&q, true);
-        encode_into(&plan, &q, usize::MAX, &mut bytes);
-        let full = Span::push(arena, &bytes);
+        encode_into(&plan, &q, usize::MAX, bytes);
+        let full = Span::push(arena, bytes);
         ResponseSet {
             full,
             truncated: BUCKETS.map(|bucket| {
                 if full.len as usize <= bucket {
                     return Span::default();
                 }
-                encode_into(&plan, &q, bucket, &mut bytes);
-                Span::push(arena, &bytes)
+                encode_into(&plan, &q, bucket, bytes);
+                Span::push(arena, bytes)
             }),
         }
     })
 }
 
-/// Pre-encode one NXDOMAIN template against a root question. `None` when
-/// the encoding cannot be templated (a pointer lands in or targets the
-/// question region — impossible for a root question, but checked).
+/// Pre-encode one NXDOMAIN template against a root question, writing into
+/// `scratch`'s allocation. `None` when the encoding cannot be templated (a
+/// pointer lands in or targets the question region — impossible for a
+/// root question, but checked).
 fn build_negative(
     answerer: &Answerer<'_>,
     state: usize,
     nsec: Option<&RrsetEntry>,
+    scratch: &mut Vec<u8>,
 ) -> Option<NegTemplate> {
     let root = Name::root();
     let lc = &mut [0; MAX_QNAME];
     let q = FastQuery::for_question(&root, RrType::A, Class::In, state, lc);
     let mut plan = answerer.negative_with(Rcode::NxDomain, state == 2, nsec);
     answerer.attach_edns(&q, &mut plan);
-    let mut w = WireWriter::new();
+    let mut w = WireWriter::with_buffer(std::mem::take(scratch));
     encode(&plan, &q, usize::MAX, &mut w);
     let mut fixups = Vec::new();
     for &(pos, target) in w.pointers() {
@@ -553,12 +633,14 @@ fn build_negative(
         fixups.push(((pos - ROOT_QEND) as u16, target as u16));
     }
     let excluded = w.compressed_suffixes().collect();
-    let bytes = w.into_bytes();
+    let bytes = w.take_bytes();
     let mut head = [0u8; 12];
     head.copy_from_slice(&bytes[..12]);
+    let tail = bytes[ROOT_QEND..].into();
+    *scratch = bytes;
     Some(NegTemplate {
         head,
-        tail: bytes[ROOT_QEND..].to_vec().into_boxed_slice(),
+        tail,
         fixups: fixups.into_boxed_slice(),
         excluded,
     })
@@ -776,6 +858,149 @@ mod tests {
             }
         }
         assert!(index.referral_above(b"\x03com").is_some());
+    }
+
+    /// Everything one build stored, in the order it holds it.
+    #[derive(PartialEq)]
+    struct Stored {
+        capacity: usize,
+        entries: usize,
+        /// Per name in map order: the key, each shape's (qtype, class,
+        /// set), each set's spans (start, length) by EDNS state — the
+        /// full response, then one per bucket (zero where none is stored)
+        /// — and the byte arena they point into.
+        names: Vec<StoredName>,
+        /// `nx_plain`, `nx_edns`, `nx_do_unsigned`, then `nx_do` link by
+        /// link: head, tail, fixups and the sorted excluded suffixes.
+        templates: Vec<Option<Template>>,
+    }
+
+    type StoredName = (Vec<u8>, Vec<(u16, u16, u16)>, Vec<(u32, u32)>, Vec<u8>);
+    type Template = ([u8; 12], Vec<u8>, Vec<(u16, u16)>, Vec<Vec<u8>>);
+
+    fn stored(cache: &AnswerCache) -> Stored {
+        let names = (cache.exact.iter())
+            .map(|(key, entry)| {
+                let shapes = entry.shapes[..entry.nshapes as usize]
+                    .iter()
+                    .map(|s| (s.qtype, s.class, s.set))
+                    .collect();
+                let spans = (entry.sets.iter().flatten())
+                    .flat_map(|set| set.spans())
+                    .map(|span| (span.start, span.len))
+                    .collect();
+                (key.clone(), shapes, spans, entry.arena.to_vec())
+            })
+            .collect();
+        let template = |t: &Option<NegTemplate>| {
+            t.as_ref().map(|t| {
+                let mut excluded: Vec<Vec<u8>> = t.excluded.iter().cloned().collect();
+                excluded.sort();
+                (t.head, t.tail.to_vec(), t.fixups.to_vec(), excluded)
+            })
+        };
+        let fixed = [&cache.nx_plain, &cache.nx_edns, &cache.nx_do_unsigned];
+        Stored {
+            capacity: cache.exact.capacity(),
+            entries: cache.entries(),
+            names,
+            templates: fixed
+                .into_iter()
+                .chain(&cache.nx_do)
+                .map(template)
+                .collect(),
+        }
+    }
+
+    /// `zone` with its NSEC and RRSIG records stripped: owner names but no
+    /// NSEC chain, so every template range is empty and no name range is.
+    fn unsigned(mut zone: dns_zone::Zone) -> dns_zone::Zone {
+        (zone.records_mut()).retain(|r| !matches!(r.rr_type, RrType::Nsec | RrType::Rrsig));
+        zone
+    }
+
+    /// The shard count decides where a name is built, never what is
+    /// stored: at 2, 3 and 7 shards, and at more shards than names, every
+    /// stored span of every name, shape and EDNS state, every NXDOMAIN
+    /// template and the map's key order and capacity equal the one-shard
+    /// build's — with and without the CHAOS names, over zones of 1, 40
+    /// and 1 500 TLDs and an unsigned one. The one-shard build's key order
+    /// and capacity are in turn those of collecting the keys serially.
+    #[test]
+    fn every_shard_count_stores_what_one_shard_stores() {
+        let site = crate::answer::SiteAnswers::new(&SiteIdentity::named("lax2f"));
+        for (tld_count, signed) in [(1, true), (40, true), (40, false), (1_500, true)] {
+            let cfg = RootZoneConfig {
+                tld_count,
+                rollout: RolloutPhase::Validating,
+                ..Default::default()
+            };
+            let zone = build_root_zone(&cfg, &ZoneKeys::from_seed(11));
+            let zone = if signed { zone } else { unsigned(zone) };
+            let index = ZoneIndex::build(Arc::new(zone));
+            let names = index.names().count();
+            assert_eq!(names, 1 + 13 + 3 * tld_count);
+            assert_eq!(index.nsec_chain().len(), if signed { names } else { 0 });
+            for site in [None, Some(&site)] {
+                let chaos = site.is_some();
+                let answerer = Answerer {
+                    index: &index,
+                    site,
+                };
+                let one = stored(&AnswerCache::build_in_shards(&answerer, chaos, 1));
+                let mut serial: ZoneMap<Vec<u8>, ()> =
+                    index.names().map(|n| (n.canonical_wire(), ())).collect();
+                if chaos {
+                    for chaos in CHAOS_NAMES {
+                        serial.insert(Name::parse(chaos).unwrap().canonical_wire(), ());
+                    }
+                }
+                assert_eq!(one.capacity, serial.capacity());
+                assert!(one.names.iter().map(|n| &n.0).eq(serial.keys()));
+                // A name's arena holds its stored spans and nothing else.
+                for (key, _, spans, arena) in &one.names {
+                    let stored: u32 = spans.iter().map(|&(_, len)| len).sum();
+                    assert_eq!(arena.len(), stored as usize, "{key:?}");
+                }
+                for k in [2, 3, 7, names + 5] {
+                    let what = format!("{tld_count} TLDs, signed {signed}, chaos {chaos}, k {k}");
+                    let sharded = stored(&AnswerCache::build_in_shards(&answerer, chaos, k));
+                    assert_eq!(sharded.capacity, one.capacity, "{what}");
+                    assert_eq!(sharded.entries, one.entries, "{what}");
+                    assert_eq!(sharded.names.len(), one.names.len(), "{what}");
+                    for (a, b) in sharded.names.iter().zip(&one.names) {
+                        assert!(a == b, "{what}: {:?} where {:?} was", a.0, b.0);
+                    }
+                    assert!(sharded.templates == one.templates, "{what}: templates");
+                }
+            }
+        }
+    }
+
+    /// The production shard count at the zone sizes the tests and the
+    /// farms use: the 8-TLD farms' 38 names build in one shard (inline on
+    /// the caller, as before sharding), and the 40-TLD zone behind
+    /// `tests/rootd_serving.rs`'s farm-reload oracle builds in two on a
+    /// multi-core host, so that oracle covers the sharded path.
+    #[test]
+    fn the_shard_count_follows_the_name_count() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for (tld_count, names, k) in [
+            (8, 38, 1),
+            (40, 134, cores.min(2)),
+            (1_500, 4_514, cores.min(71)),
+        ] {
+            let cfg = RootZoneConfig {
+                tld_count,
+                ..Default::default()
+            };
+            let zone = build_root_zone(&cfg, &ZoneKeys::from_seed(3));
+            assert_eq!(ZoneIndex::build(Arc::new(zone)).names().count(), names);
+            assert_eq!(shard_count(names), k, "{tld_count} TLDs");
+        }
+        assert_eq!(shard_count(64), 1);
+        assert_eq!(shard_count(65), cores.min(2));
+        assert_eq!(shard_count(0), 1);
     }
 
     #[test]
