@@ -20,13 +20,13 @@
 #      arena walk (owner length bytes, RDLENGTH, same-owner pointer
 #      targets) and the writer's name table, `propagate`'s packed
 #      rank (shifts, the path-length field) and its `u32` kilometre sums,
-#      the shared-set debug_assert!, the answer cache build's shard ranges
-#      over names and NSEC links and its in-order merge (the `-p rootd`
-#      run builds 1- to 1 500-TLD zones in one shard up to more shards
-#      than names and requires the one-shard build's bytes), the
-#      analyses' dense indices — the RTT cell `(region · targets +
-#      target) · 2 + family`, the traffic bucket `(day − first) · 25 +
-#      hour slot`, the `day << 32 | client` key, the
+#      the shared-set debug_assert!, the answer cache build's reused
+#      scratch (the `-p rootd` run builds 1- to 1 500-TLD zones and
+#      requires every name's spans and arena, and every NXDOMAIN
+#      template, to equal a fresh-scratch build's), the analyses' dense
+#      indices — the RTT cell `(region · targets + target) · 2 + family`,
+#      the traffic bucket `(day − first) · 25 + hour slot`, the
+#      `day << 32 | client` key, the
 #      count-to-offset prefix sums and `from_sorted`'s order assertion —
 #      and the measurement's slot tables — the session slot `(vp · 14 +
 #      target) · 2 + family`, the probe-plan slot `(vp · 13 + letter) · 2
@@ -104,12 +104,17 @@ cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 # What the driver runs: every workload for a second, untraced and traced.
 # run.sh builds without --locked and would rewrite benchmark/Cargo.lock on
-# a changed dependency edge, hence the diff after it.
+# a changed dependency edge, hence the diff after it. A failed run prints
+# its exit status and its FAILED CHECK and warning lines, which name the
+# check that failed.
 for workload in farm_hit farm_rootzone farm_slowpath farm_reload farm_chaos pipeline_small; do
     for trace in 0 1; do
-        result="$(benchmark/run.sh --workload "$workload" --seed 7 --seconds 1 --trace "$trace" | tail -n 1)"
-        if [[ "$result" != *'"correct":true'* || "$result" != *'"failed":0,'* ]]; then
-            echo "ci: rootbench $workload --trace $trace: $result" >&2
+        status=0
+        output="$(benchmark/run.sh --workload "$workload" --seed 7 --seconds 1 --trace "$trace")" || status=$?
+        result="$(tail -n 1 <<<"$output")"
+        if [[ $status -ne 0 || "$result" != *'"correct":true'* || "$result" != *'"failed":0,'* ]]; then
+            echo "ci: rootbench $workload --trace $trace exited $status: $result" >&2
+            grep -E '^(FAILED CHECK|warning):' <<<"$output" >&2 || true
             exit 1
         fi
     done

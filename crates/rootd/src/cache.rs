@@ -45,8 +45,6 @@ use crate::index::{Lookup, RrsetEntry, ZoneIndex};
 use crate::query::{FastQuery, MAX_QNAME};
 use dns_wire::wire::WireWriter;
 use dns_wire::{Class, Name, Rcode, RrType};
-use netsim::shard;
-use std::ops::Range;
 
 /// Offset where the question section of a message ends when the qname is
 /// the 1-byte root: 12-byte header + 1 + qtype (2) + qclass (2).
@@ -341,21 +339,6 @@ impl NegTemplate {
     }
 }
 
-/// Owner names a cache-build shard must have before another shard — a
-/// thread spawned and joined per build — pays for itself.
-const NAMES_PER_SHARD: usize = 64;
-
-/// How many shards build the cache of a zone with `names` owner names:
-/// one per core, but no more than one per [`NAMES_PER_SHARD`] names, so a
-/// small zone (the 8-TLD farm's 38 names) builds in one shard, inline on
-/// the caller, without asking for the core count.
-fn shard_count(names: usize) -> usize {
-    match names.div_ceil(NAMES_PER_SHARD) {
-        0 | 1 => 1,
-        most => most.min(std::thread::available_parallelism().map_or(1, |n| n.get())),
-    }
-}
-
 /// Precompiled wire responses for one zone epoch. Built from (and
 /// invalidated with) a [`crate::index::ZoneIndex`]; see the module docs
 /// for the serve-time contract.
@@ -391,57 +374,21 @@ impl AnswerCache {
         Self::build_inner(&Answerer { index, site: None }, false)
     }
 
+    /// One [`Scratch`] serves every name and template of the build: a
+    /// name's responses are encoded into it and copied out at their final
+    /// size, so the stored bytes are what a fresh buffer per name would
+    /// hold (`cache::tests::a_reused_scratch_stores_what_a_fresh_one_does`).
     fn build_inner(answerer: &Answerer<'_>, include_chaos: bool) -> AnswerCache {
-        let k = shard_count(answerer.index.names().count());
-        Self::build_in_shards(answerer, include_chaos, k)
-    }
-
-    /// [`Self::build_inner`] on `k` shards (the production count is
-    /// [`shard_count`]'s). Shard `t` precompiles the `NameEntry`s of its
-    /// range of `index.names()` and the DO templates of its range of the
-    /// NSEC chain, reusing one [`Scratch`]; the caller merges the shards
-    /// in shard-id order into a map reserved to the name count, so the
-    /// map's insertion order and capacity, every stored span and every
-    /// template are those of a serial build whatever `k` is. One shard
-    /// runs inline on the caller.
-    pub(crate) fn build_in_shards(
-        answerer: &Answerer<'_>,
-        include_chaos: bool,
-        k: usize,
-    ) -> AnswerCache {
         let index = answerer.index;
-        let names: Vec<&Name> = index.names().collect();
-        let links = index.nsec_chain();
         let zone_shapes = CACHED_QTYPES.map(|qtype| (qtype, Class::In));
-        let shard = |names_range: Range<usize>, links_range: Range<usize>| {
-            let mut scratch = Scratch::default();
-            let entries: Vec<(Vec<u8>, NameEntry)> = names[names_range]
-                .iter()
-                .map(|name| {
-                    let entry = NameEntry::build(answerer, name, &zone_shapes, &mut scratch);
-                    (name.canonical_wire(), entry)
-                })
-                .collect();
-            let templates: Vec<Option<NegTemplate>> = links[links_range]
-                .iter()
-                .map(|(_, entry)| build_negative(answerer, 2, Some(entry), &mut scratch.bytes))
-                .collect();
-            (entries, templates)
-        };
-        let shards = match k {
-            0 | 1 => vec![shard(0..names.len(), 0..links.len())],
-            k => shard::run_with(names.len(), shard::ranges(links.len(), k), shard),
-        };
-        let mut exact: ZoneMap<Vec<u8>, NameEntry> =
-            ZoneMap::with_capacity_and_hasher(names.len(), Default::default());
-        let mut nx_do = Vec::with_capacity(links.len());
-        for (entries, templates) in shards {
-            for (key, entry) in entries {
-                exact.insert(key, entry);
-            }
-            nx_do.extend(templates);
-        }
         let mut scratch = Scratch::default();
+        let mut exact: ZoneMap<Vec<u8>, NameEntry> = index
+            .names()
+            .map(|name| {
+                let entry = NameEntry::build(answerer, name, &zone_shapes, &mut scratch);
+                (name.canonical_wire(), entry)
+            })
+            .collect();
         if include_chaos {
             for chaos in CHAOS_NAMES {
                 let name = Name::parse(chaos).expect("static chaos name");
@@ -458,6 +405,11 @@ impl AnswerCache {
                 );
             }
         }
+        let nx_do: Vec<Option<NegTemplate>> = index
+            .nsec_chain()
+            .iter()
+            .map(|(_, entry)| build_negative(answerer, 2, Some(entry), &mut scratch.bytes))
+            .collect();
         let nx_do_unsigned = if nx_do.is_empty() {
             build_negative(answerer, 2, None, &mut scratch.bytes)
         } else {
@@ -860,76 +812,58 @@ mod tests {
         assert!(index.referral_above(b"\x03com").is_some());
     }
 
-    /// Everything one build stored, in the order it holds it.
-    #[derive(PartialEq)]
-    struct Stored {
-        capacity: usize,
-        entries: usize,
-        /// Per name in map order: the key, each shape's (qtype, class,
-        /// set), each set's spans (start, length) by EDNS state — the
-        /// full response, then one per bucket (zero where none is stored)
-        /// — and the byte arena they point into.
-        names: Vec<StoredName>,
-        /// `nx_plain`, `nx_edns`, `nx_do_unsigned`, then `nx_do` link by
-        /// link: head, tail, fixups and the sorted excluded suffixes.
-        templates: Vec<Option<Template>>,
+    /// What one name stores: each shape's (qtype, class, set), each set's
+    /// spans (start, length) by EDNS state — the full response, then one
+    /// per bucket (zero where none is stored) — and the byte arena they
+    /// point into.
+    type Stored = (Vec<(u16, u16, u16)>, Vec<(u32, u32)>, Vec<u8>);
+
+    fn stored(entry: &NameEntry) -> Stored {
+        let shapes = entry.shapes[..entry.nshapes as usize]
+            .iter()
+            .map(|s| (s.qtype, s.class, s.set))
+            .collect();
+        let spans = (entry.sets.iter().flatten())
+            .flat_map(|set| set.spans())
+            .map(|span| (span.start, span.len))
+            .collect();
+        (shapes, spans, entry.arena.to_vec())
     }
 
-    type StoredName = (Vec<u8>, Vec<(u16, u16, u16)>, Vec<(u32, u32)>, Vec<u8>);
+    /// A template's head, tail, fixups and sorted excluded suffixes.
     type Template = ([u8; 12], Vec<u8>, Vec<(u16, u16)>, Vec<Vec<u8>>);
 
-    fn stored(cache: &AnswerCache) -> Stored {
-        let names = (cache.exact.iter())
-            .map(|(key, entry)| {
-                let shapes = entry.shapes[..entry.nshapes as usize]
-                    .iter()
-                    .map(|s| (s.qtype, s.class, s.set))
-                    .collect();
-                let spans = (entry.sets.iter().flatten())
-                    .flat_map(|set| set.spans())
-                    .map(|span| (span.start, span.len))
-                    .collect();
-                (key.clone(), shapes, spans, entry.arena.to_vec())
-            })
-            .collect();
-        let template = |t: &Option<NegTemplate>| {
-            t.as_ref().map(|t| {
-                let mut excluded: Vec<Vec<u8>> = t.excluded.iter().cloned().collect();
-                excluded.sort();
-                (t.head, t.tail.to_vec(), t.fixups.to_vec(), excluded)
-            })
-        };
-        let fixed = [&cache.nx_plain, &cache.nx_edns, &cache.nx_do_unsigned];
-        Stored {
-            capacity: cache.exact.capacity(),
-            entries: cache.entries(),
-            names,
-            templates: fixed
-                .into_iter()
-                .chain(&cache.nx_do)
-                .map(template)
-                .collect(),
-        }
+    fn template(t: &Option<NegTemplate>) -> Option<Template> {
+        t.as_ref().map(|t| {
+            let mut excluded: Vec<Vec<u8>> = t.excluded.iter().cloned().collect();
+            excluded.sort();
+            (t.head, t.tail.to_vec(), t.fixups.to_vec(), excluded)
+        })
     }
 
     /// `zone` with its NSEC and RRSIG records stripped: owner names but no
-    /// NSEC chain, so every template range is empty and no name range is.
+    /// NSEC chain, so the build takes the unsigned template.
     fn unsigned(mut zone: dns_zone::Zone) -> dns_zone::Zone {
         (zone.records_mut()).retain(|r| !matches!(r.rr_type, RrType::Nsec | RrType::Rrsig));
         zone
     }
 
-    /// The shard count decides where a name is built, never what is
-    /// stored: at 2, 3 and 7 shards, and at more shards than names, every
-    /// stored span of every name, shape and EDNS state, every NXDOMAIN
-    /// template and the map's key order and capacity equal the one-shard
-    /// build's — with and without the CHAOS names, over zones of 1, 40
-    /// and 1 500 TLDs and an unsigned one. The one-shard build's key order
-    /// and capacity are in turn those of collecting the keys serially.
+    /// The build reuses one scratch from name to name and template to
+    /// template; what it stores must not depend on that. Every name's
+    /// shapes, spans and arena, and every NXDOMAIN template, equal what a
+    /// fresh scratch builds for that name or link alone — with and without
+    /// the CHAOS names, over zones of 1 and 40 TLDs, an unsigned one, and
+    /// the 1 500-TLD zone the zone push measures — and each arena holds
+    /// its stored spans and nothing else.
     #[test]
-    fn every_shard_count_stores_what_one_shard_stores() {
+    fn a_reused_scratch_stores_what_a_fresh_one_does() {
         let site = crate::answer::SiteAnswers::new(&SiteIdentity::named("lax2f"));
-        for (tld_count, signed) in [(1, true), (40, true), (40, false), (1_500, true)] {
+        for (tld_count, signed, sites) in [
+            (1, true, &[None, Some(&site)][..]),
+            (40, true, &[None, Some(&site)]),
+            (40, false, &[None, Some(&site)]),
+            (1_500, true, &[None]),
+        ] {
             let cfg = RootZoneConfig {
                 tld_count,
                 rollout: RolloutPhase::Validating,
@@ -941,66 +875,50 @@ mod tests {
             let names = index.names().count();
             assert_eq!(names, 1 + 13 + 3 * tld_count);
             assert_eq!(index.nsec_chain().len(), if signed { names } else { 0 });
-            for site in [None, Some(&site)] {
+            for &site in sites {
                 let chaos = site.is_some();
+                let what = format!("{tld_count} TLDs, signed {signed}, chaos {chaos}");
                 let answerer = Answerer {
                     index: &index,
                     site,
                 };
-                let one = stored(&AnswerCache::build_in_shards(&answerer, chaos, 1));
-                let mut serial: ZoneMap<Vec<u8>, ()> =
-                    index.names().map(|n| (n.canonical_wire(), ())).collect();
+                let cache = AnswerCache::build_inner(&answerer, chaos);
+                let mut by_key: ZoneMap<Vec<u8>, Name> = index
+                    .names()
+                    .map(|n| (n.canonical_wire(), n.clone()))
+                    .collect();
                 if chaos {
                     for chaos in CHAOS_NAMES {
-                        serial.insert(Name::parse(chaos).unwrap().canonical_wire(), ());
+                        let name = Name::parse(chaos).unwrap();
+                        by_key.insert(name.canonical_wire(), name);
                     }
                 }
-                assert_eq!(one.capacity, serial.capacity());
-                assert!(one.names.iter().map(|n| &n.0).eq(serial.keys()));
-                // A name's arena holds its stored spans and nothing else.
-                for (key, _, spans, arena) in &one.names {
-                    let stored: u32 = spans.iter().map(|&(_, len)| len).sum();
-                    assert_eq!(arena.len(), stored as usize, "{key:?}");
+                assert_eq!(cache.exact.len(), by_key.len(), "{what}");
+                for (key, entry) in &cache.exact {
+                    let name = &by_key[key];
+                    let shapes: Vec<(RrType, Class)> = entry.shapes[..entry.nshapes as usize]
+                        .iter()
+                        .map(|s| (RrType::from_u16(s.qtype), Class::from_u16(s.class)))
+                        .collect();
+                    let fresh = NameEntry::build(&answerer, name, &shapes, &mut Scratch::default());
+                    let (ours, theirs) = (stored(entry), stored(&fresh));
+                    assert!(ours == theirs, "{what}: {name}");
+                    let spans: u32 = ours.1.iter().map(|&(_, len)| len).sum();
+                    assert_eq!(ours.2.len(), spans as usize, "{what}: {name}");
                 }
-                for k in [2, 3, 7, names + 5] {
-                    let what = format!("{tld_count} TLDs, signed {signed}, chaos {chaos}, k {k}");
-                    let sharded = stored(&AnswerCache::build_in_shards(&answerer, chaos, k));
-                    assert_eq!(sharded.capacity, one.capacity, "{what}");
-                    assert_eq!(sharded.entries, one.entries, "{what}");
-                    assert_eq!(sharded.names.len(), one.names.len(), "{what}");
-                    for (a, b) in sharded.names.iter().zip(&one.names) {
-                        assert!(a == b, "{what}: {:?} where {:?} was", a.0, b.0);
-                    }
-                    assert!(sharded.templates == one.templates, "{what}: templates");
+                let fresh = |state, nsec| {
+                    template(&build_negative(&answerer, state, nsec, &mut Vec::new()))
+                };
+                assert!(template(&cache.nx_plain) == fresh(0, None), "{what}");
+                assert!(template(&cache.nx_edns) == fresh(1, None), "{what}");
+                let unsigned = (!signed).then(|| fresh(2, None)).flatten();
+                assert!(template(&cache.nx_do_unsigned) == unsigned, "{what}");
+                assert_eq!(cache.nx_do.len(), index.nsec_chain().len(), "{what}");
+                for (t, (owner, entry)) in cache.nx_do.iter().zip(index.nsec_chain()) {
+                    assert!(template(t) == fresh(2, Some(entry)), "{what}: {owner}");
                 }
             }
         }
-    }
-
-    /// The production shard count at the zone sizes the tests and the
-    /// farms use: the 8-TLD farms' 38 names build in one shard (inline on
-    /// the caller, as before sharding), and the 40-TLD zone behind
-    /// `tests/rootd_serving.rs`'s farm-reload oracle builds in two on a
-    /// multi-core host, so that oracle covers the sharded path.
-    #[test]
-    fn the_shard_count_follows_the_name_count() {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        for (tld_count, names, k) in [
-            (8, 38, 1),
-            (40, 134, cores.min(2)),
-            (1_500, 4_514, cores.min(71)),
-        ] {
-            let cfg = RootZoneConfig {
-                tld_count,
-                ..Default::default()
-            };
-            let zone = build_root_zone(&cfg, &ZoneKeys::from_seed(3));
-            assert_eq!(ZoneIndex::build(Arc::new(zone)).names().count(), names);
-            assert_eq!(shard_count(names), k, "{tld_count} TLDs");
-        }
-        assert_eq!(shard_count(64), 1);
-        assert_eq!(shard_count(65), cores.min(2));
-        assert_eq!(shard_count(0), 1);
     }
 
     #[test]
