@@ -8,7 +8,9 @@
 #      signature crate (`dns-crypto`), the simulator crate, the farm's root
 #      tests (`farm_*` in tests/farm_invariants.rs and
 #      tests/golden_replay.rs), the serving byte pins
-#      (tests/rootd_serving.rs, tests/wire_interop.rs and golden_replay's
+#      (tests/rootd_serving.rs, tests/wire_interop.rs, tests/chaos_refresh.rs
+#      — the local root's copy answers through the arena encoder over
+#      zones transferred through fault injection — and golden_replay's
 #      `fallback_*`), the zone-integrity suite (tests/zone_integrity.rs),
 #      the analysis, zone and trace crates, the measurement
 #      and scenario crates, and the pipeline's own tests (`roots-core
@@ -89,7 +91,7 @@ checked -p dns-wire
 checked -p dns-crypto
 checked -p netsim
 checked -p roots-core --test farm_invariants --test golden_replay farm_
-checked -p roots-core --test rootd_serving --test wire_interop
+checked -p roots-core --test rootd_serving --test wire_interop --test chaos_refresh
 checked -p roots-core --test zone_integrity
 checked -p roots-core --test golden_replay fallback_
 checked -p analysis -p dns-zone -p traces

@@ -121,40 +121,33 @@ fn bench_tcp_framing(c: &mut Criterion) {
     group.finish();
 }
 
+/// One strict refresh from an empty local root: SOA poll, AXFR, ZONEMD and
+/// RRSIG validation, and the build of the engine that serves the
+/// activated copy. The upstream's engine is built once, outside the loop.
 fn bench_localroot_refresh(c: &mut Criterion) {
-    use localroot::{LocalRoot, UpstreamSet, ValidationPolicy};
-    use rss::{RootServer, ServerBehavior};
+    use localroot::{upstream_transport, LocalRoot, ValidationPolicy};
     use std::sync::Arc;
     let inception = 1_701_820_800;
-    let mk_zone = |serial: u32| {
-        build_root_zone(
-            &RootZoneConfig {
-                serial,
-                tld_count: 25,
-                inception,
-                expiration: inception + 14 * 86400,
-                rollout: RolloutPhase::Validating,
-            },
-            &ZoneKeys::from_seed(4),
-        )
-    };
-    let upstreams = UpstreamSet {
-        servers: vec![(
-            RootLetter::A,
-            RootServer {
-                letter: RootLetter::A,
-                identity: None,
-                zone: Arc::new(mk_zone(2023120600)),
-                behavior: ServerBehavior::default(),
-            },
-        )],
-    };
+    let zone = build_root_zone(
+        &RootZoneConfig {
+            serial: 2023120600,
+            tld_count: 25,
+            inception,
+            expiration: inception + 14 * 86400,
+            rollout: RolloutPhase::Validating,
+        },
+        &ZoneKeys::from_seed(4),
+    );
+    let mut upstreams = vec![(
+        RootLetter::A,
+        upstream_transport(RootLetter::A, None, Arc::new(zone)),
+    )];
     let mut group = c.benchmark_group("localroot");
     group.sample_size(20);
     group.bench_function("refresh_transfer_validate", |b| {
         b.iter(|| {
             let mut lr = LocalRoot::new(ValidationPolicy::strict());
-            black_box(lr.refresh(&upstreams, inception + 60).unwrap())
+            black_box(lr.refresh_wire(&mut upstreams, inception + 60).unwrap())
         })
     });
     group.finish();

@@ -21,7 +21,7 @@ use rootd::{
     attack, loadgen, ArrivalSchedule, AttackConfig, AttackReport, Farm, FaultyTransport,
     InprocTransport, LoadReport, LoadgenConfig,
 };
-use rss::{RootLetter, RootServer};
+use rss::RootLetter;
 use scenario::{EventKind, Scenario, ScenarioEvent};
 use simclock::{ClockHandle, TimeAxis};
 use std::sync::{Arc, OnceLock};
@@ -173,20 +173,12 @@ impl ClockChaosRun {
         let mut upstreams: Vec<(RootLetter, FaultyTransport<InprocTransport>)> = CHAOS_UPSTREAMS
             .into_iter()
             .map(|l| {
-                let server = RootServer {
-                    letter: l,
-                    identity: Some(format!("{}1.clock-chaos", l.ch())),
-                    zone: Arc::clone(&zone),
-                    behavior: Default::default(),
-                };
+                let hostname = Some(format!("{}1.clock-chaos", l.ch()));
+                let upstream = upstream_transport(l, hostname, Arc::clone(&zone));
                 (
                     l,
-                    FaultyTransport::new(
-                        upstream_transport(&server),
-                        Arc::clone(&plan),
-                        l.index() as u64,
-                    )
-                    .with_clock(clock.clone()),
+                    FaultyTransport::new(upstream, Arc::clone(&plan), l.index() as u64)
+                        .with_clock(clock.clone()),
                 )
             })
             .collect();

@@ -26,17 +26,22 @@
 //! deterministic jitter, TCP retry on truncated or garbage UDP, and a
 //! per-upstream circuit breaker — see [`refresh`].
 //!
+//! The copy it serves is answered by a `rootd` [`Rootd`](rootd::Rootd)
+//! engine — the one the upstreams answer with too — so the local root's
+//! referrals, negative proofs and truncation are the root servers' own,
+//! byte for byte; [`upstream_transport`] builds such an upstream.
+//!
 //! The [`policy`] module captures the validation policy knobs (ZONEMD
 //! required vs opportunistic — mirroring the operators' announced
 //! monitor-first roll-out), and [`metrics`] counts what happened, which the
 //! example binary reports.
 //!
 //! ```
-//! use localroot::{LocalRoot, UpstreamSet, ValidationPolicy};
+//! use localroot::{upstream_transport, LocalRoot, ValidationPolicy};
 //! use dns_zone::rootzone::{build_root_zone, RootZoneConfig};
 //! use dns_zone::rollout::RolloutPhase;
 //! use dns_zone::signer::ZoneKeys;
-//! use rss::{RootLetter, RootServer, ServerBehavior};
+//! use rss::RootLetter;
 //! use std::sync::Arc;
 //!
 //! let now = 1_701_820_800; // 2023-12-06, ZONEMD validates
@@ -47,17 +52,11 @@
 //!     expiration: now + 14 * 86_400,
 //!     rollout: RolloutPhase::Validating,
 //! }, &ZoneKeys::from_seed(1));
-//! let upstreams = UpstreamSet {
-//!     servers: vec![(RootLetter::K, RootServer {
-//!         letter: RootLetter::K,
-//!         identity: Some("ns1.fra.k".into()),
-//!         zone: Arc::new(zone),
-//!         behavior: ServerBehavior::default(),
-//!     })],
-//! };
+//! let k = upstream_transport(RootLetter::K, Some("ns1.fra.k".into()), Arc::new(zone));
+//! let mut upstreams = vec![(RootLetter::K, k)];
 //!
 //! let mut local = LocalRoot::new(ValidationPolicy::strict());
-//! local.refresh(&upstreams, now + 60).expect("zone validates");
+//! local.refresh_wire(&mut upstreams, now + 60).expect("zone validates");
 //! assert!(local.is_serving(now + 60));
 //! assert!(local.delegation("com", now + 60).is_some());
 //! ```
@@ -70,6 +69,4 @@ pub mod service;
 pub use metrics::Metrics;
 pub use policy::{ValidationPolicy, ZonemdRequirement};
 pub use refresh::{HealthState, RetryPolicy, UpstreamHealth};
-pub use service::{
-    upstream_transport, LocalRoot, RefreshError, RefreshOutcome, ServingState, UpstreamSet,
-};
+pub use service::{upstream_transport, LocalRoot, RefreshError, RefreshOutcome, ServingState};

@@ -27,17 +27,21 @@
 //! [`simclock::ClockHandle`] — every retry backoff and timeout *advances*
 //! the same virtual clock the fault plans read, so a client really can
 //! wait out a blackhole window by backing off.
+//!
+//! Serving is not a second answer function: every activated copy is put
+//! behind its own [`Rootd`] engine, the same one the upstreams (and the
+//! serving farm) answer with, and [`LocalRoot::answer`] hands queries to it.
 
 use crate::metrics::Metrics;
 use crate::policy::{ValidationPolicy, ZonemdRequirement};
 use crate::refresh::{RetryPolicy, UpstreamHealth};
-use dns_wire::{Message, Name, Question, Rcode, RrType};
+use dns_wire::{Message, Name, Question, Rcode, Rdata, RrType};
 use dns_zone::validate::validate_rrsigs;
 use dns_zone::zonemd::{verify_zonemd, ZonemdError};
 use dns_zone::Zone;
 use netsim::rng::SimRng;
 use rootd::{InprocTransport, Rootd, SiteIdentity, Transport, TransportError, ZoneIndex};
-use rss::{RootLetter, RootServer};
+use rss::RootLetter;
 use simclock::{ClockHandle, TimeAxis};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -109,26 +113,6 @@ impl RefreshCtx<'_> {
     }
 }
 
-/// The set of upstream root servers a local root can transfer from.
-///
-/// In production this is the 13 letters; in tests it is whatever mix of
-/// healthy, stale and corrupting servers the scenario needs.
-pub struct UpstreamSet {
-    pub servers: Vec<(RootLetter, RootServer)>,
-}
-
-impl UpstreamSet {
-    /// Number of upstreams.
-    pub fn len(&self) -> usize {
-        self.servers.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.servers.is_empty()
-    }
-}
-
 /// Why a refresh failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RefreshError {
@@ -184,8 +168,9 @@ pub enum ServingState {
 
 /// A local root instance.
 pub struct LocalRoot {
-    /// The active, validated zone copy (None until first refresh).
-    current: Option<Arc<Zone>>,
+    /// The engine serving the active, validated zone copy (None until the
+    /// first refresh); built anew for every copy activated.
+    engine: Option<Rootd>,
     /// When the active copy was activated.
     activated_at: u32,
     pub policy: ValidationPolicy,
@@ -208,7 +193,7 @@ impl LocalRoot {
     /// A fresh instance with `policy`.
     pub fn new(policy: ValidationPolicy) -> LocalRoot {
         LocalRoot {
-            current: None,
+            engine: None,
             activated_at: 0,
             policy,
             retry: RetryPolicy::default(),
@@ -222,7 +207,9 @@ impl LocalRoot {
 
     /// Serial of the active copy, if any.
     pub fn current_serial(&self) -> Option<u32> {
-        self.current.as_ref().and_then(|z| z.serial().ok())
+        self.engine
+            .as_ref()
+            .and_then(|e| e.index().zone().serial().ok())
     }
 
     /// Pin the upstream tried first on the next refresh (RFC 8806 configs
@@ -254,37 +241,19 @@ impl LocalRoot {
     /// Classify the active copy's age against the policy and the zone's
     /// SOA expire bound.
     pub fn serving_state(&self, now: u32) -> ServingState {
-        let Some(zone) = self.current.as_ref() else {
+        let Some(engine) = self.engine.as_ref() else {
             return ServingState::Empty;
         };
         let age = now.saturating_sub(self.activated_at);
         if age <= self.policy.max_age {
             return ServingState::Fresh;
         }
-        let expire = zone.soa().map(|s| s.expire).unwrap_or(0);
+        let expire = engine.index().zone().soa().map(|s| s.expire).unwrap_or(0);
         if self.policy.serve_stale && age <= expire {
             ServingState::Stale
         } else {
             ServingState::Expired
         }
-    }
-
-    /// One refresh cycle at wall-clock `now` against in-proc upstreams:
-    /// poll SOA; transfer if stale; validate; fall back across upstreams.
-    ///
-    /// Convenience wrapper over [`LocalRoot::refresh_wire`] that puts each
-    /// server behind the deterministic in-proc transport.
-    pub fn refresh(
-        &mut self,
-        upstreams: &UpstreamSet,
-        now: u32,
-    ) -> Result<RefreshOutcome, RefreshError> {
-        let mut wired: Vec<(RootLetter, InprocTransport)> = upstreams
-            .servers
-            .iter()
-            .map(|(letter, server)| (*letter, upstream_transport(server)))
-            .collect();
-        self.refresh_wire(&mut wired, now)
     }
 
     /// One refresh cycle at wall-clock `now`, talking to upstreams only
@@ -404,7 +373,7 @@ impl LocalRoot {
                     let serial = zone.serial().unwrap_or(0);
                     self.metrics.transfers_accepted += 1;
                     self.health.entry(letter).or_default().on_success();
-                    self.current = Some(Arc::new(zone));
+                    self.engine = Some(local_engine(zone));
                     self.activated_at = timeline.now();
                     // Advance rotation past the successful upstream.
                     self.next_upstream = (idx + 1) % n;
@@ -445,16 +414,16 @@ impl LocalRoot {
     /// Answer a query from the active copy. Serves fresh, degrades to
     /// stale within the SOA expire bound (when policy allows), and
     /// refuses (fail-closed, RFC 8806) beyond it.
+    ///
+    /// The copy's engine answers over its UDP path, at the budget the
+    /// query's own EDNS record advertises (512 bytes without one): the
+    /// datagram an RFC 8806 resolver gets from the root it runs on
+    /// loopback — referrals, negative proofs, TC and all, byte for byte
+    /// what an upstream serving the same zone sends.
     pub fn answer(&mut self, query: &Message, now: u32) -> Message {
-        let zone = match self.serving_state(now) {
-            ServingState::Fresh => {
-                self.metrics.served_fresh += 1;
-                self.current.clone().unwrap()
-            }
-            ServingState::Stale => {
-                self.metrics.served_stale += 1;
-                self.current.clone().unwrap()
-            }
+        match self.serving_state(now) {
+            ServingState::Fresh => self.metrics.served_fresh += 1,
+            ServingState::Stale => self.metrics.served_stale += 1,
             ServingState::Expired => {
                 self.metrics.queries_refused += 1;
                 self.metrics.refused_expired += 1;
@@ -464,59 +433,64 @@ impl LocalRoot {
                 self.metrics.queries_refused += 1;
                 return Message::response_to(query, Rcode::ServFail, Vec::new());
             }
-        };
-        self.metrics.queries_served += 1;
-        let Some(q) = query.questions.first() else {
-            return Message::response_to(query, Rcode::FormErr, Vec::new());
-        };
-        let records: Vec<dns_wire::Record> = zone
-            .rrset(&q.name, q.rr_type)
-            .into_iter()
-            .cloned()
-            .collect();
-        if records.is_empty() {
-            let exists = zone.records().iter().any(|r| r.name == q.name);
-            let rcode = if exists {
-                Rcode::NoError
-            } else {
-                Rcode::NxDomain
-            };
-            return Message::response_to(query, rcode, Vec::new());
         }
-        Message::response_to(query, Rcode::NoError, records)
+        self.metrics.queries_served += 1;
+        let engine = self.engine.as_ref().expect("a served copy has an engine");
+        match engine.serve_udp(&query.to_wire()) {
+            Some(wire) => Message::from_wire(&wire).expect("the engine's responses parse"),
+            // Only a datagram that is not a query goes unanswered.
+            None => Message::response_to(query, Rcode::FormErr, Vec::new()),
+        }
     }
 
-    /// Convenience: look up the NS set of a TLD from the active copy.
+    /// Convenience: the NS set a TLD is delegated to, read from the
+    /// authority section of the active copy's referral.
     pub fn delegation(&mut self, tld: &str, now: u32) -> Option<Vec<Name>> {
         let name = Name::parse(&format!("{tld}.")).ok()?;
-        let query = Message::query(0, Question::new(name, RrType::Ns));
-        let resp = self.answer(&query, now);
-        if resp.header.rcode != Rcode::NoError || resp.answers.is_empty() {
-            return None;
-        }
-        Some(
-            resp.answers
-                .iter()
-                .filter_map(|r| match &r.rdata {
-                    dns_wire::Rdata::Ns(n) => Some(n.clone()),
-                    _ => None,
-                })
-                .collect(),
-        )
+        let resp = self.answer(&Message::query(0, Question::new(name, RrType::Ns)), now);
+        let ns: Vec<Name> = resp
+            .authorities
+            .iter()
+            .filter_map(|r| match &r.rdata {
+                Rdata::Ns(n) => Some(n.clone()),
+                _ => None,
+            })
+            .collect();
+        (resp.header.rcode == Rcode::NoError && !ns.is_empty()).then_some(ns)
     }
 }
 
-/// A wire-level serving endpoint for one upstream: the server's currently
-/// served zone (stale copy and all) behind a `rootd` engine, reached over
-/// the deterministic in-proc transport. The refresh loop talks bytes, not
-/// structs — the same parse→serve→encode path a network client exercises.
-pub fn upstream_transport(server: &RootServer) -> InprocTransport {
-    let index = Arc::new(ZoneIndex::build(Arc::clone(server.served_zone())));
+/// The engine a local copy is served by: no CHAOS identity (identity
+/// queries are REFUSED, as at an instance that disables them) and no
+/// precompiled answer cache — the uncached path answers the same bytes
+/// (`rootd`'s cache tests hold the two equal), so an activation costs one
+/// index build.
+fn local_engine(zone: Zone) -> Rootd {
+    Rootd::new(
+        Arc::new(ZoneIndex::build(Arc::new(zone))),
+        SiteIdentity::default(),
+    )
+}
+
+/// A wire-level serving endpoint for one upstream letter: a `rootd`
+/// engine over `zone` that answers `hostname.bind` as `hostname`, reached
+/// over the deterministic in-proc transport. The refresh loop talks bytes,
+/// not structs — the same parse→serve→encode path a network client
+/// exercises. A stale upstream is one built over an old zone. Clones of
+/// the transport share the engine.
+pub fn upstream_transport(
+    letter: RootLetter,
+    hostname: Option<String>,
+    zone: Arc<Zone>,
+) -> InprocTransport {
     let identity = SiteIdentity {
-        hostname: server.identity.clone(),
-        version: format!("rootd 0.1 ({}.root)", server.letter.ch()),
+        hostname,
+        version: format!("rootd 0.1 ({}.root)", letter.ch()),
     };
-    InprocTransport::new(Arc::new(Rootd::new(index, identity)))
+    InprocTransport::new(Arc::new(Rootd::new(
+        Arc::new(ZoneIndex::build(zone)),
+        identity,
+    )))
 }
 
 /// What a UDP response datagram turned out to be.
@@ -919,40 +893,30 @@ mod tests {
         assert!(validate_copy(&edit(&signed, &flip), now, &lax).is_err());
     }
 
-    fn server(letter: RootLetter, zone: Zone) -> (RootLetter, RootServer) {
-        (
-            letter,
-            RootServer {
-                letter,
-                identity: Some(format!("{}1-test", letter.ch())),
-                zone: Arc::new(zone),
-                behavior: Default::default(),
-            },
-        )
+    fn server(letter: RootLetter, zone: Zone) -> (RootLetter, InprocTransport) {
+        let hostname = Some(format!("{}1-test", letter.ch()));
+        (letter, upstream_transport(letter, hostname, Arc::new(zone)))
     }
 
-    fn healthy_set() -> UpstreamSet {
-        UpstreamSet {
-            servers: vec![
-                server(RootLetter::A, fresh_zone(2023120600)),
-                server(RootLetter::B, fresh_zone(2023120600)),
-                server(RootLetter::C, fresh_zone(2023120600)),
-            ],
-        }
+    fn healthy_set() -> Vec<(RootLetter, InprocTransport)> {
+        vec![
+            server(RootLetter::A, fresh_zone(2023120600)),
+            server(RootLetter::B, fresh_zone(2023120600)),
+            server(RootLetter::C, fresh_zone(2023120600)),
+        ]
     }
 
     /// Wrap each upstream of a set in a FaultyTransport driven by `plan`.
     fn faulty_upstreams(
-        ups: &UpstreamSet,
+        ups: &[(RootLetter, InprocTransport)],
         plan: &Arc<FaultPlan>,
     ) -> Vec<(RootLetter, FaultyTransport<InprocTransport>)> {
-        ups.servers
-            .iter()
+        ups.iter()
             .enumerate()
-            .map(|(i, (letter, server))| {
+            .map(|(i, (letter, t))| {
                 (
                     *letter,
-                    FaultyTransport::new(upstream_transport(server), Arc::clone(plan), i as u64),
+                    FaultyTransport::new(t.clone(), Arc::clone(plan), i as u64),
                 )
             })
             .collect()
@@ -961,7 +925,7 @@ mod tests {
     #[test]
     fn first_refresh_populates_copy() {
         let mut lr = LocalRoot::new(ValidationPolicy::default());
-        let out = lr.refresh(&healthy_set(), T0 + 60).unwrap();
+        let out = lr.refresh_wire(&mut healthy_set(), T0 + 60).unwrap();
         assert!(matches!(
             out,
             RefreshOutcome::Updated {
@@ -976,9 +940,9 @@ mod tests {
     #[test]
     fn second_refresh_is_noop_when_current() {
         let mut lr = LocalRoot::new(ValidationPolicy::default());
-        let ups = healthy_set();
-        lr.refresh(&ups, T0 + 60).unwrap();
-        let out = lr.refresh(&ups, T0 + 120).unwrap();
+        let mut ups = healthy_set();
+        lr.refresh_wire(&mut ups, T0 + 60).unwrap();
+        let out = lr.refresh_wire(&mut ups, T0 + 120).unwrap();
         assert!(matches!(out, RefreshOutcome::AlreadyCurrent { .. }));
         assert_eq!(lr.metrics.transfers_attempted, 1);
     }
@@ -989,14 +953,12 @@ mod tests {
         // reject it and succeed against the second (the §7 fallback).
         let mut bad = fresh_zone(2023120600);
         flip_rrsig_bit(&mut bad, 9).unwrap();
-        let ups = UpstreamSet {
-            servers: vec![
-                server(RootLetter::A, bad),
-                server(RootLetter::B, fresh_zone(2023120600)),
-            ],
-        };
+        let mut ups = vec![
+            server(RootLetter::A, bad),
+            server(RootLetter::B, fresh_zone(2023120600)),
+        ];
         let mut lr = LocalRoot::new(ValidationPolicy::default());
-        let out = lr.refresh(&ups, T0 + 60).unwrap();
+        let out = lr.refresh_wire(&mut ups, T0 + 60).unwrap();
         match out {
             RefreshOutcome::Updated {
                 from_upstream,
@@ -1029,14 +991,12 @@ mod tests {
             },
             &ZoneKeys::from_seed(1),
         );
-        let ups = UpstreamSet {
-            servers: vec![
-                server(RootLetter::D, old),
-                server(RootLetter::E, fresh_zone(2023120600)),
-            ],
-        };
+        let mut ups = vec![
+            server(RootLetter::D, old),
+            server(RootLetter::E, fresh_zone(2023120600)),
+        ];
         let mut lr = LocalRoot::new(ValidationPolicy::default());
-        let out = lr.refresh(&ups, T0 + 60).unwrap();
+        let out = lr.refresh_wire(&mut ups, T0 + 60).unwrap();
         assert!(matches!(
             out,
             RefreshOutcome::Updated {
@@ -1052,11 +1012,9 @@ mod tests {
         flip_rrsig_bit(&mut bad1, 1).unwrap();
         let mut bad2 = fresh_zone(2023120600);
         flip_rrsig_bit(&mut bad2, 2).unwrap();
-        let ups = UpstreamSet {
-            servers: vec![server(RootLetter::A, bad1), server(RootLetter::B, bad2)],
-        };
+        let mut ups = vec![server(RootLetter::A, bad1), server(RootLetter::B, bad2)];
         let mut lr = LocalRoot::new(ValidationPolicy::default());
-        let err = lr.refresh(&ups, T0 + 60).unwrap_err();
+        let err = lr.refresh_wire(&mut ups, T0 + 60).unwrap_err();
         assert!(matches!(
             err,
             RefreshError::AllUpstreamsFailed { attempts: 2, .. }
@@ -1082,23 +1040,78 @@ mod tests {
             },
             &ZoneKeys::from_seed(1),
         );
-        let ups = UpstreamSet {
-            servers: vec![server(RootLetter::A, no_zonemd)],
-        };
+        let mut ups = vec![server(RootLetter::A, no_zonemd)];
         let mut opportunistic = LocalRoot::new(ValidationPolicy::default());
-        assert!(opportunistic.refresh(&ups, T0 + 60).is_ok());
+        assert!(opportunistic.refresh_wire(&mut ups, T0 + 60).is_ok());
         let mut strict = LocalRoot::new(ValidationPolicy::strict());
-        assert!(strict.refresh(&ups, T0 + 60).is_err());
+        assert!(strict.refresh_wire(&mut ups, T0 + 60).is_err());
     }
 
     #[test]
     fn serves_delegations_from_copy() {
         let mut lr = LocalRoot::new(ValidationPolicy::default());
-        lr.refresh(&healthy_set(), T0 + 60).unwrap();
+        lr.refresh_wire(&mut healthy_set(), T0 + 60).unwrap();
         let ns = lr.delegation("com", T0 + 120).expect("com is delegated");
         assert!(!ns.is_empty());
         assert!(lr.delegation("nonexistent-tld", T0 + 120).is_none());
         assert!(lr.metrics.queries_served >= 2);
+    }
+
+    /// What `upstream` sends back for `query`, as bytes.
+    fn upstream_bytes(upstream: &mut InprocTransport, query: &Message) -> Vec<u8> {
+        upstream
+            .exchange_udp(&query.to_wire())
+            .unwrap()
+            .expect("answered")
+    }
+
+    fn dnssec_query(id: u16, name: &str, rr_type: RrType) -> Message {
+        let mut q = Message::query(id, Question::new(Name::parse(name).unwrap(), rr_type));
+        dns_wire::edns::set_edns(&mut q, &dns_wire::edns::Edns::dnssec());
+        q
+    }
+
+    fn types(records: &[dns_wire::Record]) -> Vec<RrType> {
+        records.iter().map(|r| r.rr_type).collect()
+    }
+
+    /// The local copy answers what an upstream engine over the same zone
+    /// answers, byte for byte: a referral below a TLD, not a denial; a
+    /// TLD's NS set as a referral, not as authoritative data; a signed
+    /// denial with its proof; the apex with its signature.
+    #[test]
+    fn local_answers_are_the_upstream_engines_bytes() {
+        let mut ups = healthy_set();
+        let mut lr = LocalRoot::new(ValidationPolicy::default());
+        lr.refresh_wire(&mut ups, T0 + 60).unwrap();
+        let upstream = &mut ups[0].1;
+        let www = Message::query(
+            1,
+            Question::new(Name::parse("www.com.").unwrap(), RrType::A),
+        );
+        let com = Message::query(2, Question::new(Name::parse("com.").unwrap(), RrType::Ns));
+        let nope = dnssec_query(3, "nope-tld.", RrType::A);
+        let soa = dnssec_query(4, ".", RrType::Soa);
+        for q in [&www, &com, &nope, &soa] {
+            let got = lr.answer(q, T0 + 120).to_wire();
+            assert_eq!(got, upstream_bytes(upstream, q), "{:?}", q.questions[0]);
+        }
+
+        for q in [&www, &com] {
+            let referral = lr.answer(q, T0 + 120);
+            assert_eq!(referral.header.rcode, Rcode::NoError);
+            assert!(!referral.header.flags.authoritative);
+            assert!(referral.answers.is_empty());
+            assert_eq!(types(&referral.authorities), vec![RrType::Ns; 2]);
+        }
+        let denial = lr.answer(&nope, T0 + 120);
+        assert_eq!(denial.header.rcode, Rcode::NxDomain);
+        let proof = types(&denial.authorities);
+        for t in [RrType::Soa, RrType::Nsec, RrType::Rrsig] {
+            assert!(proof.contains(&t), "{t:?} missing from {proof:?}");
+        }
+        let apex = lr.answer(&soa, T0 + 120);
+        assert_eq!(types(&apex.answers), vec![RrType::Soa, RrType::Rrsig]);
     }
 
     #[test]
@@ -1108,7 +1121,7 @@ mod tests {
             serve_stale: false,
             ..Default::default()
         });
-        lr.refresh(&healthy_set(), T0).unwrap();
+        lr.refresh_wire(&mut healthy_set(), T0).unwrap();
         assert!(lr.is_serving(T0 + 3599));
         assert!(!lr.is_serving(T0 + 3601));
         // And queries refuse once expired (stale serving disabled).
@@ -1126,7 +1139,7 @@ mod tests {
             max_age: 3600,
             ..Default::default()
         });
-        lr.refresh(&healthy_set(), T0).unwrap();
+        lr.refresh_wire(&mut healthy_set(), T0).unwrap();
         let expire = 604_800; // the built zone's SOA expire field
         let q = Message::query(1, Question::new(Name::root(), RrType::Soa));
 
@@ -1147,12 +1160,9 @@ mod tests {
     #[test]
     fn newer_upstream_serial_triggers_update() {
         let mut lr = LocalRoot::new(ValidationPolicy::default());
-        let old_set = healthy_set();
-        lr.refresh(&old_set, T0).unwrap();
-        let new_set = UpstreamSet {
-            servers: vec![server(RootLetter::A, fresh_zone(2023120700))],
-        };
-        let out = lr.refresh(&new_set, T0 + 600).unwrap();
+        lr.refresh_wire(&mut healthy_set(), T0).unwrap();
+        let mut new_set = vec![server(RootLetter::A, fresh_zone(2023120700))];
+        let out = lr.refresh_wire(&mut new_set, T0 + 600).unwrap();
         assert!(matches!(
             out,
             RefreshOutcome::Updated {
@@ -1160,13 +1170,19 @@ mod tests {
                 ..
             }
         ));
+        // Every activation puts the new copy behind a new engine: the apex
+        // answers with the new serial.
+        let soa = dnssec_query(1, ".", RrType::Soa);
+        let resp = lr.answer(&soa, T0 + 660);
+        assert_eq!(soa_serial_of(&resp), Some(2023120700));
+        assert_eq!(resp.to_wire(), upstream_bytes(&mut new_set[0].1, &soa));
     }
 
     #[test]
     fn no_upstreams_is_an_error() {
         let mut lr = LocalRoot::new(ValidationPolicy::default());
         assert_eq!(
-            lr.refresh(&UpstreamSet { servers: vec![] }, T0),
+            lr.refresh_wire(&mut Vec::<(RootLetter, InprocTransport)>::new(), T0),
             Err(RefreshError::NoUpstreams)
         );
     }
@@ -1220,20 +1236,13 @@ mod tests {
 
     /// Wrap each upstream in a FaultyTransport sharing `clock`.
     fn clock_upstreams(
-        ups: &UpstreamSet,
+        ups: &[(RootLetter, InprocTransport)],
         plan: &Arc<FaultPlan>,
         clock: &simclock::ClockHandle,
     ) -> Vec<(RootLetter, FaultyTransport<InprocTransport>)> {
-        ups.servers
-            .iter()
-            .enumerate()
-            .map(|(i, (letter, server))| {
-                (
-                    *letter,
-                    FaultyTransport::new(upstream_transport(server), Arc::clone(plan), i as u64)
-                        .with_clock(clock.clone()),
-                )
-            })
+        faulty_upstreams(ups, plan)
+            .into_iter()
+            .map(|(letter, t)| (letter, t.with_clock(clock.clone())))
             .collect()
     }
 

@@ -1,9 +1,10 @@
 //! `rootd`: a wire-level authoritative root server engine.
 //!
-//! The measurement crates model root servers as in-process structs
-//! (`rss::RootServer` answers `Message` values directly). This crate is the
-//! *serving* layer the north star asks for: request bytes in, response
-//! bytes out, through the real codec path.
+//! This crate is the one root server in the workspace: request bytes in,
+//! response bytes out, through the real codec path. The serving farm's
+//! sites, a local root's upstreams and the local root's own copy
+//! (`localroot::LocalRoot::answer`) all answer with a [`Rootd`]; `rss`
+//! only describes the letters and their sites.
 //!
 //! * [`index`] — [`ZoneIndex`]: the signed root zone precompiled into hash
 //!   lookups (positive RRsets with covering RRSIGs, TLD referral bundles
@@ -17,7 +18,7 @@
 //!   epoch, served by splicing the request id/RD/question into stored
 //!   bytes (zero allocation on hits);
 //! * [`transport`] — the [`Transport`] abstraction with two impls: the
-//!   deterministic [`InprocTransport`] (tests, `localroot` refresh) and
+//!   deterministic [`InprocTransport`] (tests, `localroot`'s upstreams) and
 //!   [`LoopbackTransport`] over real UDP and TCP sockets on 127.0.0.1;
 //! * [`faults`] — [`FaultyTransport`]: a seeded chaos decorator over any
 //!   transport (loss, duplication, reordering, delay, bitflips, mid-AXFR

@@ -3,7 +3,8 @@
 //! the robustness invariants the paper's RQ3 fallback argument rests on:
 //!
 //! 1. a corrupt zone copy is never activated — every accepted copy
-//!    answers byte-identically to the fault-free baseline;
+//!    answers byte-identically to the fault-free baseline, signatures and
+//!    denial proofs included;
 //! 2. refresh converges whenever at least one upstream is reachable;
 //! 3. stale serving is bounded by the zone's SOA expire field;
 //! 4. every cell replays bit-identically from its seed.
@@ -17,13 +18,14 @@
 //! success; any violation prints `chaos invariants: FAILED ...` and
 //! exits non-zero.
 
+use dns_wire::edns::{set_edns, Edns};
 use dns_wire::{Message, Name, Question, Rcode, RrType};
 use dns_zone::rollout::RolloutPhase;
 use dns_zone::rootzone::{build_root_zone, RootZoneConfig};
 use dns_zone::signer::ZoneKeys;
 use localroot::{upstream_transport, LocalRoot, RefreshOutcome, ValidationPolicy};
 use rootd::{FaultCounters, FaultPlan, FaultSpec, FaultyTransport, InprocTransport};
-use rss::{RootLetter, RootServer};
+use rss::RootLetter;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -31,7 +33,7 @@ const T0: u32 = 1_701_820_800; // 2023-12-06: inside the ZONEMD window
 const SERIAL: u32 = 2023120600;
 const SOA_EXPIRE: u32 = 604_800;
 
-fn upstream_servers() -> Vec<(RootLetter, RootServer)> {
+fn upstream_servers() -> Vec<(RootLetter, InprocTransport)> {
     let zone = Arc::new(build_root_zone(
         &RootZoneConfig {
             serial: SERIAL,
@@ -45,21 +47,17 @@ fn upstream_servers() -> Vec<(RootLetter, RootServer)> {
     [RootLetter::A, RootLetter::B, RootLetter::C]
         .into_iter()
         .map(|letter| {
+            let hostname = Some(format!("{}1.chaos", letter.ch()));
             (
                 letter,
-                RootServer {
-                    letter,
-                    identity: Some(format!("{}1.chaos", letter.ch())),
-                    zone: Arc::clone(&zone),
-                    behavior: Default::default(),
-                },
+                upstream_transport(letter, hostname, Arc::clone(&zone)),
             )
         })
         .collect()
 }
 
 fn wired(
-    servers: &[(RootLetter, RootServer)],
+    servers: &[(RootLetter, InprocTransport)],
     plan: &Arc<FaultPlan>,
 ) -> Vec<(RootLetter, FaultyTransport<InprocTransport>)> {
     servers
@@ -68,14 +66,16 @@ fn wired(
         .map(|(i, (letter, server))| {
             (
                 *letter,
-                FaultyTransport::new(upstream_transport(server), Arc::clone(plan), i as u64),
+                FaultyTransport::new(server.clone(), Arc::clone(plan), i as u64),
             )
         })
         .collect()
 }
 
+/// Each probe asked plain and with DO, so the RRSIG and NSEC bytes an
+/// activated copy serves are compared too, not only its bare RRsets.
 fn probes() -> Vec<Message> {
-    vec![
+    let plain = vec![
         Message::query(1, Question::new(Name::root(), RrType::Soa)),
         Message::query(2, Question::new(Name::root(), RrType::Ns)),
         Message::query(3, Question::new(Name::parse("com.").unwrap(), RrType::Ns)),
@@ -83,12 +83,22 @@ fn probes() -> Vec<Message> {
             4,
             Question::new(Name::parse("nxd-tld.").unwrap(), RrType::A),
         ),
-    ]
+    ];
+    let signed: Vec<Message> = plain
+        .iter()
+        .map(|q| {
+            let mut q = q.clone();
+            q.header.id += 10;
+            set_edns(&mut q, &Edns::dnssec());
+            q
+        })
+        .collect();
+    plain.into_iter().chain(signed).collect()
 }
 
 #[allow(clippy::type_complexity)]
 fn run_cell(
-    servers: &[(RootLetter, RootServer)],
+    servers: &[(RootLetter, InprocTransport)],
     spec: &FaultSpec,
     seed: u64,
 ) -> (

@@ -12,8 +12,9 @@ use dns_zone::corrupt::flip_rrsig_bit;
 use dns_zone::rollout::RolloutPhase;
 use dns_zone::rootzone::{build_root_zone, RootZoneConfig};
 use dns_zone::signer::ZoneKeys;
-use localroot::{LocalRoot, RefreshOutcome, UpstreamSet, ValidationPolicy};
-use rss::{RootLetter, RootServer, ServerBehavior};
+use localroot::{upstream_transport, LocalRoot, RefreshOutcome, ValidationPolicy};
+use rootd::InprocTransport;
+use rss::RootLetter;
 use std::sync::Arc;
 
 const DAY: u32 = 86_400;
@@ -33,16 +34,9 @@ fn zone_for_day(day_index: u32, keys: &ZoneKeys) -> dns_zone::Zone {
     )
 }
 
-fn server(letter: RootLetter, zone: dns_zone::Zone) -> (RootLetter, RootServer) {
-    (
-        letter,
-        RootServer {
-            letter,
-            identity: Some(format!("{}1.sim", letter.ch())),
-            zone: Arc::new(zone),
-            behavior: ServerBehavior::default(),
-        },
-    )
+fn server(letter: RootLetter, zone: dns_zone::Zone) -> (RootLetter, InprocTransport) {
+    let hostname = Some(format!("{}1.sim", letter.ch()));
+    (letter, upstream_transport(letter, hostname, Arc::new(zone)))
 }
 
 fn main() {
@@ -64,16 +58,14 @@ fn main() {
             3 => server(RootLetter::A, zone_for_day(0, &keys)),
             _ => server(RootLetter::A, zone_for_day(day, &keys)),
         };
-        let upstreams = UpstreamSet {
-            servers: vec![
-                first,
-                server(RootLetter::B, zone_for_day(day, &keys)),
-                server(RootLetter::K, zone_for_day(day, &keys)),
-            ],
-        };
+        let mut upstreams = vec![
+            first,
+            server(RootLetter::B, zone_for_day(day, &keys)),
+            server(RootLetter::K, zone_for_day(day, &keys)),
+        ];
         // The operator prefers a.root (say, the nearest instance).
         local.set_primary(0);
-        match local.refresh(&upstreams, now) {
+        match local.refresh_wire(&mut upstreams, now) {
             Ok(RefreshOutcome::Updated {
                 serial,
                 from_upstream,

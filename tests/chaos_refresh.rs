@@ -3,7 +3,9 @@
 //! rests on:
 //!
 //! 1. an invalid (bitflipped / truncated) zone copy is **never**
-//!    activated — every accepted copy is bit-correct;
+//!    activated — every accepted copy answers the probe set, plain and
+//!    with DO (RRSIG and NSEC bytes included), byte-identically to the
+//!    fault-free baseline;
 //! 2. refresh converges to the correct serial whenever at least one
 //!    upstream is reachable;
 //! 3. staleness never exceeds the zone's SOA expire bound;
@@ -12,6 +14,7 @@
 //! 5. the whole chaos run is deterministic: same plan seed ⇒ same fault
 //!    counters, same metrics, same outcome.
 
+use dns_wire::edns::{set_edns, Edns};
 use dns_wire::{Message, Name, Question, Rcode, RrType};
 use dns_zone::rollout::RolloutPhase;
 use dns_zone::rootzone::{build_root_zone, RootZoneConfig};
@@ -21,7 +24,7 @@ use localroot::{upstream_transport, LocalRoot, RefreshOutcome, ServingState, Val
 use rootd::{
     FaultCounters, FaultPlan, FaultSpec, FaultyTransport, InprocTransport, Protocol, Transport,
 };
-use rss::{RootLetter, RootServer};
+use rss::RootLetter;
 use std::sync::Arc;
 
 const T0: u32 = 1_701_820_800; // 2023-12-06: ZONEMD validates
@@ -41,18 +44,16 @@ fn fresh_zone(serial: u32) -> Zone {
     )
 }
 
-fn upstream_servers() -> Vec<(RootLetter, RootServer)> {
+/// Three upstream letters, each an engine over the same fresh zone.
+fn upstream_servers() -> Vec<(RootLetter, InprocTransport)> {
+    let zone = Arc::new(fresh_zone(SERIAL));
     [RootLetter::A, RootLetter::B, RootLetter::C]
         .into_iter()
         .map(|letter| {
+            let hostname = Some(format!("{}1.chaos", letter.ch()));
             (
                 letter,
-                RootServer {
-                    letter,
-                    identity: Some(format!("{}1.chaos", letter.ch())),
-                    zone: Arc::new(fresh_zone(SERIAL)),
-                    behavior: Default::default(),
-                },
+                upstream_transport(letter, hostname, Arc::clone(&zone)),
             )
         })
         .collect()
@@ -60,7 +61,7 @@ fn upstream_servers() -> Vec<(RootLetter, RootServer)> {
 
 /// Wrap every upstream in a FaultyTransport driven by `plan`.
 fn wired(
-    servers: &[(RootLetter, RootServer)],
+    servers: &[(RootLetter, InprocTransport)],
     plan: &Arc<FaultPlan>,
 ) -> Vec<(RootLetter, FaultyTransport<InprocTransport>)> {
     servers
@@ -69,16 +70,17 @@ fn wired(
         .map(|(i, (letter, server))| {
             (
                 *letter,
-                FaultyTransport::new(upstream_transport(server), Arc::clone(plan), i as u64),
+                FaultyTransport::new(server.clone(), Arc::clone(plan), i as u64),
             )
         })
         .collect()
 }
 
 /// The probe queries used to compare an activated copy against the
-/// fault-free baseline.
+/// fault-free baseline: each asked plain and with DO, so the RRSIG and
+/// NSEC bytes the copy serves are compared too, not only its bare RRsets.
 fn probes() -> Vec<Message> {
-    vec![
+    let plain = vec![
         Message::query(1, Question::new(Name::root(), RrType::Soa)),
         Message::query(2, Question::new(Name::root(), RrType::Ns)),
         Message::query(3, Question::new(Name::parse("com.").unwrap(), RrType::Ns)),
@@ -86,7 +88,17 @@ fn probes() -> Vec<Message> {
             4,
             Question::new(Name::parse("nxd-tld.").unwrap(), RrType::A),
         ),
-    ]
+    ];
+    let signed: Vec<Message> = plain
+        .iter()
+        .map(|q| {
+            let mut q = q.clone();
+            q.header.id += 10;
+            set_edns(&mut q, &Edns::dnssec());
+            q
+        })
+        .collect();
+    plain.into_iter().chain(signed).collect()
 }
 
 /// Invariants 1 + 2 + 5 over a loss × bitflip × truncation matrix.
@@ -255,8 +267,8 @@ fn zero_fault_wrapper_is_byte_identical_to_bare() {
     let servers = upstream_servers();
     let plan = Arc::new(FaultPlan::clean(7));
     let (_, server) = &servers[0];
-    let mut bare = upstream_transport(server);
-    let mut wrapped = FaultyTransport::new(upstream_transport(server), Arc::clone(&plan), 0);
+    let mut bare = server.clone();
+    let mut wrapped = FaultyTransport::new(server.clone(), Arc::clone(&plan), 0);
     for q in probes() {
         let wire = q.to_wire();
         assert_eq!(

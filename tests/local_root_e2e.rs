@@ -3,31 +3,25 @@
 //! days, crossing the ZONEMD roll-out boundary, with injected faults.
 
 use dns_zone::corrupt::flip_rrsig_bit;
-use localroot::{LocalRoot, RefreshOutcome, UpstreamSet, ValidationPolicy, ZonemdRequirement};
-use rss::{RootLetter, RootServer, ServerBehavior};
+use localroot::{
+    upstream_transport, LocalRoot, RefreshOutcome, ValidationPolicy, ZonemdRequirement,
+};
+use rootd::InprocTransport;
+use rss::RootLetter;
 use std::sync::Arc;
 use vantage::{World, WorldBuildConfig};
 
 const DAY: u32 = 86_400;
 
-fn upstreams_for_day(world: &World, day_time: u32) -> UpstreamSet {
+fn upstreams_for_day(world: &World, day_time: u32) -> Vec<(RootLetter, InprocTransport)> {
     let zone = world.zone_at(day_time);
-    UpstreamSet {
-        servers: [RootLetter::A, RootLetter::B, RootLetter::K]
-            .into_iter()
-            .map(|letter| {
-                (
-                    letter,
-                    RootServer {
-                        letter,
-                        identity: Some(format!("{}1.sim", letter.ch())),
-                        zone: zone.clone(),
-                        behavior: ServerBehavior::default(),
-                    },
-                )
-            })
-            .collect(),
-    }
+    [RootLetter::A, RootLetter::B, RootLetter::K]
+        .into_iter()
+        .map(|letter| {
+            let hostname = Some(format!("{}1.sim", letter.ch()));
+            (letter, upstream_transport(letter, hostname, zone.clone()))
+        })
+        .collect()
 }
 
 #[test]
@@ -38,8 +32,8 @@ fn thirty_days_of_refreshes_against_the_world_zone_store() {
     let mut updates = 0;
     for day in 0..30u32 {
         let now = start + day * DAY + 7200;
-        let ups = upstreams_for_day(&world, now);
-        match local.refresh(&ups, now).expect("refresh succeeds") {
+        let mut ups = upstreams_for_day(&world, now);
+        match local.refresh_wire(&mut ups, now).expect("refresh succeeds") {
             RefreshOutcome::Updated { serial, .. } => {
                 updates += 1;
                 assert_eq!(serial, vantage::engine::serial_of_day(now - now % DAY));
@@ -61,12 +55,12 @@ fn strict_policy_across_the_rollout_boundary() {
     let mut strict = LocalRoot::new(ValidationPolicy::strict());
 
     let before = vantage::schedule::MEASUREMENT_START + 7200; // July: no record
-    let ups = upstreams_for_day(&world, before);
-    assert!(strict.refresh(&ups, before).is_err());
+    let mut ups = upstreams_for_day(&world, before);
+    assert!(strict.refresh_wire(&mut ups, before).is_err());
 
     let after = dns_crypto::validity::timestamp_from_ymd("20231210000000").unwrap() + 7200;
-    let ups = upstreams_for_day(&world, after);
-    assert!(strict.refresh(&ups, after).is_ok());
+    let mut ups = upstreams_for_day(&world, after);
+    assert!(strict.refresh_wire(&mut ups, after).is_ok());
     assert!(strict.is_serving(after));
 }
 
@@ -81,8 +75,8 @@ fn opportunistic_policy_serves_through_all_phases() {
     });
     for date in ["20230710000000", "20230920000000", "20231210000000"] {
         let now = dns_crypto::validity::timestamp_from_ymd(date).unwrap() + 7200;
-        let ups = upstreams_for_day(&world, now);
-        lr.refresh(&ups, now)
+        let mut ups = upstreams_for_day(&world, now);
+        lr.refresh_wire(&mut ups, now)
             .expect("opportunistic accepts all phases");
         assert!(lr.is_serving(now), "{date}");
     }
@@ -95,31 +89,19 @@ fn corrupted_primary_fallback_with_world_zones() {
     let zone = world.zone_at(now);
     let mut bad = (*zone).clone();
     flip_rrsig_bit(&mut bad, 5).unwrap();
-    let ups = UpstreamSet {
-        servers: vec![
-            (
-                RootLetter::A,
-                RootServer {
-                    letter: RootLetter::A,
-                    identity: None,
-                    zone: Arc::new(bad),
-                    behavior: ServerBehavior::default(),
-                },
-            ),
-            (
-                RootLetter::K,
-                RootServer {
-                    letter: RootLetter::K,
-                    identity: None,
-                    zone: zone.clone(),
-                    behavior: ServerBehavior::default(),
-                },
-            ),
-        ],
-    };
+    let mut ups = vec![
+        (
+            RootLetter::A,
+            upstream_transport(RootLetter::A, None, Arc::new(bad)),
+        ),
+        (
+            RootLetter::K,
+            upstream_transport(RootLetter::K, None, zone.clone()),
+        ),
+    ];
     let mut lr = LocalRoot::new(ValidationPolicy::strict());
     lr.set_primary(0);
-    let out = lr.refresh(&ups, now).expect("fallback succeeds");
+    let out = lr.refresh_wire(&mut ups, now).expect("fallback succeeds");
     assert!(matches!(
         out,
         RefreshOutcome::Updated {

@@ -1,7 +1,9 @@
 //! Wire-format interop: the measurement script's full query set, rendered
-//! as real DNS messages, answered by the simulated servers, decoded back —
-//! the Appendix F loop at the protocol level.
+//! as real DNS messages under every EDNS state a vantage point sends,
+//! answered by a `rootd` engine, decoded back — the Appendix F loop at the
+//! protocol level.
 
+use dns_wire::edns::{edns_of, set_edns, Edns};
 use dns_wire::{Class, Message, Name, Question, Rcode, RrType};
 use dns_zone::axfr::assemble_axfr;
 use dns_zone::corrupt::flip_rrsig_bit;
@@ -12,10 +14,12 @@ use dns_zone::validate::validate_zone;
 use dns_zone::zonemd::verify_zonemd;
 use dns_zone::Zone;
 use rootd::{Rootd, SiteIdentity, ZoneIndex};
-use rss::{BRootPhase, RootLetter, RootServer, ServerBehavior};
+use rss::RootLetter;
 use std::sync::Arc;
 
-fn server() -> RootServer {
+const IDENTITY: &str = "ns1.fra.k.ripe.net";
+
+fn engine_with(identity: SiteIdentity) -> Rootd {
     let zone = build_root_zone(
         &RootZoneConfig {
             tld_count: 12,
@@ -24,12 +28,11 @@ fn server() -> RootServer {
         },
         &ZoneKeys::from_seed(77),
     );
-    RootServer {
-        letter: RootLetter::K,
-        identity: Some("ns1.fra.k.ripe.net".into()),
-        zone: Arc::new(zone),
-        behavior: ServerBehavior::default(),
-    }
+    Rootd::new(Arc::new(ZoneIndex::build(Arc::new(zone))), identity)
+}
+
+fn server() -> Rootd {
+    engine_with(SiteIdentity::named(IDENTITY))
 }
 
 /// The per-IP query set from the measurement script (Appendix F).
@@ -60,6 +63,35 @@ fn script_queries() -> Vec<Question> {
     qs
 }
 
+/// The EDNS states a query goes out in: none, EDNS (4 096-byte budget),
+/// DO, and DO with an NSID request.
+fn edns_states() -> [Option<Edns>; 4] {
+    [
+        None,
+        Some(Edns::default()),
+        Some(Edns::dnssec()),
+        Some(Edns::dnssec().with_nsid_request()),
+    ]
+}
+
+/// Every script query in every EDNS state, as `(query, response bytes)`:
+/// the query encoded as a vantage point sends it, the response as the
+/// engine's UDP path returns it.
+fn exchanges(engine: &Rootd) -> Vec<(Message, Vec<u8>)> {
+    let mut out = Vec::new();
+    for edns in edns_states() {
+        for (i, q) in script_queries().into_iter().enumerate() {
+            let mut query = Message::query(i as u16, q);
+            if let Some(edns) = &edns {
+                set_edns(&mut query, edns);
+            }
+            let wire = engine.serve_udp(&query.to_wire()).expect("answered");
+            out.push((query, wire));
+        }
+    }
+    out
+}
+
 #[test]
 fn script_query_set_has_47_queries() {
     // 4 zone queries + 4 CHAOS + 13×3 address/TXT = 47, matching the
@@ -69,55 +101,78 @@ fn script_query_set_has_47_queries() {
 
 #[test]
 fn all_script_queries_answered_over_wire() {
-    let s = server();
-    for (i, q) in script_queries().into_iter().enumerate() {
-        let query = Message::query(i as u16, q.clone());
-        // Encode the query, decode it (what the server's socket sees).
-        let decoded_query = Message::from_wire(&query.to_wire()).unwrap();
-        let response = s.answer(&decoded_query, BRootPhase::Old);
-        // Encode the response, decode it (what the VP sees).
-        let wire = response.to_wire();
+    let all = exchanges(&server());
+    assert_eq!(all.len(), 4 * 47);
+    for (query, wire) in all {
         let decoded = Message::from_wire(&wire).unwrap();
-        assert_eq!(decoded.header.id, i as u16);
+        let q = &query.questions[0];
+        assert_eq!(decoded.header.id, query.header.id);
         assert!(decoded.header.flags.response);
-        assert_ne!(
-            decoded.header.rcode,
-            Rcode::ServFail,
-            "query {i} ({:?}) failed",
-            q
-        );
+        assert_ne!(decoded.header.rcode, Rcode::ServFail, "{q:?} failed");
+        // OPT only in answer to OPT; NSID only when asked for.
+        let asked = edns_of(&query);
+        let got = edns_of(&decoded);
+        assert_eq!(asked.is_some(), got.is_some(), "{q:?}");
+        if let (Some(asked), Some(got)) = (asked, got) {
+            let want = asked.nsid_requested().then_some(IDENTITY.as_bytes());
+            assert_eq!(got.nsid(), want, "{q:?}");
+        }
     }
 }
 
 #[test]
 fn identity_answers_are_chaos_class() {
-    let s = server();
-    let q = Message::query(1, Question::chaos_txt(Name::parse("id.server.").unwrap()));
-    let resp = Message::from_wire(&s.answer(&q, BRootPhase::Old).to_wire()).unwrap();
-    assert_eq!(resp.answers[0].class, Class::Ch);
+    for (query, wire) in exchanges(&server()) {
+        if query.questions[0].class != Class::Ch {
+            continue;
+        }
+        let resp = Message::from_wire(&wire).unwrap();
+        assert_eq!(resp.header.rcode, Rcode::NoError);
+        assert!(!resp.answers.is_empty());
+        assert!(resp.answers.iter().all(|r| r.class == Class::Ch));
+    }
+    // An instance that publishes no identity refuses to name itself.
+    let anonymous = engine_with(SiteIdentity::default());
+    for name in ["hostname.bind.", "id.server."] {
+        let q = Message::query(1, Question::chaos_txt(Name::parse(name).unwrap()));
+        let wire = anonymous.serve_udp(&q.to_wire()).unwrap();
+        let resp = Message::from_wire(&wire).unwrap();
+        assert_eq!(resp.header.rcode, Rcode::Refused, "{name}");
+    }
 }
 
 #[test]
 fn response_sizes_fit_udp_with_compression() {
-    // Responses to the script's non-AXFR queries fit in 4096-byte EDNS0
-    // budgets thanks to name compression.
-    let s = server();
-    for q in script_queries() {
-        let query = Message::query(0, q);
-        let wire = s.answer(&query, BRootPhase::Old).to_wire();
+    // At a 4 096-byte EDNS0 budget every script answer fits whole, thanks
+    // to name compression: nothing is truncated.
+    for (query, wire) in exchanges(&server()) {
+        if edns_of(&query).is_none() {
+            continue;
+        }
         assert!(wire.len() < 4096, "{} bytes", wire.len());
+        let resp = Message::from_wire(&wire).unwrap();
+        assert!(!resp.header.flags.truncated, "{:?}", query.questions[0]);
     }
 }
 
 #[test]
 fn compression_saves_space_on_ns_answers() {
-    let s = server();
-    let q = Message::query(
-        0,
-        Question::new(Name::parse("root-servers.net.").unwrap(), RrType::Ns),
-    );
-    let resp = s.answer(&q, BRootPhase::Old);
-    assert!(resp.to_wire().len() < resp.to_wire_uncompressed().len());
+    // The priming answer and every referral to root-servers.net repeat
+    // that suffix per NS target: the engine's bytes undercut the same
+    // message written uncompressed.
+    let mut compared = 0;
+    for (query, wire) in exchanges(&server()) {
+        let resp = Message::from_wire(&wire).unwrap();
+        let mut sections = resp.answers.iter().chain(&resp.authorities);
+        if !sections.any(|r| r.rr_type == RrType::Ns) {
+            continue;
+        }
+        let plain = resp.to_wire_uncompressed().len();
+        assert!(wire.len() < plain, "{:?}", query.questions[0]);
+        compared += 1;
+    }
+    // `. NS`, `root-servers.net. NS` and the 39 host queries, per state.
+    assert_eq!(compared, 4 * 41);
 }
 
 /// Serve `zone` as a wire-level AXFR stream through a `rootd` engine and
@@ -174,22 +229,4 @@ fn axfr_over_wire_rejects_bitflipped_zone() {
     let transferred = axfr_round_trip(zone);
     let report = validate_zone(&transferred, cfg.inception + 86400);
     assert!(!report.is_valid(), "bitflip must not validate");
-}
-
-#[test]
-fn b_root_phase_affects_only_b() {
-    let s = server();
-    for letter in RootLetter::ALL {
-        let q = Message::query(
-            0,
-            Question::new(Name::parse(&letter.host_name()).unwrap(), RrType::A),
-        );
-        let old = s.answer(&q, BRootPhase::Old);
-        let new = s.answer(&q, BRootPhase::New);
-        if letter == RootLetter::B {
-            assert_ne!(old.answers, new.answers);
-        } else {
-            assert_eq!(old.answers, new.answers);
-        }
-    }
 }

@@ -177,19 +177,26 @@ mod bitflip_property {
     }
 }
 
+/// An upstream root server's AXFR — a `rootd` engine's TCP frames, as the
+/// local root's refresh client receives them — assembles into the zone it
+/// serves.
 #[test]
 fn server_transfers_match_direct_transfers() {
-    use rss::{RootLetter, RootServer, ServerBehavior};
+    use dns_wire::{Question, RrType};
+    use rootd::Transport;
+    use rss::RootLetter;
     use std::sync::Arc;
     let keys = ZoneKeys::from_seed(13);
     let zone = Arc::new(build_root_zone(&zone_config(), &keys));
-    let server = RootServer {
-        letter: RootLetter::K,
-        identity: Some("ns1.fra.k.ripe.net".into()),
-        zone: zone.clone(),
-        behavior: ServerBehavior::default(),
-    };
-    let messages = server.serve_transfer(7).unwrap();
+    let hostname = Some("ns1.fra.k.ripe.net".into());
+    let mut server = localroot::upstream_transport(RootLetter::K, hostname, zone.clone());
+    let axfr = Message::query(7, Question::new(Name::root(), RrType::Axfr));
+    let messages: Vec<Message> = server
+        .exchange_tcp(&axfr.to_wire())
+        .unwrap()
+        .iter()
+        .map(|f| Message::from_wire(f).unwrap())
+        .collect();
     let received = assemble_axfr(&messages, &Name::root()).unwrap();
     assert_eq!(
         compute_zonemd(&received, DigestAlg::Sha384).unwrap(),
