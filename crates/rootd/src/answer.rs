@@ -121,6 +121,36 @@ impl<'a> Plan<'a> {
     }
 }
 
+#[cfg(test)]
+impl<'a> Plan<'a> {
+    /// The identity-free response to `q` with these sections, its OPT
+    /// record what [`Answerer::attach_edns`] attaches without a site: how
+    /// `crate::oracle` answers from the index it keeps.
+    pub(crate) fn with_sections(
+        q: &FastQuery<'_>,
+        rcode: Rcode,
+        authoritative: bool,
+        answers: &'a [u8],
+        authority: [&'a [u8]; 2],
+        additional: &'a [u8],
+    ) -> Plan<'a> {
+        let opt = (q.state != 0).then(|| Opt {
+            dnssec_ok: q.dnssec_ok(),
+            extended_rcode: u8::from(q.bad_version()),
+            nsid: None,
+        });
+        Plan {
+            rcode,
+            authoritative,
+            truncated: false,
+            answers,
+            authority,
+            additional,
+            opt,
+        }
+    }
+}
+
 /// The full answer logic, borrowed from one serving state.
 pub(crate) struct Answerer<'a> {
     pub(crate) index: &'a ZoneIndex,

@@ -55,6 +55,8 @@ mod hash;
 pub mod health;
 pub mod index;
 pub mod loadgen;
+#[cfg(test)]
+mod oracle;
 mod query;
 pub mod recovery;
 pub mod rrl;
