@@ -22,10 +22,12 @@
 #      arena walk (owner length bytes, RDLENGTH, same-owner pointer
 #      targets) and the writer's name table, `propagate`'s packed
 #      rank (shifts, the path-length field) and its `u32` kilometre sums,
-#      the shared-set debug_assert!, the answer cache build's reused
-#      scratch (the `-p rootd` run builds 1- to 1 500-TLD zones and
-#      requires every name's spans and arena, and every NXDOMAIN
-#      template, to equal a fresh-scratch build's), the analyses' dense
+#      the shared-set debug_assert!, the serving epoch's images (the
+#      `-p rootd` run builds 1- to 1 500-TLD zones and holds every cached
+#      and uncached answer and every NXDOMAIN template to the build they
+#      replaced: the answer cache's block and template offsets, spans and
+#      fixups, the index's key image and RRset ranges, and the offset
+#      tables' slot and probe arithmetic), the analyses' dense
 #      indices — the RTT cell `(region · targets + target) · 2 + family`,
 #      the traffic bucket `(day − first) · 25 + hour slot`, the
 #      `day << 32 | client` key, the

@@ -1,0 +1,79 @@
+//! Counting-allocator bound on what one serving epoch holds: the zone
+//! index and the zone-only answer cache a push builds
+//! (`ZoneIndex::build`, then `SharedState::build`) are a fixed handful of
+//! flat allocations whatever the zone's size, and the push that displaces
+//! them frees that handful and nothing more.
+//!
+//! Lives in its own test binary with one test, so no sibling test thread
+//! can allocate concurrently and pollute the counters.
+
+use dns_zone::rollout::RolloutPhase;
+use dns_zone::rootzone::{build_root_zone, RootZoneConfig};
+use dns_zone::signer::ZoneKeys;
+use rootd::{SharedState, ZoneIndex};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// System allocator counting live blocks and frees.
+struct CountingAlloc;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static FREES: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        FREES.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Blocks allocated and not yet freed.
+fn live() -> u64 {
+    ALLOCATIONS.load(Ordering::Relaxed) - FREES.load(Ordering::Relaxed)
+}
+
+/// The most allocations one epoch may hold: a few dozen, at any zone size.
+const EPOCH_BOUND: u64 = 64;
+
+#[test]
+fn an_epoch_holds_and_frees_a_few_dozen_allocations() {
+    for tld_count in [8, 1_500] {
+        let cfg = RootZoneConfig {
+            tld_count,
+            rollout: RolloutPhase::Validating,
+            ..Default::default()
+        };
+        let zone = Arc::new(build_root_zone(&cfg, &ZoneKeys::from_seed(7)));
+
+        let before = live();
+        let index = Arc::new(ZoneIndex::build(Arc::clone(&zone)));
+        let epoch = SharedState::build(index);
+        let held = live() - before;
+        assert!(
+            held <= EPOCH_BOUND,
+            "{tld_count} TLDs: the epoch holds {held} allocations"
+        );
+
+        let frees = FREES.load(Ordering::Relaxed);
+        drop(epoch);
+        let freed = FREES.load(Ordering::Relaxed) - frees;
+        assert!(
+            freed <= EPOCH_BOUND,
+            "{tld_count} TLDs: dropping the epoch frees {freed} allocations"
+        );
+        assert_eq!(
+            live(),
+            before,
+            "{tld_count} TLDs: the drop left blocks behind"
+        );
+    }
+}
