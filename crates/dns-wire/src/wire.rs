@@ -465,12 +465,38 @@ impl WireWriter {
     /// question names whose labels would compress against record names —
     /// those encodings depend on the question and cannot be templated.
     pub fn compressed_suffixes(&self) -> impl Iterator<Item = Vec<u8>> + '_ {
-        self.names.as_slice().iter().map(|&off| {
-            let mut r = WireReader::new(&self.buf);
-            r.pos = off as usize;
-            let name = r.read_name().expect("a name this writer wrote");
-            name.as_wire().to_ascii_lowercase()
+        (0..self.compressed_suffix_count()).map(|i| {
+            let mut suffix = Vec::new();
+            self.write_compressed_suffix(i, &mut suffix);
+            suffix
         })
+    }
+
+    /// How many suffixes [`Self::compressed_suffixes`] yields.
+    pub fn compressed_suffix_count(&self) -> usize {
+        self.names.as_slice().len()
+    }
+
+    /// Append the `i`-th of [`Self::compressed_suffixes`] to `out`, in the
+    /// same form, without allocating: the borrowing form for a builder that
+    /// keeps the suffixes in a buffer of its own.
+    pub fn write_compressed_suffix(&self, i: usize, out: &mut Vec<u8>) {
+        let start = out.len();
+        let mut pos = self.names.as_slice()[i] as usize;
+        loop {
+            let len = self.buf[pos] as usize;
+            if len & 0xc0 == 0xc0 {
+                pos = (len & 0x3f) << 8 | self.buf[pos + 1] as usize;
+            } else if len == 0 {
+                break;
+            } else {
+                out.extend_from_slice(&self.buf[pos..pos + 1 + len]);
+                pos += 1 + len;
+            }
+        }
+        // Length bytes are at most 63, below `A`: lowercasing the whole
+        // name touches label bytes only.
+        out[start..].make_ascii_lowercase();
     }
 }
 
@@ -560,6 +586,33 @@ mod tests {
             [&b"\x03net"[..], b"\x01b\x01x\x03net", b"\x01x\x03net"]
         );
         assert_eq!(keys.len(), 3 + 1 + 3);
+    }
+
+    /// The borrowing form appends, one after another into one buffer, each
+    /// registered name as the reader reads it back, lowercased.
+    #[test]
+    fn written_suffixes_are_the_names_read_back_lowercased() {
+        let mut w = WireWriter::new();
+        for n in [
+            "NET.",
+            "b.X.net.",
+            "c.x.NET.",
+            "x.Net.Example.",
+            "ns0.TLD0001.",
+        ] {
+            w.put_name_compressed(name(n).as_wire());
+        }
+        assert_eq!(w.compressed_suffix_count(), 1 + 2 + 1 + 3 + 2);
+        let mut all = b"kept".to_vec();
+        for (i, &at) in w.names.as_slice().iter().enumerate() {
+            let mut r = WireReader::new(w.as_bytes());
+            r.pos = at as usize;
+            let want = r.read_name().unwrap().as_wire().to_ascii_lowercase();
+            let start = all.len();
+            w.write_compressed_suffix(i, &mut all);
+            assert_eq!(all[start..], want[..]);
+        }
+        assert_eq!(&all[..4], b"kept");
     }
 
     #[test]

@@ -1,19 +1,20 @@
 //! Precompiled answer cache: the zero-allocation UDP fast path.
 //!
-//! At build time every reachable answer shape — (qname, qtype) × EDNS
-//! state {none, EDNS, EDNS+DO} — is run through the exact same answerer
-//! and encoder the fallback path uses (`crate::answer`) and the resulting
-//! wire bytes are stored, together with pre-truncated variants at the EDNS
-//! budget buckets {512, 1232, 4096}. The qtypes that resolve to one answer at a
-//! name share its stored bytes (see "One image"): the splice below
-//! rewrites the question anyway. Serving a hit is then a table probe plus a
-//! splice: **append** the stored bytes to the caller's buffer — the batch's
-//! response slab itself on the batched path, so a response is copied once,
-//! from the cache to where it is sent from — and patch the message id, the
-//! RD bit, and the question region there (which preserves the client's
-//! qname casing; compression pointers into the question stay valid because
-//! suffix matching is case-insensitive). A serve function that declines
-//! leaves the buffer untouched.
+//! At build time every answer shape the zone gives for itself — (qname,
+//! qtype) × EDNS state {none, EDNS, EDNS+DO} at every owner at or above a
+//! zone cut (`ZoneIndex::answered_names`) — is run through the exact same
+//! answerer and encoder the fallback path uses (`crate::answer`) and the
+//! resulting wire bytes are stored, together with pre-truncated variants
+//! at the EDNS budget buckets {512, 1232, 4096}. The qtypes that resolve
+//! to one answer at a name share its stored bytes (see "One image"): the
+//! splice below rewrites the question anyway. Serving a hit is then a
+//! table probe plus a splice: **append** the stored bytes to the caller's
+//! buffer — the batch's response slab itself on the batched path, so a
+//! response is copied once, from the cache to where it is sent from — and
+//! patch the message id, the RD bit, and the question region there (which
+//! preserves the client's qname casing; compression pointers into the
+//! question stay valid because suffix matching is case-insensitive). A
+//! serve function that declines leaves the buffer untouched.
 //!
 //! The lookup key is the lowercased qname with its root byte, borrowed
 //! from the request whenever that is lower-case already (`crate::query`,
@@ -30,14 +31,14 @@
 //! into it and one array of template offsets — three allocations however
 //! many names the zone holds. The image holds, in build order:
 //!
-//! * one **name block** per qname: the key behind its length byte; the
-//!   shape count and each shape — qtype and class as little-endian `u16`s
-//!   and the answer set it gets (most qtypes at a name resolve to the
-//!   same answer — at a delegated TLD eleven of the thirteen cached types
-//!   get the referral, below a cut all thirteen do, at the apex every
-//!   absent type gets the same NODATA — so each *distinct* answer is
-//!   encoded once and its qtypes share it); per answer set and EDNS state
-//!   the full response's and each bucket variant's offset and length as
+//! * one **name block** per owner at or above a cut: the key behind its
+//!   length byte; the shape count and each shape — qtype and class as
+//!   little-endian `u16`s and the answer set it gets (most qtypes at a
+//!   name resolve to the same answer — at a delegated TLD eleven of the
+//!   thirteen cached types get the referral, at the apex every absent type
+//!   gets the same NODATA — so each *distinct* answer is encoded once and
+//!   its qtypes share it); per answer set and EDNS state the full
+//!   response's and each bucket variant's offset and length as
 //!   little-endian `u32`s (zero length where none is stored); then the
 //!   response bytes they point at. A hit reads one table slot and then
 //!   this one contiguous block.
@@ -47,7 +48,7 @@
 //!
 //! Every offset and length written into the image goes through
 //! `u32::try_from`, so an image past 4 GiB fails its build instead of
-//! wrapping. The build walks the zone's names in zone order and then its
+//! wrapping. The build walks those owners in zone order and then the
 //! NSEC chain, encoding each name's answers into one reused scratch and
 //! copying them into the image once. `ChaosCache` keeps an engine's four
 //! identity answers as name blocks of an image of its own.
@@ -63,10 +64,13 @@
 //!
 //! Everything else is resolved and encoded per query: AXFR, payload
 //! budgets that are neither a bucket nor large enough for the full
-//! response, and names below a delegation (referral qnames are unbounded
-//! too, and cold) — and what `FastQuery::parse` does not take at all
-//! (NSID requests, non-canonical OPT records, malformed requests) never
-//! gets here.
+//! response, and every name below a delegation — referral qnames are
+//! unbounded too, and cold. The zone's own glue owners (`ns0.tld0001.`,
+//! `a.root-servers.net.` under `net.`) are such names: every qtype there
+//! gets the cut's referral, encoded per query with the same `answer` and
+//! `encode` a block would have stored, and no query source asks for them.
+//! What `FastQuery::parse` does not take at all (NSID requests,
+//! non-canonical OPT records, malformed requests) never gets here.
 
 use crate::answer::{encode, encode_into, Answerer, CHAOS_NAMES};
 use crate::hash::{zone_hash, OffsetTable};
@@ -441,10 +445,15 @@ impl ImageBuilder {
             image.extend_from_slice(&fixups.to_le_bytes());
             image.extend_from_slice(&[0, 0]);
             let excluded_at = image.len();
-            for suffix in w.compressed_suffixes() {
-                if !suffixes(&image[excluded_at..]).any(|listed| listed == suffix) {
-                    image.push(suffix.len() as u8);
-                    image.extend_from_slice(&suffix);
+            for i in 0..w.compressed_suffix_count() {
+                // Written behind a length byte, then kept unless listed.
+                let listed_at = image.len();
+                image.push(0);
+                w.write_compressed_suffix(i, image);
+                image[listed_at] = (image.len() - listed_at - 1) as u8;
+                let (listed, suffix) = image[excluded_at..].split_at(listed_at - excluded_at);
+                if suffixes(listed).any(|listed| listed == &suffix[1..]) {
+                    image.truncate(listed_at);
                 }
             }
             let excluded = u16::try_from(image.len() - excluded_at).expect("a short list");
@@ -520,9 +529,10 @@ pub struct AnswerCache {
 }
 
 impl AnswerCache {
-    /// Precompile every reachable shape by running it through `answerer` —
-    /// the same code the fallback path executes — so cached and uncached
-    /// responses are byte-identical by construction.
+    /// Precompile every shape at every owner at or above a cut by running
+    /// it through `answerer` — the same code the fallback path executes —
+    /// so cached and uncached responses are byte-identical by
+    /// construction.
     pub(crate) fn build(answerer: &Answerer<'_>) -> AnswerCache {
         Self::build_inner(answerer, true)
     }
@@ -538,45 +548,48 @@ impl AnswerCache {
         Self::build_inner(&Answerer { index, site: None }, false)
     }
 
-    /// One walk over the zone's names in zone order, then its NSEC chain,
+    /// One walk over `ZoneIndex::answered_names`, then the NSEC chain,
     /// appending each name block and template to one image through one
     /// [`Scratch`] (`cache::tests::the_epoch_serves_what_the_oracle_build_does`
     /// holds the result to the build it replaced).
     fn build_inner(answerer: &Answerer<'_>, include_chaos: bool) -> AnswerCache {
         let index = answerer.index;
         let zone_shapes = CACHED_QTYPES.map(|qtype| (qtype, Class::In));
-        // An identity name that is also a zone name keeps its zone shapes
-        // beside the CHAOS one.
+        // An identity name that is also an answered zone name keeps its
+        // zone shapes beside the CHAOS one.
         let mut with_chaos = [(RrType::Txt, Class::Ch); MAX_SHAPES];
         with_chaos[1..].copy_from_slice(&zone_shapes);
         let chaos = include_chaos.then(|| CHAOS_NAMES.map(|c| Name::parse(c).expect("static")));
         let chaos = chaos.as_ref().map_or(&[][..], |names| &names[..]);
-        // The image runs 4.0–4.4 times the index's arena on root zones of
-        // 8 to 1 500 TLDs: reserved once, it is written where it is
-        // allocated instead of copied as it doubles.
+        // The image runs 2.45–2.61 times the index's arena on root zones of
+        // 8 to 1 500 TLDs (a 1-TLD zone's fits the 64 KiB beside it):
+        // reserved once at 2.625 times, it is written where it is allocated
+        // instead of copied as it doubles.
         let mut builder = ImageBuilder {
-            image: Vec::with_capacity(index.wire_len() / 4 * 17 + (64 << 10)),
+            image: Vec::with_capacity(index.wire_len() / 8 * 21 + (64 << 10)),
             scratch: Scratch::default(),
         };
-        let mut exact = OffsetTable::with_capacity(index.names().len() + chaos.len());
+        let mut exact = OffsetTable::with_capacity(index.answered_names().count() + chaos.len());
         let mut entries = 0;
         let mut add = |builder: &mut ImageBuilder, name: &Name, shapes: &[(RrType, Class)]| {
             let at = builder.name(answerer, name, shapes);
             exact.insert(zone_hash(Block::at(&builder.image, at).key()), at);
             entries += 3 * shapes.len();
         };
-        for name in index.names() {
-            let identity = chaos.contains(name);
-            add(
-                &mut builder,
-                name,
-                if identity { &with_chaos } else { &zone_shapes },
-            );
+        // Which identity names got a zone block.
+        let mut blocked = [false; CHAOS_NAMES.len()];
+        for name in index.answered_names() {
+            let shapes: &[_] = match chaos.iter().position(|c| c == name) {
+                Some(i) => {
+                    blocked[i] = true;
+                    &with_chaos
+                }
+                None => &zone_shapes,
+            };
+            add(&mut builder, name, shapes);
         }
-        for name in chaos {
-            if !index.holds(name.canonical().as_wire()) {
-                add(&mut builder, name, &with_chaos[..1]);
-            }
+        for (name, _) in chaos.iter().zip(blocked).filter(|&(_, blocked)| !blocked) {
+            add(&mut builder, name, &with_chaos[..1]);
         }
         let unsigned = index.nsec_chain().len() == 0;
         let fixed =
@@ -642,9 +655,10 @@ impl AnswerCache {
         if q.class != Class::In.to_u16() {
             return false;
         }
-        // `exact` holds every owner name of the zone, so a name that missed
-        // it is no cut itself: only a name of several labels can lie below
-        // one, and only for those is the index asked.
+        // `exact` holds every owner at or above a cut, every cut among
+        // them, so a name that missed it is no cut itself: only a name of
+        // several labels can lie below one — a glue owner as much as a name
+        // the zone does not hold — and only for those is the index asked.
         let name = q.name_lc();
         let one_label = name
             .first()
@@ -944,25 +958,55 @@ mod tests {
         let (first, second) = (build(), build());
         assert_eq!(first, second);
         assert_eq!((first.0.len(), first.1.len()), (1 + 13 + 10 * 3, 10));
-        assert_eq!(first.2, first.0.len() * CACHED_QTYPES.len() * 3);
+        // The apex and the ten cuts are precompiled; the thirteen root
+        // servers below `net.` and the twenty TLD name servers are not.
+        assert_eq!(first.2, (1 + 10) * CACHED_QTYPES.len() * 3);
+    }
+
+    /// Whether `qname` (flat wire form, any case) lies strictly below one
+    /// of `tlds` (the delegated labels, lowercase), read off its labels
+    /// rather than the index: the root zone cuts at TLDs alone, so a name
+    /// of two labels or more whose last label is delegated.
+    fn below_a_tld(qname: &[u8], tlds: &[String]) -> bool {
+        let (mut rest, mut labels, mut last) = (qname, 0, &[][..]);
+        while let Some((&len, tail)) = rest.split_first() {
+            (last, rest) = tail.split_at(len as usize);
+            labels += 1;
+        }
+        labels > 1
+            && tlds
+                .iter()
+                .any(|tld| tld.as_bytes().eq_ignore_ascii_case(last))
     }
 
     /// What lets `serve` skip the cut table for a one-label name that
-    /// missed `exact`: every owner of the zone — every cut among them — has
-    /// an exact entry, with or without the CHAOS names beside them.
+    /// missed `exact`: every owner at or above a cut — every cut among them
+    /// — has an exact entry, with or without the CHAOS names beside them,
+    /// and no owner below a cut has one. `ZoneIndex::below_cut` tells the
+    /// two apart as the owners' labels do.
     #[test]
-    fn every_owner_name_has_an_exact_entry() {
+    fn only_owners_at_or_above_a_cut_have_an_exact_entry() {
         let (_, cached) = engines();
         let index = cached.index();
+        let tlds = index.tld_labels();
         let site = crate::answer::SiteAnswers::new(&SiteIdentity::named("lax2f"));
         let with_chaos = AnswerCache::build(&Answerer {
             index: &index,
             site: Some(&site),
         });
         for cache in [AnswerCache::build_zone(&index), with_chaos] {
+            let mut held = [0; 2];
             for name in index.names() {
-                assert!(cache.block(&name.canonical_wire()).is_some(), "{name}");
+                let below = below_a_tld(name.as_wire(), &tlds);
+                let key = name.as_wire().to_ascii_lowercase();
+                assert_eq!(index.below_cut(&key), below, "{name}");
+                let found = cache.block(&name.canonical_wire()).is_some();
+                assert_eq!(found, !below, "{name}");
+                held[usize::from(below)] += 1;
             }
+            // The apex and ten TLDs; thirteen root servers and twenty TLD
+            // name servers.
+            assert_eq!(held, [1 + 10, 13 + 10 * 2]);
         }
         assert!(index.referral_above(b"\x03com").is_some());
     }
@@ -1020,7 +1064,10 @@ mod tests {
     /// every owner in the zone's case (every fourth also upper-cased), and
     /// for junk beside and below the TLDs, at the 13 cached qtypes plus
     /// HTTPS, SRV and PTR, in every EDNS state at every budget class, the
-    /// same cached bytes (or the same refusal) and the same uncached bytes;
+    /// same cached bytes (or the same refusal) at and above the cuts, a
+    /// refusal below them whose fallback sends the bytes the oracle stored,
+    /// exactly as many hits per name class as each build stores, and the
+    /// same uncached bytes;
     /// and every NXDOMAIN template emits the same bytes for a one-byte and
     /// a 40-byte qname, at 512 and 4096, and refuses each suffix it
     /// excludes, alone and under one more label.
@@ -1079,6 +1126,7 @@ mod tests {
                     qnames.push(wire.to_ascii_uppercase());
                 }
             }
+            let owners = qnames.len();
             for c in b'a'..=b'z' {
                 for d in b'0'..=b'9' {
                     qnames.push(vec![3, c, d, b'x']);
@@ -1089,9 +1137,20 @@ mod tests {
                 index: &index,
                 site: None,
             };
+            let tlds = oracle.tld_labels();
             let (mut ours, mut theirs) = (Vec::new(), Vec::new());
-            let mut hits = 0;
-            for qname in &qnames {
+            // Per name class — an owner at or above a cut, an owner below
+            // one, junk — how many qnames it holds, and how many shapes the
+            // epoch and the oracle each serve from their cache.
+            let mut qnames_in = [0; 3];
+            let (mut hits, mut oracle_hits) = ([0; 3], [0; 3]);
+            for (i, qname) in qnames.iter().enumerate() {
+                let class = match (i < owners, below_a_tld(qname, &tlds)) {
+                    (true, false) => 0,
+                    (true, true) => 1,
+                    (false, _) => 2,
+                };
+                qnames_in[class] += 1;
                 for &qtype in &qtypes {
                     for &(state, budget) in &shapes {
                         let req = request(qname, qtype, state, budget);
@@ -1102,8 +1161,19 @@ mod tests {
                         let hit = cache.serve(&index, &req, &q, &mut ours);
                         let want = oracle_cache.serve(&oracle, &req, &q, &mut theirs);
                         let shape = || format!("{what}: {qname:?} {qtype:?} {state} {budget}");
-                        assert_eq!(hit, want, "{}", shape());
-                        hits += usize::from(hit);
+                        hits[class] += usize::from(hit);
+                        oracle_hits[class] += usize::from(want);
+                        if class == 1 {
+                            // Below a cut the epoch stores nothing, and
+                            // what the fallback sends is what the oracle
+                            // precompiled.
+                            assert!(!hit && ours.is_empty(), "{}", shape());
+                            if want {
+                                encode_into(&answerer.answer(&q, true), &q, q.limit, &mut ours);
+                            }
+                        } else {
+                            assert_eq!(hit, want, "{}", shape());
+                        }
                         assert!(ours == theirs, "{}: cached bytes", shape());
                         encode_into(&answerer.answer(&q, true), &q, q.limit, &mut ours);
                         encode_into(&oracle.answer(&q), &q, q.limit, &mut theirs);
@@ -1112,12 +1182,21 @@ mod tests {
                 }
             }
 
-            // Most shapes are stored: all but the three uncached qtypes'
-            // and budgets some full response overflows.
-            assert!(
-                hits * 2 > qnames.len() * qtypes.len() * shapes.len(),
-                "{what}"
-            );
+            // At a zone name every cached qtype is stored in every EDNS
+            // state at every budget asked (65 535 holds any full response);
+            // the epoch stores them at and above the cuts only, the oracle
+            // below them too. Junk is served from the same templates.
+            let stored = |class: usize| qnames_in[class] * CACHED_QTYPES.len() * shapes.len();
+            assert_eq!(hits[..2], [stored(0), 0], "{what}");
+            assert_eq!(oracle_hits[..2], [stored(0), stored(1)], "{what}");
+            assert_eq!(hits[2], oracle_hits[2], "{what}");
+            // The owners below a cut are the zone's glue: the root servers
+            // once `net.` is delegated, and two name servers per TLD.
+            let glue = oracle
+                .names()
+                .filter(|name| below_a_tld(name.as_wire(), &tlds));
+            let root_servers = if tld_count > 1 { 13 } else { 0 };
+            assert_eq!(glue.count(), root_servers + 2 * tld_count, "{what}");
 
             let long: Vec<u8> = [&[38][..], &[b'w'; 38]].concat();
             let ours_all = templates(&cache);

@@ -659,6 +659,7 @@ fn formerr_stub(request: &[u8], out: &mut Vec<u8>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rrl::RrlCounters;
     use dns_wire::edns::{edns_of, set_edns, Edns};
     use dns_wire::message::Opcode;
     use dns_wire::rdata::Rdata;
@@ -1486,6 +1487,60 @@ mod tests {
             )
     }
 
+    /// `bytes` with a plausible query header grafted on when `header` asks
+    /// for one and there is room: most random bytes fail the header
+    /// checks.
+    fn grafted(mut bytes: Vec<u8>, header: bool) -> Vec<u8> {
+        if header && bytes.len() >= 12 {
+            bytes[2] &= 0x01;
+            let arcount = bytes[11] & 1;
+            bytes[4..12].copy_from_slice(&[0, 1, 0, 0, 0, 0, 0, arcount]);
+        }
+        bytes
+    }
+
+    /// `q` on the wire as asked (`how` 0), with the byte at `at` flipped
+    /// by `flip` (1), or cut to `cut` bytes (2).
+    fn mutated(q: &Message, at: usize, flip: u8, cut: usize, how: u8) -> Vec<u8> {
+        let mut wire = q.to_wire();
+        match how {
+            0 => {}
+            1 => {
+                let at = at % wire.len();
+                wire[at] ^= flip;
+            }
+            _ => wire.truncate(cut % (wire.len() + 1)),
+        }
+        wire
+    }
+
+    /// Strategy: a hostile datagram — arbitrary bytes, a plausible header
+    /// grafted on some — or a [`some_query`] as asked, flipped or cut.
+    fn hostile_datagram() -> impl proptest::prelude::Strategy<Value = Vec<u8>> {
+        use proptest::prelude::*;
+        let junk = (proptest::collection::vec(any::<u8>(), 0..80), any::<bool>())
+            .prop_map(|(bytes, header)| grafted(bytes, header));
+        let query = (some_query(), 0usize..400, 1u8..=255, 0usize..400, 0u8..3)
+            .prop_map(|(q, at, flip, cut, how)| mutated(&q, at, flip, cut, how));
+        prop_oneof![junk, query]
+    }
+
+    /// Whether `reply` reparses with the section counts its header claims.
+    fn reparses(reply: &[u8]) -> Result<(), proptest::prelude::TestCaseError> {
+        let msg = Message::from_wire(reply)
+            .map_err(|e| proptest::prelude::TestCaseError::fail(format!("{e}: {reply:?}")))?;
+        let counts =
+            [4, 6, 8, 10].map(|at| u16::from_be_bytes([reply[at], reply[at + 1]]) as usize);
+        let sections = [
+            msg.questions.len(),
+            msg.answers.len(),
+            msg.authorities.len(),
+            msg.additionals.len(),
+        ];
+        proptest::prop_assert_eq!(counts, sections);
+        Ok(())
+    }
+
     /// Whatever `serve_udp_into` answers `request` reparses, and within
     /// the budget the request advertises (512 bytes unless a parseable OPT
     /// says otherwise).
@@ -1522,12 +1577,7 @@ mod tests {
             // header on half of them.
             header in proptest::prelude::any::<bool>(),
         ) {
-            let mut bytes = bytes;
-            if header && bytes.len() >= 12 {
-                bytes[2] &= 0x01;
-                let arcount = bytes[11] & 1;
-                bytes[4..12].copy_from_slice(&[0, 1, 0, 0, 0, 0, 0, arcount]);
-            }
+            let bytes = grafted(bytes, header);
             for e in [engine(), engine().with_answer_cache()] {
                 assert_reply_is_sound(&e, &bytes)?;
             }
@@ -1601,15 +1651,7 @@ mod tests {
             tld_count in 1usize..64,
             phase in 0usize..3,
             key_seed in proptest::prelude::any::<u64>(),
-            junk in proptest::collection::vec(
-                (proptest::collection::vec(proptest::prelude::any::<u8>(), 0..80),
-                 proptest::prelude::any::<bool>()),
-                0..8,
-            ),
-            queries in proptest::collection::vec(
-                (some_query(), 0usize..400, 1u8..=255, 0usize..400, 0u8..3),
-                1..12,
-            ),
+            slab in proptest::collection::vec(hostile_datagram(), 1..20),
         ) {
             let phases = [
                 RolloutPhase::NoRecord,
@@ -1630,29 +1672,6 @@ mod tests {
                 Rootd::new(index, SiteIdentity::named("lax2f")),
                 Rootd::with_shared_state(&shared, SiteIdentity::named("lax2f")),
             ];
-            // Junk first, a plausible header grafted on some; then the
-            // queries as asked, with a byte flipped, or cut short.
-            let mut slab = Vec::new();
-            for (mut bytes, header) in junk {
-                if header && bytes.len() >= 12 {
-                    bytes[2] &= 0x01;
-                    let arcount = bytes[11] & 1;
-                    bytes[4..12].copy_from_slice(&[0, 1, 0, 0, 0, 0, 0, arcount]);
-                }
-                slab.push(bytes);
-            }
-            for (q, at, flip, cut, how) in queries {
-                let mut wire = q.to_wire();
-                match how {
-                    0 => {}
-                    1 => {
-                        let at = at % wire.len();
-                        wire[at] ^= flip;
-                    }
-                    _ => wire.truncate(cut % (wire.len() + 1)),
-                }
-                slab.push(wire);
-            }
             for engine in &engines {
                 let mut batch = crate::transport::UdpBatch::new();
                 for datagram in &slab {
@@ -1672,19 +1691,126 @@ mod tests {
                     };
                     proptest::prop_assert_ne!(outcome, ServeOutcome::Dropped);
                     proptest::prop_assert_eq!(reply, &one_shot[..]);
-                    let msg = Message::from_wire(reply).map_err(|e| {
-                        proptest::prelude::TestCaseError::fail(format!("{e}: {reply:?}"))
-                    })?;
-                    let counts = [4, 6, 8, 10].map(|at| {
-                        u16::from_be_bytes([reply[at], reply[at + 1]]) as usize
-                    });
-                    let sections = [
-                        msg.questions.len(),
-                        msg.answers.len(),
-                        msg.authorities.len(),
-                        msg.additionals.len(),
-                    ];
-                    proptest::prop_assert_eq!(counts, sections);
+                    reparses(reply)?;
+                }
+            }
+        }
+
+        /// `serve_udp_from` with RRL on, on hostile bytes from arbitrary
+        /// sources at arbitrary instants, through an uncached and a cached
+        /// engine: every verdict is the one the fixed-window rule gives the
+        /// response `serve_udp_into` writes — an answer is that response
+        /// byte for byte, a slip the minimal TC reply, a drop a drop — the
+        /// limiter's counters add up to those verdicts, and its bucket
+        /// table holds exactly one counter per (masked source, class,
+        /// window) it was asked about: bounded by the responses it checked,
+        /// whatever sources a flood claims.
+        #[test]
+        fn rrl_serves_hostile_datagrams_from_arbitrary_sources(
+            arrivals in proptest::collection::vec(
+                (
+                    hostile_datagram(),
+                    proptest::prop_oneof![0u64..4, proptest::prelude::any::<u64>()],
+                    0u64..3_000,
+                ),
+                1..40,
+            ),
+            limits in (0u32..4, 0u32..4, 0u32..3),
+            slip in 0u32..3,
+            prefix_shift in 0u32..64,
+        ) {
+            use proptest::{prop_assert, prop_assert_eq};
+            let cfg = RrlConfig {
+                responses_limit: limits.0,
+                nxdomain_limit: limits.1,
+                error_limit: limits.2,
+                slip,
+                prefix_shift,
+                ..Default::default()
+            };
+            let plain = engine();
+            let engines = [engine(), engine().with_answer_cache()];
+            for limited in engines.map(|e| e.with_rrl(cfg.clone())) {
+                let mut buckets = std::collections::HashMap::new();
+                let mut verdicts = RrlCounters::default();
+                let (mut want, mut out, mut slipped) = (Vec::new(), Vec::new(), Vec::new());
+                for (datagram, src, t_ms) in &arrivals {
+                    let verdict = limited.serve_udp_from(*src, *t_ms, datagram, &mut out);
+                    if plain.serve_udp_into(datagram, &mut want) == ServeOutcome::Dropped {
+                        prop_assert_eq!(verdict, ServeVerdict::Dropped);
+                        continue;
+                    }
+                    verdicts.checked += 1;
+                    let class = ResponseClass::of(&want);
+                    let limit = u64::from(cfg.limit_for(class));
+                    // The arrival's number in its bucket; an unlimited
+                    // class keeps no bucket.
+                    let n = match limit {
+                        0 => 0,
+                        _ => {
+                            let key = (src >> prefix_shift, class, cfg.window_of(*t_ms));
+                            let n = buckets.entry(key).or_insert(0u64);
+                            *n += 1;
+                            *n
+                        }
+                    };
+                    if n <= limit {
+                        verdicts.passed += 1;
+                        prop_assert!(matches!(verdict, ServeVerdict::Answered(_)), "{verdict:?}");
+                        prop_assert_eq!(&out, &want);
+                    } else if slip > 0 && (n - limit - 1).is_multiple_of(u64::from(slip)) {
+                        verdicts.slipped += 1;
+                        if rrl::write_slip(datagram, &mut slipped) {
+                            prop_assert_eq!(verdict, ServeVerdict::Slipped);
+                            prop_assert_eq!(&out, &slipped);
+                            reparses(&out)?;
+                        } else {
+                            prop_assert_eq!(verdict, ServeVerdict::Limited);
+                        }
+                    } else {
+                        verdicts.dropped += 1;
+                        prop_assert_eq!(verdict, ServeVerdict::Limited);
+                    }
+                }
+                let rrl = limited.rrl().expect("RRL on");
+                prop_assert_eq!(rrl.counters(), verdicts);
+                prop_assert_eq!(rrl.buckets(), buckets.len());
+                prop_assert!(buckets.len() as u64 <= verdicts.checked);
+            }
+        }
+
+        /// `serve_tcp` on hostile bytes, through an uncached and a cached
+        /// engine: no panic, the same messages from both, each reparsing
+        /// with the section counts its header claims, echoing the request
+        /// id and never truncated; one message at most but for a zone
+        /// transfer; nothing where UDP drops; and where UDP answers a
+        /// request that is no transfer in full (TC clear), TCP sends those
+        /// very bytes.
+        #[test]
+        fn tcp_serves_hostile_datagrams(
+            datagrams in proptest::collection::vec(hostile_datagram(), 1..8),
+        ) {
+            use proptest::{prop_assert, prop_assert_eq};
+            let (plain, cached) = (engine(), engine().with_answer_cache());
+            let mut udp = Vec::new();
+            for datagram in &datagrams {
+                let messages = plain.serve_tcp(datagram);
+                prop_assert_eq!(&messages, &cached.serve_tcp(datagram));
+                for message in &messages {
+                    reparses(message)?;
+                    prop_assert_eq!(&message[..2], &datagram[..2]);
+                    prop_assert_eq!(message[2] & 0x02, 0, "TC over TCP");
+                }
+                let transfer = Message::from_wire(datagram)
+                    .is_ok_and(|q| q.questions.iter().any(|q| q.rr_type == RrType::Axfr));
+                if transfer {
+                    continue;
+                }
+                prop_assert!(messages.len() <= 1, "{} messages", messages.len());
+                match plain.serve_udp_into(datagram, &mut udp) {
+                    ServeOutcome::Dropped => prop_assert!(messages.is_empty()),
+                    _ if udp[2] & 0x02 == 0 => prop_assert_eq!(&messages, &vec![udp.clone()]),
+                    _ => {}
                 }
             }
         }

@@ -240,9 +240,10 @@ mod tests {
     }
 
     /// An [`OffsetTable`] reads the slot from the low bits of a hash (14
-    /// of them at a root-sized zone's 4 514 names) and the tag from the
-    /// high 32: on the keys the tables hold and are probed with, the low
-    /// bits and the tag's top spread within 1.5× of keyed SipHash.
+    /// of them at a root-sized zone's 4 514 owners, 12 at the 1 501 names
+    /// its cache holds) and the tag from the high 32: on the keys the
+    /// tables hold and are probed with, the low bits and the tag's top
+    /// spread within 1.5× of keyed SipHash.
     #[test]
     fn low_and_top_bits_load_buckets_like_siphash() {
         let (index, _) = epoch();
@@ -270,24 +271,37 @@ mod tests {
     const PROBE_BOUND: usize = 16;
 
     /// Probed in the built epoch, every owner key is found in the index's
-    /// owner table and every owner's cache key in the cache's exact-name
-    /// table, each form misses in the other table, the junk misses in
-    /// both — and no probe reads more than [`PROBE_BOUND`] slots.
+    /// owner table and the cache key of every owner at or above a cut — the
+    /// apex and the 1 500 TLDs — in the cache's exact-name table, the
+    /// 3 013 glue owners below the cuts miss there, each form misses in
+    /// the other table, the junk misses in both — and no probe reads more
+    /// than [`PROBE_BOUND`] slots.
     #[test]
     fn every_probe_ends_within_the_bound() {
         let (index, cache) = epoch();
         let [owners, names, junk] = keys(&index);
+        let tlds = index.tld_labels();
         let mut longest = 0;
         let mut probe = |(found, read): (bool, usize), want: bool, key: &[u8]| {
             assert_eq!(found, want, "{key:?}");
             longest = longest.max(read);
         };
+        let mut cached = [0; 2];
         for (owner, name) in owners.iter().zip(&names) {
+            // Below a cut: two labels or more, the last one a TLD.
+            let (mut rest, mut labels, mut last) = (&owner[..], 0, &[][..]);
+            while let Some((&len, tail)) = rest.split_first() {
+                (last, rest) = tail.split_at(len as usize);
+                labels += 1;
+            }
+            let below = labels > 1 && tlds.iter().any(|tld| tld.as_bytes() == last);
+            cached[usize::from(below)] += 1;
             probe(index.probe_owner(owner), true, owner);
-            probe(cache.probe_name(name), true, name);
+            probe(cache.probe_name(name), !below, name);
             probe(index.probe_owner(name), false, name);
             probe(cache.probe_name(owner), false, owner);
         }
+        assert_eq!(cached, [1 + 1_500, 13 + 2 * 1_500]);
         for key in &junk {
             probe(cache.probe_name(key), false, key);
             let flat = &key[..key.len() - 1];

@@ -657,16 +657,25 @@ impl ZoneIndex {
         out
     }
 
-    /// Every owner name the zone holds, in zone order (answer-cache
-    /// enumeration).
+    /// Every owner name the zone holds, in zone order.
     pub fn names(&self) -> impl ExactSizeIterator<Item = &Name> {
         self.nodes.iter().map(|node| &node.name)
     }
 
-    /// Whether the zone holds `name` (lowercased flat wire form) as an
-    /// owner.
-    pub(crate) fn holds(&self, name: &[u8]) -> bool {
-        self.node(name).is_some()
+    /// The owners the answer cache precompiles, in zone order: every owner
+    /// not [`Self::below_cut`] — the apex, every delegation point and any
+    /// name with no cut above it.
+    pub fn answered_names(&self) -> impl Iterator<Item = &Name> {
+        let answered = |node: &&Node| !self.below_cut(node_key(&self.keys, node));
+        self.nodes.iter().filter(answered).map(|node| &node.name)
+    }
+
+    /// Whether `name` (lowercased flat wire form) lies strictly below a
+    /// zone cut, where [`Self::lookup`] hands every type the cut's
+    /// referral — a glue owner's as much as a name the zone does not hold.
+    pub fn below_cut(&self, name: &[u8]) -> bool {
+        let cut = Self::cut_of(name);
+        cut.len() < name.len() && self.node(cut).is_some_and(|node| node.referral.is_some())
     }
 
     /// The NSEC chain in canonical order: owner names with their NSEC

@@ -329,6 +329,17 @@ impl Rrl {
     }
 }
 
+#[cfg(test)]
+impl Rrl {
+    /// How many (bucket, window) counters the limiter holds.
+    pub(crate) fn buckets(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|shard| shard.lock().unwrap().len())
+            .sum()
+    }
+}
+
 fn shard_of(key: &BucketKey) -> usize {
     // Fibonacci-hash the prefix (classes and windows cluster; sources
     // are what spread).

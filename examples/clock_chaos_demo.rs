@@ -19,15 +19,16 @@
 //! cargo run --release --example clock_chaos_demo
 //! ```
 //!
-//! The final line is machine-greppable: `clock chaos invariants: OK
-//! (...)` on success; any violation prints `clock chaos invariants:
-//! FAILED ...` and exits non-zero.
+//! The final line is `clock chaos invariants: OK (...)` when
+//! `ClockChaosRun::violations` is empty; any violation prints `clock chaos
+//! invariants: FAILED ...` and exits non-zero. The gate itself is tier-1:
+//! `tests/chaos_refresh.rs` asserts the same violations on the same run.
 
 use roots_core::{ClockChaosRun, Scale};
 use rss::RootLetter;
 use std::process::ExitCode;
 
-const WINDOW_MS: u64 = 5_000;
+const WINDOW_MS: u64 = ClockChaosRun::DEMO_WINDOW_MS;
 const QUERIES: usize = 8_000;
 
 fn main() -> ExitCode {
@@ -79,39 +80,11 @@ fn main() -> ExitCode {
         a.clock_ms, WINDOW_MS
     );
 
-    let mut violations: Vec<String> = Vec::new();
-    if a.refresh.is_err() {
-        violations.push(format!("refresh failed: {:?}", a.refresh));
-    }
-    if a.clock_ms < WINDOW_MS {
-        violations.push(format!(
-            "clock ended at {} ms, inside the {} ms window",
-            a.clock_ms, WINDOW_MS
-        ));
-    }
-    if a.refresh_metrics.timeouts == 0 {
-        violations.push("refresh saw no timeouts — the window never applied".into());
-    }
-    if a.backoff_log.is_empty() {
-        violations.push("no backoff waits were taken on the shared clock".into());
-    }
-    if !a.serving {
-        violations.push("refreshed copy is not serving at the final wall time".into());
-    }
-    if a.load.timeouts == 0 || a.load.fault_counters.blackholed == 0 {
-        violations.push("the outage window never hit the serving fleet's queries".into());
-    }
-
     // Replay bit-identity: same run again, then a different loadgen
     // worker count — pinned arrivals make partitioning invisible.
     let b = ClockChaosRun::run(Scale::Tiny, letter, &scenario, QUERIES, 2);
-    if a.fingerprint() != b.fingerprint() {
-        violations.push("replay diverged between identical runs".into());
-    }
     let c = ClockChaosRun::run(Scale::Tiny, letter, &scenario, QUERIES, 5);
-    if a.fingerprint() != c.fingerprint() {
-        violations.push("replay diverged across worker counts (2 vs 5)".into());
-    }
+    let violations = a.violations(&[&b, &c]);
 
     if violations.is_empty() {
         println!(

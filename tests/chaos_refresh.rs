@@ -12,7 +12,11 @@
 //! 4. a zero-fault `FaultyTransport` is byte-identical to the bare
 //!    transport;
 //! 5. the whole chaos run is deterministic: same plan seed ⇒ same fault
-//!    counters, same metrics, same outcome.
+//!    counters, same metrics, same outcome;
+//! 6. on one virtual clock shared with a serving fleet under load, the
+//!    refresh client rides out a bounded blackhole by backing off, and the
+//!    run replays bit-identically (`roots_core::ClockChaosRun::violations`;
+//!    `examples/clock_chaos_demo.rs` renders the same run).
 
 use dns_wire::edns::{set_edns, Edns};
 use dns_wire::{Message, Name, Question, Rcode, RrType};
@@ -24,6 +28,7 @@ use localroot::{upstream_transport, LocalRoot, RefreshOutcome, ServingState, Val
 use rootd::{
     FaultCounters, FaultPlan, FaultSpec, FaultyTransport, InprocTransport, Protocol, Transport,
 };
+use roots_core::{ClockChaosRun, Scale};
 use rss::RootLetter;
 use std::sync::Arc;
 
@@ -304,4 +309,34 @@ fn mid_axfr_truncation_is_survived_or_refused() {
             Err(_) => assert_eq!(lr.current_serial(), None),
         }
     }
+}
+
+/// Invariant 6 on the clock-chaos demo: no violation on the run and its
+/// two replays — the same run, and one at another loadgen worker count
+/// (arrival pinning makes partitioning invisible) — and each of the seven
+/// checks fires on a run doctored to break it.
+#[test]
+fn clock_chaos_interleaves_and_replays_bit_identically() {
+    let scenario = ClockChaosRun::demo_scenario(Scale::Tiny, RootLetter::B);
+    let run = |threads| ClockChaosRun::run(Scale::Tiny, RootLetter::B, &scenario, 8_000, threads);
+    let (a, mut b, c) = (run(2), run(2), run(5));
+    assert_eq!(a.violations(&[&b, &c]), Vec::<String>::new());
+    // Beyond the checks: the copy was updated, and the fleet answered
+    // outside the window.
+    assert!(matches!(a.refresh, Ok(RefreshOutcome::Updated { .. })));
+    assert!(a.load.responses > 0);
+
+    let doctors: [fn(&mut ClockChaosRun); 6] = [
+        |r| r.refresh = Err("doctored".into()),
+        |r| r.clock_ms = ClockChaosRun::DEMO_WINDOW_MS - 1,
+        |r| r.refresh_metrics.timeouts = 0,
+        |r| r.backoff_log.clear(),
+        |r| r.serving = false,
+        |r| r.load.fault_counters.blackholed = 0,
+    ];
+    for (fired, doctor) in doctors.into_iter().enumerate() {
+        doctor(&mut b);
+        assert_eq!(b.violations(&[]).len(), fired + 1);
+    }
+    assert_eq!(b.violations(&[&c]).len(), 6 + 1);
 }
