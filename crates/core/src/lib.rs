@@ -24,6 +24,7 @@
 //! assert!(table1.contains("Table 1"));
 //! ```
 
+pub mod chaos;
 pub mod experiments;
 pub mod farm;
 pub mod pipeline;
@@ -32,9 +33,10 @@ pub mod scale;
 pub mod scenarios;
 pub mod serving;
 
+pub use chaos::ChaosSweep;
 pub use farm::{FarmChaosRun, FarmRun};
 pub use pipeline::Pipeline;
-pub use planning::PlannerRun;
+pub use planning::{PlannerDemo, PlannerRun};
 pub use scale::Scale;
 pub use scenarios::ScenarioPipeline;
 pub use serving::{AttackRun, ClockChaosRun, ServingPipeline};

@@ -6,16 +6,20 @@
 //! for a [`Scale`], generates a seeded candidate sweep for one letter,
 //! scores it across a worker pool, and keeps the ranked [`SweepReport`].
 //! [`PlannerRun::rescore_fingerprint`] re-runs the sweep at any worker
-//! count — the fingerprints must match bit-for-bit, which
-//! `examples/planner_report.rs` asserts for 1..=5 workers.
+//! count — the fingerprints must match bit-for-bit.
+//!
+//! [`PlannerDemo`] is what `examples/planner_report.rs` renders: a
+//! steady-state sweep and a smaller one scored through a site outage,
+//! with [`PlannerDemo::violations`] as its invariants (asserted in
+//! `crates/planner/tests/planner.rs`).
 
 use crate::scale::Scale;
 use planner::{
     evaluate_batch, generate, scores_fingerprint, CandidatePlan, EvalContext, MoveSetConfig,
     SweepReport, TimelineSpec,
 };
-use scenario::Scenario;
-use vantage::World;
+use scenario::{EventKind, Scenario, ScenarioEvent};
+use vantage::{World, MEASUREMENT_START};
 
 /// A world swept through one batch of candidate deployment changes.
 pub struct PlannerRun {
@@ -106,6 +110,103 @@ impl PlannerRun {
     /// The frontier + per-region top-`k` tables.
     pub fn render(&self, k: usize) -> String {
         self.report.render(k)
+    }
+}
+
+/// The planner report's two sweeps of `cfg`'s candidates against its
+/// letter: in steady state, and — the first `timeline_count` of them —
+/// through a week-long outage of the letter's first site in the three
+/// weeks from the measurement start ("does the placement still hold
+/// during the window?"), each re-scored at other worker counts.
+pub struct PlannerDemo {
+    pub run: PlannerRun,
+    pub timeline: PlannerRun,
+    pub scenario: Scenario,
+    /// The steady-state sweep re-scored at 1..=5 workers: `(workers,
+    /// fingerprint)`.
+    pub rescored: Vec<(usize, u64)>,
+    /// The timeline sweep re-scored at 1 and 5 workers.
+    pub timeline_rescored: Vec<(usize, u64)>,
+}
+
+impl PlannerDemo {
+    /// Score both sweeps (the steady one on 4 workers, the timeline one on
+    /// 3) and re-score each.
+    pub fn run(scale: Scale, cfg: &MoveSetConfig, timeline_count: usize) -> PlannerDemo {
+        let run = PlannerRun::run(scale, cfg, 4);
+        let site = run.world.catalog.deployment(cfg.letter).sites[0].id;
+        let start = MEASUREMENT_START;
+        let scenario = Scenario::new(
+            "planner_b_outage",
+            0x9_1A28,
+            vec![ScenarioEvent {
+                at: start + 7 * 86_400,
+                until: Some(start + 14 * 86_400),
+                kind: EventKind::SiteOutage {
+                    letter: cfg.letter,
+                    site,
+                },
+            }],
+        )
+        .expect("outage scenario is valid");
+        let tl_cfg = MoveSetConfig {
+            count: timeline_count,
+            ..cfg.clone()
+        };
+        let end = start + 21 * 86_400;
+        let timeline = PlannerRun::run_through(scale, &tl_cfg, 3, &scenario, start, end);
+        let rescored = (1..=5).map(|w| (w, run.rescore_fingerprint(w))).collect();
+        let timeline_rescored = [1, 5]
+            .map(|w| (w, timeline.rescore_fingerprint(w)))
+            .to_vec();
+        PlannerDemo {
+            run,
+            timeline,
+            scenario,
+            rescored,
+            timeline_rescored,
+        }
+    }
+
+    /// The demo's invariant violations, empty when they hold: the
+    /// evaluation baseline is bit-identical to the world's own routing,
+    /// the identity candidate scores exactly zero on every axis, every
+    /// re-score reproduces its sweep's fingerprint, and every timeline
+    /// score carries its worst epoch.
+    pub fn violations(&self) -> Vec<String> {
+        let mut v = Vec::new();
+        if !self.run.context().baseline_matches_world() {
+            v.push("evaluation baseline diverged from the world's routing".into());
+        }
+        match self.run.report.score(0) {
+            Some(s) if s.delta.is_zero() && s.churn == 0.0 => {}
+            Some(s) => v.push(format!(
+                "identity candidate scored nonzero (ΔRTT {}, churn {})",
+                s.delta.rtt_combined(),
+                s.churn
+            )),
+            None => v.push("identity candidate missing from the sweep".into()),
+        }
+        let reference = self.run.scores_fingerprint();
+        for &(workers, fingerprint) in &self.rescored {
+            if fingerprint != reference {
+                v.push(format!("sweep diverged at {workers} workers"));
+            }
+        }
+        let reference = self.timeline.scores_fingerprint();
+        if self.timeline_rescored.iter().any(|&(_, f)| f != reference) {
+            v.push("timeline sweep diverged across worker counts".into());
+        }
+        if !self
+            .timeline
+            .report
+            .scores
+            .iter()
+            .all(|s| s.worst_epoch.is_some())
+        {
+            v.push("timeline sweep missing worst-epoch scores".into());
+        }
+        v
     }
 }
 

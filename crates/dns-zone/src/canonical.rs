@@ -18,11 +18,27 @@ use dns_wire::rdata::Rrsig;
 use dns_wire::wire::WireWriter;
 use dns_wire::Record;
 use std::cmp::Ordering;
+use std::panic::resume_unwind;
 
 /// Bytes from an owner's end to its RDATA: TYPE, CLASS, TTL, RDLENGTH.
 const FIXED: usize = 10;
 /// Bytes from a TTL to the RDATA after it: the TTL, RDLENGTH.
 const TTL_TO_RDATA: usize = 6;
+
+/// Records from which [`Canonical::new`] writes and sorts in two halves,
+/// the second on a worker thread, and `ZoneVerdicts` verifies in two. A
+/// spawn and join costs ≈ 50 µs (≈ 150 µs at its 99th percentile) on a
+/// two-vCPU guest; writing and sorting a record costs ≈ 0.3 µs and
+/// merging it back ≈ 0.07 µs, so the worker's half pays for its thread
+/// from about two thousand records. At 4 096 the 8-, 25- and 40-TLD
+/// zones (≈ 190, 420 and 630 records) stay on one thread, and a
+/// root-sized zone (≈ 21 000) splits.
+pub(crate) const SPLIT_RECORDS: usize = 4_096;
+
+/// `n` as a `u32` offset, count or position into a [`Canonical`]'s arrays.
+fn offset(n: usize) -> u32 {
+    u32::try_from(n).expect("canonical forms fit in 4 GiB")
+}
 
 /// Records in canonical order, each with its canonical form.
 pub(crate) struct Canonical<'z> {
@@ -48,21 +64,55 @@ pub(crate) struct Entry<'z> {
 }
 
 impl<'z> Canonical<'z> {
-    /// Write every record of `records` once, then sort.
+    /// Write every record of `records` once, then sort: in one part, or
+    /// from [`SPLIT_RECORDS`] on in two.
     pub fn new(records: impl IntoIterator<Item = &'z Record>) -> Self {
-        let records = records.into_iter();
-        let mut w = WireWriter::with_buffer(Vec::with_capacity(records.size_hint().0 * 64));
-        let mut keys = Vec::with_capacity(records.size_hint().0 * 32);
-        let mut entries = Vec::with_capacity(records.size_hint().0);
-        let offset = |at: usize| u32::try_from(at).expect("canonical forms fit in 4 GiB");
-        for (index, rec) in records.enumerate() {
+        let records: Vec<&'z Record> = records.into_iter().collect();
+        let parts = if records.len() < SPLIT_RECORDS { 1 } else { 2 };
+        Self::in_parts(&records, parts)
+    }
+
+    /// [`Self::new`] over `parts` consecutive runs of `records`, each
+    /// written and sorted on a thread of its own (the first on the
+    /// caller's), then merged run by run: of two equal records the one
+    /// from the earlier run comes first, as in one stable sort of them all.
+    pub(crate) fn in_parts(records: &[&'z Record], parts: usize) -> Self {
+        let len = records.len().div_ceil(parts.max(1)).max(1);
+        let mut runs = records
+            .chunks(len)
+            .enumerate()
+            .map(|(i, run)| (i * len, run));
+        let Some((_, first)) = runs.next() else {
+            return Self::sorted(&[], 0, 0);
+        };
+        std::thread::scope(|s| {
+            let rest: Vec<_> =
+                (runs.map(|(at, run)| s.spawn(move || Self::sorted(run, at, 0)))).collect();
+            // The first run's buffers are made for every record: the
+            // others are appended to them.
+            let mut canon = Self::sorted(first, 0, records.len());
+            for run in rest {
+                canon.merge(run.join().unwrap_or_else(|e| resume_unwind(e)));
+            }
+            canon
+        })
+    }
+
+    /// `records`, the input's from position `at` on, written and sorted
+    /// into buffers with room for `room` records (at least these).
+    fn sorted(records: &[&'z Record], at: usize, room: usize) -> Self {
+        let room = room.max(records.len());
+        let mut w = WireWriter::with_buffer(Vec::with_capacity(room * 64));
+        let mut keys = Vec::with_capacity(room * 32);
+        let mut entries = Vec::with_capacity(room);
+        for (index, &rec) in records.iter().enumerate() {
             let (start, key) = (w.len(), keys.len());
             rec.write_canonical(None, &mut w);
             let rdata = start + rec.name.wire_len() + FIXED;
             push_owner_key(&w.as_bytes()[start..rdata - FIXED], &mut keys);
             entries.push(Entry {
                 rec,
-                index: offset(index),
+                index: offset(at + index),
                 start: offset(start),
                 rdata: offset(rdata),
                 end: offset(w.len()),
@@ -79,6 +129,36 @@ impl<'z> Canonical<'z> {
         }
     }
 
+    /// Append `later`'s buffers to these and merge its entries — records
+    /// from later in the input — into these, each of two equal records
+    /// after the one already here.
+    fn merge(&mut self, later: Canonical<'z>) {
+        let (bytes, keys) = (offset(self.bytes.len()), offset(self.keys.len()));
+        self.bytes.extend_from_slice(&later.bytes);
+        self.keys.extend_from_slice(&later.keys);
+        let later = later.entries.into_iter().map(|e| Entry {
+            start: e.start + bytes,
+            rdata: e.rdata + bytes,
+            end: e.end + bytes,
+            key: e.key + keys,
+            key_end: e.key_end + keys,
+            ..e
+        });
+        let earlier = std::mem::take(&mut self.entries);
+        let mut merged = Vec::with_capacity(earlier.len() + later.len());
+        let (mut earlier, mut later) = (earlier.into_iter().peekable(), later.peekable());
+        while let (Some(a), Some(b)) = (earlier.peek(), later.peek()) {
+            let next = if order(&self.bytes, &self.keys, b, a).is_lt() {
+                later.next()
+            } else {
+                earlier.next()
+            };
+            merged.extend(next);
+        }
+        merged.extend(earlier.chain(later));
+        self.entries = merged;
+    }
+
     /// Every record, in canonical order.
     pub fn entries(&self) -> &[Entry<'z>] {
         &self.entries
@@ -86,7 +166,34 @@ impl<'z> Canonical<'z> {
 
     /// The records of each owner, owners in canonical order.
     pub fn owners(&self) -> impl Iterator<Item = &[Entry<'z>]> {
-        (self.entries).chunk_by(|a, b| owner_key(&self.keys, a) == owner_key(&self.keys, b))
+        self.owners_of(&self.entries)
+    }
+
+    /// The records of each owner in `run`, a run of whole owners of
+    /// [`Self::entries`] ([`Self::owner_parts`]).
+    pub fn owners_of<'a>(&'a self, run: &'a [Entry<'z>]) -> impl Iterator<Item = &'a [Entry<'z>]> {
+        run.chunk_by(|a, b| owner_key(&self.keys, a) == owner_key(&self.keys, b))
+    }
+
+    /// [`Self::entries`] cut into at most `parts` runs of about equal
+    /// length, each cut moved forward to where an owner starts, so no
+    /// owner's records are split between two runs.
+    pub fn owner_parts(&self, parts: usize) -> Vec<&[Entry<'z>]> {
+        let entries = &self.entries[..];
+        let same_owner = |at: usize| {
+            owner_key(&self.keys, &entries[at - 1]) == owner_key(&self.keys, &entries[at])
+        };
+        let mut cuts = vec![0];
+        for part in 1..parts {
+            let mut cut = (entries.len() * part / parts).max(cuts[cuts.len() - 1]);
+            while cut > 0 && cut < entries.len() && same_owner(cut) {
+                cut += 1;
+            }
+            cuts.push(cut);
+        }
+        cuts.push(entries.len());
+        let runs = cuts.windows(2).map(|cut| &entries[cut[0]..cut[1]]);
+        runs.filter(|run| !run.is_empty()).collect()
     }
 
     /// The records in canonical order, each duplicate after the first
@@ -252,12 +359,24 @@ mod tests {
             let mut want: Vec<&Record> = records.iter().collect();
             want.sort_by(|a, b| a.canonical_cmp(b));
             want.dedup_by(|a, b| a.canonical_cmp(b).is_eq());
-            let canon = Canonical::new(&records);
-            let got: Vec<&Record> = canon.unique().map(|e| e.rec).collect();
-            // The same records, and of equal ones the same copy (TTLs differ).
-            prop_assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(&want) {
-                prop_assert!(std::ptr::eq(*g, *w));
+            let refs: Vec<&Record> = records.iter().collect();
+            // In one part and in two (and in as many as there are records):
+            // the same records, and of equal ones the same copy (TTLs
+            // differ).
+            for parts in [1, 2, records.len().max(1)] {
+                let canon = Canonical::in_parts(&refs, parts);
+                let got: Vec<&Record> = canon.unique().map(|e| e.rec).collect();
+                prop_assert_eq!(got.len(), want.len());
+                for (g, w) in got.iter().zip(&want) {
+                    prop_assert!(std::ptr::eq(*g, *w));
+                }
+                // Every record kept, each at its input position.
+                let mut seen: Vec<u32> = canon.entries().iter().map(|e| e.index).collect();
+                seen.sort_unstable();
+                prop_assert!(seen.iter().copied().eq(0..records.len() as u32));
+                for e in canon.entries() {
+                    prop_assert!(std::ptr::eq(e.rec, refs[e.index as usize]));
+                }
             }
         }
     }

@@ -9,14 +9,15 @@
 //! * `SignatureExpired` — "Signature expired" (stale zone files);
 //! * ZONEMD-specific failures from [`crate::zonemd`].
 
-use crate::canonical::Canonical;
+use crate::canonical::{Canonical, Entry, SPLIT_RECORDS};
 use crate::zone::Zone;
 use crate::zonemd::{self, ZonemdError};
 use dns_crypto::simsig::SimKeyPair;
 use dns_crypto::validity::{check_window, SignatureValidity};
 use dns_wire::rdata::Rdata;
 use dns_wire::wire::WireWriter;
-use dns_wire::{Name, RrType};
+use dns_wire::{Name, Record, RrType};
+use std::panic::resume_unwind;
 
 /// One validation finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -141,7 +142,22 @@ impl ZoneVerdicts {
         ZoneVerdicts::compute(zone, true)
     }
 
+    /// The verdicts in one part, or from [`SPLIT_RECORDS`] records on in
+    /// two.
     fn compute(zone: &Zone, with_zonemd: bool) -> ZoneVerdicts {
+        let parts = if zone.records().len() < SPLIT_RECORDS {
+            1
+        } else {
+            2
+        };
+        Self::in_parts(zone, with_zonemd, parts)
+    }
+
+    /// The zone written in canonical form in `parts` parts, and its
+    /// RRSIGs verified in `parts` runs of whole owners, each on a thread
+    /// of its own (the first on the caller's): the same verdicts however
+    /// many.
+    pub(crate) fn in_parts(zone: &Zone, with_zonemd: bool, parts: usize) -> ZoneVerdicts {
         let serial = zone.serial().ok();
         if let Err(e) = zone.check() {
             return ZoneVerdicts {
@@ -161,42 +177,22 @@ impl ZoneVerdicts {
 
         // An RRSIG and the RRset it covers share an owner, and an owner's
         // records are one run of the canonical order: verify each RRSIG
-        // from its run, then put the verdicts back in zone order.
-        let canon = Canonical::new(zone.records());
-        let mut rrsigs: Vec<(u32, RrsigVerdict)> = Vec::new();
-        let mut data = WireWriter::new();
-        for owner in canon.owners() {
-            for e in owner {
-                let Rdata::Rrsig(sig) = &e.rec.rdata else {
-                    continue;
-                };
-                let key = if dnskeys.is_empty() {
-                    KeyVerdict::NoKeys
-                } else {
-                    match dnskeys.iter().find(|(tag, _)| *tag == sig.key_tag) {
-                        None => KeyVerdict::UnknownTag(sig.key_tag),
-                        Some((_, key)) => {
-                            let covered = sig.type_covered;
-                            let rrset = || owner.iter().filter(move |e| e.rec.rr_type == covered);
-                            let verified = rrset().next().is_some() && {
-                                data.truncate(0);
-                                canon.write_signed_data(sig, rrset(), &mut data);
-                                key.verify(data.as_bytes(), &sig.signature)
-                            };
-                            KeyVerdict::Verified(verified)
-                        }
-                    }
-                };
-                let verdict = RrsigVerdict {
-                    owner: e.rec.name.clone(),
-                    covered: sig.type_covered,
-                    inception: sig.inception,
-                    expiration: sig.expiration,
-                    key,
-                };
-                rrsigs.push((e.index, verdict));
+        // from its run, a run of whole owners per part, then put the
+        // verdicts back in zone order.
+        let records: Vec<&Record> = zone.records().iter().collect();
+        let canon = Canonical::in_parts(&records, parts);
+        drop(records);
+        let verify = |run| verify_rrsigs(&canon, run, &dnskeys);
+        let mut runs = canon.owner_parts(parts).into_iter();
+        let mut rrsigs = std::thread::scope(|s| {
+            let first = runs.next();
+            let rest: Vec<_> = runs.map(|run| s.spawn(move || verify(run))).collect();
+            let mut rrsigs = first.map(verify).unwrap_or_default();
+            for run in rest {
+                rrsigs.extend(run.join().unwrap_or_else(|e| resume_unwind(e)));
             }
-        }
+            rrsigs
+        });
         rrsigs.sort_unstable_by_key(|&(index, _)| index);
 
         // ZONEMD: only a *mismatch* of a verifiable record is an integrity
@@ -235,6 +231,50 @@ impl ZoneVerdicts {
             issues,
         }
     }
+}
+
+/// Each RRSIG of `run` — whole owners of `canon` — with its verdict and
+/// its position in the zone.
+fn verify_rrsigs(
+    canon: &Canonical<'_>,
+    run: &[Entry<'_>],
+    dnskeys: &[(u16, SimKeyPair)],
+) -> Vec<(u32, RrsigVerdict)> {
+    let mut rrsigs = Vec::new();
+    let mut data = WireWriter::new();
+    for owner in canon.owners_of(run) {
+        for e in owner {
+            let Rdata::Rrsig(sig) = &e.rec.rdata else {
+                continue;
+            };
+            let key = if dnskeys.is_empty() {
+                KeyVerdict::NoKeys
+            } else {
+                match dnskeys.iter().find(|(tag, _)| *tag == sig.key_tag) {
+                    None => KeyVerdict::UnknownTag(sig.key_tag),
+                    Some((_, key)) => {
+                        let covered = sig.type_covered;
+                        let rrset = || owner.iter().filter(move |e| e.rec.rr_type == covered);
+                        let verified = rrset().next().is_some() && {
+                            data.truncate(0);
+                            canon.write_signed_data(sig, rrset(), &mut data);
+                            key.verify(data.as_bytes(), &sig.signature)
+                        };
+                        KeyVerdict::Verified(verified)
+                    }
+                }
+            };
+            let verdict = RrsigVerdict {
+                owner: e.rec.name.clone(),
+                covered: sig.type_covered,
+                inception: sig.inception,
+                expiration: sig.expiration,
+                key,
+            };
+            rrsigs.push((e.index, verdict));
+        }
+    }
+    rrsigs
 }
 
 impl RrsigVerdict {
@@ -581,6 +621,67 @@ mod tests {
         let mut z = clean.clone();
         z.remove_rrset(&Name::root(), RrType::Soa);
         assert_matches_reference(&z, &cfg, "missing SOA");
+    }
+
+    /// Verified in two parts — and in three and seven — a zone gets the
+    /// verdicts it gets in one, issue for issue at clocks before, inside
+    /// and after its window: at 1, 8, 40 and 1 500 TLDs, clean, as a stale
+    /// copy, under RRSIG and owner-label bitflips, unsigned, and with its
+    /// records shuffled.
+    #[test]
+    fn verdicts_in_parts_are_the_verdicts_in_one() {
+        use crate::corrupt::{flip_owner_label_bit, flip_rrsig_bit, stale_copy};
+        for tld_count in [1, 8, 40, 1_500] {
+            let cfg = RootZoneConfig {
+                rollout: RolloutPhase::Validating,
+                tld_count,
+                ..Default::default()
+            };
+            let clean = build_root_zone(&cfg, &ZoneKeys::from_seed(5));
+            let mut zones = vec![("stale copy".to_string(), stale_copy(&clean))];
+            let flips = if tld_count < 1_500 { 0..6 } else { 0..2 };
+            for seed in flips {
+                let mut z = clean.clone();
+                flip_rrsig_bit(&mut z, seed).expect("zone has RRSIGs");
+                zones.push((format!("rrsig flip {seed}"), z));
+                let mut z = clean.clone();
+                flip_owner_label_bit(&mut z, seed).expect("zone has delegations");
+                zones.push((format!("owner flip {seed}"), z));
+            }
+            let mut z = clean.clone();
+            (z.records_mut()).retain(|r| !matches!(r.rr_type, RrType::Nsec | RrType::Rrsig));
+            zones.push(("unsigned".to_string(), z));
+            let mut z = clean.clone();
+            let records = z.records_mut();
+            records.reverse();
+            let third = records.len() / 3;
+            records.rotate_left(third);
+            zones.push(("shuffled".to_string(), z));
+            zones.push(("clean".to_string(), clean));
+            let clocks = [
+                cfg.inception - 100,
+                cfg.inception + 1000,
+                cfg.expiration + 100,
+            ];
+            for (what, zone) in &zones {
+                let one = ZoneVerdicts::in_parts(zone, true, 1);
+                for parts in [2, 3, 7] {
+                    let split = ZoneVerdicts::in_parts(zone, true, parts);
+                    for now in clocks {
+                        assert_eq!(
+                            split.at(now).issues,
+                            one.at(now).issues,
+                            "{tld_count} TLDs, {what}, {parts} parts, at {now}"
+                        );
+                    }
+                }
+                // Inside the window the flipped copies fail, and the
+                // unsigned one on its ZONEMD digest; the others hold.
+                let valid = one.at(cfg.inception + 1000).is_valid();
+                let fails = what.contains("flip") || what == "unsigned";
+                assert_eq!(valid, !fails, "{tld_count} TLDs, {what}");
+            }
+        }
     }
 
     #[test]

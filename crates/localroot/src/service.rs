@@ -212,6 +212,11 @@ impl LocalRoot {
             .and_then(|e| e.index().zone().serial().ok())
     }
 
+    /// The active copy, as validated and activated, if any.
+    pub fn copy(&self) -> Option<Arc<Zone>> {
+        self.engine.as_ref().map(|e| Arc::clone(e.index().zone()))
+    }
+
     /// Pin the upstream tried first on the next refresh (RFC 8806 configs
     /// order their server list; operators often prefer the nearest
     /// instance). Without this, refreshes rotate across upstreams.

@@ -38,20 +38,28 @@
 //!   thirteen cached types get the referral, at the apex every absent type
 //!   gets the same NODATA — so each *distinct* answer is encoded once and
 //!   its qtypes share it); per answer set and EDNS state the full
-//!   response's and each bucket variant's offset and length as
-//!   little-endian `u32`s (zero length where none is stored); then the
-//!   response bytes they point at. A hit reads one table slot and then
-//!   this one contiguous block.
-//! * one **template** per NXDOMAIN shape (below): the header, the tail's
-//!   length, the pointer fixups and the excluded suffixes — a short inline
-//!   list, two on the root zone — then the tail.
+//!   response's and each bucket variant's offset from the block's own
+//!   start and length as little-endian `u32`s (zero length where none is
+//!   stored); then the response bytes they point at. A hit reads one
+//!   table slot and then this one contiguous block, which reads the same
+//!   wherever in an image it lies.
+//! * one **template** per NXDOMAIN shape that a query can reach (below):
+//!   the header, the tail's length, the pointer fixups and the excluded
+//!   suffixes — a short inline list, two on the root zone — then the
+//!   tail.
 //!
 //! Every offset and length written into the image goes through
 //! `u32::try_from`, so an image past 4 GiB fails its build instead of
-//! wrapping. The build walks those owners in zone order and then the
-//! NSEC chain, encoding each name's answers into one reused scratch and
-//! copying them into the image once. `ChaosCache` keeps an engine's four
-//! identity answers as name blocks of an image of its own.
+//! wrapping. The build walks those owners in zone order, then the NSEC
+//! chain, then any CHAOS identity name no zone block carries, encoding
+//! each name's answers into one reused scratch and copying them into the
+//! image once. On a root-sized zone (`SPLIT_NAMES`) a worker thread
+//! builds the last three sevenths of the names and the templates into an
+//! image of its own, and the caller appends it to its own in one copy:
+//! only the exact-name table's and the template array's offsets into it
+//! are rebased, and the image is byte for byte the one the serial walk
+//! writes. `ChaosCache` keeps an engine's four identity answers as name
+//! blocks of an image of its own.
 //!
 //! NXDOMAIN cannot be enumerated — junk qnames are unbounded — so it is
 //! served from *templates*: one pre-encoded negative response per NSEC
@@ -60,7 +68,12 @@
 //! qname is longer than one byte. A template refuses (falls back) when
 //! the qname shares a label suffix with any record name in the response,
 //! because the fallback encoder would compress against the question there
-//! and produce different — equally valid — bytes.
+//! and produce different — equally valid — bytes. Only a link that covers
+//! a name not below a cut gets one (`ZoneIndex::link_reachable`): the
+//! apex's link and the last link under each delegation, 1 501 of 4 514
+//! on the 1 500-TLD zone. Every other link lies between two owners under
+//! one cut, and every name it covers takes the referral fallback before
+//! a template is looked up.
 //!
 //! Everything else is resolved and encoded per query: AXFR, payload
 //! budgets that are neither a bucket nor large enough for the full
@@ -78,6 +91,7 @@ use crate::index::{Lookup, RrsetEntry, ZoneIndex};
 use crate::query::{FastQuery, MAX_QNAME};
 use dns_wire::wire::WireWriter;
 use dns_wire::{Class, Name, Rcode, RrType};
+use std::panic::resume_unwind;
 
 /// Offset where the question section of a message ends when the qname is
 /// the 1-byte root: 12-byte header + 1 + qtype (2) + qclass (2).
@@ -173,8 +187,8 @@ const MAX_SHAPES: usize = CACHED_QTYPES.len() + 1;
 const SHAPE: usize = 5;
 
 /// One answer set's spans for one EDNS state in a name block: the full
-/// response, then one per bucket, each an image offset and a length
-/// (little-endian `u32`s, zero length where none is stored).
+/// response, then one per bucket, each an offset from the block's start
+/// and a length (little-endian `u32`s, zero length where none is stored).
 const STATE: usize = 8 * (1 + BUCKETS.len());
 
 /// One answer set in a name block: its spans for no EDNS, EDNS and
@@ -228,7 +242,7 @@ impl<'a> Block<'a> {
                 return None;
             }
         }
-        Some(&image[start..start + len])
+        Some(&image[self.at + start..][..len])
     }
 
     /// Append this block's answer to `q` to `out`; false (with `out`
@@ -326,6 +340,14 @@ fn suffixes(mut list: &[u8]) -> impl Iterator<Item = &[u8]> {
 /// No template at this position (`AnswerCache::templates`).
 const NO_TEMPLATE: u32 = u32::MAX;
 
+/// Answered names from which a build runs in two parts, one on a worker
+/// thread (`AnswerCache::build_parts`). A spawn and join costs ≈ 50 µs
+/// (≈ 150 µs at its 99th percentile) on a two-vCPU guest, and a name block
+/// ≈ 4 µs, so the part a worker takes pays for its thread from a few
+/// dozen names; at 256 the 8-, 25- and 40-TLD zones stay on one thread,
+/// and a root-sized zone's 1 501 names split.
+const SPLIT_NAMES: usize = 256;
+
 /// What one build reuses from name to name: the encode buffer, and the
 /// sets and bytes a name's responses collect in before they are copied
 /// into the image.
@@ -389,7 +411,7 @@ impl ImageBuilder {
         }
 
         let image = &mut self.image;
-        let at = offset(image.len());
+        let at = image.len();
         image.push(name.wire_len() as u8);
         image.extend(name.as_wire().iter().map(u8::to_ascii_lowercase));
         image.push(0);
@@ -399,7 +421,9 @@ impl ImageBuilder {
             image.extend_from_slice(&class.to_u16().to_le_bytes());
             image.push(set);
         }
-        let bytes_at = image.len() + sets.len() * SET;
+        // Spans count from the block's own start, so a block reads the same
+        // wherever its image is copied to.
+        let bytes_at = image.len() - at + sets.len() * SET;
         for span in sets.iter().flatten().flat_map(ResponseSet::spans) {
             let start = if span.len > 0 {
                 offset(bytes_at + span.start as usize)
@@ -410,7 +434,7 @@ impl ImageBuilder {
             image.extend_from_slice(&span.len.to_le_bytes());
         }
         image.extend_from_slice(arena);
-        at
+        offset(at)
     }
 
     /// Pre-encode one NXDOMAIN template against a root question and append
@@ -470,8 +494,76 @@ impl ImageBuilder {
         at
     }
 
+    /// Append a name block for each of `names`, with the 13 cached IN
+    /// shapes and, at an identity name in `chaos`, its CHAOS shape before
+    /// them; `block` is handed each block's key hash and offset.
+    fn zone_names<'n>(
+        &mut self,
+        answerer: &Answerer<'_>,
+        names: impl Iterator<Item = &'n Name>,
+        chaos: &[Name],
+        mut block: impl FnMut(u64, u32),
+    ) -> Blocks {
+        let zone_shapes = CACHED_QTYPES.map(|qtype| (qtype, Class::In));
+        // An identity name that is also an answered zone name keeps its
+        // zone shapes beside the CHAOS one.
+        let mut with_chaos = [(RrType::Txt, Class::Ch); MAX_SHAPES];
+        with_chaos[1..].copy_from_slice(&zone_shapes);
+        let mut blocks = Blocks::default();
+        for name in names {
+            let shapes: &[_] = match chaos.iter().position(|c| c == name) {
+                Some(i) => {
+                    blocks.chaos[i] = true;
+                    &with_chaos
+                }
+                None => &zone_shapes,
+            };
+            let at = self.name(answerer, name, shapes);
+            block(zone_hash(Block::at(&self.image, at).key()), at);
+            blocks.entries += 3 * shapes.len();
+        }
+        blocks
+    }
+
+    /// Append every NXDOMAIN template in `AnswerCache::templates`'s
+    /// order — no EDNS, EDNS, EDNS+DO for an unsigned zone, then EDNS+DO
+    /// per link of the chain — and return their offsets: a link's only
+    /// where an NXDOMAIN can reach it (`ZoneIndex::link_reachable`),
+    /// [`NO_TEMPLATE`] elsewhere.
+    fn templates(&mut self, answerer: &Answerer<'_>) -> Box<[u32]> {
+        let index = answerer.index;
+        let unsigned = index.nsec_chain().len() == 0;
+        let fixed =
+            [(0, true), (1, true), (2, unsigned)].map(|(state, built)| (state, None, built));
+        let links = (index.nsec_chain().enumerate())
+            .map(|(link, (_, entry))| (2, Some(entry), index.link_reachable(link)));
+        (fixed.into_iter().chain(links))
+            .map(|(state, nsec, built)| {
+                let at = built.then(|| self.template(answerer, state, nsec));
+                at.flatten().unwrap_or(NO_TEMPLATE)
+            })
+            .collect()
+    }
+
     fn finish(self) -> Box<[u8]> {
         self.image.into_boxed_slice()
+    }
+}
+
+/// What a run of [`ImageBuilder::zone_names`] built: how many exact
+/// responses, and which identity names got a zone block.
+#[derive(Default)]
+struct Blocks {
+    entries: usize,
+    chaos: [bool; CHAOS_NAMES.len()],
+}
+
+impl Blocks {
+    fn merge(&mut self, other: Blocks) {
+        self.entries += other.entries;
+        for (mine, theirs) in self.chaos.iter_mut().zip(other.chaos) {
+            *mine |= theirs;
+        }
     }
 }
 
@@ -548,66 +640,96 @@ impl AnswerCache {
         Self::build_inner(&Answerer { index, site: None }, false)
     }
 
-    /// One walk over `ZoneIndex::answered_names`, then the NSEC chain,
-    /// appending each name block and template to one image through one
-    /// [`Scratch`] (`cache::tests::the_epoch_serves_what_the_oracle_build_does`
-    /// holds the result to the build it replaced).
+    /// The build in one part or two (`SPLIT_NAMES`): identical images,
+    /// tables and templates either way.
     fn build_inner(answerer: &Answerer<'_>, include_chaos: bool) -> AnswerCache {
+        let names = answerer.index.answered_names().count();
+        let parts = if names < SPLIT_NAMES { 1 } else { 2 };
+        Self::build_parts(answerer, include_chaos, parts)
+    }
+
+    /// One walk over `ZoneIndex::answered_names`, then the NSEC chain,
+    /// then any identity name no zone block carries, appending each name
+    /// block and template to one image through one [`Scratch`]
+    /// (`cache::tests::the_epoch_serves_what_the_oracle_build_does` holds
+    /// the result to the build it replaced).
+    ///
+    /// In two parts a worker builds the last names and the templates into
+    /// an image of its own, and that image is appended where the serial
+    /// walk would have written it: a block's spans count from its own
+    /// start, so only the offsets in the exact-name table and the template
+    /// array move. A root zone has about one reachable link per answered
+    /// name, and a template costs about a seventh of a name block, so the
+    /// caller takes four sevenths of the names and the worker the rest.
+    fn build_parts(answerer: &Answerer<'_>, include_chaos: bool, parts: usize) -> AnswerCache {
+        assert!(matches!(parts, 1 | 2), "one part or two, not {parts}");
         let index = answerer.index;
-        let zone_shapes = CACHED_QTYPES.map(|qtype| (qtype, Class::In));
-        // An identity name that is also an answered zone name keeps its
-        // zone shapes beside the CHAOS one.
-        let mut with_chaos = [(RrType::Txt, Class::Ch); MAX_SHAPES];
-        with_chaos[1..].copy_from_slice(&zone_shapes);
         let chaos = include_chaos.then(|| CHAOS_NAMES.map(|c| Name::parse(c).expect("static")));
         let chaos = chaos.as_ref().map_or(&[][..], |names| &names[..]);
+        let names = index.answered_names().count();
+        let split = if parts == 1 { names } else { names * 4 / 7 };
         // The image runs 2.45–2.61 times the index's arena on root zones of
         // 8 to 1 500 TLDs (a 1-TLD zone's fits the 64 KiB beside it):
         // reserved once at 2.625 times, it is written where it is allocated
         // instead of copied as it doubles.
+        let reserve = index.wire_len() / 8 * 21 + (64 << 10);
         let mut builder = ImageBuilder {
-            image: Vec::with_capacity(index.wire_len() / 8 * 21 + (64 << 10)),
+            image: Vec::with_capacity(reserve),
             scratch: Scratch::default(),
         };
-        let mut exact = OffsetTable::with_capacity(index.answered_names().count() + chaos.len());
-        let mut entries = 0;
-        let mut add = |builder: &mut ImageBuilder, name: &Name, shapes: &[(RrType, Class)]| {
-            let at = builder.name(answerer, name, shapes);
-            exact.insert(zone_hash(Block::at(&builder.image, at).key()), at);
-            entries += 3 * shapes.len();
-        };
-        // Which identity names got a zone block.
-        let mut blocked = [false; CHAOS_NAMES.len()];
-        for name in index.answered_names() {
-            let shapes: &[_] = match chaos.iter().position(|c| c == name) {
-                Some(i) => {
-                    blocked[i] = true;
-                    &with_chaos
-                }
-                None => &zone_shapes,
+        let mut exact = OffsetTable::with_capacity(names + chaos.len());
+        let (mut blocks, templates) = std::thread::scope(|s| {
+            let worker = (parts == 2).then(|| {
+                s.spawn(|| {
+                    let mut rest = ImageBuilder {
+                        image: Vec::with_capacity(reserve / 2),
+                        scratch: Scratch::default(),
+                    };
+                    let mut keys = Vec::with_capacity(names - split);
+                    let names = index.answered_names().skip(split);
+                    let blocks = rest.zone_names(answerer, names, chaos, |hash, at| {
+                        keys.push((hash, at));
+                    });
+                    let templates = rest.templates(answerer);
+                    (rest.image, keys, blocks, templates)
+                })
+            });
+            let names = index.answered_names().take(split);
+            let mut blocks = builder.zone_names(answerer, names, chaos, |hash, at| {
+                exact.insert(hash, at);
+            });
+            let Some(worker) = worker else {
+                return (blocks, builder.templates(answerer));
             };
-            add(&mut builder, name, shapes);
+            let (image, keys, theirs, mut templates) =
+                worker.join().unwrap_or_else(|e| resume_unwind(e));
+            let base = builder.image.len();
+            builder.image.extend_from_slice(&image);
+            for (hash, at) in keys {
+                exact.insert(hash, offset(base + at as usize));
+            }
+            for at in templates.iter_mut().filter(|at| **at != NO_TEMPLATE) {
+                *at = offset(base + *at as usize);
+            }
+            blocks.merge(theirs);
+            (blocks, templates)
+        });
+        // The identity names no zone block carries, with their CHAOS shape
+        // alone.
+        for (name, _) in chaos
+            .iter()
+            .zip(blocks.chaos)
+            .filter(|&(_, blocked)| !blocked)
+        {
+            let at = builder.name(answerer, name, &[(RrType::Txt, Class::Ch)]);
+            exact.insert(zone_hash(Block::at(&builder.image, at).key()), at);
+            blocks.entries += 3;
         }
-        for (name, _) in chaos.iter().zip(blocked).filter(|&(_, blocked)| !blocked) {
-            add(&mut builder, name, &with_chaos[..1]);
-        }
-        let unsigned = index.nsec_chain().len() == 0;
-        let fixed =
-            [(0, true), (1, true), (2, unsigned)].map(|(state, built)| (state, None, built));
-        let links = index.nsec_chain().map(|(_, entry)| (2, Some(entry), true));
-        let templates: Box<[u32]> = (fixed.into_iter().chain(links))
-            .map(|(state, nsec, built)| {
-                let at = built
-                    .then(|| builder.template(answerer, state, nsec))
-                    .flatten();
-                at.unwrap_or(NO_TEMPLATE)
-            })
-            .collect();
         AnswerCache {
             image: builder.finish(),
             exact,
             templates,
-            entries,
+            entries: blocks.entries,
         }
     }
 
@@ -1068,9 +1190,12 @@ mod tests {
     /// refusal below them whose fallback sends the bytes the oracle stored,
     /// exactly as many hits per name class as each build stores, and the
     /// same uncached bytes;
-    /// and every NXDOMAIN template emits the same bytes for a one-byte and
-    /// a 40-byte qname, at 512 and 4096, and refuses each suffix it
-    /// excludes, alone and under one more label.
+    /// and every NXDOMAIN template is built exactly where the oracle built
+    /// one and its link is reachable (`ZoneIndex::link_reachable`), in
+    /// exactly as many per zone, emits the same bytes for a one-byte and a
+    /// 40-byte qname, at 512 and 4096, and refuses each suffix it excludes,
+    /// alone and under one more label; a name a skipped link covers is
+    /// served by neither cache and falls back to the oracle's bytes.
     #[test]
     fn the_epoch_serves_what_the_oracle_build_does() {
         use crate::oracle::{OracleCache, OracleIndex};
@@ -1202,8 +1327,41 @@ mod tests {
             let ours_all = templates(&cache);
             let theirs_all: Vec<_> = oracle_cache.templates().collect();
             assert_eq!(ours_all.len(), theirs_all.len(), "{what}");
+            let owners: Vec<&Name> = index.nsec_chain().map(|(owner, _)| owner).collect();
+            let mut built = 0;
             for (i, (mine, want)) in ours_all.into_iter().zip(theirs_all).enumerate() {
-                assert_eq!(mine.is_some(), want.is_some(), "{what}: template {i}");
+                // The three fixed templates, then one per chain link: a
+                // link's is built exactly where the oracle built one and an
+                // NXDOMAIN can reach the link.
+                let reachable = i < 3 || index.link_reachable(i - 3);
+                assert_eq!(
+                    mine.is_some(),
+                    want.is_some() && reachable,
+                    "{what}: template {i}"
+                );
+                built += usize::from(i >= 3 && mine.is_some());
+                if !reachable {
+                    // The least name under the link's owner lies between
+                    // it and the next owner, below a cut: neither cache
+                    // serves it, and the fallback sends the oracle's bytes.
+                    let qname = [&[1, 0][..], owners[i - 3].as_wire()].concat();
+                    let key = qname.to_ascii_lowercase();
+                    assert_eq!(index.covering_link(&key), Some(i - 3), "{what}: {i}");
+                    assert!(index.below_cut(&key), "{what}: {qname:?}");
+                    for (state, budget) in [(0, 512), (1, 512), (2, 512), (2, 4096)] {
+                        let req = request(&qname, RrType::A, state, budget);
+                        let lc = &mut [0; MAX_QNAME];
+                        let q = FastQuery::parse(&req, lc).expect("a canonical request");
+                        ours.clear();
+                        theirs.clear();
+                        assert!(!cache.serve(&index, &req, &q, &mut ours), "{what}: {i}");
+                        assert!(!oracle_cache.serve(&oracle, &req, &q, &mut theirs));
+                        assert!(ours.is_empty() && theirs.is_empty(), "{what}: {i}");
+                        encode_into(&answerer.answer(&q, true), &q, q.limit, &mut ours);
+                        encode_into(&oracle.answer(&q), &q, q.limit, &mut theirs);
+                        assert!(ours == theirs, "{what}: link {i}, {state} {budget}");
+                    }
+                }
                 let (Some(mine), Some(want)) = (mine, want) else {
                     continue;
                 };
@@ -1229,6 +1387,73 @@ mod tests {
                         assert!(ours == theirs, "{what}: template {i}, {budget}");
                     }
                 }
+            }
+            // A link template for the apex's link and the last link under
+            // each TLD; at 1 TLD `net.` is not delegated, and the thirteen
+            // root servers' links are reachable too. (At 1 500 TLDs: 1 501
+            // of 4 514 links.)
+            let links = 1 + (13 - root_servers) + tld_count;
+            assert_eq!(built, if signed { links } else { 0 }, "{what}");
+        }
+    }
+
+    /// The build in two parts is the build in one: the same image, the
+    /// same templates and entry count, and — for every owner, junk beside
+    /// and below the TLDs and the identity names, at every cached qtype
+    /// and one uncached, in every EDNS state at every budget class — the
+    /// same answer or the same refusal, over zones below and above
+    /// `SPLIT_NAMES` and with and without the CHAOS names.
+    #[test]
+    fn a_build_in_two_parts_serves_what_one_part_does() {
+        let site = crate::answer::SiteAnswers::new(&SiteIdentity::named("lax2f"));
+        for tld_count in [8, 1_500] {
+            let cfg = RootZoneConfig {
+                tld_count,
+                rollout: RolloutPhase::Validating,
+                ..Default::default()
+            };
+            let zone = Arc::new(build_root_zone(&cfg, &ZoneKeys::from_seed(3)));
+            let index = ZoneIndex::build(zone);
+            let mut qnames: Vec<Vec<u8>> = index.names().map(|n| n.as_wire().to_vec()).collect();
+            qnames.extend(CHAOS_NAMES.map(|c| Name::parse(c).unwrap().as_wire().to_vec()));
+            for c in b'a'..=b'z' {
+                qnames.push(vec![3, c, b'0', b'x']);
+                qnames.push(vec![1, c, 3, b'c', b'o', b'm']);
+            }
+            for with_site in [None, Some(&site)] {
+                let answerer = Answerer {
+                    index: &index,
+                    site: with_site,
+                };
+                let chaos = with_site.is_some();
+                let (one, two) = (
+                    AnswerCache::build_parts(&answerer, chaos, 1),
+                    AnswerCache::build_parts(&answerer, chaos, 2),
+                );
+                let what = format!("{tld_count} TLDs, CHAOS {chaos}");
+                assert!(one.image == two.image, "{what}: image");
+                assert_eq!(one.templates, two.templates, "{what}");
+                assert_eq!(one.entries(), two.entries(), "{what}");
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                let mut hits = 0;
+                for qname in &qnames {
+                    for qtype in CACHED_QTYPES.into_iter().chain([RrType::Other(65)]) {
+                        for state in 0..3 {
+                            for budget in [512, 1232, 4096, 700] {
+                                let req = request(qname, qtype, state, budget);
+                                let lc = &mut [0; MAX_QNAME];
+                                let q = FastQuery::parse(&req, lc).expect("a canonical request");
+                                a.clear();
+                                b.clear();
+                                let hit = one.serve(&index, &req, &q, &mut a);
+                                assert_eq!(hit, two.serve(&index, &req, &q, &mut b), "{what}");
+                                assert!(a == b, "{what}: {qname:?} {qtype:?} {state} {budget}");
+                                hits += usize::from(hit);
+                            }
+                        }
+                    }
+                }
+                assert!(hits > qnames.len(), "{what}: {hits} hits");
             }
         }
     }

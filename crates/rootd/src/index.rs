@@ -680,10 +680,24 @@ impl ZoneIndex {
 
     /// The NSEC chain in canonical order: owner names with their NSEC
     /// records and signatures. The answer cache precompiles one NXDOMAIN
-    /// template per link.
+    /// template per link a query can reach ([`Self::link_reachable`]).
     pub fn nsec_chain(&self) -> impl ExactSizeIterator<Item = (&Name, &RrsetEntry)> {
         let links = self.nsec_chain.iter();
         links.map(|link| (&self.nodes[link.node as usize].name, &link.entry))
+    }
+
+    /// Whether the link at `link` of [`Self::nsec_chain`] covers any name
+    /// that is not [`Self::below_cut`] — the only names an NXDOMAIN proof
+    /// is built for. A link whose next owner lies strictly below a cut,
+    /// and whose own owner is that cut or lies under it, covers names
+    /// under that cut alone, and [`Self::lookup`] refers every one of them.
+    pub fn link_reachable(&self, link: usize) -> bool {
+        let owner = |at: usize| {
+            let link = &self.nsec_chain[at % self.nsec_chain.len()];
+            node_key(&self.keys, &self.nodes[link.node as usize])
+        };
+        let (owner, next) = (owner(link), owner(link + 1));
+        !(self.below_cut(next) && Self::cut_of(owner) == Self::cut_of(next))
     }
 
     /// SOA (+ RRSIG when `dnssec`) for negative-response authority.

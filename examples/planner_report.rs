@@ -11,18 +11,17 @@
 //! cargo run --release --example planner_report
 //! ```
 //!
-//! The final line is machine-greppable: `planner invariants: OK (...)` on
-//! success; any violation prints `planner invariants: FAILED ...` and
-//! exits non-zero. The invariants: the evaluation baseline is bit-
-//! identical to the world's own routing, the identity candidate scores
-//! exactly zero on every axis, and the full sweep reproduces the same
-//! score fingerprint for every worker count 1..=5.
+//! A renderer of `roots_core::PlannerDemo`: the final line reads
+//! `planner invariants: OK (...)` when `PlannerDemo::violations` is empty;
+//! any violation prints `planner invariants: FAILED ...` and exits
+//! non-zero. The invariants — the evaluation baseline is bit-identical to
+//! the world's own routing, the identity candidate scores exactly zero on
+//! every axis, and both sweeps reproduce their score fingerprints at
+//! other worker counts — are asserted in `tests/planner_demo.rs`.
 
 use planner::MoveSetConfig;
-use roots_core::{PlannerRun, Scale};
-use scenario::{EventKind, Scenario, ScenarioEvent};
+use roots_core::{PlannerDemo, Scale};
 use std::process::ExitCode;
-use vantage::MEASUREMENT_START;
 
 fn main() -> ExitCode {
     let cfg = MoveSetConfig::default();
@@ -33,33 +32,8 @@ fn main() -> ExitCode {
         cfg.seed,
         cfg.max_steps,
     );
-    let run = PlannerRun::run(Scale::Tiny, &cfg, 4);
-    let mut violations: Vec<String> = Vec::new();
-
-    // The baseline the deltas are measured against must be the world's own
-    // routing ground truth, bit-for-bit.
-    if !run.context().baseline_matches_world() {
-        violations.push("evaluation baseline diverged from the world's routing".into());
-    }
-
-    // The identity candidate is the sweep's fixed point: exactly zero.
-    match run.report.score(0) {
-        Some(s) if s.delta.is_zero() && s.churn == 0.0 => {}
-        Some(s) => violations.push(format!(
-            "identity candidate scored nonzero (ΔRTT {}, churn {})",
-            s.delta.rtt_combined(),
-            s.churn
-        )),
-        None => violations.push("identity candidate missing from the sweep".into()),
-    }
-
-    // Bit-identical scores, ranking, and frontier for every worker count.
-    let reference = run.scores_fingerprint();
-    for workers in 1..=5 {
-        if run.rescore_fingerprint(workers) != reference {
-            violations.push(format!("sweep diverged at {workers} workers"));
-        }
-    }
+    let demo = PlannerDemo::run(Scale::Tiny, &cfg, 120);
+    let (run, tl) = (&demo.run, &demo.timeline);
 
     println!();
     println!("{}", run.render(3));
@@ -77,41 +51,10 @@ fn main() -> ExitCode {
         );
     }
 
-    // Timeline mode: the same move set, scored through a week-long b.root
-    // site outage — "does the placement still hold during the window?".
-    let site = run.world.catalog.deployment(cfg.letter).sites[0].id;
-    let start = MEASUREMENT_START;
-    let end = start + 21 * 86_400;
-    let scenario = Scenario::new(
-        "planner_b_outage",
-        0x9_1A28,
-        vec![ScenarioEvent {
-            at: start + 7 * 86_400,
-            until: Some(start + 14 * 86_400),
-            kind: EventKind::SiteOutage {
-                letter: cfg.letter,
-                site,
-            },
-        }],
-    )
-    .expect("outage scenario is valid");
-    let tl_cfg = MoveSetConfig {
-        count: 120,
-        ..cfg.clone()
-    };
-    let tl = PlannerRun::run_through(Scale::Tiny, &tl_cfg, 3, &scenario, start, end);
-    if tl.rescore_fingerprint(1) != tl.scores_fingerprint()
-        || tl.rescore_fingerprint(5) != tl.scores_fingerprint()
-    {
-        violations.push("timeline sweep diverged across worker counts".into());
-    }
-    if !tl.report.scores.iter().all(|s| s.worst_epoch.is_some()) {
-        violations.push("timeline sweep missing worst-epoch scores".into());
-    }
     println!(
         "\ntimeline sweep: {} candidates through '{}' — worst epochs (best 5):",
         tl.report.scores.len(),
-        scenario.name()
+        demo.scenario.name()
     );
     for &id in tl.report.ranking.iter().take(5) {
         let s = tl.report.score(id).expect("ranked id is in the sweep");
@@ -125,6 +68,7 @@ fn main() -> ExitCode {
         );
     }
 
+    let violations = demo.violations();
     if violations.is_empty() {
         println!(
             "\nplanner invariants: OK (candidates={} workers=1..=5 frontier={} \

@@ -3,9 +3,10 @@
 //! rests on:
 //!
 //! 1. an invalid (bitflipped / truncated) zone copy is **never**
-//!    activated — every accepted copy answers the probe set, plain and
-//!    with DO (RRSIG and NSEC bytes included), byte-identically to the
-//!    fault-free baseline;
+//!    activated — every accepted copy holds the fault-free baseline's
+//!    records, all of them, in canonical order and form, and answers the
+//!    probe set, plain and with DO (RRSIG and NSEC bytes included),
+//!    byte-identically to it;
 //! 2. refresh converges to the correct serial whenever at least one
 //!    upstream is reachable;
 //! 3. staleness never exceeds the zone's SOA expire bound;
@@ -18,176 +19,78 @@
 //!    run replays bit-identically (`roots_core::ClockChaosRun::violations`;
 //!    `examples/clock_chaos_demo.rs` renders the same run).
 
-use dns_wire::edns::{set_edns, Edns};
 use dns_wire::{Message, Name, Question, Rcode, RrType};
-use dns_zone::rollout::RolloutPhase;
-use dns_zone::rootzone::{build_root_zone, RootZoneConfig};
-use dns_zone::signer::ZoneKeys;
-use dns_zone::Zone;
-use localroot::{upstream_transport, LocalRoot, RefreshOutcome, ServingState, ValidationPolicy};
-use rootd::{
-    FaultCounters, FaultPlan, FaultSpec, FaultyTransport, InprocTransport, Protocol, Transport,
-};
-use roots_core::{ClockChaosRun, Scale};
+use localroot::{LocalRoot, RefreshOutcome, ValidationPolicy};
+use rootd::{FaultPlan, FaultSpec, FaultyTransport, Protocol, Transport};
+use roots_core::chaos::{probes, upstreams, wired, SERIAL, SOA_EXPIRE, T0};
+use roots_core::{ChaosSweep, ClockChaosRun, Scale};
 use rss::RootLetter;
 use std::sync::Arc;
 
-const T0: u32 = 1_701_820_800; // 2023-12-06: ZONEMD validates
-const SERIAL: u32 = 2023120600;
-const SOA_EXPIRE: u32 = 604_800; // the built zone's SOA expire field
-
-fn fresh_zone(serial: u32) -> Zone {
-    build_root_zone(
-        &RootZoneConfig {
-            serial,
-            tld_count: 10,
-            inception: T0,
-            expiration: T0 + 14 * 86_400,
-            rollout: RolloutPhase::Validating,
-        },
-        &ZoneKeys::from_seed(1),
-    )
-}
-
-/// Three upstream letters, each an engine over the same fresh zone.
-fn upstream_servers() -> Vec<(RootLetter, InprocTransport)> {
-    let zone = Arc::new(fresh_zone(SERIAL));
-    [RootLetter::A, RootLetter::B, RootLetter::C]
-        .into_iter()
-        .map(|letter| {
-            let hostname = Some(format!("{}1.chaos", letter.ch()));
-            (
-                letter,
-                upstream_transport(letter, hostname, Arc::clone(&zone)),
-            )
-        })
-        .collect()
-}
-
-/// Wrap every upstream in a FaultyTransport driven by `plan`.
-fn wired(
-    servers: &[(RootLetter, InprocTransport)],
-    plan: &Arc<FaultPlan>,
-) -> Vec<(RootLetter, FaultyTransport<InprocTransport>)> {
-    servers
-        .iter()
-        .enumerate()
-        .map(|(i, (letter, server))| {
-            (
-                *letter,
-                FaultyTransport::new(server.clone(), Arc::clone(plan), i as u64),
-            )
-        })
-        .collect()
-}
-
-/// The probe queries used to compare an activated copy against the
-/// fault-free baseline: each asked plain and with DO, so the RRSIG and
-/// NSEC bytes the copy serves are compared too, not only its bare RRsets.
-fn probes() -> Vec<Message> {
-    let plain = vec![
-        Message::query(1, Question::new(Name::root(), RrType::Soa)),
-        Message::query(2, Question::new(Name::root(), RrType::Ns)),
-        Message::query(3, Question::new(Name::parse("com.").unwrap(), RrType::Ns)),
-        Message::query(
-            4,
-            Question::new(Name::parse("nxd-tld.").unwrap(), RrType::A),
-        ),
-    ];
-    let signed: Vec<Message> = plain
-        .iter()
-        .map(|q| {
-            let mut q = q.clone();
-            q.header.id += 10;
-            set_edns(&mut q, &Edns::dnssec());
-            q
-        })
-        .collect();
-    plain.into_iter().chain(signed).collect()
-}
-
-/// Invariants 1 + 2 + 5 over a loss × bitflip × truncation matrix.
+/// Invariants 1 + 2 + 5 over a loss × bitflip × truncation matrix
+/// (`roots_core::ChaosSweep`), at the default seed and at the seed
+/// `chaos_report` is run at in `ci.sh`: every activated copy is the
+/// baseline's, record for record, with the right serial and the same
+/// answers; every refusal leaves nothing active; at least half the cells
+/// converge; every cell replays bit-identically; and stale serving stops
+/// at the SOA expire bound.
 #[test]
 fn fault_matrix_never_activates_a_corrupt_copy() {
-    let servers = upstream_servers();
-
-    // Fault-free baseline answers to compare activated copies against.
-    let mut baseline = LocalRoot::new(ValidationPolicy::default());
-    let clean = Arc::new(FaultPlan::clean(0));
-    baseline
-        .refresh_wire(&mut wired(&servers, &clean), T0 + 60)
-        .unwrap();
-    let baseline_answers: Vec<Vec<u8>> = probes()
-        .iter()
-        .map(|q| baseline.answer(q, T0 + 120).to_wire())
-        .collect();
-
-    let mut cells = 0u32;
-    let mut activated = 0u32;
-    for (ci, &loss) in [0.0, 0.1, 0.25, 0.5].iter().enumerate() {
-        for (cj, &flip) in [0.0, 0.05, 0.25].iter().enumerate() {
-            for (ck, &trunc) in [0.0, 0.3].iter().enumerate() {
-                cells += 1;
-                let seed = 0xc0de + (ci as u64) * 100 + (cj as u64) * 10 + ck as u64;
-                let spec = FaultSpec {
-                    drop_prob: loss,
-                    bitflip_prob: flip,
-                    truncate_stream_prob: trunc,
-                    ..FaultSpec::clean()
-                };
-                let run = || {
-                    let plan = Arc::new(FaultPlan::clean(seed).with_default(spec.clone()));
-                    let mut up = wired(&servers, &plan);
-                    let mut lr = LocalRoot::new(ValidationPolicy::default());
-                    let out = lr.refresh_wire(&mut up, T0 + 60);
-                    let counters: Vec<FaultCounters> =
-                        up.iter().map(|(_, t)| t.counters()).collect();
-                    // Snapshot refresh metrics before any probe queries
-                    // perturb the serving counters.
-                    let metrics = lr.metrics;
-                    (out, metrics, lr, counters)
-                };
-                let (out, metrics, mut lr, counters) = run();
-                match out {
-                    Ok(RefreshOutcome::Updated { serial, .. }) => {
-                        activated += 1;
-                        // Invariant 2: bit-correct serial...
-                        assert_eq!(serial, SERIAL, "cell loss={loss} flip={flip}");
-                        // ...and invariant 1: the activated copy answers
-                        // byte-identically to the fault-free baseline —
-                        // no corrupt copy survives validation.
-                        for (q, want) in probes().iter().zip(&baseline_answers) {
-                            assert_eq!(&lr.answer(q, T0 + 120).to_wire(), want);
-                        }
-                    }
-                    Ok(RefreshOutcome::AlreadyCurrent { .. }) => {
-                        unreachable!("first refresh cannot be current")
-                    }
-                    Err(_) => {
-                        // Heavy fault mixes may defeat the retry budget —
-                        // but then nothing may have been activated.
-                        assert_eq!(lr.current_serial(), None);
-                        assert_eq!(lr.metrics.transfers_accepted, 0);
-                        assert_eq!(lr.serving_state(T0 + 60), ServingState::Empty);
-                    }
-                }
-                // Invariant 5: the cell replays bit-identically.
-                let (out2, metrics2, _, counters2) = run();
-                assert_eq!(out, out2, "outcome not deterministic");
-                assert_eq!(metrics, metrics2, "metrics not deterministic");
-                assert_eq!(counters, counters2, "fault counters not deterministic");
-            }
-        }
+    for base_seed in [0xc0de, 49_374] {
+        let sweep = ChaosSweep::run(base_seed);
+        assert_eq!(sweep.violations(), Vec::<String>::new(), "seed {base_seed}");
+        assert_eq!(sweep.cells.len(), 4 * 3 * 2);
+        // The clean cell converges, and some cells are refused.
+        assert!(sweep.cells[0].outcome.is_ok(), "seed {base_seed}");
+        assert!(sweep.activated() < sweep.cells.len(), "seed {base_seed}");
+        assert!(sweep.served_stale > 0 && sweep.refused_expired > 0);
     }
-    // The clean cells (and most light-fault cells) must converge.
-    assert!(activated >= cells / 2, "{activated}/{cells} converged");
+}
+
+/// Each of `ChaosSweep::violations`'s checks fires on a sweep doctored to
+/// break it, and on no other.
+#[test]
+fn each_chaos_sweep_check_fires_on_a_doctored_sweep() {
+    let sweep = ChaosSweep::run(0xc0de);
+    assert!(sweep.violations().is_empty());
+    let activated = (sweep.cells.iter())
+        .position(|c| c.outcome.is_ok())
+        .expect("a converged cell");
+    let refused = (sweep.cells.iter())
+        .position(|c| c.outcome.is_err())
+        .expect("a refused cell");
+    let doctors: [&dyn Fn(&mut ChaosSweep); 8] = [
+        &|s| {
+            s.cells[activated].outcome = Ok(RefreshOutcome::Updated {
+                serial: SERIAL + 1,
+                from_upstream: 0,
+                attempts: 1,
+            })
+        },
+        &|s| s.cells[activated].outcome = Ok(RefreshOutcome::AlreadyCurrent { serial: SERIAL }),
+        &|s| s.cells[activated].copy_differs = true,
+        &|s| s.cells[activated].answers_differ = 1,
+        &|s| s.cells[refused].left_behind = true,
+        &|s| s.cells[refused].replayed = false,
+        &|s| {
+            for cell in &mut s.cells {
+                cell.outcome = Err("doctored".into());
+            }
+        },
+        &|s| s.stale[2].1 = Rcode::NoError,
+    ];
+    for (i, doctor) in doctors.into_iter().enumerate() {
+        let mut doctored = sweep.clone();
+        doctor(&mut doctored);
+        assert_eq!(doctored.violations().len(), 1, "check {i}");
+    }
 }
 
 /// Invariant 2: one reachable upstream (behind heavy loss) is enough,
 /// even with every other letter blackholed.
 #[test]
 fn converges_when_a_single_lossy_upstream_survives() {
-    let servers = upstream_servers();
+    let servers = upstreams();
     let mut plan = FaultPlan::clean(99);
     plan.set_both(0, FaultSpec::blackhole());
     plan.set_both(1, FaultSpec::blackhole());
@@ -211,7 +114,7 @@ fn converges_when_a_single_lossy_upstream_survives() {
 /// usable: the SOA poll times out, the AXFR (TCP) lands the copy.
 #[test]
 fn udp_dead_tcp_alive_still_converges() {
-    let servers = upstream_servers();
+    let servers = upstreams();
     let mut plan = FaultPlan::clean(3);
     for u in 0..3 {
         plan.set(u, Protocol::Udp, FaultSpec::loss(1.0));
@@ -232,7 +135,7 @@ fn udp_dead_tcp_alive_still_converges() {
 /// serving is bounded by the zone's own SOA expire field — never beyond.
 #[test]
 fn staleness_never_exceeds_the_soa_expire_bound() {
-    let servers = upstream_servers();
+    let servers = upstreams();
     let clean = Arc::new(FaultPlan::clean(0));
     let dark = Arc::new(FaultPlan::clean(1).with_default(FaultSpec::blackhole()));
     let mut lr = LocalRoot::new(ValidationPolicy {
@@ -269,7 +172,7 @@ fn staleness_never_exceeds_the_soa_expire_bound() {
 /// bare transport, on both protocols.
 #[test]
 fn zero_fault_wrapper_is_byte_identical_to_bare() {
-    let servers = upstream_servers();
+    let servers = upstreams();
     let plan = Arc::new(FaultPlan::clean(7));
     let (_, server) = &servers[0];
     let mut bare = server.clone();
@@ -296,7 +199,7 @@ fn zero_fault_wrapper_is_byte_identical_to_bare() {
 /// unless a later attempt completes.
 #[test]
 fn mid_axfr_truncation_is_survived_or_refused() {
-    let servers = upstream_servers();
+    let servers = upstreams();
     for seed in 0..8u64 {
         let plan = Arc::new(FaultPlan::clean(seed).with_default(FaultSpec {
             truncate_stream_prob: 0.6,
