@@ -6,12 +6,12 @@
 #   2. full test suite;
 #   2a. the serving crate, the wire codec (`dns-wire`), the hash and
 #      signature crate (`dns-crypto`), the simulator crate, the farm's root
-#      tests (`farm_*` in tests/farm_invariants.rs and
-#      tests/golden_replay.rs), the serving byte pins
-#      (tests/rootd_serving.rs, tests/wire_interop.rs, tests/chaos_refresh.rs
-#      — the local root's copy answers through the arena encoder over
-#      zones transferred through fault injection — and golden_replay's
-#      `fallback_*`), the zone-integrity suite (tests/zone_integrity.rs),
+#      tests (`farm_*` in tests/farm_invariants.rs), every literal pin in
+#      tests/golden_replay.rs (all of it, zero failures), the serving byte
+#      pins (tests/rootd_serving.rs, tests/wire_interop.rs,
+#      tests/chaos_refresh.rs — the local root's copy answers through the
+#      arena encoder over zones transferred through fault injection), the
+#      zone-integrity suite (tests/zone_integrity.rs),
 #      the analysis, zone and trace crates, the measurement
 #      and scenario crates, and the pipeline's own tests (`roots-core
 #      --lib`) once more at release optimisation with debug assertions and
@@ -71,20 +71,17 @@ cargo build --release --offline
 cargo test -q --offline
 
 # Checked arithmetic where the kernels live: release optimisation, debug
-# assertions and overflow checks on. Of the farm's two root tests only the
-# farm's own (`farm_` in both files) are selected, and of golden_replay
-# beside them only the serving pins (`fallback_`, which hold at every
-# optimisation level): the step exists for the serve, encode, digest and
-# route-rank kernels, and whole-suite release coverage waits for the
-# `CITIES` fix (ROADMAP, tier-1 item c). The serving suites
-# (rootd_serving, wire_interop) and zone_integrity pin no world-dependent
-# literal: they hold answers to each other, to the wire and to their own
+# assertions and overflow checks on. Of tests/farm_invariants.rs only the
+# farm's own tests (`farm_`) are selected; golden_replay runs whole: since
+# `netgeo::city::CITIES` became a `static` compared by IATA code, a release
+# build lays out the same world as a debug one, so every literal it pins
+# must hold here too. The serving suites (rootd_serving, wire_interop) and
+# zone_integrity hold answers to each other, to the wire and to their own
 # zones, and zone_integrity and `dns-crypto` run the hash rounds and the
-# signing arithmetic the zone code shares. That caveat does not
-# reach the analysis, zone, trace, measurement and scenario crates' own
-# tests, nor `roots-core`'s unit tests: they hold at every optimisation
-# level, and their per-record and per-slot index arithmetic runs here
-# with the checks a release build drops.
+# signing arithmetic the zone code shares. The analysis, zone, trace,
+# measurement and scenario crates' own tests and `roots-core`'s unit tests
+# run their per-record and per-slot index arithmetic here with the checks
+# a release build drops.
 checked() {
     CARGO_TARGET_DIR=target/checked \
         RUSTFLAGS="-C debug-assertions=on -C overflow-checks=on" \
@@ -94,10 +91,10 @@ checked -p rootd
 checked -p dns-wire
 checked -p dns-crypto
 checked -p netsim
-checked -p roots-core --test farm_invariants --test golden_replay farm_
+checked -p roots-core --test farm_invariants farm_
+checked -p roots-core --test golden_replay
 checked -p roots-core --test rootd_serving --test wire_interop --test chaos_refresh
 checked -p roots-core --test zone_integrity
-checked -p roots-core --test golden_replay fallback_
 checked -p analysis -p dns-zone -p traces
 checked -p vantage -p scenario
 checked -p roots-core --lib
@@ -144,10 +141,11 @@ cargo run -q --release --offline --example rootd_bench -- tiny 20000 > /dev/null
 # convergence, SOA-bounded staleness, deterministic replay, at this seed
 # too — are tier-1: tests/chaos_refresh.rs).
 cargo run -q --release --offline --example chaos_report -- 49374 > /dev/null
-# Virtual-clock smoke: serving load, scenario fault windows, and refresh
-# backoff co-executed on one clock must render and exit 0 (its invariants
-# — refresh escapes the blackhole by backing off, the run replays
-# bit-identically across worker counts — are tier-1:
+# Virtual-clock smoke: the farm under a scenario's site failure, the same
+# scenario's fault windows, and refresh backoff co-executed on one clock
+# must render and exit 0 (its invariants — refresh escapes the blackhole
+# by backing off, the farm withdraws and restores the dark site, the run
+# replays bit-identically across shard counts — are tier-1:
 # tests/chaos_refresh.rs).
 cargo run -q --release --offline --example clock_chaos_demo > /dev/null
 # Adversarial-traffic smoke: the demo attack scenario against a

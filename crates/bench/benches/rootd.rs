@@ -395,8 +395,6 @@ fn bench_loadgen(_c: &mut Criterion) {
         threads,
         seed: 0x2023_0703,
         mix: QueryMix::broot(),
-        faults: None,
-        arrivals: None,
     };
     let p = ServingPipeline::run(Scale::Tiny, RootLetter::B, &cfg);
     assert_eq!(p.report.queries, queries);

@@ -9,7 +9,8 @@
 //! `examples/rootd_bench.rs` render.
 //!
 //! [`ClockChaosRun`] is the virtual-time composition of the whole stack:
-//! one scenario's change events, the serving fleet under load, and a
+//! one scenario's change events, the serving fleet under the farm's
+//! failure model (health probes, failover by withdrawal, hedging), and a
 //! localroot refresh client, co-executed on a single [`simclock`] axis
 //! (see DESIGN §12 and `examples/clock_chaos_demo.rs`).
 
@@ -18,12 +19,13 @@ use analysis::{FloodDiffReport, FloodEpoch};
 use localroot::{upstream_transport, LocalRoot, RefreshOutcome, ValidationPolicy};
 use netsim::types::Tier;
 use rootd::{
-    attack, loadgen, ArrivalSchedule, AttackConfig, AttackReport, Farm, FaultyTransport,
-    InprocTransport, LoadReport, LoadgenConfig,
+    attack, loadgen, ArrivalSchedule, AttackConfig, AttackReport, ChaosOutcome, Farm,
+    FarmChaosConfig, FarmChaosReport, FaultyTransport, InprocTransport, LoadReport, LoadgenConfig,
 };
 use rss::RootLetter;
 use scenario::{EventKind, Scenario, ScenarioEvent};
 use simclock::{ClockHandle, TimeAxis};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use vantage::World;
 
@@ -98,28 +100,32 @@ impl ServingPipeline {
 /// The refresh client's upstream letters in the clock-chaos demo.
 pub const CHAOS_UPSTREAMS: [RootLetter; 3] = [RootLetter::A, RootLetter::B, RootLetter::C];
 
-/// One scenario, one clock: the serving fleet under load, the scenario's
-/// fault windows, and a localroot refresh client, co-executed on a single
-/// virtual-time axis.
+/// One scenario, one clock: the serving fleet under the scenario's site
+/// failures, and a localroot refresh client under its fault windows,
+/// co-executed on a single virtual-time axis.
 ///
-/// The three time consumers share the [`TimeAxis`] anchored at the
-/// scale's schedule start:
+/// The time consumers share the [`TimeAxis`] anchored at the scale's
+/// schedule start:
 ///
-/// * the scenario's wire-visible events become *windowed* fault specs —
-///   [`scenario::fault_plan_on_clock`] for the client seat the refresh
-///   client sits in, [`scenario::fault_plan_for_fleet`] for the serving
-///   letter's per-site transports;
-/// * the load generator pins every query attempt to its scheduled
-///   arrival instant (one query per virtual ms), so event windows hit
-///   exactly the queries that arrive inside them, on any worker count;
+/// * the scenario's events project twice —
+///   [`scenario::fault_plan_on_clock`] for the seat the refresh client
+///   sits in, [`scenario::failure_plan_on_clock`] for the serving
+///   letter's farm, whose control plane detects a dark site, withdraws it
+///   from the catchments and brings it back;
+/// * the farm's clients arrive one query per virtual ms, so failure
+///   windows hit exactly the queries that arrive inside them, on any
+///   shard count;
 /// * the refresh client advances a shared [`ClockHandle`] through its
 ///   timeouts and backoffs, so *waiting* carries it across the same
-///   windows the load generator's queries are falling into — riding out
-///   a bounded blackhole purely by backing off.
+///   windows the farm's queries fall into — riding out a bounded
+///   blackhole purely by backing off.
 pub struct ClockChaosRun {
     pub axis: TimeAxis,
-    /// The serving fleet's report under the scenario's outage windows.
-    pub load: LoadReport,
+    /// The serving fleet's chaos report under the scenario's failure plan.
+    pub fleet: FarmChaosReport,
+    /// The fleet slot (what `fleet.transitions` names a site by) of the
+    /// scenario's first outage at the serving letter.
+    pub dark_slot: Option<u16>,
     /// The refresh client's outcome (errors stringified so replays
     /// compare with `==`).
     pub refresh: Result<RefreshOutcome, String>,
@@ -133,37 +139,48 @@ pub struct ClockChaosRun {
 }
 
 impl ClockChaosRun {
-    /// Run `scenario` against `letter`'s fleet (serving side) and the
-    /// [`CHAOS_UPSTREAMS`] (refresh side), everything on one axis.
+    /// The fleet's client arrivals: one query per virtual ms from 0.
+    const ARRIVALS: ArrivalSchedule = ArrivalSchedule {
+        start_ms: 0,
+        interarrival_ms: 1,
+    };
+
+    /// Run `scenario` against `letter`'s fleet on `shards` shards (serving
+    /// side) and the [`CHAOS_UPSTREAMS`] (refresh side), everything on
+    /// one axis.
     pub fn run(
         scale: Scale,
         letter: RootLetter,
         scenario: &Scenario,
         queries: usize,
-        threads: usize,
+        shards: usize,
     ) -> ClockChaosRun {
         let axis = TimeAxis::anchored_at(scale.schedule().start);
         let world = World::build(&scale.world());
         let zone = world.zone_at(axis.base_s);
 
-        // Serving side: the fleet's plan keys outage windows by site id;
-        // arrivals pin each query attempt to its virtual instant.
-        let fleet_plan =
-            scenario::fault_plan_for_fleet(scenario, letter, axis).with_timeout_ms(200);
-        let fleet = letter_fleet(&world, letter, Arc::clone(&zone));
-        let load = loadgen::run(
-            &fleet,
-            &LoadgenConfig {
-                queries,
-                threads,
-                faults: Some(fleet_plan),
-                arrivals: Some(ArrivalSchedule {
-                    start_ms: 0,
-                    interarrival_ms: 1,
-                }),
-                ..LoadgenConfig::tiny(0x2023_0703)
-            },
-        );
+        // Serving side: the farm's plan keys failure windows by (letter,
+        // site id); its control plane and steering do the rest.
+        let farm = letter_fleet(&world, letter, Arc::clone(&zone));
+        let deployment = farm
+            .deployment(letter)
+            .expect("the fleet serves its letter");
+        let mut sites: Vec<u32> = deployment.sites.iter().map(|s| s.id.0).collect();
+        // A letter's slots number its sites in ascending id order.
+        sites.sort_unstable();
+        let dark_slot = scenario.events().iter().find_map(|e| match e.kind {
+            EventKind::SiteOutage { letter: l, site } if l == letter => sites
+                .iter()
+                .position(|&id| id == site.0)
+                .map(|slot| slot as u16),
+            _ => None,
+        });
+        let mut cfg = FarmChaosConfig::tiny(0x2023_0703, axis.base_s);
+        cfg.farm.queries = queries;
+        cfg.farm.shards = shards;
+        cfg.arrivals = Self::ARRIVALS;
+        cfg.plan = scenario::failure_plan_on_clock(scenario, axis, &[(letter, sites)]);
+        let fleet = farm.run_chaos(&world.topology, &cfg);
 
         // Refresh side: the client-seat plan keys the same windows by
         // upstream letter; all transports share one clock the client
@@ -190,7 +207,8 @@ impl ClockChaosRun {
         let serving = lr.is_serving(axis.now_wall(&clock));
         ClockChaosRun {
             axis,
-            load,
+            fleet,
+            dark_slot,
             refresh,
             refresh_metrics: lr.metrics,
             backoff_log: lr.backoff_log,
@@ -202,8 +220,8 @@ impl ClockChaosRun {
     /// The built-in demo scenario: every refresh upstream goes dark for
     /// the first five virtual seconds — a blackhole bounded in *time*,
     /// which backoff on the shared clock can ride out. The serving
-    /// `letter`'s outage event carries its fleet's first real site id, so
-    /// the same window also swallows that site's queries.
+    /// `letter`'s outage event carries its first catalog site's id, so
+    /// the same window also darkens that site of the farm.
     pub fn demo_scenario(scale: Scale, letter: RootLetter) -> Scenario {
         let world = World::build(&scale.world());
         let dark_site = world
@@ -235,14 +253,28 @@ impl ClockChaosRun {
     /// the axis's anchor.
     pub const DEMO_WINDOW_MS: u64 = 5_000;
 
+    /// Queries arriving in `window` (virtual ms) that met a dark site:
+    /// hedged to another site, or unanswered.
+    pub fn dark_queries(&self, window: Range<u64>) -> usize {
+        let dark = [ChaosOutcome::ServedHedged, ChaosOutcome::Unanswered].map(|o| o as u8);
+        (self.fleet.flags.iter().enumerate())
+            .filter(|&(g, &f)| {
+                window.contains(&Self::ARRIVALS.attempt_at(g as u64, 0, 0))
+                    && dark.contains(&(f >> 2 & 0x07))
+            })
+            .count()
+    }
+
     /// The demo run's invariant violations, empty when they hold: the
     /// refresh client rode out the [`Self::DEMO_WINDOW_MS`] blackhole by
     /// backing off on the shared clock — it succeeded, its clock ended
     /// past the window, it saw timeouts and took backoff waits, and its
-    /// copy is serving — the same window cost the serving fleet timeouts
-    /// and blackholed queries, and every run of `replays` (the same
-    /// scenario again, at the same or another loadgen worker count)
-    /// reproduced this one's fingerprint.
+    /// copy is serving — the fleet's chaos report is consistent and the
+    /// same window cost the dark site queries (the plan's only window at
+    /// the serving letter, so every hedged or unanswered query was bound
+    /// for it), and every run of `replays` (the same scenario again, at
+    /// the same or another shard count) reproduced this one's
+    /// fingerprint.
     pub fn violations(&self, replays: &[&ClockChaosRun]) -> Vec<String> {
         let mut v = Vec::new();
         if self.refresh.is_err() {
@@ -264,8 +296,9 @@ impl ClockChaosRun {
         if !self.serving {
             v.push("refreshed copy is not serving at the final wall time".into());
         }
-        if self.load.timeouts == 0 || self.load.fault_counters.blackholed == 0 {
-            v.push("the outage window never hit the serving fleet's queries".into());
+        v.extend(self.fleet.violations());
+        if self.dark_queries(0..Self::DEMO_WINDOW_MS) == 0 {
+            v.push("no query met the dark site inside the outage window".into());
         }
         let fingerprint = self.fingerprint();
         for (i, replay) in replays.iter().enumerate() {
@@ -280,14 +313,9 @@ impl ClockChaosRun {
     /// none of the wall-clock timings.
     pub fn fingerprint(&self) -> String {
         format!(
-            "load[responses={} timeouts={} retries={} unanswered={} faults={}] \
-             refresh[{:?} retries={} timeouts={} backoff_ms={}] \
+            "fleet[{:#018x}] refresh[{:?} retries={} timeouts={} backoff_ms={}] \
              backoffs={:?} clock={}ms serving={}",
-            self.load.responses,
-            self.load.timeouts,
-            self.load.retries,
-            self.load.unanswered,
-            self.load.fault_counters.total_faults(),
+            self.fleet.fingerprint(),
             self.refresh,
             self.refresh_metrics.retries,
             self.refresh_metrics.timeouts,

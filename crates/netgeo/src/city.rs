@@ -43,8 +43,10 @@ macro_rules! city {
 }
 
 /// The static city table. Sorted by region then name; `CityDb` provides
-/// indexed access.
-pub const CITIES: &[City] = &[
+/// indexed access. A `static`, not a `const`: every `&'static City`
+/// handed out points into this one table, however many crates inline a
+/// lookup.
+pub static CITIES: &[City] = &[
     // --- Africa ---
     city!("abidjan", "abj", "ci", Africa, 5.36, -4.01),
     city!("accra", "acc", "gh", Africa, 5.60, -0.19),

@@ -143,11 +143,12 @@ impl FacilityTable {
         &self.facilities
     }
 
-    /// Find an existing facility in `city` with the given index.
-    pub fn find(&self, city: &'static City, index_in_city: u8) -> Option<FacilityId> {
+    /// Find an existing facility in `city` with the given index. Cities
+    /// compare by IATA code (unique in the table), never by address.
+    pub fn find(&self, city: &City, index_in_city: u8) -> Option<FacilityId> {
         self.facilities
             .iter()
-            .find(|f| std::ptr::eq(f.city, city) && f.index_in_city == index_in_city)
+            .find(|f| f.city.iata == city.iata && f.index_in_city == index_in_city)
             .map(|f| f.id)
     }
 
@@ -184,6 +185,10 @@ mod tests {
         t.add(nyc, 0, AsId(2));
         assert_eq!(t.find(fra, 0), Some(a));
         assert_eq!(t.find(fra, 1), None);
+        // A city is found by what it is, not where it lives: a copy at
+        // another address still names the same facility.
+        let copy = fra.clone();
+        assert_eq!(t.find(&copy, 0), Some(a));
     }
 
     #[test]

@@ -13,12 +13,11 @@
 //!
 //! Every decision is derived from [`SimRng`] keyed on
 //! `(plan seed, upstream id, protocol, exchange number)`, so a fault mix
-//! replays bit-identically across runs; callers that need totals
-//! independent of how exchanges are partitioned across worker threads
-//! (the load generator) can key each exchange explicitly with
-//! [`FaultyTransport::with_next_key`]. Per-fault counters mirror the
+//! replays bit-identically across runs. Per-fault counters mirror the
 //! answer-cache hit/miss discipline: same plan seed ⇒ same
-//! [`FaultCounters`], every run.
+//! [`FaultCounters`], every run. The transport models one client's seat
+//! (the refresh client and its upstreams); a serving site going dark
+//! under load is the farm's failure plan ([`crate::FailurePlan`]).
 //!
 //! A plan whose spec [`is_clean`](FaultSpec::is_clean) short-circuits to
 //! the inner transport — byte-identical responses (asserted by
@@ -35,11 +34,7 @@
 //! timeout waits) move the same timeline the fault windows are declared
 //! on. Exchanges bill outcome-based time: a blackholed or dropped
 //! exchange costs the client timeout, a delayed response costs
-//! `min(delay, timeout)`, a clean exchange costs nothing. Callers that
-//! precompute arrival times (the load generator) pin one exchange to an
-//! explicit instant with [`at_time`](FaultyTransport::at_time) — in that
-//! mode the transport never writes the clock, which keeps fault totals
-//! independent of worker partitioning.
+//! `min(delay, timeout)`, a clean exchange costs nothing.
 
 use crate::transport::{Transport, TransportError, UdpBatch};
 use netsim::rng::SimRng;
@@ -359,21 +354,12 @@ pub struct FaultyTransport<T: Transport> {
     inner: T,
     plan: Arc<FaultPlan>,
     upstream: u64,
-    /// Exchange counter; the default per-exchange derivation key.
+    /// Exchange counter; the per-exchange derivation key.
     seq: u64,
-    /// Explicit key for the next exchange (see [`with_next_key`]).
-    ///
-    /// [`with_next_key`]: FaultyTransport::with_next_key
-    next_key: Option<u64>,
     /// The virtual clock fault windows are evaluated against. Private by
     /// default; [`with_clock`](FaultyTransport::with_clock) shares the
     /// client's clock so its waits and our windows live on one axis.
     clock: ClockHandle,
-    /// Explicit instant for the next exchange (see [`at_time`]); while an
-    /// exchange is pinned this way the clock is read-only.
-    ///
-    /// [`at_time`]: FaultyTransport::at_time
-    next_time: Option<u64>,
     /// Precomputed per-protocol "this plan can never perturb us" flags —
     /// the zero-fault fast path costs a boolean test, not a plan lookup.
     clean_udp: bool,
@@ -395,9 +381,7 @@ impl<T: Transport> FaultyTransport<T> {
             plan,
             upstream,
             seq: 0,
-            next_key: None,
             clock: ClockHandle::new(),
-            next_time: None,
             clean_udp,
             clean_tcp,
             pending: VecDeque::new(),
@@ -412,25 +396,6 @@ impl<T: Transport> FaultyTransport<T> {
     /// backoff, a scheduler — moves the same timeline.
     pub fn with_clock(mut self, clock: ClockHandle) -> FaultyTransport<T> {
         self.clock = clock;
-        self
-    }
-
-    /// Key the next exchange's fault derivation explicitly instead of by
-    /// this transport's own exchange counter. The load generator keys by
-    /// global query index so fault totals do not depend on how queries are
-    /// partitioned across worker threads.
-    pub fn with_next_key(&mut self, key: u64) -> &mut Self {
-        self.next_key = Some(key);
-        self
-    }
-
-    /// Pin the next exchange to virtual instant `t_ms` instead of the
-    /// clock's current reading. The exchange never writes the clock:
-    /// callers that precompute arrival schedules (the load generator)
-    /// stay deterministic across worker partitioning because no thread
-    /// interleaving can skew the times windows are evaluated at.
-    pub fn at_time(&mut self, t_ms: u64) -> &mut Self {
-        self.next_time = Some(t_ms);
         self
     }
 
@@ -455,33 +420,11 @@ impl<T: Transport> FaultyTransport<T> {
     }
 
     /// The per-exchange decision stream: a fresh RNG per (upstream,
-    /// protocol, key) tuple, so one exchange's outcome is a pure function
-    /// of its key no matter what happened before it.
+    /// protocol, exchange number) tuple, so one exchange's outcome is a
+    /// pure function of its number no matter what happened before it.
     fn dice(&mut self, proto: Protocol) -> SimRng {
         self.seq += 1;
-        let key = self.next_key.take().unwrap_or(self.seq);
-        SimRng::new(self.plan.seed).derive_ids(&[0xfa17, self.upstream, proto.id(), key])
-    }
-
-    /// The instant this exchange happens at: an explicit [`at_time`]
-    /// pin, or the shared clock's current reading. Returns `(t0,
-    /// pinned)`; a pinned exchange must not write the clock.
-    ///
-    /// [`at_time`]: FaultyTransport::at_time
-    fn begin(&mut self) -> (u64, bool) {
-        match self.next_time.take() {
-            Some(t) => (t, true),
-            None => (self.clock.now_ms(), false),
-        }
-    }
-
-    /// Bill `wait_ms` of client-visible waiting to the shared clock —
-    /// unless the exchange was pinned to an explicit instant, in which
-    /// case the caller owns the timeline.
-    fn bill(&mut self, pinned: bool, wait_ms: u64) {
-        if !pinned && wait_ms > 0 {
-            self.clock.advance(wait_ms);
-        }
+        SimRng::new(self.plan.seed).derive_ids(&[0xfa17, self.upstream, proto.id(), self.seq])
     }
 
     /// Draw the injected latency for this exchange (fixed + jitter).
@@ -526,7 +469,6 @@ impl<T: Transport> FaultyTransport<T> {
         request: &[u8],
         resp: &mut Vec<u8>,
         t0: u64,
-        pinned: bool,
         spec: &FaultSpec,
     ) -> Result<bool, TransportError> {
         let timeout = self.plan.client_timeout_ms;
@@ -542,16 +484,16 @@ impl<T: Transport> FaultyTransport<T> {
         let duplicate = rng.chance(spec.dup_prob);
         if spec.blackholed(t0) {
             self.counters.blackholed += 1;
-            self.bill(pinned, timeout);
+            self.clock.advance(timeout);
             return Ok(false);
         }
         if dropped {
             self.counters.drops += 1;
-            self.bill(pinned, timeout);
+            self.clock.advance(timeout);
             return Ok(false);
         }
         if !self.inner.exchange_udp_into(request, resp)? {
-            self.bill(pinned, timeout);
+            self.clock.advance(timeout);
             return Ok(false);
         }
         if delay > timeout {
@@ -559,10 +501,10 @@ impl<T: Transport> FaultyTransport<T> {
             // lingers in flight, and a later reorder may deliver it.
             self.counters.timeouts_induced += 1;
             self.pending.push_back(std::mem::take(resp));
-            self.bill(pinned, timeout);
+            self.clock.advance(timeout);
             return Ok(false);
         }
-        self.bill(pinned, delay);
+        self.clock.advance(delay);
         if garbage {
             self.counters.garbage += 1;
             garble(resp, &mut rng);
@@ -595,22 +537,19 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         self.counters.exchanges += 1;
         if self.clean_udp {
             self.seq += 1;
-            self.next_key = None;
-            self.next_time = None;
             self.counters.clean += 1;
             return self.inner.exchange_udp(request);
         }
-        let (t0, pinned) = self.begin();
+        let t0 = self.clock.now_ms();
         let spec = self.plan.spec_at(self.upstream, Protocol::Udp, t0).clone();
         if spec.is_clean() {
             self.seq += 1;
-            self.next_key = None;
             self.counters.clean += 1;
             return self.inner.exchange_udp(request);
         }
         let mut resp = Vec::new();
         Ok(self
-            .exchange_udp_dirty(request, &mut resp, t0, pinned, &spec)?
+            .exchange_udp_dirty(request, &mut resp, t0, &spec)?
             .then_some(resp))
     }
 
@@ -622,37 +561,25 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         self.counters.exchanges += 1;
         if self.clean_udp {
             self.seq += 1;
-            self.next_key = None;
-            self.next_time = None;
             self.counters.clean += 1;
             return self.inner.exchange_udp_into(request, resp);
         }
-        let (t0, pinned) = self.begin();
+        let t0 = self.clock.now_ms();
         let spec = self.plan.spec_at(self.upstream, Protocol::Udp, t0).clone();
         if spec.is_clean() {
             // Outside every fault window: forward untouched, cost nothing.
             self.seq += 1;
-            self.next_key = None;
             self.counters.clean += 1;
             return self.inner.exchange_udp_into(request, resp);
         }
-        self.exchange_udp_dirty(request, resp, t0, pinned, &spec)
+        self.exchange_udp_dirty(request, resp, t0, &spec)
     }
 
     /// Batched exchange under the fault plan: every datagram rolls its own
-    /// dice, exactly as a sequence of one-shot exchanges would. A pending
-    /// [`with_next_key`] seeds the whole batch — datagram `i` gets
-    /// `key + i`, so fault totals stay independent of how a query stream
-    /// is split into batches (and across worker shards). A pending
-    /// [`at_time`] pins every datagram in the batch to that instant (a
-    /// recvmmsg burst arrives "at once"); the clock is never written then.
-    ///
-    /// [`with_next_key`]: FaultyTransport::with_next_key
-    /// [`at_time`]: FaultyTransport::at_time
+    /// dice and reads the shared clock, exactly as a sequence of one-shot
+    /// exchanges would.
     fn exchange_udp_batch(&mut self, batch: &mut UdpBatch) -> Result<(), TransportError> {
         let n = batch.len();
-        let base_key = self.next_key.take();
-        let pin = self.next_time.take();
         if self.clean_udp {
             // Whole-batch fast path: forward to the inner transport's own
             // batched exchange, billing counters as n clean one-shots.
@@ -662,12 +589,6 @@ impl<T: Transport> Transport for FaultyTransport<T> {
             return self.inner.exchange_udp_batch(batch);
         }
         for i in 0..n {
-            if let Some(key) = base_key {
-                self.next_key = Some(key + i as u64);
-            }
-            if let Some(t) = pin {
-                self.next_time = Some(t);
-            }
             let answered = {
                 let (req, scratch) = batch.io(i);
                 self.exchange_udp_into(req, scratch)?
@@ -681,16 +602,13 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         self.counters.exchanges += 1;
         if self.clean_tcp {
             self.seq += 1;
-            self.next_key = None;
-            self.next_time = None;
             self.counters.clean += 1;
             return self.inner.exchange_tcp(request);
         }
-        let (t0, pinned) = self.begin();
+        let t0 = self.clock.now_ms();
         let spec = self.plan.spec_at(self.upstream, Protocol::Tcp, t0).clone();
         if spec.is_clean() {
             self.seq += 1;
-            self.next_key = None;
             self.counters.clean += 1;
             return self.inner.exchange_tcp(request);
         }
@@ -705,21 +623,21 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         let reorder = rng.chance(spec.reorder_prob);
         if spec.blackholed(t0) {
             self.counters.blackholed += 1;
-            self.bill(pinned, timeout);
+            self.clock.advance(timeout);
             return Err(TransportError::Timeout);
         }
         if dropped {
             self.counters.drops += 1;
-            self.bill(pinned, timeout);
+            self.clock.advance(timeout);
             return Err(TransportError::Timeout);
         }
         let mut frames = self.inner.exchange_tcp(request)?;
         if delay > timeout {
             self.counters.timeouts_induced += 1;
-            self.bill(pinned, timeout);
+            self.clock.advance(timeout);
             return Err(TransportError::Timeout);
         }
-        self.bill(pinned, delay);
+        self.clock.advance(delay);
         if frames.is_empty() {
             return Ok(frames);
         }
@@ -856,34 +774,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_keys_make_totals_partition_independent() {
-        let spec = FaultSpec {
-            drop_prob: 0.4,
-            bitflip_prob: 0.2,
-            ..FaultSpec::clean()
-        };
-        // Two transports splitting the same key range arbitrarily must sum
-        // to one transport consuming it whole.
-        let plan = Arc::new(FaultPlan::clean(9).with_default(spec));
-        let totals = |splits: &[std::ops::Range<u64>]| {
-            let mut sum = FaultCounters::default();
-            for range in splits {
-                let mut t = FaultyTransport::new(inproc(), Arc::clone(&plan), 0);
-                for key in range.clone() {
-                    t.with_next_key(key);
-                    let _ = t.exchange_udp(&soa_query(key as u16));
-                }
-                sum.merge(&t.counters());
-            }
-            sum
-        };
-        // One whole-range element, not a range expression for a Vec:
-        #[allow(clippy::single_range_in_vec_init)]
-        let whole = [0..500];
-        assert_eq!(totals(&whole), totals(&[0..137, 137..400, 400..500]));
-    }
-
-    #[test]
     fn bitflip_corrupts_exactly_one_bit() {
         let plan = Arc::new(FaultPlan::clean(3).with_default(FaultSpec::bitflip(1.0)));
         let mut wrapped = FaultyTransport::new(inproc(), plan, 0);
@@ -986,34 +876,18 @@ mod tests {
         let mut plan = FaultPlan::clean(4);
         plan.set_windowed(0, Protocol::Udp, (2_000, 3_000), FaultSpec::loss(1.0));
         let plan = Arc::new(plan);
-        let mut t = FaultyTransport::new(inproc(), plan, 0);
+        let clock = ClockHandle::new();
+        let mut t = FaultyTransport::new(inproc(), plan, 0).with_clock(clock.clone());
         // Before the window: clean.
-        assert!(t.at_time(0).exchange_udp(&soa_query(1)).unwrap().is_some());
-        // Inside: total loss.
-        assert_eq!(t.at_time(2_500).exchange_udp(&soa_query(2)).unwrap(), None);
+        assert!(t.exchange_udp(&soa_query(1)).unwrap().is_some());
+        // Inside: total loss, and the drop bills the 1 s client timeout.
+        clock.sleep(2_500);
+        assert_eq!(t.exchange_udp(&soa_query(2)).unwrap(), None);
+        assert_eq!(clock.now_ms(), 3_500);
         // After: clean again.
-        assert!(t
-            .at_time(3_000)
-            .exchange_udp(&soa_query(3))
-            .unwrap()
-            .is_some());
+        assert!(t.exchange_udp(&soa_query(3)).unwrap().is_some());
         let c = t.counters();
         assert_eq!((c.clean, c.drops), (2, 1));
-    }
-
-    #[test]
-    fn pinned_exchanges_never_write_the_clock() {
-        let plan = Arc::new(
-            FaultPlan::clean(6)
-                .with_timeout_ms(1_000)
-                .with_default(FaultSpec::loss(1.0)),
-        );
-        let mut t = FaultyTransport::new(inproc(), plan, 0);
-        assert_eq!(t.at_time(7_000).exchange_udp(&soa_query(1)).unwrap(), None);
-        assert_eq!(t.virtual_ms(), 0, "pinned exchange must not bill time");
-        // An unpinned drop bills the client timeout.
-        assert_eq!(t.exchange_udp(&soa_query(2)).unwrap(), None);
-        assert_eq!(t.virtual_ms(), 1_000);
     }
 
     #[test]
@@ -1058,29 +932,26 @@ mod tests {
         };
         let plan = Arc::new(FaultPlan::clean(21).with_default(spec));
         let queries: Vec<Vec<u8>> = (0..200u16).map(soa_query).collect();
-        // Reference: one-shot exchanges keyed 0..n, all pinned to one
-        // instant (a burst arriving "at once").
+        // Reference: one-shot exchanges on a fresh transport.
         let mut one = FaultyTransport::new(inproc(), Arc::clone(&plan), 0);
-        let mut singles = Vec::new();
-        for (key, q) in queries.iter().enumerate() {
-            one.with_next_key(key as u64).at_time(500);
-            singles.push(one.exchange_udp(q).unwrap());
-        }
-        // The batch path with the same base key and pin must reproduce
-        // every byte, every drop, and every counter.
+        let singles: Vec<_> = queries
+            .iter()
+            .map(|q| one.exchange_udp(q).unwrap())
+            .collect();
+        // The batch path on another fresh transport must reproduce every
+        // byte, every drop, every counter and the time billed.
         let mut batched = FaultyTransport::new(inproc(), Arc::clone(&plan), 0);
         let mut batch = UdpBatch::new();
         for q in &queries {
             batch.push_request(q);
         }
-        batched.with_next_key(0).at_time(500);
         batched.exchange_udp_batch(&mut batch).unwrap();
         for (i, single) in singles.iter().enumerate() {
             assert_eq!(batch.response(i), single.as_deref(), "datagram {i}");
         }
         assert_eq!(batched.counters(), one.counters());
         assert!(batched.counters().drops > 0, "loss dice must have fired");
-        assert_eq!(batched.virtual_ms(), 0, "pinned batch must not bill time");
+        assert_eq!(batched.virtual_ms(), one.virtual_ms());
     }
 
     #[test]
@@ -1091,7 +962,6 @@ mod tests {
         for q in &queries {
             batch.push_request(q);
         }
-        wrapped.with_next_key(17).at_time(9_000);
         wrapped.exchange_udp_batch(&mut batch).unwrap();
         let mut bare = inproc();
         for (i, q) in queries.iter().enumerate() {
@@ -1103,9 +973,10 @@ mod tests {
         }
         let c = wrapped.counters();
         assert_eq!((c.exchanges, c.clean), (40, 40));
-        // The pending key/pin were consumed by the batch, not leaked into
-        // the next exchange.
+        // The batch advanced the exchange counter like 40 one-shots and
+        // billed no time.
         assert!(wrapped.exchange_udp(&soa_query(99)).unwrap().is_some());
+        assert_eq!(wrapped.counters().exchanges, 41);
         assert_eq!(wrapped.virtual_ms(), 0);
     }
 
@@ -1189,40 +1060,32 @@ mod tests {
             );
         }
 
-        // Client side: datagram loss in front of the same engine, keyed by
-        // global index. For every shard partition the merged counters, the
-        // per-slot spans, and the layer attribution must reconcile:
+        // Client side: datagram loss in front of the same engine, the
+        // stream cut into `shards` consecutive batches through one
+        // transport (exchanges keyed by their sequence number). For every
+        // cut the counters, the per-slot spans, and the layer attribution
+        // must reconcile:
         //   empty spans == transport drops + engine drops of delivered.
         let plan = Arc::new(FaultPlan::clean(29).with_default(FaultSpec::loss(0.25)));
         let run = |shards: usize| {
             let per_shard = total.div_ceil(shards);
-            let mut merged = FaultCounters::default();
-            let mut engine_drops = 0u64;
+            let inner = CountingInner {
+                inner: InprocTransport::new(Arc::clone(&engine)),
+                engine_drops: 0,
+            };
+            let mut ft = FaultyTransport::new(inner, Arc::clone(&plan), 0);
             let mut spans: Vec<Option<Vec<u8>>> = Vec::with_capacity(total);
-            for t in 0..shards {
-                let first = t * per_shard;
-                let last = ((t + 1) * per_shard).min(total);
-                if first >= last {
-                    continue;
-                }
-                let inner = CountingInner {
-                    inner: InprocTransport::new(Arc::clone(&engine)),
-                    engine_drops: 0,
-                };
-                let mut ft = FaultyTransport::new(inner, Arc::clone(&plan), 0);
+            for chunk in queries.chunks(per_shard) {
                 let mut batch = UdpBatch::new();
-                for q in &queries[first..last] {
+                for q in chunk {
                     batch.push_request(q);
                 }
-                ft.with_next_key(first as u64).at_time(100);
                 ft.exchange_udp_batch(&mut batch).unwrap();
-                merged.merge(&ft.counters());
-                engine_drops += ft.inner().engine_drops;
                 for i in 0..batch.len() {
                     spans.push(batch.response(i).map(|r| r.to_vec()));
                 }
             }
-            (merged, engine_drops, spans)
+            (ft.counters(), ft.inner().engine_drops, spans)
         };
         let (ref_counters, ref_engine_drops, ref_spans) = run(1);
         let empties = ref_spans.iter().filter(|s| s.is_none()).count() as u64;

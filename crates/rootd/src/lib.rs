@@ -23,11 +23,13 @@
 //! * [`faults`] — [`FaultyTransport`]: a seeded chaos decorator over any
 //!   transport (loss, duplication, reordering, delay, bitflips, mid-AXFR
 //!   truncation, blackholes, garbage) driven by a [`FaultPlan`], with
-//!   per-fault counters and bit-identical replay;
+//!   per-fault counters and bit-identical replay — what one client (the
+//!   local root's refresh) sees of its upstreams;
 //! * [`loadgen`] — a multithreaded load generator replaying seeded,
 //!   B-Root-shaped query mixes (Ginesin & Mirkovic's composition study)
-//!   from simulated clients against per-site engines, with log-bucketed
-//!   latency histograms (p50/p95/p99) and throughput reporting;
+//!   from simulated clients against per-site engines, one datagram at a
+//!   time, with log-bucketed latency histograms (p50/p95/p99) and
+//!   throughput reporting;
 //! * [`rrl`] — [`Rrl`]: BIND-style response-rate limiting with
 //!   per-(source-prefix, response-class) fixed-window budgets and
 //!   slip/TC behavior, epoch-swapped alongside the serving state;
@@ -40,7 +42,8 @@
 //!   [`HealthTimeline`] the farm's failover steering reads;
 //! * [`recovery`] — deterministic site failure injection
 //!   ([`FailurePlan`]: crash / stall / blackhole windows, poisoned
-//!   reloads) and the recovery controller ([`run_control_plane`]):
+//!   reloads; the one model of a serving site going dark, which
+//!   [`Farm::run_chaos`] plays) and the recovery controller ([`run_control_plane`]):
 //!   capped-exponential restart backoff on the shared virtual clock,
 //!   producing the piecewise-constant [`ControlPlane`] that keeps chaos
 //!   runs bit-identical across shard counts.

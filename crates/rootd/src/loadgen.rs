@@ -12,9 +12,9 @@
 //! The generator shares the farm's partition ([`netsim::shard`]) and
 //! steering but keeps its own delivery: every query is a single-shot
 //! [`crate::Rootd::serve_udp_into`] call on raw bytes (answer cache first,
-//! fallback parse → respond → encode otherwise) or, in fault mode, a
-//! client retry loop over a [`FaultyTransport`] — the per-datagram path
-//! tests hold the farm's batched path against. Query content derives
+//! fallback parse → respond → encode otherwise) — the per-datagram path
+//! tests hold the farm's batched path against. Sites going dark are the
+//! farm's business ([`Farm::run_chaos`]), not the generator's. Query content derives
 //! from the global query index alone, so every seeded counter of a
 //! [`LoadReport`] is identical for any worker-thread count. Latency is
 //! recorded per query into a log-bucketed histogram (16 sub-buckets per
@@ -27,14 +27,10 @@
 
 use crate::engine::ServeOutcome;
 use crate::farm::{Farm, Tally};
-use crate::faults::{FaultCounters, FaultPlan, FaultyTransport};
 use crate::rrl::ResponseClass;
-use crate::transport::{InprocTransport, Transport};
 use dns_wire::{Message, Name, Question, RrType};
 use netsim::rng::SimRng;
 use netsim::shard::{self, Merge};
-use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The shape of generated traffic.
@@ -96,8 +92,8 @@ impl Default for QueryMix {
 /// query `g` arrives at `start_ms + g * interarrival_ms`, and each retry
 /// waits one client timeout. Arrival instants are a pure function of the
 /// global query index — not of which worker runs it or what any shared
-/// clock reads — which is what keeps time-windowed fault totals
-/// independent of the worker-thread count.
+/// clock reads — which is what keeps time-windowed failure totals
+/// independent of the worker or shard count.
 #[derive(Debug, Clone, Copy)]
 pub struct ArrivalSchedule {
     /// Virtual instant of the first query.
@@ -128,16 +124,6 @@ pub struct LoadgenConfig {
     /// global index.
     pub seed: u64,
     pub mix: QueryMix,
-    /// When set, every query travels through a [`FaultyTransport`]
-    /// executing this plan (keyed per site), and the client side runs a
-    /// retry loop with client-visible timeout/retry counters. `None` is
-    /// the direct zero-allocation serve path.
-    pub faults: Option<FaultPlan>,
-    /// When set (fault mode only), each attempt is pinned to its
-    /// scheduled virtual instant, so the plan's *time* windows — outages,
-    /// scenario events projected by `fault_plan_on_clock` — hit exactly
-    /// the queries that arrive inside them, on any thread count.
-    pub arrivals: Option<ArrivalSchedule>,
 }
 
 impl LoadgenConfig {
@@ -149,8 +135,6 @@ impl LoadgenConfig {
             threads: 2,
             seed,
             mix: QueryMix::broot(),
-            faults: None,
-            arrivals: None,
         }
     }
 }
@@ -174,15 +158,6 @@ pub struct LoadReport {
     pub p99_ns: u64,
     /// Queries answered per site id.
     pub per_site: Vec<(u32, usize)>,
-    /// Client-visible timeouts (dropped or dead exchanges), fault mode
-    /// only. Seeded: independent of the worker-thread count.
-    pub timeouts: usize,
-    /// Client retries issued after a failed attempt, fault mode only.
-    pub retries: usize,
-    /// Queries that got no usable response within the retry budget.
-    pub unanswered: usize,
-    /// Injected-fault totals merged across every per-site transport.
-    pub fault_counters: FaultCounters,
 }
 
 impl LoadReport {
@@ -211,18 +186,6 @@ impl LoadReport {
             self.cache_hits,
             self.cache_misses,
             self.per_site.len()
-        )
-    }
-
-    /// The client-side fault summary (meaningful when the run had a
-    /// fault plan). Deterministic like `render_counts`.
-    pub fn render_faults(&self) -> String {
-        format!(
-            "client timeouts {:>11}\nclient retries {:>12}\nunanswered     {:>12}\ninjected: {}\n",
-            self.timeouts,
-            self.retries,
-            self.unanswered,
-            self.fault_counters.render(),
         )
     }
 
@@ -352,37 +315,6 @@ impl Merge for ResponseMix {
     }
 }
 
-/// Per-worker tallies, merged in shard-id order after the threads join:
-/// the farm's serve tally (one letter wide) plus the fault-mode client's
-/// counters.
-#[derive(Default)]
-struct WorkerStats {
-    tally: Tally,
-    timeouts: usize,
-    retries: usize,
-    unanswered: usize,
-    faults: FaultCounters,
-}
-
-impl Merge for WorkerStats {
-    fn merge(&mut self, other: WorkerStats) {
-        self.tally.merge(other.tally);
-        self.timeouts += other.timeouts;
-        self.retries += other.retries;
-        self.unanswered += other.unanswered;
-        self.faults.merge(&other.faults);
-    }
-}
-
-/// Client retry budget per query in fault mode (first try included).
-const CLIENT_ATTEMPTS: u64 = 3;
-
-/// Minimal response hygiene on raw bytes: long enough for a header, the
-/// ID we sent, and the QR bit set.
-fn response_is_plausible(resp: &[u8], query: &[u8]) -> bool {
-    resp.len() >= 12 && resp[0] == query[0] && resp[1] == query[1] && resp[2] & 0x80 != 0
-}
-
 /// The CHAOS names the generator probes (a strict subset of what sites
 /// answer, as in the B-Root composition study).
 const CHAOS_PROBES: [&str; 3] = ["hostname.bind.", "id.server.", "version.bind."];
@@ -493,89 +425,34 @@ pub fn run(farm: &Farm, cfg: &LoadgenConfig) -> LoadReport {
     let lf = &farm.letters[0];
     let clients = cfg.clients.max(1);
     let pool = farm.clients.len().max(1);
-    let plan = cfg.faults.clone().map(Arc::new);
     let started = Instant::now();
-    let merged = shard::fold(shard::run(cfg.queries, cfg.threads, |range| {
-        let mut stats = WorkerStats::default();
-        stats.tally.site_counts = vec![vec![0; lf.engines.len()]];
+    let tally = shard::fold(shard::run(cfg.queries, cfg.threads, |range| {
+        let mut tally = Tally::default();
+        tally.site_counts = vec![vec![0; lf.engines.len()]];
         // Per-worker scratch: the whole query/serve loop reuses these
         // two buffers, no per-query allocation.
         let mut wire = Vec::with_capacity(64);
         let mut resp = Vec::with_capacity(4096);
-        // Fault mode: one wrapped transport per site this worker talks
-        // to. Fault decisions are keyed by global query index, not
-        // per-transport sequence, so totals do not depend on how queries
-        // partition across workers.
-        let mut transports: HashMap<usize, FaultyTransport<InprocTransport>> = HashMap::new();
         for global in range {
             let slot = lf.slot(0, (global % clients) % pool);
             let engine = &lf.engines[slot];
             let mut rng = SimRng::new(cfg.seed).derive_ids(&[0x10ad, global as u64]);
             fill_query(&cfg.mix, &farm.templates, &mut rng, &mut wire);
-            if let Some(plan) = &plan {
-                let transport = transports.entry(slot).or_insert_with(|| {
-                    FaultyTransport::new(
-                        InprocTransport::new(Arc::clone(engine)),
-                        Arc::clone(plan),
-                        u64::from(lf.site_ids[slot]),
-                    )
-                });
-                let t0 = Instant::now();
-                let mut answered = false;
-                for attempt in 0..CLIENT_ATTEMPTS {
-                    transport.with_next_key((global as u64) * CLIENT_ATTEMPTS + attempt);
-                    if let Some(sched) = cfg.arrivals {
-                        // Pin the attempt to its scheduled virtual
-                        // instant: window membership becomes a pure
-                        // function of the global index, so no thread's
-                        // progress can skew which fault window another
-                        // thread's queries land in.
-                        transport.at_time(sched.attempt_at(
-                            global as u64,
-                            attempt,
-                            plan.client_timeout_ms,
-                        ));
-                    }
-                    // Scratch-slab path: the answer lands in the reused
-                    // `resp` buffer, no per-attempt `Vec`.
-                    match transport.exchange_udp_into(&wire, &mut resp) {
-                        Ok(true) if response_is_plausible(&resp, &wire) => {
-                            stats.tally.answered((0, slot), &resp);
-                            answered = true;
-                            break;
-                        }
-                        Ok(true) => {} // garbage/bitflipped: retry
-                        Ok(false) | Err(_) => stats.timeouts += 1,
-                    }
-                    if attempt + 1 < CLIENT_ATTEMPTS {
-                        stats.retries += 1;
-                    }
-                }
-                stats.tally.latency.record(t0.elapsed().as_nanos() as u64);
-                if !answered {
-                    stats.unanswered += 1;
-                }
-                continue;
-            }
             let t0 = Instant::now();
             let outcome = engine.serve_udp_into(&wire, &mut resp);
-            stats.tally.latency.record(t0.elapsed().as_nanos() as u64);
+            tally.latency.record(t0.elapsed().as_nanos() as u64);
             match outcome {
-                ServeOutcome::CacheHit => stats.tally.hits += 1,
-                ServeOutcome::Fallback => stats.tally.fallbacks += 1,
-                ServeOutcome::Dropped => stats.tally.dropped += 1,
+                ServeOutcome::CacheHit => tally.hits += 1,
+                ServeOutcome::Fallback => tally.fallbacks += 1,
+                ServeOutcome::Dropped => tally.dropped += 1,
             }
             if outcome != ServeOutcome::Dropped {
-                stats.tally.answered((0, slot), &resp);
+                tally.answered((0, slot), &resp);
             }
         }
-        for transport in transports.values() {
-            stats.faults.merge(&transport.counters());
-        }
-        stats
+        tally
     }));
     let elapsed = started.elapsed();
-    let tally = &merged.tally;
     let per_site = (lf.site_ids.iter().zip(&tally.site_counts[0]))
         .filter(|&(_, &n)| n > 0)
         .map(|(&site, &n)| (site, n as usize))
@@ -594,10 +471,6 @@ pub fn run(farm: &Farm, cfg: &LoadgenConfig) -> LoadReport {
         p95_ns: tally.latency.quantile(0.95),
         p99_ns: tally.latency.quantile(0.99),
         per_site,
-        timeouts: merged.timeouts,
-        retries: merged.retries,
-        unanswered: merged.unanswered,
-        fault_counters: merged.faults,
     }
 }
 
@@ -610,8 +483,13 @@ mod tests {
     use netsim::topology::{Topology, TopologyConfig};
     use rss::catalog::{RootCatalog, WorldConfig};
     use rss::RootLetter;
+    use std::sync::Arc;
 
     fn fleet() -> Farm {
+        world().1
+    }
+
+    fn world() -> (Topology, Farm) {
         let mut topology = Topology::generate(&TopologyConfig {
             tier2_per_region: 4,
             stubs_per_region: [4, 8, 16, 12, 4, 6],
@@ -632,13 +510,14 @@ mod tests {
             },
             &ZoneKeys::from_seed(3),
         );
-        Farm::build(
+        let farm = Farm::build(
             &topology,
             &catalog,
             Arc::new(zone),
             &[RootLetter::B],
             usize::MAX,
-        )
+        );
+        (topology, farm)
     }
 
     #[test]
@@ -846,141 +725,35 @@ mod tests {
     }
 
     #[test]
-    fn fault_mode_totals_ignore_worker_count() {
-        use crate::faults::FaultSpec;
-        let fleet = fleet();
-        // Loss only: the drop decision is a pure function of the global
-        // per-query key, and whether a *delivered* response is accepted
-        // never depends on worker partitioning. (Corruption classes are
-        // content-dependent — a flip may or may not hit the header —
-        // and are asserted separately below.)
-        let cfg = LoadgenConfig {
-            queries: 2_000,
-            faults: Some(FaultPlan::clean(5).with_default(FaultSpec::loss(0.2))),
-            ..LoadgenConfig::tiny(7)
-        };
-        let a = run(&fleet, &cfg);
-        let b = run(
-            &fleet,
-            &LoadgenConfig {
-                threads: 5,
-                ..cfg.clone()
-            },
-        );
-        assert_eq!(a.timeouts, b.timeouts);
-        assert_eq!(a.retries, b.retries);
-        assert_eq!(a.unanswered, b.unanswered);
-        assert_eq!(a.fault_counters, b.fault_counters);
-        // 20% loss over 2000 queries must surface client-visible faults…
-        assert!(a.timeouts > 0);
-        assert!(a.retries > 0);
-        // Every retry follows a timeout here, but a drop on a query's
-        // *last* attempt times out with no retry left.
-        assert!(a.retries <= a.timeouts);
-        assert_eq!(a.fault_counters.drops as usize, a.timeouts);
-        // …and every query either got a plausible answer or is counted
-        // unanswered.
-        assert_eq!(a.responses + a.unanswered, cfg.queries);
-        // The retry budget beats 20% loss almost always.
-        assert!(
-            a.unanswered < cfg.queries / 50,
-            "{} unanswered",
-            a.unanswered
-        );
-    }
-
-    #[test]
     fn arrival_schedule_pins_time_windows_across_worker_counts() {
-        use crate::faults::FaultSpec;
-        let fleet = fleet();
-        // All sites go dark for the first virtual second. With one query
-        // arriving per virtual ms, exactly the first 1000 queries start
-        // inside the window — and their first retry (one client timeout
-        // later) lands outside it.
-        let plan = FaultPlan::clean(5).with_default(FaultSpec {
-            blackholes: vec![(0, 1_000)],
-            ..FaultSpec::clean()
-        });
-        let cfg = LoadgenConfig {
-            queries: 2_000,
-            faults: Some(plan),
-            arrivals: Some(ArrivalSchedule {
-                start_ms: 0,
-                interarrival_ms: 1,
-            }),
-            ..LoadgenConfig::tiny(7)
-        };
-        let a = run(&fleet, &cfg);
-        assert_eq!(a.fault_counters.blackholed, 1_000);
-        assert_eq!(a.timeouts, 1_000);
-        assert_eq!(a.retries, 1_000);
-        assert_eq!(a.unanswered, 0);
-        assert_eq!(a.responses, cfg.queries);
-        // Window membership is a pure function of the global query index,
-        // so no worker count can shift which queries the outage hits.
-        for threads in [1, 5] {
-            let b = run(
-                &fleet,
-                &LoadgenConfig {
-                    threads,
-                    ..cfg.clone()
-                },
-            );
-            assert_eq!(a.fault_counters, b.fault_counters);
-            assert_eq!(a.timeouts, b.timeouts);
-            assert_eq!(a.retries, b.retries);
-            assert_eq!(a.unanswered, b.unanswered);
+        use crate::farm::{ChaosOutcome, FarmChaosConfig};
+        use crate::recovery::FailureKind;
+        let (topology, fleet) = world();
+        // Every site goes dark for the first virtual second. With one
+        // query arriving per virtual ms, exactly the first 1000 queries
+        // start inside the window and no later one does, so exactly they
+        // are hedged or go unanswered.
+        let mut cfg = FarmChaosConfig::tiny(7, 0);
+        cfg.farm.queries = 2_000;
+        for &site in &fleet.letters[0].site_ids {
+            cfg.plan
+                .add(RootLetter::B, site, FailureKind::Blackhole, (0, 1_000));
         }
-    }
-
-    #[test]
-    fn corrupting_fault_mode_is_deterministic_per_partition() {
-        use crate::faults::FaultSpec;
-        let fleet = fleet();
-        let spec = FaultSpec {
-            drop_prob: 0.1,
-            bitflip_prob: 0.05,
-            garbage_prob: 0.02,
-            ..FaultSpec::clean()
+        let a = fleet.run_chaos(&topology, &cfg);
+        let dark = |flag: &u8| {
+            let outcome = (flag >> 2) & 0x07;
+            outcome == ChaosOutcome::ServedHedged as u8 || outcome == ChaosOutcome::Unanswered as u8
         };
-        let cfg = LoadgenConfig {
-            queries: 2_000,
-            faults: Some(FaultPlan::clean(9).with_default(spec)),
-            ..LoadgenConfig::tiny(7)
-        };
-        let a = run(&fleet, &cfg);
-        let b = run(&fleet, &cfg);
-        assert_eq!(a.timeouts, b.timeouts);
-        assert_eq!(a.retries, b.retries);
-        assert_eq!(a.unanswered, b.unanswered);
-        assert_eq!(a.fault_counters, b.fault_counters);
-        assert_eq!(a.responses, b.responses);
-        assert!(a.fault_counters.bitflips > 0);
-        assert!(a.fault_counters.garbage > 0);
-    }
-
-    #[test]
-    fn clean_plan_fault_mode_matches_direct_path_counts() {
-        let fleet = fleet();
-        let direct = LoadgenConfig {
-            queries: 2_000,
-            ..LoadgenConfig::tiny(7)
-        };
-        let wrapped = LoadgenConfig {
-            faults: Some(FaultPlan::clean(1)),
-            ..direct.clone()
-        };
-        let a = run(&fleet, &direct);
-        let b = run(&fleet, &wrapped);
-        // Same seeded query stream, zero faults: identical response
-        // classification either way.
-        assert_eq!(a.responses, b.responses);
-        assert_eq!(a.nxdomain, b.nxdomain);
-        assert_eq!(a.referrals, b.referrals);
-        assert_eq!(a.per_site, b.per_site);
-        assert_eq!(b.timeouts, 0);
-        assert_eq!(b.unanswered, 0);
-        assert_eq!(b.fault_counters.total_faults(), 0);
-        assert_eq!(b.fault_counters.clean, b.fault_counters.exchanges);
+        assert!(a.flags[..1_000].iter().all(dark));
+        assert!(!a.flags[1_000..].iter().any(dark));
+        assert_eq!(a.served_hedged + a.unanswered, 1_000);
+        // Window membership is a pure function of the global query index,
+        // so no shard count can shift which queries the outage hits.
+        for shards in [1, 5] {
+            cfg.farm.shards = shards;
+            let b = fleet.run_chaos(&topology, &cfg);
+            assert_eq!(a.flags, b.flags, "{shards} shards");
+            assert_eq!(a.fingerprint(), b.fingerprint(), "{shards} shards");
+        }
     }
 }

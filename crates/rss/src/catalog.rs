@@ -576,6 +576,34 @@ mod tests {
         (t, cat)
     }
 
+    /// The catalog reaches cities through two lookup routes — hub and
+    /// pinned cities by name, the rest by region — and must key one
+    /// facility per (city, index) either way, at every optimisation level.
+    #[test]
+    fn one_facility_per_city_and_index_across_lookup_routes() {
+        let (_, cat) = built();
+        let mut seen = std::collections::HashSet::new();
+        for f in cat.facilities.all() {
+            assert!(
+                seen.insert((f.city.iata, f.index_in_city)),
+                "two facilities at {}#{}",
+                f.city.iata,
+                f.index_in_city
+            );
+        }
+        for region in Region::ALL {
+            let hub = hub_city(region);
+            let listed = CityDb::in_region(region).find(|c| c.name == hub.name);
+            // One table behind both routes (`CITIES` is a `static`).
+            assert!(listed.is_some_and(|c| std::ptr::eq(c, hub)), "{}", hub.name);
+            assert!(
+                seen.contains(&(hub.iata, 0)),
+                "no hub facility at {}",
+                hub.name
+            );
+        }
+    }
+
     #[test]
     fn ground_truth_matches_table1_scale() {
         // Worldwide sums must be near the paper's Table 1 (exact for the

@@ -12,17 +12,14 @@
 //!   address.
 //!
 //! This is the traffic-side sibling of [`crate::chaos`]: wire faults
-//! become a `FaultPlan` for the transports, attack traffic becomes an
-//! `AttackPlan` for the loadgen, and both ride the same [`simclock`]
-//! axis so one projection serves an entire clock-driven run.
-//!
-//! Two projections exist, mirroring the chaos pair:
-//! [`attack_plan_at`] freezes the attack active at one wall instant,
-//! while [`attack_plan_on_clock`] maps every event window onto the
-//! shared axis. The `Traffic` scope's overlap validation guarantees at
-//! most one attack per letter at any instant, so the frozen projection
-//! yields zero or one window.
+//! become a `FaultPlan` for the transports, site failures a
+//! `FailurePlan` for the farm, attack traffic an `AttackPlan` for the
+//! attack engine, and all three ride the same [`simclock`] axis so one
+//! projection serves an entire clock-driven run. The `Traffic` scope's
+//! overlap validation guarantees at most one attack per letter at any
+//! instant.
 
+use crate::chaos::window_on;
 use crate::event::EventKind;
 use crate::timeline::Scenario;
 use rootd::attack::WATER_TORTURE_BOTNET;
@@ -63,35 +60,10 @@ fn event_shape(kind: &EventKind, letter: RootLetter) -> Option<AttackShape> {
 }
 
 /// Seed the projected plan's attack streams derive from. Distinct from
-/// both chaos projections' xors so the three fault/attack streams never
-/// correlate.
+/// both chaos projections' xors so the three fault/failure/attack
+/// streams never correlate.
 fn plan_seed(scenario: &Scenario) -> u64 {
     scenario.seed() ^ 0xa77a_c400
-}
-
-/// The attack plan in force against `letter` at wall instant `t`: the
-/// (at most one, by `Scope::Traffic` overlap validation) active attack
-/// becomes a single all-time window, for code that steps time itself.
-/// The plan seed derives from the scenario seed, so the same scenario at
-/// the same instant always yields the same attack stream.
-pub fn attack_plan_at(scenario: &Scenario, letter: RootLetter, t: u32) -> AttackPlan {
-    let mut plan = AttackPlan {
-        seed: plan_seed(scenario),
-        windows: Vec::new(),
-    };
-    for event in scenario.events() {
-        if t < event.at || t >= event.effective_until() {
-            continue;
-        }
-        if let Some(shape) = event_shape(&event.kind, letter) {
-            plan.windows.push(AttackWindow {
-                start_ms: 0,
-                end_ms: u64::MAX,
-                shape,
-            });
-        }
-    }
-    plan
 }
 
 /// The whole scenario's adversarial traffic against `letter` projected
@@ -106,19 +78,14 @@ pub fn attack_plan_on_clock(scenario: &Scenario, letter: RootLetter, axis: TimeA
         windows: Vec::new(),
     };
     for event in scenario.events() {
-        let Some(shape) = event_shape(&event.kind, letter) else {
-            continue;
-        };
-        let start = axis.wall_to_ms(event.at);
-        let end = match event.until {
-            Some(until) => axis.wall_to_ms(until),
-            None => u64::MAX,
-        };
-        plan.windows.push(AttackWindow {
-            start_ms: start,
-            end_ms: end,
-            shape,
-        });
+        if let Some(shape) = event_shape(&event.kind, letter) {
+            let (start_ms, end_ms) = window_on(axis, event);
+            plan.windows.push(AttackWindow {
+                start_ms,
+                end_ms,
+                shape,
+            });
+        }
     }
     plan
 }
@@ -175,44 +142,48 @@ mod tests {
         .unwrap()
     }
 
+    /// The attack against `letter` at wall second `t` of `scenario()`,
+    /// on an axis anchored at second 0.
+    fn shape_at(letter: RootLetter, t: u32) -> Option<AttackShape> {
+        let axis = simclock::TimeAxis::anchored_at(0);
+        attack_plan_on_clock(&scenario(), letter, axis).shape_at(axis.wall_to_ms(t))
+    }
+
     #[test]
     fn active_attacks_project_to_shapes() {
-        let s = scenario();
-        let b = attack_plan_at(&s, RootLetter::B, 150);
         assert_eq!(
-            b.shape_at(0),
+            shape_at(RootLetter::B, 150),
             Some(AttackShape::WaterTorture {
                 intensity: 10,
                 botnet: WATER_TORTURE_BOTNET,
             })
         );
-        assert_eq!(b.windows.len(), 1);
-        let d = attack_plan_at(&s, RootLetter::D, 150);
         assert_eq!(
-            d.shape_at(0),
+            shape_at(RootLetter::D, 150),
             Some(AttackShape::QueryStorm {
                 client: 3,
                 intensity: 20,
             })
         );
         // An uninvolved letter is quiet; faults never project.
-        assert_eq!(attack_plan_at(&s, RootLetter::K, 150).windows, vec![]);
+        let axis = simclock::TimeAxis::anchored_at(0);
+        assert_eq!(
+            attack_plan_on_clock(&scenario(), RootLetter::K, axis).windows,
+            vec![]
+        );
     }
 
     #[test]
     fn expired_and_future_attacks_do_not_project() {
-        let s = scenario();
-        assert!(attack_plan_at(&s, RootLetter::B, 50).windows.is_empty());
+        assert_eq!(shape_at(RootLetter::B, 50), None);
         // Flood [100, 200) is over at 220, reflection [250, 300) not yet on.
-        assert!(attack_plan_at(&s, RootLetter::B, 220).windows.is_empty());
+        assert_eq!(shape_at(RootLetter::B, 220), None);
         assert!(matches!(
-            attack_plan_at(&s, RootLetter::B, 260).shape_at(0),
+            shape_at(RootLetter::B, 260),
             Some(AttackShape::Reflection { victim: 7, .. })
         ));
         // The permanent storm on D never expires.
-        assert!(attack_plan_at(&s, RootLetter::D, u32::MAX - 1)
-            .shape_at(0)
-            .is_some());
+        assert!(shape_at(RootLetter::D, u32::MAX - 1).is_some());
     }
 
     #[test]
@@ -235,15 +206,6 @@ mod tests {
         // The permanent storm on D never ends on the axis either.
         let d = attack_plan_on_clock(&s, RootLetter::D, axis);
         assert!(d.shape_at(u64::MAX - 1).is_some());
-        // At any instant, the clock plan agrees with the frozen plan.
-        for t in [50u32, 150, 220, 260, 400] {
-            let frozen = attack_plan_at(&s, RootLetter::B, t);
-            assert_eq!(
-                frozen.shape_at(0),
-                plan.shape_at(axis.wall_to_ms(t)),
-                "divergence at t={t}"
-            );
-        }
     }
 
     #[test]
@@ -251,7 +213,10 @@ mod tests {
         let s = scenario();
         let axis = simclock::TimeAxis::anchored_at(0);
         let plan = attack_plan_on_clock(&s, RootLetter::B, axis);
-        assert_eq!(plan.seed, attack_plan_at(&s, RootLetter::B, 150).seed);
+        assert_eq!(
+            plan.seed,
+            attack_plan_on_clock(&s, RootLetter::B, axis).seed
+        );
         // Same scenario, different projection targets: seeds agree (the
         // letter selects windows, not streams) …
         assert_eq!(
@@ -263,7 +228,7 @@ mod tests {
         assert_ne!(plan.seed, crate::chaos::fault_plan_on_clock(&s, axis).seed);
         assert_ne!(
             plan.seed,
-            crate::chaos::fault_plan_for_fleet(&s, RootLetter::B, axis).seed
+            crate::chaos::failure_plan_on_clock(&s, axis, &[]).seed
         );
     }
 }

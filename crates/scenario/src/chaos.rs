@@ -1,8 +1,12 @@
-//! Scenario events projected onto the wire: a [`Scenario`]'s active
-//! change events, viewed from one client, become a `rootd`
-//! [`FaultPlan`] that a `FaultyTransport` can execute.
+//! Scenario events projected onto the two failure models: what one
+//! client sees of the wire ([`fault_plan_on_clock`], a `rootd`
+//! [`FaultPlan`] for a `FaultyTransport`) and what the serving farm
+//! suffers ([`failure_plan_on_clock`], a [`FailurePlan`] for
+//! `Farm::run_chaos`). Both map every event window onto one shared
+//! [`simclock`] axis, so one plan serves an entire clock-driven run.
 //!
-//! Only events with a wire-visible signature map to faults:
+//! From the client's seat, only events with a wire-visible signature
+//! map to faults:
 //!
 //! * [`DegradedMode::BitflipZone`] — transfers from the letter arrive
 //!   bit-flipped: a per-exchange `bitflip_prob` on both protocols;
@@ -17,14 +21,9 @@
 //! scenario engine's zone generation — they corrupt *data*, not the
 //! wire, and the refresh client must catch them via validation rather
 //! than transport errors.
-//!
-//! Two projections exist: [`fault_plan_at`] freezes the events active at
-//! one wall instant (for code that steps time itself), while
-//! [`fault_plan_on_clock`] maps every event window onto a shared
-//! [`simclock`] axis so one plan serves an entire clock-driven run.
 
 use crate::event::{DegradedMode, EventKind};
-use crate::timeline::Scenario;
+use crate::timeline::{Scenario, ScenarioEvent};
 use netsim::rng::SimRng;
 use rootd::recovery::FailureKind;
 use rootd::{FailurePlan, FaultPlan, FaultSpec};
@@ -36,22 +35,11 @@ use simclock::TimeAxis;
 /// producing client-visible timeouts.
 pub const BASE_RTT_MS: u64 = 40;
 
-/// The fault plan in force at instant `t`: every wire-visible event whose
-/// window covers `t` contributes a per-upstream spec, keyed by the
-/// letter's index. Upstreams without an active event stay clean. The plan
-/// seed derives from the scenario seed, so the same scenario at the same
-/// instant always yields the same fault stream.
-pub fn fault_plan_at(scenario: &Scenario, t: u32) -> FaultPlan {
-    let mut plan = FaultPlan::clean(scenario.seed() ^ 0xc4a0_5000);
-    for event in scenario.events() {
-        if t < event.at || t >= event.effective_until() {
-            continue;
-        }
-        if let Some((upstream, spec)) = event_spec(&event.kind) {
-            plan.set_both(upstream, spec);
-        }
-    }
-    plan
+/// `event`'s window `[start, end)` in virtual ms on `axis`; an open-ended
+/// event never ends.
+pub(crate) fn window_on(axis: TimeAxis, event: &ScenarioEvent) -> (u64, u64) {
+    let end = event.until.map_or(u64::MAX, |until| axis.wall_to_ms(until));
+    (axis.wall_to_ms(event.at), end)
 }
 
 /// The spec one wire-visible event contributes, independent of timing.
@@ -85,62 +73,30 @@ fn event_spec(kind: &EventKind) -> Option<(u64, FaultSpec)> {
     }
 }
 
-/// The whole scenario projected onto one virtual clock: every
-/// wire-visible event becomes a *windowed* per-upstream spec on the
+/// The client-seat projection: every wire-visible event becomes a
+/// *windowed* spec on the upstream keyed by its letter's index, on the
 /// `axis` that maps the scenario's wall-clock seconds onto virtual
-/// milliseconds. Unlike [`fault_plan_at`] — one frozen instant per call —
-/// the returned plan covers the full timeline, so a transport driven by a
-/// shared [`simclock::ClockHandle`] moves *through* the event windows as
-/// its clients spend time: the same plan serves the whole run, and every
-/// fault decision stays a pure function of `(scenario seed, exchange
-/// key)`.
+/// milliseconds. Upstreams without an event stay clean. The plan covers
+/// the full timeline, so a transport driven by a shared
+/// [`simclock::ClockHandle`] moves *through* the event windows as its
+/// client spends time, and every fault decision stays a pure function of
+/// `(scenario seed, exchange number)`.
 pub fn fault_plan_on_clock(scenario: &Scenario, axis: TimeAxis) -> FaultPlan {
     let mut plan = FaultPlan::clean(scenario.seed() ^ 0xc4a0_5000);
     for event in scenario.events() {
-        let Some((upstream, spec)) = event_spec(&event.kind) else {
-            continue;
-        };
-        let start = axis.wall_to_ms(event.at);
-        let end = match event.until {
-            Some(until) => axis.wall_to_ms(until),
-            None => u64::MAX,
-        };
-        plan.set_both_windowed(upstream, (start, end), spec);
-    }
-    plan
-}
-
-/// The *fleet*-side projection of the same scenario: the load generator
-/// keys its per-site transports by site id (which anycast site answers a
-/// client), so an outage of one of `letter`'s sites becomes a blackhole
-/// window on that site's transport, on the same `axis` the client-seat
-/// plan uses. Letter-wide wire events (RTT inflation, zone bitflips)
-/// describe what *clients of the letter as a whole* experience and stay
-/// with [`fault_plan_on_clock`]; a site outage is the only event
-/// addressed to a specific site.
-pub fn fault_plan_for_fleet(scenario: &Scenario, letter: RootLetter, axis: TimeAxis) -> FaultPlan {
-    let mut plan = FaultPlan::clean(scenario.seed() ^ 0xc4a0_5117);
-    for event in scenario.events() {
-        let EventKind::SiteOutage { letter: l, site } = event.kind else {
-            continue;
-        };
-        if l != letter {
-            continue;
+        if let Some((upstream, spec)) = event_spec(&event.kind) {
+            plan.set_both_windowed(upstream, window_on(axis, event), spec);
         }
-        let start = axis.wall_to_ms(event.at);
-        let end = match event.until {
-            Some(until) => axis.wall_to_ms(until),
-            None => u64::MAX,
-        };
-        plan.set_both_windowed(u64::from(site.0), (start, end), FaultSpec::blackhole());
     }
     plan
 }
 
 /// The *farm*-side projection: scenario events become a site-level
 /// [`FailurePlan`] the serving farm's chaos runner executes against its
-/// health/recovery control plane, on the same `axis` as the client and
-/// fleet plans.
+/// health/recovery control plane, on the same `axis` as the client-seat
+/// plan. This is the one model of a serving site going dark: seen from
+/// the clients, an outage is a catchment shift (the dark site's
+/// announcement is withdrawn and its clients re-steer).
 ///
 /// * [`EventKind::SiteOutage`] — the site goes dark for the window. A
 ///   seeded coin decides *how*: an engine **crash** (needs the recovery
@@ -158,7 +114,7 @@ pub fn fault_plan_for_fleet(scenario: &Scenario, letter: RootLetter, axis: TimeA
 /// `roster` lists each letter's served site ids (what `Farm::letters`
 /// exposes) so letter-wide events fan out to the letter's actual sites.
 /// The plan seed is derived from the scenario seed with its own tag —
-/// distinct from the client-seat and fleet fault streams.
+/// distinct from the client-seat fault stream.
 pub fn failure_plan_on_clock(
     scenario: &Scenario,
     axis: TimeAxis,
@@ -173,11 +129,7 @@ pub fn failure_plan_on_clock(
             .unwrap_or(&[])
     };
     for event in scenario.events() {
-        let start = axis.wall_to_ms(event.at);
-        let end = match event.until {
-            Some(until) => axis.wall_to_ms(until),
-            None => u64::MAX,
-        };
+        let (start, end) = window_on(axis, event);
         match event.kind {
             EventKind::SiteOutage { letter, site } => {
                 let crash = SimRng::new(plan.seed)
@@ -250,35 +202,42 @@ mod tests {
         .unwrap()
     }
 
+    /// The client-seat plan at wall second `t` of `scenario()`, on an
+    /// axis anchored at second 0.
+    fn spec_at(letter: RootLetter, proto: Protocol, t: u32) -> FaultSpec {
+        let axis = simclock::TimeAxis::anchored_at(0);
+        let plan = fault_plan_on_clock(&scenario(), axis);
+        plan.spec_at(letter.index() as u64, proto, axis.wall_to_ms(t))
+            .clone()
+    }
+
     #[test]
     fn active_events_project_to_specs() {
-        let s = scenario();
-        let plan = fault_plan_at(&s, 160);
-        let a = RootLetter::A.index() as u64;
-        let c = RootLetter::C.index() as u64;
-        let d = RootLetter::D.index() as u64;
-        assert!(!plan.spec(a, Protocol::Udp).blackholes.is_empty());
-        assert_eq!(plan.spec(c, Protocol::Tcp).bitflip_prob, 0.25);
-        assert_eq!(plan.spec(d, Protocol::Udp).delay_ms, 50 * BASE_RTT_MS);
+        assert!(!spec_at(RootLetter::A, Protocol::Udp, 160)
+            .blackholes
+            .is_empty());
+        assert_eq!(
+            spec_at(RootLetter::C, Protocol::Tcp, 160).bitflip_prob,
+            0.25
+        );
+        assert_eq!(
+            spec_at(RootLetter::D, Protocol::Udp, 160).delay_ms,
+            50 * BASE_RTT_MS
+        );
         // An uninvolved letter stays clean.
-        let k = RootLetter::K.index() as u64;
-        assert!(plan.spec(k, Protocol::Udp).is_clean());
+        assert!(spec_at(RootLetter::K, Protocol::Udp, 160).is_clean());
     }
 
     #[test]
     fn expired_and_future_events_do_not_project() {
-        let s = scenario();
-        let before = fault_plan_at(&s, 50);
-        let c = RootLetter::C.index() as u64;
-        assert!(before.spec(c, Protocol::Udp).is_clean());
+        assert!(spec_at(RootLetter::C, Protocol::Udp, 50).is_clean());
         // Bitflip window [100, 200) is over at 250; the outage isn't.
-        let later = fault_plan_at(&s, 250);
-        assert!(later.spec(c, Protocol::Udp).is_clean());
-        let a = RootLetter::A.index() as u64;
-        assert!(!later.spec(a, Protocol::Udp).blackholes.is_empty());
+        assert!(spec_at(RootLetter::C, Protocol::Udp, 250).is_clean());
+        assert!(!spec_at(RootLetter::A, Protocol::Udp, 250)
+            .blackholes
+            .is_empty());
         // Permanent RttInflation never expires.
-        let d = RootLetter::D.index() as u64;
-        assert!(!later.spec(d, Protocol::Udp).is_clean());
+        assert!(!spec_at(RootLetter::D, Protocol::Udp, 250).is_clean());
     }
 
     #[test]
@@ -306,40 +265,23 @@ mod tests {
             plan.spec_at(d, Protocol::Udp, u64::MAX - 1).delay_ms,
             50 * BASE_RTT_MS
         );
-        // At any instant, the clock plan agrees with the frozen plan.
-        for t in [50u32, 160, 250] {
-            let frozen = fault_plan_at(&s, t);
-            let t_ms = axis.wall_to_ms(t);
-            for u in [a, c, d] {
-                assert_eq!(
-                    frozen.spec(u, Protocol::Udp),
-                    plan.spec_at(u, Protocol::Udp, t_ms),
-                    "divergence at t={t} upstream={u}"
-                );
-            }
-        }
     }
 
     #[test]
     fn fleet_plan_keys_outages_by_site_id() {
         let s = scenario();
         let axis = simclock::TimeAxis::anchored_at(0);
-        // Only the outage addresses a site, and only A's fleet sees it.
-        let plan = fault_plan_for_fleet(&s, RootLetter::A, axis);
-        assert!(!plan
-            .spec_at(0, Protocol::Udp, 150_000)
-            .blackholes
-            .is_empty());
-        assert!(plan.spec_at(0, Protocol::Udp, 99_999).is_clean());
-        assert!(plan.spec_at(0, Protocol::Udp, 300_000).is_clean());
-        // Letter-wide events (bitflip on C, RTT on D) do not project to
-        // any site of their fleets — they are client-seat faults.
-        let c_fleet = fault_plan_for_fleet(&s, RootLetter::C, axis);
-        assert!(c_fleet.spec_at(0, Protocol::Tcp, 150_000).is_clean());
-        // An uninvolved fleet's plan is clean everywhere.
-        let d_fleet = fault_plan_for_fleet(&s, RootLetter::D, axis);
-        assert!(d_fleet.spec_at(0, Protocol::Udp, 200_000).is_clean());
-        // The two projections derive distinct fault streams.
+        // The fleet side is the farm's failure plan: only the outage
+        // addresses a site, and only A's site 0 — not A's other sites,
+        // nor site 0 of another letter.
+        let plan = failure_plan_on_clock(&s, axis, &[]);
+        assert_eq!(plan.windows_for(RootLetter::A, 0).len(), 1);
+        assert!(plan.windows_for(RootLetter::A, 1).is_empty());
+        assert!(plan.windows_for(RootLetter::C, 0).is_empty());
+        // With no roster, the letter-wide RTT inflation has no site to
+        // stall: the outage is the plan's only window.
+        assert_eq!(plan.faulted_sites(), 1);
+        // The two projections derive distinct streams.
         assert_ne!(plan.seed, fault_plan_on_clock(&s, axis).seed);
     }
 
@@ -452,20 +394,18 @@ mod tests {
         );
         assert_eq!(plan.poisoned_reloads, again.poisoned_reloads);
         assert_ne!(plan.seed, fault_plan_on_clock(&s, axis).seed);
-        assert_ne!(
-            plan.seed,
-            fault_plan_for_fleet(&s, RootLetter::A, axis).seed
-        );
     }
 
     #[test]
     fn plan_seed_is_a_pure_function_of_the_scenario_seed() {
         let s = scenario();
-        assert_eq!(fault_plan_at(&s, 160).seed, fault_plan_at(&s, 160).seed);
+        let axis = simclock::TimeAxis::anchored_at(0);
+        let seed = |s: &Scenario| fault_plan_on_clock(s, axis).seed;
+        assert_eq!(seed(&s), seed(&s));
         assert_ne!(
-            fault_plan_at(&s, 160).seed,
+            seed(&s),
             Scenario::new("other", 12, vec![])
-                .map(|o| fault_plan_at(&o, 160).seed)
+                .map(|o| seed(&o))
                 .unwrap()
         );
     }

@@ -118,12 +118,13 @@ impl ScenarioEngine {
     }
 
     /// The virtual-time axis of this engine's runs: virtual millisecond 0
-    /// is the measurement schedule's start second. Epoch boundaries,
-    /// [`crate::chaos::fault_plan_on_clock`] windows, and any client
-    /// driven by a shared [`simclock::ClockHandle`] all map wall time
-    /// through this one anchor, which is what keeps the four formerly
-    /// private timelines (rounds, epochs, fault windows, client waits)
-    /// on a single axis.
+    /// is the measurement schedule's start second. Epoch boundaries, the
+    /// windows of [`crate::chaos::fault_plan_on_clock`],
+    /// [`crate::chaos::failure_plan_on_clock`] and
+    /// [`crate::attack::attack_plan_on_clock`], and any client driven by
+    /// a shared [`simclock::ClockHandle`] all map wall time through this
+    /// one anchor, which is what keeps rounds, epochs, fault windows and
+    /// client waits on a single axis.
     pub fn time_axis(&self) -> simclock::TimeAxis {
         simclock::TimeAxis::anchored_at(self.config.base.schedule.start)
     }

@@ -33,8 +33,8 @@ pub mod report;
 pub mod snapshot;
 pub mod timeline;
 
-pub use attack::{attack_plan_at, attack_plan_on_clock};
-pub use chaos::{failure_plan_on_clock, fault_plan_at, fault_plan_for_fleet, fault_plan_on_clock};
+pub use attack::attack_plan_on_clock;
+pub use chaos::{failure_plan_on_clock, fault_plan_on_clock};
 pub use engine::{EpochRun, EpochZone, ScenarioConfig, ScenarioEngine, ScenarioRun};
 pub use event::{DegradedMode, EventKind, Scope};
 pub use report::epoch_diff;

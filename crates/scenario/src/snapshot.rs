@@ -73,8 +73,9 @@ pub fn apply_event(world: &mut World, kind: EventKind) -> (WorldSnapshot, bool) 
         // measurement already targets both prefixes and the analysis/trace
         // layers read the change date from the scenario. Attack traffic
         // mutates nothing server-side either — it projects onto the
-        // loadgen via `attack_plan_on_clock`, the way wire faults project
-        // via `fault_plan_on_clock`.
+        // attack engine via `attack_plan_on_clock`, the way wire faults
+        // project onto a client's transports via `fault_plan_on_clock`
+        // and site failures onto the farm via `failure_plan_on_clock`.
         EventKind::PrefixRenumbering { .. }
         | EventKind::RouteFlapBurst { .. }
         | EventKind::RttInflation { .. }

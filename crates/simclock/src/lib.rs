@@ -21,17 +21,19 @@
 //!   event order bit for bit. [`run_until_idle`](Scheduler::run_until_idle)
 //!   and [`run_until`](Scheduler::run_until) drive it.
 //! * [`TimeAxis`] — the mapping between scenario wall-clock seconds and
-//!   virtual milliseconds, so `ScenarioEngine` epochs, `fault_plan_at`
-//!   windows and refresh timestamps all land on the same axis.
+//!   virtual milliseconds, so `ScenarioEngine` epochs, the scenario's
+//!   projected fault, failure and attack windows, and refresh timestamps
+//!   all land on the same axis.
 //! * [`Deadline`] — a timeout primitive against the shared clock.
 //!
 //! Ownership rule (DESIGN §12): exactly one component *advances* the
 //! clock at a time — either a `Scheduler` run loop or one blocking client
 //! executing inside it; everyone else holds a read-mostly handle.
 //! Parallel workers never advance a shared clock — they stamp each unit
-//! of work with a precomputed event time instead (see the load
-//! generator's arrival schedule), which is what keeps replay bit-identical
-//! across thread counts.
+//! of work with a precomputed event time instead (see `rootd`'s
+//! `ArrivalSchedule`, which the farm's chaos runs and the attack engine
+//! stamp every query with), which is what keeps replay bit-identical
+//! across thread and shard counts.
 
 use netsim::rng::SimRng;
 use std::cmp::Ordering;

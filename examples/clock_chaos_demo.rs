@@ -5,9 +5,11 @@
 //! upstream — and one site of the serving fleet — for the first five
 //! virtual seconds. Everything runs on a single `simclock` axis:
 //!
-//! * the serving fleet answers a pinned-arrival query load (one query
-//!   per virtual ms), so exactly the queries arriving inside the outage
-//!   window hit dead air — on any worker count;
+//! * the serving fleet is a one-letter farm under the scenario's failure
+//!   plan, with one query arriving per virtual ms: queries bound for the
+//!   dark site hedge to another site until the watchdog declares it Dead
+//!   and steering withdraws it, and it returns to rotation once the
+//!   window is over — identically on any shard count;
 //! * the localroot refresh client backs off on the shared clock, and the
 //!   backoff waits alone carry it across the window: its retry budget
 //!   times out inside the blackhole, but by the time the budget's last
@@ -51,18 +53,24 @@ fn main() -> ExitCode {
     }
 
     let a = ClockChaosRun::run(Scale::Tiny, letter, &scenario, QUERIES, 2);
+    let f = &a.fleet;
+    println!("\nserving fleet ({QUERIES} queries, 1/virtual ms, pinned arrivals):");
     println!(
-        "\nserving fleet ({} queries, 1/virtual ms, pinned arrivals):",
-        QUERIES
+        "  served={} hedged={} unanswered={} shed={} probes={} steering_epochs={}",
+        f.served + f.served_hedged,
+        f.served_hedged,
+        f.unanswered,
+        f.shed_junk + f.shed_benign,
+        f.probes,
+        f.steering_epochs,
     );
     println!(
-        "  responses={} timeouts={} retries={} unanswered={} blackholed={}",
-        a.load.responses,
-        a.load.timeouts,
-        a.load.retries,
-        a.load.unanswered,
-        a.load.fault_counters.blackholed,
+        "  hedged or unanswered inside the window: {}",
+        a.dark_queries(0..WINDOW_MS)
     );
+    for &(_, slot, t, status) in &f.transitions {
+        println!("  transition: slot {slot:>3} at {t:>6} ms -> {status:?}");
+    }
     println!("refresh client (6 attempts, 200 ms timeout, shared clock):");
     println!(
         "  outcome={:?} timeouts={} retries={} backoff_ms={}",
@@ -80,18 +88,18 @@ fn main() -> ExitCode {
         a.clock_ms, WINDOW_MS
     );
 
-    // Replay bit-identity: same run again, then a different loadgen
-    // worker count — pinned arrivals make partitioning invisible.
+    // Replay bit-identity: same run again, then a different shard count —
+    // pinned arrivals make partitioning invisible.
     let b = ClockChaosRun::run(Scale::Tiny, letter, &scenario, QUERIES, 2);
     let c = ClockChaosRun::run(Scale::Tiny, letter, &scenario, QUERIES, 5);
     let violations = a.violations(&[&b, &c]);
 
     if violations.is_empty() {
         println!(
-            "\nclock chaos invariants: OK (escaped_at={}ms backoffs={} load_timeouts={} replays=3)",
+            "\nclock chaos invariants: OK (escaped_at={}ms backoffs={} fleet_hedged={} replays=3)",
             a.clock_ms,
             a.backoff_log.len(),
-            a.load.timeouts,
+            a.fleet.served_hedged,
         );
         ExitCode::SUCCESS
     } else {

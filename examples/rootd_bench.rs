@@ -12,9 +12,10 @@
 //! second the total query count. The merged `BENCH_results.json` numbers
 //! come from `cargo bench` (the `rootd` bench target runs this same
 //! pipeline and records qps/p50/p95/p99); this example is the
-//! human-readable driver.
+//! human-readable front end. Serving under site failures — health probes,
+//! failover, hedging — is `examples/farm_chaos_report.rs`.
 
-use rootd::{FaultPlan, FaultSpec, LoadgenConfig, QueryMix};
+use rootd::{LoadgenConfig, QueryMix};
 use roots_core::{AttackRun, Scale, ServingPipeline};
 use rss::RootLetter;
 
@@ -38,8 +39,6 @@ fn main() {
         threads,
         seed: 0x2023_0703,
         mix: QueryMix::broot(),
-        faults: None,
-        arrivals: None,
     };
     println!(
         "rootd load generator: {:?} scale, {} queries, {} threads, {} clients",
@@ -64,25 +63,7 @@ fn main() {
             .join(" ")
     );
 
-    // Second pass: the same seeded mix through a lossy FaultyTransport, to
-    // show the client-side retry machinery and fault counters at work.
-    let faulty = LoadgenConfig {
-        queries: queries.min(50_000),
-        faults: Some(FaultPlan::clean(0xfa_17).with_default(FaultSpec {
-            drop_prob: 0.10,
-            bitflip_prob: 0.02,
-            ..FaultSpec::clean()
-        })),
-        ..cfg
-    };
-    println!(
-        "\nfault-injected rerun: {} queries through drop=0.10 bitflip=0.02",
-        faulty.queries
-    );
-    let pf = ServingPipeline::run(scale, RootLetter::B, &faulty);
-    print!("{}", pf.report.render_faults());
-
-    // Third pass: the demo attack scenario with response-rate limiting
+    // Second pass: the demo attack scenario with response-rate limiting
     // engaged — what the limiter dropped, slipped (TC=1), and which
     // per-(source, class) buckets ran hottest.
     let scenario = AttackRun::demo_scenario(scale, RootLetter::B);

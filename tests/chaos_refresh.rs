@@ -14,14 +14,17 @@
 //!    transport;
 //! 5. the whole chaos run is deterministic: same plan seed ⇒ same fault
 //!    counters, same metrics, same outcome;
-//! 6. on one virtual clock shared with a serving fleet under load, the
-//!    refresh client rides out a bounded blackhole by backing off, and the
-//!    run replays bit-identically (`roots_core::ClockChaosRun::violations`;
+//! 6. on one virtual clock shared with a serving farm that loses a site to
+//!    the same window, the refresh client rides out a bounded blackhole by
+//!    backing off, the farm withdraws the dark site and brings it back,
+//!    and the run replays bit-identically across shard counts
+//!    (`roots_core::ClockChaosRun::violations`;
 //!    `examples/clock_chaos_demo.rs` renders the same run).
 
 use dns_wire::{Message, Name, Question, Rcode, RrType};
 use localroot::{LocalRoot, RefreshOutcome, ValidationPolicy};
 use rootd::{FaultPlan, FaultSpec, FaultyTransport, Protocol, Transport};
+use rootd::{HealthConfig, SiteStatus};
 use roots_core::chaos::{probes, upstreams, wired, SERIAL, SOA_EXPIRE, T0};
 use roots_core::{ChaosSweep, ClockChaosRun, Scale};
 use rss::RootLetter;
@@ -215,31 +218,78 @@ fn mid_axfr_truncation_is_survived_or_refused() {
 }
 
 /// Invariant 6 on the clock-chaos demo: no violation on the run and its
-/// two replays — the same run, and one at another loadgen worker count
-/// (arrival pinning makes partitioning invisible) — and each of the seven
-/// checks fires on a run doctored to break it.
+/// two replays — the same run, and one at another shard count (pinned
+/// arrivals make partitioning invisible) — and each of the eight checks
+/// fires on a run doctored to break it.
 #[test]
 fn clock_chaos_interleaves_and_replays_bit_identically() {
     let scenario = ClockChaosRun::demo_scenario(Scale::Tiny, RootLetter::B);
-    let run = |threads| ClockChaosRun::run(Scale::Tiny, RootLetter::B, &scenario, 8_000, threads);
+    let run = |shards| ClockChaosRun::run(Scale::Tiny, RootLetter::B, &scenario, 8_000, shards);
     let (a, mut b, c) = (run(2), run(2), run(5));
     assert_eq!(a.violations(&[&b, &c]), Vec::<String>::new());
     // Beyond the checks: the copy was updated, and the fleet answered
     // outside the window.
     assert!(matches!(a.refresh, Ok(RefreshOutcome::Updated { .. })));
-    assert!(a.load.responses > 0);
+    assert!(a.fleet.served > 0);
 
-    let doctors: [fn(&mut ClockChaosRun); 6] = [
+    let doctors: [fn(&mut ClockChaosRun); 7] = [
         |r| r.refresh = Err("doctored".into()),
         |r| r.clock_ms = ClockChaosRun::DEMO_WINDOW_MS - 1,
         |r| r.refresh_metrics.timeouts = 0,
         |r| r.backoff_log.clear(),
         |r| r.serving = false,
-        |r| r.load.fault_counters.blackholed = 0,
+        // No hedged or unanswered query at the dark site: no per-query
+        // outcome left at all.
+        |r| r.fleet.flags.clear(),
+        |r| r.fleet.reload_violations.push("doctored".into()),
     ];
     for (fired, doctor) in doctors.into_iter().enumerate() {
         doctor(&mut b);
         assert_eq!(b.violations(&[]).len(), fired + 1);
     }
-    assert_eq!(b.violations(&[&c]).len(), 6 + 1);
+    assert_eq!(b.violations(&[&c]).len(), 7 + 1);
+}
+
+/// The clock-chaos demo's fleet half: the farm's report replays
+/// bit-identically at 1, 2, 5 and 8 shards; the dark site (B's first
+/// catalog site) is declared Dead after the window opens at 0 ms —
+/// within the watchdog's `dead_after` probes of it — and returns to
+/// rotation after it closes at 5 000 ms; and no query that arrives after
+/// that return is hedged or unanswered.
+#[test]
+fn clock_chaos_fleet_withdraws_and_restores_the_dark_site() {
+    let scenario = ClockChaosRun::demo_scenario(Scale::Tiny, RootLetter::B);
+    let run = |shards| ClockChaosRun::run(Scale::Tiny, RootLetter::B, &scenario, 8_000, shards);
+    let a = run(1);
+    for shards in [2, 5, 8] {
+        assert_eq!(
+            run(shards).fleet.fingerprint(),
+            a.fleet.fingerprint(),
+            "{shards} shards"
+        );
+    }
+    let window = ClockChaosRun::DEMO_WINDOW_MS;
+    let slot = a.dark_slot.expect("the demo darkens a site of the fleet");
+    let dark: Vec<(u64, SiteStatus)> = (a.fleet.transitions.iter())
+        .filter(|t| t.1 == slot)
+        .map(|t| (t.2, t.3))
+        .collect();
+    let dead_at = dark
+        .iter()
+        .find(|&&(_, status)| status == SiteStatus::Dead)
+        .map(|&(t, _)| t)
+        .expect("the dark site was declared Dead");
+    let health = HealthConfig::default();
+    let detect_ms = u64::from(health.dead_after) * health.probe_interval_ms;
+    assert!(dead_at > 0 && dead_at <= detect_ms, "Dead at {dead_at} ms");
+    let back_at = dark
+        .iter()
+        .find(|&&(t, status)| t > dead_at && status.in_rotation())
+        .map(|&(t, _)| t)
+        .expect("the dark site returned to rotation");
+    assert!(back_at >= window, "back in rotation at {back_at} ms");
+    // Non-vacuous: queries still arrive after the return.
+    assert!(back_at < 8_000, "back in rotation at {back_at} ms");
+    assert!(a.dark_queries(0..window) > 0);
+    assert_eq!(a.dark_queries(back_at..u64::MAX), 0);
 }
