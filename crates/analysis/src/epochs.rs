@@ -101,11 +101,6 @@ pub struct EpochDiffReport {
 }
 
 impl EpochDiffReport {
-    /// RTT delta (ms) between epochs `a` and `b` for (region, family).
-    pub fn rtt_delta_ms(&self, a: usize, b: usize, region: Region, family: Family) -> Option<f64> {
-        Some(self.epochs[b].rtt_mean(region, family)? - self.epochs[a].rtt_mean(region, family)?)
-    }
-
     /// Render the diff table: one row per epoch, shift/delta columns
     /// relative to the *previous* epoch.
     pub fn render(&self) -> String {

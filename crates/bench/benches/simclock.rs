@@ -2,9 +2,8 @@
 //! the fault-transport hot path (every exchange reads it; blocking
 //! clients advance it), so its read/advance costs must stay at
 //! plain-atomic scale. The scheduler bench covers the discrete-event
-//! queue end to end: schedule 1 000 keyed events in reverse time order,
-//! then drain them — heap churn, tie-break ordering, and the firing
-//! trace all included.
+//! queue end to end: schedule 1 000 keyed typed events in reverse time
+//! order, then drain them — heap churn and tie-break ordering included.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use simclock::{ClockHandle, Scheduler};
@@ -29,14 +28,19 @@ fn bench_scheduler(c: &mut Criterion) {
     group.sample_size(200);
     group.bench_function("schedule_fire_1k", |b| {
         b.iter(|| {
-            let mut s = Scheduler::new(7);
+            let mut s = Scheduler::new();
             // Reverse time order with scrambled keys: the worst case for
             // the heap and the case where tie-breaking actually runs.
             for i in 0..1_000u64 {
-                s.schedule_keyed(1_000 - i, i ^ 0x2a, "evt", |_| {});
+                s.schedule_keyed(1_000 - i, i ^ 0x2a, i);
             }
-            assert_eq!(s.run_until_idle(), 1_000);
-            black_box(s.now_ms())
+            let (mut fired, mut last) = (0, 0);
+            while let Some((t, ev)) = s.pop() {
+                fired += 1;
+                last = black_box(t ^ ev);
+            }
+            assert_eq!(fired, 1_000);
+            last
         })
     });
     group.finish();

@@ -126,6 +126,10 @@ pub struct ClockChaosRun {
     /// The fleet slot (what `fleet.transitions` names a site by) of the
     /// scenario's first outage at the serving letter.
     pub dark_slot: Option<u16>,
+    /// Failure windows the projected plan put at the serving letter:
+    /// [`Self::dark_queries`] blames every hedged or unanswered query on
+    /// the dark site, which holds only when this is one.
+    pub dark_windows: usize,
     /// The refresh client's outcome (errors stringified so replays
     /// compare with `==`).
     pub refresh: Result<RefreshOutcome, String>,
@@ -180,6 +184,11 @@ impl ClockChaosRun {
         cfg.farm.shards = shards;
         cfg.arrivals = Self::ARRIVALS;
         cfg.plan = scenario::failure_plan_on_clock(scenario, axis, &[(letter, sites)]);
+        let dark_windows = cfg
+            .plan
+            .all_windows()
+            .filter(|((l, _), _)| *l == letter)
+            .count();
         let fleet = farm.run_chaos(&world.topology, &cfg);
 
         // Refresh side: the client-seat plan keys the same windows by
@@ -209,6 +218,7 @@ impl ClockChaosRun {
             axis,
             fleet,
             dark_slot,
+            dark_windows,
             refresh,
             refresh_metrics: lr.metrics,
             backoff_log: lr.backoff_log,
@@ -269,10 +279,10 @@ impl ClockChaosRun {
     /// refresh client rode out the [`Self::DEMO_WINDOW_MS`] blackhole by
     /// backing off on the shared clock — it succeeded, its clock ended
     /// past the window, it saw timeouts and took backoff waits, and its
-    /// copy is serving — the fleet's chaos report is consistent and the
-    /// same window cost the dark site queries (the plan's only window at
-    /// the serving letter, so every hedged or unanswered query was bound
-    /// for it), and every run of `replays` (the same scenario again, at
+    /// copy is serving — the fleet's chaos report is consistent, the plan
+    /// held exactly one window at the serving letter (so every hedged or
+    /// unanswered query was bound for the dark site) and that window cost
+    /// the dark site queries, and every run of `replays` (the same scenario again, at
     /// the same or another shard count) reproduced this one's
     /// fingerprint.
     pub fn violations(&self, replays: &[&ClockChaosRun]) -> Vec<String> {
@@ -297,6 +307,13 @@ impl ClockChaosRun {
             v.push("refreshed copy is not serving at the final wall time".into());
         }
         v.extend(self.fleet.violations());
+        if self.dark_windows != 1 {
+            v.push(format!(
+                "the plan holds {} windows at the serving letter, not one: \
+                 hedged queries cannot be blamed on the dark site",
+                self.dark_windows
+            ));
+        }
         if self.dark_queries(0..Self::DEMO_WINDOW_MS) == 0 {
             v.push("no query met the dark site inside the outage window".into());
         }

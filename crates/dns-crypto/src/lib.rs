@@ -46,17 +46,6 @@ pub enum DigestAlg {
 }
 
 impl DigestAlg {
-    /// Length of the produced digest in bytes.
-    pub fn digest_len(self) -> usize {
-        match self {
-            DigestAlg::Sha256 => 32,
-            DigestAlg::Sha384 => 48,
-            DigestAlg::Sha512 => 64,
-            // The private placeholder digest the root used was 48 bytes.
-            DigestAlg::Private(_) => 48,
-        }
-    }
-
     /// The IANA `ZONEMD` hash-algorithm number (RFC 8976 §5.3).
     ///
     /// SHA-384 is 1, SHA-512 is 2. SHA-256 is not a registered ZONEMD

@@ -134,13 +134,6 @@ pub struct Nsec {
 }
 
 impl Nsec {
-    /// Encode the type bitmap (RFC 4034 §4.1.2).
-    pub fn type_bitmap_wire(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        self.write_type_bitmap(&mut w);
-        w.into_bytes()
-    }
-
     /// Write the type bitmap: one block per 256-type window that holds a
     /// type, windows ascending, whatever order `types` is in.
     fn write_type_bitmap(&self, w: &mut WireWriter) {

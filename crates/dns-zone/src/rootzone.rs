@@ -18,11 +18,6 @@ use dns_wire::rdata::{Rdata, Soa};
 use dns_wire::{Name, Record};
 use std::net::{Ipv4Addr, Ipv6Addr};
 
-/// The 13 root server letters.
-pub const ROOT_LETTERS: [char; 13] = [
-    'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 'i', 'j', 'k', 'l', 'm',
-];
-
 /// Published root server addresses (post-renumbering B, the paper's
 /// subject). These become the glue A/AAAA records under
 /// `X.root-servers.net` exactly as the real zone file carries them.

@@ -357,9 +357,6 @@ pub struct BitflipReport {
     pub observed_line: String,
 }
 
-/// Name re-export used by the analysis crate when rendering reports.
-pub type ZoneName = Name;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -114,11 +114,6 @@ impl ChurnLog {
         ases
     }
 
-    /// Events of one round.
-    pub fn in_round(&self, round: u32) -> impl Iterator<Item = &ChurnEvent> {
-        self.events.iter().filter(move |e| e.round == round)
-    }
-
     /// An order-sensitive fingerprint of the whole log (for golden tests).
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fingerprint::new();

@@ -53,14 +53,6 @@ impl Traceroute {
             _ => None,
         }
     }
-
-    /// Number of hops that answered.
-    pub fn responsive_hops(&self) -> usize {
-        self.hops
-            .iter()
-            .filter(|h| !matches!(h, Hop::Missing))
-            .count()
-    }
 }
 
 /// Traceroute emulation parameters.

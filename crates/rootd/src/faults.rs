@@ -36,7 +36,7 @@
 //! exchange costs the client timeout, a delayed response costs
 //! `min(delay, timeout)`, a clean exchange costs nothing.
 
-use crate::transport::{Transport, TransportError, UdpBatch};
+use crate::transport::{Transport, TransportError};
 use netsim::rng::SimRng;
 use simclock::ClockHandle;
 use std::collections::{HashMap, VecDeque};
@@ -460,17 +460,16 @@ fn garble(buf: &mut [u8], rng: &mut SimRng) {
 
 impl<T: Transport> FaultyTransport<T> {
     /// The perturbing tail of a datagram exchange: dice already owed, spec
-    /// known dirty. Split out of [`exchange_udp_into`] so the two clean
-    /// fast paths above it stay branch-cheap and allocation-free.
+    /// known dirty. Split out of [`exchange_udp`] so the two clean fast
+    /// paths above it stay branch-cheap and allocation-free.
     ///
-    /// [`exchange_udp_into`]: Transport::exchange_udp_into
+    /// [`exchange_udp`]: Transport::exchange_udp
     fn exchange_udp_dirty(
         &mut self,
         request: &[u8],
-        resp: &mut Vec<u8>,
         t0: u64,
         spec: &FaultSpec,
-    ) -> Result<bool, TransportError> {
+    ) -> Result<Option<Vec<u8>>, TransportError> {
         let timeout = self.plan.client_timeout_ms;
         let mut rng = self.dice(Protocol::Udp);
         // All dice are rolled up front, in a fixed order, so every counter
@@ -485,37 +484,37 @@ impl<T: Transport> FaultyTransport<T> {
         if spec.blackholed(t0) {
             self.counters.blackholed += 1;
             self.clock.advance(timeout);
-            return Ok(false);
+            return Ok(None);
         }
         if dropped {
             self.counters.drops += 1;
             self.clock.advance(timeout);
-            return Ok(false);
+            return Ok(None);
         }
-        if !self.inner.exchange_udp_into(request, resp)? {
+        let Some(mut resp) = self.inner.exchange_udp(request)? else {
             self.clock.advance(timeout);
-            return Ok(false);
-        }
+            return Ok(None);
+        };
         if delay > timeout {
             // The answer exists but lands after the client gave up; it
             // lingers in flight, and a later reorder may deliver it.
             self.counters.timeouts_induced += 1;
-            self.pending.push_back(std::mem::take(resp));
+            self.pending.push_back(resp);
             self.clock.advance(timeout);
-            return Ok(false);
+            return Ok(None);
         }
         self.clock.advance(delay);
         if garbage {
             self.counters.garbage += 1;
-            garble(resp, &mut rng);
+            garble(&mut resp, &mut rng);
         } else if bitflip {
             self.counters.bitflips += 1;
-            flip_random_bit(resp, &mut rng);
+            flip_random_bit(&mut resp, &mut rng);
         }
         if reorder {
             self.counters.reorders += 1;
             if let Some(stale) = self.pending.pop_front() {
-                let fresh = std::mem::replace(resp, stale);
+                let fresh = std::mem::replace(&mut resp, stale);
                 self.pending.push_back(fresh);
             }
         }
@@ -523,46 +522,24 @@ impl<T: Transport> FaultyTransport<T> {
             self.counters.duplicates += 1;
             self.pending.push_back(resp.clone());
         }
-        Ok(true)
+        Ok(Some(resp))
     }
 }
 
 impl<T: Transport> Transport for FaultyTransport<T> {
     fn exchange_udp(&mut self, request: &[u8]) -> Result<Option<Vec<u8>>, TransportError> {
-        // The clean fast paths forward to the inner transport's own
-        // allocating exchange rather than routing through
-        // `exchange_udp_into` — keeping this, the benched wrapper path,
-        // codegen-identical to the bare transport call (the <5% overhead
-        // bound in `bench_faultfree_wrapper` is on exactly this method).
+        // The clean fast paths forward straight to the inner transport,
+        // keeping this, the benched wrapper path, codegen-identical to the
+        // bare transport call (the <5% overhead bound in
+        // `bench_faultfree_wrapper` is on exactly this method). The
+        // trait's `exchange_udp_into` and `exchange_udp_batch` defaults
+        // loop over it, so every datagram rolls its own dice and reads
+        // the shared clock.
         self.counters.exchanges += 1;
         if self.clean_udp {
             self.seq += 1;
             self.counters.clean += 1;
             return self.inner.exchange_udp(request);
-        }
-        let t0 = self.clock.now_ms();
-        let spec = self.plan.spec_at(self.upstream, Protocol::Udp, t0).clone();
-        if spec.is_clean() {
-            self.seq += 1;
-            self.counters.clean += 1;
-            return self.inner.exchange_udp(request);
-        }
-        let mut resp = Vec::new();
-        Ok(self
-            .exchange_udp_dirty(request, &mut resp, t0, &spec)?
-            .then_some(resp))
-    }
-
-    fn exchange_udp_into(
-        &mut self,
-        request: &[u8],
-        resp: &mut Vec<u8>,
-    ) -> Result<bool, TransportError> {
-        self.counters.exchanges += 1;
-        if self.clean_udp {
-            self.seq += 1;
-            self.counters.clean += 1;
-            return self.inner.exchange_udp_into(request, resp);
         }
         let t0 = self.clock.now_ms();
         let spec = self.plan.spec_at(self.upstream, Protocol::Udp, t0).clone();
@@ -570,32 +547,9 @@ impl<T: Transport> Transport for FaultyTransport<T> {
             // Outside every fault window: forward untouched, cost nothing.
             self.seq += 1;
             self.counters.clean += 1;
-            return self.inner.exchange_udp_into(request, resp);
+            return self.inner.exchange_udp(request);
         }
-        self.exchange_udp_dirty(request, resp, t0, &spec)
-    }
-
-    /// Batched exchange under the fault plan: every datagram rolls its own
-    /// dice and reads the shared clock, exactly as a sequence of one-shot
-    /// exchanges would.
-    fn exchange_udp_batch(&mut self, batch: &mut UdpBatch) -> Result<(), TransportError> {
-        let n = batch.len();
-        if self.clean_udp {
-            // Whole-batch fast path: forward to the inner transport's own
-            // batched exchange, billing counters as n clean one-shots.
-            self.seq += n as u64;
-            self.counters.exchanges += n as u64;
-            self.counters.clean += n as u64;
-            return self.inner.exchange_udp_batch(batch);
-        }
-        for i in 0..n {
-            let answered = {
-                let (req, scratch) = batch.io(i);
-                self.exchange_udp_into(req, scratch)?
-            };
-            batch.commit_response(answered);
-        }
-        Ok(())
+        self.exchange_udp_dirty(request, t0, &spec)
     }
 
     fn exchange_tcp(&mut self, request: &[u8]) -> Result<Vec<Vec<u8>>, TransportError> {
@@ -685,7 +639,7 @@ mod tests {
     use super::*;
     use crate::engine::{Rootd, SiteIdentity};
     use crate::index::ZoneIndex;
-    use crate::transport::InprocTransport;
+    use crate::transport::{InprocTransport, UdpBatch};
     use dns_wire::{Message, Name, Question, RrType};
     use dns_zone::rollout::RolloutPhase;
     use dns_zone::rootzone::{build_root_zone, RootZoneConfig};
@@ -954,32 +908,6 @@ mod tests {
         assert_eq!(batched.virtual_ms(), one.virtual_ms());
     }
 
-    #[test]
-    fn clean_batch_fast_path_matches_dirty_loop_semantics() {
-        let queries: Vec<Vec<u8>> = (0..40u16).map(soa_query).collect();
-        let mut wrapped = FaultyTransport::new(inproc(), Arc::new(FaultPlan::clean(7)), 0);
-        let mut batch = UdpBatch::new();
-        for q in &queries {
-            batch.push_request(q);
-        }
-        wrapped.exchange_udp_batch(&mut batch).unwrap();
-        let mut bare = inproc();
-        for (i, q) in queries.iter().enumerate() {
-            assert_eq!(
-                batch.response(i),
-                bare.exchange_udp(q).unwrap().as_deref(),
-                "clean batch diverged on {i}"
-            );
-        }
-        let c = wrapped.counters();
-        assert_eq!((c.exchanges, c.clean), (40, 40));
-        // The batch advanced the exchange counter like 40 one-shots and
-        // billed no time.
-        assert!(wrapped.exchange_udp(&soa_query(99)).unwrap().is_some());
-        assert_eq!(wrapped.counters().exchanges, 41);
-        assert_eq!(wrapped.virtual_ms(), 0);
-    }
-
     /// An in-proc inner transport that counts engine-level drops, so the
     /// reconciliation test below can attribute every empty response span
     /// to exactly one layer (transport dice vs. engine verdict).
@@ -995,18 +923,6 @@ mod tests {
                 self.engine_drops += 1;
             }
             Ok(resp)
-        }
-
-        fn exchange_udp_into(
-            &mut self,
-            request: &[u8],
-            resp: &mut Vec<u8>,
-        ) -> Result<bool, TransportError> {
-            let answered = self.inner.exchange_udp_into(request, resp)?;
-            if !answered {
-                self.engine_drops += 1;
-            }
-            Ok(answered)
         }
 
         fn exchange_tcp(&mut self, request: &[u8]) -> Result<Vec<Vec<u8>>, TransportError> {

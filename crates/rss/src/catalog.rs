@@ -555,10 +555,6 @@ fn instance_identifier(letter: RootLetter, iata: &str, fac_index: u8, k: u32) ->
     }
 }
 
-/// The default seed constant is referenced by `WorldConfig::default`; the
-/// odd literal above documents intent ("roots 2023-07-01").
-pub const WORLD_SEED: u64 = DEFAULT_SEED;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -232,7 +232,7 @@ fn clock_chaos_interleaves_and_replays_bit_identically() {
     assert!(matches!(a.refresh, Ok(RefreshOutcome::Updated { .. })));
     assert!(a.fleet.served > 0);
 
-    let doctors: [fn(&mut ClockChaosRun); 7] = [
+    let doctors: [fn(&mut ClockChaosRun); 8] = [
         |r| r.refresh = Err("doctored".into()),
         |r| r.clock_ms = ClockChaosRun::DEMO_WINDOW_MS - 1,
         |r| r.refresh_metrics.timeouts = 0,
@@ -242,12 +242,15 @@ fn clock_chaos_interleaves_and_replays_bit_identically() {
         // outcome left at all.
         |r| r.fleet.flags.clear(),
         |r| r.fleet.reload_violations.push("doctored".into()),
+        // A second window at the serving letter: hedged queries can no
+        // longer be attributed to the dark site.
+        |r| r.dark_windows = 2,
     ];
     for (fired, doctor) in doctors.into_iter().enumerate() {
         doctor(&mut b);
         assert_eq!(b.violations(&[]).len(), fired + 1);
     }
-    assert_eq!(b.violations(&[&c]).len(), 7 + 1);
+    assert_eq!(b.violations(&[&c]).len(), 8 + 1);
 }
 
 /// The clock-chaos demo's fleet half: the farm's report replays
