@@ -51,15 +51,14 @@
 //! Every offset and length written into the image goes through
 //! `u32::try_from`, so an image past 4 GiB fails its build instead of
 //! wrapping. The build walks those owners in zone order, then the NSEC
-//! chain, then any CHAOS identity name no zone block carries, encoding
-//! each name's answers into one reused scratch and copying them into the
-//! image once. On a root-sized zone (`SPLIT_NAMES`) a worker thread
-//! builds the last three sevenths of the names and the templates into an
-//! image of its own, and the caller appends it to its own in one copy:
-//! only the exact-name table's and the template array's offsets into it
-//! are rebased, and the image is byte for byte the one the serial walk
-//! writes. `ChaosCache` keeps an engine's four identity answers as name
-//! blocks of an image of its own.
+//! chain, encoding each name's answers into one reused scratch and copying
+//! them into the image once. On a root-sized zone (`SPLIT_NAMES`) a worker
+//! thread builds the last three sevenths of the names and the templates
+//! into an image of its own, and the caller appends it to its own in one
+//! copy: only the exact-name table's and the template array's offsets into
+//! it are rebased, and the image is byte for byte the one the serial walk
+//! writes. The image holds the zone alone: `ChaosCache` keeps an engine's
+//! four identity answers as name blocks of an image of its own.
 //!
 //! NXDOMAIN cannot be enumerated — junk qnames are unbounded — so it is
 //! served from *templates*: one pre-encoded negative response per NSEC
@@ -178,9 +177,8 @@ impl ResponseSet {
     }
 }
 
-/// Most shapes one name holds: every cached qtype, plus a CHAOS identity
-/// shape should an identity name also be a zone name.
-const MAX_SHAPES: usize = CACHED_QTYPES.len() + 1;
+/// Most shapes one name holds: every cached qtype.
+const MAX_SHAPES: usize = CACHED_QTYPES.len();
 
 /// One shape in a name block: qtype and class (little-endian `u16`s),
 /// then which of the name's answer sets it gets.
@@ -494,35 +492,23 @@ impl ImageBuilder {
         at
     }
 
-    /// Append a name block for each of `names`, with the 13 cached IN
-    /// shapes and, at an identity name in `chaos`, its CHAOS shape before
-    /// them; `block` is handed each block's key hash and offset.
+    /// Append a name block with the 13 cached IN shapes for each of
+    /// `names`; `block` is handed each block's key hash and offset.
+    /// Returns how many exact responses the blocks hold.
     fn zone_names<'n>(
         &mut self,
         answerer: &Answerer<'_>,
         names: impl Iterator<Item = &'n Name>,
-        chaos: &[Name],
         mut block: impl FnMut(u64, u32),
-    ) -> Blocks {
-        let zone_shapes = CACHED_QTYPES.map(|qtype| (qtype, Class::In));
-        // An identity name that is also an answered zone name keeps its
-        // zone shapes beside the CHAOS one.
-        let mut with_chaos = [(RrType::Txt, Class::Ch); MAX_SHAPES];
-        with_chaos[1..].copy_from_slice(&zone_shapes);
-        let mut blocks = Blocks::default();
+    ) -> usize {
+        let shapes = CACHED_QTYPES.map(|qtype| (qtype, Class::In));
+        let mut entries = 0;
         for name in names {
-            let shapes: &[_] = match chaos.iter().position(|c| c == name) {
-                Some(i) => {
-                    blocks.chaos[i] = true;
-                    &with_chaos
-                }
-                None => &zone_shapes,
-            };
-            let at = self.name(answerer, name, shapes);
+            let at = self.name(answerer, name, &shapes);
             block(zone_hash(Block::at(&self.image, at).key()), at);
-            blocks.entries += 3 * shapes.len();
+            entries += 3 * shapes.len();
         }
-        blocks
+        entries
     }
 
     /// Append every NXDOMAIN template in `AnswerCache::templates`'s
@@ -547,23 +533,6 @@ impl ImageBuilder {
 
     fn finish(self) -> Box<[u8]> {
         self.image.into_boxed_slice()
-    }
-}
-
-/// What a run of [`ImageBuilder::zone_names`] built: how many exact
-/// responses, and which identity names got a zone block.
-#[derive(Default)]
-struct Blocks {
-    entries: usize,
-    chaos: [bool; CHAOS_NAMES.len()],
-}
-
-impl Blocks {
-    fn merge(&mut self, other: Blocks) {
-        self.entries += other.entries;
-        for (mine, theirs) in self.chaos.iter_mut().zip(other.chaos) {
-            *mine |= theirs;
-        }
     }
 }
 
@@ -622,35 +591,23 @@ pub struct AnswerCache {
 
 impl AnswerCache {
     /// Precompile every shape at every owner at or above a cut by running
-    /// it through `answerer` — the same code the fallback path executes —
-    /// so cached and uncached responses are byte-identical by
-    /// construction.
-    pub(crate) fn build(answerer: &Answerer<'_>) -> AnswerCache {
-        Self::build_inner(answerer, true)
-    }
-
-    /// Identity-free variant for state shared across a letter's sites
-    /// ([`crate::engine::SharedState`]): every zone shape is precompiled,
-    /// but no CHAOS identity names — those differ per site and live in
-    /// each engine's own [`ChaosCache`]. IN-class queries *for* the chaos
-    /// names still serve byte-identically: they are not zone names, so
-    /// both this cache's NXDOMAIN template and the legacy fallback build
-    /// the same negative response.
-    pub(crate) fn build_zone(index: &ZoneIndex) -> AnswerCache {
-        Self::build_inner(&Answerer { index, site: None }, false)
-    }
-
-    /// The build in one part or two (`SPLIT_NAMES`): identical images,
-    /// tables and templates either way.
-    fn build_inner(answerer: &Answerer<'_>, include_chaos: bool) -> AnswerCache {
-        let names = answerer.index.answered_names().count();
+    /// it through the answerer the fallback path executes, so cached and
+    /// uncached responses are byte-identical by construction. The cache
+    /// holds the zone alone, so one build serves every site of every
+    /// letter: the CHAOS identity names differ per site and live in each
+    /// engine's own [`ChaosCache`]. An IN query at one of them is no zone
+    /// name, and takes the NXDOMAIN template the fallback would encode.
+    /// The build runs in one part or two (`SPLIT_NAMES`): identical
+    /// images, tables and templates either way.
+    pub(crate) fn build(index: &ZoneIndex) -> AnswerCache {
+        let names = index.answered_names().count();
         let parts = if names < SPLIT_NAMES { 1 } else { 2 };
-        Self::build_parts(answerer, include_chaos, parts)
+        Self::build_parts(index, parts)
     }
 
     /// One walk over `ZoneIndex::answered_names`, then the NSEC chain,
-    /// then any identity name no zone block carries, appending each name
-    /// block and template to one image through one [`Scratch`]
+    /// appending each name block and template to one image through one
+    /// [`Scratch`]
     /// (`cache::tests::the_epoch_serves_what_the_oracle_build_does` holds
     /// the result to the build it replaced).
     ///
@@ -661,11 +618,9 @@ impl AnswerCache {
     /// array move. A root zone has about one reachable link per answered
     /// name, and a template costs about a seventh of a name block, so the
     /// caller takes four sevenths of the names and the worker the rest.
-    fn build_parts(answerer: &Answerer<'_>, include_chaos: bool, parts: usize) -> AnswerCache {
+    fn build_parts(index: &ZoneIndex, parts: usize) -> AnswerCache {
         assert!(matches!(parts, 1 | 2), "one part or two, not {parts}");
-        let index = answerer.index;
-        let chaos = include_chaos.then(|| CHAOS_NAMES.map(|c| Name::parse(c).expect("static")));
-        let chaos = chaos.as_ref().map_or(&[][..], |names| &names[..]);
+        let answerer = &Answerer { index, site: None };
         let names = index.answered_names().count();
         let split = if parts == 1 { names } else { names * 4 / 7 };
         // The image runs 2.45–2.61 times the index's arena on root zones of
@@ -677,8 +632,8 @@ impl AnswerCache {
             image: Vec::with_capacity(reserve),
             scratch: Scratch::default(),
         };
-        let mut exact = OffsetTable::with_capacity(names + chaos.len());
-        let (mut blocks, templates) = std::thread::scope(|s| {
+        let mut exact = OffsetTable::with_capacity(names);
+        let (entries, templates) = std::thread::scope(|s| {
             let worker = (parts == 2).then(|| {
                 s.spawn(|| {
                     let mut rest = ImageBuilder {
@@ -687,19 +642,19 @@ impl AnswerCache {
                     };
                     let mut keys = Vec::with_capacity(names - split);
                     let names = index.answered_names().skip(split);
-                    let blocks = rest.zone_names(answerer, names, chaos, |hash, at| {
+                    let entries = rest.zone_names(answerer, names, |hash, at| {
                         keys.push((hash, at));
                     });
                     let templates = rest.templates(answerer);
-                    (rest.image, keys, blocks, templates)
+                    (rest.image, keys, entries, templates)
                 })
             });
             let names = index.answered_names().take(split);
-            let mut blocks = builder.zone_names(answerer, names, chaos, |hash, at| {
+            let entries = builder.zone_names(answerer, names, |hash, at| {
                 exact.insert(hash, at);
             });
             let Some(worker) = worker else {
-                return (blocks, builder.templates(answerer));
+                return (entries, builder.templates(answerer));
             };
             let (image, keys, theirs, mut templates) =
                 worker.join().unwrap_or_else(|e| resume_unwind(e));
@@ -711,25 +666,13 @@ impl AnswerCache {
             for at in templates.iter_mut().filter(|at| **at != NO_TEMPLATE) {
                 *at = offset(base + *at as usize);
             }
-            blocks.merge(theirs);
-            (blocks, templates)
+            (entries + theirs, templates)
         });
-        // The identity names no zone block carries, with their CHAOS shape
-        // alone.
-        for (name, _) in chaos
-            .iter()
-            .zip(blocks.chaos)
-            .filter(|&(_, blocked)| !blocked)
-        {
-            let at = builder.name(answerer, name, &[(RrType::Txt, Class::Ch)]);
-            exact.insert(zone_hash(Block::at(&builder.image, at).key()), at);
-            blocks.entries += 3;
-        }
         AnswerCache {
             image: builder.finish(),
             exact,
             templates,
-            entries: blocks.entries,
+            entries,
         }
     }
 
@@ -823,12 +766,10 @@ fn splice_request(req: &[u8], qlen: usize, out: &mut [u8]) {
     out[12..qend].copy_from_slice(&req[12..qend]);
 }
 
-/// Per-engine CHAOS identity shapes, consulted after a shared zone-only
-/// [`AnswerCache`] ([`AnswerCache::build_zone`]) declines. All sites of a
-/// letter share the zone cache; each engine keeps its own four identity
-/// answers here, as name blocks of an image of its own built the way the
-/// standalone cache builds its CHAOS names — so shared-state and
-/// standalone engines stay byte-identical on the CHAOS channel too.
+/// Per-engine CHAOS identity shapes, consulted after the zone-only
+/// [`AnswerCache`] declines. Every site shares the zone cache; each
+/// engine keeps its own four identity answers here, as name blocks of an
+/// image of its own, encoded by the answerer the fallback path runs.
 #[derive(Debug)]
 pub(crate) struct ChaosCache {
     image: Box<[u8]>,
@@ -851,8 +792,8 @@ impl ChaosCache {
 
     /// Serve a CHAOS identity query from the per-engine shapes, appending
     /// the response to `out`. Returns false (with `out` untouched) for
-    /// anything else — including the shapes the legacy cache also declines
-    /// (odd payloads, NSID).
+    /// anything else — odd payloads included; NSID requests never get
+    /// here.
     pub(crate) fn serve(&self, req: &[u8], q: &FastQuery<'_>, out: &mut Vec<u8>) -> bool {
         let mut blocks = self.names.iter().map(|&at| Block::at(&self.image, at));
         (blocks.find(|block| block.key() == q.lc)).is_some_and(|block| block.serve(req, q, out))
@@ -1074,7 +1015,7 @@ mod tests {
             let owners: Vec<Name> = (index.nsec_chain())
                 .map(|(owner, _)| owner.clone())
                 .collect();
-            let entries = AnswerCache::build_zone(&index).entries();
+            let entries = AnswerCache::build(&index).entries();
             (owners, index.tld_labels(), entries)
         };
         let (first, second) = (build(), build());
@@ -1103,33 +1044,26 @@ mod tests {
 
     /// What lets `serve` skip the cut table for a one-label name that
     /// missed `exact`: every owner at or above a cut — every cut among them
-    /// — has an exact entry, with or without the CHAOS names beside them,
-    /// and no owner below a cut has one. `ZoneIndex::below_cut` tells the
-    /// two apart as the owners' labels do.
+    /// — has an exact entry, and no owner below a cut has one.
+    /// `ZoneIndex::below_cut` tells the two apart as the owners' labels do.
     #[test]
     fn only_owners_at_or_above_a_cut_have_an_exact_entry() {
         let (_, cached) = engines();
         let index = cached.index();
         let tlds = index.tld_labels();
-        let site = crate::answer::SiteAnswers::new(&SiteIdentity::named("lax2f"));
-        let with_chaos = AnswerCache::build(&Answerer {
-            index: &index,
-            site: Some(&site),
-        });
-        for cache in [AnswerCache::build_zone(&index), with_chaos] {
-            let mut held = [0; 2];
-            for name in index.names() {
-                let below = below_a_tld(name.as_wire(), &tlds);
-                let key = name.as_wire().to_ascii_lowercase();
-                assert_eq!(index.below_cut(&key), below, "{name}");
-                let found = cache.block(&name.canonical_wire()).is_some();
-                assert_eq!(found, !below, "{name}");
-                held[usize::from(below)] += 1;
-            }
-            // The apex and ten TLDs; thirteen root servers and twenty TLD
-            // name servers.
-            assert_eq!(held, [1 + 10, 13 + 10 * 2]);
+        let cache = AnswerCache::build(&index);
+        let mut held = [0; 2];
+        for name in index.names() {
+            let below = below_a_tld(name.as_wire(), &tlds);
+            let key = name.as_wire().to_ascii_lowercase();
+            assert_eq!(index.below_cut(&key), below, "{name}");
+            let found = cache.block(&name.canonical_wire()).is_some();
+            assert_eq!(found, !below, "{name}");
+            held[usize::from(below)] += 1;
         }
+        // The apex and ten TLDs; thirteen root servers and twenty TLD name
+        // servers.
+        assert_eq!(held, [1 + 10, 13 + 10 * 2]);
         assert!(index.referral_above(b"\x03com").is_some());
     }
 
@@ -1221,7 +1155,7 @@ mod tests {
             let zone = build_root_zone(&cfg, &ZoneKeys::from_seed(11));
             let zone = Arc::new(if signed { zone } else { unsigned(zone) });
             let index = ZoneIndex::build(Arc::clone(&zone));
-            let cache = AnswerCache::build_zone(&index);
+            let cache = AnswerCache::build(&index);
             let oracle = OracleIndex::build(&zone);
             let oracle_cache = OracleCache::build(&oracle);
 
@@ -1402,10 +1336,9 @@ mod tests {
     /// and below the TLDs and the identity names, at every cached qtype
     /// and one uncached, in every EDNS state at every budget class — the
     /// same answer or the same refusal, over zones below and above
-    /// `SPLIT_NAMES` and with and without the CHAOS names.
+    /// `SPLIT_NAMES`.
     #[test]
     fn a_build_in_two_parts_serves_what_one_part_does() {
-        let site = crate::answer::SiteAnswers::new(&SiteIdentity::named("lax2f"));
         for tld_count in [8, 1_500] {
             let cfg = RootZoneConfig {
                 tld_count,
@@ -1420,41 +1353,34 @@ mod tests {
                 qnames.push(vec![3, c, b'0', b'x']);
                 qnames.push(vec![1, c, 3, b'c', b'o', b'm']);
             }
-            for with_site in [None, Some(&site)] {
-                let answerer = Answerer {
-                    index: &index,
-                    site: with_site,
-                };
-                let chaos = with_site.is_some();
-                let (one, two) = (
-                    AnswerCache::build_parts(&answerer, chaos, 1),
-                    AnswerCache::build_parts(&answerer, chaos, 2),
-                );
-                let what = format!("{tld_count} TLDs, CHAOS {chaos}");
-                assert!(one.image == two.image, "{what}: image");
-                assert_eq!(one.templates, two.templates, "{what}");
-                assert_eq!(one.entries(), two.entries(), "{what}");
-                let (mut a, mut b) = (Vec::new(), Vec::new());
-                let mut hits = 0;
-                for qname in &qnames {
-                    for qtype in CACHED_QTYPES.into_iter().chain([RrType::Other(65)]) {
-                        for state in 0..3 {
-                            for budget in [512, 1232, 4096, 700] {
-                                let req = request(qname, qtype, state, budget);
-                                let lc = &mut [0; MAX_QNAME];
-                                let q = FastQuery::parse(&req, lc).expect("a canonical request");
-                                a.clear();
-                                b.clear();
-                                let hit = one.serve(&index, &req, &q, &mut a);
-                                assert_eq!(hit, two.serve(&index, &req, &q, &mut b), "{what}");
-                                assert!(a == b, "{what}: {qname:?} {qtype:?} {state} {budget}");
-                                hits += usize::from(hit);
-                            }
+            let (one, two) = (
+                AnswerCache::build_parts(&index, 1),
+                AnswerCache::build_parts(&index, 2),
+            );
+            let what = format!("{tld_count} TLDs");
+            assert!(one.image == two.image, "{what}: image");
+            assert_eq!(one.templates, two.templates, "{what}");
+            assert_eq!(one.entries(), two.entries(), "{what}");
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            let mut hits = 0;
+            for qname in &qnames {
+                for qtype in CACHED_QTYPES.into_iter().chain([RrType::Other(65)]) {
+                    for state in 0..3 {
+                        for budget in [512, 1232, 4096, 700] {
+                            let req = request(qname, qtype, state, budget);
+                            let lc = &mut [0; MAX_QNAME];
+                            let q = FastQuery::parse(&req, lc).expect("a canonical request");
+                            a.clear();
+                            b.clear();
+                            let hit = one.serve(&index, &req, &q, &mut a);
+                            assert_eq!(hit, two.serve(&index, &req, &q, &mut b), "{what}");
+                            assert!(a == b, "{what}: {qname:?} {qtype:?} {state} {budget}");
+                            hits += usize::from(hit);
                         }
                     }
                 }
-                assert!(hits > qnames.len(), "{what}: {hits} hits");
             }
+            assert!(hits > qnames.len(), "{what}: {hits} hits");
         }
     }
 

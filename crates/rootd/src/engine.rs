@@ -9,17 +9,21 @@
 //! `dns_zone::axfr` produces; CHAOS identity queries answer from the
 //! site's [`SiteIdentity`].
 //!
-//! The hot path is the precompiled [`AnswerCache`]: when enabled
-//! ([`Rootd::with_answer_cache`]), `serve_udp_into` first tries a hash
+//! Every engine serves through a [`SharedState`]: an uncached one of its
+//! own ([`Rootd::new`]), or a letter's, shared by its site engines
+//! ([`Rootd::with_shared_state`]). The hot path is the state's precompiled,
+//! zone-only [`AnswerCache`] and, after it, the engine's own four CHAOS
+//! identity answers: on a cached engine (one over a shared state, or
+//! [`Rootd::with_answer_cache`]) `serve_udp_into` first tries a hash
 //! lookup that splices the request id, RD bit, and question bytes into a
-//! pre-encoded response. What it does not hold (uncached qtypes, names
-//! below a cut, odd payload sizes, AXFR) is resolved and encoded per
-//! query — without allocating, as the hit path. Only the requests
+//! pre-encoded response. What neither holds (uncached qtypes, names below
+//! a cut, odd payload sizes, AXFR) is resolved and encoded per query —
+//! without allocating, as the hit path. Only the requests
 //! `FastQuery::parse` cannot prove canonical (NSID and other options, a
 //! compressed qname, several questions, another opcode) take
-//! [`Message::from_wire`] first. Zone swaps ([`Rootd::reload`]) replace the
-//! whole serving state atomically behind an epoch-swapped `Arc`, bumping
-//! [`Rootd::generation`].
+//! [`Message::from_wire`] first. Zone swaps ([`SharedState::reload`])
+//! replace the whole serving state atomically behind an epoch-swapped
+//! `Arc`, bumping [`Rootd::generation`].
 
 use crate::answer::{encode_into, Answerer, Plan, SiteAnswers};
 use crate::cache::{AnswerCache, ChaosCache};
@@ -104,10 +108,10 @@ pub enum ServeVerdict {
 }
 
 /// Everything the serve path reads per query, swapped atomically on
-/// [`Rootd::reload`]. Readers clone nothing: they hold the lock only for
-/// the duration of one datagram. The cache rides behind its own `Arc` so
-/// config-only swaps ([`Rootd::set_rrl`]) never rebuild it.
-#[derive(Debug)]
+/// [`SharedState::reload`]. Readers clone nothing: they hold the lock only
+/// for the duration of one datagram. The cache rides behind its own `Arc`
+/// so config-only swaps ([`Rootd::set_rrl`]) never rebuild it.
+#[derive(Debug, Clone)]
 struct ServingState {
     index: Arc<ZoneIndex>,
     cache: Option<Arc<AnswerCache>>,
@@ -118,10 +122,11 @@ struct ServingState {
     rrl: Option<Arc<Rrl>>,
 }
 
-/// One letter's epoch-swapped serving state, shared by every site engine
-/// of that letter ([`Rootd::with_shared_state`]). The zone index and the
-/// identity-free answer cache are built once per letter; a
-/// [`SharedState::reload`] publishes the next zone epoch to all sharing
+/// The epoch-swapped serving state every [`Rootd`] serves through: the
+/// zone index and the zone-only answer cache, built once and shared by
+/// every engine over it — a standalone engine holds one of its own, a
+/// farm's site engines share their letter's ([`Rootd::with_shared_state`]).
+/// A [`SharedState::reload`] publishes the next zone epoch to all sharing
 /// engines atomically (in-flight queries finish against the old state).
 #[derive(Debug, Clone)]
 pub struct SharedState {
@@ -129,10 +134,11 @@ pub struct SharedState {
 }
 
 impl SharedState {
-    /// Build the shared state for `index`, with the zone-only precompiled
-    /// answer cache (CHAOS identity shapes live per-engine instead).
-    pub fn build(index: Arc<ZoneIndex>) -> SharedState {
-        let cache = Some(Arc::new(AnswerCache::build_zone(&index)));
+    /// Generation 0 of `index`, with `cache` (or none: every datagram is
+    /// then parsed and encoded) and no rate limiter. The farm hands every
+    /// letter the same zone-only cache: it is letter-independent, so
+    /// building it thirteen times would be pure waste.
+    pub(crate) fn new(index: Arc<ZoneIndex>, cache: Option<Arc<AnswerCache>>) -> SharedState {
         SharedState {
             state: Arc::new(RwLock::new(Arc::new(ServingState {
                 index,
@@ -143,28 +149,19 @@ impl SharedState {
         }
     }
 
-    /// Build the shared state from preassembled parts. The farm uses this
-    /// to share ONE zone-only cache across all thirteen letters — the
-    /// cache is identity-free, hence letter-independent, so building it
-    /// thirteen times would be pure waste.
-    pub(crate) fn with_parts(index: Arc<ZoneIndex>, cache: Arc<AnswerCache>) -> SharedState {
-        SharedState {
-            state: Arc::new(RwLock::new(Arc::new(ServingState {
-                index,
-                cache: Some(cache),
-                generation: 0,
-                rrl: None,
-            }))),
-        }
+    /// Build the shared state for `index`, with the zone-only precompiled
+    /// answer cache (CHAOS identity shapes live per-engine instead).
+    pub fn build(index: Arc<ZoneIndex>) -> SharedState {
+        let cache = Arc::new(AnswerCache::build(&index));
+        SharedState::new(index, Some(cache))
     }
 
     /// Swap in a new zone epoch for every sharing engine: rebuild the
-    /// index and the zone-only cache, then publish atomically
-    /// (`publish_epoch`). Returns the new generation.
+    /// index, and the zone-only cache when the epoch it replaces had one,
+    /// then publish atomically (`publish_epoch`). Returns the new
+    /// generation.
     pub fn reload(&self, zone: Arc<Zone>) -> u64 {
-        publish_epoch(&self.state, zone, |index| {
-            Some(Arc::new(AnswerCache::build_zone(index)))
-        })
+        publish_epoch(&self.state, zone)
     }
 
     /// Validated, atomic reload: verify `zone` (ZONEMD, then RRSIG /
@@ -241,19 +238,17 @@ fn validate_for_reload(zone: &Zone, now: u32) -> Result<(), ReloadError> {
 }
 
 /// The one publish step behind every reload: build the next epoch's index
-/// and cache outside the lock (readers keep serving the old epoch
-/// meanwhile), then take the write lock only to bump the generation and
-/// swap the pointer — so concurrent reloads can never mint the same
-/// generation — and free the displaced epoch (tens of megabytes on a
-/// root-sized zone) after the lock is released, where it stalls no reader.
-/// The rate limiter is carried across. Returns the new generation.
-fn publish_epoch(
-    state: &RwLock<Arc<ServingState>>,
-    zone: Arc<Zone>,
-    build_cache: impl FnOnce(&ZoneIndex) -> Option<Arc<AnswerCache>>,
-) -> u64 {
+/// and — when the epoch it replaces has one — its cache outside the lock
+/// (readers keep serving the old epoch meanwhile), then take the write
+/// lock only to bump the generation and swap the pointer — so concurrent
+/// reloads can never mint the same generation — and free the displaced
+/// epoch (tens of megabytes on a root-sized zone) after the lock is
+/// released, where it stalls no reader. The rate limiter is carried
+/// across. Returns the new generation.
+fn publish_epoch(state: &RwLock<Arc<ServingState>>, zone: Arc<Zone>) -> u64 {
     let index = Arc::new(ZoneIndex::build(zone));
-    let cache = build_cache(&index);
+    let cached = state.read().cache.is_some();
+    let cache = cached.then(|| Arc::new(AnswerCache::build(&index)));
     let mut guard = state.write();
     let generation = guard.generation + 1;
     let next = Arc::new(ServingState {
@@ -282,14 +277,13 @@ pub struct BatchTally {
 /// One authoritative serving instance.
 #[derive(Debug)]
 pub struct Rootd {
-    state: Arc<RwLock<Arc<ServingState>>>,
+    /// The serving state, this engine's own or shared with others.
+    shared: SharedState,
     /// The identity answers (CHAOS TXT records, NSID payload), built once.
     site: SiteAnswers,
-    /// Per-engine CHAOS identity shapes, present on engines built over a
-    /// [`SharedState`] (whose answer cache is identity-free).
+    /// Per-engine CHAOS identity shapes, present on every cached engine
+    /// (the zone-only answer cache holds no identity).
     chaos: Option<ChaosCache>,
-    /// Whether [`Rootd::reload`] rebuilds the answer cache.
-    cache_enabled: bool,
     /// Answer records per AXFR message.
     axfr_batch: usize,
     /// Which letter the instance serves as (CHAOS banner flavour only; the
@@ -302,19 +296,7 @@ impl Rootd {
     /// serve path parses and encodes every datagram. Chain
     /// [`Self::with_answer_cache`] for the precompiled fast path.
     pub fn new(index: Arc<ZoneIndex>, identity: SiteIdentity) -> Rootd {
-        Rootd {
-            state: Arc::new(RwLock::new(Arc::new(ServingState {
-                index,
-                cache: None,
-                generation: 0,
-                rrl: None,
-            }))),
-            site: SiteAnswers::new(&identity),
-            chaos: None,
-            cache_enabled: false,
-            axfr_batch: dns_zone::axfr::DEFAULT_BATCH,
-            letter: None,
-        }
+        Rootd::over(SharedState::new(index, None), identity)
     }
 
     /// A site engine serving a letter's [`SharedState`]: the zone index
@@ -323,42 +305,41 @@ impl Rootd {
     /// [`SharedState::reload`] (or a [`Rootd::reload`] through any
     /// sharing engine) swaps the epoch for every sharer at once.
     pub fn with_shared_state(shared: &SharedState, identity: SiteIdentity) -> Rootd {
-        let mut me = Rootd {
-            state: Arc::clone(&shared.state),
-            site: SiteAnswers::new(&identity),
-            chaos: None,
-            cache_enabled: true,
-            axfr_batch: dns_zone::axfr::DEFAULT_BATCH,
-            letter: None,
-        };
-        let chaos = {
-            let state = me.state.read();
-            ChaosCache::build(&me.answerer(&state))
-        };
-        me.chaos = Some(chaos);
-        me
+        Rootd::over(shared.clone(), identity).with_chaos_cache()
     }
 
-    /// Precompile the answer cache for the current zone and keep it in
-    /// sync across [`Self::reload`]s. Costs one pass over every (name,
-    /// qtype, EDNS-state) shape at build time; serve-time hits are then a
-    /// hash lookup plus a header/question splice.
+    /// An engine serving `shared` with `identity`, no CHAOS shapes yet.
+    fn over(shared: SharedState, identity: SiteIdentity) -> Rootd {
+        Rootd {
+            shared,
+            site: SiteAnswers::new(&identity),
+            chaos: None,
+            axfr_batch: dns_zone::axfr::DEFAULT_BATCH,
+            letter: None,
+        }
+    }
+
+    /// Precompile the zone-only answer cache for the current zone — kept
+    /// in sync across [`Self::reload`]s — and this engine's CHAOS identity
+    /// shapes: what every [`Self::with_shared_state`] engine has. Costs one
+    /// pass over every (name, qtype, EDNS-state) shape at build time;
+    /// serve-time hits are then a hash lookup plus a header/question
+    /// splice.
     pub fn with_answer_cache(self) -> Rootd {
-        let me = Rootd {
-            cache_enabled: true,
-            ..self
-        };
-        let index = me.index();
-        let cache = me.build_cache(&index);
-        let mut guard = me.state.write();
+        let mut guard = self.shared.state.write();
+        let cache = Some(Arc::new(AnswerCache::build(&guard.index)));
         *guard = Arc::new(ServingState {
-            index,
             cache,
-            generation: guard.generation,
-            rrl: guard.rrl.clone(),
+            ..ServingState::clone(&guard)
         });
         drop(guard);
-        me
+        self.with_chaos_cache()
+    }
+
+    /// This engine with its CHAOS identity shapes built.
+    fn with_chaos_cache(mut self) -> Rootd {
+        self.chaos = Some(ChaosCache::build(&self.answerer(&self.shared.state.read())));
+        self
     }
 
     /// Enable response-rate limiting with `cfg` (builder form).
@@ -376,57 +357,39 @@ impl Rootd {
     /// call is kept, never overwritten with the epoch it displaced.
     pub fn set_rrl(&self, cfg: Option<RrlConfig>) {
         let rrl = cfg.map(|c| Arc::new(Rrl::new(c)));
-        let mut guard = self.state.write();
+        let mut guard = self.shared.state.write();
         *guard = Arc::new(ServingState {
-            index: Arc::clone(&guard.index),
-            cache: guard.cache.clone(),
-            generation: guard.generation,
             rrl,
+            ..ServingState::clone(&guard)
         });
     }
 
     /// The active rate limiter (its counters and bucket stats), if any.
     pub fn rrl(&self) -> Option<Arc<Rrl>> {
-        self.state.read().rrl.clone()
+        self.shared.state.read().rrl.clone()
     }
 
     /// The zone index being served (the current epoch's).
     pub fn index(&self) -> Arc<ZoneIndex> {
-        Arc::clone(&self.state.read().index)
+        self.shared.index()
     }
 
     /// Cache generation: bumped by every [`Self::reload`]. Starts at 0.
     pub fn generation(&self) -> u64 {
-        self.state.read().generation
+        self.shared.generation()
     }
 
     /// Whether the precompiled answer cache is active.
     pub fn has_answer_cache(&self) -> bool {
-        self.state.read().cache.is_some()
+        self.shared.state.read().cache.is_some()
     }
 
-    /// Swap in a new zone epoch: rebuild the index (and the answer cache,
-    /// when enabled), bump the generation, and publish atomically
-    /// (`publish_epoch`). In-flight queries finish against the old state;
-    /// the next datagram sees the new. Returns the new generation.
+    /// Swap in a new zone epoch through this engine's serving state
+    /// ([`SharedState::reload`]: every engine sharing it sees the swap).
+    /// In-flight queries finish against the old state; the next datagram
+    /// sees the new. Returns the new generation.
     pub fn reload(&self, zone: Arc<Zone>) -> u64 {
-        publish_epoch(&self.state, zone, |index| self.build_cache(index))
-    }
-
-    /// The answer cache this engine keeps over `index`, if enabled.
-    fn build_cache(&self, index: &ZoneIndex) -> Option<Arc<AnswerCache>> {
-        self.cache_enabled.then(|| {
-            if self.chaos.is_some() {
-                // Shared-state engine: the cache is identity-free (all
-                // sharers see this swap; identity stays per-engine).
-                Arc::new(AnswerCache::build_zone(index))
-            } else {
-                Arc::new(AnswerCache::build(&Answerer {
-                    index,
-                    site: Some(&self.site),
-                }))
-            }
-        })
+        self.shared.reload(zone)
     }
 
     /// Override the AXFR message batch size (framing granularity only).
@@ -443,7 +406,7 @@ impl Rootd {
     /// dropped at record boundaries and TC is set so the client retries
     /// over TCP.
     pub fn serve_udp_into(&self, request: &[u8], out: &mut Vec<u8>) -> ServeOutcome {
-        let state = self.state.read();
+        let state = self.shared.state.read();
         self.serve_alone(&state, request, out)
     }
 
@@ -537,7 +500,7 @@ impl Rootd {
     /// slabs are warm. Answers are byte-identical to per-datagram
     /// [`Self::serve_udp_into`] calls.
     pub fn serve_udp_batch(&self, batch: &mut UdpBatch) -> BatchTally {
-        let state = self.state.read();
+        let state = self.shared.state.read();
         let mut tally = BatchTally::default();
         let mut lc = [0; MAX_QNAME];
         for i in 0..batch.len() {
@@ -572,7 +535,7 @@ impl Rootd {
         request: &[u8],
         out: &mut Vec<u8>,
     ) -> ServeVerdict {
-        let state = self.state.read();
+        let state = self.shared.state.read();
         let outcome = self.serve_alone(&state, request, out);
         let Some(rrl) = &state.rrl else {
             return ServeVerdict::Answered(outcome);
@@ -621,7 +584,7 @@ impl Rootd {
         if query.header.flags.response {
             return Vec::new();
         }
-        let state = self.state.read();
+        let state = self.shared.state.read();
         let lc = &mut [0; MAX_QNAME];
         let q = FastQuery::from_message(&query, lc);
         let plan = if q.is_axfr() && !q.bad_version() {
@@ -1626,7 +1589,7 @@ mod tests {
         fn canonical_requests_answer_the_same_through_the_adapter(q in some_query()) {
             let e = engine();
             let wire = q.to_wire();
-            let state = e.state.read();
+            let state = e.shared.state.read();
             let (mut fast, mut adapted) = (Vec::new(), Vec::new());
             let lc = &mut [0; MAX_QNAME];
             if FastQuery::parse(&wire, lc).is_some() {

@@ -483,7 +483,7 @@ impl Farm {
     ) -> Farm {
         assert!(!letters.is_empty(), "farm needs at least one letter");
         let index = Arc::new(ZoneIndex::build(Arc::clone(&zone)));
-        let cache = Arc::new(AnswerCache::build_zone(&index));
+        let cache = Arc::new(AnswerCache::build(&index));
         let templates = QueryTemplates::build(&index.tld_labels());
         let clients: Vec<AsId> = topology
             .nodes()
@@ -494,7 +494,7 @@ impl Farm {
         let farms = letters
             .iter()
             .map(|&letter| {
-                let shared = SharedState::with_parts(Arc::clone(&index), Arc::clone(&cache));
+                let shared = SharedState::new(Arc::clone(&index), Some(Arc::clone(&cache)));
                 let mut engines = Vec::new();
                 let mut site_ids = Vec::new();
                 for site in catalog.sites_of(letter).take(max_sites_per_letter.max(1)) {

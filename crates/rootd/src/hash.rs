@@ -199,7 +199,7 @@ mod tests {
         };
         let zone = build_root_zone(&cfg, &ZoneKeys::from_seed(7));
         let index = ZoneIndex::build(Arc::new(zone));
-        let cache = AnswerCache::build_zone(&index);
+        let cache = AnswerCache::build(&index);
         (index, cache)
     }
 

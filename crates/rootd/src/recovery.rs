@@ -392,12 +392,12 @@ struct SiteState {
     /// Crashed and not yet restarted; holds the underlying window end a
     /// restart must outlast.
     crash_until: Option<u64>,
-    /// Active stall depth and the delay in force.
-    stall_depth: u32,
-    stall_delay: u64,
-    /// Open ground-truth intervals being accumulated.
+    /// The delay of each stall window open now, one entry per window.
+    stalls: Vec<u64>,
+    /// Open ground-truth intervals being accumulated: the outage's start,
+    /// and the stall's start with the delay in force since.
     down_since: Option<u64>,
-    stall_since: Option<u64>,
+    stall_since: Option<(u64, u64)>,
     /// Index into `recoveries` for the current crash incident.
     log_idx: Option<usize>,
 }
@@ -408,7 +408,9 @@ impl SiteState {
     }
 
     /// Open or close the ground-truth outage and stall intervals after
-    /// the site's flags changed at `t`.
+    /// the site's flags changed at `t`. The stall delay in force is the
+    /// longest of the stalls open now; an interval is cut wherever it
+    /// changes.
     fn sync(&mut self, lc: &mut LetterControl, t: u64) {
         match (self.down_since, self.is_down()) {
             (None, true) => self.down_since = Some(t),
@@ -418,13 +420,12 @@ impl SiteState {
             }
             _ => {}
         }
-        match (self.stall_since, self.stall_depth > 0) {
-            (None, true) => self.stall_since = Some(t),
-            (Some(since), false) => {
-                lc.stalls[self.slot].push((since, t, self.stall_delay));
-                self.stall_since = None;
+        let delay = self.stalls.iter().copied().max();
+        if self.stall_since.map(|(_, d)| d) != delay {
+            if let Some((since, d)) = self.stall_since.filter(|&(since, _)| since < t) {
+                lc.stalls[self.slot].push((since, t, d));
             }
-            _ => {}
+            self.stall_since = delay.map(|d| (t, d));
         }
     }
 }
@@ -486,10 +487,7 @@ pub fn run_control_plane(
                         site.crash_until = Some(site.crash_until.unwrap_or(0).max(end));
                     }
                     FailureKind::Blackhole => site.blackhole_depth += 1,
-                    FailureKind::Stall { delay_ms } => {
-                        site.stall_depth += 1;
-                        site.stall_delay = site.stall_delay.max(delay_ms);
-                    }
+                    FailureKind::Stall { delay_ms } => site.stalls.push(delay_ms),
                 }
                 site.sync(lc, t);
             }
@@ -501,8 +499,10 @@ pub fn run_control_plane(
                     FailureKind::Blackhole => {
                         site.blackhole_depth = site.blackhole_depth.saturating_sub(1);
                     }
-                    FailureKind::Stall { .. } => {
-                        site.stall_depth = site.stall_depth.saturating_sub(1);
+                    FailureKind::Stall { delay_ms } => {
+                        if let Some(i) = site.stalls.iter().position(|&d| d == delay_ms) {
+                            site.stalls.swap_remove(i);
+                        }
                     }
                 }
                 site.sync(lc, t);
@@ -535,32 +535,35 @@ pub fn run_control_plane(
                 }
                 let outcome = if site.is_down() {
                     ProbeOutcome::Down
-                } else if site.stall_depth > 0 && site.stall_delay > health.slo_ms {
+                } else if site.stalls.iter().any(|&d| d > health.slo_ms) {
                     ProbeOutcome::Slow
                 } else {
                     ProbeOutcome::Ok
                 };
-                let Some(next) = site.health.on_probe(outcome, health) else {
-                    continue;
-                };
-                lc.timeline.record(site.slot, t, next);
-                if next == SiteStatus::Dead && site.crash_until.is_some() {
-                    // A crashed engine was just declared Dead: open the
-                    // incident log and queue restart attempt 1 on the
-                    // backoff ladder.
-                    site.log_idx = Some(recoveries.len());
-                    recoveries.push(RecoveryLog {
-                        letter: lc.letter,
-                        site_id: site.site_id,
-                        failed_at: site.down_since.unwrap_or(t),
-                        detected_at: t,
-                        attempts: 0,
-                        recovered_at: None,
-                    });
-                    let backoff = policy.backoff_ms(u64::from(site.site_id), t, 1);
-                    schedule(&mut sched, t + backoff, s, Event::Restart(1));
+                if let Some(next) = site.health.on_probe(outcome, health) {
+                    lc.timeline.record(site.slot, t, next);
                 }
             }
+        }
+        if site.crash_until.is_some()
+            && site.log_idx.is_none()
+            && site.health.status() == SiteStatus::Dead
+        {
+            // A crashed engine believed Dead with no incident open — just
+            // declared Dead, or already Dead (blackholed) when the crash
+            // began: open the incident log and queue restart attempt 1 on
+            // the backoff ladder.
+            site.log_idx = Some(recoveries.len());
+            recoveries.push(RecoveryLog {
+                letter: lc.letter,
+                site_id: site.site_id,
+                failed_at: site.down_since.unwrap_or(t),
+                detected_at: t,
+                attempts: 0,
+                recovered_at: None,
+            });
+            let backoff = policy.backoff_ms(u64::from(site.site_id), t, 1);
+            schedule(&mut sched, t + backoff, s, Event::Restart(1));
         }
     }
 
@@ -571,8 +574,8 @@ pub fn run_control_plane(
         if let Some(since) = site.down_since.take() {
             lc.outages[site.slot].push((since, u64::MAX));
         }
-        if let Some(since) = site.stall_since.take() {
-            lc.stalls[site.slot].push((since, u64::MAX, site.stall_delay));
+        if let Some((since, delay)) = site.stall_since.take() {
+            lc.stalls[site.slot].push((since, u64::MAX, delay));
         }
     }
     ControlPlane {
@@ -683,6 +686,75 @@ mod tests {
         assert_eq!(lc.timeline.status_at(0, 3_000), SiteStatus::Suspect);
         assert!(lc.timeline.status_at(0, 3_000).in_rotation());
         assert_eq!(lc.timeline.status_at(0, 59_999), SiteStatus::Healthy);
+    }
+
+    /// The delay in force is the longest stall open at that instant: a
+    /// 50 ms stall after a 400 ms one at the same site is recorded with
+    /// its own delay, probes under the SLO, and leaves the site Healthy.
+    #[test]
+    fn a_later_shorter_stall_is_recorded_with_its_own_delay() {
+        let mut plan = FailurePlan::none(9);
+        let stall = |delay_ms| FailureKind::Stall { delay_ms };
+        plan.add(RootLetter::A, 10, stall(400), (1_000, 3_000)).add(
+            RootLetter::A,
+            10,
+            stall(50),
+            (5_000, 9_000),
+        );
+        let cp = run(&plan);
+        let lc = &cp.letters[0];
+        assert_eq!(lc.stalls[0], vec![(1_000, 3_000, 400), (5_000, 9_000, 50)]);
+        assert_eq!(lc.stall_delay_at(0, 6_000), Some(50));
+        assert_eq!(lc.timeline.status_at(0, 2_000), SiteStatus::Suspect);
+        assert_eq!(lc.timeline.status_at(0, 4_000), SiteStatus::Healthy);
+        for t in (5_000..9_000).step_by(250) {
+            assert_eq!(lc.timeline.status_at(0, t), SiteStatus::Healthy, "{t}");
+        }
+    }
+
+    /// Overlapping stalls: the interval is cut wherever the longest open
+    /// delay changes, and each end removes its own window.
+    #[test]
+    fn overlapping_stalls_cut_the_interval_where_the_delay_changes() {
+        let mut plan = FailurePlan::none(9);
+        let stall = |delay_ms| FailureKind::Stall { delay_ms };
+        plan.add(RootLetter::A, 10, stall(50), (1_000, 6_000)).add(
+            RootLetter::A,
+            10,
+            stall(400),
+            (2_000, 4_000),
+        );
+        let cp = run(&plan);
+        assert_eq!(
+            cp.letters[0].stalls[0],
+            vec![(1_000, 2_000, 50), (2_000, 4_000, 400), (4_000, 6_000, 50)]
+        );
+    }
+
+    /// A crash that begins while its site is already believed Dead (here
+    /// behind a blackhole) opens its incident at once: the restart ladder
+    /// converges, the outage ends, and the site is Healthy again by the
+    /// blackhole's end plus the restart budget.
+    #[test]
+    fn a_crash_at_a_site_believed_dead_gets_a_restart_ladder() {
+        let mut plan = FailurePlan::none(5);
+        plan.add(RootLetter::B, 21, FailureKind::Blackhole, (1_000, 5_000))
+            .add(RootLetter::B, 21, FailureKind::Crash, (3_000, 4_000));
+        let cp = run(&plan);
+        assert_eq!(cp.recoveries.len(), 1);
+        let log = cp.recoveries[0];
+        assert!(log.converged(), "{log:?}");
+        assert_eq!(log.detected_at, 3_000);
+        let lc = &cp.letters[1];
+        assert_eq!(lc.outages[1].len(), 1);
+        let (start, end) = lc.outages[1][0];
+        assert_eq!(start, 1_000);
+        assert!(end != u64::MAX && end >= 5_000, "{end}");
+        let budget = RecoveryPolicy::default().budget_ms();
+        assert_eq!(
+            lc.timeline.status_at(1, 5_000 + budget),
+            SiteStatus::Healthy
+        );
     }
 
     #[test]

@@ -1,11 +1,34 @@
 //! The serving farm's invariants in tier-1: what `examples/farm_report.rs`
 //! and `examples/farm_chaos_report.rs` print `… invariants: OK` for, at
-//! tiny scale — empty `violations()`, fingerprints identical for every
-//! shard count 1..=8, and fingerprints that move with the seed.
+//! tiny scale — empty `violations()`, at the very runs those examples
+//! render too, fingerprints identical for every shard count 1..=8, and
+//! fingerprints that move with the seed.
 
 use rootd::FarmConfig;
 use roots_core::{FarmChaosRun, FarmRun, Scale};
 use rss::RootLetter;
+
+/// The shard count the examples run at: the host's cores, at most eight.
+fn example_shards() -> usize {
+    std::thread::available_parallelism().map_or(2, |n| n.get().min(8))
+}
+
+/// `farm_report`'s default run: A+B × 4 sites, 20 000 queries.
+#[test]
+fn farm_report_example_run_has_no_violations() {
+    let mut cfg = FarmConfig::tiny(0x2024_0610);
+    cfg.queries = 20_000;
+    cfg.shards = example_shards();
+    let run = FarmRun::run(Scale::Tiny, &[RootLetter::A, RootLetter::B], 4, &cfg);
+    assert_eq!(run.report.violations(), Vec::<String>::new());
+}
+
+/// `farm_chaos_report`'s default run: the demo schedule at 30 000 queries.
+#[test]
+fn farm_chaos_report_example_run_has_no_violations() {
+    let run = FarmChaosRun::demo(Scale::Tiny, 0x2025_0417, 30_000, example_shards());
+    assert_eq!(run.violations(), Vec::<String>::new());
+}
 
 #[test]
 fn farm_run_is_sound_and_replays_identically_for_one_through_eight_shards() {

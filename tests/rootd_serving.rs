@@ -13,14 +13,14 @@
 //!    uncached engine.
 
 use dns_wire::edns::{edns_of, set_edns, Edns};
-use dns_wire::{Message, Name, Question, Rcode, RrType};
+use dns_wire::{Class, Message, Name, Question, Rcode, RrType};
 use dns_zone::rollout::RolloutPhase;
 use dns_zone::rootzone::{build_root_zone, RootZoneConfig};
 use dns_zone::signer::ZoneKeys;
 use dns_zone::Zone;
 use rootd::{
-    InprocTransport, LoopbackServer, Rootd, ServeOutcome, SiteIdentity, Transport, UdpBatch,
-    ZoneIndex,
+    InprocTransport, LoopbackServer, Rootd, ServeOutcome, SharedState, SiteIdentity, Transport,
+    UdpBatch, ZoneIndex,
 };
 use std::sync::Arc;
 
@@ -577,4 +577,85 @@ fn no_edns_means_512_and_tc() {
     assert!(parsed.header.flags.truncated);
     // And no OPT appears in the response when the query had none.
     assert!(edns_of(&parsed).is_none());
+}
+
+/// The CHAOS identity names every engine answers (`rootd::answer`).
+const CHAOS_NAMES: [&str; 4] = [
+    "hostname.bind.",
+    "id.server.",
+    "version.bind.",
+    "version.server.",
+];
+
+/// TXT queries at each identity name and at a zone name (`com.`), in the
+/// IN and CH classes, with DO off and on.
+fn txt_in_both_classes() -> Vec<(String, Class, Vec<u8>)> {
+    let mut queries = Vec::new();
+    for name in CHAOS_NAMES.iter().chain(&["com."]) {
+        for class in [Class::In, Class::Ch] {
+            for dnssec in [false, true] {
+                let question = Question {
+                    name: Name::parse(name).unwrap(),
+                    rr_type: RrType::Txt,
+                    class,
+                };
+                let mut q = Message::query(0x5a5a, question);
+                if dnssec {
+                    set_edns(&mut q, &Edns::dnssec());
+                }
+                queries.push((name.to_string(), class, q.to_wire()));
+            }
+        }
+    }
+    queries
+}
+
+/// One identity, three engine shapes: a standalone cached engine, a farm
+/// site engine over a `SharedState` and an uncached `Rootd::new` answer
+/// the query stream and TXT in both classes at every identity name and at
+/// a zone name byte for byte, before and after a reload; a reload keeps
+/// each engine cached or uncached as it was. The two cached shapes serve
+/// every query from the same path: an IN query at an identity name is the
+/// zone's NXDOMAIN, a template hit on both.
+#[test]
+fn the_three_engine_shapes_answer_alike_across_a_reload() {
+    let index = Arc::new(ZoneIndex::build(test_zone(2023112000)));
+    let identity = || SiteIdentity::named("iad7b");
+    let plain = Rootd::new(Arc::clone(&index), identity());
+    let cached = Rootd::new(Arc::clone(&index), identity()).with_answer_cache();
+    let shared = SharedState::build(index);
+    let sharer = Rootd::with_shared_state(&shared, identity());
+    let mut queries: Vec<_> = (query_stream().into_iter())
+        .enumerate()
+        .map(|(i, wire)| (format!("query {i}"), Class::In, wire))
+        .collect();
+    queries.extend(txt_in_both_classes());
+
+    for epoch in 0..2 {
+        if epoch == 1 {
+            let resigned = test_zone(2023112001);
+            for engine in [&plain, &cached, &sharer] {
+                assert_eq!(engine.reload(Arc::clone(&resigned)), 1);
+            }
+        }
+        assert!(!plain.has_answer_cache(), "epoch {epoch}");
+        assert!(cached.has_answer_cache() && sharer.has_answer_cache());
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for (what, class, wire) in &queries {
+            let ctx = format!("epoch {epoch}, {what} {class:?}");
+            let want = plain.serve_udp(wire);
+            let on_cached = cached.serve_udp_into(wire, &mut a);
+            let on_sharer = sharer.serve_udp_into(wire, &mut b);
+            assert_eq!(on_cached, on_sharer, "{ctx}");
+            if on_cached == ServeOutcome::Dropped {
+                assert_eq!(want, None, "{ctx}");
+                continue;
+            }
+            assert_eq!(Some(&a), want.as_ref(), "{ctx}: standalone cached bytes");
+            assert_eq!(Some(&b), want.as_ref(), "{ctx}: shared-state bytes");
+            if CHAOS_NAMES.contains(&what.as_str()) {
+                assert_eq!(on_cached, ServeOutcome::CacheHit, "{ctx}");
+            }
+        }
+    }
 }
