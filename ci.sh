@@ -11,7 +11,9 @@
 #      pins (tests/rootd_serving.rs, tests/wire_interop.rs,
 #      tests/chaos_refresh.rs — the local root's copy answers through the
 #      arena encoder over zones transferred through fault injection), the
-#      zone-integrity suite (tests/zone_integrity.rs),
+#      zone-integrity suite (tests/zone_integrity.rs), the attack suite
+#      (tests/attack_rrl.rs: RRL's window and slip arithmetic and the
+#      attack engine's tick-to-chunk mapping),
 #      the analysis, zone and trace crates, the measurement
 #      and scenario crates, and the pipeline's own tests (`roots-core
 #      --lib`) once more at release optimisation with debug assertions and
@@ -78,7 +80,8 @@ cargo test -q --offline
 # build lays out the same world as a debug one, so every literal it pins
 # must hold here too. The serving suites (rootd_serving, wire_interop) and
 # zone_integrity hold answers to each other, to the wire and to their own
-# zones, and zone_integrity and `dns-crypto` run the hash rounds and the
+# zones; attack_rrl runs the demo flood through RRL's window and slip
+# arithmetic and the attack engine's tick-to-chunk mapping; and zone_integrity and `dns-crypto` run the hash rounds and the
 # signing arithmetic the zone code shares. The analysis, zone, trace,
 # measurement and scenario crates' own tests and `roots-core`'s unit tests
 # run their per-record and per-slot index arithmetic here with the checks
@@ -95,6 +98,7 @@ checked -p netsim
 checked -p roots-core --test farm_invariants farm_
 checked -p roots-core --test golden_replay
 checked -p roots-core --test rootd_serving --test wire_interop --test chaos_refresh
+checked -p roots-core --test attack_rrl
 checked -p roots-core --test zone_integrity
 checked -p analysis -p dns-zone -p traces
 checked -p vantage -p scenario

@@ -162,139 +162,6 @@ impl EpochDiffReport {
     }
 }
 
-/// Traffic-level view of one attack-run epoch: what the *serving* layer
-/// did to benign and adversarial queries while a flood window was (or
-/// was not) active. Plain data — the `rootd` attack engine fills one of
-/// these per epoch; this module only diffs and renders them, the same
-/// division of labor as [`EpochStats`] vs the scenario engine.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FloodEpoch {
-    /// Human label, e.g. `quiet` or `flood×10(bots=32)`.
-    pub label: String,
-    /// Epoch bounds on the virtual clock (ms, half-open).
-    pub start_ms: u64,
-    pub end_ms: u64,
-    /// Benign queries sent / answered in full (over UDP directly, or
-    /// over TCP after a slip — `legit_served` already counts the
-    /// recoveries) / slipped (TC=1) / recovered over TCP after a slip /
-    /// dropped outright.
-    pub legit_sent: u64,
-    pub legit_served: u64,
-    pub legit_slipped: u64,
-    pub legit_slip_recovered: u64,
-    pub legit_dropped: u64,
-    /// Benign end-to-end latency quantiles (virtual-run wall ns).
-    pub legit_p50_ns: u64,
-    pub legit_p99_ns: u64,
-    /// Attack queries sent and their rate-limit fates.
-    pub attack_sent: u64,
-    pub attack_passed: u64,
-    pub attack_slipped: u64,
-    pub attack_dropped: u64,
-}
-
-impl FloodEpoch {
-    /// Fraction of benign queries that ended with a full answer (slip
-    /// recoveries are already inside `legit_served`). 1.0 when none were
-    /// sent.
-    pub fn served_fraction(&self) -> f64 {
-        if self.legit_sent == 0 {
-            1.0
-        } else {
-            self.legit_served as f64 / self.legit_sent as f64
-        }
-    }
-
-    /// Fraction of attack queries the limiter refused a full answer
-    /// (slipped or dropped). 0.0 when the epoch saw no attack.
-    pub fn attack_suppressed_fraction(&self) -> f64 {
-        if self.attack_sent == 0 {
-            0.0
-        } else {
-            (self.attack_slipped + self.attack_dropped) as f64 / self.attack_sent as f64
-        }
-    }
-}
-
-/// The flood diff of one attack run: every epoch's benign service
-/// quality and attack suppression, with the quiet epochs as the
-/// baseline the flood epochs are judged against.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FloodDiffReport {
-    /// Epochs in timeline order (flood windows cut the run, so quiet
-    /// and attack epochs alternate).
-    pub epochs: Vec<FloodEpoch>,
-}
-
-impl FloodDiffReport {
-    /// The first attack-free epoch — the no-attack baseline the paper's
-    /// "legit p99 ≤ 2× baseline" criterion compares against.
-    pub fn baseline(&self) -> Option<&FloodEpoch> {
-        self.epochs.iter().find(|e| e.attack_sent == 0)
-    }
-
-    /// Worst benign p99 across attack epochs, as a ratio over the
-    /// baseline epoch's p99. `None` without both a baseline (with a
-    /// nonzero p99) and at least one attack epoch.
-    pub fn worst_flood_p99_ratio(&self) -> Option<f64> {
-        let base = self.baseline()?.legit_p99_ns;
-        if base == 0 {
-            return None;
-        }
-        self.epochs
-            .iter()
-            .filter(|e| e.attack_sent > 0)
-            .map(|e| e.legit_p99_ns as f64 / base as f64)
-            .max_by(f64::total_cmp)
-    }
-
-    /// Lowest benign served fraction across attack epochs (1.0 if the
-    /// run had no attack epochs).
-    pub fn worst_flood_served_fraction(&self) -> f64 {
-        self.epochs
-            .iter()
-            .filter(|e| e.attack_sent > 0)
-            .map(|e| e.served_fraction())
-            .min_by(f64::total_cmp)
-            .unwrap_or(1.0)
-    }
-
-    /// Render the diff table: one row per epoch.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "Flood diff report ({} epochs)", self.epochs.len());
-        let _ = writeln!(
-            out,
-            "{:<22} {:>14} {:>8} {:>7} {:>6} {:>10} {:>10} {:>10} {:>9}",
-            "epoch",
-            "window ms",
-            "legit",
-            "served%",
-            "slip",
-            "p50 ns",
-            "p99 ns",
-            "attack",
-            "suppr.%"
-        );
-        for e in &self.epochs {
-            let _ = writeln!(
-                out,
-                "{:<22} {:>14} {:>8} {:>7.2} {:>6} {:>10} {:>10} {:>10} {:>9.2}",
-                e.label,
-                format!("[{},{})", e.start_ms, e.end_ms),
-                e.legit_sent,
-                e.served_fraction() * 100.0,
-                e.legit_slipped,
-                e.legit_p50_ns,
-                e.legit_p99_ns,
-                e.attack_sent,
-                e.attack_suppressed_fraction() * 100.0,
-            );
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,59 +243,5 @@ mod tests {
         assert!(rendered.contains("baseline"));
         assert!(rendered.contains("during"));
         assert_eq!(rendered.lines().count(), 4);
-    }
-
-    fn flood_epoch(label: &str, attack_sent: u64, p99: u64) -> FloodEpoch {
-        FloodEpoch {
-            label: label.into(),
-            start_ms: 0,
-            end_ms: 1000,
-            legit_sent: 100,
-            legit_served: 99,
-            legit_slipped: 2,
-            legit_slip_recovered: 2,
-            legit_dropped: 1,
-            legit_p50_ns: 500,
-            legit_p99_ns: p99,
-            attack_sent,
-            attack_passed: attack_sent / 10,
-            attack_slipped: attack_sent / 2,
-            attack_dropped: attack_sent - attack_sent / 10 - attack_sent / 2,
-        }
-    }
-
-    #[test]
-    fn flood_fractions_count_slip_recoveries_as_served() {
-        let e = flood_epoch("flood", 1000, 900);
-        assert!((e.served_fraction() - 0.99).abs() < 1e-12);
-        assert!((e.attack_suppressed_fraction() - 0.9).abs() < 1e-12);
-        // An empty epoch is vacuously healthy on both axes.
-        let empty = FloodEpoch::default();
-        assert_eq!(empty.served_fraction(), 1.0);
-        assert_eq!(empty.attack_suppressed_fraction(), 0.0);
-    }
-
-    #[test]
-    fn flood_report_compares_attack_epochs_to_the_quiet_baseline() {
-        let report = FloodDiffReport {
-            epochs: vec![
-                flood_epoch("quiet", 0, 600),
-                flood_epoch("flood", 1000, 900),
-                flood_epoch("quiet", 0, 650),
-                flood_epoch("storm", 500, 1500),
-            ],
-        };
-        assert_eq!(report.baseline().unwrap().legit_p99_ns, 600);
-        assert!((report.worst_flood_p99_ratio().unwrap() - 2.5).abs() < 1e-12);
-        assert!((report.worst_flood_served_fraction() - 0.99).abs() < 1e-12);
-        let rendered = report.render();
-        assert_eq!(rendered.lines().count(), 6);
-        assert!(rendered.contains("storm"));
-        // A run with no attack epochs has no ratio but a perfect floor.
-        let quiet = FloodDiffReport {
-            epochs: vec![flood_epoch("quiet", 0, 600)],
-        };
-        assert_eq!(quiet.worst_flood_p99_ratio(), None);
-        assert_eq!(quiet.worst_flood_served_fraction(), 1.0);
     }
 }

@@ -42,7 +42,7 @@ pub use catchment::{CatchmentAccum, DeploymentSummary, ServedSite, SummaryDelta}
 pub use colocation::{ColocationResult, ReducedRedundancy};
 pub use coverage::{CoverageReport, CoverageRow};
 pub use distance::DistanceResult;
-pub use epochs::{EpochDiffReport, EpochStats, FloodDiffReport, FloodEpoch};
+pub use epochs::{EpochDiffReport, EpochStats};
 pub use rtt::RttByRegion;
 pub use stability::StabilityResult;
 pub use traffic::{BRootShift, TrafficSeries};

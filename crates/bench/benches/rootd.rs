@@ -350,10 +350,8 @@ fn bench_attack_flood(_c: &mut Criterion) {
         threads,
     );
     assert_eq!(run.violations(), Vec::<String>::new());
-    let worst_p99 = run
-        .flood
-        .epochs
-        .iter()
+    let r = &run.report;
+    let worst_p99 = (r.epochs.iter())
         .filter(|e| e.attack_sent > 0)
         .map(|e| e.legit_p99_ns)
         .max()
@@ -361,18 +359,18 @@ fn bench_attack_flood(_c: &mut Criterion) {
     record_metric("rootd/flood_legit_p99", worst_p99 as f64);
     record_metric(
         "rootd/flood_legit_served_fraction",
-        run.flood.worst_flood_served_fraction(),
+        r.worst_flood_served_fraction(),
     );
-    let attacked: u64 = run.flood.epochs.iter().map(|e| e.attack_sent).sum();
+    let attacked: u64 = r.epochs.iter().map(|e| e.attack_sent).sum();
     record_counter("rootd/flood/attack_sent", attacked);
-    record_counter("rootd/flood/rrl_dropped", run.report.rrl.dropped);
-    record_counter("rootd/flood/rrl_slipped", run.report.rrl.slipped);
+    record_counter("rootd/flood/rrl_dropped", r.rrl.dropped);
+    record_counter("rootd/flood/rrl_slipped", r.rrl.slipped);
     println!(
         "rootd/flood: worst legit p99 {worst_p99} ns, served {:.4}, \
          attack {attacked} -> dropped {} slipped {}",
-        run.flood.worst_flood_served_fraction(),
-        run.report.rrl.dropped,
-        run.report.rrl.slipped,
+        r.worst_flood_served_fraction(),
+        r.rrl.dropped,
+        r.rrl.slipped,
     );
 }
 

@@ -30,22 +30,25 @@
 //!    every (bucket, window) is touched by exactly one worker, in
 //!    arrival order — so the limiter's shared counters see a canonical
 //!    sequence regardless of thread count.
-//! 3. **Pinned virtual time**: each tick's instant is
-//!    `start_ms + tick · interarrival_ms` from the [`ArrivalSchedule`],
-//!    so window membership is a pure function of the tick.
+//! 3. **Pinned virtual time**: tick `k` arrives at virtual ms `k` (one
+//!    benign query per ms from 0), so a chunk of `W` ticks is one RRL
+//!    window and window membership is a pure function of the tick.
 //!
 //! Legitimate clients run the full stub behavior: a truncated (TC=1)
 //! response — whether from the EDNS budget or an RRL slip — triggers a
 //! TCP retry against the same engine, and TCP is never rate-limited.
-//! In verify mode every passed UDP response is byte-compared against
-//! the unlimited serve path ([`crate::Rootd::serve_udp_into`] ignores
-//! RRL), so
-//! "no client ever receives a wrong answer under attack" is machine
-//! checked, not asserted by construction.
+//! Every passed UDP response is byte-compared against the unlimited
+//! serve path ([`crate::Rootd::serve_udp_into`] ignores RRL), and every
+//! slip and its TCP recovery is checked for shape, so "no client ever
+//! receives a wrong answer under attack" is machine checked, not
+//! asserted by construction.
+//!
+//! Benign queries follow [`QueryMix::broot`]; an [`AttackReport`] holds
+//! one [`EpochTraffic`] row per epoch and is the run's only report.
 
 use crate::engine::{Rootd, ServeVerdict};
 use crate::farm::{Farm, LetterFarm};
-use crate::loadgen::{fill_query, ArrivalSchedule, LatencyHistogram, QueryMix};
+use crate::loadgen::{fill_query, LatencyHistogram, QueryMix};
 use crate::rrl::{BucketStat, RrlConfig, RrlCounters};
 use netsim::rng::SimRng;
 use netsim::shard::{self, Merge};
@@ -162,42 +165,27 @@ impl AttackPlan {
 /// Parameters of one adversarial run.
 #[derive(Debug, Clone)]
 pub struct AttackConfig {
-    /// Virtual length of the run: one benign query per
-    /// `arrivals.interarrival_ms` for this long.
+    /// Virtual length of the run: one benign query per ms for this long.
     pub duration_ms: u64,
     pub threads: usize,
     /// Seed for the benign streams (attack streams mix in `plan.seed`).
     pub seed: u64,
-    pub mix: QueryMix,
     pub plan: AttackPlan,
     /// Rate-limiter config installed on every site engine for the run
     /// (`None` = undefended).
     pub rrl: Option<RrlConfig>,
-    /// Benign arrival schedule. `start_ms` must be window-aligned and
-    /// `interarrival_ms` must divide the RRL window, so worker chunks
-    /// align with refill windows (see the module docs).
-    pub arrivals: ArrivalSchedule,
-    /// Byte-compare every passed response against the unlimited serve
-    /// path and structurally check every slip/TCP recovery.
-    pub verify: bool,
 }
 
 impl AttackConfig {
-    /// A smoke-test-sized run: `duration_ms` virtual ms at one benign
-    /// query per ms, two workers, verification on.
+    /// A smoke-test-sized run: `duration_ms` virtual ms on two workers,
+    /// the default limiter engaged.
     pub fn tiny(seed: u64, duration_ms: u64, plan: AttackPlan) -> AttackConfig {
         AttackConfig {
             duration_ms,
             threads: 2,
             seed,
-            mix: QueryMix::broot(),
             plan,
             rrl: Some(RrlConfig::default()),
-            arrivals: ArrivalSchedule {
-                start_ms: 0,
-                interarrival_ms: 1,
-            },
-            verify: true,
         }
     }
 }
@@ -220,8 +208,10 @@ pub struct EpochTraffic {
     pub legit_slip_recovered: u64,
     /// Benign queries that got nothing (rate-limit drop).
     pub legit_dropped: u64,
+    /// Benign end-to-end latency quantiles (measured wall ns).
     pub legit_p50_ns: u64,
     pub legit_p99_ns: u64,
+    /// Attack queries sent and their rate-limit fates.
     pub attack_sent: u64,
     pub attack_passed: u64,
     pub attack_slipped: u64,
@@ -229,12 +219,24 @@ pub struct EpochTraffic {
 }
 
 impl EpochTraffic {
-    /// Fraction of benign queries that ended with a full answer.
+    /// Fraction of benign queries that ended with a full answer (slip
+    /// recoveries are already inside `legit_served`). 1.0 when none were
+    /// sent.
     pub fn served_fraction(&self) -> f64 {
         if self.legit_sent == 0 {
             1.0
         } else {
             self.legit_served as f64 / self.legit_sent as f64
+        }
+    }
+
+    /// Fraction of attack queries the limiter refused a full answer
+    /// (slipped or dropped). 0.0 when the epoch saw no attack.
+    pub fn attack_suppressed_fraction(&self) -> f64 {
+        if self.attack_sent == 0 {
+            0.0
+        } else {
+            (self.attack_slipped + self.attack_dropped) as f64 / self.attack_sent as f64
         }
     }
 }
@@ -258,6 +260,38 @@ pub struct AttackReport {
 }
 
 impl AttackReport {
+    /// The first attack-free epoch — the no-attack baseline the paper's
+    /// "legit p99 ≤ 2× baseline" criterion compares against.
+    pub fn baseline(&self) -> Option<&EpochTraffic> {
+        self.epochs.iter().find(|e| e.attack_sent == 0)
+    }
+
+    /// Worst benign p99 across attack epochs, as a ratio over the
+    /// baseline epoch's p99. `None` without both a baseline (with a
+    /// nonzero p99) and at least one attack epoch.
+    pub fn worst_flood_p99_ratio(&self) -> Option<f64> {
+        let base = self.baseline()?.legit_p99_ns;
+        if base == 0 {
+            return None;
+        }
+        self.epochs
+            .iter()
+            .filter(|e| e.attack_sent > 0)
+            .map(|e| e.legit_p99_ns as f64 / base as f64)
+            .max_by(f64::total_cmp)
+    }
+
+    /// Lowest benign served fraction across attack epochs (1.0 if the
+    /// run had no attack epochs).
+    pub fn worst_flood_served_fraction(&self) -> f64 {
+        self.epochs
+            .iter()
+            .filter(|e| e.attack_sent > 0)
+            .map(|e| e.served_fraction())
+            .min_by(f64::total_cmp)
+            .unwrap_or(1.0)
+    }
+
     /// Everything deterministic, one line per epoch plus the limiter
     /// totals — two runs with equal fingerprints replayed identically,
     /// verdict-for-verdict.
@@ -308,13 +342,22 @@ impl AttackReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:<24} {:>12} {:>10} {:>8} {:>7} {:>7} {:>10} {:>12}",
-            "epoch", "window(ms)", "legit", "served%", "slip", "drop", "p99(ns)", "attack p/s/d"
+            "{:<24} {:>12} {:>10} {:>8} {:>7} {:>7} {:>10} {:>10} {:>8} {:>12}",
+            "epoch",
+            "window(ms)",
+            "legit",
+            "served%",
+            "slip",
+            "drop",
+            "p50(ns)",
+            "p99(ns)",
+            "suppr.%",
+            "attack p/s/d"
         );
         for e in &self.epochs {
             let _ = writeln!(
                 out,
-                "{:<24} {:>5}..{:<6} {:>10} {:>7.2}% {:>7} {:>7} {:>10} {:>4}/{}/{}",
+                "{:<24} {:>5}..{:<6} {:>10} {:>7.2}% {:>7} {:>7} {:>10} {:>10} {:>7.2}% {:>4}/{}/{}",
                 e.label,
                 e.start_ms,
                 e.end_ms,
@@ -322,7 +365,9 @@ impl AttackReport {
                 e.served_fraction() * 100.0,
                 e.legit_slipped,
                 e.legit_dropped,
+                e.legit_p50_ns,
                 e.legit_p99_ns,
+                e.attack_suppressed_fraction() * 100.0,
                 e.attack_passed,
                 e.attack_slipped,
                 e.attack_dropped,
@@ -382,6 +427,7 @@ struct Worker<'a> {
     farm: &'a Farm,
     lf: &'a LetterFarm,
     cfg: &'a AttackConfig,
+    mix: &'a QueryMix,
     /// `client AS -> engine slot` of the IPv4 catchment.
     slot_of_asn: &'a HashMap<u32, usize>,
     wire: Vec<u8>,
@@ -403,28 +449,21 @@ impl<'a> Worker<'a> {
     }
 
     /// Serve one benign tick: the round-robin client sends one mixed
-    /// query pinned to `t_ms`, with full TC→TCP stub behavior.
-    fn benign_tick(&mut self, tick: u64, t_ms: u64, epoch: usize) {
+    /// query pinned to virtual ms `tick`, with full TC→TCP stub behavior.
+    fn benign_tick(&mut self, tick: u64, epoch: usize) {
         let client = self.farm.clients[(tick as usize) % self.farm.clients.len()];
         let engine = self.engine_for(client.0);
         let mut rng = SimRng::new(self.cfg.seed).derive_ids(&[0x10ad, tick]);
-        fill_query(
-            &self.cfg.mix,
-            &self.farm.templates,
-            &mut rng,
-            &mut self.wire,
-        );
+        fill_query(self.mix, &self.farm.templates, &mut rng, &mut self.wire);
         let agg = &mut self.out.epochs[epoch];
         agg.legit_sent += 1;
         let t0 = Instant::now();
-        let verdict = engine.serve_udp_from(client.0 as u64, t_ms, &self.wire, &mut self.resp);
+        let verdict = engine.serve_udp_from(client.0 as u64, tick, &self.wire, &mut self.resp);
         match verdict {
             ServeVerdict::Answered(outcome) => {
-                if self.cfg.verify {
-                    let twin = engine.serve_udp_into(&self.wire, &mut self.oracle);
-                    if twin != outcome || self.oracle != self.resp {
-                        self.out.mismatches += 1;
-                    }
+                let twin = engine.serve_udp_into(&self.wire, &mut self.oracle);
+                if twin != outcome || self.oracle != self.resp {
+                    self.out.mismatches += 1;
                 }
                 let truncated = self.resp.len() >= 12 && self.resp[2] & 0x02 != 0;
                 if truncated {
@@ -441,7 +480,7 @@ impl<'a> Worker<'a> {
                 }
             }
             ServeVerdict::Slipped => {
-                if self.cfg.verify && !slip_is_wellformed(&self.wire, &self.resp) {
+                if !slip_is_wellformed(&self.wire, &self.resp) {
                     self.out.mismatches += 1;
                 }
                 agg.legit_slipped += 1;
@@ -460,9 +499,7 @@ impl<'a> Worker<'a> {
                     }
                     _ => {
                         agg.legit_dropped += 1;
-                        if self.cfg.verify {
-                            self.out.mismatches += 1;
-                        }
+                        self.out.mismatches += 1;
                     }
                 }
             }
@@ -474,7 +511,7 @@ impl<'a> Worker<'a> {
     }
 
     /// Fire one attack query (`k`-th of its tick) for `shape`.
-    fn attack_query(&mut self, shape: AttackShape, tick: u64, k: u64, t_ms: u64, epoch: usize) {
+    fn attack_query(&mut self, shape: AttackShape, tick: u64, k: u64, epoch: usize) {
         let mut rng =
             SimRng::new(self.cfg.seed ^ self.cfg.plan.seed).derive_ids(&[ATTACK_TAG, tick, k]);
         let (src, engine) = match shape {
@@ -493,12 +530,11 @@ impl<'a> Worker<'a> {
                 (BOT_SRC_BASE + bot, self.engine_of_bot(bot))
             }
             AttackShape::QueryStorm { client, .. } => {
-                let templates = &self.farm.templates;
-                fill_query(&self.cfg.mix, templates, &mut rng, &mut self.wire);
+                fill_query(self.mix, &self.farm.templates, &mut rng, &mut self.wire);
                 (client as u64, self.engine_for(client))
             }
         };
-        let verdict = engine.serve_udp_from(src, t_ms, &self.wire, &mut self.resp);
+        let verdict = engine.serve_udp_from(src, tick, &self.wire, &mut self.resp);
         let agg = &mut self.out.epochs[epoch];
         agg.attack_sent += 1;
         match verdict {
@@ -588,26 +624,13 @@ fn push_do_opt(out: &mut Vec<u8>) {
 /// comes back in its pre-run (unlimited) configuration.
 pub fn run(farm: &Farm, cfg: &AttackConfig) -> AttackReport {
     let lf = &farm.letters[0];
-    let inter = cfg.arrivals.interarrival_ms.max(1);
-    let window_ms = cfg
-        .rrl
-        .as_ref()
-        .map(|r| r.window_ms.max(1))
-        .unwrap_or(1_000);
-    // Chunk/window alignment is what makes per-verdict replay exact —
-    // refuse configurations that break it rather than silently drifting.
-    assert!(
-        window_ms.is_multiple_of(inter) && cfg.arrivals.start_ms.is_multiple_of(window_ms),
-        "arrivals must align with the RRL window (window {window_ms} ms, \
-         interarrival {inter} ms, start {} ms)",
-        cfg.arrivals.start_ms
-    );
-    let ticks_per_chunk = (window_ms / inter) as usize;
-    let nticks = (cfg.duration_ms / inter) as usize;
+    let mix = QueryMix::broot();
+    // Tick `k` arrives at ms `k`, so a chunk of one window's ticks is one
+    // RRL window.
+    let ticks_per_chunk = cfg.rrl.as_ref().map_or(1_000, |r| r.window_ms.max(1)) as usize;
+    let nticks = cfg.duration_ms as usize;
     let nchunks = nticks.div_ceil(ticks_per_chunk);
-    let run_start = cfg.arrivals.start_ms;
-    let run_end = run_start + cfg.duration_ms;
-    let bounds = cfg.plan.boundaries(run_start, run_end);
+    let bounds = cfg.plan.boundaries(0, cfg.duration_ms);
     let nepochs = bounds.len().saturating_sub(1).max(1);
     let slot_of_asn: HashMap<u32, usize> = (farm.clients.iter().enumerate())
         .map(|(pos, asn)| (asn.0, lf.slot(0, pos)))
@@ -637,6 +660,7 @@ pub fn run(farm: &Farm, cfg: &AttackConfig) -> AttackReport {
             farm,
             lf,
             cfg,
+            mix: &mix,
             slot_of_asn: &slot_of_asn,
             wire: Vec::with_capacity(64),
             resp: Vec::with_capacity(4096),
@@ -648,16 +672,15 @@ pub fn run(farm: &Farm, cfg: &AttackConfig) -> AttackReport {
             },
         };
         let ticks = chunks.start * ticks_per_chunk..(chunks.end * ticks_per_chunk).min(nticks);
-        for tick in ticks {
-            let t_ms = run_start + tick as u64 * inter;
+        for tick in ticks.map(|t| t as u64) {
             let epoch = bounds[1..]
                 .iter()
-                .position(|&b| t_ms < b)
+                .position(|&b| tick < b)
                 .unwrap_or(nepochs - 1);
-            w.benign_tick(tick as u64, t_ms, epoch);
-            if let Some(shape) = cfg.plan.shape_at(t_ms) {
+            w.benign_tick(tick, epoch);
+            if let Some(shape) = cfg.plan.shape_at(tick) {
                 for k in 0..shape.intensity() as u64 {
-                    w.attack_query(shape, tick as u64, k, t_ms, epoch);
+                    w.attack_query(shape, tick, k, epoch);
                 }
             }
         }
@@ -750,6 +773,91 @@ mod tests {
         // Windows outside the run are clipped away.
         assert_eq!(plan.boundaries(3_500, 4_000), vec![3_500, 4_000]);
         assert_eq!(AttackPlan::quiet().boundaries(0, 100), vec![0, 100]);
+    }
+
+    fn epoch(label: &str, attack_sent: u64, p99: u64) -> EpochTraffic {
+        EpochTraffic {
+            label: label.into(),
+            start_ms: 0,
+            end_ms: 1000,
+            legit_sent: 100,
+            legit_served: 99,
+            legit_slipped: 2,
+            legit_slip_recovered: 2,
+            legit_dropped: 1,
+            legit_p50_ns: 500,
+            legit_p99_ns: p99,
+            attack_sent,
+            attack_passed: attack_sent / 10,
+            attack_slipped: attack_sent / 2,
+            attack_dropped: attack_sent - attack_sent / 10 - attack_sent / 2,
+        }
+    }
+
+    fn report_of(epochs: Vec<EpochTraffic>) -> AttackReport {
+        AttackReport {
+            duration_ms: 4_000,
+            threads: 1,
+            epochs,
+            rrl: RrlCounters::default(),
+            buckets: Vec::new(),
+            verify_mismatches: 0,
+            elapsed: Duration::ZERO,
+        }
+    }
+
+    #[test]
+    fn epoch_fractions_count_slip_recoveries_as_served() {
+        let e = epoch("flood", 1000, 900);
+        assert!((e.served_fraction() - 0.99).abs() < 1e-12);
+        assert!((e.attack_suppressed_fraction() - 0.9).abs() < 1e-12);
+        // An empty epoch is vacuously healthy on both axes.
+        let empty = EpochTraffic::default();
+        assert_eq!(empty.served_fraction(), 1.0);
+        assert_eq!(empty.attack_suppressed_fraction(), 0.0);
+    }
+
+    #[test]
+    fn attack_epochs_are_judged_against_the_first_quiet_epoch() {
+        let report = report_of(vec![
+            epoch("flood", 1000, 900),
+            epoch("quiet", 0, 600),
+            epoch("quiet", 0, 650),
+            epoch("storm", 500, 1500),
+        ]);
+        assert_eq!(report.baseline(), Some(&report.epochs[1]));
+        assert!((report.worst_flood_p99_ratio().unwrap() - 2.5).abs() < 1e-12);
+        assert!((report.worst_flood_served_fraction() - 0.99).abs() < 1e-12);
+        // No ratio without a baseline, or against a zero baseline p99.
+        let unbroken = report_of(vec![epoch("flood", 1000, 900)]);
+        assert_eq!(unbroken.baseline(), None);
+        assert_eq!(unbroken.worst_flood_p99_ratio(), None);
+        let instant = report_of(vec![epoch("quiet", 0, 0), epoch("flood", 1000, 900)]);
+        assert_eq!(instant.worst_flood_p99_ratio(), None);
+        // A quiet run has no ratio but a perfect floor.
+        let quiet = report_of(vec![epoch("quiet", 0, 600)]);
+        assert_eq!(quiet.worst_flood_p99_ratio(), None);
+        assert_eq!(quiet.worst_flood_served_fraction(), 1.0);
+    }
+
+    #[test]
+    fn render_prints_one_row_per_epoch() {
+        let labels = ["quiet", "flood", "quiet", "storm"];
+        let report = report_of(
+            (labels.iter().enumerate())
+                .map(|(i, label)| epoch(label, i as u64 % 2 * 1000, 600))
+                .collect(),
+        );
+        let rendered = report.render();
+        let lines: Vec<&str> = rendered.lines().collect();
+        // A header, one row per epoch, then the limiter's totals.
+        assert_eq!(lines.len(), 1 + labels.len() + 1, "{rendered}");
+        assert!(lines[0].starts_with("epoch"));
+        for (row, label) in lines[1..=labels.len()].iter().zip(labels) {
+            assert!(row.starts_with(label), "{row}");
+        }
+        assert!(lines[2].contains("90.00%"), "{}", lines[2]);
+        assert!(lines[labels.len() + 1].starts_with("rrl: "));
     }
 
     #[test]

@@ -452,8 +452,13 @@ pub fn run_control_plane(
     let mut sched = Scheduler::new();
     for (li, (letter, ids)) in roster.iter().enumerate() {
         for (slot, &site_id) in ids.iter().enumerate() {
-            let windows = plan.windows_for(*letter, site_id);
-            if windows.is_empty() {
+            // An empty window faults nothing, and scheduling one would
+            // queue its end before its onset (ends fire first at one
+            // instant): the window would open after its own close.
+            let mut windows = (plan.windows_for(*letter, site_id).iter())
+                .filter(|w| w.start_ms < w.end_ms)
+                .peekable();
+            if windows.peek().is_none() {
                 continue; // Never-faulted sites cannot transition: skip.
             }
             let s = sites.len();
@@ -729,6 +734,35 @@ mod tests {
             cp.letters[0].stalls[0],
             vec![(1_000, 2_000, 50), (2_000, 4_000, 400), (4_000, 6_000, 50)]
         );
+    }
+
+    /// A zero-length window is empty: its site is never down, never
+    /// transitions, and is not even probed.
+    #[test]
+    fn a_zero_length_blackhole_darkens_nothing() {
+        let mut plan = FailurePlan::none(3);
+        plan.add(RootLetter::B, 21, FailureKind::Blackhole, (2_000, 2_000));
+        let cp = run(&plan);
+        assert_eq!(cp.probes, 0);
+        assert!(cp.recoveries.is_empty());
+        let lc = &cp.letters[1];
+        assert_eq!(lc.outage_count(), 0);
+        assert!(lc.timeline.events().is_empty());
+        assert_eq!(lc.timeline.status_at(1, 59_999), SiteStatus::Healthy);
+    }
+
+    #[test]
+    fn a_zero_length_stall_delays_nothing() {
+        let mut plan = FailurePlan::none(9);
+        let stall = FailureKind::Stall { delay_ms: 400 };
+        plan.add(RootLetter::A, 10, stall, (2_000, 2_000));
+        let cp = run(&plan);
+        assert_eq!(cp.probes, 0);
+        let lc = &cp.letters[0];
+        for t in [0, 1_999, 2_000, 2_001, 59_999, u64::MAX - 1] {
+            assert_eq!(lc.stall_delay_at(0, t), None, "{t}");
+        }
+        assert!(lc.timeline.events().is_empty());
     }
 
     /// A crash that begins while its site is already believed Dead (here

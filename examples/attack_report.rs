@@ -49,22 +49,22 @@ fn main() -> ExitCode {
     );
     println!();
     println!("{}", a.report.render());
-    println!("{}", a.flood.render());
 
     // One run, rendered. The gates — these violations, the limiter
     // engaging, and fingerprint-identical replay at 2 and 5 workers — are
     // tier-1 in `tests/attack_rrl.rs`.
     let violations = a.violations();
     if violations.is_empty() {
-        let attacked: u64 = a.flood.epochs.iter().map(|e| e.attack_sent).sum();
+        let r = &a.report;
+        let attacked: u64 = r.epochs.iter().map(|e| e.attack_sent).sum();
         println!(
             "attack invariants: OK (epochs={} attack_sent={} rrl_dropped={} rrl_slipped={} \
              worst_served={:.4} mismatches=0)",
-            a.flood.epochs.len(),
+            r.epochs.len(),
             attacked,
-            a.report.rrl.dropped,
-            a.report.rrl.slipped,
-            a.flood.worst_flood_served_fraction(),
+            r.rrl.dropped,
+            r.rrl.slipped,
+            r.worst_flood_served_fraction(),
         );
         ExitCode::SUCCESS
     } else {

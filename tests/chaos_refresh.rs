@@ -28,6 +28,7 @@ use rootd::{HealthConfig, SiteStatus};
 use roots_core::chaos::{probes, upstreams, wired, SERIAL, SOA_EXPIRE, T0};
 use roots_core::{ChaosSweep, ClockChaosRun, Scale};
 use rss::RootLetter;
+use scenario::{Scenario, ScenarioEvent};
 use std::sync::Arc;
 
 /// Invariants 1 + 2 + 5 over a loss × bitflip × truncation matrix
@@ -295,4 +296,33 @@ fn clock_chaos_fleet_withdraws_and_restores_the_dark_site() {
     assert!(back_at < 8_000, "back in rotation at {back_at} ms");
     assert!(a.dark_queries(0..window) > 0);
     assert_eq!(a.dark_queries(back_at..u64::MAX), 0);
+}
+
+/// A site outage that ended before the axis's anchor projects to the
+/// empty window `(0, 0)` (`TimeAxis::wall_to_ms` clamps to the anchor),
+/// and an empty window darkens nothing: the fleet never probes, never
+/// withdraws the site, and hedges or drops no query.
+#[test]
+fn an_outage_ended_before_the_anchor_darkens_no_site() {
+    let demo = ClockChaosRun::demo_scenario(Scale::Tiny, RootLetter::B);
+    let events = (demo.events().iter())
+        .map(|e| ScenarioEvent {
+            at: e.at - 10,
+            until: Some(e.at - 5),
+            ..*e
+        })
+        .collect();
+    let past = Scenario::new("ended-before-anchor", 0x5eed_c10c, events).unwrap();
+    let run = ClockChaosRun::run(Scale::Tiny, RootLetter::B, &past, 8_000, 2);
+    let plan = scenario::failure_plan_on_clock(&past, run.axis, &[]);
+    let windows: Vec<(u64, u64)> = (plan.all_windows())
+        .filter(|((letter, _), _)| *letter == RootLetter::B)
+        .map(|(_, w)| (w.start_ms, w.end_ms))
+        .collect();
+    assert_eq!(windows, [(0, 0)]);
+    assert_eq!(run.fleet.served_hedged, 0);
+    assert_eq!(run.fleet.unanswered, 0);
+    assert_eq!(run.fleet.probes, 0);
+    assert!(run.fleet.transitions.is_empty());
+    assert!(run.fleet.served > 0);
 }
