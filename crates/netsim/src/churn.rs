@@ -221,19 +221,20 @@ impl ChurnModel {
         multiplier: f64,
         upstream_pool: &[SiteId],
     ) -> (Option<SiteId>, Option<ChurnEventKind>) {
-        let near = self.near_equal(table, asn);
         let cands = table.candidates(asn);
-        self.step_near(cands, &near, state, rng, multiplier, upstream_pool)
+        let sites: Vec<SiteId> = self.near_equal_in(cands).map(|i| cands[i].site).collect();
+        self.step_near(&sites, state, rng, multiplier, upstream_pool)
     }
 
     /// [`ChurnModel::step_observed`] over a near-equal set the caller
-    /// holds: `near` must be [`near_equal`](Self::near_equal) of the AS
-    /// whose candidate list is `cands`. The set only changes when routing
-    /// does, so a caller stepping the same AS every round computes it once.
+    /// holds, as the sites its candidates lead to: `near` must be
+    /// [`near_equal`](Self::near_equal) of the AS mapped through its
+    /// candidate list's `site`, best-first. The set only changes when
+    /// routing does, so a caller stepping the same AS every round keeps it
+    /// and never reads the route table here.
     pub fn step_near(
         &self,
-        cands: &[CandidateRoute],
-        near: &[usize],
+        near: &[SiteId],
         state: &mut SelectionState,
         rng: &mut SimRng,
         multiplier: f64,
@@ -245,7 +246,6 @@ impl ChurnModel {
         if state.current >= near.len() {
             state.current = 0;
         }
-        let site_of = |idx: usize| cands[near[idx]].site;
         let mut event = None;
         match self.model {
             FlipModel::Markov => {
@@ -273,7 +273,7 @@ impl ChurnModel {
                         // candidate and drop any upstream redirect.
                         let from = state
                             .upstream_override
-                            .unwrap_or_else(|| site_of(state.current));
+                            .unwrap_or_else(|| near[state.current]);
                         let mut next = rng.next_range(near.len() - 1);
                         if next >= state.current {
                             next += 1;
@@ -282,7 +282,7 @@ impl ChurnModel {
                         state.upstream_override = None;
                         event = Some(ChurnEventKind::LocalFlip {
                             from,
-                            to: site_of(next),
+                            to: near[next],
                         });
                     }
                 }
@@ -294,7 +294,7 @@ impl ChurnModel {
         if let Some(site) = state.upstream_override {
             return (Some(site), event);
         }
-        (Some(site_of(state.current)), event)
+        (Some(near[state.current]), event)
     }
 
     /// Replay `rounds` churn rounds for every AS in `ases` against a fixed
@@ -503,13 +503,28 @@ mod tests {
         upstream_pool: &[SiteId],
     ) -> (Option<SiteId>, Option<ChurnEventKind>) {
         let near = model.near_equal(table, asn);
+        let cands = table.candidates(asn);
+        step_near_reference(model, cands, &near, state, rng, multiplier, upstream_pool)
+    }
+
+    /// `step_near` as it was when it took the candidate list and the
+    /// near-equal indices into it, and read each site through both.
+    fn step_near_reference(
+        model: &ChurnModel,
+        cands: &[CandidateRoute],
+        near: &[usize],
+        state: &mut SelectionState,
+        rng: &mut SimRng,
+        multiplier: f64,
+        upstream_pool: &[SiteId],
+    ) -> (Option<SiteId>, Option<ChurnEventKind>) {
         if near.is_empty() {
             return (None, None);
         }
         if state.current >= near.len() {
             state.current = 0;
         }
-        let site_of = |idx: usize| table.candidates(asn)[near[idx]].site;
+        let site_of = |idx: usize| cands[near[idx]].site;
         let mut event = None;
         match model.model {
             FlipModel::Markov => {
@@ -557,11 +572,17 @@ mod tests {
         (Some(site_of(state.current)), event)
     }
 
+    /// The sites `near`'s candidates lead to, in order: what a caller of
+    /// `step_near` holds.
+    fn sites_of(cands: &[CandidateRoute], near: &[usize]) -> Vec<SiteId> {
+        near.iter().map(|&i| cands[i].site).collect()
+    }
+
     #[test]
     fn step_near_matches_the_per_step_rebuild() {
-        // `round_log_golden`'s inputs, both flip models: a near-equal set
-        // held across all 200 rounds selects the same site, reports the
-        // same event and leaves the rng where the rebuilt set does.
+        // `round_log_golden`'s inputs, both flip models: the near-equal
+        // sites held across all 200 rounds select the same site, report
+        // the same event and leave the rng where the rebuilt set does.
         let (t, d) = world(6);
         let table = propagate(&t, &d, Family::V4);
         let pool = [SiteId(0), SiteId(3)];
@@ -576,15 +597,14 @@ mod tests {
             };
             let mut events = 0;
             for &asn in &t.stubs_in(Region::Europe)[..8] {
-                let near = model.near_equal(&table, asn);
-                let cands = table.candidates(asn);
+                let near = sites_of(table.candidates(asn), &model.near_equal(&table, asn));
                 let (mut rng_a, mut rng_b) = (
                     root.derive_ids(&[asn.0 as u64]),
                     root.derive_ids(&[asn.0 as u64]),
                 );
                 let (mut st_a, mut st_b) = (model.initial(), model.initial());
                 for round in 0..200 {
-                    let held = model.step_near(cands, &near, &mut st_a, &mut rng_a, 1.0, &pool);
+                    let held = model.step_near(&near, &mut st_a, &mut rng_a, 1.0, &pool);
                     let rebuilt = step_observed_reference(
                         &model, &table, asn, &mut st_b, &mut rng_b, 1.0, &pool,
                     );
@@ -594,6 +614,69 @@ mod tests {
                 }
             }
             assert_eq!(events > 0, flip == FlipModel::Markov);
+        }
+    }
+
+    /// A candidate leading to `site`; only the site matters to a step.
+    fn candidate(site: u32) -> CandidateRoute {
+        CandidateRoute {
+            site: SiteId(site),
+            via: None,
+            learned_from: crate::types::LearnedFrom::Customer,
+            path: Vec::new(),
+            km: 0,
+        }
+    }
+
+    proptest::proptest! {
+        /// `step_near` over the near-equal sites against the reference
+        /// reading them through `(cands, near)`, draw for draw: the same
+        /// site and event and the same selection state at every step, and
+        /// the rng left in the same place. Candidate lists repeat sites;
+        /// the near-equal set changes between epochs (0, 1 or several
+        /// members, so a held position can fall off its end); the upstream
+        /// pool may be empty; a large multiplier clamps both chances at 1.
+        #[test]
+        fn step_near_over_sites_matches_the_candidate_reference(
+            markov in proptest::prelude::any::<bool>(),
+            probs in (0.0f64..0.3, 0.0f64..0.2, 0.0f64..0.3),
+            multiplier in proptest::prop_oneof![0.0f64..4.0, 100.0f64..10_000.0],
+            cand_sites in proptest::collection::vec(0u32..5, 6..7),
+            epochs in proptest::collection::vec(
+                proptest::collection::btree_set(0usize..6, 0..5),
+                1..5,
+            ),
+            pool in proptest::collection::vec(0u32..8, 0..3),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let model = ChurnModel {
+                base_flip_prob: probs.0,
+                per_candidate_prob: probs.1,
+                upstream_flip_prob: probs.2,
+                near_equal_slack: 1,
+                model: if markov { FlipModel::Markov } else { FlipModel::Iid },
+            };
+            let cands: Vec<CandidateRoute> = cand_sites.iter().map(|&s| candidate(s)).collect();
+            let pool: Vec<SiteId> = pool.into_iter().map(SiteId).collect();
+            let (mut rng_a, mut rng_b) = (SimRng::new(seed), SimRng::new(seed));
+            let (mut st_a, mut st_b) = (model.initial(), model.initial());
+            for (epoch, near) in epochs.iter().enumerate() {
+                let near: Vec<usize> = near.iter().copied().collect();
+                let sites = sites_of(&cands, &near);
+                for step in 0..40 {
+                    let got = model.step_near(&sites, &mut st_a, &mut rng_a, multiplier, &pool);
+                    let want = step_near_reference(
+                        &model, &cands, &near, &mut st_b, &mut rng_b, multiplier, &pool,
+                    );
+                    proptest::prop_assert_eq!(got, want, "epoch {} step {}", epoch, step);
+                    proptest::prop_assert_eq!(
+                        (st_a.current, st_a.upstream_override),
+                        (st_b.current, st_b.upstream_override),
+                        "state at epoch {} step {}", epoch, step
+                    );
+                }
+            }
+            proptest::prop_assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "rng position");
         }
     }
 

@@ -14,13 +14,14 @@
 //! trivially correct: workers own disjoint VP ranges.
 //!
 //! Who keeps what. A probe needs two facts derived from routing alone: the
-//! near-equal candidate set of the VP's AS (what the churn process selects
-//! among) and the path geometry from the VP to each site that set leads
-//! to. The [`World`] owns them, beside the route tables they derive from:
+//! sites the near-equal candidates of the VP's AS lead to (what the churn
+//! process selects among) and the path geometry from the VP to each of
+//! them. The [`World`] owns them, beside the route tables they derive from:
 //! a *probe plan* per near-equal slack, built by the first measurement that
 //! needs it, whose entries for a letter are built again after the letter's
 //! routing is ([`World::recompute_letter`]) — so every engine and every
-//! session over an unchanged world reads the same plan. An
+//! session over an unchanged world reads the same plan, and a probe reads
+//! a route table only for a redirect its session has not priced yet. An
 //! [`EngineSession`] owns only what must carry across rounds and epochs:
 //! each slot's Markov selection,
 //! and the geometry of sites an upstream redirect sent the slot to that no
@@ -95,24 +96,18 @@ struct SlackPlan {
 }
 
 /// What a probe needs of routing alone, for every VP, letter and family:
-/// the near-equal candidate set of the VP's AS (indices into its candidate
-/// list, what `ChurnModel::step_near` selects among) and, per near-equal
-/// candidate, the site it leads to and the path from the VP to that site.
-/// Slot `(vp · 13 + letter) · 2 + family` owns entries `offsets[slot]..
-/// offsets[slot + 1]` of `near` and of `legs`: VP-major, the order a round
-/// probes in, so a worker reads the plan front to back (DESIGN §7).
+/// per near-equal candidate of the VP's AS, best-first, the site it leads
+/// to (what `ChurnModel::step_near` selects among) and the path from the
+/// VP to that site. Slot `(vp · 13 + letter) · 2 + family` owns entries
+/// `offsets[slot]..offsets[slot + 1]` of `sites` and of `paths`: VP-major,
+/// the order a round probes in, so a worker reads the plan front to back
+/// (DESIGN §7) and a probe reads no route table unless an upstream
+/// redirect sends it to a site no entry of its slot reaches.
 #[derive(Debug, Default, PartialEq)]
 struct ProbePlan {
     offsets: Vec<u32>,
-    near: Vec<usize>,
-    legs: Vec<PlanLeg>,
-}
-
-/// Where one near-equal candidate leads, and how far.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct PlanLeg {
-    site: SiteId,
-    path: PathGeometry,
+    sites: Vec<SiteId>,
+    paths: Vec<PathGeometry>,
 }
 
 /// Plan slots a VP owns.
@@ -134,18 +129,21 @@ impl ProbePlan {
             ..ProbePlan::default()
         };
         plan.offsets.push(0);
+        // A built slot's near-equal candidate indices, kept only while its
+        // entries are resolved.
+        let mut near = Vec::new();
         for v in vps {
             let vp = &world.population.vps()[v];
             for letter in RootLetter::ALL {
                 for family in Family::BOTH {
                     if stale[letter.index()] {
-                        plan.push_built(world, churn, vp, letter, family);
+                        plan.push_built(world, churn, vp, letter, family, &mut near);
                     } else {
-                        let (near, legs) = old.slot(v, letter, family);
-                        plan.near.extend_from_slice(near);
-                        plan.legs.extend_from_slice(legs);
+                        let (sites, paths) = old.slot(v, letter, family);
+                        plan.sites.extend_from_slice(sites);
+                        plan.paths.extend_from_slice(paths);
                     }
-                    let end = u32::try_from(plan.near.len()).expect("a plan fits u32 offsets");
+                    let end = u32::try_from(plan.sites.len()).expect("a plan fits u32 offsets");
                     plan.offsets.push(end);
                 }
             }
@@ -154,7 +152,7 @@ impl ProbePlan {
     }
 
     /// Append the entries of `vp`'s slot for `letter` in `family`, from the
-    /// route tables.
+    /// route tables; `near` is scratch for the slot's near-equal set.
     fn push_built(
         &mut self,
         world: &World,
@@ -162,27 +160,26 @@ impl ProbePlan {
         vp: &VantagePoint,
         letter: RootLetter,
         family: Family,
+        near: &mut Vec<usize>,
     ) {
         let cands = world.routes(letter, family).candidates(vp.asn);
-        let first = self.near.len();
-        self.near.extend(churn.near_equal_in(cands));
-        let near = &self.near[first..];
-        self.legs.extend(near.iter().map(|&i| {
+        near.clear();
+        near.extend(churn.near_equal_in(cands));
+        for &i in near.iter() {
             let site = cands[i].site;
             let route = &cands[resolve_candidate(cands, near, site)];
-            PlanLeg {
-                site,
-                path: world.path_to(vp, letter, route, site),
-            }
-        }));
+            self.sites.push(site);
+            self.paths.push(world.path_to(vp, letter, route, site));
+        }
     }
 
-    /// The near-equal set and its legs for VP `vp`, `letter`, `family`.
+    /// The near-equal sites and their paths for VP `vp`, `letter`,
+    /// `family`.
     #[inline]
-    fn slot(&self, vp: usize, letter: RootLetter, family: Family) -> (&[usize], &[PlanLeg]) {
+    fn slot(&self, vp: usize, letter: RootLetter, family: Family) -> (&[SiteId], &[PathGeometry]) {
         let slot = (vp * 13 + letter.index()) * 2 + family.index();
         let entries = self.offsets[slot] as usize..self.offsets[slot + 1] as usize;
-        (&self.near[entries.clone()], &self.legs[entries])
+        (&self.sites[entries.clone()], &self.paths[entries])
     }
 }
 
@@ -191,8 +188,8 @@ impl shard::Merge for ProbePlan {
     fn merge(&mut self, other: Self) {
         let base = *self.offsets.last().expect("offsets start at 0");
         (self.offsets).extend(other.offsets[1..].iter().map(|&end| base + end));
-        self.near.extend(other.near);
-        self.legs.extend(other.legs);
+        self.sites.extend(other.sites);
+        self.paths.extend(other.paths);
     }
 }
 
@@ -968,11 +965,11 @@ impl<'w> MeasurementEngine<'w> {
     }
 
     /// Site selection and base RTT of one probe of VP number `v`, from the
-    /// world's `plan`: a Markov step over the slot's near-equal set, then
-    /// the geometry of the leg that reaches the selected site — or, for a
-    /// site an upstream redirect chose that no near-equal candidate serves,
-    /// of the route [`resolve_candidate`] finds, computed once per session
-    /// and slot.
+    /// world's `plan`: a Markov step over the slot's near-equal sites, then
+    /// the path of the first entry that reaches the selected site — or, for
+    /// a site an upstream redirect chose that no near-equal candidate
+    /// serves, of the route [`resolve_candidate`] finds in the live route
+    /// table, computed once per session and slot.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn select(
@@ -987,23 +984,24 @@ impl<'w> MeasurementEngine<'w> {
     ) -> Option<(SiteId, f64)> {
         let world = self.world;
         let ov = self.config.overrides.letter(target.letter);
-        let cands = world.routes(target.letter, family).candidates(vp.asn);
-        let (near, legs) = plan.slot(v, target.letter, family);
+        let (sites, paths) = plan.slot(v, target.letter, family);
         let (site, _) = self.config.churn.step_near(
-            cands,
-            near,
+            sites,
             &mut state.selection,
             rng,
             churn_multiplier(target.letter, family) * ov.churn_boost,
             world.attracting_sites(target.letter, family),
         );
         let site = site?;
-        let path = match legs.iter().find(|leg| leg.site == site) {
-            Some(leg) => leg.path,
+        let path = match sites.iter().position(|&s| s == site) {
+            Some(k) => paths[k],
             None => match state.redirects.iter().find(|(s, _)| *s == site) {
                 Some(&(_, path)) => path,
                 None => {
-                    let route = &cands[resolve_candidate(cands, near, site)];
+                    // The slot's sites are every near-equal candidate's, so
+                    // no near-equal candidate serves this one.
+                    let cands = world.routes(target.letter, family).candidates(vp.asn);
+                    let route = &cands[resolve_candidate(cands, &[], site)];
                     let path = world.path_to(vp, target.letter, route, site);
                     state.redirects.push((site, path));
                     path
@@ -1367,9 +1365,9 @@ mod tests {
             let table = world.routes(target.letter, family);
             let cands = table.candidates(vp.asn);
             let near = (slot.near).get_or_insert_with(|| churn.near_equal(table, vp.asn));
+            let sites: Vec<SiteId> = near.iter().map(|&i| cands[i].site).collect();
             let (site, _) = churn.step_near(
-                cands,
-                near,
+                &sites,
                 &mut slot.selection,
                 rng,
                 churn_multiplier(target.letter, family)
@@ -1561,7 +1559,71 @@ mod tests {
         assert_eq!(builds(&world, 3), [1; 13]);
         assert_eq!(builds(&world, slack), all_but(1, letter, 3));
         assert!(Arc::ptr_eq(&restored, &world.probe_plan(&churn, 1)));
-        assert!(world.probe_plan(&wide_churn, 1).near.len() > restored.near.len());
+        assert!(world.probe_plan(&wide_churn, 1).sites.len() > restored.sites.len());
+    }
+
+    /// Every slot of `world`'s plan at `churn`'s slack against the live
+    /// route tables: its sites are the near-equal candidates' sites in
+    /// order, and each path follows the first near-equal candidate that
+    /// serves its site. Returns how many slots hold an entry.
+    fn assert_plan_matches_routes(world: &World, churn: &ChurnModel) -> usize {
+        let plan = world.probe_plan(churn, 2);
+        let mut planned = 0;
+        for (v, vp) in world.population.vps().iter().enumerate() {
+            for letter in RootLetter::ALL {
+                for family in Family::BOTH {
+                    let table = world.routes(letter, family);
+                    let cands = table.candidates(vp.asn);
+                    let near = churn.near_equal(table, vp.asn);
+                    let (sites, paths) = plan.slot(v, letter, family);
+                    let live: Vec<SiteId> = near.iter().map(|&i| cands[i].site).collect();
+                    let at = format!("vp {v} {letter:?} {family:?}");
+                    assert_eq!(sites, &live[..], "{at}");
+                    for (&site, &path) in sites.iter().zip(paths) {
+                        let route = &cands[resolve_candidate(cands, &near, site)];
+                        assert_eq!(path, world.path_to(vp, letter, route, site), "{at}");
+                    }
+                    planned += usize::from(!sites.is_empty());
+                }
+            }
+        }
+        planned
+    }
+
+    #[test]
+    fn every_plan_slot_matches_the_live_route_tables() {
+        // Slack 1 and 3, on the built world, after a withdrawal and after
+        // the restore: the plan is exactly what the route tables say.
+        let mut world = tiny_world();
+        let narrow = ChurnModel::default();
+        let wide = ChurnModel {
+            near_equal_slack: 3,
+            ..ChurnModel::default()
+        };
+        let check = |world: &World| {
+            let slots = assert_plan_matches_routes(world, &narrow);
+            assert!(slots > world.population.len() * 13);
+            assert!(
+                world.probe_plan(&wide, 1).sites.len() > world.probe_plan(&narrow, 1).sites.len()
+            );
+            assert_plan_matches_routes(world, &wide);
+        };
+        check(&world);
+        let letter = RootLetter::G;
+        let vp = &world.population.vps()[0];
+        let site = (world.routes(letter, Family::V4).best(vp.asn))
+            .expect("VP 0 reaches g.root")
+            .site;
+        assert!(world.withdraw_site(letter, site));
+        check(&world);
+        let plan = world.probe_plan(&narrow, 1);
+        for v in 0..world.population.len() {
+            for family in Family::BOTH {
+                assert!(!plan.slot(v, letter, family).0.contains(&site));
+            }
+        }
+        assert!(world.restore_site(letter, site));
+        check(&world);
     }
 
     #[test]

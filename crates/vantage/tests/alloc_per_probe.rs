@@ -5,8 +5,17 @@
 //! allocations or more (its identity string twice, the near-equal
 //! candidate set twice) and every transfer a formatted serial. A *fresh*
 //! session on a world measured before allocates the same way: the
-//! near-equal sets and path geometry are the world's, not the session's
-//! (before, a fresh session built them again, two allocations a slot).
+//! near-equal sites and path geometry are the world's probe plan, not the
+//! session's (before, a fresh session built them again, two allocations a
+//! slot).
+//!
+//! The plan's own build is counted exactly: allocations and requested
+//! bytes on a fresh Tiny world at one worker, pinned as literals. A plan
+//! holds offsets, sites and paths; the near-equal candidate indices it
+//! was built from are scratch, reused slot to slot (when the plan kept
+//! them beside a site-and-path leg, the build made 35 allocations of
+//! 269 492 bytes). A change that moves either count restates its literal
+//! and says why.
 //!
 //! Lives in its own test binary, its tests one at a time, so no sibling
 //! test thread can allocate concurrently and pollute the counter.
@@ -18,20 +27,27 @@ use vantage::{
     EngineSession, MeasurementConfig, MeasurementEngine, Round, Schedule, World, WorldBuildConfig,
 };
 
-/// System allocator with an allocation counter (dealloc is free to run:
-/// only new/grown blocks indicate per-probe allocation).
+/// System allocator with an allocation counter and the bytes each call
+/// asked for (dealloc is free to run: only new/grown blocks indicate
+/// per-probe allocation; a grown block counts its new size).
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static REQUESTED: AtomicU64 = AtomicU64::new(0);
+
+fn count(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    REQUESTED.fetch_add(bytes as u64, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
@@ -40,7 +56,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -110,4 +126,41 @@ fn a_fresh_session_on_a_measured_world_allocates_per_call_not_per_slot() {
         timed,
         measured.probes.len(),
     );
+}
+
+/// Allocations and requested bytes of one measurement through a fresh
+/// session over `rounds` on one worker.
+fn fresh_session_work(engine: &MeasurementEngine, rounds: &[Round]) -> (u64, u64) {
+    let (allocations, requested) = (
+        ALLOCATIONS.load(Ordering::Relaxed),
+        REQUESTED.load(Ordering::Relaxed),
+    );
+    let sink = engine.run_rounds_session(&mut EngineSession::new(), rounds, 1);
+    let work = (
+        ALLOCATIONS.load(Ordering::Relaxed) - allocations,
+        REQUESTED.load(Ordering::Relaxed) - requested,
+    );
+    assert!(sink.probes.len() > 5_000);
+    work
+}
+
+/// What building the probe plan of a fresh Tiny world on one worker
+/// allocates: every VP, letter and family, at the default slack.
+const PLAN_BUILD_ALLOCATIONS: u64 = 36;
+const PLAN_BUILD_BYTES: u64 = 171_268;
+
+#[test]
+fn a_plan_build_allocates_its_pinned_count_and_bytes() {
+    // The first measurement of a world builds its plan; a later fresh
+    // session over the same rounds does the same work without it.
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let (world, config, tail) = tiny_tail();
+    let rounds = &tail[..3];
+    let engine = MeasurementEngine::new(&world, config);
+    let (first, later) = (
+        fresh_session_work(&engine, rounds),
+        fresh_session_work(&engine, rounds),
+    );
+    let build = (first.0 - later.0, first.1 - later.1);
+    assert_eq!(build, (PLAN_BUILD_ALLOCATIONS, PLAN_BUILD_BYTES));
 }
